@@ -172,14 +172,22 @@ def _get_choice(cfg: dict[str, str], key: str, options: tuple[str, ...]) -> str:
     return cfg[key]
 
 
+def _validated(value, section: str):
+    """value after its validate(); a rejected value is the user's config error."""
+    try:
+        value.validate()
+    except ValueError as exc:
+        raise ConfigError(f"invalid {section} config: {exc}") from None
+    return value
+
+
 def build_model_config(cfg: dict[str, str]) -> ModelConfig:
     mc = ModelConfig(
         include_credit_intercept=_get_bool(cfg, "model.include_credit_intercept"),
         credit_scale=_get_float(cfg, "model.credit_scale"),
         poisson_rate_cap=_get_float(cfg, "model.poisson_rate_cap"),
     )
-    mc.validate()
-    return mc
+    return _validated(mc, "model")
 
 
 def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
@@ -193,8 +201,7 @@ def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
         target_accept=_get_float(cfg, "sampler.target_accept"),
         seed=_get_int(cfg, "sampler.seed"),
     )
-    sc.validate()
-    return sc
+    return _validated(sc, "sampler")
 
 
 def build_forest_config(cfg: dict[str, str]) -> ForestConfig:
@@ -230,9 +237,7 @@ def _synth_truth(cfg: dict[str, str]) -> ModelParams:
     values = {name: _get_float(cfg, f"synth.param.{name}") for name in PARAM_NAMES[:-1]}
     b_c_raw = cfg["synth.param.b_c"]
     values["b_c"] = None if b_c_raw.lower() == "none" else _get_float(cfg, "synth.param.b_c")
-    params = ModelParams(**values)
-    params.validate()
-    return params
+    return _validated(ModelParams(**values), "synth.param")
 
 
 def _latent_columns(n: int, want: int) -> tuple[int, ...]:

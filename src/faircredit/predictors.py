@@ -284,6 +284,16 @@ def forest_to_text(model: ForestModel, header_lines: tuple[str, ...] = ()) -> st
     return "\n".join(lines) + "\n"
 
 
+def _field(raw: dict[str, str], key: str, convert, where: str):
+    """raw[key] through convert; a missing or unreadable value is a UserError."""
+    if key not in raw:
+        raise UserError(f"{where} is missing {key!r}")
+    try:
+        return convert(raw[key])
+    except ValueError:
+        raise UserError(f"{where}: bad value for {key!r}: {raw[key]!r}") from None
+
+
 def forest_from_text(text: str) -> ForestModel:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     meta: dict[str, str] = {}
@@ -295,10 +305,10 @@ def forest_from_text(text: str) -> ForestModel:
     if meta.get("format") != FOREST_FORMAT:
         raise UserError(f"unsupported forest format: {meta.get('format')!r}")
     cfg = ForestConfig(
-        n_trees=int(meta["n_trees"]),
-        max_depth=int(meta["max_depth"]),
-        min_leaf=int(meta["min_leaf"]),
-        seed=int(meta["seed"]),
+        n_trees=_field(meta, "n_trees", int, "forest header"),
+        max_depth=_field(meta, "max_depth", int, "forest header"),
+        min_leaf=_field(meta, "min_leaf", int, "forest header"),
+        seed=_field(meta, "seed", int, "forest header"),
     )
 
     def parse_node(it: Iterator[str]) -> TreeNode:
@@ -320,7 +330,10 @@ def forest_from_text(text: str) -> ForestModel:
         marker = next(it, None)
         if marker != f"tree {t}":
             raise UserError(f"malformed forest file: expected 'tree {t}', got {marker!r}")
-        trees.append(parse_node(it))
+        try:
+            trees.append(parse_node(it))
+        except StopIteration:
+            raise UserError(f"truncated forest file: tree {t} ends early") from None
     return ForestModel(trees=trees, config=cfg)
 
 
@@ -448,30 +461,47 @@ def load_fair_model(model_dir: str) -> FairModel:
         except OSError as exc:
             raise UserError(f"cannot read fair model file {path}: {exc}") from exc
 
-    theta = ModelParams.from_kv_text(read("params.kv"))
+    try:
+        theta = ModelParams.from_kv_text(read("params.kv"))
+    except ValueError as exc:
+        raise UserError(f"{os.path.join(model_dir, 'params.kv')}: {exc}") from None
     forest = forest_from_text(read("forest.txt"))
     raw = parse_kv_text(read("config.kv"), where="fair model config")
+    where = os.path.join(model_dir, "config.kv")
+
+    def get(key, convert):
+        return _field(raw, key, convert, where)
+
+    def flag(key):
+        return get(key, lambda v: parse_bool(v, key))
+
     sc = SamplerConfig(
-        iterations=int(raw["sampler.iterations"]),
-        burn_in=int(raw["sampler.burn_in"]),
-        thin=int(raw["sampler.thin"]),
-        delta=float(raw["sampler.delta"]),
-        param_step=float(raw["sampler.param_step"]),
-        adapt_during_burn_in=parse_bool(raw["sampler.adapt_during_burn_in"], "adapt_during_burn_in"),
-        target_accept=float(raw["sampler.target_accept"]),
-        seed=int(raw["sampler.seed"]),
+        iterations=get("sampler.iterations", int),
+        burn_in=get("sampler.burn_in", int),
+        thin=get("sampler.thin", int),
+        delta=get("sampler.delta", float),
+        param_step=get("sampler.param_step", float),
+        adapt_during_burn_in=flag("sampler.adapt_during_burn_in"),
+        target_accept=get("sampler.target_accept", float),
+        seed=get("sampler.seed", int),
     )
     mc = ModelConfig(
-        include_credit_intercept=parse_bool(
-            raw["model.include_credit_intercept"], "include_credit_intercept"
-        ),
-        credit_scale=float(raw["model.credit_scale"]),
-        poisson_rate_cap=float(raw["model.poisson_rate_cap"]),
+        include_credit_intercept=flag("model.include_credit_intercept"),
+        credit_scale=get("model.credit_scale", float),
+        poisson_rate_cap=get("model.poisson_rate_cap", float),
     )
+    try:
+        sc.validate()
+        mc.validate()
+    except ValueError as exc:
+        raise UserError(f"{where}: {exc}") from None
+    latent_point = raw.get("latent_point", "mean")
+    if latent_point not in ("mean", "median"):
+        raise UserError(f"{where}: latent_point must be 'mean' or 'median', got {latent_point!r}")
     return FairModel(
         theta_hat=theta,
         forest=forest,
         latent_sampler_config=sc,
         model_config=mc,
-        latent_point=raw.get("latent_point", "mean"),
+        latent_point=latent_point,
     )

@@ -1,10 +1,18 @@
 """Generative credit model: parameters, priors, and log-densities.
 
-A person's job and house indicators follow logistic (sigmoid-link) heads in
+A person's job and house indicators follow logistic (logit-link) heads in
 sex, standardized age, and a latent reliability score c. Their credit amount
 follows a log-linear Poisson head in the same drivers. The latent score and
 every parameter carry standard normal priors. Everything here is pure,
 log-space, and overflow-guarded.
+
+The likelihood is written once, per head, over arrays of observations
+(_head_rows). head_log_likelihood sums one head for the sampler's parameter
+steps, per_obs_log_likelihood adds the heads per observation for its latent
+steps, and log_posterior reports a rate overflow from the same rows. Only
+single-observation test-time inference (sampler.infer_latent) restates the
+heads as scalar arithmetic, because array calls on one row cost more than the
+arithmetic itself.
 """
 
 import math
@@ -18,7 +26,7 @@ from .errors import RateCapError
 from .util import parse_kv_text, format_kv_text
 
 if TYPE_CHECKING:  # only for annotations; avoids a circular import
-    from .dataset import Dataset, Observation
+    from .dataset import Dataset
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -128,77 +136,8 @@ class ModelParams:
         return cls(**kw)
 
 
-@dataclass
-class LatentState:
-    """The per-observation latent reliability scores of one chain state."""
-
-    c: np.ndarray
-
-    def validate(self, n_expected: int | None = None) -> None:
-        arr = np.asarray(self.c, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("latent state must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("latent state contains non-finite values")
-        if n_expected is not None and arr.shape[0] != n_expected:
-            raise ValueError(f"latent state has {arr.shape[0]} entries, expected {n_expected}")
-
-
 # ---------------------------------------------------------------------------
-# scalar densities
-
-def sigmoid(x: float) -> float:
-    """Numerically stable logistic function; never overflows for finite x."""
-    x = float(x)
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def log_sigmoid(x: float) -> float:
-    """log(sigmoid(x)) without ever materializing the probability."""
-    x = float(x)
-    if x >= 0.0:
-        return -math.log1p(math.exp(-x))
-    return x - math.log1p(math.exp(x))
-
-
-def bernoulli_log_pmf(y: int, p: float) -> float:
-    """y*log(p) + (1-y)*log(1-p) for y in {0,1} and p in (0,1)."""
-    if y not in (0, 1):
-        raise ValueError(f"y must be 0 or 1, got {y!r}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0,1), got {p!r}")
-    return math.log(p) if y == 1 else math.log1p(-p)
-
-
-def bernoulli_log_pmf_logit(y: int, x: float) -> float:
-    """Bernoulli log-pmf with success probability sigmoid(x).
-
-    Works directly on the linear predictor, so log(1-p) stays exact even when
-    sigmoid(x) rounds to 1.0 (catastrophic cancellation in probability space).
-    """
-    if y not in (0, 1):
-        raise ValueError(f"y must be 0 or 1, got {y!r}")
-    return log_sigmoid(x) if y == 1 else log_sigmoid(-x)
-
-
-def poisson_log_pmf(k: float, rate: float, rate_cap: float = 1e7) -> float:
-    """k*log(rate) - rate - logGamma(k+1) for integer k >= 0, 0 < rate <= cap."""
-    if k < 0 or k != math.floor(k):
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    if not (rate > 0.0):
-        raise ValueError(f"rate must be positive, got {rate!r}")
-    if rate > rate_cap:
-        raise RateCapError(math.log(rate), rate_cap)
-    return k * math.log(rate) - rate - float(gammaln(k + 1.0))
-
-
-def normal_log_pdf(x: float) -> float:
-    """Standard normal log-density."""
-    return -0.5 * (LOG_2PI + x * x)
-
+# densities
 
 def credit_count(credit: float, credit_scale: float) -> int:
     """Count fed to the Poisson head: credit / scale, rounded half to even."""
@@ -212,51 +151,19 @@ def log_prior(theta: ModelParams, config: ModelConfig = DEFAULT_MODEL_CONFIG) ->
     return float(-0.5 * (len(vec) * LOG_2PI + np.dot(vec, vec)))
 
 
-def obs_log_likelihood(
-    theta: ModelParams,
-    c_i: float,
-    obs: "Observation",
-    include_credit: bool = True,
-    config: ModelConfig = DEFAULT_MODEL_CONFIG,
-) -> float:
-    """Log-likelihood of a single observation given its latent score.
-
-    include_credit=False drops the Poisson term; that is the test-time mode
-    where the target must not inform its own features.
-    """
-    theta.validate()
-    config.validate()
-    if not math.isfinite(c_i):
-        raise ValueError(f"latent value must be finite, got {c_i!r}")
-    sex, age = float(obs.sex), float(obs.age_std)
-    ll = bernoulli_log_pmf_logit(
-        obs.job, theta.b_j + sex * theta.beta_j_s + age * theta.beta_j_a + c_i * theta.beta_j_c
-    )
-    ll += bernoulli_log_pmf_logit(
-        obs.house, theta.b_h + sex * theta.beta_h_s + age * theta.beta_h_a + c_i * theta.beta_h_c
-    )
-    if include_credit:
-        lin = sex * theta.beta_c_s + age * theta.beta_c_a + c_i * theta.beta_c_c
-        if config.include_credit_intercept:
-            if theta.b_c is None:
-                raise ValueError("credit intercept enabled but b_c is None")
-            lin += theta.b_c
-        if lin > math.log(config.poisson_rate_cap):
-            raise RateCapError(lin, config.poisson_rate_cap)
-        k = credit_count(obs.credit, config.credit_scale)
-        ll += k * lin - math.exp(lin) - float(gammaln(k + 1.0))
-    return ll
-
-
 def log_posterior(
     theta: ModelParams,
-    latents: "LatentState | np.ndarray",
+    latents: np.ndarray,
     data: "Dataset",
     config: ModelConfig = DEFAULT_MODEL_CONFIG,
 ) -> float:
-    """Joint log-density: prior + latent prior + full-data likelihood (credit included)."""
+    """Joint log-density: prior + latent prior + full-data likelihood (credit included).
+
+    A credit rate above the cap raises RateCapError naming the first
+    overflowing linear predictor.
+    """
     config.validate()
-    c = np.asarray(getattr(latents, "c", latents), dtype=float)
+    c = np.asarray(latents, dtype=float)
     if c.shape != (len(data),):
         raise ValueError(f"latent vector shape {c.shape} does not match {len(data)} observations")
     if not np.all(np.isfinite(c)):
@@ -265,8 +172,8 @@ def log_posterior(
     vec = theta.to_vector(config.include_credit_intercept)
     ll, n_over = per_obs_log_likelihood(vec, c, design, include_credit=True)
     if n_over:
-        bad = _first_overflow_lin(vec, c, design)
-        raise RateCapError(bad, config.poisson_rate_cap)
+        over_lin = _head_rows(HEAD_CREDIT, vec, c, design)[1]
+        raise RateCapError(float(over_lin[0]), config.poisson_rate_cap)
     lp = log_prior(theta, config)
     lp += float(np.sum(-0.5 * (LOG_2PI + c * c)))
     lp += float(np.sum(ll))
@@ -274,7 +181,7 @@ def log_posterior(
 
 
 # ---------------------------------------------------------------------------
-# vectorized likelihood engine (shared by the sampler and the scalar ops)
+# vectorized likelihood engine: each head is written once, in _head_rows
 
 @dataclass
 class Design:
@@ -309,6 +216,37 @@ class Design:
         return self.sex.shape[0]
 
 
+_NO_OVERFLOW = np.empty(0)
+
+
+def _head_rows(
+    head: int, vec: np.ndarray, c: np.ndarray, design: Design
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-observation log-likelihood of one head, and the overflowed credit
+    linear predictors.
+
+    The logistic heads work on the signed linear predictor, never on the
+    probability, so they stay exact where it would round to 0 or 1. Credit
+    rows whose rate exceeds the cap are -inf, and their linear predictors are
+    returned in row order; the second array is empty otherwise, and only a
+    rate above the cap costs the masking.
+    """
+    if head != HEAD_CREDIT:
+        o = 4 * head
+        sign = design.job_sign if head == HEAD_JOB else design.house_sign
+        x = vec[o] + design.sex * vec[o + 1] + design.age * vec[o + 2] + c * vec[o + 3]
+        return -np.logaddexp(0.0, -x * sign), _NO_OVERFLOW
+    lin = design.sex * vec[8] + design.age * vec[9] + c * vec[10]
+    if vec.shape[0] == 12:
+        lin = lin + vec[11]
+    over = lin > design.cap_log
+    if not over.any():
+        return design.counts * lin - np.exp(lin) - design.lgamma_counts, _NO_OVERFLOW
+    safe = np.where(over, 0.0, lin)
+    term = design.counts * lin - np.exp(safe) - design.lgamma_counts
+    return np.where(over, -np.inf, term), lin[over]
+
+
 def head_log_likelihood(
     head: int, vec: np.ndarray, c: np.ndarray, design: Design
 ) -> tuple[float, int]:
@@ -317,47 +255,18 @@ def head_log_likelihood(
     Overflowed credit rates contribute -inf to the sum instead of raising, so
     sampler steps can reject them and keep a counter.
     """
-    if head == HEAD_JOB:
-        x = vec[0] + design.sex * vec[1] + design.age * vec[2] + c * vec[3]
-        return float(-np.sum(np.logaddexp(0.0, -x * design.job_sign))), 0
-    if head == HEAD_HOUSE:
-        x = vec[4] + design.sex * vec[5] + design.age * vec[6] + c * vec[7]
-        return float(-np.sum(np.logaddexp(0.0, -x * design.house_sign))), 0
-    lin = design.sex * vec[8] + design.age * vec[9] + c * vec[10]
-    if vec.shape[0] == 12:
-        lin = lin + vec[11]
-    over = lin > design.cap_log
-    n_over = int(np.count_nonzero(over))
-    if n_over:
-        return float("-inf"), n_over
-    ll = design.counts * lin - np.exp(lin) - design.lgamma_counts
-    return float(np.sum(ll)), 0
+    rows, over_lin = _head_rows(head, vec, c, design)
+    if over_lin.size:
+        return float("-inf"), over_lin.size
+    return float(np.sum(rows)), 0
 
 
 def per_obs_log_likelihood(
     vec: np.ndarray, c: np.ndarray, design: Design, include_credit: bool = True
 ) -> tuple[np.ndarray, int]:
     """Per-observation log-likelihood vector. Overflowed entries become -inf."""
-    x = vec[0] + design.sex * vec[1] + design.age * vec[2] + c * vec[3]
-    ll = -np.logaddexp(0.0, -x * design.job_sign)
-    x = vec[4] + design.sex * vec[5] + design.age * vec[6] + c * vec[7]
-    ll = ll - np.logaddexp(0.0, -x * design.house_sign)
-    n_over = 0
-    if include_credit:
-        lin = design.sex * vec[8] + design.age * vec[9] + c * vec[10]
-        if vec.shape[0] == 12:
-            lin = lin + vec[11]
-        over = lin > design.cap_log
-        n_over = int(np.count_nonzero(over))
-        safe = np.where(over, 0.0, lin)
-        term = design.counts * lin - np.exp(safe) - design.lgamma_counts
-        ll = ll + np.where(over, -np.inf, term)
-    return ll, n_over
-
-
-def _first_overflow_lin(vec: np.ndarray, c: np.ndarray, design: Design) -> float:
-    lin = design.sex * vec[8] + design.age * vec[9] + c * vec[10]
-    if vec.shape[0] == 12:
-        lin = lin + vec[11]
-    idx = np.nonzero(lin > design.cap_log)[0]
-    return float(lin[idx[0]])
+    ll = _head_rows(HEAD_JOB, vec, c, design)[0] + _head_rows(HEAD_HOUSE, vec, c, design)[0]
+    if not include_credit:
+        return ll, 0
+    credit, over_lin = _head_rows(HEAD_CREDIT, vec, c, design)
+    return ll + credit, over_lin.size

@@ -26,10 +26,8 @@ from .dataset import Dataset, Observation
 from .errors import DataError, SamplerError
 from .probmodel import (
     Design,
-    LatentState,
     ModelConfig,
     ModelParams,
-    DEFAULT_MODEL_CONFIG,
     LOG_2PI,
     PARAM_HEAD,
     head_log_likelihood,
@@ -160,96 +158,6 @@ def mh_step_scalar(
     return current, False, log_r
 
 
-def mh_step_latent(
-    i: int,
-    current_c: float,
-    theta: ModelParams,
-    obs: Observation,
-    delta: float,
-    include_credit: bool,
-    rng: np.random.Generator,
-    config: ModelConfig = DEFAULT_MODEL_CONFIG,
-) -> tuple[float, bool]:
-    """One latent update for observation i.
-
-    The target is log N(c; 0, 1) plus the observation log-likelihood. A
-    likelihood error (credit rate above the cap) rejects the proposal rather
-    than aborting. Stream use: one uniform for the proposal, one for the
-    accept test, in that order.
-    """
-    design = _single_obs_design(obs, config)
-    vec = theta.to_vector(config.include_credit_intercept)
-
-    def target(c: float) -> float:
-        ll, n_over = per_obs_log_likelihood(vec, np.array([c]), design, include_credit)
-        if n_over:
-            return float("-inf")
-        return float(ll[0] - 0.5 * (LOG_2PI + c * c))
-
-    new_c, accepted, _ = mh_step_scalar(current_c, target, delta, rng)
-    return new_c, accepted
-
-
-def mh_step_param(
-    name: str,
-    theta: ModelParams,
-    latents: LatentState | np.ndarray,
-    data: Dataset,
-    step: float,
-    rng: np.random.Generator,
-    config: ModelConfig = DEFAULT_MODEL_CONFIG,
-) -> tuple[ModelParams, bool]:
-    """One single-coordinate parameter update against the joint posterior.
-
-    Only the affected likelihood head is recomputed; combined with the
-    standard normal prior term this equals the full log-posterior ratio.
-    Stream use: one standard normal (proposal), one uniform (accept test).
-    """
-    names = config.active_param_names()
-    if name not in names:
-        raise ValueError(f"unknown parameter {name!r}; expected one of {names}")
-    j = names.index(name)
-    c = np.asarray(getattr(latents, "c", latents), dtype=float)
-    if c.shape != (len(data),):
-        raise ValueError(f"latent vector shape {c.shape} does not match data of size {len(data)}")
-    design = Design.from_dataset(data, config)
-    vec = theta.to_vector(config.include_credit_intercept)
-    head = PARAM_HEAD[j if j < 11 else 11]
-    current_sum, _ = head_log_likelihood(head, vec, c, design)
-
-    z = rng.standard_normal()
-    u_acc = rng.random()
-    proposal = vec[j] + step * z
-    accepted = _accept_param(vec, j, proposal, head, current_sum, c, design, u_acc)[0]
-    if accepted:
-        vec = vec.copy()
-        vec[j] = proposal
-    return ModelParams.from_vector(vec), accepted
-
-
-def _accept_param(
-    vec: np.ndarray,
-    j: int,
-    proposal: float,
-    head: int,
-    current_head_sum: float,
-    c: np.ndarray,
-    design: Design,
-    u_acc: float,
-) -> tuple[bool, float, int]:
-    """Shared accept logic for parameter steps. Returns (accepted, new head sum, errors)."""
-    old = vec[j]
-    vec[j] = proposal
-    new_sum, n_over = head_log_likelihood(head, vec, c, design)
-    vec[j] = old
-    if n_over or new_sum == float("-inf"):
-        return False, current_head_sum, 1
-    log_r = (new_sum - current_head_sum) + 0.5 * (old * old - proposal * proposal)
-    if log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r):
-        return True, new_sum, 0
-    return False, current_head_sum, 0
-
-
 def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerConfig) -> Chain:
     """Run the full Metropolis-within-Gibbs chain on a dataset.
 
@@ -266,7 +174,7 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     design = Design.from_dataset(data, model_config)
     names = model_config.active_param_names()
     k = len(names)
-    heads = [PARAM_HEAD[j if j < 11 else 11] for j in range(k)]
+    heads = PARAM_HEAD[:k]
 
     theta = np.zeros(k)
     c = np.zeros(n)
@@ -300,19 +208,27 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
         for j in range(k):
             z = param_rng.standard_normal()
             u_acc = param_rng.random()
-            proposal = theta[j] + step * z
-            accepted, new_sum, n_err = _accept_param(
-                theta, j, proposal, heads[j], head_sums[heads[j]], c, design, u_acc
-            )
+            h = heads[j]
+            old = theta[j]
+            proposal = old + step * z
+            theta[j] = proposal
+            new_sum, n_over = head_log_likelihood(h, theta, c, design)
             total_steps += 1
-            err_steps += n_err
             win_param_tot += 1
+            if n_over or new_sum == float("-inf"):
+                err_steps += 1
+                accepted = False
+            else:
+                # only head h moved; its sum plus the prior term is the full ratio
+                log_r = (new_sum - head_sums[h]) + 0.5 * (old * old - proposal * proposal)
+                accepted = log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r)
             if accepted:
-                theta[j] = proposal
-                head_sums[heads[j]] = new_sum
+                head_sums[h] = new_sum
                 win_param_acc += 1
                 if post:
                     acc_param_post[j] += 1
+            else:
+                theta[j] = old
 
         # latent phase, vectorized across observations
         if buf_pos >= _LATENT_CHUNK:
@@ -328,7 +244,8 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
         ll_prop, n_over = per_obs_log_likelihood(theta, c_prop, design, include_credit=True)
         total_steps += n
         err_steps += n_over
-        # associate exactly as the scalar kernel does so both paths agree bitwise
+        # associate as mh_step_scalar does, target(proposal) - target(current), so
+        # stepping one latent at a time agrees with this vectorized phase bitwise
         log_r = (ll_prop - 0.5 * (LOG_2PI + c_prop * c_prop)) - (ll_cur - 0.5 * (LOG_2PI + c * c))
         with np.errstate(divide="ignore"):
             accept = (log_r >= 0.0) | (np.log(u_acc_vec) < log_r)
@@ -420,6 +337,8 @@ def infer_latent(
 
     exp, log1p, log = math.exp, math.log1p, math.log
 
+    # the heads of probmodel's engine restated on one scalar: for a single row
+    # the array calls cost far more than this arithmetic
     def loglik(cv: float) -> float:
         x = (a_j + k_j * cv) * s_j
         ll = -log1p(exp(-x)) if x >= 0.0 else x - log1p(exp(x))
@@ -469,33 +388,6 @@ def infer_latent(
         std=float(np.std(draws, ddof=1)) if draws.size > 1 else 0.0,
         draws=draws,
         accept_rate=accepts / max(post, 1),
-    )
-
-
-def infer_latent_test(
-    theta_hat: ModelParams,
-    obs: Observation,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
-    stream_index: int = 0,
-) -> LatentPosterior:
-    """Test-time latent inference: the credit term is always excluded."""
-    return infer_latent(
-        theta_hat, obs, model_config, sampler_config,
-        include_credit=False, stream_index=stream_index,
-    )
-
-
-def _single_obs_design(obs: Observation, config: ModelConfig) -> Design:
-    counts = np.rint(np.array([float(obs.credit)]) / config.credit_scale)
-    return Design(
-        sex=np.array([float(obs.sex)]),
-        age=np.array([float(obs.age_std)]),
-        job_sign=np.array([2.0 * obs.job - 1.0]),
-        house_sign=np.array([2.0 * obs.house - 1.0]),
-        counts=counts,
-        lgamma_counts=gammaln(counts + 1.0),
-        cap_log=math.log(config.poisson_rate_cap),
     )
 
 

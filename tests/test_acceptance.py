@@ -30,6 +30,7 @@ from faircredit.evaluation import compare_models, counterfactual_gap, flip_age, 
 from faircredit.predictors import (
     FairModel,
     ForestConfig,
+    fair_latent_points,
     fit_forest,
     fit_full,
     fit_ols,
@@ -38,7 +39,7 @@ from faircredit.predictors import (
     predict_forest,
 )
 from faircredit.probmodel import ModelConfig, ModelParams
-from faircredit.sampler import SamplerConfig, infer_latent_test, mh_step_scalar, run_chain
+from faircredit.sampler import SamplerConfig, infer_latent, mh_step_scalar, run_chain
 from faircredit.util import derive_rng
 
 DATA_PATH = os.environ.get("FAIRCREDIT_GERMAN_CSV") or str(
@@ -147,7 +148,7 @@ def test_criterion_2_quadrature_oracle(report):
         q_mean = np.trapezoid(grid * w, grid) / z
         q_std = math.sqrt(np.trapezoid(grid**2 * w, grid) / z - q_mean**2)
 
-        post = infer_latent_test(theta, obs, mc, cfg, stream_index=s)
+        post = infer_latent(theta, obs, mc, cfg, include_credit=False, stream_index=s)
         worst_mean = max(worst_mean, abs(post.mean - q_mean))
         worst_std = max(worst_std, abs(post.std - q_std))
     elapsed = time.monotonic() - t0
@@ -281,13 +282,13 @@ def test_criterion_6_fairness_invariants(report):
 
     # second stage sees only the latent score: with the protected-attribute
     # coefficients zeroed, flipping sex or mirroring age must not change a
-    # single bit of the prediction
+    # single bit of the inferred latent points, the fair prediction must be
+    # the forest evaluated at exactly those points, and so the prediction
+    # itself cannot move either
     r = np.random.default_rng(3)
     c_fit = r.standard_normal(80)
     y_fit = 2.0 * c_fit + 0.1 * r.standard_normal(80)
     forest = fit_forest(c_fit, y_fit, ForestConfig(n_trees=15, max_depth=4, min_leaf=3, seed=2))
-    grid = np.linspace(-2.5, 2.5, 101)
-    stage2_same = np.array_equal(predict_forest(forest, grid), predict_forest(forest, grid))
 
     neutral = ModelParams(
         b_j=0.3, beta_j_s=0.0, beta_j_a=0.0, beta_j_c=0.8,
@@ -302,19 +303,22 @@ def test_criterion_6_fairness_invariants(report):
         latent_point="mean",
     )
     subset = data.subset(range(25))
+    flipped = (flip_sex(subset), flip_age(subset, mode="mirror"))
+    points = fair_latent_points(fair, subset)
+    latents_same = all(np.array_equal(points, fair_latent_points(fair, d)) for d in flipped)
     base = predict_fair(fair, subset)
-    bit_identical = np.array_equal(base, predict_fair(fair, flip_sex(subset))) and np.array_equal(
-        base, predict_fair(fair, flip_age(subset, mode="mirror"))
-    )
+    stage2_same = np.array_equal(base, predict_forest(forest, points))
+    bit_identical = all(np.array_equal(base, predict_fair(fair, d)) for d in flipped)
 
-    ok = unaware_exact and full_matches_coef and stage2_same and bit_identical
+    ok = unaware_exact and full_matches_coef and latents_same and stage2_same and bit_identical
     report(
         6,
         ok,
         f"fairness invariants: unaware gaps sex={gap_sex_unaware} age={gap_age_unaware} "
         f"(exactly 0), full sex gap {gap_sex_full:.6f} == |coef| {abs(sex_coef):.6f} "
-        f"within 1e-10, stage-2 predictions bit-identical under sex/age flips at "
-        f"fixed latents: {bit_identical}",
+        f"within 1e-10, latent points bit-identical under sex/age flips: {latents_same}, "
+        f"fair predictions == forest at those points: {stage2_same}, "
+        f"fair predictions bit-identical under sex/age flips: {bit_identical}",
     )
 
 

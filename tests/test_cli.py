@@ -341,6 +341,25 @@ def test_bad_config_key_exit_code(tmp_path):
     assert "unknown config keys" in res.err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sampler.burn_in = 9000", "burn_in must lie in"),
+        ("model.credit_scale = -1", "credit_scale must be positive"),
+        ("synth.param.b_j = nan", "b_j is not finite"),
+    ],
+    ids=("sampler", "model", "synth_param"),
+)
+def test_invalid_config_value_exit_code(tmp_path, line, message):
+    # synth validates all three before it touches any data
+    config = tmp_path / "c.kv"
+    config.write_text(line + "\n", encoding="utf-8")
+    res = run_cli(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert res.code == 2
+    assert res.err.startswith("error:")
+    assert message in res.err
+
+
 def test_diagnose_without_chain(workspace, tmp_path):
     res = run_cli(
         [

@@ -260,6 +260,13 @@ def test_forest_from_text_rejects_malformed():
         forest_from_text(good.replace("tree 0", "tree 5"))
     with pytest.raises(UserError, match="node"):
         forest_from_text(good.replace("L 1.0", "X 1.0"))
+    # a file cut inside a tree, and a header missing or garbling a key
+    with pytest.raises(UserError, match="tree 0 ends early"):
+        forest_from_text(good.replace("L 1.0\n", ""))
+    with pytest.raises(UserError, match="n_trees"):
+        forest_from_text(good.replace("n_trees = 1\n", ""))
+    with pytest.raises(UserError, match="max_depth"):
+        forest_from_text(good.replace("max_depth = ", "max_depth = deep"))
 
 
 # --- two-stage fair model ---------------------------------------------------------
@@ -334,3 +341,28 @@ def test_save_load_fair_model_round_trip(tmp_path, tiny_dataset):
 def test_load_fair_model_missing_file(tmp_path):
     with pytest.raises(UserError, match="cannot read"):
         load_fair_model(str(tmp_path / "absent"))
+
+
+def test_load_fair_model_rejects_bad_config(tmp_path, tiny_dataset):
+    model, _ = small_fair_model(tiny_dataset)
+    save_fair_model(model, str(tmp_path / "m"))
+    config = tmp_path / "m" / "config.kv"
+    text = config.read_text(encoding="utf-8")
+
+    config.write_text(text.replace("sampler.thin = 2\n", ""), encoding="utf-8")
+    with pytest.raises(UserError, match="sampler.thin"):
+        load_fair_model(str(tmp_path / "m"))
+
+    config.write_text(text.replace("latent_point = mean", "latent_point = bogus"), encoding="utf-8")
+    with pytest.raises(UserError, match="latent_point"):
+        load_fair_model(str(tmp_path / "m"))
+
+    config.write_text(text.replace("sampler.burn_in = 100", "sampler.burn_in = 900"), encoding="utf-8")
+    with pytest.raises(UserError, match="burn_in"):
+        load_fair_model(str(tmp_path / "m"))
+
+    config.write_text(text, encoding="utf-8")
+    params = tmp_path / "m" / "params.kv"
+    params.write_text(params.read_text(encoding="utf-8") + "mystery = 1\n", encoding="utf-8")
+    with pytest.raises(UserError, match="unknown parameter"):
+        load_fair_model(str(tmp_path / "m"))

@@ -1,102 +1,121 @@
-"""Scalar densities, parameter containers, and the vectorized likelihood engine."""
+"""Parameter containers, priors, and the likelihood engine.
+
+The engine's per-observation values are checked against scipy: log_expit for
+the logistic heads, poisson.logpmf for the credit head, and norm.logpdf for
+the standard normal priors.
+"""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.special import log_expit
 from scipy.stats import norm, poisson
 
+from faircredit.dataset import Dataset
 from faircredit.errors import RateCapError
 from faircredit.probmodel import (
     BASE_PARAM_NAMES,
+    HEAD_CREDIT,
+    HEAD_HOUSE,
+    HEAD_JOB,
     LOG_2PI,
     PARAM_NAMES,
     Design,
     ModelConfig,
     ModelParams,
-    bernoulli_log_pmf,
-    bernoulli_log_pmf_logit,
     credit_count,
     head_log_likelihood,
     log_posterior,
     log_prior,
-    log_sigmoid,
-    normal_log_pdf,
-    obs_log_likelihood,
     per_obs_log_likelihood,
-    poisson_log_pmf,
-    sigmoid,
 )
 
 
-# --- scalar densities ------------------------------------------------------
-
-def test_sigmoid_basics():
-    assert sigmoid(0.0) == 0.5
-    assert sigmoid(1000.0) == 1.0
-    assert sigmoid(-1000.0) == pytest.approx(0.0, abs=1e-300)
-    for x in (-3.7, -0.2, 0.0, 1.4, 8.0):
-        assert sigmoid(-x) == pytest.approx(1.0 - sigmoid(x), abs=1e-15)
+def one_row(design: Design, i: int) -> Design:
+    """Observation i of a design on its own, sliced from the batched arrays."""
+    arrays = {f.name: getattr(design, f.name)[i : i + 1] for f in fields(design) if f.name != "cap_log"}
+    return replace(design, **arrays)
 
 
-def test_log_sigmoid_matches_log_of_sigmoid():
-    for x in (-5.0, -1.3, 0.0, 0.7, 4.2):
-        assert log_sigmoid(x) == pytest.approx(math.log(sigmoid(x)), rel=1e-13)
-    # no overflow far in the tail, where sigmoid itself underflows
-    assert log_sigmoid(-800.0) == pytest.approx(-800.0, rel=1e-12)
+def columns_design(sex, age, job, house, credit, config=ModelConfig()) -> Design:
+    data = Dataset(
+        sex=np.asarray(sex), age_std=np.asarray(age, dtype=float), job=np.asarray(job),
+        house=np.asarray(house), credit=np.asarray(credit),
+    )
+    return Design.from_dataset(data, config)
 
 
-def test_bernoulli_log_pmf():
-    assert bernoulli_log_pmf(1, 0.25) == math.log(0.25)
-    assert bernoulli_log_pmf(0, 0.25) == math.log1p(-0.25)
-    with pytest.raises(ValueError):
-        bernoulli_log_pmf(2, 0.5)
-    with pytest.raises(ValueError):
-        bernoulli_log_pmf(1, 1.0)
-    with pytest.raises(ValueError):
-        bernoulli_log_pmf(0, 0.0)
+def oracle_row(theta: ModelParams, c_i: float, obs, include_credit=True, config=ModelConfig()):
+    """One observation's log-likelihood assembled from scipy densities."""
+    x_j = theta.b_j + obs.sex * theta.beta_j_s + obs.age_std * theta.beta_j_a + c_i * theta.beta_j_c
+    x_h = theta.b_h + obs.sex * theta.beta_h_s + obs.age_std * theta.beta_h_a + c_i * theta.beta_h_c
+    ll = float(log_expit((2 * obs.job - 1) * x_j) + log_expit((2 * obs.house - 1) * x_h))
+    if include_credit:
+        lin = obs.sex * theta.beta_c_s + obs.age_std * theta.beta_c_a + c_i * theta.beta_c_c
+        if config.include_credit_intercept:
+            lin += theta.b_c
+        ll += float(poisson.logpmf(credit_count(obs.credit, config.credit_scale), math.exp(lin)))
+    return ll
 
+
+# --- densities against scipy -------------------------------------------------
 
 def test_bernoulli_logit_form_agrees_and_survives_extremes():
-    for x in (-6.0, -0.4, 0.0, 2.2):
-        for y in (0, 1):
-            assert bernoulli_log_pmf_logit(y, x) == pytest.approx(
-                bernoulli_log_pmf(y, sigmoid(x)), rel=1e-12
-            )
-    # probability space would round to 1.0 here; the logit form stays exact
-    assert bernoulli_log_pmf_logit(0, 40.0) == pytest.approx(-40.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        bernoulli_log_pmf_logit(3, 0.0)
+    # x_j = x_h = c with unit latent loadings; both outcomes at every logit,
+    # out to tails where the probability itself rounds to 0 or 1
+    xs = np.array([-800.0, -40.0, -6.0, -0.4, 0.0, 2.2, 40.0, 800.0])
+    c = np.repeat(xs, 2)
+    y = np.tile([0, 1], xs.size)
+    design = columns_design(np.zeros(c.size), np.zeros(c.size), y, 1 - y, np.zeros(c.size))
+    vec = ModelParams(beta_j_c=1.0, beta_h_c=1.0).to_vector()
+    for i in range(c.size):
+        row = one_row(design, i)
+        job, _ = head_log_likelihood(HEAD_JOB, vec, c[i : i + 1], row)
+        house, _ = head_log_likelihood(HEAD_HOUSE, vec, c[i : i + 1], row)
+        assert job == pytest.approx(float(log_expit((2 * y[i] - 1) * c[i])), rel=1e-12)
+        assert house == pytest.approx(float(log_expit((1 - 2 * y[i]) * c[i])), rel=1e-12)
+    # probability space would round to 1.0 at 40; the logit form stays exact
+    at_40 = one_row(design, np.flatnonzero((c == 40.0) & (y == 0))[0])
+    assert head_log_likelihood(HEAD_JOB, vec, np.array([40.0]), at_40)[0] == pytest.approx(
+        -40.0, rel=1e-12
+    )
+    at_m800 = one_row(design, np.flatnonzero((c == -800.0) & (y == 1))[0])
+    assert head_log_likelihood(HEAD_JOB, vec, np.array([-800.0]), at_m800)[0] == -800.0
 
 
 def test_poisson_log_pmf_frozen_value():
     # 3*log(2) - 2 - log(6), checked against scipy.stats.poisson
-    assert poisson_log_pmf(3, 2.0) == pytest.approx(-1.7123179275482192, abs=1e-14)
+    design = columns_design([0], [0.0], [1], [1], [3])
+    vec = ModelParams(beta_c_c=1.0).to_vector()
+    total, _ = head_log_likelihood(HEAD_CREDIT, vec, np.array([math.log(2.0)]), design)
+    assert total == pytest.approx(-1.7123179275482192, abs=1e-14)
 
 
 def test_poisson_log_pmf_matches_scipy_grid():
-    for k in (0, 1, 7, 40):
-        for rate in (0.3, 1.0, 17.5):
-            assert poisson_log_pmf(k, rate) == pytest.approx(
-                float(poisson.logpmf(k, rate)), rel=1e-12
-            )
-
-
-def test_poisson_log_pmf_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        poisson_log_pmf(-1, 2.0)
-    with pytest.raises(ValueError):
-        poisson_log_pmf(2.5, 2.0)
-    with pytest.raises(ValueError):
-        poisson_log_pmf(2, 0.0)
-    with pytest.raises(RateCapError):
-        poisson_log_pmf(2, 200.0, rate_cap=100.0)
+    ks, rates = (0, 1, 7, 40), (0.3, 1.0, 17.5)
+    k = np.repeat(ks, len(rates))
+    c = np.log(np.tile(rates, len(ks)))
+    design = columns_design(np.zeros(k.size), np.zeros(k.size), np.ones(k.size), np.ones(k.size), k)
+    vec = ModelParams(beta_c_c=1.0).to_vector()
+    for i in range(k.size):
+        total, n_over = head_log_likelihood(HEAD_CREDIT, vec, c[i : i + 1], one_row(design, i))
+        assert n_over == 0
+        assert total == pytest.approx(float(poisson.logpmf(k[i], math.exp(c[i]))), rel=1e-12)
 
 
 def test_normal_log_pdf_matches_scipy():
-    for x in (-3.0, -0.5, 0.0, 1.7):
-        assert normal_log_pdf(x) == pytest.approx(float(norm.logpdf(x)), rel=1e-13)
-    assert normal_log_pdf(0.0) == -0.5 * LOG_2PI
+    r = np.random.default_rng(5)
+    for _ in range(3):
+        theta = ModelParams(*r.uniform(-3.0, 3.0, 11), b_c=float(r.uniform(-3.0, 3.0)))
+        assert log_prior(theta) == pytest.approx(
+            float(np.sum(norm.logpdf(theta.to_vector()))), rel=1e-13
+        )
+        with_b = ModelConfig(include_credit_intercept=True)
+        assert log_prior(theta, with_b) == pytest.approx(
+            float(np.sum(norm.logpdf(theta.to_vector(True)))), rel=1e-13
+        )
 
 
 def test_credit_count_rounds_half_to_even():
@@ -183,54 +202,53 @@ def test_model_config_validate():
 # --- observation likelihood ------------------------------------------------
 
 def test_obs_log_likelihood_matches_hand_assembly(tiny_dataset, modest_params):
-    theta = modest_params
-    config = ModelConfig()
+    design = Design.from_dataset(tiny_dataset, ModelConfig())
+    vec = modest_params.to_vector()
+    c = np.full(len(tiny_dataset), 0.37)
     obs = tiny_dataset.observation(1)
-    c_i = 0.37
-
-    x_j = theta.b_j + obs.sex * theta.beta_j_s + obs.age_std * theta.beta_j_a + c_i * theta.beta_j_c
-    x_h = theta.b_h + obs.sex * theta.beta_h_s + obs.age_std * theta.beta_h_a + c_i * theta.beta_h_c
-    lin = obs.sex * theta.beta_c_s + obs.age_std * theta.beta_c_a + c_i * theta.beta_c_c
-    expected = (
-        bernoulli_log_pmf_logit(obs.job, x_j)
-        + bernoulli_log_pmf_logit(obs.house, x_h)
-        + poisson_log_pmf(credit_count(obs.credit, 1.0), math.exp(lin))
-    )
-    assert obs_log_likelihood(theta, c_i, obs, config=config) == pytest.approx(expected, rel=1e-12)
+    ll, _ = per_obs_log_likelihood(vec, c, design)
+    assert ll[1] == pytest.approx(oracle_row(modest_params, 0.37, obs), rel=1e-12)
 
     # without the credit term only the two binary heads remain
-    no_credit = bernoulli_log_pmf_logit(obs.job, x_j) + bernoulli_log_pmf_logit(obs.house, x_h)
-    assert obs_log_likelihood(theta, c_i, obs, include_credit=False) == pytest.approx(
-        no_credit, rel=1e-12
+    no_credit, _ = per_obs_log_likelihood(vec, c, design, include_credit=False)
+    assert no_credit[1] == pytest.approx(
+        oracle_row(modest_params, 0.37, obs, include_credit=False), rel=1e-12
     )
 
 
 def test_obs_log_likelihood_uses_credit_intercept(tiny_dataset, modest_params):
     config = ModelConfig(include_credit_intercept=True)
     theta = modest_params.replace(b_c=1.5)
+    design = Design.from_dataset(tiny_dataset, config)
+    c = np.full(len(tiny_dataset), 0.2)
+    with_b, _ = per_obs_log_likelihood(theta.to_vector(True), c, design)
+    without_b, _ = per_obs_log_likelihood(modest_params.to_vector(), c, design)
     obs = tiny_dataset.observation(0)
-    with_b = obs_log_likelihood(theta, 0.2, obs, config=config)
-    without_b = obs_log_likelihood(modest_params, 0.2, obs, config=ModelConfig())
-    assert with_b != pytest.approx(without_b)
+    assert with_b[0] == pytest.approx(oracle_row(theta, 0.2, obs, config=config), rel=1e-12)
+    assert with_b[0] != pytest.approx(without_b[0])
     with pytest.raises(ValueError, match="b_c"):
-        obs_log_likelihood(modest_params, 0.2, obs, config=config)
+        log_posterior(modest_params, c, tiny_dataset, config)
 
 
 def test_obs_log_likelihood_rate_cap(tiny_dataset):
+    # rate exp(30 c) passes the cap of 1e6 first at the third row
     theta = ModelParams(beta_c_c=30.0)
-    obs = tiny_dataset.observation(0)
-    with pytest.raises(RateCapError):
-        obs_log_likelihood(theta, 1.0, obs, config=ModelConfig(poisson_rate_cap=1e6))
+    c = np.zeros(len(tiny_dataset))
+    c[2], c[5] = 1.0, 2.0
+    with pytest.raises(RateCapError) as err:
+        log_posterior(theta, c, tiny_dataset, ModelConfig(poisson_rate_cap=1e6))
+    assert err.value.linear_predictor == 30.0
+    assert err.value.cap == 1e6
 
 
 def test_log_posterior_decomposes(tiny_dataset, modest_params):
     config = ModelConfig()
     rng = np.random.default_rng(3)
     c = rng.standard_normal(len(tiny_dataset))
-    expected = log_prior(modest_params, config)
+    expected = float(np.sum(norm.logpdf(modest_params.to_vector())))
     for i, obs in enumerate(tiny_dataset):
-        expected += normal_log_pdf(c[i])
-        expected += obs_log_likelihood(modest_params, c[i], obs, config=config)
+        expected += float(norm.logpdf(c[i]))
+        expected += oracle_row(modest_params, c[i], obs, config=config)
     assert log_posterior(modest_params, c, tiny_dataset, config) == pytest.approx(
         expected, rel=1e-10
     )
@@ -248,38 +266,30 @@ def test_log_posterior_rejects_bad_latents(tiny_dataset, modest_params):
 # --- vectorized engine -----------------------------------------------------
 
 def test_per_obs_matches_scalar_loop(tiny_dataset, modest_params):
-    config = ModelConfig()
-    design = Design.from_dataset(tiny_dataset, config)
-    vec = modest_params.to_vector()
-    rng = np.random.default_rng(8)
-    c = rng.standard_normal(len(tiny_dataset))
-    ll, n_over = per_obs_log_likelihood(vec, c, design)
-    assert n_over == 0
-    for i, obs in enumerate(tiny_dataset):
-        assert ll[i] == pytest.approx(
-            obs_log_likelihood(modest_params, c[i], obs, config=config), rel=1e-12
-        )
+    for config, theta in (
+        (ModelConfig(), modest_params),
+        (ModelConfig(include_credit_intercept=True, credit_scale=5.0), modest_params.replace(b_c=0.8)),
+    ):
+        design = Design.from_dataset(tiny_dataset, config)
+        vec = theta.to_vector(config.include_credit_intercept)
+        c = np.random.default_rng(8).standard_normal(len(tiny_dataset))
+        ll, n_over = per_obs_log_likelihood(vec, c, design)
+        assert n_over == 0
+        for i, obs in enumerate(tiny_dataset):
+            assert ll[i] == pytest.approx(oracle_row(theta, c[i], obs, config=config), rel=1e-12)
 
 
 def test_per_obs_bitwise_stable_under_slicing(tiny_dataset, modest_params):
     # single-observation evaluation must reproduce the batched result exactly,
-    # bit for bit; the sampler's scalar and vector paths rely on this
+    # bit for bit; the reference sweep in test_sampler steps each latent on a
+    # one-row slice and relies on this to match run_chain
     config = ModelConfig()
     design = Design.from_dataset(tiny_dataset, config)
     vec = modest_params.to_vector()
     c = np.random.default_rng(12).standard_normal(len(tiny_dataset))
     full, _ = per_obs_log_likelihood(vec, c, design)
     for i in range(len(tiny_dataset)):
-        one = Design(
-            sex=design.sex[i : i + 1],
-            age=design.age[i : i + 1],
-            job_sign=design.job_sign[i : i + 1],
-            house_sign=design.house_sign[i : i + 1],
-            counts=design.counts[i : i + 1],
-            lgamma_counts=design.lgamma_counts[i : i + 1],
-            cap_log=design.cap_log,
-        )
-        single, _ = per_obs_log_likelihood(vec, c[i : i + 1], one)
+        single, _ = per_obs_log_likelihood(vec, c[i : i + 1], one_row(design, i))
         assert single[0] == full[i]
 
 
@@ -305,4 +315,8 @@ def test_head_log_likelihood_overflow_counts(tiny_dataset):
     ll, n_over2 = per_obs_log_likelihood(vec, c, design)
     assert n_over2 == n_over
     assert np.sum(np.isneginf(ll)) == n_over
-    assert np.all(np.isfinite(ll[np.asarray(tiny_dataset.sex) == 0]))
+    # rows under the cap come out exactly as they do with no row over it
+    female = np.asarray(tiny_dataset.sex) == 0
+    uncapped, _ = per_obs_log_likelihood(vec, c, Design.from_dataset(tiny_dataset, ModelConfig()))
+    assert np.array_equal(ll[female], uncapped[female])
+    assert np.all(np.isfinite(ll[female]))

@@ -1,18 +1,28 @@
 """Sampler kernels, the full chain driver, and chain file io.
 
-The central test here re-runs the Gibbs sweep with the public scalar kernels
-(mh_step_param, mh_step_latent) consuming the same derived streams, and
-requires the vectorized driver to reproduce it bit for bit, including the
-burn-in adaptation bookkeeping.
+The central test here re-runs the Gibbs sweep one step at a time with a
+reference written in this file: each parameter step compares two
+head_log_likelihood sums, and each latent step is mh_step_scalar on a one-row
+slice of per_obs_log_likelihood. It consumes the same derived streams, and the
+vectorized run_chain must reproduce it bit for bit, including the burn-in
+adaptation bookkeeping.
 """
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from faircredit.errors import DataError, SamplerError
-from faircredit.probmodel import ModelConfig, ModelParams
+from faircredit.probmodel import (
+    LOG_2PI,
+    PARAM_HEAD,
+    Design,
+    ModelConfig,
+    head_log_likelihood,
+    per_obs_log_likelihood,
+)
 from faircredit.sampler import (
     ADAPT_EVERY,
     ADAPT_FACTOR,
@@ -20,9 +30,6 @@ from faircredit.sampler import (
     SamplerConfig,
     export_chain,
     infer_latent,
-    infer_latent_test,
-    mh_step_latent,
-    mh_step_param,
     mh_step_scalar,
     read_param_chain_csv,
     run_chain,
@@ -99,16 +106,23 @@ def test_mh_step_scalar_targets_the_right_density():
 
 # --- the bitwise reference sweep ----------------------------------------------
 
+def one_row(design: Design, i: int) -> Design:
+    """Observation i of a design on its own, sliced from the batched arrays."""
+    arrays = {f.name: getattr(design, f.name)[i : i + 1] for f in fields(design) if f.name != "cap_log"}
+    return replace(design, **arrays)
+
+
 def reference_chain(data, model_config, cfg):
-    """Scalar-kernel restatement of run_chain, same streams, same bookkeeping."""
+    """One-step-at-a-time restatement of run_chain, same streams, same bookkeeping."""
     names = model_config.active_param_names()
     n = len(data)
-    theta = ModelParams.from_vector(np.zeros(len(names)))
+    design = Design.from_dataset(data, model_config)
+    rows = [one_row(design, i) for i in range(n)]
+    theta = np.zeros(len(names))
     c = np.zeros(n)
     delta, step = cfg.delta, cfg.param_step
     param_rng = derive_rng(cfg.seed, STREAM_PARAMS, 0)
     latent_rngs = [derive_rng(cfg.seed, STREAM_TRAIN_LATENT, i) for i in range(n)]
-    obs = data.observations()
 
     post_sweeps = cfg.iterations - cfg.burn_in
     acc_param = np.zeros(len(names))
@@ -116,19 +130,35 @@ def reference_chain(data, model_config, cfg):
     wp_acc = wp_tot = wl_acc = wl_tot = 0
     draws_p, draws_c = [], []
 
+    def latent_target(i):
+        def target(v: float) -> float:
+            ll, n_over = per_obs_log_likelihood(theta, np.array([v]), rows[i])
+            return float("-inf") if n_over else float(ll[0] - 0.5 * (LOG_2PI + v * v))
+
+        return target
+
     for sweep in range(1, cfg.iterations + 1):
         post = sweep > cfg.burn_in
-        for j, name in enumerate(names):
-            theta, accepted = mh_step_param(name, theta, c, data, step, param_rng, model_config)
+        for j in range(len(names)):
+            # normal proposal on coordinate j; only its head enters the ratio
+            z = param_rng.standard_normal()
+            u_acc = param_rng.random()
+            old = theta[j]
+            proposal = old + step * z
+            moved = theta.copy()
+            moved[j] = proposal
+            current, _ = head_log_likelihood(PARAM_HEAD[j], theta, c, design)
+            new, n_over = head_log_likelihood(PARAM_HEAD[j], moved, c, design)
+            assert n_over == 0
+            log_r = (new - current) + 0.5 * (old * old - proposal * proposal)
             wp_tot += 1
-            if accepted:
+            if log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r):
+                theta = moved
                 wp_acc += 1
                 if post:
                     acc_param[j] += 1
         for i in range(n):
-            c[i], accepted = mh_step_latent(
-                i, c[i], theta, obs[i], delta, True, latent_rngs[i], model_config
-            )
+            c[i], accepted, _ = mh_step_scalar(c[i], latent_target(i), delta, latent_rngs[i])
             wl_tot += 1
             if accepted:
                 wl_acc += 1
@@ -143,7 +173,7 @@ def reference_chain(data, model_config, cfg):
                 step = step * ADAPT_FACTOR if rate > cfg.target_accept else step / ADAPT_FACTOR
             wp_acc = wp_tot = wl_acc = wl_tot = 0
         if post and (sweep - cfg.burn_in) % cfg.thin == 0:
-            draws_p.append(theta.to_vector(model_config.include_credit_intercept))
+            draws_p.append(theta.copy())
             draws_c.append(c.copy())
 
     return (
@@ -249,13 +279,15 @@ def test_infer_latent_deterministic_and_stream_separated(tiny_dataset, modest_pa
 
 
 def test_infer_latent_test_excludes_credit(tiny_dataset, modest_params):
+    # the test-time mode must not read the credit amount at all
     cfg = SamplerConfig(iterations=400, burn_in=100, seed=4)
     obs = tiny_dataset.observation(5)
-    via_flag = infer_latent(modest_params, obs, ModelConfig(), cfg, include_credit=False)
-    via_test = infer_latent_test(modest_params, obs, ModelConfig(), cfg)
-    assert np.array_equal(via_flag.draws, via_test.draws)
+    honest = infer_latent(modest_params, obs, ModelConfig(), cfg, include_credit=False)
+    richer = replace(obs, credit=obs.credit * 40)
+    same = infer_latent(modest_params, richer, ModelConfig(), cfg, include_credit=False)
+    assert np.array_equal(honest.draws, same.draws)
     conditioned = infer_latent(modest_params, obs, ModelConfig(), cfg, include_credit=True)
-    assert not np.array_equal(via_test.draws, conditioned.draws)
+    assert not np.array_equal(honest.draws, conditioned.draws)
 
 
 def test_infer_latent_conditioning_pulls_toward_credit(modest_params):
