@@ -13,6 +13,7 @@ produce byte-identical outputs.
 """
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -31,6 +32,7 @@ from .dataset import (
     write_processed_csv,
 )
 from .diagnostics import (
+    SummaryRow,
     export_plot_data,
     summarize,
     summarize_series,
@@ -108,6 +110,7 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 ACCEPT_RATE_BAND = (0.1, 0.7)
+ESS_WARN_MIN = 100.0  # fit warns when a parameter's bulk ESS falls below this
 
 
 def resolve_config(
@@ -327,7 +330,8 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     chain = run_chain(train, mc, sc)
     lat_cols = _latent_columns(len(train), _get_int(cfg, "out.latent_columns"))
     export_chain(chain, out, latent_indices=lat_cols, header_lines=header)
-    write_summary_csv(summarize(chain), os.path.join(out, "summary.csv"), header)
+    summary = summarize(chain)
+    write_summary_csv(summary, os.path.join(out, "summary.csv"), header)
     fair = fit_fair(
         train, mc, sc, build_forest_config(cfg),
         latent_point=_get_choice(cfg, "fair.latent_point", ("mean", "median")),
@@ -343,8 +347,24 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     rate = chain.accept_rate_latents
     note = "" if lo <= rate <= hi else f"  <-- outside [{lo}, {hi}]"
     print(f"  accept(latents) = {rate:.3f}{note}")
+    warning = mixing_warning(summary)
+    if warning:
+        print(warning, file=sys.stderr)
     print(f"wrote {out}/: params.csv, latents.csv, summary.csv, model_fair/")
     return 0
+
+
+def mixing_warning(rows: Sequence[SummaryRow]) -> str | None:
+    """The warning for the parameter with the worst bulk ESS, if it is below
+    ESS_WARN_MIN. A NaN ESS (constant draws, or too few to estimate) is worst."""
+    worst = min(rows, key=lambda r: -math.inf if math.isnan(r.ess_bulk) else r.ess_bulk)
+    if worst.ess_bulk >= ESS_WARN_MIN:
+        return None
+    return (
+        f"warning: worst bulk ESS is {worst.ess_bulk:.4g} ({worst.name}), below "
+        f"{ESS_WARN_MIN:g}: the chain has not mixed, so its estimates are unreliable; "
+        "raise sampler.iterations"
+    )
 
 
 def cmd_diagnose(cfg: dict[str, str], header: tuple[str, ...]) -> int:

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .errors import DegenerateSeriesError
 from .sampler import Chain
@@ -75,11 +74,23 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     return rho
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their ranks (as scipy's rankdata
+    with method="average"; every rank is a whole or half number, so exact)."""
+    n = x.shape[0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
     # average ranks, then the usual offset normal-quantile transform
     n = x.shape[0]
-    ranks = rankdata(x, method="average")
-    return ndtri((ranks - 0.375) / (n + 0.25))
+    return ndtri((_average_ranks(x) - 0.375) / (n + 0.25))
 
 
 def _tau_geyer(rho: np.ndarray) -> float:

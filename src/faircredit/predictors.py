@@ -19,7 +19,7 @@ import scipy.linalg
 from .dataset import Dataset
 from .errors import ConfigError, DataError, RankDeficientError, UserError
 from .probmodel import ModelConfig, ModelParams
-from .sampler import Chain, SamplerConfig, infer_latent, run_chain
+from .sampler import Chain, SamplerConfig, infer_latents, run_chain
 from .util import (
     STREAM_TREE,
     atomic_write_text,
@@ -356,10 +356,6 @@ class FairModel:
     latent_point: str = "mean"
 
 
-def _point(draws_mean: float, draws_median: float, mode: str) -> float:
-    return draws_mean if mode == "mean" else draws_median
-
-
 def fit_fair(
     train: Dataset,
     model_config: ModelConfig,
@@ -400,19 +396,14 @@ def fair_latent_points(
     Streams are derived from the observation index, so two datasets that
     differ only in a flipped attribute see identical randomness.
     """
-    out = np.empty(len(data))
-    mode = model.latent_point
-    for i in range(len(data)):
-        post = infer_latent(
-            model.theta_hat,
-            data.observation(i),
-            model.model_config,
-            model.latent_sampler_config,
-            include_credit=condition_on_credit,
-            stream_index=i,
-        )
-        out[i] = _point(post.mean, post.median, mode)
-    return out
+    post = infer_latents(
+        model.theta_hat,
+        data,
+        model.model_config,
+        model.latent_sampler_config,
+        include_credit=condition_on_credit,
+    )
+    return post.mean if model.latent_point == "mean" else post.median
 
 
 def predict_fair(model: FairModel, test: Dataset, condition_on_credit: bool = False) -> np.ndarray:

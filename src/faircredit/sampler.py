@@ -4,6 +4,12 @@ Each sweep updates every parameter by a single-coordinate normal random walk,
 then every latent score by a uniform-window random walk, all accepted or
 rejected in log space against the joint posterior.
 
+Test-time inference (infer_latents) fixes the parameters and runs the same
+uniform-window walk on every row of a dataset at once, batched across rows:
+each row keeps its own stream, proposal width and adaptation, so a row's
+result does not depend on the other rows. infer_latent runs that walk for one
+observation on scalar arithmetic, which is faster than array calls on one row.
+
 Random streams. One master seed. derive_rng(seed, 0, 0) drives the parameter
 updates, derive_rng(seed, 1, i) drives training latent i, and
 derive_rng(seed, 2, j) drives test-time inference for observation j, so
@@ -135,6 +141,16 @@ class LatentPosterior:
     accept_rate: float = 0.0
 
 
+@dataclass
+class LatentPosteriors:
+    """Posterior summaries of every row's latent score: entry i is row i."""
+
+    mean: np.ndarray
+    median: np.ndarray
+    std: np.ndarray
+    accept_rate: np.ndarray
+
+
 def mh_step_scalar(
     current: float,
     log_target: Callable[[float], float],
@@ -156,6 +172,22 @@ def mh_step_scalar(
     if u_acc > 0.0 and math.log(u_acc) < log_r:
         return proposal, True, log_r
     return current, False, log_r
+
+
+def _latent_uniforms(rngs: Sequence[np.random.Generator]):
+    """Yield every latent's (proposal, accept) uniforms, _LATENT_CHUNK sweeps at a time.
+
+    Both arrays have shape (_LATENT_CHUNK, n): entry [s, i] is sweep s's
+    uniform from rngs[i], in the order two scalar draws per step take them.
+    Drawing in chunks keeps memory at 2 * _LATENT_CHUNK doubles per latent
+    however long the chain runs. The arrays are views, valid until the next
+    chunk is taken.
+    """
+    buf = np.empty((len(rngs), 2 * _LATENT_CHUNK))
+    while True:
+        for i, g in enumerate(rngs):
+            g.random(out=buf[i])
+        yield buf[:, 0::2].T, buf[:, 1::2].T
 
 
 def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerConfig) -> Chain:
@@ -196,8 +228,7 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     err_steps = 0
     total_steps = 0
 
-    buf = np.empty((n, 2 * _LATENT_CHUNK))
-    buf_pos = _LATENT_CHUNK  # forces a refill on first use
+    uniforms = _latent_uniforms(latent_rngs)
     draw_idx = 0
 
     for sweep in range(1, cfg.iterations + 1):
@@ -231,13 +262,11 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
                 theta[j] = old
 
         # latent phase, vectorized across observations
-        if buf_pos >= _LATENT_CHUNK:
-            for i, g in enumerate(latent_rngs):
-                buf[i] = g.random(2 * _LATENT_CHUNK)
-            buf_pos = 0
-        u_prop = buf[:, 2 * buf_pos]
-        u_acc_vec = buf[:, 2 * buf_pos + 1]
-        buf_pos += 1
+        s = (sweep - 1) % _LATENT_CHUNK
+        if s == 0:
+            u_prop_chunk, u_acc_chunk = next(uniforms)
+        u_prop = u_prop_chunk[s]
+        u_acc_vec = u_acc_chunk[s]
 
         ll_cur, _ = per_obs_log_likelihood(theta, c, design, include_credit=True)
         c_prop = c + delta * (2.0 * u_prop - 1.0)
@@ -387,6 +416,83 @@ def infer_latent(
         median=float(np.median(draws)),
         std=float(np.std(draws, ddof=1)) if draws.size > 1 else 0.0,
         draws=draws,
+        accept_rate=accepts / max(post, 1),
+    )
+
+
+def infer_latents(
+    theta_hat: ModelParams,
+    data: Dataset,
+    model_config: ModelConfig,
+    sampler_config: SamplerConfig,
+    include_credit: bool,
+) -> LatentPosteriors:
+    """Posterior over every row's latent score under fixed parameters.
+
+    Row i runs infer_latent's walk on stream derive_rng(seed, 2, i), with its
+    own proposal width adapted in the same 100-step windows; rows share only
+    the array arithmetic, so a row's result does not depend on the other
+    rows. Its log ratios agree with infer_latent(..., stream_index=i) to the
+    last bit or so (numpy's exp, the order of the credit intercept), so the
+    results are the same unless such a bit flips an accept decision.
+    include_credit as in infer_latent.
+    """
+    sampler_config.validate()
+    model_config.validate()
+    theta_hat.validate()
+    data.validate()
+    cfg = sampler_config
+    n = len(data)
+    design = Design.from_dataset(data, model_config)
+    # b_c is read only by the credit head
+    vec = theta_hat.to_vector(include_credit and model_config.include_credit_intercept)
+    uniforms = _latent_uniforms([derive_rng(cfg.seed, STREAM_TEST_LATENT, i) for i in range(n)])
+
+    c = np.zeros(n)
+    lp = per_obs_log_likelihood(vec, c, design, include_credit)[0] - 0.5 * (LOG_2PI + c * c)
+    delta = np.full(n, cfg.delta)
+    # one row per observation, so each row's reductions run as infer_latent's do
+    draws = np.empty((n, cfg.n_draws()))
+    draw_idx = 0
+    accepts = np.zeros(n, dtype=np.int64)
+    win_acc = np.zeros(n, dtype=np.int64)
+    # a rate over the cap makes lp_prop -inf, so log_r is -inf (or nan when the
+    # current point is over it too) and the proposal is rejected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(1, cfg.iterations + 1):
+            s = (sweep - 1) % _LATENT_CHUNK
+            if s == 0:
+                u_prop, u_acc = next(uniforms)
+                steps = 2.0 * u_prop - 1.0
+                # as in infer_latent, u_acc == 0 accepts only log_r >= 0, not
+                # every log_r above log(0) = -inf
+                log_u = np.where(u_acc > 0.0, np.log(u_acc), np.inf)
+            prop = c + delta * steps[s]
+            lp_prop = per_obs_log_likelihood(vec, prop, design, include_credit)[0]
+            lp_prop -= 0.5 * (LOG_2PI + prop * prop)
+            log_r = lp_prop - lp
+            accept = (log_r >= 0.0) | (log_u[s] < log_r)
+            np.copyto(c, prop, where=accept)
+            np.copyto(lp, lp_prop, where=accept)
+            win_acc += accept
+            if sweep > cfg.burn_in:
+                accepts += accept
+            if sweep % ADAPT_EVERY == 0:
+                if cfg.adapt_during_burn_in and sweep <= cfg.burn_in:
+                    rate = win_acc / ADAPT_EVERY
+                    delta = np.where(
+                        rate > cfg.target_accept, delta * ADAPT_FACTOR, delta / ADAPT_FACTOR
+                    )
+                win_acc[:] = 0
+            if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
+                draws[:, draw_idx] = c
+                draw_idx += 1
+
+    post = cfg.iterations - cfg.burn_in
+    return LatentPosteriors(
+        mean=draws.mean(axis=1),
+        median=np.median(draws, axis=1),
+        std=draws.std(axis=1, ddof=1) if draws.shape[1] > 1 else np.zeros(n),
         accept_rate=accepts / max(post, 1),
     )
 

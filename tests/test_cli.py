@@ -15,11 +15,14 @@ import pytest
 
 from faircredit.cli import (
     DEFAULTS,
+    ESS_WARN_MIN,
     PRESETS,
     config_hash,
     main,
+    mixing_warning,
     resolve_config,
 )
+from faircredit.diagnostics import SummaryRow
 from faircredit.errors import ConfigError
 from faircredit.predictors import LinearModel
 from faircredit.util import parse_kv_text
@@ -237,6 +240,35 @@ def test_fit_fair_outputs(workspace):
     assert fields[0] == "draw"
     assert fields[1] == "c_0"
     assert len(fields) == 4
+
+
+def test_fit_fair_warns_on_poor_mixing(workspace):
+    # 30 stored draws cannot reach a bulk ESS of 100
+    res = workspace["results"]["fit_fair"]
+    warnings = [ln for ln in res.err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "warning:" not in res.out
+    rows = [
+        line.split(",")
+        for line in (workspace["out"] / "summary.csv").read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")
+    ][1:]
+    name, ess = min(((r[0], float(r[5])) for r in rows), key=lambda t: t[1])
+    assert ess < ESS_WARN_MIN
+    assert f"worst bulk ESS is {ess:.4g} ({name})" in warnings[0]
+
+
+def _row(name, ess):
+    return SummaryRow(name, 1.0, -1.0, 0.0, 1.0, ess, ess)
+
+
+def test_mixing_warning_threshold():
+    assert mixing_warning([_row("a", 400.0), _row("b", ESS_WARN_MIN)]) is None
+    text = mixing_warning([_row("a", 400.0), _row("b", 99.5), _row("c", 120.0)])
+    assert text.startswith("warning: worst bulk ESS is 99.5 (b)")
+    # a constant parameter has no ESS at all, which is worst
+    text = mixing_warning([_row("a", 3.0), _row("b", float("nan"))])
+    assert "(b)" in text
 
 
 def test_diagnose_outputs(workspace):

@@ -1,12 +1,18 @@
 """Autocorrelation, effective sample sizes, summaries, and plot exports."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
+import faircredit
 from faircredit.diagnostics import (
     SUMMARY_COLUMNS,
+    _average_ranks,
     autocorrelation,
     chain_plot_data,
     ess_bulk,
@@ -72,6 +78,35 @@ def test_autocorrelation_input_checks():
 
 
 # --- effective sample size -------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.random.default_rng(3).standard_normal(501),
+        np.round(np.random.default_rng(4).standard_normal(800), 1),
+        np.array([2.0, 0.5, 2.0, -1.0, 0.5, 2.0]),
+        np.full(9, 0.25),
+        np.array([7.0]),
+    ],
+    ids=["untied", "tied", "tied_small", "constant", "single"],
+)
+def test_average_ranks_match_scipy_bitwise(x):
+    ranks = _average_ranks(x)
+    expected = rankdata(x, method="average")
+    assert ranks.dtype == expected.dtype
+    assert np.array_equal(ranks, expected)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, faircredit.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(faircredit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "False"
+
 
 def test_ess_bulk_iid_near_n():
     x = np.random.default_rng(3).standard_normal(4000)

@@ -18,6 +18,7 @@ from faircredit.evaluation import (
     matrix_to_csv_text,
     r_squared,
 )
+from faircredit import predictors
 from faircredit.predictors import ForestConfig, fit_full, fit_unaware
 from faircredit.probmodel import ModelConfig
 from faircredit.sampler import SamplerConfig
@@ -223,3 +224,24 @@ def test_leaky_headline_swaps_only_the_fair_test_cell():
         leaky.metrics["fair"]["counterfactual_gap_sex"]
         == honest.metrics["fair"]["counterfactual_gap_sex"]
     )
+
+
+def test_compare_runs_four_test_time_passes(monkeypatch):
+    # honest factual (test r2 and the base of both gaps), leaky factual, and
+    # one honest pass per flipped attribute
+    calls = []
+    original = predictors.infer_latents
+
+    def counting(theta, data, model_config, sampler_config, include_credit):
+        calls.append(include_credit)
+        return original(theta, data, model_config, sampler_config, include_credit)
+
+    monkeypatch.setattr(predictors, "infer_latents", counting)
+    train, test = larger_split()
+    compare_models(
+        train, test,
+        ModelConfig(),
+        SamplerConfig(iterations=250, burn_in=100, thin=3, seed=2),
+        ForestConfig(n_trees=6, max_depth=3, min_leaf=3, seed=0),
+    )
+    assert sorted(calls) == [False, False, False, True]

@@ -14,6 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from faircredit.dataset import Dataset
 from faircredit.errors import DataError, SamplerError
 from faircredit.probmodel import (
     LOG_2PI,
@@ -30,6 +31,7 @@ from faircredit.sampler import (
     SamplerConfig,
     export_chain,
     infer_latent,
+    infer_latents,
     mh_step_scalar,
     read_param_chain_csv,
     run_chain,
@@ -299,6 +301,89 @@ def test_infer_latent_conditioning_pulls_toward_credit(modest_params):
     with_credit = infer_latent(modest_params, rich, ModelConfig(), cfg, include_credit=True)
     without = infer_latent(modest_params, rich, ModelConfig(), cfg, include_credit=False)
     assert with_credit.mean > without.mean
+
+
+# --- batched test-time inference -------------------------------------------------
+
+BATCH_CASES = {
+    "default": (ModelConfig(), SamplerConfig(iterations=600, burn_in=200, seed=4)),
+    "intercept": (
+        ModelConfig(include_credit_intercept=True, credit_scale=5.0),
+        SamplerConfig(iterations=600, burn_in=200, seed=4),
+    ),
+    "thin": (
+        ModelConfig(), SamplerConfig(iterations=700, burn_in=300, thin=3, target_accept=0.8, seed=9)
+    ),
+    "no_adapt": (
+        ModelConfig(), SamplerConfig(iterations=500, burn_in=100, adapt_during_burn_in=False)
+    ),
+}
+
+
+@pytest.mark.parametrize("include_credit", [False, True], ids=["honest", "leaky"])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_infer_latents_matches_infer_latent(tiny_dataset, modest_params, case, include_credit):
+    model_config, cfg = BATCH_CASES[case]
+    theta = modest_params.replace(b_c=-0.4)
+    batch = infer_latents(theta, tiny_dataset, model_config, cfg, include_credit)
+    for i in range(len(tiny_dataset)):
+        one = infer_latent(
+            theta, tiny_dataset.observation(i), model_config, cfg, include_credit, stream_index=i
+        )
+        assert abs(batch.mean[i] - one.mean) <= 1e-12
+        assert abs(batch.median[i] - one.median) <= 1e-12
+        assert abs(batch.std[i] - one.std) <= 1e-12
+        assert batch.accept_rate[i] == one.accept_rate
+
+
+def test_infer_latents_rejects_proposals_over_the_rate_cap(modest_params):
+    # a leaky row whose posterior presses against a rate cap of exp(2.5)
+    data = Dataset(
+        sex=np.array([1]), age_std=np.array([0.3]), job=np.array([1]),
+        house=np.array([1]), credit=np.array([60]),
+    )
+    model_config = ModelConfig(poisson_rate_cap=math.exp(2.5))
+    cfg = SamplerConfig(iterations=2000, burn_in=500, seed=1)
+    one = infer_latent(modest_params, data.observation(0), model_config, cfg, True)
+    batch = infer_latents(modest_params, data, model_config, cfg, include_credit=True)
+    # the walk sits against the cap, so proposals cross it and are rejected
+    lin = (
+        modest_params.beta_c_s + 0.3 * modest_params.beta_c_a
+        + one.draws * modest_params.beta_c_c
+    )
+    cap_log = math.log(model_config.poisson_rate_cap)
+    assert lin.max() <= cap_log
+    assert cap_log - lin.max() < 0.01
+    assert abs(batch.mean[0] - one.mean) <= 1e-12
+    assert abs(batch.median[0] - one.median) <= 1e-12
+    assert abs(batch.std[0] - one.std) <= 1e-12
+    assert batch.accept_rate[0] == one.accept_rate
+
+
+def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
+    # row i always runs on stream i and adapts its own width: a prefix slice,
+    # or other rows changed, must leave a row's results bit-identical. The
+    # target splits the rows' window rates, so widths move apart.
+    cfg = SamplerConfig(iterations=800, burn_in=400, target_accept=0.8, seed=3)
+    for include_credit in (False, True):
+        full = infer_latents(modest_params, tiny_dataset, ModelConfig(), cfg, include_credit)
+        for k in (1, 5, 11):
+            part = infer_latents(
+                modest_params, tiny_dataset.subset(np.arange(k)), ModelConfig(), cfg,
+                include_credit,
+            )
+            for name in ("mean", "median", "std", "accept_rate"):
+                assert np.array_equal(getattr(part, name), getattr(full, name)[:k]), (k, name)
+        keep = np.arange(6)
+        changed = replace(
+            tiny_dataset,
+            sex=np.r_[tiny_dataset.sex[keep], 1 - tiny_dataset.sex[6:]],
+            credit=np.r_[tiny_dataset.credit[keep], tiny_dataset.credit[6:] * 7],
+        )
+        other = infer_latents(modest_params, changed, ModelConfig(), cfg, include_credit)
+        for name in ("mean", "median", "std", "accept_rate"):
+            assert np.array_equal(getattr(other, name)[keep], getattr(full, name)[keep]), name
+        assert not np.array_equal(other.mean[6:], full.mean[6:])
 
 
 # --- chain file io ---------------------------------------------------------------
