@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
+    Dataset,
     PreprocessConfig,
     SplitSpec,
     generate_synthetic,
@@ -43,7 +44,7 @@ from .errors import ConfigError, FairCreditError, UserError
 from .evaluation import compare_models, covariance_matrix, matrix_to_csv_text
 from .predictors import ForestConfig, fit_fair, fit_full, fit_unaware, save_fair_model
 from .probmodel import ModelConfig, ModelParams, PARAM_NAMES
-from .sampler import SamplerConfig, export_chain, read_param_chain_csv, run_chain
+from .sampler import Chain, SamplerConfig, export_chain, read_param_chain_csv, run_chain
 from .util import atomic_write_text, format_kv_text, parse_bool, parse_kv_text, sha256_hex
 
 _SYNTH_PARAM_DEFAULTS = {f"synth.param.{name}": "0.0" for name in PARAM_NAMES[:-1]}
@@ -347,9 +348,7 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     rate = chain.accept_rate_latents
     note = "" if lo <= rate <= hi else f"  <-- outside [{lo}, {hi}]"
     print(f"  accept(latents) = {rate:.3f}{note}")
-    warning = mixing_warning(summary)
-    if warning:
-        print(warning, file=sys.stderr)
+    _warn_if_unmixed(summary)
     print(f"wrote {out}/: params.csv, latents.csv, summary.csv, model_fair/")
     return 0
 
@@ -365,6 +364,19 @@ def mixing_warning(rows: Sequence[SummaryRow]) -> str | None:
         f"{ESS_WARN_MIN:g}: the chain has not mixed, so its estimates are unreliable; "
         "raise sampler.iterations"
     )
+
+
+def _warn_if_unmixed(summary: Sequence[SummaryRow]) -> None:
+    warning = mixing_warning(summary)
+    if warning:
+        print(warning, file=sys.stderr)
+
+
+def _warned_chain(train: Dataset, mc: ModelConfig, sc: SamplerConfig) -> Chain:
+    """run_chain, with fit's mixing warning on stderr."""
+    chain = run_chain(train, mc, sc)
+    _warn_if_unmixed(summarize(chain))
+    return chain
 
 
 def cmd_diagnose(cfg: dict[str, str], header: tuple[str, ...]) -> int:
@@ -388,17 +400,22 @@ def cmd_diagnose(cfg: dict[str, str], header: tuple[str, ...]) -> int:
 
 def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     train, test = _load_splits(cfg, header)
+    mc = build_model_config(cfg)
+    sc = build_sampler_config(cfg)
     report = compare_models(
         train,
         test,
-        build_model_config(cfg),
-        build_sampler_config(cfg),
+        mc,
+        sc,
         build_forest_config(cfg),
         latent_point=_get_choice(cfg, "fair.latent_point", ("mean", "median")),
         age_mode=_get_choice(cfg, "eval.age_mode", ("mirror", "shift")),
         age_years=_get_float(cfg, "eval.age_years"),
         split_seed=_get_int(cfg, "split.seed"),
         leaky_headline=_get_bool(cfg, "fair.leaky"),
+        # a temporary, not a local: compare_models then holds the only
+        # reference and frees the draws before test-time inference
+        chain=_warned_chain(train, mc, sc),
     )
     path = os.path.join(cfg["out.dir"], "compare.csv")
     atomic_write_text(path, report.to_csv_text(header))

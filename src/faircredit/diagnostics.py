@@ -255,14 +255,3 @@ def export_plot_data(
         paths.append(p)
     return paths
 
-
-def chain_plot_data(
-    chain: Chain,
-    out_dir: str,
-    max_lag: int = 100,
-    bins: int = 40,
-    header_lines: tuple[str, ...] = (),
-) -> list[str]:
-    """export_plot_data over every parameter column of a chain."""
-    pairs = [(name, chain.param_column(name)) for name in chain.param_names]
-    return export_plot_data(pairs, out_dir, max_lag, bins, header_lines)

@@ -6,12 +6,15 @@ sampler (training stage conditions on everything including credit), then
 regresses credit on that single score with a bagged forest of CART trees.
 At prediction time the score is re-inferred without the credit term, so the
 target never feeds its own feature.
+
+Every tree splits that one score, so the forest is kept, predicted and stored
+as the single step function its trees average to.
 """
 
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -144,20 +147,6 @@ def fit_unaware(train: Dataset) -> LinearModel:
 # ---------------------------------------------------------------------------
 # bagged regression trees on the single latent feature
 
-@dataclass
-class TreeNode:
-    """Internal node when left/right are set (value still caches the mean);
-    leaf when both children are None."""
-
-    value: float
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 200
@@ -176,17 +165,27 @@ class ForestConfig:
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    """The bagged forest as one step function: values[j] is the mean of the
+    trees' leaves on interval j, (breaks[j-1], breaks[j]]; the first interval
+    is unbounded below and the last, j = len(breaks), ends at inf."""
+
     config: ForestConfig
+    breaks: np.ndarray
+    values: np.ndarray
 
 
-def _build_tree(c: np.ndarray, y: np.ndarray, depth: int, cfg: ForestConfig) -> TreeNode:
-    node = TreeNode(value=float(np.mean(y)))
+def _build_tree(
+    c: np.ndarray, y: np.ndarray, depth: int, cfg: ForestConfig
+) -> tuple[list[float], list[float]]:
+    """One CART tree as its split thresholds in order and its leaf values from
+    left to right. A point x lands in leaf searchsorted(thresholds, x, "left"),
+    the leaf that a walk sending x <= threshold to the left reaches."""
+    leaf = ([], [float(np.mean(y))])
     n = c.shape[0]
     if depth >= cfg.max_depth or n < 2 * cfg.min_leaf:
-        return node
+        return leaf
     if float(np.min(y)) == float(np.max(y)):
-        return node  # zero variance, nothing to gain
+        return leaf  # zero variance, nothing to gain
 
     order = np.argsort(c, kind="stable")
     cs = c[order]
@@ -200,7 +199,7 @@ def _build_tree(c: np.ndarray, y: np.ndarray, depth: int, cfg: ForestConfig) -> 
     left_n = np.arange(1, n)
     valid = (cs[:-1] < cs[1:]) & (left_n >= cfg.min_leaf) & ((n - left_n) >= cfg.min_leaf)
     if not np.any(valid):
-        return node
+        return leaf
     lsum = csum[:-1]
     lsum2 = csum2[:-1]
     rsum = total - lsum
@@ -210,24 +209,21 @@ def _build_tree(c: np.ndarray, y: np.ndarray, depth: int, cfg: ForestConfig) -> 
     sse = np.where(valid, sse, np.inf)
     best = int(np.argmin(sse))
     if not np.isfinite(sse[best]):
-        return node
-    node.threshold = float((cs[best] + cs[best + 1]) / 2.0)
-    node.left = _build_tree(cs[: best + 1], ys[: best + 1], depth + 1, cfg)
-    node.right = _build_tree(cs[best + 1 :], ys[best + 1 :], depth + 1, cfg)
-    return node
-
-
-def _tree_predict_one(node: TreeNode, x: float) -> float:
-    while not node.is_leaf():
-        node = node.left if x <= node.threshold else node.right
-    return node.value
+        return leaf
+    threshold = float((cs[best] + cs[best + 1]) / 2.0)
+    left_t, left_v = _build_tree(cs[: best + 1], ys[: best + 1], depth + 1, cfg)
+    right_t, right_v = _build_tree(cs[best + 1 :], ys[best + 1 :], depth + 1, cfg)
+    return left_t + [threshold] + right_t, left_v + right_v
 
 
 def fit_forest(c_values: np.ndarray, targets: np.ndarray, config: ForestConfig) -> ForestModel:
     """Bagged variance-minimizing CART trees on the single latent feature.
 
     Each tree draws a same-size bootstrap from derive_rng(seed, 3, tree_index),
-    so fitting is deterministic and order-independent.
+    so fitting is deterministic and order-independent. The trees are merged at
+    all their thresholds, so each is constant on every interval, whose value is
+    the fsum of their leaves over n_trees: bit for bit the average of walking
+    every tree.
     """
     config.validate()
     c = np.asarray(c_values, dtype=float)
@@ -244,20 +240,33 @@ def fit_forest(c_values: np.ndarray, targets: np.ndarray, config: ForestConfig) 
         rng = derive_rng(config.seed, STREAM_TREE, t)
         idx = rng.integers(0, n, size=n)
         trees.append(_build_tree(c[idx], y[idx], 0, config))
-    return ForestModel(trees=trees, config=config)
+    # sweep the breaks in order: current holds each tree's leaf on the interval
+    # ending at the next break, and passing a break moves every tree that
+    # splits there one leaf to the right
+    trees_at: dict[float, list[int]] = {}
+    for t, (thresholds, _) in enumerate(trees):
+        for x in thresholds:
+            trees_at.setdefault(x, []).append(t)
+    breaks = sorted(trees_at)
+    rest = [iter(leaves) for _, leaves in trees]
+    current = [next(it) for it in rest]
+    sums = []
+    for x in breaks:
+        sums.append(math.fsum(current))
+        for t in trees_at[x]:
+            current[t] = next(rest[t])
+    sums.append(math.fsum(current))
+    return ForestModel(config, np.array(breaks, dtype=float), np.array(sums) / config.n_trees)
 
 
 def predict_forest(model: ForestModel, c_values: np.ndarray) -> np.ndarray:
     c = np.atleast_1d(np.asarray(c_values, dtype=float))
-    out = np.empty(c.shape[0])
-    for i, x in enumerate(c):
-        out[i] = math.fsum(_tree_predict_one(t, float(x)) for t in model.trees) / len(model.trees)
-    return out
+    return model.values[np.searchsorted(model.breaks, c, side="left")]
 
 
-# forest text format: preorder, one node per line, "N <threshold>" for an
-# internal node followed by its left then right subtree, "L <value>" for a leaf
-FOREST_FORMAT = "forest/1"
+# forest text format: the header, then one "<upper end> <value>" line per
+# interval in increasing order; the last interval's upper end is inf
+FOREST_FORMAT = "forest/2"
 
 
 def forest_to_text(model: ForestModel, header_lines: tuple[str, ...] = ()) -> str:
@@ -270,17 +279,8 @@ def forest_to_text(model: ForestModel, header_lines: tuple[str, ...] = ()) -> st
         f"min_leaf = {cfg.min_leaf}",
         f"seed = {cfg.seed}",
     ]
-    for t, tree in enumerate(model.trees):
-        lines.append(f"tree {t}")
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                lines.append(f"L {float(node.value)!r}")
-            else:
-                lines.append(f"N {float(node.threshold)!r}")
-                stack.append(node.right)
-                stack.append(node.left)
+    ends = model.breaks.tolist() + [math.inf]
+    lines += [f"{b!r} {v!r}" for b, v in zip(ends, model.values.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -310,31 +310,24 @@ def forest_from_text(text: str) -> ForestModel:
         min_leaf=_field(meta, "min_leaf", int, "forest header"),
         seed=_field(meta, "seed", int, "forest header"),
     )
-
-    def parse_node(it: Iterator[str]) -> TreeNode:
-        line = next(it)
-        kind, _, payload = line.partition(" ")
-        if kind == "L":
-            return TreeNode(value=float(payload))
-        if kind == "N":
-            node = TreeNode(value=math.nan, threshold=float(payload))
-            node.left = parse_node(it)
-            node.right = parse_node(it)
-            node.value = (node.left.value + node.right.value) / 2.0
-            return node
-        raise UserError(f"malformed forest node line: {line!r}")
-
-    trees = []
-    it = iter(lines[pos:])
-    for t in range(cfg.n_trees):
-        marker = next(it, None)
-        if marker != f"tree {t}":
-            raise UserError(f"malformed forest file: expected 'tree {t}', got {marker!r}")
+    intervals = []
+    for line in lines[pos:]:
         try:
-            trees.append(parse_node(it))
-        except StopIteration:
-            raise UserError(f"truncated forest file: tree {t} ends early") from None
-    return ForestModel(trees=trees, config=cfg)
+            end, value = (float(f) for f in line.split())
+        except ValueError:
+            raise UserError(f"malformed forest interval line: {line!r}") from None
+        intervals.append((end, value))
+    if not intervals or intervals[-1][0] != math.inf:
+        raise UserError("truncated forest file: the last interval must end at inf")
+    ends, values = np.array(intervals).T.copy()
+    breaks = ends[:-1]
+    increasing = np.all(breaks[:-1] < breaks[1:])
+    if not (increasing and np.isfinite(breaks).all() and np.isfinite(values).all()):
+        raise UserError(
+            "malformed forest file: breakpoints must be finite and strictly "
+            "increasing, and values finite"
+        )
+    return ForestModel(config=cfg, breaks=breaks, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +445,11 @@ def load_fair_model(model_dir: str) -> FairModel:
         except OSError as exc:
             raise UserError(f"cannot read fair model file {path}: {exc}") from exc
 
+    params_path = os.path.join(model_dir, "params.kv")
     try:
         theta = ModelParams.from_kv_text(read("params.kv"))
     except ValueError as exc:
-        raise UserError(f"{os.path.join(model_dir, 'params.kv')}: {exc}") from None
+        raise UserError(f"{params_path}: {exc}") from None
     forest = forest_from_text(read("forest.txt"))
     raw = parse_kv_text(read("config.kv"), where="fair model config")
     where = os.path.join(model_dir, "config.kv")
@@ -486,9 +480,14 @@ def load_fair_model(model_dir: str) -> FairModel:
         mc.validate()
     except ValueError as exc:
         raise UserError(f"{where}: {exc}") from None
-    latent_point = raw.get("latent_point", "mean")
+    latent_point = get("latent_point", str)
     if latent_point not in ("mean", "median"):
         raise UserError(f"{where}: latent_point must be 'mean' or 'median', got {latent_point!r}")
+    if (theta.b_c is not None) != mc.include_credit_intercept:
+        raise UserError(
+            f"{params_path}: b_c is {'missing' if theta.b_c is None else 'present'}, but "
+            f"model.include_credit_intercept = {raw['model.include_credit_intercept']}"
+        )
     return FairModel(
         theta_hat=theta,
         forest=forest,

@@ -104,16 +104,12 @@ class Chain:
     accept_rate_params: np.ndarray     # per parameter, post burn-in
     accept_rate_latents: float         # pooled over latents, post burn-in
     config: SamplerConfig
-    rng_seed: int
     n_likelihood_errors: int = 0
     final_delta: float = 0.0
     final_param_step: float = 0.0
 
     def n_draws(self) -> int:
         return int(self.param_draws.shape[0])
-
-    def param_column(self, name: str) -> np.ndarray:
-        return self.param_draws[:, self.param_names.index(name)]
 
     def theta_median(self) -> ModelParams:
         med = np.median(self.param_draws, axis=0)
@@ -124,10 +120,6 @@ class Chain:
 
     def latent_medians(self) -> np.ndarray:
         return np.median(self.latent_draws, axis=0)
-
-    def iter_param_draws(self):
-        for row in self.param_draws:
-            yield ModelParams.from_vector(row)
 
 
 @dataclass
@@ -320,7 +312,6 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
         accept_rate_params=acc_param_post / max(post_sweeps, 1),
         accept_rate_latents=acc_latent_post / max(n * post_sweeps, 1),
         config=cfg,
-        rng_seed=cfg.seed,
         n_likelihood_errors=err_steps,
         final_delta=delta,
         final_param_step=step,

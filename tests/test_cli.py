@@ -8,11 +8,14 @@ exit codes, captured output, and files. Error paths get fresh invocations.
 import contextlib
 import io
 import os
+import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from faircredit import cli, evaluation
 from faircredit.cli import (
     DEFAULTS,
     ESS_WARN_MIN,
@@ -256,6 +259,43 @@ def test_fit_fair_warns_on_poor_mixing(workspace):
     name, ess = min(((r[0], float(r[5])) for r in rows), key=lambda t: t[1])
     assert ess < ESS_WARN_MIN
     assert f"worst bulk ESS is {ess:.4g} ({name})" in warnings[0]
+
+
+def test_compare_warns_on_poor_mixing(workspace):
+    # compare builds on the same chain as fit, so it warns with the same line
+    def warnings(res):
+        return [ln for ln in res.err.splitlines() if ln.startswith("warning:")]
+
+    res = workspace["results"]["compare"]
+    assert len(warnings(res)) == 1
+    assert warnings(res) == warnings(workspace["results"]["fit_fair"])
+    assert "warning:" not in res.out
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 a caller keeps its call arguments alive until the call returns",
+)
+def test_compare_frees_the_chain_before_test_time_inference(workspace, monkeypatch, tmp_path):
+    real_run_chain = cli.run_chain
+    real_fair_latent_points = evaluation.fair_latent_points
+    chains, freed = [], []
+
+    def run_chain(*args, **kwargs):
+        chain = real_run_chain(*args, **kwargs)
+        chains.append(weakref.ref(chain))
+        return chain
+
+    def fair_latent_points(*args, **kwargs):
+        freed.append(chains[0]() is None)
+        return real_fair_latent_points(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_chain", run_chain)
+    monkeypatch.setattr(evaluation, "fair_latent_points", fair_latent_points)
+    res = run_cli(["compare", "--config", str(workspace["config"]), "--out", str(tmp_path)])
+    assert res.code == 0, res.err
+    assert len(chains) == 1
+    assert freed == [True] * 4  # every test-time pass
 
 
 def _row(name, ess):

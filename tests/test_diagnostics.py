@@ -14,7 +14,6 @@ from faircredit.diagnostics import (
     SUMMARY_COLUMNS,
     _average_ranks,
     autocorrelation,
-    chain_plot_data,
     ess_bulk,
     ess_tail,
     export_plot_data,
@@ -239,9 +238,12 @@ def test_export_plot_data_degenerate_acf(tmp_path):
     assert hist == ["bin_left,count", "1.0,40"]
 
 
-def test_chain_plot_data_covers_every_parameter(tmp_path, tiny_dataset, short_sampler_config):
+def test_export_plot_data_covers_every_parameter(tmp_path, tiny_dataset, short_sampler_config):
+    # the pairs diagnose builds from a stored chain: every parameter column
     chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
-    paths = chain_plot_data(chain, str(tmp_path), max_lag=10, bins=8)
+    pairs = [(name, chain.param_draws[:, j]) for j, name in enumerate(chain.param_names)]
+    paths = export_plot_data(pairs, str(tmp_path), max_lag=10, bins=8)
     assert len(paths) == 3 * len(chain.param_names)
     for name in chain.param_names:
-        assert (tmp_path / f"{name}_trace.csv").exists()
+        for kind in ("trace", "acf", "hist"):
+            assert (tmp_path / f"{name}_{kind}.csv").exists()

@@ -1,5 +1,7 @@
 """Linear baselines, the bagged tree ensemble, and the two-stage fair model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from faircredit.predictors import (
     ForestConfig,
     ForestModel,
     LinearModel,
-    TreeNode,
     _build_tree,
     fair_latent_points,
     feature_matrix,
@@ -131,12 +132,10 @@ def test_build_tree_hand_case():
     c = np.array([0.0, 1.0, 2.0, 3.0])
     y = np.array([0.0, 0.0, 10.0, 10.0])
     cfg = ForestConfig(n_trees=1, max_depth=1, min_leaf=1)
-    tree = _build_tree(c, y, 0, cfg)
-    assert tree.threshold == 1.5
-    assert tree.left.is_leaf() and tree.left.value == 0.0
-    assert tree.right.is_leaf() and tree.right.value == 10.0
-    model = ForestModel([tree], cfg)
-    assert predict_forest(model, np.array([1.4, 1.6])) == pytest.approx([0.0, 10.0])
+    assert _build_tree(c, y, 0, cfg) == ([1.5], [0.0, 10.0])
+    # a point on the threshold goes left
+    one_tree = ForestModel(cfg, np.array([1.5]), np.array([0.0, 10.0]))
+    assert predict_forest(one_tree, np.array([1.4, 1.5, 1.6])).tolist() == [0.0, 0.0, 10.0]
 
 
 def test_build_tree_stopping_rules():
@@ -144,23 +143,26 @@ def test_build_tree_stopping_rules():
     c = np.array([0.0, 1.0, 2.0, 3.0])
     y = np.array([0.0, 1.0, 2.0, 9.0])
     # n < 2*min_leaf: no split possible
-    assert _build_tree(c, y, 0, cfg).is_leaf()
+    assert _build_tree(c, y, 0, cfg)[0] == []
     # constant targets: nothing to gain
-    assert _build_tree(c, np.ones(8), 0, ForestConfig(min_leaf=1)).is_leaf()
+    assert _build_tree(c, np.ones(4), 0, ForestConfig(min_leaf=1)) == ([], [1.0])
     # tied feature values: no valid cut point
-    assert _build_tree(np.ones(8), np.arange(8.0), 0, ForestConfig(min_leaf=1)).is_leaf()
-    # depth exhausted
-    assert _build_tree(c, y, 0, ForestConfig(max_depth=0, min_leaf=1)).is_leaf()
-    leaf = _build_tree(c, y, 0, ForestConfig(max_depth=0, min_leaf=1))
-    assert leaf.value == pytest.approx(3.0)
+    assert _build_tree(np.ones(8), np.arange(8.0), 0, ForestConfig(min_leaf=1))[0] == []
+    # depth exhausted: one leaf holding the mean
+    thresholds, leaves = _build_tree(c, y, 0, ForestConfig(max_depth=0, min_leaf=1))
+    assert thresholds == []
+    assert leaves == [pytest.approx(3.0)]
 
 
 def oracle_tree(c, y, depth, cfg):
-    """Brute-force split enumeration with the same stopping rules."""
-    node = TreeNode(value=float(np.mean(y)))
+    """Brute-force split enumeration with the same stopping rules.
+
+    A leaf is its value; an internal node is (threshold, left, right).
+    """
+    leaf = float(np.mean(y))
     n = len(c)
     if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or np.min(y) == np.max(y):
-        return node
+        return leaf
     order = np.argsort(c, kind="stable")
     cs, ys = c[order], y[order]
     best_sse, best_i = None, None
@@ -172,11 +174,29 @@ def oracle_tree(c, y, depth, cfg):
         if best_sse is None or sse < best_sse:
             best_sse, best_i = sse, i
     if best_i is None:
-        return node
-    node.threshold = float((cs[best_i - 1] + cs[best_i]) / 2.0)
-    node.left = oracle_tree(cs[:best_i], ys[:best_i], depth + 1, cfg)
-    node.right = oracle_tree(cs[best_i:], ys[best_i:], depth + 1, cfg)
+        return leaf
+    return (
+        float((cs[best_i - 1] + cs[best_i]) / 2.0),
+        oracle_tree(cs[:best_i], ys[:best_i], depth + 1, cfg),
+        oracle_tree(cs[best_i:], ys[best_i:], depth + 1, cfg),
+    )
+
+
+def walk(node, x):
+    """Leaf reached from the root, x <= threshold going left."""
+    while isinstance(node, tuple):
+        threshold, left, right = node
+        node = left if x <= threshold else right
     return node
+
+
+def in_order(node):
+    """(thresholds, leaves) of a tree, left to right."""
+    if not isinstance(node, tuple):
+        return [], [node]
+    threshold, left, right = node
+    (lt, lv), (rt, rv) = in_order(left), in_order(right)
+    return lt + [threshold] + rt, lv + rv
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -186,11 +206,33 @@ def test_build_tree_matches_brute_force_oracle(seed):
     c = rng.standard_normal(n)
     y = np.sin(2.0 * c) + 0.3 * rng.standard_normal(n)
     cfg = ForestConfig(n_trees=1, max_depth=3, min_leaf=4)
-    got = ForestModel([_build_tree(c, y, 0, cfg)], cfg)
-    want = ForestModel([oracle_tree(c, y, 0, cfg)], cfg)
-    grid = np.linspace(c.min() - 0.5, c.max() + 0.5, 200)
-    assert predict_forest(got, grid) == pytest.approx(predict_forest(want, grid), abs=1e-12)
-    assert predict_forest(got, c) == pytest.approx(predict_forest(want, c), abs=1e-12)
+    assert _build_tree(c, y, 0, cfg) == in_order(oracle_tree(c, y, 0, cfg))
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_forest_predicts_bit_for_bit_as_walking_every_tree(ties):
+    # the oracle rebuilds each bootstrap tree on its own stream and walks it;
+    # the forest's step function must give the same fsum / n_trees exactly
+    rng = np.random.default_rng(8)
+    n = 100
+    c = rng.standard_normal(n)
+    if ties:
+        c = np.round(c, 1)  # repeated scores, so trees share thresholds
+    y = np.exp(rng.standard_normal(n))
+    cfg = ForestConfig(n_trees=12, max_depth=5, min_leaf=3, seed=4)
+    forest = fit_forest(c, y, cfg)
+    trees = []
+    for t in range(cfg.n_trees):
+        idx = derive_rng(cfg.seed, STREAM_TREE, t).integers(0, n, size=n)
+        trees.append(oracle_tree(c[idx], y[idx], 0, cfg))
+    b = forest.breaks
+    points = np.concatenate(
+        [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), c, [-np.inf, np.inf]]
+    )
+    want = np.array([math.fsum(walk(tree, x) for tree in trees) for x in points]) / cfg.n_trees
+    assert np.array_equal(predict_forest(forest, points), want)
+    # the breaks are exactly the trees' thresholds
+    assert b.tolist() == sorted({x for tree in trees for x in in_order(tree)[0]})
 
 
 def test_fit_forest_bootstrap_stream_is_reproducible():
@@ -200,9 +242,9 @@ def test_fit_forest_bootstrap_stream_is_reproducible():
     cfg = ForestConfig(n_trees=1, max_depth=4, min_leaf=3, seed=11)
     forest = fit_forest(c, y, cfg)
     idx = derive_rng(11, STREAM_TREE, 0).integers(0, 50, size=50)
-    by_hand = ForestModel([_build_tree(c[idx], y[idx], 0, cfg)], cfg)
-    grid = np.linspace(-3, 3, 50)
-    assert np.array_equal(predict_forest(forest, grid), predict_forest(by_hand, grid))
+    thresholds, leaves = _build_tree(c[idx], y[idx], 0, cfg)
+    assert forest.breaks.tolist() == thresholds
+    assert forest.values.tolist() == leaves
 
 
 def test_fit_forest_deterministic_and_seed_sensitive():
@@ -218,9 +260,23 @@ def test_fit_forest_deterministic_and_seed_sensitive():
 
 
 def test_predict_forest_averages_trees():
-    cfg = ForestConfig(n_trees=2, max_depth=1, min_leaf=1)
-    model = ForestModel([TreeNode(value=1.0), TreeNode(value=3.0)], cfg)
-    assert predict_forest(model, np.array([0.0, 5.0])) == pytest.approx([2.0, 2.0])
+    # depth-0 trees are single leaves: the forest is one constant, the
+    # average of the bootstrap means
+    rng = np.random.default_rng(9)
+    c = rng.standard_normal(30)
+    y = rng.standard_normal(30)
+    cfg = ForestConfig(n_trees=3, max_depth=0, min_leaf=1, seed=2)
+    forest = fit_forest(c, y, cfg)
+    means = [
+        float(np.mean(y[derive_rng(2, STREAM_TREE, t).integers(0, 30, size=30)]))
+        for t in range(3)
+    ]
+    assert forest.breaks.size == 0
+    want = math.fsum(means) / 3
+    assert predict_forest(forest, np.array([-np.inf, 0.0, 5.0])).tolist() == [want] * 3
+    # interval j is (breaks[j-1], breaks[j]]
+    model = ForestModel(ForestConfig(n_trees=2), np.array([0.0]), np.array([1.0, 3.0]))
+    assert predict_forest(model, np.array([-1.0, 0.0, 5e-324, 5.0])).tolist() == [1, 1, 3, 3]
 
 
 def test_forest_config_validate():
@@ -245,9 +301,14 @@ def test_forest_text_round_trip():
     cfg = ForestConfig(n_trees=7, max_depth=4, min_leaf=2, seed=3)
     forest = fit_forest(c, y, cfg)
     text = forest_to_text(forest, header_lines=("config_hash=aa",))
-    assert text.startswith("# config_hash=aa\nformat = forest/1\n")
+    assert text.startswith("# config_hash=aa\nformat = forest/2\n")
+    body = text.splitlines()[6:]
+    assert len(body) == forest.values.size == forest.breaks.size + 1
+    assert body[-1].startswith("inf ")
     back = forest_from_text(text)
     assert back.config == cfg
+    assert np.array_equal(back.breaks, forest.breaks)
+    assert np.array_equal(back.values, forest.values)
     grid = np.linspace(-3, 3, 101)
     assert np.array_equal(predict_forest(back, grid), predict_forest(forest, grid))
 
@@ -255,26 +316,55 @@ def test_forest_text_round_trip():
 def test_forest_from_text_rejects_malformed():
     with pytest.raises(UserError, match="format"):
         forest_from_text("format = forest/9\nn_trees = 1\nmax_depth = 1\nmin_leaf = 1\nseed = 0\n")
-    good = forest_to_text(ForestModel([TreeNode(value=1.0)], ForestConfig(n_trees=1)))
-    with pytest.raises(UserError, match="tree"):
-        forest_from_text(good.replace("tree 0", "tree 5"))
-    with pytest.raises(UserError, match="node"):
-        forest_from_text(good.replace("L 1.0", "X 1.0"))
-    # a file cut inside a tree, and a header missing or garbling a key
-    with pytest.raises(UserError, match="tree 0 ends early"):
-        forest_from_text(good.replace("L 1.0\n", ""))
-    with pytest.raises(UserError, match="n_trees"):
-        forest_from_text(good.replace("n_trees = 1\n", ""))
-    with pytest.raises(UserError, match="max_depth"):
-        forest_from_text(good.replace("max_depth = ", "max_depth = deep"))
+    # the tree-by-tree format this one replaced
+    with pytest.raises(UserError, match="unsupported forest format: 'forest/1'"):
+        forest_from_text(
+            "format = forest/1\nn_trees = 1\nmax_depth = 1\nmin_leaf = 1\nseed = 0\n"
+            "tree 0\nN 0.5\nL 1.0\nL 2.0\n"
+        )
+    model = ForestModel(ForestConfig(n_trees=1), np.array([-1.0, 0.5]), np.array([1.0, 2.0, 3.0]))
+    good = forest_to_text(model)
+    assert good.endswith("\n-1.0 1.0\n0.5 2.0\ninf 3.0\n")
+    assert np.array_equal(forest_from_text(good).values, model.values)
+    bad_bodies = {
+        # breakpoints out of order, repeated, or not finite
+        "strictly increasing": [
+            good.replace("-1.0 1.0\n0.5 2.0", "0.5 1.0\n-1.0 2.0"),
+            good.replace("-1.0 1.0", "0.5 1.0"),
+        ],
+        "finite": [
+            good.replace("-1.0 1.0", "nan 1.0"),
+            good.replace("-1.0 1.0", "-inf 1.0"),
+            good.replace("0.5 2.0", "0.5 nan"),
+            # too many intervals: one past the last
+            good + "inf 4.0\n",
+        ],
+        # too few: none at all, or the body cut short
+        "must end at inf": [
+            good.split("-1.0")[0],
+            good.replace("inf 3.0\n", ""),
+        ],
+        "interval line": [
+            good.replace("0.5 2.0", "0.5"),
+            good.replace("0.5 2.0", "0.5 2.0 7.0"),
+            good.replace("-1.0 1.0", "tree 0"),
+        ],
+        # a header missing or garbling a key
+        "n_trees": [good.replace("n_trees = 1\n", "")],
+        "max_depth": [good.replace("max_depth = ", "max_depth = deep")],
+    }
+    for message, texts in bad_bodies.items():
+        for text in texts:
+            assert text != good
+            with pytest.raises(UserError, match=message):
+                forest_from_text(text)
 
 
 # --- two-stage fair model ---------------------------------------------------------
 
-def small_fair_model(tiny_dataset, latent_point="mean"):
+def small_fair_model(tiny_dataset, latent_point="mean", mc=ModelConfig()):
     from faircredit.sampler import SamplerConfig
 
-    mc = ModelConfig()
     sc = SamplerConfig(iterations=300, burn_in=100, thin=2, seed=5)
     fc = ForestConfig(n_trees=8, max_depth=3, min_leaf=2, seed=1)
     chain = run_chain(tiny_dataset, mc, sc)
@@ -361,8 +451,30 @@ def test_load_fair_model_rejects_bad_config(tmp_path, tiny_dataset):
     with pytest.raises(UserError, match="burn_in"):
         load_fair_model(str(tmp_path / "m"))
 
+    # a file cut before its last line loses latent_point, which is required
+    assert text.endswith("latent_point = mean\n")
+    config.write_text(text[: text.rindex("latent_point")], encoding="utf-8")
+    with pytest.raises(UserError, match="latent_point"):
+        load_fair_model(str(tmp_path / "m"))
+
     config.write_text(text, encoding="utf-8")
     params = tmp_path / "m" / "params.kv"
-    params.write_text(params.read_text(encoding="utf-8") + "mystery = 1\n", encoding="utf-8")
+    params_text = params.read_text(encoding="utf-8")
+    params.write_text(params_text + "mystery = 1\n", encoding="utf-8")
     with pytest.raises(UserError, match="unknown parameter"):
         load_fair_model(str(tmp_path / "m"))
+
+    # b_c in a model without the credit intercept
+    params.write_text(params_text + "b_c = 0.5\n", encoding="utf-8")
+    with pytest.raises(UserError, match="b_c is present"):
+        load_fair_model(str(tmp_path / "m"))
+
+    # an intercept model's params.kv cut before its last line loses b_c
+    model, _ = small_fair_model(tiny_dataset, mc=ModelConfig(include_credit_intercept=True))
+    save_fair_model(model, str(tmp_path / "b"))
+    params = tmp_path / "b" / "params.kv"
+    params_text = params.read_text(encoding="utf-8")
+    assert params_text.splitlines()[-1].startswith("b_c = ")
+    params.write_text(params_text[: params_text.rindex("b_c")], encoding="utf-8")
+    with pytest.raises(UserError, match="b_c is missing"):
+        load_fair_model(str(tmp_path / "b"))

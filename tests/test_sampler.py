@@ -238,8 +238,6 @@ def test_run_chain_shapes_and_names(tiny_dataset):
     assert chain.param_names == ModelConfig().active_param_names()
     med = chain.theta_median()
     assert med.b_c is None
-    assert chain.param_column("b_j").shape == (5,)
-    assert len(list(chain.iter_param_draws())) == 5
 
 
 def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset):
