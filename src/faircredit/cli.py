@@ -110,6 +110,8 @@ PRESETS: dict[str, dict[str, str]] = {
     },
 }
 
+SEED_KEYS = ("split.seed", "sampler.seed", "forest.seed", "synth.seed")
+
 ACCEPT_RATE_BAND = (0.1, 0.7)
 ESS_WARN_MIN = 100.0  # fit warns when a parameter's bulk ESS falls below this
 
@@ -138,9 +140,14 @@ def resolve_config(
             raise ConfigError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
         cfg.update(fromfile)
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
         # one master seed for every random stage
-        for key in ("split.seed", "sampler.seed", "forest.seed", "synth.seed"):
+        for key in SEED_KEYS:
             cfg[key] = str(seed)
+    for key in SEED_KEYS:
+        if _get_int(cfg, key) < 0:
+            raise ConfigError(f"config key {key} must be a non-negative integer, got {cfg[key]!r}")
     if out_dir is not None:
         cfg["out.dir"] = out_dir
     if leaky_fair:

@@ -115,9 +115,9 @@ def counterfactual_gap(
 ) -> float:
     """Mean absolute prediction change under a protected-attribute flip.
 
-    The fair model re-infers the latent score for both versions with the same
-    per-observation random streams, so the gap reflects the attribute change
-    alone and is exactly zero when the flipped attribute never enters.
+    The fair model re-infers the latent score for both versions, each an
+    exact function of its row, so the gap reflects the attribute change alone
+    and is exactly zero when the flipped attribute never enters.
     """
     if attribute == "sex":
         flipped = flip_sex(data)

@@ -180,16 +180,21 @@ def _build_tree(
     """One CART tree as its split thresholds in order and its leaf values from
     left to right. A point x lands in leaf searchsorted(thresholds, x, "left"),
     the leaf that a walk sending x <= threshold to the left reaches."""
-    leaf = ([], [float(np.mean(y))])
-    n = c.shape[0]
-    if depth >= cfg.max_depth or n < 2 * cfg.min_leaf:
-        return leaf
-    if float(np.min(y)) == float(np.max(y)):
-        return leaf  # zero variance, nothing to gain
-
     order = np.argsort(c, kind="stable")
-    cs = c[order]
-    ys = y[order]
+    thresholds, leaves = _grow(c[order], y[order], depth, cfg)
+    if not thresholds:
+        leaves = [float(np.mean(y))]  # a lone leaf averages y in the order given
+    return thresholds, leaves
+
+
+def _grow(
+    cs: np.ndarray, ys: np.ndarray, depth: int, cfg: ForestConfig
+) -> tuple[list[float], list[float]]:
+    """_build_tree on points already sorted by c. Every slice of them stays
+    sorted, so no node sorts again, and only leaves take a mean."""
+    n = cs.shape[0]
+    if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or float(np.min(ys)) == float(np.max(ys)):
+        return [], [float(np.mean(ys))]  # no room to split, or zero variance
     # candidate split after position i (1-based left size), only where the
     # feature value actually changes; thresholds are midpoints
     csum = np.cumsum(ys)
@@ -199,7 +204,7 @@ def _build_tree(
     left_n = np.arange(1, n)
     valid = (cs[:-1] < cs[1:]) & (left_n >= cfg.min_leaf) & ((n - left_n) >= cfg.min_leaf)
     if not np.any(valid):
-        return leaf
+        return [], [float(np.mean(ys))]
     lsum = csum[:-1]
     lsum2 = csum2[:-1]
     rsum = total - lsum
@@ -209,10 +214,10 @@ def _build_tree(
     sse = np.where(valid, sse, np.inf)
     best = int(np.argmin(sse))
     if not np.isfinite(sse[best]):
-        return leaf
+        return [], [float(np.mean(ys))]
     threshold = float((cs[best] + cs[best + 1]) / 2.0)
-    left_t, left_v = _build_tree(cs[: best + 1], ys[: best + 1], depth + 1, cfg)
-    right_t, right_v = _build_tree(cs[best + 1 :], ys[best + 1 :], depth + 1, cfg)
+    left_t, left_v = _grow(cs[: best + 1], ys[: best + 1], depth + 1, cfg)
+    right_t, right_v = _grow(cs[best + 1 :], ys[best + 1 :], depth + 1, cfg)
     return left_t + [threshold] + right_t, left_v + right_v
 
 
@@ -338,8 +343,10 @@ class FairModel:
     """Stage-one posterior medians plus the stage-two forest.
 
     latent_point picks the per-observation point estimate fed to the forest:
-    the posterior mean (default) or median of the latent draws, applied at
-    both training and prediction time.
+    the posterior mean (default) or median of the latent score, from the
+    chain's draws at training time and computed exactly at prediction time.
+    latent_sampler_config records the stage-one chain's settings in the model
+    directory; prediction does not use it.
     """
 
     theta_hat: ModelParams
@@ -386,15 +393,12 @@ def fair_latent_points(
 ) -> np.ndarray:
     """Per-observation latent point estimates at prediction time.
 
-    Streams are derived from the observation index, so two datasets that
-    differ only in a flipped attribute see identical randomness.
+    Each is an exact function of its own row under theta_hat, with nothing
+    random, so two datasets that differ only in a flipped attribute differ
+    in their points only through that attribute.
     """
     post = infer_latents(
-        model.theta_hat,
-        data,
-        model.model_config,
-        model.latent_sampler_config,
-        include_credit=condition_on_credit,
+        model.theta_hat, data, model.model_config, include_credit=condition_on_credit
     )
     return post.mean if model.latent_point == "mean" else post.median
 

@@ -9,14 +9,17 @@ log-space, and overflow-guarded.
 The likelihood is written once, per head, over arrays of observations
 (_head_rows). head_log_likelihood sums one head for the sampler's parameter
 steps, per_obs_log_likelihood adds the heads per observation for its latent
-steps, and log_posterior reports a rate overflow from the same rows. Only
-single-observation test-time inference (sampler.infer_latent) restates the
-heads as scalar arithmetic, because array calls on one row cost more than the
-arithmetic itself.
+steps, and log_posterior reports a rate overflow from the same rows. Arrays
+of shape (n, m) evaluate m latent values per row through Design.columns(),
+and per_obs_latent_slopes gives each row's derivatives in c beside the
+heads (_head_slopes), so test-time inference (sampler.infer_latents) is an
+exact function of each row, computed by the same engine. Only the scalar
+latent walk (sampler.infer_latent) restates the heads as scalar arithmetic,
+because array calls on one row cost more than the arithmetic itself.
 """
 
 import math
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, fields, replace as _dc_replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -215,8 +218,30 @@ class Design:
     def __len__(self) -> int:
         return self.sex.shape[0]
 
+    def columns(self) -> "Design":
+        """The same rows as (n, 1) columns, so that every head broadcasts over
+        an (n, m) array of latent values: m points per row."""
+        arrays = {f.name: getattr(self, f.name)[:, None] for f in fields(self) if f.name != "cap_log"}
+        return _dc_replace(self, **arrays)
+
 
 _NO_OVERFLOW = np.empty(0)
+
+
+def _signed_logit(head: int, vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
+    """A logistic head's linear predictor times the outcome's sign (+1 or -1)."""
+    o = 4 * head
+    sign = design.job_sign if head == HEAD_JOB else design.house_sign
+    x = vec[o] + design.sex * vec[o + 1] + design.age * vec[o + 2] + c * vec[o + 3]
+    return x * sign
+
+
+def credit_linear(vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
+    """The credit head's linear predictor, the log of its Poisson rate."""
+    lin = design.sex * vec[8] + design.age * vec[9] + c * vec[10]
+    if vec.shape[0] == 12:
+        lin = lin + vec[11]
+    return lin
 
 
 def _head_rows(
@@ -232,19 +257,37 @@ def _head_rows(
     rate above the cap costs the masking.
     """
     if head != HEAD_CREDIT:
-        o = 4 * head
-        sign = design.job_sign if head == HEAD_JOB else design.house_sign
-        x = vec[o] + design.sex * vec[o + 1] + design.age * vec[o + 2] + c * vec[o + 3]
-        return -np.logaddexp(0.0, -x * sign), _NO_OVERFLOW
-    lin = design.sex * vec[8] + design.age * vec[9] + c * vec[10]
-    if vec.shape[0] == 12:
-        lin = lin + vec[11]
+        return -np.logaddexp(0.0, -_signed_logit(head, vec, c, design)), _NO_OVERFLOW
+    lin = credit_linear(vec, c, design)
     over = lin > design.cap_log
     if not over.any():
         return design.counts * lin - np.exp(lin) - design.lgamma_counts, _NO_OVERFLOW
     safe = np.where(over, 0.0, lin)
     term = design.counts * lin - np.exp(safe) - design.lgamma_counts
     return np.where(over, -np.inf, term), lin[over]
+
+
+def _head_slopes(
+    head: int, vec: np.ndarray, c: np.ndarray, design: Design
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives in c of _head_rows' per-observation rows.
+
+    A logistic row is log sigmoid(z) for the signed predictor z, whose slope
+    in z is sigmoid(-z) and curvature -sigmoid(z) * sigmoid(-z); both come from
+    one exp(-|z|), which cannot overflow. A credit row's slope is
+    k * (count - rate) and its curvature -k^2 * rate, for latent coefficient k.
+    Rates over the cap are not masked: callers keep c where the rate is capped.
+    """
+    if head != HEAD_CREDIT:
+        z = _signed_logit(head, vec, c, design)
+        t = np.exp(-np.abs(z))
+        k = vec[4 * head + 3]
+        sign = design.job_sign if head == HEAD_JOB else design.house_sign
+        sig_neg = np.where(z > 0.0, t, 1.0) / (1.0 + t)
+        return (k * sign) * sig_neg, -(k * k) * t / ((1.0 + t) * (1.0 + t))
+    rate = np.exp(credit_linear(vec, c, design))
+    k = vec[10]
+    return k * (design.counts - rate), -(k * k) * rate
 
 
 def head_log_likelihood(
@@ -270,3 +313,18 @@ def per_obs_log_likelihood(
         return ll, 0
     credit, over_lin = _head_rows(HEAD_CREDIT, vec, c, design)
     return ll + credit, over_lin.size
+
+
+def per_obs_latent_slopes(
+    vec: np.ndarray, c: np.ndarray, design: Design, include_credit: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-observation first and second derivatives in c of
+    per_obs_log_likelihood, with the same heads. The curvature is never
+    positive: every head is concave in its linear predictor."""
+    g_j, h_j = _head_slopes(HEAD_JOB, vec, c, design)
+    g_h, h_h = _head_slopes(HEAD_HOUSE, vec, c, design)
+    grad, curv = g_j + g_h, h_j + h_h
+    if include_credit:
+        g_c, h_c = _head_slopes(HEAD_CREDIT, vec, c, design)
+        grad, curv = grad + g_c, curv + h_c
+    return grad, curv

@@ -1,22 +1,24 @@
-"""Metropolis-within-Gibbs inference over parameters and latent scores.
+"""Metropolis-within-Gibbs inference over parameters and latent scores, and
+exact test-time inference of latent scores under fixed parameters.
 
 Each sweep updates every parameter by a single-coordinate normal random walk,
 then every latent score by a uniform-window random walk, all accepted or
 rejected in log space against the joint posterior.
 
-Test-time inference (infer_latents) fixes the parameters and runs the same
-uniform-window walk on every row of a dataset at once, batched across rows:
-each row keeps its own stream, proposal width and adaptation, so a row's
-result does not depend on the other rows. infer_latent runs that walk for one
-observation on scalar arithmetic, which is faster than array calls on one row.
+Test-time inference (infer_latents) fixes the parameters, so each row's
+latent posterior is one-dimensional and log-concave: Newton finds its mode
+and a grid centred there integrates it. Nothing is random and no step
+reduces across rows, so each row's mean, median and std are an exact
+function of that row. infer_latent runs the latent random walk for one
+observation under fixed parameters, on scalar arithmetic.
 
 Random streams. One master seed. derive_rng(seed, 0, 0) drives the parameter
 updates, derive_rng(seed, 1, i) drives training latent i, and
-derive_rng(seed, 2, j) drives test-time inference for observation j, so
-results do not depend on update order or parallel scheduling. Every latent
-step consumes exactly two uniforms from its stream: first the proposal, then
-the accept test. Every parameter step consumes one standard normal (proposal)
-then one uniform (accept test) from the parameter stream.
+derive_rng(seed, 2, j) drives infer_latent for stream index j, so results do
+not depend on update order or parallel scheduling. Every latent step consumes
+exactly two uniforms from its stream: first the proposal, then the accept
+test. Every parameter step consumes one standard normal (proposal) then one
+uniform (accept test) from the parameter stream.
 """
 
 import math
@@ -51,6 +53,14 @@ ADAPT_EVERY = 100     # sweeps between proposal-width rescalings during burn-in
 ADAPT_FACTOR = 1.1
 ERROR_BUDGET = 0.01   # abort when likelihood errors exceed this fraction of steps
 _LATENT_CHUNK = 256   # sweeps of pre-drawn uniforms per latent stream refill
+
+# exact test-time inference (infer_latents)
+NEWTON_MAX_STEPS = 100
+NEWTON_TOL = 1e-12       # a row's mode is found once its step is below this, relative
+TAIL_NATS = 40.0         # each end of a row's grid lies this far below its mode
+GRID_POINTS = 401        # per row's grid; 201 left seed-0 medians off by up to 4e-7
+WIDEN_MAX = 20           # moves of a grid end before giving up
+MEDIAN_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -140,7 +150,6 @@ class LatentPosteriors:
     mean: np.ndarray
     median: np.ndarray
     std: np.ndarray
-    accept_rate: np.ndarray
 
 
 def mh_step_scalar(
@@ -411,81 +420,215 @@ def infer_latent(
     )
 
 
+def _latent_domain(
+    vec: np.ndarray, design: Design, include_credit: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row bounds on c where the credit rate stays within the cap.
+
+    The bound on the capped side is the largest (or smallest) c whose
+    credit_linear, in the engine's own arithmetic, is not above cap_log, so
+    a grid ending there is not cut off by the engine's rounding. Unbounded
+    otherwise, and always for the honest protocol.
+    """
+    n = len(design)
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    if not include_credit:
+        return lo, hi
+    k = float(vec[10])
+    base = probmodel.credit_linear(vec, np.zeros(n), design)
+    if k == 0.0:
+        if np.any(base > design.cap_log):
+            raise SamplerError("a credit rate is above the cap for every latent value")
+        return lo, hi
+    edge = (design.cap_log - base) / k
+    inward = -math.copysign(math.inf, k)
+    for _ in range(4):  # an ulp or two inward is enough
+        over = probmodel.credit_linear(vec, edge, design) > design.cap_log
+        if not over.any():
+            break
+        edge = np.where(over, np.nextafter(edge, inward), edge)
+    if k > 0.0:
+        return lo, edge
+    return edge, hi
+
+
+def _latent_modes(
+    slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's posterior mode in [lo, hi], with the log density's slope and
+    curvature there, by safeguarded Newton.
+
+    slopes(c) gives the log density's first and second derivatives per row;
+    the second is at most -1 everywhere (the N(0, 1) prior's), so the mode
+    lies between c and c + f'(c) for any c, which brackets it from the start.
+    As in Numerical Recipes' rtsafe, a row bisects its bracket instead when
+    the Newton point leaves it or the Newton step is over half the step
+    before last. A row stops on its own step size and is not moved again, so
+    it is a function of that row alone.
+    """
+    c = np.clip(0.0, lo, hi)
+    grad, curv = slopes(c)
+    lo, hi = np.clip(np.minimum(c, c + grad), lo, hi), np.clip(np.maximum(c, c + grad), lo, hi)
+    step = before = hi - lo
+    active = np.ones(c.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for _ in range(NEWTON_MAX_STEPS):
+            lo = np.where(grad >= 0.0, c, lo)
+            hi = np.where(grad <= 0.0, c, hi)
+            newton = -grad / curv
+            nxt = c + newton
+            bisect = ~((nxt >= lo) & (nxt <= hi)) | (np.abs(newton) > 0.5 * np.abs(before))
+            nxt = np.where(bisect, 0.5 * (lo + hi), nxt)
+            before = np.where(active, step, before)
+            step = np.where(active, nxt - c, step)
+            c = np.where(active, nxt, c)
+            # a nan step stays active, and so fails below
+            active &= ~(np.abs(step) <= NEWTON_TOL * (1.0 + np.abs(c)))
+            grad, curv = slopes(c)
+            if not active.any():
+                return c, grad, curv
+    raise SamplerError(
+        f"Newton did not find the latent mode of {int(np.count_nonzero(active))} "
+        f"rows in {NEWTON_MAX_STEPS} steps"
+    )
+
+
 def infer_latents(
     theta_hat: ModelParams,
     data: Dataset,
     model_config: ModelConfig,
-    sampler_config: SamplerConfig,
     include_credit: bool,
 ) -> LatentPosteriors:
-    """Posterior over every row's latent score under fixed parameters.
+    """Posterior mean, median and std of every row's latent score under fixed
+    parameters, computed exactly rather than sampled.
 
-    Row i runs infer_latent's walk on stream derive_rng(seed, 2, i), with its
-    own proposal width adapted in the same 100-step windows; rows share only
-    the array arithmetic, so a row's result does not depend on the other
-    rows. Its log ratios agree with infer_latent(..., stream_index=i) to the
-    last bit or so (numpy's exp, the order of the credit intercept), so the
-    results are the same unless such a bit flips an accept decision.
+    Given the parameters, row i's latent posterior is one-dimensional and
+    strictly log-concave (concave heads, N(0, 1) prior). Newton finds its
+    mode; a grid of GRID_POINTS values then spans the mode plus or minus the
+    width at which a Gaussian with the mode's slope and curvature falls
+    TAIL_NATS below it, each end moved out until the log density there truly
+    is TAIL_NATS below the mode's (or the end is the rate cap's bound). The
+    engine evaluates the grid through a column-shaped Design; points over the
+    rate cap weigh 0. Mean, std and the CDF are trapezoid sums with
+    Euler-Maclaurin corrections, and the median inverts the CDF within its
+    grid interval through the cubic Hermite interpolant of the density. No
+    step reduces across rows, so row i is an exact function of row i.
     include_credit as in infer_latent.
     """
-    sampler_config.validate()
     model_config.validate()
     theta_hat.validate()
     data.validate()
-    cfg = sampler_config
-    n = len(data)
     design = Design.from_dataset(data, model_config)
+    cols = design.columns()
     # b_c is read only by the credit head
     vec = theta_hat.to_vector(include_credit and model_config.include_credit_intercept)
-    uniforms = _latent_uniforms([derive_rng(cfg.seed, STREAM_TEST_LATENT, i) for i in range(n)])
 
-    c = np.zeros(n)
-    lp = per_obs_log_likelihood(vec, c, design, include_credit)[0] - 0.5 * (LOG_2PI + c * c)
-    delta = np.full(n, cfg.delta)
-    # one row per observation, so each row's reductions run as infer_latent's do
-    draws = np.empty((n, cfg.n_draws()))
-    draw_idx = 0
-    accepts = np.zeros(n, dtype=np.int64)
-    win_acc = np.zeros(n, dtype=np.int64)
-    # a rate over the cap makes lp_prop -inf, so log_r is -inf (or nan when the
-    # current point is over it too) and the proposal is rejected
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sweep in range(1, cfg.iterations + 1):
-            s = (sweep - 1) % _LATENT_CHUNK
-            if s == 0:
-                u_prop, u_acc = next(uniforms)
-                steps = 2.0 * u_prop - 1.0
-                # as in infer_latent, u_acc == 0 accepts only log_r >= 0, not
-                # every log_r above log(0) = -inf
-                log_u = np.where(u_acc > 0.0, np.log(u_acc), np.inf)
-            prop = c + delta * steps[s]
-            lp_prop = per_obs_log_likelihood(vec, prop, design, include_credit)[0]
-            lp_prop -= 0.5 * (LOG_2PI + prop * prop)
-            log_r = lp_prop - lp
-            accept = (log_r >= 0.0) | (log_u[s] < log_r)
-            np.copyto(c, prop, where=accept)
-            np.copyto(lp, lp_prop, where=accept)
-            win_acc += accept
-            if sweep > cfg.burn_in:
-                accepts += accept
-            if sweep % ADAPT_EVERY == 0:
-                if cfg.adapt_during_burn_in and sweep <= cfg.burn_in:
-                    rate = win_acc / ADAPT_EVERY
-                    delta = np.where(
-                        rate > cfg.target_accept, delta * ADAPT_FACTOR, delta / ADAPT_FACTOR
-                    )
-                win_acc[:] = 0
-            if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-                draws[:, draw_idx] = c
-                draw_idx += 1
+    def log_density(c: np.ndarray, rows: Design) -> np.ndarray:
+        # the prior's constant cancels against the mode's
+        return per_obs_log_likelihood(vec, c, rows, include_credit)[0] - 0.5 * c * c
 
-    post = cfg.iterations - cfg.burn_in
+    def slopes(c: np.ndarray, rows: Design = design) -> tuple[np.ndarray, np.ndarray]:
+        grad, curv = probmodel.per_obs_latent_slopes(vec, c, rows, include_credit)
+        return grad - c, curv - 1.0
+
+    lo_dom, hi_dom = _latent_domain(vec, design, include_credit)
+    mode, grad, curv = _latent_modes(slopes, lo_dom, hi_dom)
+    top = log_density(mode, design)
+
+    # where f(mode) - |f'| t + f'' t^2 / 2 falls TAIL_NATS: sqrt(2 TAIL_NATS)
+    # Laplace sds from an interior mode, less from a mode on the cap's bound
+    slope = np.abs(grad)
+    reach = 2.0 * TAIL_NATS / (slope + np.sqrt(slope * slope - 2.0 * TAIL_NATS * curv))
+    ends = mode[:, None] + reach[:, None] * (-1.0, 1.0)
+    bounds = np.column_stack([lo_dom, hi_dom])
+    for _ in range(WIDEN_MAX):
+        ends = np.clip(ends, lo_dom[:, None], hi_dom[:, None])
+        drop = top[:, None] - log_density(ends, cols)
+        short = (ends != bounds) & (drop < TAIL_NATS)
+        if not short.any():
+            break
+        # the drop is convex in the distance from the mode, so its tangent
+        # reaches TAIL_NATS at or beyond where the drop itself does
+        rate = np.abs(slopes(ends, cols)[0])
+        outward = np.sign(ends - mode[:, None])
+        ends = np.where(short, ends + outward * (TAIL_NATS - drop) / rate, ends)
+    else:
+        raise SamplerError(f"latent grid did not reach {TAIL_NATS:g} nats below the mode")
+
+    lo, hi = ends[:, 0], ends[:, 1]
+    grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, GRID_POINTS)
+    grid[:, -1] = hi
+    h = ((hi - lo) / (GRID_POINTS - 1))[:, None]
+    dens = np.exp(log_density(grid, cols) - top[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens_d = np.where(dens == 0.0, 0.0, dens * slopes(grid, cols)[0])
+
+    # integrals from the grid's start to each point, by Euler-Maclaurin: the
+    # trapezoid sums less h^2/12 times the change in the integrand's slope,
+    # plus h^4/720 times that in its third derivative, taken as h^-2 times a
+    # second difference of the slope (central, first order at the ends). The
+    # terms vanish at an end TAIL_NATS down, but not at the rate cap's bound
+    def integrals(values: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        third = np.empty_like(slope)
+        third[:, 1:-1] = slope[:, 2:] - 2.0 * slope[:, 1:-1] + slope[:, :-2]
+        third[:, 0], third[:, -1] = third[:, 1], third[:, -2]
+        trap = h * (np.cumsum(values, axis=1) - 0.5 * (values[:, :1] + values))
+        return trap + h * h * ((third - third[:, :1]) / 720.0 - (slope - slope[:, :1]) / 12.0)
+
+    cdf = integrals(dens, dens_d)
+    mass = cdf[:, -1]
+    off = grid - mode[:, None]  # moments about the mode, which is near the mean
+    m1 = integrals(off * dens, dens + off * dens_d)[:, -1] / mass
+    m2 = integrals(off * off * dens, off * (2.0 * dens + off * dens_d))[:, -1] / mass
     return LatentPosteriors(
-        mean=draws.mean(axis=1),
-        median=np.median(draws, axis=1),
-        std=draws.std(axis=1, ddof=1) if draws.shape[1] > 1 else np.zeros(n),
-        accept_rate=accepts / max(post, 1),
+        mean=mode + m1,
+        median=_hermite_median(grid, h, dens, dens_d, cdf, 0.5 * mass),
+        std=np.sqrt(np.maximum(m2 - m1 * m1, 0.0)),
     )
+
+
+def _hermite_median(
+    grid: np.ndarray,
+    h: np.ndarray,
+    dens: np.ndarray,
+    dens_d: np.ndarray,
+    cdf: np.ndarray,
+    half: np.ndarray,
+) -> np.ndarray:
+    """Per row, where the integral of the piecewise-cubic Hermite interpolant
+    of the density (values dens, slopes dens_d) reaches half.
+
+    cdf holds that integral at the grid points, plus Euler-Maclaurin's next
+    term. Within the interval that crosses half, the integral is a quartic in
+    the fraction s of the interval, solved by a fixed number of Newton steps
+    from the linear interpolation of cdf.
+    """
+    j = np.clip(np.count_nonzero(cdf < half[:, None], axis=1), 1, grid.shape[1] - 1)[:, None]
+
+    def at(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(a, k, axis=1)[:, 0]
+
+    f0, f1 = at(cdf, j - 1), at(cdf, j)
+    p0, p1 = at(dens, j - 1), at(dens, j)
+    step = h[:, 0]
+    d0, d1 = step * at(dens_d, j - 1), step * at(dens_d, j)
+    s = np.clip((half - f0) / (f1 - f0), 0.0, 1.0)
+    for _ in range(MEDIAN_NEWTON_STEPS):
+        s2, s3 = s * s, s * s * s
+        s4 = s2 * s2
+        # the Hermite basis h00, h10, h01, h11 and their integrals from 0 to s
+        value = (
+            p0 * (2 * s3 - 3 * s2 + 1) + d0 * (s3 - 2 * s2 + s)
+            + p1 * (3 * s2 - 2 * s3) + d1 * (s3 - s2)
+        )
+        area = (
+            p0 * (s4 / 2 - s3 + s) + d0 * (s4 / 4 - 2 * s3 / 3 + s2 / 2)
+            + p1 * (s3 - s4 / 2) + d1 * (s4 / 4 - s3 / 3)
+        )
+        s = np.clip(s - (f0 + step * area - half) / (step * value), 0.0, 1.0)
+    return at(grid, j - 1) + s * step
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,33 @@ def test_invalid_config_value_exit_code(tmp_path, line, message):
     assert message in res.err
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--seed", "-1"], None),
+        ([], "split.seed"),
+        ([], "sampler.seed"),
+        ([], "forest.seed"),
+        ([], "synth.seed"),
+    ],
+    ids=("flag", "split", "sampler", "forest", "synth"),
+)
+def test_negative_seed_exit_code(workspace, tmp_path, flags, key):
+    # numpy's generators refuse a negative seed with a traceback, and the
+    # derived streams would wrap it modulo 2**64, so config resolution rejects
+    # it before anything runs
+    config = tmp_path / "c.kv"
+    lines = workspace["config"].read_text(encoding="utf-8").splitlines()
+    lines = [ln for ln in lines if not ln.startswith(f"{key} =")]
+    config.write_text("\n".join(lines + ([f"{key} = -3"] if key else [])) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    res = run_cli(["compare", "--config", str(config), "--out", str(out), *flags])
+    assert res.code == 2
+    assert res.err.startswith("error:")
+    assert f"{key or '--seed'} must be a non-negative integer" in res.err
+    assert not out.exists()
+
+
 def test_diagnose_without_chain(workspace, tmp_path):
     res = run_cli(
         [

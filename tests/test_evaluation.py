@@ -232,9 +232,9 @@ def test_compare_runs_four_test_time_passes(monkeypatch):
     calls = []
     original = predictors.infer_latents
 
-    def counting(theta, data, model_config, sampler_config, include_credit):
+    def counting(theta, data, model_config, include_credit):
         calls.append(include_credit)
-        return original(theta, data, model_config, sampler_config, include_credit)
+        return original(theta, data, model_config, include_credit)
 
     monkeypatch.setattr(predictors, "infer_latents", counting)
     train, test = larger_split()

@@ -29,6 +29,7 @@ from faircredit.probmodel import (
     head_log_likelihood,
     log_posterior,
     log_prior,
+    per_obs_latent_slopes,
     per_obs_log_likelihood,
 )
 
@@ -320,3 +321,41 @@ def test_head_log_likelihood_overflow_counts(tiny_dataset):
     uncapped, _ = per_obs_log_likelihood(vec, c, Design.from_dataset(tiny_dataset, ModelConfig()))
     assert np.array_equal(ll[female], uncapped[female])
     assert np.all(np.isfinite(ll[female]))
+
+
+@pytest.mark.parametrize("include_credit", [False, True], ids=["honest", "leaky"])
+def test_latent_slopes_match_finite_differences(tiny_dataset, modest_params, include_credit):
+    # the Newton steps of sampler.infer_latents use these derivatives in c;
+    # central differences of the engine itself, over an (n, m) grid of latent
+    # values through the column-shaped design, checking that layout too
+    for config, theta in (
+        (ModelConfig(), modest_params.replace(beta_j_c=4.0)),
+        (ModelConfig(include_credit_intercept=True, credit_scale=5.0), modest_params.replace(b_c=0.8)),
+    ):
+        cols = Design.from_dataset(tiny_dataset, config).columns()
+        vec = theta.to_vector(config.include_credit_intercept)
+        c = np.linspace(-3.0, 3.0, 13)[None, :] + 0.1 * np.arange(len(tiny_dataset))[:, None]
+        grad, curv = per_obs_latent_slopes(vec, c, cols, include_credit)
+        assert grad.shape == curv.shape == c.shape
+        assert np.all(curv < 0.0)
+
+        def ll(x):
+            return per_obs_log_likelihood(vec, x, cols, include_credit)[0]
+
+        e = 1e-4
+        fd_grad = (ll(c + e) - ll(c - e)) / (2 * e)
+        fd_curv = (ll(c + e) - 2 * ll(c) + ll(c - e)) / (e * e)
+        assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6)
+        assert np.allclose(curv, fd_curv, rtol=1e-4, atol=1e-4)
+
+
+def test_column_design_broadcasts_every_head(tiny_dataset, modest_params):
+    # m latent values per row through Design.columns() give, column by column,
+    # exactly the 1-D engine's rows
+    config = ModelConfig(include_credit_intercept=True, credit_scale=5.0)
+    design = Design.from_dataset(tiny_dataset, config)
+    vec = modest_params.replace(b_c=0.8).to_vector(True)
+    c = np.random.default_rng(3).standard_normal((len(tiny_dataset), 4))
+    grid, _ = per_obs_log_likelihood(vec, c, design.columns())
+    for k in range(4):
+        assert np.array_equal(grid[:, k], per_obs_log_likelihood(vec, c[:, k].copy(), design)[0])

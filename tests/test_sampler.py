@@ -1,11 +1,13 @@
-"""Sampler kernels, the full chain driver, and chain file io.
+"""Sampler kernels, the full chain driver, exact test-time inference, and
+chain file io.
 
 The central test here re-runs the Gibbs sweep one step at a time with a
 reference written in this file: each parameter step compares two
 head_log_likelihood sums, and each latent step is mh_step_scalar on a one-row
 slice of per_obs_log_likelihood. It consumes the same derived streams, and the
 vectorized run_chain must reproduce it bit for bit, including the burn-in
-adaptation bookkeeping.
+adaptation bookkeeping. Test-time inference (infer_latents) is checked
+against a dense trapezoid rule with the heads written out by hand.
 """
 
 import math
@@ -13,6 +15,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from faircredit.dataset import Dataset
 from faircredit.errors import DataError, SamplerError
@@ -22,11 +25,13 @@ from faircredit.probmodel import (
     Design,
     ModelConfig,
     head_log_likelihood,
+    per_obs_latent_slopes,
     per_obs_log_likelihood,
 )
 from faircredit.sampler import (
     ADAPT_EVERY,
     ADAPT_FACTOR,
+    TAIL_NATS,
     Chain,
     SamplerConfig,
     export_chain,
@@ -301,85 +306,140 @@ def test_infer_latent_conditioning_pulls_toward_credit(modest_params):
     assert with_credit.mean > without.mean
 
 
-# --- batched test-time inference -------------------------------------------------
+# --- exact test-time inference ----------------------------------------------------
 
-BATCH_CASES = {
-    "default": (ModelConfig(), SamplerConfig(iterations=600, burn_in=200, seed=4)),
-    "intercept": (
-        ModelConfig(include_credit_intercept=True, credit_scale=5.0),
-        SamplerConfig(iterations=600, burn_in=200, seed=4),
-    ),
-    "thin": (
-        ModelConfig(), SamplerConfig(iterations=700, burn_in=300, thin=3, target_accept=0.8, seed=9)
-    ),
-    "no_adapt": (
-        ModelConfig(), SamplerConfig(iterations=500, burn_in=100, adapt_during_burn_in=False)
-    ),
+def quadrature(theta, obs, model_config, include_credit, lo, hi, points=400_001):
+    """Mean, median and std of one row's latent posterior by a dense trapezoid
+    rule on [lo, hi], with the heads written out by hand. No rate cap is
+    applied: a truncated posterior is integrated by ending the window at the
+    cap's bound. Also returns the density at both ends relative to its peak."""
+    c = np.linspace(lo, hi, points)
+    t = theta
+    xj = (t.b_j + obs.sex * t.beta_j_s + obs.age_std * t.beta_j_a + c * t.beta_j_c) * (2 * obs.job - 1)
+    xh = (t.b_h + obs.sex * t.beta_h_s + obs.age_std * t.beta_h_a + c * t.beta_h_c) * (2 * obs.house - 1)
+    logw = -np.logaddexp(0.0, -xj) - np.logaddexp(0.0, -xh) - 0.5 * c * c
+    if include_credit:
+        count = np.rint(obs.credit / model_config.credit_scale)
+        lin = obs.sex * t.beta_c_s + obs.age_std * t.beta_c_a + c * t.beta_c_c
+        if model_config.include_credit_intercept:
+            lin = lin + t.b_c
+        logw = logw + count * lin - np.exp(lin) - gammaln(count + 1.0)
+    w = np.exp(logw - logw.max())
+    z = np.trapezoid(w, c)
+    mean = np.trapezoid(c * w, c) / z
+    std = math.sqrt(np.trapezoid((c - mean) ** 2 * w, c) / z)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(c))])
+    median = float(np.interp(0.5 * cdf[-1], cdf, c))
+    return mean, median, std, max(w[0], w[-1])
+
+
+def assert_matches_quadrature(theta, data, model_config, include_credit, windows=None):
+    """infer_latents against quadrature row by row: mean and std to 1e-8 and
+    the median to 1e-7. The window defaults to the row's mean +- 40 std, and
+    the density at its ends must be negligible."""
+    post = infer_latents(theta, data, model_config, include_credit)
+    for i in range(len(data)):
+        if windows is None:
+            lo, hi = post.mean[i] - 40 * post.std[i], post.mean[i] + 40 * post.std[i]
+        else:
+            lo, hi = windows[i]
+        mean, median, std, edge = quadrature(
+            theta, data.observation(i), model_config, include_credit, lo, hi
+        )
+        if windows is None:
+            assert edge < 1e-30, i
+        assert abs(post.mean[i] - mean) <= 1e-8, (i, post.mean[i], mean)
+        assert abs(post.std[i] - std) <= 1e-8, (i, post.std[i], std)
+        assert abs(post.median[i] - median) <= 1e-7, (i, post.median[i], median)
+    return post
+
+
+ORACLE_CASES = {
+    "default": ModelConfig(),
+    "intercept": ModelConfig(include_credit_intercept=True, credit_scale=5.0),
 }
 
 
 @pytest.mark.parametrize("include_credit", [False, True], ids=["honest", "leaky"])
-@pytest.mark.parametrize("case", sorted(BATCH_CASES))
-def test_infer_latents_matches_infer_latent(tiny_dataset, modest_params, case, include_credit):
-    model_config, cfg = BATCH_CASES[case]
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_infer_latents_matches_quadrature(tiny_dataset, modest_params, case, include_credit):
     theta = modest_params.replace(b_c=-0.4)
-    batch = infer_latents(theta, tiny_dataset, model_config, cfg, include_credit)
-    for i in range(len(tiny_dataset)):
-        one = infer_latent(
-            theta, tiny_dataset.observation(i), model_config, cfg, include_credit, stream_index=i
-        )
-        assert abs(batch.mean[i] - one.mean) <= 1e-12
-        assert abs(batch.median[i] - one.median) <= 1e-12
-        assert abs(batch.std[i] - one.std) <= 1e-12
-        assert batch.accept_rate[i] == one.accept_rate
+    post = assert_matches_quadrature(theta, tiny_dataset, ORACLE_CASES[case], include_credit)
+    assert np.all(post.std > 0.0)
 
 
-def test_infer_latents_rejects_proposals_over_the_rate_cap(modest_params):
-    # a leaky row whose posterior presses against a rate cap of exp(2.5)
+def test_infer_latents_narrow_leaky_rows(modest_params):
+    # counts in the thousands at credit_scale 1: the Poisson head pins each
+    # posterior to a width of 0.01 to 0.03, far from the prior's mode
+    data = Dataset(
+        sex=np.array([0, 1, 1]), age_std=np.array([0.5, -1.0, 2.0]), job=np.array([1, 0, 1]),
+        house=np.array([0, 1, 1]), credit=np.array([2500, 7000, 15000]),
+    )
+    post = assert_matches_quadrature(modest_params, data, ModelConfig(), include_credit=True)
+    assert np.all(post.std < 0.04) and np.all(post.mean > 12.0)
+
+
+def test_infer_latents_widens_a_grid_the_laplace_width_undercovers(modest_params):
+    # a steep job head: past the point where it saturates the posterior is the
+    # prior alone, far wider than the curvature at the mode says
+    theta = modest_params.replace(beta_j_c=9.0, b_j=-4.0)
+    data = Dataset(
+        sex=np.array([0, 1]), age_std=np.array([0.3, -0.8]), job=np.array([1, 0]),
+        house=np.array([0, 1]), credit=np.array([10, 10]),
+    )
+    design = Design.from_dataset(data, ModelConfig())
+    vec = theta.to_vector()
+    c = np.linspace(-12.0, 12.0, 200_001)
+    for i in range(len(data)):
+        row = one_row(design, i).columns()
+        logp = per_obs_log_likelihood(vec, c[None, :], row, include_credit=False)[0][0] - 0.5 * c * c
+        mode = c[np.argmax(logp)]
+        curv = per_obs_latent_slopes(vec, np.array([[mode]]), row, include_credit=False)[1][0, 0] - 1.0
+        reach = math.sqrt(2.0 * TAIL_NATS / -curv)
+        # one end of the Laplace window lies less than TAIL_NATS below the mode
+        ends = per_obs_log_likelihood(vec, mode + np.array([[-reach, reach]]), row, False)[0][0]
+        ends -= 0.5 * (mode + np.array([-reach, reach])) ** 2
+        assert np.max(ends) > logp.max() - TAIL_NATS + 5.0
+    assert_matches_quadrature(theta, data, ModelConfig(), include_credit=False)
+
+
+def test_infer_latents_truncates_at_the_rate_cap(modest_params):
+    # a leaky row whose untruncated posterior lies past a rate cap of exp(2.5)
     data = Dataset(
         sex=np.array([1]), age_std=np.array([0.3]), job=np.array([1]),
         house=np.array([1]), credit=np.array([60]),
     )
     model_config = ModelConfig(poisson_rate_cap=math.exp(2.5))
-    cfg = SamplerConfig(iterations=2000, burn_in=500, seed=1)
-    one = infer_latent(modest_params, data.observation(0), model_config, cfg, True)
-    batch = infer_latents(modest_params, data, model_config, cfg, include_credit=True)
-    # the walk sits against the cap, so proposals cross it and are rejected
-    lin = (
-        modest_params.beta_c_s + 0.3 * modest_params.beta_c_a
-        + one.draws * modest_params.beta_c_c
+    t = modest_params
+    bound = (math.log(model_config.poisson_rate_cap) - (t.beta_c_s + 0.3 * t.beta_c_a)) / t.beta_c_c
+    post = assert_matches_quadrature(
+        t, data, model_config, include_credit=True, windows=[(bound - 12.0, bound)]
     )
-    cap_log = math.log(model_config.poisson_rate_cap)
-    assert lin.max() <= cap_log
-    assert cap_log - lin.max() < 0.01
-    assert abs(batch.mean[0] - one.mean) <= 1e-12
-    assert abs(batch.median[0] - one.median) <= 1e-12
-    assert abs(batch.std[0] - one.std) <= 1e-12
-    assert batch.accept_rate[0] == one.accept_rate
+    assert bound - 0.1 < post.mean[0] < bound
+    assert post.median[0] < bound
 
 
 def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
-    # row i always runs on stream i and adapts its own width: a prefix slice,
-    # or other rows changed, must leave a row's results bit-identical. The
-    # target splits the rows' window rates, so widths move apart.
-    cfg = SamplerConfig(iterations=800, burn_in=400, target_accept=0.8, seed=3)
+    # no reduction across rows: a prefix slice, or other rows changed, must
+    # leave a row's results bit-identical. The changed rows are extreme ones
+    # that take more Newton steps and wider grids.
+    keep = np.arange(6)
+    changed = replace(
+        tiny_dataset,
+        sex=np.r_[tiny_dataset.sex[keep], 1 - tiny_dataset.sex[6:]],
+        age_std=np.r_[tiny_dataset.age_std[keep], tiny_dataset.age_std[6:] * 6.0],
+        credit=np.r_[tiny_dataset.credit[keep], tiny_dataset.credit[6:] * 400],
+    )
     for include_credit in (False, True):
-        full = infer_latents(modest_params, tiny_dataset, ModelConfig(), cfg, include_credit)
+        full = infer_latents(modest_params, tiny_dataset, ModelConfig(), include_credit)
         for k in (1, 5, 11):
             part = infer_latents(
-                modest_params, tiny_dataset.subset(np.arange(k)), ModelConfig(), cfg,
-                include_credit,
+                modest_params, tiny_dataset.subset(np.arange(k)), ModelConfig(), include_credit
             )
-            for name in ("mean", "median", "std", "accept_rate"):
+            for name in ("mean", "median", "std"):
                 assert np.array_equal(getattr(part, name), getattr(full, name)[:k]), (k, name)
-        keep = np.arange(6)
-        changed = replace(
-            tiny_dataset,
-            sex=np.r_[tiny_dataset.sex[keep], 1 - tiny_dataset.sex[6:]],
-            credit=np.r_[tiny_dataset.credit[keep], tiny_dataset.credit[6:] * 7],
-        )
-        other = infer_latents(modest_params, changed, ModelConfig(), cfg, include_credit)
-        for name in ("mean", "median", "std", "accept_rate"):
+        other = infer_latents(modest_params, changed, ModelConfig(), include_credit)
+        for name in ("mean", "median", "std"):
             assert np.array_equal(getattr(other, name)[keep], getattr(full, name)[keep]), name
         assert not np.array_equal(other.mean[6:], full.mean[6:])
 
