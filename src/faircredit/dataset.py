@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import probmodel
-from .errors import DataError, RateCapError
+from .errors import ConfigError, DataError, RateCapError
 from .util import atomic_write_text
 
 # candidate header spellings accepted out of the box (lowercased)
@@ -285,6 +285,8 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     n = len(data)
     if not (0 < spec.train_count < n):
         raise DataError(f"train_count must be in (0, {n}), got {spec.train_count}")
+    if spec.seed < 0:
+        raise ConfigError(f"split seed must be a non-negative integer, got {spec.seed}")
     perm = np.random.default_rng(spec.seed).permutation(n)
     train_idx = np.sort(perm[: spec.train_count])
     test_idx = np.sort(perm[spec.train_count :])
@@ -338,6 +340,8 @@ def generate_synthetic(
     """
     if n < 2:
         raise DataError("need n >= 2 synthetic records")
+    if seed < 0:
+        raise ConfigError(f"synthetic seed must be a non-negative integer, got {seed}")
     params.validate()
     rng = np.random.default_rng(seed)
     sex = (rng.random(n) < covariate_spec.sex_p).astype(np.int64)

@@ -161,6 +161,8 @@ class ForestConfig:
             raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.min_leaf < 1:
             raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass

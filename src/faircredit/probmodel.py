@@ -7,14 +7,21 @@ every parameter carry standard normal priors. Everything here is pure,
 log-space, and overflow-guarded.
 
 The likelihood is written once, per head, over arrays of observations
-(_head_rows). head_log_likelihood sums one head for the sampler's parameter
-steps, per_obs_log_likelihood adds the heads per observation for its latent
-steps, and log_posterior reports a rate overflow from the same rows. Arrays
-of shape (n, m) evaluate m latent values per row through Design.columns(),
-and per_obs_latent_slopes gives each row's derivatives in c beside the
-heads (_head_slopes), so test-time inference (sampler.infer_latents) is an
-exact function of each row, computed by the same engine. Only the scalar
-latent walk (sampler.infer_latent) restates the heads as scalar arithmetic,
+(_head_rows). A logistic row is log sigmoid(z) of the signed predictor z,
+computed as min(z, 0) - log1p(exp(-|z|)). That is the formula of numpy's
+scalar logaddexp, but run through exp and log1p, whose loops are
+vectorized: np.logaddexp calls a scalar function per element and takes
+about twice as long at n=800. exp(-|z|) <= 1 cannot overflow.
+
+head_log_likelihood returns one head's rows beside their sum, so the
+sampler keeps each head's rows between its parameter and latent steps.
+per_obs_log_likelihood adds the heads per observation, and log_posterior
+reports a rate overflow from the same rows. Arrays of shape (n, m) evaluate
+m latent values per row through Design.columns(), and per_obs_latent_slopes
+gives each row's derivatives in c beside the heads (_head_slopes), so
+test-time inference (sampler.infer_latents) is an exact function of each
+row, computed by the same engine. Only the scalar latent walk
+(sampler.infer_latent) restates the heads as scalar arithmetic,
 because array calls on one row cost more than the arithmetic itself.
 """
 
@@ -250,14 +257,17 @@ def _head_rows(
     """Per-observation log-likelihood of one head, and the overflowed credit
     linear predictors.
 
-    The logistic heads work on the signed linear predictor, never on the
-    probability, so they stay exact where it would round to 0 or 1. Credit
-    rows whose rate exceeds the cap are -inf, and their linear predictors are
-    returned in row order; the second array is empty otherwise, and only a
-    rate above the cap costs the masking.
+    The logistic heads work on the signed linear predictor z, never on the
+    probability, so they stay exact where it would round to 0 or 1. Their
+    rows are log sigmoid(z) = min(z, 0) - log1p(exp(-|z|)), within a few ulp
+    of -logaddexp(0, -z), which is the same formula run one element at a time.
+    Credit rows whose rate exceeds the cap are -inf, and their linear
+    predictors are returned in row order; the second array is empty
+    otherwise, and only a rate above the cap costs the masking.
     """
     if head != HEAD_CREDIT:
-        return -np.logaddexp(0.0, -_signed_logit(head, vec, c, design)), _NO_OVERFLOW
+        z = _signed_logit(head, vec, c, design)
+        return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z))), _NO_OVERFLOW
     lin = credit_linear(vec, c, design)
     over = lin > design.cap_log
     if not over.any():
@@ -292,16 +302,16 @@ def _head_slopes(
 
 def head_log_likelihood(
     head: int, vec: np.ndarray, c: np.ndarray, design: Design
-) -> tuple[float, int]:
-    """Summed log-likelihood of one head. Returns (sum, overflow count).
+) -> tuple[float, int, np.ndarray]:
+    """One head's log-likelihood. Returns (sum, overflow count, per-observation rows).
 
-    Overflowed credit rates contribute -inf to the sum instead of raising, so
-    sampler steps can reject them and keep a counter.
+    Overflowed credit rates give -inf rows and a -inf sum instead of raising,
+    so sampler steps can reject them and keep a counter.
     """
     rows, over_lin = _head_rows(head, vec, c, design)
     if over_lin.size:
-        return float("-inf"), over_lin.size
-    return float(np.sum(rows)), 0
+        return float("-inf"), over_lin.size, rows
+    return float(rows.sum()), 0, rows
 
 
 def per_obs_log_likelihood(

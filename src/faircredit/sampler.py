@@ -36,6 +36,7 @@ from .probmodel import (
     Design,
     ModelConfig,
     ModelParams,
+    HEAD_CREDIT,
     LOG_2PI,
     PARAM_HEAD,
     head_log_likelihood,
@@ -99,6 +100,8 @@ class SamplerConfig:
             raise ValueError(f"param_step must be positive, got {self.param_step!r}")
         if not (0 < self.target_accept < 1):
             raise ValueError(f"target_accept must be in (0,1), got {self.target_accept!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def n_draws(self) -> int:
         return (self.iterations - self.burn_in) // self.thin
@@ -195,9 +198,14 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     """Run the full Metropolis-within-Gibbs chain on a dataset.
 
     Initial state is all zeros. Within a sweep, parameters update first in
-    serialization order, then all latents. Results are bit-identical for a
-    given config and seed. Persistent likelihood errors (more than 1% of
-    steps) abort with diagnostics.
+    serialization order, then all latents. Each head's per-row
+    log-likelihood at the current state is kept from its last accepted
+    proposal: a parameter step evaluates only its own head, the latent phase
+    evaluates each head once at the proposed latents, and the rows of the
+    latents it accepts are merged in. A rejected proposal's rows, such as
+    the -inf rows of one over the rate cap, are never kept. Results are
+    bit-identical for a given config and seed. Persistent likelihood errors
+    (more than 1% of steps) abort with diagnostics.
     """
     sampler_config.validate()
     model_config.validate()
@@ -232,11 +240,17 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     uniforms = _latent_uniforms(latent_rngs)
     draw_idx = 0
 
+    # entry h: head h's log-likelihood sum and rows at the current (theta, c)
+    head_sums, head_rows = [], []
+    for h in (0, 1, 2):
+        total, _, rows = head_log_likelihood(h, theta, c, design)
+        head_sums.append(total)
+        head_rows.append(rows)
+
     for sweep in range(1, cfg.iterations + 1):
         post = sweep > cfg.burn_in
 
-        # parameter phase; head sums refresh here because latents moved
-        head_sums = [head_log_likelihood(h, theta, c, design)[0] for h in (0, 1, 2)]
+        # parameter phase
         for j in range(k):
             z = param_rng.standard_normal()
             u_acc = param_rng.random()
@@ -244,7 +258,7 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
             old = theta[j]
             proposal = old + step * z
             theta[j] = proposal
-            new_sum, n_over = head_log_likelihood(h, theta, c, design)
+            new_sum, n_over, new_rows = head_log_likelihood(h, theta, c, design)
             total_steps += 1
             win_param_tot += 1
             if n_over or new_sum == float("-inf"):
@@ -256,6 +270,7 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
                 accepted = log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r)
             if accepted:
                 head_sums[h] = new_sum
+                head_rows[h] = new_rows
                 win_param_acc += 1
                 if post:
                     acc_param_post[j] += 1
@@ -269,17 +284,23 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
         u_prop = u_prop_chunk[s]
         u_acc_vec = u_acc_chunk[s]
 
-        ll_cur, _ = per_obs_log_likelihood(theta, c, design, include_credit=True)
         c_prop = c + delta * (2.0 * u_prop - 1.0)
-        ll_prop, n_over = per_obs_log_likelihood(theta, c_prop, design, include_credit=True)
+        prop = [head_log_likelihood(h, theta, c_prop, design) for h in (0, 1, 2)]
+        prop_rows = [rows for _, _, rows in prop]
         total_steps += n
-        err_steps += n_over
-        # associate as mh_step_scalar does, target(proposal) - target(current), so
-        # stepping one latent at a time agrees with this vectorized phase bitwise
+        err_steps += prop[HEAD_CREDIT][1]
+        # heads added as per_obs_log_likelihood adds them, and associated as
+        # mh_step_scalar does, target(proposal) - target(current), so stepping
+        # one latent at a time agrees with this vectorized phase bitwise
+        ll_cur = (head_rows[0] + head_rows[1]) + head_rows[2]
+        ll_prop = (prop_rows[0] + prop_rows[1]) + prop_rows[2]
         log_r = (ll_prop - 0.5 * (LOG_2PI + c_prop * c_prop)) - (ll_cur - 0.5 * (LOG_2PI + c * c))
         with np.errstate(divide="ignore"):
             accept = (log_r >= 0.0) | (np.log(u_acc_vec) < log_r)
         c = np.where(accept, c_prop, c)
+        for h in (0, 1, 2):
+            head_rows[h] = np.where(accept, prop_rows[h], head_rows[h])
+            head_sums[h] = float(head_rows[h].sum())
         n_acc = int(np.count_nonzero(accept))
         win_latent_acc += n_acc
         win_latent_tot += n

@@ -20,8 +20,12 @@ def derive_rng(seed: int, *stream_key: int) -> np.random.Generator:
     different keys of the same length are independent, and the mapping
     does not depend on the order quantities are updated in. Callers must
     use fixed-length keys (always (kind, index) here): SeedSequence
-    zero-pads short entropy lists, so (0,) and (0, 0) coincide.
+    zero-pads short entropy lists, so (0,) and (0, 0) coincide. A negative
+    seed or key raises ConfigError: masked to 64 bits it would alias a large
+    positive one.
     """
+    if seed < 0 or any(k < 0 for k in stream_key):
+        raise ConfigError(f"seed and stream key must be non-negative, got {(seed, *stream_key)}")
     entropy = [int(seed) & _MASK64] + [int(k) & _MASK64 for k in stream_key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 

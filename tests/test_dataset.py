@@ -17,7 +17,7 @@ from faircredit.dataset import (
     split,
     write_processed_csv,
 )
-from faircredit.errors import DataError
+from faircredit.errors import ConfigError, DataError
 from faircredit.probmodel import ModelParams
 
 CSV_HEADER = "Sex,Age,Job,Housing,Credit amount\n"
@@ -208,6 +208,11 @@ def test_split_disjoint_and_deterministic():
     assert not np.array_equal(train.credit, train3.credit)
 
 
+def test_split_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        split(preprocess(make_raw(40)), SplitSpec(train_count=25, seed=-1))
+
+
 def test_split_partitions_rows():
     ds = preprocess(make_raw(40))
     train, test = split(ds, SplitSpec(train_count=25, seed=1))
@@ -270,6 +275,11 @@ def test_generate_synthetic_latent_drives_outcomes(modest_params):
 def test_generate_synthetic_rejects_tiny_n(modest_params):
     with pytest.raises(DataError):
         generate_synthetic(modest_params, 1, seed=0)
+
+
+def test_generate_synthetic_rejects_a_negative_seed(modest_params):
+    with pytest.raises(ConfigError, match="seed"):
+        generate_synthetic(modest_params, 50, seed=-1)
 
 
 # --- processed csv round trip -------------------------------------------------

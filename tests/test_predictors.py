@@ -280,7 +280,10 @@ def test_predict_forest_averages_trees():
 
 
 def test_forest_config_validate():
-    for bad in (ForestConfig(n_trees=0), ForestConfig(max_depth=-1), ForestConfig(min_leaf=0)):
+    for bad in (
+        ForestConfig(n_trees=0), ForestConfig(max_depth=-1), ForestConfig(min_leaf=0),
+        ForestConfig(seed=-3),
+    ):
         with pytest.raises(ConfigError):
             bad.validate()
 
@@ -449,6 +452,10 @@ def test_load_fair_model_rejects_bad_config(tmp_path, tiny_dataset):
 
     config.write_text(text.replace("sampler.burn_in = 100", "sampler.burn_in = 900"), encoding="utf-8")
     with pytest.raises(UserError, match="burn_in"):
+        load_fair_model(str(tmp_path / "m"))
+
+    config.write_text(text.replace("sampler.seed = 5", "sampler.seed = -3"), encoding="utf-8")
+    with pytest.raises(UserError, match="seed"):
         load_fair_model(str(tmp_path / "m"))
 
     # a file cut before its last line loses latent_point, which is required

@@ -73,8 +73,8 @@ def test_bernoulli_logit_form_agrees_and_survives_extremes():
     vec = ModelParams(beta_j_c=1.0, beta_h_c=1.0).to_vector()
     for i in range(c.size):
         row = one_row(design, i)
-        job, _ = head_log_likelihood(HEAD_JOB, vec, c[i : i + 1], row)
-        house, _ = head_log_likelihood(HEAD_HOUSE, vec, c[i : i + 1], row)
+        job, _, _ = head_log_likelihood(HEAD_JOB, vec, c[i : i + 1], row)
+        house, _, _ = head_log_likelihood(HEAD_HOUSE, vec, c[i : i + 1], row)
         assert job == pytest.approx(float(log_expit((2 * y[i] - 1) * c[i])), rel=1e-12)
         assert house == pytest.approx(float(log_expit((1 - 2 * y[i]) * c[i])), rel=1e-12)
     # probability space would round to 1.0 at 40; the logit form stays exact
@@ -86,11 +86,30 @@ def test_bernoulli_logit_form_agrees_and_survives_extremes():
     assert head_log_likelihood(HEAD_JOB, vec, np.array([-800.0]), at_m800)[0] == -800.0
 
 
+def test_logistic_rows_match_logaddexp_within_4_ulp():
+    # log sigmoid(z) as min(z, 0) - log1p(exp(-|z|)) against the independent
+    # -logaddexp(0, -z), over a dense grid and the points where either form
+    # could lose: 0, subnormal-adjacent, exp's overflow and underflow edges
+    z = np.concatenate([
+        np.linspace(-800.0, 800.0, 400_001),
+        [0.0, 1e-300, -1e-300, 40.0, -40.0, 709.7, -709.7, 745.0, -745.0, -np.inf],
+    ])
+    n = z.size
+    # job outcome 1 gives the head +z, house outcome 0 gives it -z
+    design = columns_design(np.zeros(n), np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n))
+    vec = ModelParams(beta_j_c=1.0, beta_h_c=1.0).to_vector()
+    job = head_log_likelihood(HEAD_JOB, vec, z, design)[2]
+    house = head_log_likelihood(HEAD_HOUSE, vec, z, design)[2]
+    np.testing.assert_array_max_ulp(job, -np.logaddexp(0.0, -z), maxulp=4)
+    np.testing.assert_array_max_ulp(house, -np.logaddexp(0.0, z), maxulp=4)
+    assert job[-1] == -np.inf and house[-1] == 0.0
+
+
 def test_poisson_log_pmf_frozen_value():
     # 3*log(2) - 2 - log(6), checked against scipy.stats.poisson
     design = columns_design([0], [0.0], [1], [1], [3])
     vec = ModelParams(beta_c_c=1.0).to_vector()
-    total, _ = head_log_likelihood(HEAD_CREDIT, vec, np.array([math.log(2.0)]), design)
+    total, _, _ = head_log_likelihood(HEAD_CREDIT, vec, np.array([math.log(2.0)]), design)
     assert total == pytest.approx(-1.7123179275482192, abs=1e-14)
 
 
@@ -101,7 +120,7 @@ def test_poisson_log_pmf_matches_scipy_grid():
     design = columns_design(np.zeros(k.size), np.zeros(k.size), np.ones(k.size), np.ones(k.size), k)
     vec = ModelParams(beta_c_c=1.0).to_vector()
     for i in range(k.size):
-        total, n_over = head_log_likelihood(HEAD_CREDIT, vec, c[i : i + 1], one_row(design, i))
+        total, n_over, _ = head_log_likelihood(HEAD_CREDIT, vec, c[i : i + 1], one_row(design, i))
         assert n_over == 0
         assert total == pytest.approx(float(poisson.logpmf(k[i], math.exp(c[i]))), rel=1e-12)
 
@@ -299,9 +318,15 @@ def test_head_sums_add_up_to_total(tiny_dataset, modest_params):
     design = Design.from_dataset(tiny_dataset, config)
     vec = modest_params.to_vector()
     c = np.random.default_rng(4).standard_normal(len(tiny_dataset))
-    total = sum(head_log_likelihood(h, vec, c, design)[0] for h in (0, 1, 2))
+    heads = [head_log_likelihood(h, vec, c, design) for h in (0, 1, 2)]
+    total = sum(head[0] for head in heads)
     ll, _ = per_obs_log_likelihood(vec, c, design)
     assert total == pytest.approx(float(np.sum(ll)), rel=1e-12)
+    # each head's rows are what it sums, and added job + house, then credit,
+    # they are per_obs_log_likelihood's rows bit for bit, as run_chain adds them
+    for head_total, _, rows in heads:
+        assert head_total == float(np.sum(rows))
+    assert np.array_equal((heads[0][2] + heads[1][2]) + heads[2][2], ll)
 
 
 def test_head_log_likelihood_overflow_counts(tiny_dataset):
@@ -309,7 +334,7 @@ def test_head_log_likelihood_overflow_counts(tiny_dataset):
     design = Design.from_dataset(tiny_dataset, config)
     vec = ModelParams(beta_c_s=5.0).to_vector()
     c = np.zeros(len(tiny_dataset))
-    total, n_over = head_log_likelihood(2, vec, c, design)
+    total, n_over, _ = head_log_likelihood(2, vec, c, design)
     assert total == float("-inf")
     assert n_over == int(np.sum(tiny_dataset.sex))  # male rows overflow
 

@@ -4,9 +4,11 @@ chain file io.
 The central test here re-runs the Gibbs sweep one step at a time with a
 reference written in this file: each parameter step compares two
 head_log_likelihood sums, and each latent step is mh_step_scalar on a one-row
-slice of per_obs_log_likelihood. It consumes the same derived streams, and the
-vectorized run_chain must reproduce it bit for bit, including the burn-in
-adaptation bookkeeping. Test-time inference (infer_latents) is checked
+slice of per_obs_log_likelihood. A step whose proposal is over the rate cap is
+rejected and counted. The reference keeps no likelihood between steps and
+consumes the same derived streams, and the vectorized run_chain, which keeps
+each head's rows, must reproduce it bit for bit, including the burn-in
+adaptation bookkeeping and the error count. Test-time inference (infer_latents) is checked
 against a dense trapezoid rule with the heads written out by hand.
 """
 
@@ -56,6 +58,7 @@ def test_sampler_config_validate():
         SamplerConfig(delta=0.0),
         SamplerConfig(param_step=-0.1),
         SamplerConfig(target_accept=1.0),
+        SamplerConfig(seed=-3),
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -135,11 +138,15 @@ def reference_chain(data, model_config, cfg):
     acc_param = np.zeros(len(names))
     acc_latent = 0
     wp_acc = wp_tot = wl_acc = wl_tot = 0
+    param_errors = latent_errors = 0  # over-cap proposals in each phase
     draws_p, draws_c = [], []
 
     def latent_target(i):
         def target(v: float) -> float:
+            nonlocal latent_errors
             ll, n_over = per_obs_log_likelihood(theta, np.array([v]), rows[i])
+            # the current latent is never over the cap, so this counts proposals
+            latent_errors += n_over
             return float("-inf") if n_over else float(ll[0] - 0.5 * (LOG_2PI + v * v))
 
         return target
@@ -154,11 +161,13 @@ def reference_chain(data, model_config, cfg):
             proposal = old + step * z
             moved = theta.copy()
             moved[j] = proposal
-            current, _ = head_log_likelihood(PARAM_HEAD[j], theta, c, design)
-            new, n_over = head_log_likelihood(PARAM_HEAD[j], moved, c, design)
-            assert n_over == 0
-            log_r = (new - current) + 0.5 * (old * old - proposal * proposal)
+            current = head_log_likelihood(PARAM_HEAD[j], theta, c, design)[0]
+            new, n_over, _ = head_log_likelihood(PARAM_HEAD[j], moved, c, design)
             wp_tot += 1
+            if n_over:
+                param_errors += 1
+                continue
+            log_r = (new - current) + 0.5 * (old * old - proposal * proposal)
             if log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r):
                 theta = moved
                 wp_acc += 1
@@ -190,19 +199,21 @@ def reference_chain(data, model_config, cfg):
         acc_latent / (n * post_sweeps),
         delta,
         step,
+        (param_errors, latent_errors),
     )
 
 
 def assert_chain_matches_reference(data, model_config, cfg):
     chain = run_chain(data, model_config, cfg)
-    params, latents, acc_p, acc_l, delta, step = reference_chain(data, model_config, cfg)
-    assert chain.n_likelihood_errors == 0
+    params, latents, acc_p, acc_l, delta, step, errors = reference_chain(data, model_config, cfg)
+    assert chain.n_likelihood_errors == sum(errors)
     assert np.array_equal(chain.param_draws, params)
     assert np.array_equal(chain.latent_draws, latents)
     assert np.array_equal(chain.accept_rate_params, acc_p)
     assert chain.accept_rate_latents == acc_l
     assert chain.final_delta == delta
     assert chain.final_param_step == step
+    return errors
 
 
 def test_run_chain_matches_scalar_kernels_bitwise(tiny_dataset):
@@ -216,6 +227,17 @@ def test_run_chain_matches_scalar_kernels_with_intercept(tiny_dataset):
     cfg = SamplerConfig(iterations=60, burn_in=20, thin=1, adapt_during_burn_in=False, seed=8)
     mc = ModelConfig(include_credit_intercept=True, credit_scale=5.0)
     assert_chain_matches_reference(tiny_dataset, mc, cfg)
+
+
+def test_run_chain_matches_scalar_kernels_across_the_rate_cap(tiny_dataset):
+    # a cap just over the largest count: some proposals of both phases cross
+    # it and are rejected (13 of 2760 steps, under the error budget), and
+    # run_chain must keep none of their -inf rows
+    cfg = SamplerConfig(iterations=120, burn_in=100, thin=2, seed=3)
+    param_errors, latent_errors = assert_chain_matches_reference(
+        tiny_dataset, ModelConfig(poisson_rate_cap=80.0), cfg
+    )
+    assert param_errors > 0 and latent_errors > 0
 
 
 # --- chain driver behavior -----------------------------------------------------

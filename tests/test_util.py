@@ -50,6 +50,13 @@ def test_derive_rng_seed_matters():
     assert not np.array_equal(derive_rng(5, 1, 2).random(4), derive_rng(6, 1, 2).random(4))
 
 
+def test_derive_rng_rejects_negative_seed_or_key():
+    # masked to 64 bits, -3 would draw exactly what 2**64 - 3 draws
+    for args in ((-3, 0, 0), (3, -1, 0), (3, 0, -2)):
+        with pytest.raises(ConfigError, match="non-negative"):
+            derive_rng(*args)
+
+
 def test_batched_uniforms_match_single_calls():
     # the sampler pre-draws latent uniforms in blocks; a block draw must equal
     # the same stream consumed one value at a time
