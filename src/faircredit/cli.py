@@ -264,8 +264,12 @@ def _latent_columns(n: int, want: int) -> tuple[int, ...]:
 # commands
 
 def _write_resolved_config(cfg: dict[str, str], header: tuple[str, ...]) -> None:
-    os.makedirs(cfg["out.dir"], exist_ok=True)
-    path = os.path.join(cfg["out.dir"], "config.kv")
+    out = cfg["out.dir"]
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot create output directory {out!r}: {exc.strerror}") from None
+    path = os.path.join(out, "config.kv")
     atomic_write_text(path, format_kv_text(dict(sorted(cfg.items())), header))
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateSeriesError
 from .sampler import Chain
@@ -75,8 +74,8 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of their ranks (as scipy's rankdata
-    with method="average"; every rank is a whole or half number, so exact)."""
+    """1-based ranks, ties sharing the mean of their ranks (the "average"
+    method; every rank is a whole or half number, so exact)."""
     n = x.shape[0]
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -87,10 +86,67 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+# Wichura's AS241 (PPND16) coefficients, highest power first: central region
+# |p - 0.5| <= 0.425 (A/B), then r = sqrt(-log(min(p, 1 - p))) for r <= 5
+# (C/D) and r > 5 (E/F).
+_AS241_A = (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853,
+            45921.953931549871457, 13731.693765509461125, 1971.5909503065514427,
+            133.14166789178437745, 3.387132872796366608)
+_AS241_B = (5226.495278852854561, 28729.085735721942674, 39307.89580009271061,
+            21213.794301586595867, 5394.1960214247511077, 687.1870074920579083,
+            42.313330701600911252, 1.0)
+_AS241_C = (7.7454501427834140764e-4, 0.0227238449892691845833, 0.24178072517745061177,
+            1.27045825245236838258, 3.64784832476320460504, 5.7694972214606914055,
+            4.6303378461565452959, 1.42343711074968357734)
+_AS241_D = (1.05075007164441684324e-9, 5.475938084995344946e-4, 0.0151986665636164571966,
+            0.14810397642748007459, 0.68976733498510000455, 1.6763848301838038494,
+            2.05319162663775882187, 1.0)
+_AS241_E = (2.01033439929228813265e-7, 2.71155556874348757815e-5, 0.0012426609473880784386,
+            0.026532189526576123093, 0.29656057182850489123, 1.7848265399172913358,
+            5.4637849111641143699, 6.6579046435011037772)
+_AS241_F = (2.04426310338993978564e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+            7.868691311456132591e-4, 0.0148753612908506148525, 0.13692988092273580531,
+            0.59983220655588793769, 1.0)
+
+
+def _horner(coefs: tuple, r: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients, highest power first, at r.
+
+    The same operations as np.polyval, so the same bits, but in place: about
+    half its time."""
+    y = np.full_like(r, coefs[0])
+    for c in coefs[1:]:
+        y *= r
+        y += c
+    return y
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each p in (0, 1), by Wichura's AS241 (Appl.
+    Stat. 37:477-484, algorithm PPND16): rational approximations accurate to
+    about 1e-16 relative, each evaluated on its own region only."""
+    q = p - 0.5
+    t = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    x[central] = qc * _horner(_AS241_A, r) / _horner(_AS241_B, r)
+    for region, num, den, shift in (
+        (~central & (t <= 5.0), _AS241_C, _AS241_D, 1.6),
+        (~central & (t > 5.0), _AS241_E, _AS241_F, 5.0),
+    ):
+        r = t[region] - shift
+        x[region] = np.copysign(_horner(num, r) / _horner(den, r), q[region])
+    return x
+
+
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
-    # average ranks, then the usual offset normal-quantile transform
+    """Average ranks mapped through the normal quantile at the offset
+    (rank - 3/8) / (n + 1/4) (Blom), as rank-normalized ESS prescribes. The
+    quantile is AS241, which numpy lacks; it keeps the package numpy-only."""
     n = x.shape[0]
-    return ndtri((_average_ranks(x) - 0.375) / (n + 0.25))
+    return _normal_quantile((_average_ranks(x) - 0.375) / (n + 0.25))
 
 
 def _tau_geyer(rho: np.ndarray) -> float:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError, RankDeficientError, UserError
@@ -70,13 +69,45 @@ def feature_matrix(data: Dataset, names: Sequence[str]) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _householder_qr(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder QR with column pivoting (Golub & Van Loan, Algorithm 5.4.1).
+
+    Returns (R, c, piv) with A[:, piv] = Q R, where Q has p orthonormal
+    columns, R is (p, p) upper triangular and c = Q^T y. Step k brings the
+    column of largest remaining norm to position k, so |R[k, k]| never
+    increases. Those norms are recomputed at each step, not downdated.
+    """
+    R = A.copy()
+    b = y.copy()
+    p = R.shape[1]
+    piv = np.arange(p)
+    for k in range(p):
+        j = k + int(np.argmax(np.einsum("ij,ij->j", R[k:, k:], R[k:, k:])))
+        R[:, [k, j]] = R[:, [j, k]]
+        piv[[k, j]] = piv[[j, k]]
+        x = R[k:, k]
+        alpha = -math.copysign(float(np.sqrt(x @ x)), float(x[0]))
+        if alpha == 0.0:  # the remaining columns are exactly zero
+            continue
+        v = x.copy()
+        v[0] -= alpha
+        tau = 2.0 / (v @ v)
+        R[k:, k + 1:] -= np.outer(tau * v, v @ R[k:, k + 1:])
+        b[k:] -= (tau * (v @ b[k:])) * v
+        R[k, k] = alpha
+        R[k + 1:, k] = 0.0
+    return R[:p], b[:p], piv
+
+
 def fit_ols(
     features: np.ndarray, targets: np.ndarray, feature_names: Sequence[str] | None = None
 ) -> LinearModel:
-    """Least squares through a pivoted QR decomposition (never normal equations).
+    """Least squares through a pivoted Householder QR (never normal equations).
 
-    The intercept column is prepended internally. Rank deficiency raises and
-    names a dependent column.
+    The intercept column is prepended internally. The coefficients solve
+    R beta = Q^T y by back substitution. Rank deficiency (a diagonal entry of
+    R within max(n, p+1) * eps * |R[0, 0]| of zero) raises and names the first
+    column the pivoting could not add independently, piv[rank].
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -96,18 +127,19 @@ def fit_ols(
         raise DataError("features/targets contain non-finite values")
 
     A = np.column_stack([np.ones(n), X])
-    q, r, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    r, qty, piv = _householder_qr(A, y)
     diag = np.abs(np.diag(r))
-    tol = max(A.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    tol = max(A.shape) * np.finfo(float).eps * diag[0]
     rank = int(np.count_nonzero(diag > tol))
     if rank < p + 1:
         all_names = ("intercept",) + feature_names
-        offender = all_names[piv[rank]] if rank < len(piv) else all_names[piv[-1]]
         raise RankDeficientError(
             f"design matrix is rank deficient (rank {rank} of {p + 1}); "
-            f"column {offender!r} is linearly dependent on the others"
+            f"column {all_names[piv[rank]]!r} is linearly dependent on the others"
         )
-    beta_perm = scipy.linalg.solve_triangular(r, q.T @ y)
+    beta_perm = np.empty(p + 1)
+    for i in range(p, -1, -1):
+        beta_perm[i] = (qty[i] - r[i, i + 1:] @ beta_perm[i + 1:]) / r[i, i]
     beta = np.empty(p + 1)
     beta[piv] = beta_perm
     return LinearModel(

@@ -30,7 +30,6 @@ from dataclasses import dataclass, fields, replace as _dc_replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import RateCapError
 from .util import parse_kv_text, format_kv_text
@@ -170,9 +169,10 @@ def log_posterior(
     """Joint log-density: prior + latent prior + full-data likelihood (credit included).
 
     A credit rate above the cap raises RateCapError naming the first
-    overflowing linear predictor.
+    overflowing linear predictor. Invalid data raises DataError.
     """
     config.validate()
+    data.validate()
     c = np.asarray(latents, dtype=float)
     if c.shape != (len(data),):
         raise ValueError(f"latent vector shape {c.shape} does not match {len(data)} observations")
@@ -202,7 +202,7 @@ class Design:
     job_sign: np.ndarray    # 2*job - 1
     house_sign: np.ndarray  # 2*house - 1
     counts: np.ndarray      # rounded credit / credit_scale
-    lgamma_counts: np.ndarray
+    lgamma_counts: np.ndarray  # log(counts!), by math.lgamma
     cap_log: float
 
     @classmethod
@@ -212,13 +212,14 @@ class Design:
         job = np.asarray(data.job, dtype=float)
         house = np.asarray(data.house, dtype=float)
         counts = np.rint(np.asarray(data.credit, dtype=float) / config.credit_scale)
+        lgamma_counts = np.fromiter(map(math.lgamma, (counts + 1.0).tolist()), float, counts.size)
         return cls(
             sex=sex,
             age=age,
             job_sign=2.0 * job - 1.0,
             house_sign=2.0 * house - 1.0,
             counts=counts,
-            lgamma_counts=gammaln(counts + 1.0),
+            lgamma_counts=lgamma_counts,
             cap_log=math.log(config.poisson_rate_cap),
         )
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import probmodel
 from .dataset import Dataset, Observation
@@ -382,7 +381,7 @@ def infer_latent(
             a_c += theta_hat.b_c
         k_c = theta_hat.beta_c_c
         count = float(probmodel.credit_count(obs.credit, model_config.credit_scale))
-        lgam = float(gammaln(count + 1.0))
+        lgam = math.lgamma(count + 1.0)
         cap_log = math.log(model_config.poisson_rate_cap)
 
     exp, log1p, log = math.exp, math.log1p, math.log

@@ -8,6 +8,7 @@ exit codes, captured output, and files. Error paths get fresh invocations.
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import weakref
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import faircredit
 from faircredit import cli, evaluation
 from faircredit.cli import (
     DEFAULTS,
@@ -298,6 +300,30 @@ def test_compare_frees_the_chain_before_test_time_inference(workspace, monkeypat
     assert freed == [True] * 4  # every test-time pass
 
 
+def test_every_command_runs_without_scipy(tmp_path):
+    # a scipy import anywhere on these paths, even inside a function, fails
+    raw = tmp_path / "raw.csv"
+    write_raw_csv(raw)
+    config = tmp_path / "config.kv"
+    config.write_text(CONFIG_TEMPLATE.format(raw=raw, out=tmp_path / "out"), encoding="utf-8")
+    commands = [["fit", "--model", "full"], ["fit", "--model", "fair"], ["diagnose"],
+                ["compare"], ["synth"]]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from faircredit.cli import main\n"
+        f"print([main([*cmd, '--config', {str(config)!r}]) for cmd in {commands!r}])\n"
+    )
+    src = os.path.dirname(os.path.dirname(faircredit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"
+
+
 def _row(name, ess):
     return SummaryRow(name, 1.0, -1.0, 0.0, 1.0, ess, ess)
 
@@ -403,6 +429,22 @@ def test_missing_data_file_exit_code(tmp_path):
     res = run_cli(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
     assert res.code == 2
     assert res.err.startswith("error:")
+
+
+@pytest.mark.parametrize("below", [False, True], ids=("file", "path_under_file"))
+def test_out_naming_a_file_exit_code(tmp_path, below):
+    raw = tmp_path / "raw.csv"
+    write_raw_csv(raw)
+    config = tmp_path / "c.kv"
+    config.write_text(f"data.path = {raw}\n", encoding="utf-8")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "sub" if below else blocker
+    res = run_cli(["ingest", "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err.startswith("error: cannot create output directory")
+    assert res.out == ""
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_bad_config_key_exit_code(tmp_path):

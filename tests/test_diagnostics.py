@@ -7,12 +7,15 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import rankdata
 
 import faircredit
 from faircredit.diagnostics import (
     SUMMARY_COLUMNS,
     _average_ranks,
+    _normal_quantile,
+    _rank_normalize,
     autocorrelation,
     ess_bulk,
     ess_tail,
@@ -96,15 +99,34 @@ def test_average_ranks_match_scipy_bitwise(x):
     assert np.array_equal(ranks, expected)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, faircredit.cli; print('scipy.stats' in sys.modules)"
+def test_normal_quantile_matches_ndtri_within_8_ulp():
+    p = np.concatenate([
+        np.logspace(-300, -1, 30_001),
+        np.linspace(0.0, 1.0, 200_001)[1:-1],
+        1.0 - np.logspace(-16, -1, 30_001),
+    ])
+    np.testing.assert_array_max_ulp(_normal_quantile(p), ndtri(p), maxulp=8)
+
+
+@pytest.mark.parametrize("n", [4, 100, 4000, 9866])
+def test_rank_normalize_matches_ndtri_within_8_ulp(n):
+    x = np.round(np.random.default_rng(n).standard_normal(n), 2)  # with ties
+    expected = ndtri((rankdata(x) - 0.375) / (n + 0.25))
+    np.testing.assert_array_max_ulp(_rank_normalize(x), expected, maxulp=8)
+
+
+def test_import_loads_no_scipy_module():
+    code = (
+        "import sys, faircredit.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
     src = os.path.dirname(os.path.dirname(faircredit.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_ess_bulk_iid_near_n():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from faircredit.dataset import Dataset, Standardization
 from faircredit.errors import ConfigError, DataError, RankDeficientError, UserError
@@ -15,6 +16,7 @@ from faircredit.predictors import (
     ForestModel,
     LinearModel,
     _build_tree,
+    _householder_qr,
     fair_latent_points,
     feature_matrix,
     fit_fair,
@@ -58,6 +60,7 @@ def test_fit_ols_agrees_with_normal_equations():
     assert model.coefficients == pytest.approx(beta[1:], rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")  # no division by a zero-length reflector
 def test_fit_ols_names_a_rank_deficient_column():
     rng = np.random.default_rng(2)
     a = rng.standard_normal(30)
@@ -65,6 +68,34 @@ def test_fit_ols_names_a_rank_deficient_column():
     with pytest.raises(RankDeficientError, match="rank deficient") as err:
         fit_ols(X, rng.standard_normal(30), ("first", "second"))
     assert "first" in str(err.value) or "second" in str(err.value)
+    # a third column that is the sum of two others, beside an independent one
+    a, b, d = rng.standard_normal((3, 30))
+    with pytest.raises(RankDeficientError, match=r"rank 4 of 5\); column '(a|b|a_plus_b)'"):
+        fit_ols(
+            np.column_stack([a, d, b, a + b]), rng.standard_normal(30),
+            ("a", "d", "b", "a_plus_b"),
+        )
+    # an all-zero column leaves an exactly zero remainder for its reflection
+    with pytest.raises(RankDeficientError, match=r"rank 2 of 3\); column 'zero'"):
+        fit_ols(np.column_stack([np.zeros(30), a]), rng.standard_normal(30), ("zero", "a"))
+
+
+@pytest.mark.parametrize("scaled", [None, 1e6, 1e-6], ids=("plain", "scaled_up", "scaled_down"))
+def test_householder_qr_pivots_like_lapack(scaled):
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n, p = int(rng.integers(6, 200)), int(rng.integers(1, 7))
+        A = rng.standard_normal((n, p))
+        if scaled is not None:
+            A[:, rng.integers(p)] *= scaled
+        y = rng.standard_normal(n)
+        r, qty, piv = _householder_qr(A, y)
+        q_ref, r_ref, piv_ref = scipy.linalg.qr(A, mode="economic", pivoting=True)
+        assert np.array_equal(piv, piv_ref)
+        assert np.allclose(np.abs(np.diag(r)), np.abs(np.diag(r_ref)), rtol=1e-12, atol=0.0)
+        assert np.array_equal(r, np.triu(r))
+        # Q^T y agrees up to the sign each implementation gives a reflector
+        assert np.allclose(np.abs(qty), np.abs(q_ref.T @ y), rtol=1e-9, atol=1e-12)
 
 
 def test_fit_ols_rejects_constant_column_against_intercept():

@@ -10,11 +10,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.special import log_expit
+from scipy.special import gammaln, log_expit
 from scipy.stats import norm, poisson
 
 from faircredit.dataset import Dataset
-from faircredit.errors import RateCapError
+from faircredit.errors import DataError, RateCapError
 from faircredit.probmodel import (
     BASE_PARAM_NAMES,
     HEAD_CREDIT,
@@ -123,6 +123,15 @@ def test_poisson_log_pmf_matches_scipy_grid():
         total, n_over, _ = head_log_likelihood(HEAD_CREDIT, vec, c[i : i + 1], one_row(design, i))
         assert n_over == 0
         assert total == pytest.approx(float(poisson.logpmf(k[i], math.exp(c[i]))), rel=1e-12)
+
+
+def test_lgamma_counts_match_gammaln_within_4_ulp():
+    counts = np.arange(200_001)
+    n = counts.size
+    design = columns_design(np.zeros(n), np.zeros(n), np.ones(n), np.ones(n), counts)
+    assert np.array_equal(design.counts, counts)
+    assert design.lgamma_counts[0] == 0.0 and design.lgamma_counts[1] == 0.0
+    np.testing.assert_array_max_ulp(design.lgamma_counts[2:], gammaln(counts[2:] + 1.0), maxulp=4)
 
 
 def test_normal_log_pdf_matches_scipy():
@@ -281,6 +290,13 @@ def test_log_posterior_rejects_bad_latents(tiny_dataset, modest_params):
     bad[0] = float("inf")
     with pytest.raises(ValueError):
         log_posterior(modest_params, bad, tiny_dataset)
+
+
+def test_log_posterior_rejects_invalid_data(tiny_dataset, modest_params):
+    # a count below zero has no log-factorial; it is refused as bad data
+    data = replace(tiny_dataset, credit=np.where(np.arange(len(tiny_dataset)) == 3, -3, 12))
+    with pytest.raises(DataError, match="credit must be >= 1"):
+        log_posterior(modest_params, np.zeros(len(data)), data)
 
 
 # --- vectorized engine -----------------------------------------------------
