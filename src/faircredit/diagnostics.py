@@ -149,6 +149,19 @@ def _rank_normalize(x: np.ndarray) -> np.ndarray:
     return _normal_quantile((_average_ranks(x) - 0.375) / (n + 0.25))
 
 
+def _rank_normalize_indicator(below: np.ndarray) -> np.ndarray:
+    """_rank_normalize of a 0/1 series, from its two values' average ranks.
+
+    With n0 zeros among n values, the zeros share the rank 0.5 (n0 + 1) and
+    the ones 0.5 (n0 + n + 1), as _average_ranks computes them, so only two
+    quantiles are needed and no sort."""
+    n = below.shape[0]
+    n0 = n - np.count_nonzero(below)
+    ranks = 0.5 * np.array([n0 + 1, n0 + n + 1], dtype=float)
+    z0, z1 = _normal_quantile((ranks - 0.375) / (n + 0.25))
+    return np.where(below, z1, z0)
+
+
 def _tau_geyer(rho: np.ndarray) -> float:
     """Truncated integrated autocorrelation time 1 + 2*sum(rho).
 
@@ -169,8 +182,12 @@ def ess_bulk(series) -> float:
     x = _as_series(series, min_len=4)
     if np.all(x == x[0]):
         raise DegenerateSeriesError("constant series: ESS undefined")
-    n = x.shape[0]
-    z = _rank_normalize(x)
+    return _ess_of_normalized(_rank_normalize(x))
+
+
+def _ess_of_normalized(z: np.ndarray) -> float:
+    """ESS of a rank-normalized series, clamped to (0, n]."""
+    n = z.shape[0]
     rho = _autocorr_full(z)
     rho[0] = 1.0
     tau = _tau_geyer(rho)
@@ -191,10 +208,11 @@ def ess_tail(series) -> float:
     q05, q95 = np.quantile(x, [0.05, 0.95])
     out = []
     for q in (q05, q95):
-        indicator = (x <= q).astype(float)
-        if np.all(indicator == indicator[0]):
+        below = x <= q
+        if below.all() or not below.any():
             continue
-        out.append(ess_bulk(indicator))
+        # what ess_bulk would compute on the indicator, without sorting it
+        out.append(_ess_of_normalized(_rank_normalize_indicator(below)))
     if not out:
         raise DegenerateSeriesError("both tail indicator series are constant")
     return float(min(out))

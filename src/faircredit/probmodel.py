@@ -6,22 +6,28 @@ follows a log-linear Poisson head in the same drivers. The latent score and
 every parameter carry standard normal priors. Everything here is pure,
 log-space, and overflow-guarded.
 
-The likelihood is written once, per head, over arrays of observations
-(_head_rows). A logistic row is log sigmoid(z) of the signed predictor z,
-computed as min(z, 0) - log1p(exp(-|z|)). That is the formula of numpy's
-scalar logaddexp, but run through exp and log1p, whose loops are
-vectorized: np.logaddexp calls a scalar function per element and takes
-about twice as long at n=800. exp(-|z|) <= 1 cannot overflow.
+The likelihood is written once, per head, over arrays of observations. A
+head's linear predictor is its HEAD_TERMS entry: (parameter, column) terms
+added left to right, which fixes the floating-point association of every
+evaluation of it. Its rows come from _logistic_rows or _credit_rows. A
+logistic row is log sigmoid(z) of the signed predictor z, computed as
+min(z, 0) - log1p(exp(-|z|)). That is the formula of numpy's scalar
+logaddexp, but run through exp and log1p, whose loops are vectorized:
+np.logaddexp calls a scalar function per element and takes about twice as
+long at n=800. exp(-|z|) <= 1 cannot overflow.
 
-head_log_likelihood returns one head's rows beside their sum, so the
-sampler keeps each head's rows between its parameter and latent steps.
-per_obs_log_likelihood adds the heads per observation, and log_posterior
-reports a rate overflow from the same rows. Arrays of shape (n, m) evaluate
-m latent values per row through Design.columns(), and per_obs_latent_slopes
-gives each row's derivatives in c beside the heads (_head_slopes), so
-test-time inference (sampler.infer_latents) is an exact function of each
-row, computed by the same engine. Only the scalar latent walk
-(sampler.infer_latent) restates the heads as scalar arithmetic,
+head_log_likelihood evaluates one head from scratch (_head_rows) and returns
+its rows beside their sum. per_obs_log_likelihood adds the heads per
+observation, and log_posterior reports a rate overflow from the same rows.
+HeadTerms keeps a block of heads' terms, running sums and rows at one state,
+for the sampler: a proposal that moves one term recomputes that term and
+the sums after it, through the same term and row helpers and in the same
+order, so its rows are bitwise head_log_likelihood's. Arrays of shape
+(n, m) evaluate m latent values per row through Design.columns(), and
+per_obs_latent_slopes gives each row's derivatives in c beside the heads
+(_head_slopes), so test-time inference (sampler.infer_latents) is an exact
+function of each row, computed by the same engine. Only the scalar latent
+walk (sampler.infer_latent) restates the heads as scalar arithmetic,
 because array calls on one row cost more than the arithmetic itself.
 """
 
@@ -235,21 +241,70 @@ class Design:
 
 _NO_OVERFLOW = np.empty(0)
 
+# Each head's linear predictor as (parameter position, column) terms, added
+# left to right in this order wherever it is evaluated: this is its
+# association order. Column "one" marks an intercept, whose term is its
+# coefficient alone, and "c" the latent score. The credit intercept (position
+# 11) is a term only when the parameter vector has 12 entries.
+HEAD_TERMS = (
+    ((0, "one"), (1, "sex"), (2, "age"), (3, "c")),
+    ((4, "one"), (5, "sex"), (6, "age"), (7, "c")),
+    ((8, "sex"), (9, "age"), (10, "c"), (11, "one")),
+)
+
+
+def _active_terms(head: int, n_params: int) -> tuple[tuple[int, str], ...]:
+    return tuple(t for t in HEAD_TERMS[head] if t[0] < n_params)
+
+
+def _column(name: str, c: np.ndarray, design: Design) -> np.ndarray | None:
+    if name == "one":
+        return None
+    return c if name == "c" else getattr(design, name)
+
+
+def _term(column: np.ndarray | None, coef):
+    """One term of a linear predictor: coef times its column, or coef alone
+    for an intercept (no column)."""
+    return coef if column is None else column * coef
+
+
+def _linear_predictor(head: int, vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
+    """A head's linear predictor, its terms added in HEAD_TERMS order."""
+    x = None
+    for pos, name in _active_terms(head, vec.shape[0]):
+        t = _term(_column(name, c, design), vec[pos])
+        x = t if x is None else x + t
+    return x
+
+
+def _outcome_sign(head: int, design: Design) -> np.ndarray:
+    return design.job_sign if head == HEAD_JOB else design.house_sign
+
 
 def _signed_logit(head: int, vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
     """A logistic head's linear predictor times the outcome's sign (+1 or -1)."""
-    o = 4 * head
-    sign = design.job_sign if head == HEAD_JOB else design.house_sign
-    x = vec[o] + design.sex * vec[o + 1] + design.age * vec[o + 2] + c * vec[o + 3]
-    return x * sign
+    return _linear_predictor(head, vec, c, design) * _outcome_sign(head, design)
 
 
 def credit_linear(vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
     """The credit head's linear predictor, the log of its Poisson rate."""
-    lin = design.sex * vec[8] + design.age * vec[9] + c * vec[10]
-    if vec.shape[0] == 12:
-        lin = lin + vec[11]
-    return lin
+    return _linear_predictor(HEAD_CREDIT, vec, c, design)
+
+
+def _logistic_rows(z: np.ndarray) -> np.ndarray:
+    """log sigmoid(z) of signed linear predictors z."""
+    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+
+
+def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson rows of credit linear predictors, and those over the rate cap."""
+    over = lin > design.cap_log
+    if not over.any():
+        return design.counts * lin - np.exp(lin) - design.lgamma_counts, _NO_OVERFLOW
+    safe = np.where(over, 0.0, lin)
+    term = design.counts * lin - np.exp(safe) - design.lgamma_counts
+    return np.where(over, -np.inf, term), lin[over]
 
 
 def _head_rows(
@@ -267,15 +322,8 @@ def _head_rows(
     otherwise, and only a rate above the cap costs the masking.
     """
     if head != HEAD_CREDIT:
-        z = _signed_logit(head, vec, c, design)
-        return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z))), _NO_OVERFLOW
-    lin = credit_linear(vec, c, design)
-    over = lin > design.cap_log
-    if not over.any():
-        return design.counts * lin - np.exp(lin) - design.lgamma_counts, _NO_OVERFLOW
-    safe = np.where(over, 0.0, lin)
-    term = design.counts * lin - np.exp(safe) - design.lgamma_counts
-    return np.where(over, -np.inf, term), lin[over]
+        return _logistic_rows(_signed_logit(head, vec, c, design)), _NO_OVERFLOW
+    return _credit_rows(credit_linear(vec, c, design), design)
 
 
 def _head_slopes(
@@ -293,7 +341,7 @@ def _head_slopes(
         z = _signed_logit(head, vec, c, design)
         t = np.exp(-np.abs(z))
         k = vec[4 * head + 3]
-        sign = design.job_sign if head == HEAD_JOB else design.house_sign
+        sign = _outcome_sign(head, design)
         sig_neg = np.where(z > 0.0, t, 1.0) / (1.0 + t)
         return (k * sign) * sig_neg, -(k * k) * t / ((1.0 + t) * (1.0 + t))
     rate = np.exp(credit_linear(vec, c, design))
@@ -339,3 +387,112 @@ def per_obs_latent_slopes(
         g_c, h_c = _head_slopes(HEAD_CREDIT, vec, c, design)
         grad, curv = grad + g_c, curv + h_c
     return grad, curv
+
+
+# ---------------------------------------------------------------------------
+# cached linear-predictor terms, for proposals that move one term at a time
+
+def _row_totals(rows: np.ndarray) -> list[float]:
+    """Each head's sum of its rows, as head_log_likelihood sums them."""
+    return np.add.reduce(rows, axis=1).tolist()
+
+
+@dataclass(slots=True)
+class TermMove:
+    """A HeadTerms block with one term moved: the heads' coefficients of term
+    k, or the latent column when term k is the latent score's."""
+
+    k: int
+    coef: np.ndarray            # term k's coefficients, one row per head
+    term: np.ndarray
+    sums: list[np.ndarray]      # running sums k, ..., m - 2 of the m terms
+    rows: np.ndarray            # (heads, n) per-observation log-likelihood
+    n_over: int                 # rows over the rate cap
+    # each head's log-likelihood, -inf where a rate is over the cap; only a
+    # coefficient move sums its rows
+    totals: list[float] | None = None
+
+
+class HeadTerms:
+    """The linear-predictor terms of one or more heads at one state (vec, c),
+    their running sums in HEAD_TERMS order, and their rows and totals.
+
+    The heads are evaluated together, as one (heads, n) block, so they must
+    share their columns, as the job and house heads do. A move of one term
+    recomputes that term and the running sums after it, and reuses the rest.
+    Since the terms are added in the same order as _linear_predictor adds
+    them, a move's rows, totals and overflow count are bitwise those of
+    head_log_likelihood on the moved state. The kept state changes only
+    through accept_heads and accept_rows.
+    """
+
+    def __init__(self, heads: tuple[int, ...], vec: np.ndarray, c: np.ndarray, design: Design):
+        table = [_active_terms(h, vec.shape[0]) for h in heads]
+        names = [name for _, name in table[0]]
+        if any([name for _, name in t] != names for t in table):
+            raise ValueError(f"heads {heads} do not share their columns")
+        self.design = design
+        # positions[k]: term k's parameter position in each head
+        self.positions = [tuple(t[k][0] for t in table) for k in range(len(names))]
+        self.latent_term = names.index("c")
+        self.sign = None if HEAD_CREDIT in heads else np.stack([_outcome_sign(h, design) for h in heads])
+        self.columns = [_column(name, c, design) for name in names]
+        self.coefs = [vec[list(p)][:, None] for p in self.positions]
+        self.terms = [_term(col, coef) for col, coef in zip(self.columns, self.coefs)]
+        state = self._moved(0, self.coefs[0], self.columns[0])
+        self.sums, self.rows = state.sums, state.rows
+        self.totals = _row_totals(self.rows)
+
+    def _moved(self, k: int, coef: np.ndarray, column: np.ndarray | None) -> TermMove:
+        """Term k recomputed from coef and column, then the running sums after
+        it from the kept terms, and the rows of the full sum."""
+        term = _term(column, coef)
+        x = term if k == 0 else self.sums[k - 1] + term
+        sums = []
+        for t in self.terms[k + 1:]:
+            sums.append(x)
+            x = x + t
+        if self.sign is not None:
+            return TermMove(k, coef, term, sums, _logistic_rows(x * self.sign), 0)
+        rows, over_lin = _credit_rows(x, self.design)
+        return TermMove(k, coef, term, sums, rows, over_lin.size)
+
+    def move(self, k: int, coefs: list[float]) -> TermMove:
+        """The block with term k's coefficients set to coefs, one per head."""
+        move = self._moved(k, np.array(coefs)[:, None], self.columns[k])
+        move.totals = _row_totals(move.rows)
+        return move
+
+    def move_latent(self, c: np.ndarray) -> TermMove:
+        """The block with the latent scores set to c."""
+        k = self.latent_term
+        return self._moved(k, self.coefs[k], c)
+
+    def accept_heads(self, move: TermMove, accepted: list[bool]) -> None:
+        """Keep a coefficient move for the heads where accepted is true."""
+        k = move.k
+        if all(accepted):
+            self.coefs[k], self.terms[k], self.sums[k:] = move.coef, move.term, move.sums
+            self.rows, self.totals = move.rows, move.totals
+            return
+        # the kept arrays are this block's own, so an accepted head's row is copied in
+        for h, a in enumerate(accepted):
+            if a:
+                self.coefs[k][h] = move.coef[h]
+                self.terms[k][h] = move.term[h]
+                for kept, new in zip(self.sums[k:], move.sums):
+                    kept[h] = new[h]
+                self.rows[h] = move.rows[h]
+                self.totals[h] = move.totals[h]
+
+    def accept_rows(self, move: TermMove, accept: np.ndarray, c: np.ndarray) -> None:
+        """Keep a latent move for the rows where accept is true; c is the
+        latent column that results, so the latent term and the running sums
+        after it are those of c."""
+        k = move.k
+        self.columns[k] = c
+        self.terms[k] = _term(c, self.coefs[k])
+        for j in range(k, len(self.sums)):
+            self.sums[j] = self.terms[j] if j == 0 else self.sums[j - 1] + self.terms[j]
+        self.rows = np.where(accept, move.rows, self.rows)
+        self.totals = _row_totals(self.rows)

@@ -3,7 +3,11 @@ exact test-time inference of latent scores under fixed parameters.
 
 Each sweep updates every parameter by a single-coordinate normal random walk,
 then every latent score by a uniform-window random walk, all accepted or
-rejected in log space against the joint posterior.
+rejected in log space against the joint posterior. The job and house heads
+share no parameter, so their coefficients are proposed in lockstep, as one
+(2, n) evaluation, and accepted or rejected each on its own. Each head block
+keeps its linear-predictor terms between proposals (probmodel.HeadTerms), so
+a proposal recomputes only the term it moves and the sums after it.
 
 Test-time inference (infer_latents) fixes the parameters, so each row's
 latent posterior is one-dimensional and log-concave: Newton finds its mode
@@ -18,7 +22,9 @@ derive_rng(seed, 2, j) drives infer_latent for stream index j, so results do
 not depend on update order or parallel scheduling. Every latent step consumes
 exactly two uniforms from its stream: first the proposal, then the accept
 test. Every parameter step consumes one standard normal (proposal) then one
-uniform (accept test) from the parameter stream.
+uniform (accept test) from the parameter stream: a sweep draws its pairs
+first, in serialization order, so updating the heads in lockstep consumes
+the stream exactly as one parameter at a time in that order would.
 """
 
 import math
@@ -33,12 +39,13 @@ from .dataset import Dataset, Observation
 from .errors import DataError, SamplerError
 from .probmodel import (
     Design,
+    HeadTerms,
     ModelConfig,
     ModelParams,
     HEAD_CREDIT,
+    HEAD_HOUSE,
+    HEAD_JOB,
     LOG_2PI,
-    PARAM_HEAD,
-    head_log_likelihood,
     per_obs_log_likelihood,
 )
 from .util import (
@@ -53,6 +60,7 @@ ADAPT_EVERY = 100     # sweeps between proposal-width rescalings during burn-in
 ADAPT_FACTOR = 1.1
 ERROR_BUDGET = 0.01   # abort when likelihood errors exceed this fraction of steps
 _LATENT_CHUNK = 256   # sweeps of pre-drawn uniforms per latent stream refill
+_FILL_BLOCK = 64      # latents drawn into one block before it is copied into a chunk
 
 # exact test-time inference (infer_latents)
 NEWTON_MAX_STEPS = 100
@@ -178,33 +186,61 @@ def mh_step_scalar(
 
 
 def _latent_uniforms(rngs: Sequence[np.random.Generator]):
-    """Yield every latent's (proposal, accept) uniforms, _LATENT_CHUNK sweeps at a time.
+    """Yield every latent's proposal and accept-test variates, _LATENT_CHUNK
+    sweeps at a time.
 
-    Both arrays have shape (_LATENT_CHUNK, n): entry [s, i] is sweep s's
-    uniform from rngs[i], in the order two scalar draws per step take them.
-    Drawing in chunks keeps memory at 2 * _LATENT_CHUNK doubles per latent
-    however long the chain runs. The arrays are views, valid until the next
-    chunk is taken.
+    Both arrays have shape (_LATENT_CHUNK, n) and contiguous rows: entry
+    [s, i] comes from sweep s's pair of uniforms from rngs[i], taken in the
+    order two scalar draws per step take them. The first array holds 2u - 1
+    of the proposal uniform, the second log u of the accept-test uniform,
+    each computed once per chunk in place. A sweep reads one row across all
+    latents, so the draws are made _FILL_BLOCK latents at a time into a small
+    block, one latent per row, and copied into their columns. Drawing in
+    chunks keeps memory at 2 * _LATENT_CHUNK doubles per latent however long
+    the chain runs. The arrays are views, valid until the next chunk is
+    taken.
     """
-    buf = np.empty((len(rngs), 2 * _LATENT_CHUNK))
+    n = len(rngs)
+    buf = np.empty((2 * _LATENT_CHUNK, n))
+    block = np.empty((min(n, _FILL_BLOCK), 2 * _LATENT_CHUNK))
+    prop, acc = buf[0::2], buf[1::2]
     while True:
-        for i, g in enumerate(rngs):
-            g.random(out=buf[i])
-        yield buf[:, 0::2].T, buf[:, 1::2].T
+        for start in range(0, n, len(block)):
+            part = block[: n - start]
+            for row, g in zip(part, rngs[start:]):
+                g.random(out=row)
+            buf[:, start : start + len(part)] = part.T
+        np.multiply(prop, 2.0, out=prop)
+        np.subtract(prop, 1.0, out=prop)
+        with np.errstate(divide="ignore"):
+            np.log(acc, out=acc)
+        yield prop, acc
 
 
 def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerConfig) -> Chain:
     """Run the full Metropolis-within-Gibbs chain on a dataset.
 
-    Initial state is all zeros. Within a sweep, parameters update first in
-    serialization order, then all latents. Each head's per-row
-    log-likelihood at the current state is kept from its last accepted
-    proposal: a parameter step evaluates only its own head, the latent phase
-    evaluates each head once at the proposed latents, and the rows of the
-    latents it accepts are merged in. A rejected proposal's rows, such as
-    the -inf rows of one over the rate cap, are never kept. Results are
-    bit-identical for a given config and seed. Persistent likelihood errors
-    (more than 1% of steps) abort with diagnostics.
+    Initial state is all zeros. Within a sweep, parameters update first,
+    then all latents. The job and house heads share no parameter, so the
+    parameter phase moves them in lockstep: step k proposes term k of both
+    logistic heads (b, then the sex, age and latent coefficients) as one
+    (2, n) evaluation and accepts or rejects each head on its own, and the
+    credit head's coefficient k (the intercept last) follows in the same
+    step. Each parameter's proposal and accept test still come from its own
+    (normal, uniform) pair, drawn at the start of the sweep in serialization
+    order, so the stream is consumed, and the chain comes out, exactly as
+    with one step per parameter in that order.
+
+    Each head block (probmodel.HeadTerms) keeps the terms, running sums, rows
+    and totals of its linear predictors at the current state: a proposal
+    recomputes only its own term and the sums after it, in the order
+    head_log_likelihood adds them, so every likelihood is bitwise the one
+    computed from scratch. The latent phase moves each block's latent term
+    once, and the rows of the latents it accepts are merged in. A rejected
+    proposal's values, such as the -inf rows of one over the rate cap, are
+    never kept. Results are bit-identical for a given config and seed.
+    Persistent likelihood errors (more than 1% of steps) abort with
+    diagnostics.
     """
     sampler_config.validate()
     model_config.validate()
@@ -214,9 +250,8 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     design = Design.from_dataset(data, model_config)
     names = model_config.active_param_names()
     k = len(names)
-    heads = PARAM_HEAD[:k]
 
-    theta = np.zeros(k)
+    theta = [0.0] * k
     c = np.zeros(n)
     delta = cfg.delta
     step = cfg.param_step
@@ -229,7 +264,7 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     latent_draws = np.empty((n_draws, n))
 
     post_sweeps = cfg.iterations - cfg.burn_in
-    acc_param_post = np.zeros(k, dtype=np.int64)
+    acc_param_post = [0] * k
     acc_latent_post = 0
     win_param_acc = win_param_tot = 0
     win_latent_acc = win_latent_tot = 0
@@ -239,67 +274,63 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     uniforms = _latent_uniforms(latent_rngs)
     draw_idx = 0
 
-    # entry h: head h's log-likelihood sum and rows at the current (theta, c)
-    head_sums, head_rows = [], []
-    for h in (0, 1, 2):
-        total, _, rows = head_log_likelihood(h, theta, c, design)
-        head_sums.append(total)
-        head_rows.append(rows)
+    logistic = HeadTerms((HEAD_JOB, HEAD_HOUSE), np.array(theta), c, design)
+    credit = HeadTerms((HEAD_CREDIT,), np.array(theta), c, design)
+    blocks = (logistic, credit)
+    # step k moves term k of both logistic heads, then the credit head's term k
+    schedule = [(term, block) for term in range(max(len(b.positions) for b in blocks))
+                for block in blocks if term < len(block.positions)]
 
     for sweep in range(1, cfg.iterations + 1):
         post = sweep > cfg.burn_in
 
-        # parameter phase
-        for j in range(k):
-            z = param_rng.standard_normal()
-            u_acc = param_rng.random()
-            h = heads[j]
-            old = theta[j]
-            proposal = old + step * z
-            theta[j] = proposal
-            new_sum, n_over, new_rows = head_log_likelihood(h, theta, c, design)
-            total_steps += 1
-            win_param_tot += 1
-            if n_over or new_sum == float("-inf"):
-                err_steps += 1
-                accepted = False
-            else:
-                # only head h moved; its sum plus the prior term is the full ratio
-                log_r = (new_sum - head_sums[h]) + 0.5 * (old * old - proposal * proposal)
-                accepted = log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r)
-            if accepted:
-                head_sums[h] = new_sum
-                head_rows[h] = new_rows
-                win_param_acc += 1
-                if post:
-                    acc_param_post[j] += 1
-            else:
-                theta[j] = old
+        # parameter phase: one (normal, uniform) pair per parameter
+        pairs = [(param_rng.standard_normal(), param_rng.random()) for _ in range(k)]
+        total_steps += k
+        win_param_tot += k
+        for term, block in schedule:
+            positions = block.positions[term]
+            proposals = [theta[j] + step * pairs[j][0] for j in positions]
+            move = block.move(term, proposals)
+            accepted = []
+            for j, proposal, new_sum, cur_sum in zip(positions, proposals, move.totals, block.totals):
+                if new_sum == -math.inf:  # a rate over the cap
+                    err_steps += 1
+                    ok = False
+                else:
+                    # only this head moved; its sum plus the prior term is the full ratio
+                    old = theta[j]
+                    log_r = (new_sum - cur_sum) + 0.5 * (old * old - proposal * proposal)
+                    u_acc = pairs[j][1]
+                    ok = log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r)
+                if ok:
+                    theta[j] = proposal
+                    win_param_acc += 1
+                    if post:
+                        acc_param_post[j] += 1
+                accepted.append(ok)
+            block.accept_heads(move, accepted)
 
         # latent phase, vectorized across observations
         s = (sweep - 1) % _LATENT_CHUNK
         if s == 0:
-            u_prop_chunk, u_acc_chunk = next(uniforms)
-        u_prop = u_prop_chunk[s]
-        u_acc_vec = u_acc_chunk[s]
+            w_chunk, log_u_chunk = next(uniforms)
 
-        c_prop = c + delta * (2.0 * u_prop - 1.0)
-        prop = [head_log_likelihood(h, theta, c_prop, design) for h in (0, 1, 2)]
-        prop_rows = [rows for _, _, rows in prop]
+        c_prop = c + delta * w_chunk[s]
+        logistic_prop, credit_prop = logistic.move_latent(c_prop), credit.move_latent(c_prop)
         total_steps += n
-        err_steps += prop[HEAD_CREDIT][1]
+        err_steps += credit_prop.n_over
         # heads added as per_obs_log_likelihood adds them, and associated as
         # mh_step_scalar does, target(proposal) - target(current), so stepping
         # one latent at a time agrees with this vectorized phase bitwise
-        ll_cur = (head_rows[0] + head_rows[1]) + head_rows[2]
-        ll_prop = (prop_rows[0] + prop_rows[1]) + prop_rows[2]
+        ll_cur = (logistic.rows[0] + logistic.rows[1]) + credit.rows[0]
+        ll_prop = (logistic_prop.rows[0] + logistic_prop.rows[1]) + credit_prop.rows[0]
         log_r = (ll_prop - 0.5 * (LOG_2PI + c_prop * c_prop)) - (ll_cur - 0.5 * (LOG_2PI + c * c))
-        with np.errstate(divide="ignore"):
-            accept = (log_r >= 0.0) | (np.log(u_acc_vec) < log_r)
+        # log u < 0, so this also accepts every log_r >= 0
+        accept = log_u_chunk[s] < log_r
         c = np.where(accept, c_prop, c)
-        for h in (0, 1, 2):
-            head_rows[h] = np.where(accept, prop_rows[h], head_rows[h])
-            head_sums[h] = float(head_rows[h].sum())
+        logistic.accept_rows(logistic_prop, accept, c)
+        credit.accept_rows(credit_prop, accept, c)
         n_acc = int(np.count_nonzero(accept))
         win_latent_acc += n_acc
         win_latent_tot += n
@@ -338,7 +369,7 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
         param_names=names,
         param_draws=param_draws,
         latent_draws=latent_draws,
-        accept_rate_params=acc_param_post / max(post_sweeps, 1),
+        accept_rate_params=np.array(acc_param_post) / max(post_sweeps, 1),
         accept_rate_latents=acc_latent_post / max(n * post_sweeps, 1),
         config=cfg,
         n_likelihood_errors=err_steps,

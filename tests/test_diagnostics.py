@@ -16,6 +16,7 @@ from faircredit.diagnostics import (
     _average_ranks,
     _normal_quantile,
     _rank_normalize,
+    _rank_normalize_indicator,
     autocorrelation,
     ess_bulk,
     ess_tail,
@@ -113,6 +114,18 @@ def test_rank_normalize_matches_ndtri_within_8_ulp(n):
     x = np.round(np.random.default_rng(n).standard_normal(n), 2)  # with ties
     expected = ndtri((rankdata(x) - 0.375) / (n + 0.25))
     np.testing.assert_array_max_ulp(_rank_normalize(x), expected, maxulp=8)
+
+
+@pytest.mark.parametrize("n", [4, 5, 100, 4000, 9866])
+def test_rank_normalize_indicator_matches_rank_normalize_bitwise(n):
+    # ess_tail's indicator series take the two-rank closed form; it must be
+    # _rank_normalize on the 0/1 series, bit for bit, at every share of ones
+    rng = np.random.default_rng(n)
+    for ones in sorted({1, 2, n // 20, n // 2, n - n // 20, n - 2, n - 1}):
+        below = np.zeros(n, dtype=bool)
+        below[rng.choice(n, size=ones, replace=False)] = True
+        z = _rank_normalize_indicator(below)
+        assert np.array_equal(z, _rank_normalize(below.astype(float)))
 
 
 def test_import_loads_no_scipy_module():

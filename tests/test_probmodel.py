@@ -23,6 +23,7 @@ from faircredit.probmodel import (
     LOG_2PI,
     PARAM_NAMES,
     Design,
+    HeadTerms,
     ModelConfig,
     ModelParams,
     credit_count,
@@ -400,3 +401,101 @@ def test_column_design_broadcasts_every_head(tiny_dataset, modest_params):
     grid, _ = per_obs_log_likelihood(vec, c, design.columns())
     for k in range(4):
         assert np.array_equal(grid[:, k], per_obs_log_likelihood(vec, c[:, k].copy(), design)[0])
+
+
+# --- cached linear-predictor terms -------------------------------------------
+
+BLOCKS = ((HEAD_JOB, HEAD_HOUSE), (HEAD_CREDIT,))
+TERM_CONFIGS = (
+    ModelConfig(),
+    ModelConfig(include_credit_intercept=True, credit_scale=5.0),
+    ModelConfig(poisson_rate_cap=80.0),  # just over the largest count
+)
+TERM_CONFIG_IDS = ("default", "intercept", "rate_cap")
+
+
+def assert_block_matches_scratch(heads, rows, totals, vec, c, design):
+    """A HeadTerms block's rows and totals against head_log_likelihood from
+    scratch, bit for bit; returns the heads' overflow count."""
+    n_over = 0
+    for i, h in enumerate(heads):
+        total, over, expected = head_log_likelihood(h, vec, c, design)
+        assert np.array_equal(rows[i], expected)
+        if totals is not None:
+            assert totals[i] == total
+        n_over += over
+    return n_over
+
+
+@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
+def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
+    # every coefficient of every head, and the latent column, moved from
+    # random states: the cached terms give head_log_likelihood's rows, sums
+    # and overflow counts at the moved state
+    design = Design.from_dataset(tiny_dataset, config)
+    n_params, n = len(config.active_param_names()), len(tiny_dataset)
+    rng = np.random.default_rng(11)
+    over_moves = finite_moves = 0
+    for _ in range(10):
+        vec, c = rng.standard_normal(n_params), 1.5 * rng.standard_normal(n)
+        for heads in BLOCKS:
+            block = HeadTerms(heads, vec, c, design)
+            assert_block_matches_scratch(heads, block.rows, block.totals, vec, c, design)
+            for k, positions in enumerate(block.positions):
+                coefs = 3.0 * rng.standard_normal(len(heads))
+                move = block.move(k, coefs.tolist())
+                moved = vec.copy()
+                moved[list(positions)] = coefs
+                n_over = assert_block_matches_scratch(heads, move.rows, move.totals, moved, c, design)
+                assert move.n_over == n_over
+                over_moves += n_over > 0
+                finite_moves += n_over == 0
+            c_prop = c + rng.standard_normal(n)
+            move = block.move_latent(c_prop)
+            assert move.n_over == assert_block_matches_scratch(heads, move.rows, None, vec, c_prop, design)
+    assert finite_moves > 0
+    if config.poisson_rate_cap < 1e3:
+        assert over_moves > 0
+
+
+@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
+def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
+    # random moves accepted for some heads and some rows, as run_chain
+    # accepts them: each block's kept terms, running sums, rows and totals
+    # stay bitwise those of a block built from scratch at the kept state
+    design = Design.from_dataset(tiny_dataset, config)
+    n_params, n = len(config.active_param_names()), len(tiny_dataset)
+    rng = np.random.default_rng(5)
+    vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(n)
+    blocks = [HeadTerms(heads, vec, c, design) for heads in BLOCKS]
+    for _ in range(40):
+        for heads, block in zip(BLOCKS, blocks):
+            k = int(rng.integers(len(block.positions)))
+            positions = block.positions[k]
+            coefs = vec[list(positions)] + rng.standard_normal(len(heads))
+            move = block.move(k, coefs.tolist())
+            accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
+            block.accept_heads(move, accepted)
+            for j, keep, v in zip(positions, accepted, coefs):
+                if keep:
+                    vec[j] = v
+        c_prop = c + rng.standard_normal(n)
+        moves = [block.move_latent(c_prop) for block in blocks]
+        accept = rng.random(n) < 0.5
+        c = np.where(accept, c_prop, c)
+        for block, move in zip(blocks, moves):
+            block.accept_rows(move, accept, c)
+        for heads, block in zip(BLOCKS, blocks):
+            fresh = HeadTerms(heads, vec, c, design)
+            for kept, want in ((block.coefs, fresh.coefs), (block.terms, fresh.terms), (block.sums, fresh.sums)):
+                assert len(kept) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(kept, want))
+            assert np.array_equal(block.rows, fresh.rows)
+            assert block.totals == fresh.totals
+            assert_block_matches_scratch(heads, block.rows, block.totals, vec, c, design)
+
+
+def test_head_terms_need_shared_columns(tiny_dataset, modest_params):
+    design = Design.from_dataset(tiny_dataset, ModelConfig())
+    with pytest.raises(ValueError):
+        HeadTerms((HEAD_JOB, HEAD_CREDIT), modest_params.to_vector(), np.zeros(len(tiny_dataset)), design)

@@ -7,7 +7,8 @@ head_log_likelihood sums, and each latent step is mh_step_scalar on a one-row
 slice of per_obs_log_likelihood. A step whose proposal is over the rate cap is
 rejected and counted. The reference keeps no likelihood between steps and
 consumes the same derived streams, and the vectorized run_chain, which keeps
-each head's rows, must reproduce it bit for bit, including the burn-in
+each head's terms and rows and moves the job and house heads in lockstep,
+must reproduce it bit for bit, including the burn-in
 adaptation bookkeeping and the error count. Test-time inference (infer_latents) is checked
 against a dense trapezoid rule with the heads written out by hand.
 """

@@ -1,0 +1,31 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps package functions by
+name and reports a renamed or deleted one as "missing", which spoils the
+benchmark's per-layer record. These tests fail first."""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+from faircredit.sampler import run_chain
+
+TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_is_callable_in_the_package():
+    for module, name in load_tracer().TARGETS:
+        home = importlib.import_module(f"faircredit.{module}")
+        assert callable(getattr(home, name, None)), f"faircredit.{module}.{name}"
+
+
+def test_run_chain_takes_sampler_config_third():
+    # the tracer's run_chain observer reads the sweep count from positional
+    # argument 2 when it is not passed by keyword
+    assert list(inspect.signature(run_chain).parameters)[2] == "sampler_config"
