@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Check that two source trees of faircredit write byte-identical outputs.
+
+Usage:
+
+    python3 scripts/diff_outputs.py OLD_SRC NEW_SRC --seeds 0 37
+
+OLD_SRC and NEW_SRC are directories holding the faircredit package, such as
+the src/ of two checkouts. For each seed, each tree in turn runs
+`fit --model fair` and `compare` at defaults, then `synth` with the
+benchmark's synth_large config (perfbench/checks.py), one after the other into
+the same --out path, so that the config hashes match. Every file under --out
+is compared, and so are each command's stdout, stderr and exit code. Prints
+`seed N: identical` or the outputs that differ; the exit code is 1 if any
+differ. The data and the synth_large config come from the checkout that holds
+this script, and the commands run from its root.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from checks import synth_config_text  # noqa: E402
+
+COMMANDS = (
+    ("fit", ["fit", "--model", "fair"]),
+    ("compare", ["compare"]),
+    ("synth", ["synth", "--config", "{synth_config}"]),
+)
+
+
+def run_tree(src: str, seed: int, work: str) -> dict[str, bytes]:
+    """Run every command with the package in src; return each output by name."""
+    out = os.path.join(work, "out")
+    shutil.rmtree(out, ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=src)
+    synth_config = os.path.join(work, "synth.kv")
+    outputs = {}
+    for name, args in COMMANDS:
+        argv = [sys.executable, "-m", "faircredit.cli"]
+        argv += [a.format(synth_config=synth_config) for a in args]
+        argv += ["--seed", str(seed), "--out", out]
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
+        outputs[f"stdout of {name}"] = proc.stdout
+        outputs[f"stderr of {name}"] = proc.stderr
+        outputs[f"exit code of {name}"] = str(proc.returncode).encode()
+    for folder, _, files in os.walk(out):
+        for f in files:
+            path = os.path.join(folder, f)
+            with open(path, "rb") as fh:
+                outputs[os.path.relpath(path, work)] = fh.read()
+    return outputs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("old_src", help="directory holding the old faircredit package")
+    parser.add_argument("new_src", help="directory holding the new faircredit package")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0], metavar="N")
+    args = parser.parse_args(argv)
+    trees = [os.path.abspath(p) for p in (args.old_src, args.new_src)]
+    for src in trees:
+        if not os.path.isfile(os.path.join(src, "faircredit", "cli.py")):
+            print(f"error: no faircredit package in {src}", file=sys.stderr)
+            return 2
+    any_differ = False
+    with tempfile.TemporaryDirectory(prefix="diff_outputs_") as work:
+        with open(os.path.join(work, "synth.kv"), "w", encoding="utf-8") as fh:
+            fh.write(synth_config_text())
+        for seed in args.seeds:
+            old, new = (run_tree(src, seed, work) for src in trees)
+            differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+            any_differ = any_differ or bool(differ)
+            print(f"seed {seed}: " + (f"differ: {', '.join(differ)}" if differ else "identical"),
+                  flush=True)
+    return 1 if any_differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -148,6 +148,9 @@ def resolve_config(
     for key in SEED_KEYS:
         if _get_int(cfg, key) < 0:
             raise ConfigError(f"config key {key} must be a non-negative integer, got {cfg[key]!r}")
+    for key, least in (("out.bins", 1), ("out.max_lag", 0)):
+        if _get_int(cfg, key) < least:
+            raise ConfigError(f"config key {key} must be an integer >= {least}, got {cfg[key]!r}")
     if out_dir is not None:
         cfg["out.dir"] = out_dir
     if leaky_fair:

@@ -8,7 +8,9 @@ At prediction time the score is re-inferred without the credit term, so the
 target never feeds its own feature.
 
 Every tree splits that one score, so the forest is kept, predicted and stored
-as the single step function its trees average to.
+as the single step function its trees average to. The trees grow together,
+level by level, one vectorized SSE scan cutting a whole block of nodes, bit
+for bit as if each node were grown alone.
 """
 
 import math
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError, RankDeficientError, UserError
@@ -208,51 +211,123 @@ class ForestModel:
     values: np.ndarray
 
 
-def _build_tree(
-    c: np.ndarray, y: np.ndarray, depth: int, cfg: ForestConfig
-) -> tuple[list[float], list[float]]:
+# The grower sorts this many bootstrap points at a time and cuts a level's
+# nodes in padded blocks of at most this many, so its working set stays near 1 MiB.
+BLOCK_ELEMS = 1 << 14
+
+Tree = tuple[list[float], list[float]]
+
+
+def _build_tree(c: np.ndarray, y: np.ndarray, depth: int, cfg: ForestConfig) -> Tree:
     """One CART tree as its split thresholds in order and its leaf values from
     left to right. A point x lands in leaf searchsorted(thresholds, x, "left"),
     the leaf that a walk sending x <= threshold to the left reaches."""
-    order = np.argsort(c, kind="stable")
-    thresholds, leaves = _grow(c[order], y[order], depth, cfg)
-    if not thresholds:
-        leaves = [float(np.mean(y))]  # a lone leaf averages y in the order given
-    return thresholds, leaves
+    return _grow_trees(c, y, np.arange(c.shape[0])[None], depth, cfg)[0]
 
 
-def _grow(
-    cs: np.ndarray, ys: np.ndarray, depth: int, cfg: ForestConfig
-) -> tuple[list[float], list[float]]:
-    """_build_tree on points already sorted by c. Every slice of them stays
-    sorted, so no node sorts again, and only leaves take a mean."""
-    n = cs.shape[0]
-    if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or float(np.min(ys)) == float(np.max(ys)):
-        return [], [float(np.mean(ys))]  # no room to split, or zero variance
-    # candidate split after position i (1-based left size), only where the
-    # feature value actually changes; thresholds are midpoints
-    csum = np.cumsum(ys)
-    csum2 = np.cumsum(ys * ys)
-    total = csum[-1]
-    total2 = csum2[-1]
-    left_n = np.arange(1, n)
-    valid = (cs[:-1] < cs[1:]) & (left_n >= cfg.min_leaf) & ((n - left_n) >= cfg.min_leaf)
-    if not np.any(valid):
-        return [], [float(np.mean(ys))]
-    lsum = csum[:-1]
-    lsum2 = csum2[:-1]
-    rsum = total - lsum
-    rsum2 = total2 - lsum2
-    rn = n - left_n
-    sse = (lsum2 - lsum * lsum / left_n) + (rsum2 - rsum * rsum / rn)
-    sse = np.where(valid, sse, np.inf)
-    best = int(np.argmin(sse))
-    if not np.isfinite(sse[best]):
-        return [], [float(np.mean(ys))]
-    threshold = float((cs[best] + cs[best + 1]) / 2.0)
-    left_t, left_v = _grow(cs[: best + 1], ys[: best + 1], depth + 1, cfg)
-    right_t, right_v = _grow(cs[best + 1 :], ys[best + 1 :], depth + 1, cfg)
-    return left_t + [threshold] + right_t, left_v + right_v
+def _grow_trees(
+    c: np.ndarray, y: np.ndarray, boot: np.ndarray, depth: int, cfg: ForestConfig
+) -> list[Tree]:
+    """_build_tree of each row of boot, a (k, n) array of indices into c and y,
+    every tree grown at once, one level at a time.
+
+    The samples are sorted by c once, end to end, and every node is a run of
+    them. A leaf takes np.mean's sum of its run; a tree that never splits
+    averages y in the order given. Leaves and cuts are recorded at their first
+    point, so sorting by that puts each tree's leaves and thresholds in order.
+    """
+    k, n = boot.shape
+    size_all = k * n
+    # a stable sort: the keys (rank of c, position) are distinct, and ranks tie where c does
+    rank = np.unique(c, return_inverse=True)[1]
+    order = np.take_along_axis(boot, np.sort(rank[boot] * n + np.arange(n), axis=1) % n, 1)
+    cs = c[order.ravel()]
+    ys = np.zeros(size_all + n)  # n of padding, so a window of n from any point fits
+    ys[:size_all] = y[order.ravel()]
+    del order
+    tied = np.ones(size_all + n, dtype=bool)  # tied[i]: no cut between points i and i + 1
+    np.greater_equal(cs[:-1], cs[1:], out=tied[: size_all - 1])
+    steps = np.zeros(size_all, dtype=np.intp)  # y is constant on a run with equal end steps
+    np.cumsum(ys[1:size_all] != ys[: size_all - 1], out=steps[1:])
+    y_rows = as_strided(ys, (size_all, n), (ys.itemsize,) * 2, writeable=False)
+    tie_rows = as_strided(tied, (size_all, n), (tied.itemsize,) * 2, writeable=False)
+
+    start, size = np.arange(0, size_all, n), np.full(k, n)
+    cut_at, leaf_at, leaf_size = [], [], []
+    while start.size:
+        left = np.zeros_like(size)
+        if depth < cfg.max_depth:
+            can = (size >= 2 * cfg.min_leaf) & (steps[start + size - 1] != steps[start])
+            left[can] = _best_cuts(y_rows, tie_rows, start[can], size[can], cfg.min_leaf)
+        split = left > 0
+        leaf_at.append(start[~split])
+        leaf_size.append(size[~split])
+        start, left, size = start[split], left[split], size[split]
+        cut_at.append(start + left - 1)
+        start, size = np.concatenate([start, start + left]), np.concatenate([left, size - left])
+        depth += 1
+
+    cut_at = np.sort(np.concatenate(cut_at))
+    thresholds = (cs[cut_at] + cs[cut_at + 1]) / 2.0
+    leaf_at, leaf_size = np.concatenate(leaf_at), np.concatenate(leaf_size)
+    by_start = np.argsort(leaf_at)
+    leaf_at, leaf_size = leaf_at[by_start], leaf_size[by_start]
+    leaves = np.empty(leaf_at.size)
+    # equal-length leaves sum as rows of one block, bit for bit as np.mean
+    by_size = np.argsort(leaf_size, kind="stable")
+    for rows in np.split(by_size, np.flatnonzero(np.diff(leaf_size[by_size])) + 1):
+        length = int(leaf_size[rows[0]])
+        leaves[rows] = y_rows[leaf_at[rows], :length].sum(axis=1) / length
+    cuts, ends = (np.searchsorted(at, np.arange(0, size_all + 1, n)) for at in (cut_at, leaf_at))
+    for t in np.flatnonzero(cuts[1:] == cuts[:-1]):  # the tree never splits
+        leaves[ends[t]] = np.mean(y[boot[t]])
+    return [
+        (thresholds[cuts[t] : cuts[t + 1]].tolist(), leaves[ends[t] : ends[t + 1]].tolist())
+        for t in range(k)
+    ]
+
+
+def _best_cuts(
+    y_rows: np.ndarray, tie_rows: np.ndarray, start: np.ndarray, size: np.ndarray, min_leaf: int
+) -> np.ndarray:
+    """The left size of each node's least-SSE cut, or 0 where it has none.
+
+    Rows y_rows[i] and tie_rows[i] are windows from sorted point i. Longest
+    first, nodes are cut in blocks of at most BLOCK_ELEMS, each a row padded to
+    its block's longest node, which at most doubles it. Each row takes the
+    arithmetic of a lone node, and argmin keeps the first least SSE.
+    """
+    left = np.zeros_like(size)
+    order = np.argsort(-size, kind="stable")
+    neg_size = -size[order]
+    i = 0
+    while i < order.size:
+        width = -int(neg_size[i])
+        end = min(int(np.searchsorted(neg_size, -width / 2)), i + max(1, BLOCK_ELEMS // width))
+        rows, i = order[i:end], end
+        s, m, r = start[rows], size[rows], np.arange(rows.size)
+        block = y_rows[s, :width]
+        csum = np.cumsum(block, axis=1)
+        csum2 = np.cumsum(np.multiply(block, block, out=block), axis=1)
+        total, total2 = csum[r, m - 1][:, None], csum2[r, m - 1][:, None]
+        # sse = (lsum2 - lsum * lsum / left_n) + (rsum2 - rsum * rsum / right_n)
+        # for a cut after column j, with lsum = csum[:, j] and left_n = j + 1
+        left_n = np.arange(1.0, width + 1)
+        right_n = m[:, None].astype(float) - left_n
+        invalid = tie_rows[s, :width] | (right_n < min_leaf)
+        invalid[:, : min_leaf - 1] = True
+        sse = np.multiply(csum, csum, out=block)
+        sse /= left_n
+        np.subtract(csum2, sse, out=sse)
+        right = np.subtract(total, csum, out=csum)
+        right *= right
+        right /= np.maximum(right_n, 1.0, out=right_n)
+        np.subtract(np.subtract(total2, csum2, out=csum2), right, out=right)
+        sse += right
+        sse[invalid] = np.inf
+        best = sse.argmin(axis=1)
+        left[rows] = np.where(np.isfinite(sse[r, best]), best + 1, 0)
+    return left
 
 
 def fit_forest(c_values: np.ndarray, targets: np.ndarray, config: ForestConfig) -> ForestModel:
@@ -274,11 +349,13 @@ def fit_forest(c_values: np.ndarray, targets: np.ndarray, config: ForestConfig) 
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))):
         raise DataError("forest inputs contain non-finite values")
     n = c.shape[0]
+    per_block = max(1, BLOCK_ELEMS // n)
     trees = []
-    for t in range(config.n_trees):
-        rng = derive_rng(config.seed, STREAM_TREE, t)
-        idx = rng.integers(0, n, size=n)
-        trees.append(_build_tree(c[idx], y[idx], 0, config))
+    for first in range(0, config.n_trees, per_block):
+        boot = np.empty((min(per_block, config.n_trees - first), n), dtype=np.int64)
+        for j in range(boot.shape[0]):
+            boot[j] = derive_rng(config.seed, STREAM_TREE, first + j).integers(0, n, size=n)
+        trees += _grow_trees(c, y, boot, 0, config)
     # sweep the breaks in order: current holds each tree's leaf on the interval
     # ending at the next break, and passing a break moves every tree that
     # splits there one leaf to the right

@@ -501,6 +501,34 @@ def test_negative_seed_exit_code(workspace, tmp_path, flags, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value, least",
+    [
+        ("ingest", "out.bins", "0", 1),
+        ("diagnose", "out.bins", "-2", 1),
+        ("fit", "out.bins", "0", 1),
+        ("diagnose", "out.max_lag", "-3", 0),
+    ],
+    ids=("ingest_bins", "diagnose_bins", "fit_autoingest_bins", "diagnose_max_lag"),
+)
+def test_bad_plot_size_exit_code(workspace, tmp_path, command, key, value, least):
+    # np.histogram and autocorrelation would raise ValueError deep inside the
+    # command; config resolution turns the value into a one-line error instead
+    config = tmp_path / "c.kv"
+    lines = workspace["config"].read_text(encoding="utf-8").splitlines()
+    lines = [ln for ln in lines if not ln.startswith(f"{key} =")] + [f"{key} = {value}"]
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "diagnose":  # a stored chain, so only the bad value can stop it
+        out.mkdir()
+        (out / "params.csv").write_bytes((workspace["out"] / "params.csv").read_bytes())
+    argv = [command, "--config", str(config), "--out", str(out)]
+    res = run_cli(argv + (["--model", "full"] if command == "fit" else []))
+    assert res.code == 2
+    assert res.err == f"error: config key {key} must be an integer >= {least}, got {value!r}\n"
+    assert not (out / "config.kv").exists()
+
+
 def test_diagnose_without_chain(workspace, tmp_path):
     res = run_cli(
         [

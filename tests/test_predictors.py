@@ -1,11 +1,13 @@
 """Linear baselines, the bagged tree ensemble, and the two-stage fair model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from faircredit import predictors
 from faircredit.dataset import Dataset, Standardization
 from faircredit.errors import ConfigError, DataError, RankDeficientError, UserError
 from faircredit.predictors import (
@@ -240,17 +242,11 @@ def test_build_tree_matches_brute_force_oracle(seed):
     assert _build_tree(c, y, 0, cfg) == in_order(oracle_tree(c, y, 0, cfg))
 
 
-@pytest.mark.parametrize("ties", [False, True])
-def test_forest_predicts_bit_for_bit_as_walking_every_tree(ties):
-    # the oracle rebuilds each bootstrap tree on its own stream and walks it;
-    # the forest's step function must give the same fsum / n_trees exactly
-    rng = np.random.default_rng(8)
-    n = 100
-    c = rng.standard_normal(n)
-    if ties:
-        c = np.round(c, 1)  # repeated scores, so trees share thresholds
-    y = np.exp(rng.standard_normal(n))
-    cfg = ForestConfig(n_trees=12, max_depth=5, min_leaf=3, seed=4)
+def oracle_forest_check(c, y, cfg):
+    """Rebuild each bootstrap tree with the oracle on its own stream and walk
+    it; the forest's step function must give the same fsum / n_trees exactly.
+    Returns the oracle trees."""
+    n = len(c)
     forest = fit_forest(c, y, cfg)
     trees = []
     for t in range(cfg.n_trees):
@@ -264,6 +260,68 @@ def test_forest_predicts_bit_for_bit_as_walking_every_tree(ties):
     assert np.array_equal(predict_forest(forest, points), want)
     # the breaks are exactly the trees' thresholds
     assert b.tolist() == sorted({x for tree in trees for x in in_order(tree)[0]})
+    return trees
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_forest_predicts_bit_for_bit_as_walking_every_tree(ties):
+    rng = np.random.default_rng(8)
+    n = 100
+    c = rng.standard_normal(n)
+    if ties:
+        c = np.round(c, 1)  # repeated scores, so trees share thresholds
+    y = np.exp(rng.standard_normal(n))
+    oracle_forest_check(c, y, ForestConfig(n_trees=12, max_depth=5, min_leaf=3, seed=4))
+
+
+@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_forest_matches_oracle_on_random_configs(case, small_blocks, monkeypatch):
+    # every max_depth in 0-7 and min_leaf in 1-8 once, n from 1 to 300, four
+    # kinds of target, with and without tied scores
+    n = (1, 2, 17, 64, 97, 150, 233, 300)[case]
+    cfg = ForestConfig(n_trees=10, max_depth=case, min_leaf=1 + (3 * case) % 8, seed=case)
+    if small_blocks:
+        # four trees a block, so 10 trees end in a part block, and a level's
+        # nodes are cut in several row blocks
+        monkeypatch.setattr(predictors, "BLOCK_ELEMS", 4 * n)
+    rng = np.random.default_rng(40 + case)
+    c = rng.standard_normal(n)
+    if case % 2:
+        c = np.round(c, 1)
+    y = (
+        rng.standard_normal(n),
+        rng.integers(0, 4, n).astype(float),
+        np.exp(3.0 * rng.standard_normal(n)),
+        np.full(n, 7.25),
+    )[case % 4]
+    oracle_forest_check(c, y, cfg)
+
+
+def test_forest_with_trees_that_never_split_matches_oracle():
+    # two score values, so a bootstrap with fewer than min_leaf of either has
+    # no valid cut; such a tree is one leaf, the mean of y in bootstrap order
+    rng = np.random.default_rng(12)
+    n = 24
+    c = np.where(np.arange(n) < 5, 0.0, 1.0)
+    y = np.exp(2.0 * rng.standard_normal(n))
+    trees = oracle_forest_check(c, y, ForestConfig(n_trees=30, max_depth=3, min_leaf=5, seed=1))
+    assert 0 < sum(isinstance(tree, float) for tree in trees) < len(trees)
+
+
+def test_fit_forest_working_set_stays_small():
+    # fit and compare grow the forest while the chain's draws are still
+    # alive, so its working set adds straight onto their peak memory
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(800)
+    y = np.round(np.exp(rng.standard_normal(800) + 7.0))
+    tracemalloc.start()
+    try:
+        fit_forest(c, y, ForestConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_fit_forest_bootstrap_stream_is_reproducible():
