@@ -215,7 +215,15 @@ def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
         target_accept=_get_float(cfg, "sampler.target_accept"),
         seed=_get_int(cfg, "sampler.seed"),
     )
-    return _validated(sc, "sampler")
+    _validated(sc, "sampler")
+    # a chain is summarized from its kept draws, which takes at least two
+    if sc.n_draws() < 2:
+        raise ConfigError(
+            "sampler.iterations, sampler.burn_in and sampler.thin keep "
+            f"({sc.iterations} - {sc.burn_in}) // {sc.thin} = {sc.n_draws()} draws; "
+            "at least 2 are needed"
+        )
+    return sc
 
 
 def build_forest_config(cfg: dict[str, str]) -> ForestConfig:

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import as_strided
 from .dataset import Dataset
 from .errors import ConfigError, DataError, RankDeficientError, UserError
 from .probmodel import ModelConfig, ModelParams
-from .sampler import Chain, SamplerConfig, infer_latents, run_chain
+from .sampler import Chain, SamplerConfig, infer_latent, run_chain
 from .util import (
     STREAM_TREE,
     atomic_write_text,
@@ -456,13 +456,10 @@ class FairModel:
     latent_point picks the per-observation point estimate fed to the forest:
     the posterior mean (default) or median of the latent score, from the
     chain's draws at training time and computed exactly at prediction time.
-    latent_sampler_config records the stage-one chain's settings in the model
-    directory; prediction does not use it.
     """
 
     theta_hat: ModelParams
     forest: ForestModel
-    latent_sampler_config: SamplerConfig
     model_config: ModelConfig = field(default_factory=ModelConfig)
     latent_point: str = "mean"
 
@@ -493,7 +490,6 @@ def fit_fair(
     return FairModel(
         theta_hat=theta_hat,
         forest=forest,
-        latent_sampler_config=sampler_config,
         model_config=model_config,
         latent_point=latent_point,
     )
@@ -508,7 +504,7 @@ def fair_latent_points(
     random, so two datasets that differ only in a flipped attribute differ
     in their points only through that attribute.
     """
-    post = infer_latents(
+    post = infer_latent(
         model.theta_hat, data, model.model_config, include_credit=condition_on_credit
     )
     return post.mean if model.latent_point == "mean" else post.median
@@ -532,17 +528,8 @@ def save_fair_model(model: FairModel, out_dir: str, header_lines: tuple[str, ...
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "params.kv"), model.theta_hat.to_kv_text(header_lines))
     atomic_write_text(os.path.join(out_dir, "forest.txt"), forest_to_text(model.forest, header_lines))
-    sc = model.latent_sampler_config
     mc = model.model_config
     items = {
-        "sampler.iterations": str(sc.iterations),
-        "sampler.burn_in": str(sc.burn_in),
-        "sampler.thin": str(sc.thin),
-        "sampler.delta": repr(sc.delta),
-        "sampler.param_step": repr(sc.param_step),
-        "sampler.adapt_during_burn_in": str(sc.adapt_during_burn_in).lower(),
-        "sampler.target_accept": repr(sc.target_accept),
-        "sampler.seed": str(sc.seed),
         "model.include_credit_intercept": str(mc.include_credit_intercept).lower(),
         "model.credit_scale": repr(mc.credit_scale),
         "model.poisson_rate_cap": repr(mc.poisson_rate_cap),
@@ -575,23 +562,12 @@ def load_fair_model(model_dir: str) -> FairModel:
     def flag(key):
         return get(key, lambda v: parse_bool(v, key))
 
-    sc = SamplerConfig(
-        iterations=get("sampler.iterations", int),
-        burn_in=get("sampler.burn_in", int),
-        thin=get("sampler.thin", int),
-        delta=get("sampler.delta", float),
-        param_step=get("sampler.param_step", float),
-        adapt_during_burn_in=flag("sampler.adapt_during_burn_in"),
-        target_accept=get("sampler.target_accept", float),
-        seed=get("sampler.seed", int),
-    )
     mc = ModelConfig(
         include_credit_intercept=flag("model.include_credit_intercept"),
         credit_scale=get("model.credit_scale", float),
         poisson_rate_cap=get("model.poisson_rate_cap", float),
     )
     try:
-        sc.validate()
         mc.validate()
     except ValueError as exc:
         raise UserError(f"{where}: {exc}") from None
@@ -606,7 +582,6 @@ def load_fair_model(model_dir: str) -> FairModel:
     return FairModel(
         theta_hat=theta,
         forest=forest,
-        latent_sampler_config=sc,
         model_config=mc,
         latent_point=latent_point,
     )

@@ -25,10 +25,8 @@ the sums after it, through the same term and row helpers and in the same
 order, so its rows are bitwise head_log_likelihood's. Arrays of shape
 (n, m) evaluate m latent values per row through Design.columns(), and
 per_obs_latent_slopes gives each row's derivatives in c beside the heads
-(_head_slopes), so test-time inference (sampler.infer_latents) is an exact
-function of each row, computed by the same engine. Only the scalar latent
-walk (sampler.infer_latent) restates the heads as scalar arithmetic,
-because array calls on one row cost more than the arithmetic itself.
+(_head_slopes), so test-time inference (sampler.infer_latent) is an exact
+function of each row, computed by the same engine.
 """
 
 import math
@@ -154,11 +152,6 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # densities
 
-def credit_count(credit: float, credit_scale: float) -> int:
-    """Count fed to the Poisson head: credit / scale, rounded half to even."""
-    return int(np.rint(credit / credit_scale))
-
-
 def log_prior(theta: ModelParams, config: ModelConfig = DEFAULT_MODEL_CONFIG) -> float:
     """Sum of independent standard normal log-densities over active parameters."""
     theta.validate()
@@ -207,7 +200,7 @@ class Design:
     age: np.ndarray
     job_sign: np.ndarray    # 2*job - 1
     house_sign: np.ndarray  # 2*house - 1
-    counts: np.ndarray      # rounded credit / credit_scale
+    counts: np.ndarray      # credit / credit_scale, rounded half to even
     lgamma_counts: np.ndarray  # log(counts!), by math.lgamma
     cap_log: float
 

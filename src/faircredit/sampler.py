@@ -9,16 +9,14 @@ share no parameter, so their coefficients are proposed in lockstep, as one
 keeps its linear-predictor terms between proposals (probmodel.HeadTerms), so
 a proposal recomputes only the term it moves and the sums after it.
 
-Test-time inference (infer_latents) fixes the parameters, so each row's
+Test-time inference (infer_latent) fixes the parameters, so each row's
 latent posterior is one-dimensional and log-concave: Newton finds its mode
 and a grid centred there integrates it. Nothing is random and no step
 reduces across rows, so each row's mean, median and std are an exact
-function of that row. infer_latent runs the latent random walk for one
-observation under fixed parameters, on scalar arithmetic.
+function of that row.
 
 Random streams. One master seed. derive_rng(seed, 0, 0) drives the parameter
-updates, derive_rng(seed, 1, i) drives training latent i, and
-derive_rng(seed, 2, j) drives infer_latent for stream index j, so results do
+updates and derive_rng(seed, 1, i) drives training latent i, so results do
 not depend on update order or parallel scheduling. Every latent step consumes
 exactly two uniforms from its stream: first the proposal, then the accept
 test. Every parameter step consumes one standard normal (proposal) then one
@@ -35,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import probmodel
-from .dataset import Dataset, Observation
+from .dataset import Dataset
 from .errors import DataError, SamplerError
 from .probmodel import (
     Design,
@@ -50,7 +48,6 @@ from .probmodel import (
 )
 from .util import (
     STREAM_PARAMS,
-    STREAM_TEST_LATENT,
     STREAM_TRAIN_LATENT,
     atomic_write_text,
     derive_rng,
@@ -62,7 +59,7 @@ ERROR_BUDGET = 0.01   # abort when likelihood errors exceed this fraction of ste
 _LATENT_CHUNK = 256   # sweeps of pre-drawn uniforms per latent stream refill
 _FILL_BLOCK = 64      # latents drawn into one block before it is copied into a chunk
 
-# exact test-time inference (infer_latents)
+# exact test-time inference (infer_latent)
 NEWTON_MAX_STEPS = 100
 NEWTON_TOL = 1e-12       # a row's mode is found once its step is below this, relative
 TAIL_NATS = 40.0         # each end of a row's grid lies this far below its mode
@@ -143,46 +140,12 @@ class Chain:
 
 
 @dataclass
-class LatentPosterior:
-    """Posterior summary of one observation's latent score."""
-
-    mean: float
-    median: float
-    std: float
-    draws: np.ndarray
-    accept_rate: float = 0.0
-
-
-@dataclass
 class LatentPosteriors:
     """Posterior summaries of every row's latent score: entry i is row i."""
 
     mean: np.ndarray
     median: np.ndarray
     std: np.ndarray
-
-
-def mh_step_scalar(
-    current: float,
-    log_target: Callable[[float], float],
-    delta: float,
-    rng: np.random.Generator,
-) -> tuple[float, bool, float]:
-    """One uniform-window random-walk step against an arbitrary scalar log target.
-
-    Consumes exactly two uniforms: proposal then accept test. Returns
-    (new value, accepted, log acceptance ratio). A log ratio >= 0 always
-    accepts; a log_target of -inf at the proposal always rejects.
-    """
-    u_prop = rng.random()
-    u_acc = rng.random()
-    proposal = current + delta * (2.0 * u_prop - 1.0)
-    log_r = log_target(proposal) - log_target(current)
-    if log_r >= 0.0:
-        return proposal, True, log_r
-    if u_acc > 0.0 and math.log(u_acc) < log_r:
-        return proposal, True, log_r
-    return current, False, log_r
 
 
 def _latent_uniforms(rngs: Sequence[np.random.Generator]):
@@ -320,9 +283,9 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
         logistic_prop, credit_prop = logistic.move_latent(c_prop), credit.move_latent(c_prop)
         total_steps += n
         err_steps += credit_prop.n_over
-        # heads added as per_obs_log_likelihood adds them, and associated as
-        # mh_step_scalar does, target(proposal) - target(current), so stepping
-        # one latent at a time agrees with this vectorized phase bitwise
+        # heads added as per_obs_log_likelihood adds them, and the ratio
+        # associated as target(proposal) - target(current), so a scalar step
+        # on one latent at a time agrees with this vectorized phase bitwise
         ll_cur = (logistic.rows[0] + logistic.rows[1]) + credit.rows[0]
         ll_prop = (logistic_prop.rows[0] + logistic_prop.rows[1]) + credit_prop.rows[0]
         log_r = (ll_prop - 0.5 * (LOG_2PI + c_prop * c_prop)) - (ll_cur - 0.5 * (LOG_2PI + c * c))
@@ -375,99 +338,6 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
         n_likelihood_errors=err_steps,
         final_delta=delta,
         final_param_step=step,
-    )
-
-
-def infer_latent(
-    theta_hat: ModelParams,
-    obs: Observation,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
-    include_credit: bool,
-    stream_index: int = 0,
-) -> LatentPosterior:
-    """Posterior over one observation's latent score under fixed parameters.
-
-    include_credit=True conditions on the observation's own credit amount;
-    prediction must use False so the target cannot leak into its feature.
-    Stream: derive_rng(seed, 2, stream_index).
-    """
-    sampler_config.validate()
-    model_config.validate()
-    theta_hat.validate()
-    cfg = sampler_config
-
-    sex, age = float(obs.sex), float(obs.age_std)
-    a_j = theta_hat.b_j + sex * theta_hat.beta_j_s + age * theta_hat.beta_j_a
-    k_j = theta_hat.beta_j_c
-    s_j = 2.0 * obs.job - 1.0
-    a_h = theta_hat.b_h + sex * theta_hat.beta_h_s + age * theta_hat.beta_h_a
-    k_h = theta_hat.beta_h_c
-    s_h = 2.0 * obs.house - 1.0
-    if include_credit:
-        a_c = sex * theta_hat.beta_c_s + age * theta_hat.beta_c_a
-        if model_config.include_credit_intercept:
-            if theta_hat.b_c is None:
-                raise ValueError("credit intercept enabled but b_c is None")
-            a_c += theta_hat.b_c
-        k_c = theta_hat.beta_c_c
-        count = float(probmodel.credit_count(obs.credit, model_config.credit_scale))
-        lgam = math.lgamma(count + 1.0)
-        cap_log = math.log(model_config.poisson_rate_cap)
-
-    exp, log1p, log = math.exp, math.log1p, math.log
-
-    # the heads of probmodel's engine restated on one scalar: for a single row
-    # the array calls cost far more than this arithmetic
-    def loglik(cv: float) -> float:
-        x = (a_j + k_j * cv) * s_j
-        ll = -log1p(exp(-x)) if x >= 0.0 else x - log1p(exp(x))
-        x = (a_h + k_h * cv) * s_h
-        ll += -log1p(exp(-x)) if x >= 0.0 else x - log1p(exp(x))
-        if include_credit:
-            lin = a_c + k_c * cv
-            if lin > cap_log:
-                return float("-inf")
-            ll += count * lin - exp(lin) - lgam
-        return ll
-
-    rng = derive_rng(cfg.seed, STREAM_TEST_LATENT, stream_index)
-    u = rng.random(2 * cfg.iterations)
-
-    cv = 0.0
-    lp = loglik(cv) - 0.5 * (LOG_2PI + cv * cv)
-    delta = cfg.delta
-    draws = np.empty(cfg.n_draws())
-    draw_idx = 0
-    accepts = 0
-    win_acc = 0
-    for sweep in range(1, cfg.iterations + 1):
-        prop = cv + delta * (2.0 * u[2 * sweep - 2] - 1.0)
-        lp_prop = loglik(prop) - 0.5 * (LOG_2PI + prop * prop)
-        log_r = lp_prop - lp
-        u_acc = u[2 * sweep - 1]
-        if log_r >= 0.0 or (u_acc > 0.0 and log(u_acc) < log_r):
-            cv = prop
-            lp = lp_prop
-            win_acc += 1
-            if sweep > cfg.burn_in:
-                accepts += 1
-        if sweep % ADAPT_EVERY == 0:
-            if cfg.adapt_during_burn_in and sweep <= cfg.burn_in:
-                rate = win_acc / ADAPT_EVERY
-                delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
-            win_acc = 0
-        if sweep > cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            draws[draw_idx] = cv
-            draw_idx += 1
-
-    post = cfg.iterations - cfg.burn_in
-    return LatentPosterior(
-        mean=float(np.mean(draws)),
-        median=float(np.median(draws)),
-        std=float(np.std(draws, ddof=1)) if draws.size > 1 else 0.0,
-        draws=draws,
-        accept_rate=accepts / max(post, 1),
     )
 
 
@@ -546,10 +416,11 @@ def _latent_modes(
     )
 
 
-def infer_latents(
+def infer_latent(
     theta_hat: ModelParams,
     data: Dataset,
     model_config: ModelConfig,
+    *,
     include_credit: bool,
 ) -> LatentPosteriors:
     """Posterior mean, median and std of every row's latent score under fixed
@@ -566,7 +437,8 @@ def infer_latents(
     Euler-Maclaurin corrections, and the median inverts the CDF within its
     grid interval through the cubic Hermite interpolant of the density. No
     step reduces across rows, so row i is an exact function of row i.
-    include_credit as in infer_latent.
+    include_credit=True conditions each row on its own credit amount;
+    prediction must use False so the target cannot leak into its feature.
     """
     model_config.validate()
     theta_hat.validate()
@@ -746,6 +618,10 @@ def read_param_chain_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         draws = np.array([[float(v) for v in ln.split(",")[1:]] for ln in rows[1:]])
     except ValueError as exc:
         raise DataError(f"{path}: malformed chain file row: {exc}") from exc
-    if draws.ndim != 2 or draws.shape[0] == 0 or draws.shape[1] != len(names):
+    if draws.ndim != 2 or draws.shape[1] != len(names):
         raise DataError(f"{path}: malformed chain file shape")
+    if draws.shape[0] < 2:
+        raise DataError(f"{path}: a chain needs at least 2 draws, got {draws.shape[0]}")
+    if not np.isfinite(draws).all():
+        raise DataError(f"{path}: chain file holds a non-finite value")
     return names, draws

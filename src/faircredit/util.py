@@ -33,7 +33,6 @@ def derive_rng(seed: int, *stream_key: int) -> np.random.Generator:
 # stream id of the first key after the master seed, one per quantity kind
 STREAM_PARAMS = 0
 STREAM_TRAIN_LATENT = 1
-STREAM_TEST_LATENT = 2
 STREAM_TREE = 3
 STREAM_SPLIT = 4
 

@@ -39,8 +39,9 @@ from faircredit.predictors import (
     predict_forest,
 )
 from faircredit.probmodel import ModelConfig, ModelParams
-from faircredit.sampler import SamplerConfig, infer_latent, mh_step_scalar, run_chain
+from faircredit.sampler import SamplerConfig, infer_latent, run_chain
 from faircredit.util import derive_rng
+from scalar_kernel import mh_step_scalar
 
 DATA_PATH = os.environ.get("FAIRCREDIT_GERMAN_CSV") or str(
     Path(__file__).resolve().parents[1] / "data" / "german_synthetic.csv"
@@ -111,32 +112,21 @@ def test_criterion_1_conjugate_posterior(report):
 
 
 def test_criterion_2_quadrature_oracle(report):
-    from faircredit.dataset import Observation
-
     t0 = time.monotonic()
-    cfg = SamplerConfig(
-        iterations=300000,
-        burn_in=5000,
-        thin=1,
-        delta=1.0,
-        param_step=0.1,
-        adapt_during_burn_in=True,
-        target_accept=0.35,
-        seed=42,
-    )
     mc = ModelConfig()
     grid = np.linspace(-10.0, 10.0, 2001)
     worst_mean = worst_std = 0.0
     for s in range(5):
         r = np.random.default_rng(1000 + s)
         theta = ModelParams(*r.uniform(-1.0, 1.0, 11))
-        obs = Observation(
-            sex=int(r.integers(0, 2)),
-            age_std=float(r.standard_normal()),
-            job=int(r.integers(0, 2)),
-            house=int(r.integers(0, 2)),
-            credit=10,
+        row = Dataset(
+            sex=np.array([r.integers(0, 2)]),
+            age_std=np.array([r.standard_normal()]),
+            job=np.array([r.integers(0, 2)]),
+            house=np.array([r.integers(0, 2)]),
+            credit=np.array([10]),
         )
+        obs = row.observation(0)
         # prediction-protocol posterior: both binary heads plus the prior
         xj = (theta.b_j + obs.sex * theta.beta_j_s + obs.age_std * theta.beta_j_a
               + grid * theta.beta_j_c) * (2 * obs.job - 1)
@@ -148,17 +138,17 @@ def test_criterion_2_quadrature_oracle(report):
         q_mean = np.trapezoid(grid * w, grid) / z
         q_std = math.sqrt(np.trapezoid(grid**2 * w, grid) / z - q_mean**2)
 
-        post = infer_latent(theta, obs, mc, cfg, include_credit=False, stream_index=s)
-        worst_mean = max(worst_mean, abs(post.mean - q_mean))
-        worst_std = max(worst_std, abs(post.std - q_std))
+        post = infer_latent(theta, row, mc, include_credit=False)
+        worst_mean = max(worst_mean, abs(post.mean[0] - q_mean))
+        worst_std = max(worst_std, abs(post.std[0] - q_std))
     elapsed = time.monotonic() - t0
 
-    ok = worst_mean <= 0.02 and worst_std <= 0.02 and elapsed < 30
+    ok = worst_mean <= 1e-9 and worst_std <= 1e-9 and elapsed < 30
     report(
         2,
         ok,
-        f"quadrature oracle over 5 settings: worst |mean err| {worst_mean:.4f}, "
-        f"worst |std err| {worst_std:.4f} (tolerance 0.02), {elapsed:.1f}s",
+        f"quadrature oracle over 5 settings: worst |mean err| {worst_mean:.2e}, "
+        f"worst |std err| {worst_std:.2e} (tolerance 1e-9), {elapsed:.1f}s",
     )
 
 
@@ -298,7 +288,6 @@ def test_criterion_6_fairness_invariants(report):
     fair = FairModel(
         theta_hat=neutral,
         forest=forest,
-        latent_sampler_config=SamplerConfig(iterations=400, burn_in=100, thin=1, seed=4),
         model_config=ModelConfig(),
         latent_point="mean",
     )

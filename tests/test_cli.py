@@ -529,6 +529,50 @@ def test_bad_plot_size_exit_code(workspace, tmp_path, command, key, value, least
     assert not (out / "config.kv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, iterations, burn_in, thin",
+    [
+        ("fit", 11, 10, 1),
+        ("compare", 11, 10, 1),
+        ("fit", 80, 20, 60),
+        ("compare", 80, 20, 100),
+    ],
+    ids=("fit_burn_in", "compare_burn_in", "fit_thin", "compare_thin_keeps_none"),
+)
+def test_chain_keeping_under_two_draws_exit_code(
+    workspace, tmp_path, command, iterations, burn_in, thin
+):
+    # a chain's summary needs two draws, so the sampler config is refused
+    # before the chain runs
+    config = tmp_path / "c.kv"
+    keys = {"sampler.iterations": iterations, "sampler.burn_in": burn_in, "sampler.thin": thin}
+    lines = workspace["config"].read_text(encoding="utf-8").splitlines()
+    lines = [ln for ln in lines if ln.split(" =")[0] not in keys]
+    lines += [f"{k} = {v}" for k, v in keys.items()]
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    res = run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert res.code == 2
+    assert res.err.startswith("error:") and res.err.count("\n") == 1
+    for key in keys:
+        assert key in res.err
+    assert not (tmp_path / "out" / "params.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0,0.5,0.25\n", "0,0.5,0.25\n1,nan,0.5\n2,0.75,0.125\n"],
+    ids=("one_draw", "nan"),
+)
+def test_diagnose_corrupt_chain_exit_code(workspace, tmp_path, rows):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "params.csv").write_text("draw,b_j,b_h\n" + rows, encoding="utf-8")
+    res = run_cli(["diagnose", "--config", str(workspace["config"]), "--out", str(out)])
+    assert res.code == 2
+    assert res.err.startswith(f"error: {out / 'params.csv'}:") and res.err.count("\n") == 1
+    assert not (out / "summary.csv").exists()
+
+
 def test_diagnose_without_chain(workspace, tmp_path):
     res = run_cli(
         [

@@ -230,13 +230,13 @@ def test_compare_runs_four_test_time_passes(monkeypatch):
     # honest factual (test r2 and the base of both gaps), leaky factual, and
     # one honest pass per flipped attribute
     calls = []
-    original = predictors.infer_latents
+    original = predictors.infer_latent
 
-    def counting(theta, data, model_config, include_credit):
+    def counting(theta, data, model_config, *, include_credit):
         calls.append(include_credit)
-        return original(theta, data, model_config, include_credit)
+        return original(theta, data, model_config, include_credit=include_credit)
 
-    monkeypatch.setattr(predictors, "infer_latents", counting)
+    monkeypatch.setattr(predictors, "infer_latent", counting)
     train, test = larger_split()
     compare_models(
         train, test,

@@ -26,7 +26,6 @@ from faircredit.probmodel import (
     HeadTerms,
     ModelConfig,
     ModelParams,
-    credit_count,
     head_log_likelihood,
     log_posterior,
     log_prior,
@@ -58,7 +57,8 @@ def oracle_row(theta: ModelParams, c_i: float, obs, include_credit=True, config=
         lin = obs.sex * theta.beta_c_s + obs.age_std * theta.beta_c_a + c_i * theta.beta_c_c
         if config.include_credit_intercept:
             lin += theta.b_c
-        ll += float(poisson.logpmf(credit_count(obs.credit, config.credit_scale), math.exp(lin)))
+        # Python's round, like the engine's np.rint, rounds half to even
+        ll += float(poisson.logpmf(round(obs.credit / config.credit_scale), math.exp(lin)))
     return ll
 
 
@@ -149,11 +149,11 @@ def test_normal_log_pdf_matches_scipy():
 
 
 def test_credit_count_rounds_half_to_even():
-    assert credit_count(25, 10.0) == 2
-    assert credit_count(35, 10.0) == 4
-    assert credit_count(3500, 1000.0) == 4
-    assert credit_count(2500, 1000.0) == 2
-    assert credit_count(7, 1.0) == 7
+    # the Poisson head's count is credit / credit_scale, rounded half to even
+    cases = ((25, 10.0, 2), (35, 10.0, 4), (3500, 1000.0, 4), (2500, 1000.0, 2), (7, 1.0, 7))
+    for credit, scale, count in cases:
+        design = columns_design([0], [0.0], [1], [1], [credit], ModelConfig(credit_scale=scale))
+        assert design.counts[0] == count
 
 
 def test_log_prior_frozen_values():

@@ -9,7 +9,7 @@ rejected and counted. The reference keeps no likelihood between steps and
 consumes the same derived streams, and the vectorized run_chain, which keeps
 each head's terms and rows and moves the job and house heads in lockstep,
 must reproduce it bit for bit, including the burn-in
-adaptation bookkeeping and the error count. Test-time inference (infer_latents) is checked
+adaptation bookkeeping and the error count. Test-time inference (infer_latent) is checked
 against a dense trapezoid rule with the heads written out by hand.
 """
 
@@ -39,12 +39,11 @@ from faircredit.sampler import (
     SamplerConfig,
     export_chain,
     infer_latent,
-    infer_latents,
-    mh_step_scalar,
     read_param_chain_csv,
     run_chain,
 )
 from faircredit.util import STREAM_PARAMS, STREAM_TRAIN_LATENT, derive_rng
+from scalar_kernel import mh_step_scalar
 
 
 # --- config ------------------------------------------------------------------
@@ -70,7 +69,7 @@ def test_n_draws_arithmetic():
     assert SamplerConfig(iterations=5000, burn_in=1000, thin=1).n_draws() == 4000
 
 
-# --- scalar kernel -----------------------------------------------------------
+# --- scalar reference kernel -----------------------------------------------------------
 
 def test_mh_step_scalar_consumes_two_uniforms():
     def flat(_c):
@@ -294,39 +293,15 @@ def test_run_chain_aborts_on_persistent_likelihood_errors(tiny_dataset):
 
 # --- fixed-parameter latent inference ------------------------------------------
 
-def test_infer_latent_deterministic_and_stream_separated(tiny_dataset, modest_params):
-    cfg = SamplerConfig(iterations=400, burn_in=100, seed=4)
-    obs = tiny_dataset.observation(2)
-    a = infer_latent(modest_params, obs, ModelConfig(), cfg, include_credit=True, stream_index=1)
-    b = infer_latent(modest_params, obs, ModelConfig(), cfg, include_credit=True, stream_index=1)
-    assert np.array_equal(a.draws, b.draws)
-    c = infer_latent(modest_params, obs, ModelConfig(), cfg, include_credit=True, stream_index=2)
-    assert not np.array_equal(a.draws, c.draws)
-    assert 0.0 < a.accept_rate < 1.0
-    assert a.draws.shape == (cfg.n_draws(),)
-
-
-def test_infer_latent_test_excludes_credit(tiny_dataset, modest_params):
-    # the test-time mode must not read the credit amount at all
-    cfg = SamplerConfig(iterations=400, burn_in=100, seed=4)
-    obs = tiny_dataset.observation(5)
-    honest = infer_latent(modest_params, obs, ModelConfig(), cfg, include_credit=False)
-    richer = replace(obs, credit=obs.credit * 40)
-    same = infer_latent(modest_params, richer, ModelConfig(), cfg, include_credit=False)
-    assert np.array_equal(honest.draws, same.draws)
-    conditioned = infer_latent(modest_params, obs, ModelConfig(), cfg, include_credit=True)
-    assert not np.array_equal(honest.draws, conditioned.draws)
-
-
 def test_infer_latent_conditioning_pulls_toward_credit(modest_params):
     # high credit at positive beta_c_c should raise the inferred score
-    from faircredit.dataset import Observation
-
-    cfg = SamplerConfig(iterations=3000, burn_in=500, seed=0)
-    rich = Observation(sex=1, age_std=0.0, job=1, house=1, credit=60)
-    with_credit = infer_latent(modest_params, rich, ModelConfig(), cfg, include_credit=True)
-    without = infer_latent(modest_params, rich, ModelConfig(), cfg, include_credit=False)
-    assert with_credit.mean > without.mean
+    rich = Dataset(
+        sex=np.array([1]), age_std=np.array([0.0]), job=np.array([1]),
+        house=np.array([1]), credit=np.array([60]),
+    )
+    with_credit = infer_latent(modest_params, rich, ModelConfig(), include_credit=True)
+    without = infer_latent(modest_params, rich, ModelConfig(), include_credit=False)
+    assert with_credit.mean[0] > without.mean[0]
 
 
 # --- exact test-time inference ----------------------------------------------------
@@ -357,10 +332,10 @@ def quadrature(theta, obs, model_config, include_credit, lo, hi, points=400_001)
 
 
 def assert_matches_quadrature(theta, data, model_config, include_credit, windows=None):
-    """infer_latents against quadrature row by row: mean and std to 1e-8 and
+    """infer_latent against quadrature row by row: mean and std to 1e-8 and
     the median to 1e-7. The window defaults to the row's mean +- 40 std, and
     the density at its ends must be negligible."""
-    post = infer_latents(theta, data, model_config, include_credit)
+    post = infer_latent(theta, data, model_config, include_credit=include_credit)
     for i in range(len(data)):
         if windows is None:
             lo, hi = post.mean[i] - 40 * post.std[i], post.mean[i] + 40 * post.std[i]
@@ -454,14 +429,15 @@ def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
         credit=np.r_[tiny_dataset.credit[keep], tiny_dataset.credit[6:] * 400],
     )
     for include_credit in (False, True):
-        full = infer_latents(modest_params, tiny_dataset, ModelConfig(), include_credit)
+        full = infer_latent(modest_params, tiny_dataset, ModelConfig(), include_credit=include_credit)
         for k in (1, 5, 11):
-            part = infer_latents(
-                modest_params, tiny_dataset.subset(np.arange(k)), ModelConfig(), include_credit
+            part = infer_latent(
+                modest_params, tiny_dataset.subset(np.arange(k)), ModelConfig(),
+                include_credit=include_credit,
             )
             for name in ("mean", "median", "std"):
                 assert np.array_equal(getattr(part, name), getattr(full, name)[:k]), (k, name)
-        other = infer_latents(modest_params, changed, ModelConfig(), include_credit)
+        other = infer_latent(modest_params, changed, ModelConfig(), include_credit=include_credit)
         for name in ("mean", "median", "std"):
             assert np.array_equal(getattr(other, name)[keep], getattr(full, name)[keep]), name
         assert not np.array_equal(other.mean[6:], full.mean[6:])
@@ -500,3 +476,12 @@ def test_read_param_chain_csv_errors(tmp_path):
     short.write_text("draw,b_j\n0,not_a_number\n")
     with pytest.raises(DataError, match="row"):
         read_param_chain_csv(str(short))
+    one = tmp_path / "one.csv"
+    one.write_text("draw,b_j,b_h\n0,1.0,2.0\n")
+    with pytest.raises(DataError, match="at least 2 draws"):
+        read_param_chain_csv(str(one))
+    for value in ("nan", "inf", "-inf"):
+        odd = tmp_path / f"{value}.csv"
+        odd.write_text(f"draw,b_j,b_h\n0,1.0,2.0\n1,{value},2.5\n2,1.5,3.0\n")
+        with pytest.raises(DataError, match="non-finite"):
+            read_param_chain_csv(str(odd))

@@ -7,7 +7,7 @@ import importlib.util
 import inspect
 import os
 
-from faircredit.sampler import run_chain
+from faircredit.sampler import infer_latent, run_chain
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -29,3 +29,11 @@ def test_run_chain_takes_sampler_config_third():
     # the tracer's run_chain observer reads the sweep count from positional
     # argument 2 when it is not passed by keyword
     assert list(inspect.signature(run_chain).parameters)[2] == "sampler_config"
+
+
+def test_infer_latent_takes_include_credit_by_keyword():
+    # the tracer's infer_latent observer reads include_credit from the
+    # keyword arguments, falling back to positional argument 4, which
+    # infer_latent does not have
+    param = inspect.signature(infer_latent).parameters["include_credit"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY

@@ -9,7 +9,6 @@ from faircredit.errors import ConfigError
 from faircredit.util import (
     STREAM_PARAMS,
     STREAM_SPLIT,
-    STREAM_TEST_LATENT,
     STREAM_TRAIN_LATENT,
     STREAM_TREE,
     atomic_write_text,
@@ -22,9 +21,9 @@ from faircredit.util import (
 
 
 def test_stream_ids_distinct():
-    assert {STREAM_PARAMS, STREAM_TRAIN_LATENT, STREAM_TEST_LATENT, STREAM_TREE, STREAM_SPLIT} == {
-        0, 1, 2, 3, 4,
-    }
+    # kind 2 is unused: the others keep their ids, so chains, trees and
+    # splits stay bit-identical across versions
+    assert (STREAM_PARAMS, STREAM_TRAIN_LATENT, STREAM_TREE, STREAM_SPLIT) == (0, 1, 3, 4)
 
 
 def test_derive_rng_deterministic():
