@@ -6,14 +6,16 @@ Usage:
     python3 scripts/diff_outputs.py OLD_SRC NEW_SRC --seeds 0 37
 
 OLD_SRC and NEW_SRC are directories holding the faircredit package, such as
-the src/ of two checkouts. For each seed, each tree in turn runs
-`fit --model fair` and `compare` at defaults, then `synth` with the
-benchmark's synth_large config (perfbench/checks.py), one after the other into
-the same --out path, so that the config hashes match. Every file under --out
-is compared, and so are each command's stdout, stderr and exit code. Prints
-`seed N: identical` or the outputs that differ; the exit code is 1 if any
-differ. The data and the synth_large config come from the checkout that holds
-this script, and the commands run from its root.
+the src/ of two checkouts. For each seed, each tree in turn runs every
+command: `ingest`, `fit --model full`, `fit --model unaware`,
+`fit --model fair`, `diagnose` (on the chain that fit wrote) and `compare` at
+defaults, then `synth` with the benchmark's synth_large config
+(perfbench/checks.py), one after the other into the same --out path, so that
+the config hashes match. Every file under --out is compared, and so are
+each command's stdout, stderr and exit code. Prints `seed N: identical` or
+the outputs that differ; the exit code is 1 if any differ. The data and the
+synth_large config come from the checkout that holds this script, and the
+commands run from its root.
 """
 
 import argparse
@@ -28,7 +30,11 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from checks import synth_config_text  # noqa: E402
 
 COMMANDS = (
-    ("fit", ["fit", "--model", "fair"]),
+    ("ingest", ["ingest"]),
+    ("fit full", ["fit", "--model", "full"]),
+    ("fit unaware", ["fit", "--model", "unaware"]),
+    ("fit fair", ["fit", "--model", "fair"]),
+    ("diagnose", ["diagnose"]),
     ("compare", ["compare"]),
     ("synth", ["synth", "--config", "{synth_config}"]),
 )

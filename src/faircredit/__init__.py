@@ -12,7 +12,6 @@ metrics are included, along with a command line front end (``faircredit``).
 from .dataset import (
     CovariateSpec,
     Dataset,
-    Observation,
     PreprocessConfig,
     RawRecord,
     SplitSpec,
@@ -68,14 +67,7 @@ from .predictors import (
     predict_ols,
     save_fair_model,
 )
-from .probmodel import (
-    BASE_PARAM_NAMES,
-    PARAM_NAMES,
-    ModelConfig,
-    ModelParams,
-    log_posterior,
-    log_prior,
-)
+from .probmodel import BASE_PARAM_NAMES, PARAM_NAMES, ModelConfig, ModelParams
 from .sampler import (
     Chain,
     LatentPosteriors,
@@ -103,7 +95,6 @@ __all__ = [
     "LinearModel",
     "ModelConfig",
     "ModelParams",
-    "Observation",
     "PARAM_NAMES",
     "PreprocessConfig",
     "RankDeficientError",
@@ -132,8 +123,6 @@ __all__ = [
     "infer_latent",
     "load_csv",
     "load_fair_model",
-    "log_posterior",
-    "log_prior",
     "preprocess",
     "predict_fair",
     "predict_forest",

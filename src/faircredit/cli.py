@@ -22,6 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
+    AGE_MAX,
+    AGE_MIN,
     Dataset,
     PreprocessConfig,
     SplitSpec,
@@ -151,6 +153,12 @@ def resolve_config(
     for key, least in (("out.bins", 1), ("out.max_lag", 0)):
         if _get_int(cfg, key) < least:
             raise ConfigError(f"config key {key} must be an integer >= {least}, got {cfg[key]!r}")
+    span = AGE_MAX - AGE_MIN
+    if not abs(_get_float(cfg, "eval.age_years")) <= span:  # also refuses nan
+        raise ConfigError(
+            f"config key eval.age_years must be a number in [-{span}, {span}], "
+            f"got {cfg['eval.age_years']!r}"
+        )
     if out_dir is not None:
         cfg["out.dir"] = out_dir
     if leaky_fair:
@@ -288,7 +296,6 @@ def _ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     records = load_csv(cfg["data.path"], _column_map(cfg))
     data = preprocess(records, build_preprocess_config(cfg))
     out = cfg["out.dir"]
-    os.makedirs(out, exist_ok=True)
     write_processed_csv(data, os.path.join(out, "preprocessed.csv"), header)
 
     def counts_csv(name: str, pairs) -> None:
@@ -455,7 +462,6 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         rate_cap=mc.poisson_rate_cap,
     )
     out = cfg["out.dir"]
-    os.makedirs(out, exist_ok=True)
     write_processed_csv(data, os.path.join(out, "synthetic.csv"), header)
     lines = [f"# {h}" for h in header] + ["index,c"]
     lines += [f"{i},{float(v)!r}" for i, v in enumerate(true_c)]

@@ -9,7 +9,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,17 +57,6 @@ class Standardization(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One processed record in model space."""
-
-    sex: int
-    age_std: float
-    job: int
-    house: int
-    credit: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Column-major processed data plus the standardization that produced it.
 
@@ -86,21 +75,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.sex.shape[0])
-
-    def __iter__(self) -> Iterator[Observation]:
-        return iter(self.observations())
-
-    def observation(self, i: int) -> Observation:
-        return Observation(
-            sex=int(self.sex[i]),
-            age_std=float(self.age_std[i]),
-            job=int(self.job[i]),
-            house=int(self.house[i]),
-            credit=int(self.credit[i]),
-        )
-
-    def observations(self) -> list[Observation]:
-        return [self.observation(i) for i in range(len(self))]
 
     def validate(self) -> None:
         n = len(self)
@@ -336,7 +310,8 @@ def generate_synthetic(
     Draw order is fixed (sex, age, latents, job, house, credit) so results are
     reproducible for a given seed. The credit head includes params.b_c when it
     is set. Poisson draws of 0 are clamped to the credit floor of 1; with
-    realistic rates the clamp never fires.
+    realistic rates the clamp never fires. A rate above rate_cap raises
+    RateCapError.
     """
     if n < 2:
         raise DataError("need n >= 2 synthetic records")
@@ -412,15 +387,18 @@ def read_processed_csv(path: str) -> Dataset:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    mu = sd = None
+    moments: dict[str, float] = {}
     rows: list[str] = []
     for ln in raw.splitlines():
         if ln.startswith("#"):
-            body = ln[1:].strip()
-            if body.startswith("age_mean="):
-                mu = float(body.partition("=")[2])
-            elif body.startswith("age_sd="):
-                sd = float(body.partition("=")[2])
+            key, _, value = ln[1:].strip().partition("=")
+            if key in ("age_mean", "age_sd"):
+                try:
+                    moments[key] = float(value)
+                except ValueError:
+                    moments[key] = math.nan
+                if not math.isfinite(moments[key]):
+                    raise DataError(f"{path}: malformed {key} comment: {value!r}")
             continue
         if ln.strip():
             rows.append(ln)
@@ -435,7 +413,9 @@ def read_processed_csv(path: str) -> Dataset:
         credit = np.array([int(r[4]) for r in cells], dtype=np.int64)
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed data row: {exc}") from exc
-    stdz = Standardization(mu, sd) if mu is not None and sd is not None else None
+    stdz = None
+    if len(moments) == 2:
+        stdz = Standardization(moments["age_mean"], moments["age_sd"])
     ds = Dataset(sex=sex, age_std=age_std, job=job, house=house, credit=credit, standardization=stdz)
     ds.validate()
     return ds

@@ -249,18 +249,14 @@ def summarize_series(name: str, x: np.ndarray) -> SummaryRow:
     )
 
 
-def summarize(chain: Chain, latent_indices: Sequence[int] = ()) -> list[SummaryRow]:
-    """Summary rows in chain order: every parameter, then any requested latents.
+def summarize(chain: Chain) -> list[SummaryRow]:
+    """One summary row per parameter, in chain order.
 
     Constant series do not raise here; their rows are marked degenerate and
     carry NaN ESS fields.
     """
-    rows = []
-    for j, name in enumerate(chain.param_names):
-        rows.append(summarize_series(name, chain.param_draws[:, j]))
-    for i in latent_indices:
-        rows.append(summarize_series(f"c_{int(i)}", chain.latent_draws[:, int(i)]))
-    return rows
+    draws = chain.param_draws
+    return [summarize_series(name, draws[:, j]) for j, name in enumerate(chain.param_names)]
 
 
 def summary_to_csv_text(rows: Sequence[SummaryRow], header_lines: tuple[str, ...] = ()) -> str:

@@ -17,8 +17,8 @@ class ConfigError(UserError):
     """A config file or flag combination is invalid."""
 
 
-class RateCapError(FairCreditError):
-    """A Poisson rate exceeded the configured cap (divergent linear predictor)."""
+class RateCapError(UserError):
+    """A synthetic truth gives a Poisson rate above the configured cap."""
 
     def __init__(self, linear_predictor: float, cap: float):
         self.linear_predictor = float(linear_predictor)

@@ -525,7 +525,6 @@ def predict_fair(model: FairModel, test: Dataset, condition_on_credit: bool = Fa
 # fair model directory io
 
 def save_fair_model(model: FairModel, out_dir: str, header_lines: tuple[str, ...] = ()) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "params.kv"), model.theta_hat.to_kv_text(header_lines))
     atomic_write_text(os.path.join(out_dir, "forest.txt"), forest_to_text(model.forest, header_lines))
     mc = model.model_config

@@ -1,4 +1,4 @@
-"""Generative credit model: parameters, priors, and log-densities.
+"""Generative credit model: parameters, model config, and the likelihood engine.
 
 A person's job and house indicators follow logistic (logit-link) heads in
 sex, standardized age, and a latent reliability score c. Their credit amount
@@ -18,15 +18,14 @@ long at n=800. exp(-|z|) <= 1 cannot overflow.
 
 head_log_likelihood evaluates one head from scratch (_head_rows) and returns
 its rows beside their sum. per_obs_log_likelihood adds the heads per
-observation, and log_posterior reports a rate overflow from the same rows.
-HeadTerms keeps a block of heads' terms, running sums and rows at one state,
-for the sampler: a proposal that moves one term recomputes that term and
-the sums after it, through the same term and row helpers and in the same
-order, so its rows are bitwise head_log_likelihood's. Arrays of shape
-(n, m) evaluate m latent values per row through Design.columns(), and
-per_obs_latent_slopes gives each row's derivatives in c beside the heads
-(_head_slopes), so test-time inference (sampler.infer_latent) is an exact
-function of each row, computed by the same engine.
+observation. HeadTerms keeps a block of heads' terms, running sums and rows
+at one state, for the sampler: a proposal that moves one term recomputes
+that term and the sums after it, through the same term and row helpers and
+in the same order, so its rows are bitwise head_log_likelihood's. Arrays
+of shape (n, m) evaluate m latent values per row through Design.columns(),
+and per_obs_latent_slopes gives each row's derivatives in c beside the
+heads (_head_slopes), so test-time inference (sampler.infer_latent) is an
+exact function of each row, computed by the same engine.
 """
 
 import math
@@ -35,7 +34,6 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import RateCapError
 from .util import parse_kv_text, format_kv_text
 
 if TYPE_CHECKING:  # only for annotations; avoids a circular import
@@ -79,9 +77,6 @@ class ModelConfig:
 
     def active_param_names(self) -> tuple[str, ...]:
         return PARAM_NAMES if self.include_credit_intercept else BASE_PARAM_NAMES
-
-
-DEFAULT_MODEL_CONFIG = ModelConfig()
 
 
 @dataclass(frozen=True)
@@ -147,46 +142,6 @@ class ModelParams:
             raise ValueError(f"missing parameter names: {sorted(missing)}")
         kw = {k: float(v) for k, v in raw.items()}
         return cls(**kw)
-
-
-# ---------------------------------------------------------------------------
-# densities
-
-def log_prior(theta: ModelParams, config: ModelConfig = DEFAULT_MODEL_CONFIG) -> float:
-    """Sum of independent standard normal log-densities over active parameters."""
-    theta.validate()
-    vec = theta.to_vector(config.include_credit_intercept)
-    return float(-0.5 * (len(vec) * LOG_2PI + np.dot(vec, vec)))
-
-
-def log_posterior(
-    theta: ModelParams,
-    latents: np.ndarray,
-    data: "Dataset",
-    config: ModelConfig = DEFAULT_MODEL_CONFIG,
-) -> float:
-    """Joint log-density: prior + latent prior + full-data likelihood (credit included).
-
-    A credit rate above the cap raises RateCapError naming the first
-    overflowing linear predictor. Invalid data raises DataError.
-    """
-    config.validate()
-    data.validate()
-    c = np.asarray(latents, dtype=float)
-    if c.shape != (len(data),):
-        raise ValueError(f"latent vector shape {c.shape} does not match {len(data)} observations")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("latent vector contains non-finite values")
-    design = Design.from_dataset(data, config)
-    vec = theta.to_vector(config.include_credit_intercept)
-    ll, n_over = per_obs_log_likelihood(vec, c, design, include_credit=True)
-    if n_over:
-        over_lin = _head_rows(HEAD_CREDIT, vec, c, design)[1]
-        raise RateCapError(float(over_lin[0]), config.poisson_rate_cap)
-    lp = log_prior(theta, config)
-    lp += float(np.sum(-0.5 * (LOG_2PI + c * c)))
-    lp += float(np.sum(ll))
-    return lp
 
 
 # ---------------------------------------------------------------------------

@@ -560,15 +560,13 @@ def _hermite_median(
 def export_chain(
     chain: Chain,
     out_dir: str,
-    latent_indices: Sequence[int] | None = None,
+    latent_indices: Sequence[int],
     header_lines: tuple[str, ...] = (),
 ) -> list[str]:
     """Write params.csv and latents.csv under out_dir; returns the paths.
 
-    latent_indices selects which latent columns to export (all by default;
-    pass a subset to keep files small).
+    latent_indices selects which latent columns latents.csv holds.
     """
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
 
     lines = [f"# {h}" for h in header_lines]
@@ -581,13 +579,10 @@ def export_chain(
     paths.append(p)
 
     n_obs = chain.latent_draws.shape[1]
-    if latent_indices is None:
-        idx = list(range(n_obs))
-    else:
-        idx = [int(i) for i in latent_indices]
-        for i in idx:
-            if not (0 <= i < n_obs):
-                raise ValueError(f"latent index {i} out of range [0, {n_obs})")
+    idx = [int(i) for i in latent_indices]
+    for i in idx:
+        if not (0 <= i < n_obs):
+            raise ValueError(f"latent index {i} out of range [0, {n_obs})")
     lines = [f"# {h}" for h in header_lines]
     lines.append(",".join(["draw"] + [f"c_{i}" for i in idx]))
     sub = chain.latent_draws[:, idx]

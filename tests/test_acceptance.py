@@ -119,19 +119,17 @@ def test_criterion_2_quadrature_oracle(report):
     for s in range(5):
         r = np.random.default_rng(1000 + s)
         theta = ModelParams(*r.uniform(-1.0, 1.0, 11))
+        sex, age = int(r.integers(0, 2)), float(r.standard_normal())
+        job, house = int(r.integers(0, 2)), int(r.integers(0, 2))
         row = Dataset(
-            sex=np.array([r.integers(0, 2)]),
-            age_std=np.array([r.standard_normal()]),
-            job=np.array([r.integers(0, 2)]),
-            house=np.array([r.integers(0, 2)]),
-            credit=np.array([10]),
+            sex=np.array([sex]), age_std=np.array([age]), job=np.array([job]),
+            house=np.array([house]), credit=np.array([10]),
         )
-        obs = row.observation(0)
         # prediction-protocol posterior: both binary heads plus the prior
-        xj = (theta.b_j + obs.sex * theta.beta_j_s + obs.age_std * theta.beta_j_a
-              + grid * theta.beta_j_c) * (2 * obs.job - 1)
-        xh = (theta.b_h + obs.sex * theta.beta_h_s + obs.age_std * theta.beta_h_a
-              + grid * theta.beta_h_c) * (2 * obs.house - 1)
+        xj = (theta.b_j + sex * theta.beta_j_s + age * theta.beta_j_a
+              + grid * theta.beta_j_c) * (2 * job - 1)
+        xh = (theta.b_h + sex * theta.beta_h_s + age * theta.beta_h_a
+              + grid * theta.beta_h_c) * (2 * house - 1)
         logw = -np.logaddexp(0.0, -xj) - np.logaddexp(0.0, -xh) - 0.5 * grid**2
         w = np.exp(logw - logw.max())
         z = np.trapezoid(w, grid)

@@ -455,23 +455,35 @@ def test_bad_config_key_exit_code(tmp_path):
     assert "unknown config keys" in res.err
 
 
+AGE_SHIFT_ERROR = "error: config key eval.age_years must be a number in [-102, 102], got "
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
         ("sampler.burn_in = 9000", "burn_in must lie in"),
         ("model.credit_scale = -1", "credit_scale must be positive"),
         ("synth.param.b_j = nan", "b_j is not finite"),
+        ("synth.param.beta_c_c = 30", "error: poisson rate overflow: linear predictor "),
+        ("eval.age_mode = shift\neval.age_years = nan", AGE_SHIFT_ERROR + "'nan'"),
+        ("eval.age_mode = shift\neval.age_years = inf", AGE_SHIFT_ERROR + "'inf'"),
+        ("eval.age_mode = shift\neval.age_years = 1e300", AGE_SHIFT_ERROR + "'1e300'"),
     ],
-    ids=("sampler", "model", "synth_param"),
+    ids=("sampler", "model", "synth_param", "synth_rate_cap", "age_shift_nan", "age_shift_inf",
+         "age_shift_huge"),
 )
 def test_invalid_config_value_exit_code(tmp_path, line, message):
-    # synth validates all three before it touches any data
+    # synth validates the configs and the truth before it touches any data,
+    # and draws the data, which checks the truth's credit rates against the
+    # cap, before the chain runs. An age shift wider than the accepted age
+    # range is refused with the config, before any command runs.
     config = tmp_path / "c.kv"
     config.write_text(line + "\n", encoding="utf-8")
     res = run_cli(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
     assert res.code == 2
-    assert res.err.startswith("error:")
+    assert res.err.startswith("error:") and res.err.count("\n") == 1
     assert message in res.err
+    assert not (tmp_path / "out" / "synthetic.csv").exists()
 
 
 @pytest.mark.parametrize(

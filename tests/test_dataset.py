@@ -1,5 +1,7 @@
 """CSV loading, preprocessing, splitting, and synthetic generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from faircredit.dataset import (
     split,
     write_processed_csv,
 )
-from faircredit.errors import ConfigError, DataError
+from faircredit.errors import ConfigError, DataError, RateCapError, UserError
 from faircredit.probmodel import ModelParams
 
 CSV_HEADER = "Sex,Age,Job,Housing,Credit amount\n"
@@ -174,12 +176,6 @@ def test_dataset_subset_and_ages(tiny_dataset):
     assert sub.ages_in_years() == pytest.approx(expected)
 
 
-def test_dataset_observation_round_trip(tiny_dataset):
-    obs = tiny_dataset.observation(3)
-    assert (obs.sex, obs.job, obs.house, obs.credit) == (1, 1, 1, 45)
-    assert len(tiny_dataset.observations()) == len(tiny_dataset)
-
-
 # --- splitting ---------------------------------------------------------------
 
 def make_raw(n, seed=0):
@@ -282,6 +278,20 @@ def test_generate_synthetic_rejects_a_negative_seed(modest_params):
         generate_synthetic(modest_params, 50, seed=-1)
 
 
+def test_generate_synthetic_rate_cap():
+    # rate exp(30 c): the error names the first row's linear predictor over the
+    # cap. The latents are drawn before any head, so zero parameters give the
+    # same ones.
+    _, c = generate_synthetic(ModelParams(), 50, seed=4)
+    with pytest.raises(RateCapError) as err:
+        generate_synthetic(ModelParams(beta_c_c=30.0), 50, seed=4, rate_cap=1e6)
+    first = np.flatnonzero(30.0 * c > math.log(1e6))[0]
+    assert err.value.linear_predictor == 30.0 * c[first]
+    assert err.value.cap == 1e6
+    # the truth is the user's, so the CLI reports it as their error
+    assert isinstance(err.value, UserError)
+
+
 # --- processed csv round trip -------------------------------------------------
 
 def test_processed_csv_round_trip(tmp_path, tiny_dataset):
@@ -294,6 +304,20 @@ def test_processed_csv_round_trip(tmp_path, tiny_dataset):
     assert np.array_equal(back.age_std, tiny_dataset.age_std)  # repr round trip
     assert np.array_equal(back.credit, tiny_dataset.credit)
     assert back.standardization == tiny_dataset.standardization
+
+
+@pytest.mark.parametrize("key, value", [("age_mean", "abc"), ("age_sd", "abc"), ("age_mean", "inf")])
+def test_read_processed_csv_rejects_a_malformed_age_comment(tmp_path, tiny_dataset, key, value):
+    # an infinite mean would pass the dataset's checks and turn every
+    # re-standardized age into nan at the split
+    path = tmp_path / "processed.csv"
+    write_processed_csv(tiny_dataset, str(path))
+    lines = path.read_text().splitlines()
+    lines = [f"# {key}={value}" if ln.startswith(f"# {key}=") else ln for ln in lines]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"malformed {key} comment") as err:
+        read_processed_csv(str(path))
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_read_processed_csv_rejects_wrong_header(tmp_path):

@@ -215,8 +215,8 @@ def test_summarize_series_too_short_for_ess():
 
 def test_summarize_chain_rows_in_order(tiny_dataset, short_sampler_config):
     chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
-    rows = summarize(chain, latent_indices=(0, 3))
-    assert [r.name for r in rows] == list(chain.param_names) + ["c_0", "c_3"]
+    rows = summarize(chain)
+    assert [r.name for r in rows] == list(chain.param_names)
 
 
 def test_summary_csv_exact_header_and_formatting(tmp_path):

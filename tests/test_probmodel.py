@@ -1,8 +1,7 @@
-"""Parameter containers, priors, and the likelihood engine.
+"""Parameter containers and the likelihood engine.
 
 The engine's per-observation values are checked against scipy: log_expit for
-the logistic heads, poisson.logpmf for the credit head, and norm.logpdf for
-the standard normal priors.
+the logistic heads and poisson.logpmf for the credit head.
 """
 
 import math
@@ -11,24 +10,20 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from scipy.special import gammaln, log_expit
-from scipy.stats import norm, poisson
+from scipy.stats import poisson
 
 from faircredit.dataset import Dataset
-from faircredit.errors import DataError, RateCapError
 from faircredit.probmodel import (
     BASE_PARAM_NAMES,
     HEAD_CREDIT,
     HEAD_HOUSE,
     HEAD_JOB,
-    LOG_2PI,
     PARAM_NAMES,
     Design,
     HeadTerms,
     ModelConfig,
     ModelParams,
     head_log_likelihood,
-    log_posterior,
-    log_prior,
     per_obs_latent_slopes,
     per_obs_log_likelihood,
 )
@@ -48,17 +43,20 @@ def columns_design(sex, age, job, house, credit, config=ModelConfig()) -> Design
     return Design.from_dataset(data, config)
 
 
-def oracle_row(theta: ModelParams, c_i: float, obs, include_credit=True, config=ModelConfig()):
-    """One observation's log-likelihood assembled from scipy densities."""
-    x_j = theta.b_j + obs.sex * theta.beta_j_s + obs.age_std * theta.beta_j_a + c_i * theta.beta_j_c
-    x_h = theta.b_h + obs.sex * theta.beta_h_s + obs.age_std * theta.beta_h_a + c_i * theta.beta_h_c
-    ll = float(log_expit((2 * obs.job - 1) * x_j) + log_expit((2 * obs.house - 1) * x_h))
+def oracle_row(
+    theta: ModelParams, c_i: float, data: Dataset, i: int, include_credit=True, config=ModelConfig()
+):
+    """Row i's log-likelihood assembled from scipy densities."""
+    sex, age = int(data.sex[i]), float(data.age_std[i])
+    x_j = theta.b_j + sex * theta.beta_j_s + age * theta.beta_j_a + c_i * theta.beta_j_c
+    x_h = theta.b_h + sex * theta.beta_h_s + age * theta.beta_h_a + c_i * theta.beta_h_c
+    ll = float(log_expit((2 * data.job[i] - 1) * x_j) + log_expit((2 * data.house[i] - 1) * x_h))
     if include_credit:
-        lin = obs.sex * theta.beta_c_s + obs.age_std * theta.beta_c_a + c_i * theta.beta_c_c
+        lin = sex * theta.beta_c_s + age * theta.beta_c_a + c_i * theta.beta_c_c
         if config.include_credit_intercept:
             lin += theta.b_c
         # Python's round, like the engine's np.rint, rounds half to even
-        ll += float(poisson.logpmf(round(obs.credit / config.credit_scale), math.exp(lin)))
+        ll += float(poisson.logpmf(round(int(data.credit[i]) / config.credit_scale), math.exp(lin)))
     return ll
 
 
@@ -135,36 +133,12 @@ def test_lgamma_counts_match_gammaln_within_4_ulp():
     np.testing.assert_array_max_ulp(design.lgamma_counts[2:], gammaln(counts[2:] + 1.0), maxulp=4)
 
 
-def test_normal_log_pdf_matches_scipy():
-    r = np.random.default_rng(5)
-    for _ in range(3):
-        theta = ModelParams(*r.uniform(-3.0, 3.0, 11), b_c=float(r.uniform(-3.0, 3.0)))
-        assert log_prior(theta) == pytest.approx(
-            float(np.sum(norm.logpdf(theta.to_vector()))), rel=1e-13
-        )
-        with_b = ModelConfig(include_credit_intercept=True)
-        assert log_prior(theta, with_b) == pytest.approx(
-            float(np.sum(norm.logpdf(theta.to_vector(True)))), rel=1e-13
-        )
-
-
 def test_credit_count_rounds_half_to_even():
     # the Poisson head's count is credit / credit_scale, rounded half to even
     cases = ((25, 10.0, 2), (35, 10.0, 4), (3500, 1000.0, 4), (2500, 1000.0, 2), (7, 1.0, 7))
     for credit, scale, count in cases:
         design = columns_design([0], [0.0], [1], [1], [credit], ModelConfig(credit_scale=scale))
         assert design.counts[0] == count
-
-
-def test_log_prior_frozen_values():
-    # all-zero parameters: -(k/2) * log(2*pi)
-    assert log_prior(ModelParams()) == pytest.approx(-10.1083238652514, abs=1e-12)
-    with_intercept = ModelConfig(include_credit_intercept=True)
-    assert log_prior(ModelParams(b_c=0.0), with_intercept) == pytest.approx(
-        -11.027262398456072, abs=1e-12
-    )
-    halves = ModelParams(*([0.5] * 11))
-    assert log_prior(halves) == pytest.approx(-0.5 * (11 * LOG_2PI + 11 * 0.25), abs=1e-12)
 
 
 # --- parameter containers --------------------------------------------------
@@ -235,14 +209,13 @@ def test_obs_log_likelihood_matches_hand_assembly(tiny_dataset, modest_params):
     design = Design.from_dataset(tiny_dataset, ModelConfig())
     vec = modest_params.to_vector()
     c = np.full(len(tiny_dataset), 0.37)
-    obs = tiny_dataset.observation(1)
     ll, _ = per_obs_log_likelihood(vec, c, design)
-    assert ll[1] == pytest.approx(oracle_row(modest_params, 0.37, obs), rel=1e-12)
+    assert ll[1] == pytest.approx(oracle_row(modest_params, 0.37, tiny_dataset, 1), rel=1e-12)
 
     # without the credit term only the two binary heads remain
     no_credit, _ = per_obs_log_likelihood(vec, c, design, include_credit=False)
     assert no_credit[1] == pytest.approx(
-        oracle_row(modest_params, 0.37, obs, include_credit=False), rel=1e-12
+        oracle_row(modest_params, 0.37, tiny_dataset, 1, include_credit=False), rel=1e-12
     )
 
 
@@ -253,51 +226,12 @@ def test_obs_log_likelihood_uses_credit_intercept(tiny_dataset, modest_params):
     c = np.full(len(tiny_dataset), 0.2)
     with_b, _ = per_obs_log_likelihood(theta.to_vector(True), c, design)
     without_b, _ = per_obs_log_likelihood(modest_params.to_vector(), c, design)
-    obs = tiny_dataset.observation(0)
-    assert with_b[0] == pytest.approx(oracle_row(theta, 0.2, obs, config=config), rel=1e-12)
+    assert with_b[0] == pytest.approx(
+        oracle_row(theta, 0.2, tiny_dataset, 0, config=config), rel=1e-12
+    )
     assert with_b[0] != pytest.approx(without_b[0])
     with pytest.raises(ValueError, match="b_c"):
-        log_posterior(modest_params, c, tiny_dataset, config)
-
-
-def test_obs_log_likelihood_rate_cap(tiny_dataset):
-    # rate exp(30 c) passes the cap of 1e6 first at the third row
-    theta = ModelParams(beta_c_c=30.0)
-    c = np.zeros(len(tiny_dataset))
-    c[2], c[5] = 1.0, 2.0
-    with pytest.raises(RateCapError) as err:
-        log_posterior(theta, c, tiny_dataset, ModelConfig(poisson_rate_cap=1e6))
-    assert err.value.linear_predictor == 30.0
-    assert err.value.cap == 1e6
-
-
-def test_log_posterior_decomposes(tiny_dataset, modest_params):
-    config = ModelConfig()
-    rng = np.random.default_rng(3)
-    c = rng.standard_normal(len(tiny_dataset))
-    expected = float(np.sum(norm.logpdf(modest_params.to_vector())))
-    for i, obs in enumerate(tiny_dataset):
-        expected += float(norm.logpdf(c[i]))
-        expected += oracle_row(modest_params, c[i], obs, config=config)
-    assert log_posterior(modest_params, c, tiny_dataset, config) == pytest.approx(
-        expected, rel=1e-10
-    )
-
-
-def test_log_posterior_rejects_bad_latents(tiny_dataset, modest_params):
-    with pytest.raises(ValueError):
-        log_posterior(modest_params, np.zeros(3), tiny_dataset)
-    bad = np.zeros(len(tiny_dataset))
-    bad[0] = float("inf")
-    with pytest.raises(ValueError):
-        log_posterior(modest_params, bad, tiny_dataset)
-
-
-def test_log_posterior_rejects_invalid_data(tiny_dataset, modest_params):
-    # a count below zero has no log-factorial; it is refused as bad data
-    data = replace(tiny_dataset, credit=np.where(np.arange(len(tiny_dataset)) == 3, -3, 12))
-    with pytest.raises(DataError, match="credit must be >= 1"):
-        log_posterior(modest_params, np.zeros(len(data)), data)
+        modest_params.to_vector(True)
 
 
 # --- vectorized engine -----------------------------------------------------
@@ -312,8 +246,10 @@ def test_per_obs_matches_scalar_loop(tiny_dataset, modest_params):
         c = np.random.default_rng(8).standard_normal(len(tiny_dataset))
         ll, n_over = per_obs_log_likelihood(vec, c, design)
         assert n_over == 0
-        for i, obs in enumerate(tiny_dataset):
-            assert ll[i] == pytest.approx(oracle_row(theta, c[i], obs, config=config), rel=1e-12)
+        for i in range(len(tiny_dataset)):
+            assert ll[i] == pytest.approx(
+                oracle_row(theta, c[i], tiny_dataset, i, config=config), rel=1e-12
+            )
 
 
 def test_per_obs_bitwise_stable_under_slicing(tiny_dataset, modest_params):

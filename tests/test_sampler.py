@@ -289,6 +289,10 @@ def test_run_chain_aborts_on_persistent_likelihood_errors(tiny_dataset):
     with np.errstate(invalid="ignore"):
         with pytest.raises(SamplerError, match="likelihood errors"):
             run_chain(tiny_dataset, mc, cfg)
+    # a count below zero has no log-factorial; it is refused as bad data
+    bad = replace(tiny_dataset, credit=np.where(np.arange(len(tiny_dataset)) == 3, -3, 12))
+    with pytest.raises(DataError, match="credit must be >= 1"):
+        run_chain(bad, ModelConfig(), cfg)
 
 
 # --- fixed-parameter latent inference ------------------------------------------
@@ -306,19 +310,21 @@ def test_infer_latent_conditioning_pulls_toward_credit(modest_params):
 
 # --- exact test-time inference ----------------------------------------------------
 
-def quadrature(theta, obs, model_config, include_credit, lo, hi, points=400_001):
-    """Mean, median and std of one row's latent posterior by a dense trapezoid
+def quadrature(theta, data, i, model_config, include_credit, lo, hi, points=400_001):
+    """Mean, median and std of row i's latent posterior by a dense trapezoid
     rule on [lo, hi], with the heads written out by hand. No rate cap is
     applied: a truncated posterior is integrated by ending the window at the
     cap's bound. Also returns the density at both ends relative to its peak."""
     c = np.linspace(lo, hi, points)
     t = theta
-    xj = (t.b_j + obs.sex * t.beta_j_s + obs.age_std * t.beta_j_a + c * t.beta_j_c) * (2 * obs.job - 1)
-    xh = (t.b_h + obs.sex * t.beta_h_s + obs.age_std * t.beta_h_a + c * t.beta_h_c) * (2 * obs.house - 1)
+    sex, age = int(data.sex[i]), float(data.age_std[i])
+    job, house = int(data.job[i]), int(data.house[i])
+    xj = (t.b_j + sex * t.beta_j_s + age * t.beta_j_a + c * t.beta_j_c) * (2 * job - 1)
+    xh = (t.b_h + sex * t.beta_h_s + age * t.beta_h_a + c * t.beta_h_c) * (2 * house - 1)
     logw = -np.logaddexp(0.0, -xj) - np.logaddexp(0.0, -xh) - 0.5 * c * c
     if include_credit:
-        count = np.rint(obs.credit / model_config.credit_scale)
-        lin = obs.sex * t.beta_c_s + obs.age_std * t.beta_c_a + c * t.beta_c_c
+        count = np.rint(int(data.credit[i]) / model_config.credit_scale)
+        lin = sex * t.beta_c_s + age * t.beta_c_a + c * t.beta_c_c
         if model_config.include_credit_intercept:
             lin = lin + t.b_c
         logw = logw + count * lin - np.exp(lin) - gammaln(count + 1.0)
@@ -341,9 +347,7 @@ def assert_matches_quadrature(theta, data, model_config, include_credit, windows
             lo, hi = post.mean[i] - 40 * post.std[i], post.mean[i] + 40 * post.std[i]
         else:
             lo, hi = windows[i]
-        mean, median, std, edge = quadrature(
-            theta, data.observation(i), model_config, include_credit, lo, hi
-        )
+        mean, median, std, edge = quadrature(theta, data, i, model_config, include_credit, lo, hi)
         if windows is None:
             assert edge < 1e-30, i
         assert abs(post.mean[i] - mean) <= 1e-8, (i, post.mean[i], mean)
@@ -447,7 +451,7 @@ def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
 
 def test_export_and_read_chain_round_trip(tmp_path, tiny_dataset, short_sampler_config):
     chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
-    paths = export_chain(chain, str(tmp_path), header_lines=("config_hash=feed",))
+    paths = export_chain(chain, str(tmp_path), [0], header_lines=("config_hash=feed",))
     assert [p.rsplit("/", 1)[1] for p in paths] == ["params.csv", "latents.csv"]
     for p in paths:
         assert open(p).readline() == "# config_hash=feed\n"
