@@ -13,6 +13,7 @@ from scipy.special import gammaln, log_expit
 from scipy.stats import poisson
 
 from faircredit.dataset import Dataset
+from faircredit.errors import DataError
 from faircredit.probmodel import (
     BASE_PARAM_NAMES,
     HEAD_CREDIT,
@@ -27,6 +28,7 @@ from faircredit.probmodel import (
     per_obs_latent_slopes,
     per_obs_log_likelihood,
 )
+from faircredit.sampler import SamplerConfig, infer_latent, run_chain
 
 
 def one_row(design: Design, i: int) -> Design:
@@ -299,6 +301,17 @@ def test_head_log_likelihood_overflow_counts(tiny_dataset):
     uncapped, _ = per_obs_log_likelihood(vec, c, Design.from_dataset(tiny_dataset, ModelConfig()))
     assert np.array_equal(ll[female], uncapped[female])
     assert np.all(np.isfinite(ll[female]))
+
+
+def test_log_posterior_rejects_invalid_data(tiny_dataset, modest_params):
+    # a count below zero has no log-factorial; both posterior evaluators, the
+    # training chain and test-time inference, refuse it as bad data
+    data = replace(tiny_dataset, credit=np.where(np.arange(len(tiny_dataset)) == 3, -3, 12))
+    cfg = SamplerConfig(iterations=10, burn_in=0, adapt_during_burn_in=False, seed=0)
+    with pytest.raises(DataError, match="credit must be >= 1"):
+        run_chain(data, ModelConfig(), cfg)
+    with pytest.raises(DataError, match="credit must be >= 1"):
+        infer_latent(modest_params, data, ModelConfig(), include_credit=True)
 
 
 @pytest.mark.parametrize("include_credit", [False, True], ids=["honest", "leaky"])

@@ -289,10 +289,6 @@ def test_run_chain_aborts_on_persistent_likelihood_errors(tiny_dataset):
     with np.errstate(invalid="ignore"):
         with pytest.raises(SamplerError, match="likelihood errors"):
             run_chain(tiny_dataset, mc, cfg)
-    # a count below zero has no log-factorial; it is refused as bad data
-    bad = replace(tiny_dataset, credit=np.where(np.arange(len(tiny_dataset)) == 3, -3, 12))
-    with pytest.raises(DataError, match="credit must be >= 1"):
-        run_chain(bad, ModelConfig(), cfg)
 
 
 # --- fixed-parameter latent inference ------------------------------------------
