@@ -11,11 +11,13 @@ command: `ingest`, `fit --model full`, `fit --model unaware`,
 `fit --model fair`, `diagnose` (on the chain that fit wrote) and `compare` at
 defaults, then `synth` with the benchmark's synth_large config
 (perfbench/checks.py), one after the other into the same --out path, so that
-the config hashes match. Every file under --out is compared, and so are
-each command's stdout, stderr and exit code. Prints `seed N: identical` or
-the outputs that differ; the exit code is 1 if any differ. The data and the
-synth_large config come from the checkout that holds this script, and the
-commands run from its root.
+the config hashes match. Then `fit --model fair` and `compare` run again
+with `fair.latent_point = median`, the one path on which the chain keeps
+every latent draw, into a second --out path. Every file under both --out
+paths is compared, and so are each command's stdout, stderr and exit code.
+Prints `seed N: identical` or the outputs that differ; the exit code is 1 if
+any differ. The data and the synth_large config come from the checkout that
+holds this script, and the commands run from its root.
 """
 
 import argparse
@@ -29,37 +31,43 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from checks import synth_config_text  # noqa: E402
 
+# (name, --out directory under the work directory, arguments); {work} is
+# the work directory, which holds the written configs
 COMMANDS = (
-    ("ingest", ["ingest"]),
-    ("fit full", ["fit", "--model", "full"]),
-    ("fit unaware", ["fit", "--model", "unaware"]),
-    ("fit fair", ["fit", "--model", "fair"]),
-    ("diagnose", ["diagnose"]),
-    ("compare", ["compare"]),
-    ("synth", ["synth", "--config", "{synth_config}"]),
+    ("ingest", "out", ["ingest"]),
+    ("fit full", "out", ["fit", "--model", "full"]),
+    ("fit unaware", "out", ["fit", "--model", "unaware"]),
+    ("fit fair", "out", ["fit", "--model", "fair"]),
+    ("diagnose", "out", ["diagnose"]),
+    ("compare", "out", ["compare"]),
+    ("synth", "out", ["synth", "--config", "{work}/synth.kv"]),
+    ("fit fair median", "out_median", ["fit", "--model", "fair", "--config", "{work}/median.kv"]),
+    ("compare median", "out_median", ["compare", "--config", "{work}/median.kv"]),
 )
+CONFIGS = {"synth.kv": synth_config_text(), "median.kv": "fair.latent_point = median\n"}
 
 
 def run_tree(src: str, seed: int, work: str) -> dict[str, bytes]:
     """Run every command with the package in src; return each output by name."""
-    out = os.path.join(work, "out")
-    shutil.rmtree(out, ignore_errors=True)
+    out_dirs = sorted({os.path.join(work, out) for _, out, _ in COMMANDS})
+    for out in out_dirs:
+        shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=src)
-    synth_config = os.path.join(work, "synth.kv")
     outputs = {}
-    for name, args in COMMANDS:
+    for name, out, args in COMMANDS:
         argv = [sys.executable, "-m", "faircredit.cli"]
-        argv += [a.format(synth_config=synth_config) for a in args]
-        argv += ["--seed", str(seed), "--out", out]
+        argv += [a.format(work=work) for a in args]
+        argv += ["--seed", str(seed), "--out", os.path.join(work, out)]
         proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
         outputs[f"stdout of {name}"] = proc.stdout
         outputs[f"stderr of {name}"] = proc.stderr
         outputs[f"exit code of {name}"] = str(proc.returncode).encode()
-    for folder, _, files in os.walk(out):
-        for f in files:
-            path = os.path.join(folder, f)
-            with open(path, "rb") as fh:
-                outputs[os.path.relpath(path, work)] = fh.read()
+    for out in out_dirs:
+        for folder, _, files in os.walk(out):
+            for f in files:
+                path = os.path.join(folder, f)
+                with open(path, "rb") as fh:
+                    outputs[os.path.relpath(path, work)] = fh.read()
     return outputs
 
 
@@ -76,8 +84,9 @@ def main(argv=None) -> int:
             return 2
     any_differ = False
     with tempfile.TemporaryDirectory(prefix="diff_outputs_") as work:
-        with open(os.path.join(work, "synth.kv"), "w", encoding="utf-8") as fh:
-            fh.write(synth_config_text())
+        for name, text in CONFIGS.items():
+            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for seed in args.seeds:
             old, new = (run_tree(src, seed, work) for src in trees)
             differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))

@@ -42,7 +42,7 @@ from .diagnostics import (
     summary_to_csv_text,
     write_summary_csv,
 )
-from .errors import ConfigError, FairCreditError, UserError
+from .errors import ConfigError, FairCreditError, RateCapError, UserError
 from .evaluation import compare_models, covariance_matrix, matrix_to_csv_text
 from .predictors import ForestConfig, fit_fair, fit_full, fit_unaware, save_fair_model
 from .probmodel import ModelConfig, ModelParams, PARAM_NAMES
@@ -150,7 +150,7 @@ def resolve_config(
     for key in SEED_KEYS:
         if _get_int(cfg, key) < 0:
             raise ConfigError(f"config key {key} must be a non-negative integer, got {cfg[key]!r}")
-    for key, least in (("out.bins", 1), ("out.max_lag", 0)):
+    for key, least in (("out.bins", 1), ("out.max_lag", 0), ("out.latent_columns", 0)):
         if _get_int(cfg, key) < least:
             raise ConfigError(f"config key {key} must be an integer >= {least}, got {cfg[key]!r}")
     span = AGE_MAX - AGE_MIN
@@ -272,8 +272,6 @@ def _synth_truth(cfg: dict[str, str]) -> ModelParams:
 
 def _latent_columns(n: int, want: int) -> tuple[int, ...]:
     """Evenly spaced latent indices for export, at most `want` of them."""
-    if want <= 0:
-        return ()
     if n <= want:
         return tuple(range(n))
     return tuple(np.unique(np.round(np.linspace(0, n - 1, want)).astype(int)).tolist())
@@ -357,15 +355,17 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
 
     mc = build_model_config(cfg)
     sc = build_sampler_config(cfg)
-    chain = run_chain(train, mc, sc)
-    lat_cols = _latent_columns(len(train), _get_int(cfg, "out.latent_columns"))
-    export_chain(chain, out, latent_indices=lat_cols, header_lines=header)
+    latent_point = _get_choice(cfg, "fair.latent_point", ("mean", "median"))
+    chain = run_chain(
+        train, mc, sc,
+        latent_columns=_latent_columns(len(train), _get_int(cfg, "out.latent_columns")),
+        keep_medians=latent_point == "median",
+    )
+    export_chain(chain, out, header_lines=header)
     summary = summarize(chain)
     write_summary_csv(summary, os.path.join(out, "summary.csv"), header)
     fair = fit_fair(
-        train, mc, sc, build_forest_config(cfg),
-        latent_point=_get_choice(cfg, "fair.latent_point", ("mean", "median")),
-        chain=chain,
+        train, mc, sc, build_forest_config(cfg), latent_point=latent_point, chain=chain
     )
     save_fair_model(fair, os.path.join(out, "model_fair"), header)
 
@@ -401,9 +401,11 @@ def _warn_if_unmixed(summary: Sequence[SummaryRow]) -> None:
         print(warning, file=sys.stderr)
 
 
-def _warned_chain(train: Dataset, mc: ModelConfig, sc: SamplerConfig) -> Chain:
+def _warned_chain(
+    train: Dataset, mc: ModelConfig, sc: SamplerConfig, keep_medians: bool
+) -> Chain:
     """run_chain, with fit's mixing warning on stderr."""
-    chain = run_chain(train, mc, sc)
+    chain = run_chain(train, mc, sc, keep_medians=keep_medians)
     _warn_if_unmixed(summarize(chain))
     return chain
 
@@ -431,20 +433,21 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     train, test = _load_splits(cfg, header)
     mc = build_model_config(cfg)
     sc = build_sampler_config(cfg)
+    latent_point = _get_choice(cfg, "fair.latent_point", ("mean", "median"))
     report = compare_models(
         train,
         test,
         mc,
         sc,
         build_forest_config(cfg),
-        latent_point=_get_choice(cfg, "fair.latent_point", ("mean", "median")),
+        latent_point=latent_point,
         age_mode=_get_choice(cfg, "eval.age_mode", ("mirror", "shift")),
         age_years=_get_float(cfg, "eval.age_years"),
         split_seed=_get_int(cfg, "split.seed"),
         leaky_headline=_get_bool(cfg, "fair.leaky"),
         # a temporary, not a local: compare_models then holds the only
         # reference and frees the draws before test-time inference
-        chain=_warned_chain(train, mc, sc),
+        chain=_warned_chain(train, mc, sc, keep_medians=latent_point == "median"),
     )
     path = os.path.join(cfg["out.dir"], "compare.csv")
     atomic_write_text(path, report.to_csv_text(header))
@@ -457,10 +460,15 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     truth = _synth_truth(cfg)
     mc = build_model_config(cfg)
     sc = build_sampler_config(cfg)
-    data, true_c = generate_synthetic(
-        truth, _get_int(cfg, "synth.n"), _get_int(cfg, "synth.seed"),
-        rate_cap=mc.poisson_rate_cap,
-    )
+    try:
+        data, true_c = generate_synthetic(
+            truth, _get_int(cfg, "synth.n"), _get_int(cfg, "synth.seed"),
+            rate_cap=mc.poisson_rate_cap,
+        )
+    except RateCapError as exc:
+        raise ConfigError(
+            f"{exc}; check the synth.param.* values and model.poisson_rate_cap"
+        ) from None
     out = cfg["out.dir"]
     write_processed_csv(data, os.path.join(out, "synthetic.csv"), header)
     lines = [f"# {h}" for h in header] + ["index,c"]

@@ -233,7 +233,8 @@ def compare_models(
     conditioned on it) and reported under their own labels; leaky_headline
     picks which fills the fair test_r2 cell. Flip gaps always use the honest
     protocol. Pass a chain already run on (train, model_config,
-    sampler_config) to skip stage-one sampling.
+    sampler_config) to skip stage-one sampling; latent_point="median" needs
+    one run with keep_medians.
     """
     y_train = np.asarray(train.credit, dtype=float)
     y_test = np.asarray(test.credit, dtype=float)
@@ -255,7 +256,9 @@ def compare_models(
         metrics[name] = scores(model, _predictions(model, train), _predictions(model, test))
 
     if chain is None:
-        chain = run_chain(train, model_config, sampler_config)
+        chain = run_chain(
+            train, model_config, sampler_config, keep_medians=latent_point == "median"
+        )
     fair = fit_fair(train, model_config, sampler_config, forest_config, latent_point, chain=chain)
     c_train = chain.latent_means() if latent_point == "mean" else chain.latent_medians()
     del chain  # lets the stage-one draws be freed before test-time inference

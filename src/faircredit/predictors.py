@@ -475,14 +475,16 @@ def fit_fair(
     """Two-stage fit: full-model chain, then forest of credit on the latent score.
 
     Pass a chain already run on (train, model_config, sampler_config) to skip
-    the sampling stage.
+    the sampling stage; latent_point="median" needs one run with keep_medians.
     """
     if latent_point not in ("mean", "median"):
         raise ConfigError(f"latent_point must be 'mean' or 'median', got {latent_point!r}")
     train.validate()
     if chain is None:
-        chain = run_chain(train, model_config, sampler_config)
-    if chain.latent_draws.shape[1] != len(train):
+        chain = run_chain(
+            train, model_config, sampler_config, keep_medians=latent_point == "median"
+        )
+    if len(chain.latent_mean) != len(train):
         raise ValueError("chain latent width does not match the training set")
     theta_hat = chain.theta_median()
     c_feat = chain.latent_means() if latent_point == "mean" else chain.latent_medians()

@@ -113,11 +113,20 @@ class SamplerConfig:
 
 @dataclass
 class Chain:
-    """Stored draws plus bookkeeping from one run."""
+    """Stored draws, per-row latent summaries and bookkeeping from one run.
+
+    Every parameter draw is kept. Of the latent draws only the requested
+    columns are: latent_draws[:, j] holds latent latent_columns[j]. Each
+    row's latent mean is always kept, its median only when the chain was
+    run with keep_medians.
+    """
 
     param_names: tuple[str, ...]
     param_draws: np.ndarray            # (n_draws, n_params)
-    latent_draws: np.ndarray           # (n_draws, n_obs)
+    latent_mean: np.ndarray            # (n_obs,)
+    latent_median: np.ndarray | None   # (n_obs,), or None when not requested
+    latent_columns: tuple[int, ...]
+    latent_draws: np.ndarray           # (n_draws, len(latent_columns))
     accept_rate_params: np.ndarray     # per parameter, post burn-in
     accept_rate_latents: float         # pooled over latents, post burn-in
     config: SamplerConfig
@@ -133,10 +142,12 @@ class Chain:
         return ModelParams.from_vector(med)
 
     def latent_means(self) -> np.ndarray:
-        return self.latent_draws.mean(axis=0)
+        return self.latent_mean
 
     def latent_medians(self) -> np.ndarray:
-        return np.median(self.latent_draws, axis=0)
+        if self.latent_median is None:
+            raise ValueError("this chain kept no latent medians; run it with keep_medians=True")
+        return self.latent_median
 
 
 @dataclass
@@ -180,8 +191,22 @@ def _latent_uniforms(rngs: Sequence[np.random.Generator]):
         yield prop, acc
 
 
-def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerConfig) -> Chain:
+def run_chain(
+    data: Dataset,
+    model_config: ModelConfig,
+    sampler_config: SamplerConfig,
+    *,
+    latent_columns: Sequence[int] = (),
+    keep_medians: bool = False,
+) -> Chain:
     """Run the full Metropolis-within-Gibbs chain on a dataset.
+
+    Every kept parameter draw is stored. Of the latents, the chain keeps a
+    running sum of the kept rows, so latent_mean is bitwise the column mean
+    of the full (n_draws, n) draw matrix when n >= 2 (numpy then reduces its
+    axis 0 row by row, in the same order), and the draws of latent_columns
+    only. Only with keep_medians does it store the full matrix, to take its
+    column medians at the end, in place; the matrix is not returned.
 
     Initial state is all zeros. Within a sweep, parameters update first,
     then all latents. The job and house heads share no parameter, so the
@@ -210,6 +235,10 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     data.validate()
     cfg = sampler_config
     n = len(data)
+    columns = tuple(int(i) for i in latent_columns)
+    for i in columns:
+        if not (0 <= i < n):
+            raise ValueError(f"latent column {i} out of range [0, {n})")
     design = Design.from_dataset(data, model_config)
     names = model_config.active_param_names()
     k = len(names)
@@ -224,7 +253,10 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
 
     n_draws = cfg.n_draws()
     param_draws = np.empty((n_draws, k))
-    latent_draws = np.empty((n_draws, n))
+    latent_sum = np.empty(n)
+    column_index = np.array(columns, dtype=np.intp)
+    column_draws = np.empty((n_draws, len(columns)))
+    all_draws = np.empty((n_draws, n)) if keep_medians else None
 
     post_sweeps = cfg.iterations - cfg.burn_in
     acc_param_post = [0] * k
@@ -319,7 +351,13 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
 
         if post and (sweep - cfg.burn_in) % cfg.thin == 0:
             param_draws[draw_idx] = theta
-            latent_draws[draw_idx] = c
+            if draw_idx == 0:
+                latent_sum[:] = c
+            else:
+                latent_sum += c
+            column_draws[draw_idx] = c[column_index]
+            if all_draws is not None:
+                all_draws[draw_idx] = c
             draw_idx += 1
 
     if err_steps > ERROR_BUDGET * total_steps:
@@ -331,7 +369,13 @@ def run_chain(data: Dataset, model_config: ModelConfig, sampler_config: SamplerC
     return Chain(
         param_names=names,
         param_draws=param_draws,
-        latent_draws=latent_draws,
+        latent_mean=latent_sum / n_draws,
+        # the matrix is dropped after this, so it may be partitioned in place
+        latent_median=(
+            None if all_draws is None else np.median(all_draws, axis=0, overwrite_input=True)
+        ),
+        latent_columns=columns,
+        latent_draws=column_draws,
         accept_rate_params=np.array(acc_param_post) / max(post_sweeps, 1),
         accept_rate_latents=acc_latent_post / max(n * post_sweeps, 1),
         config=cfg,
@@ -557,41 +601,23 @@ def _hermite_median(
 # ---------------------------------------------------------------------------
 # chain file io
 
-def export_chain(
-    chain: Chain,
-    out_dir: str,
-    latent_indices: Sequence[int],
-    header_lines: tuple[str, ...] = (),
-) -> list[str]:
+def export_chain(chain: Chain, out_dir: str, header_lines: tuple[str, ...] = ()) -> list[str]:
     """Write params.csv and latents.csv under out_dir; returns the paths.
 
-    latent_indices selects which latent columns latents.csv holds.
+    latents.csv holds the latent columns the chain kept (chain.latent_columns).
     """
     paths = []
-
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(",".join(("draw",) + chain.param_names))
-    for d in range(chain.n_draws()):
-        row = ",".join(repr(float(v)) for v in chain.param_draws[d])
-        lines.append(f"{d},{row}")
-    p = os.path.join(out_dir, "params.csv")
-    atomic_write_text(p, "\n".join(lines) + "\n")
-    paths.append(p)
-
-    n_obs = chain.latent_draws.shape[1]
-    idx = [int(i) for i in latent_indices]
-    for i in idx:
-        if not (0 <= i < n_obs):
-            raise ValueError(f"latent index {i} out of range [0, {n_obs})")
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(",".join(["draw"] + [f"c_{i}" for i in idx]))
-    sub = chain.latent_draws[:, idx]
-    for d in range(chain.n_draws()):
-        row = ",".join(repr(float(v)) for v in sub[d])
-        lines.append(f"{d},{row}")
-    p = os.path.join(out_dir, "latents.csv")
-    atomic_write_text(p, "\n".join(lines) + "\n")
-    paths.append(p)
+    for name, columns, draws in (
+        ("params.csv", chain.param_names, chain.param_draws),
+        ("latents.csv", [f"c_{i}" for i in chain.latent_columns], chain.latent_draws),
+    ):
+        lines = [f"# {h}" for h in header_lines]
+        lines.append(",".join(["draw", *columns]))
+        for d, row in enumerate(draws):
+            lines.append(",".join([str(d), *(repr(float(v)) for v in row)]))
+        p = os.path.join(out_dir, name)
+        atomic_write_text(p, "\n".join(lines) + "\n")
+        paths.append(p)
     return paths
 
 

@@ -520,12 +520,15 @@ def test_negative_seed_exit_code(workspace, tmp_path, flags, key):
         ("diagnose", "out.bins", "-2", 1),
         ("fit", "out.bins", "0", 1),
         ("diagnose", "out.max_lag", "-3", 0),
+        ("fit", "out.latent_columns", "-3", 0),
     ],
-    ids=("ingest_bins", "diagnose_bins", "fit_autoingest_bins", "diagnose_max_lag"),
+    ids=("ingest_bins", "diagnose_bins", "fit_autoingest_bins", "diagnose_max_lag",
+         "fit_latent_columns"),
 )
 def test_bad_plot_size_exit_code(workspace, tmp_path, command, key, value, least):
     # np.histogram and autocorrelation would raise ValueError deep inside the
-    # command; config resolution turns the value into a one-line error instead
+    # command, and a negative out.latent_columns exported nothing without a
+    # word; config resolution turns the value into a one-line error instead
     config = tmp_path / "c.kv"
     lines = workspace["config"].read_text(encoding="utf-8").splitlines()
     lines = [ln for ln in lines if not ln.startswith(f"{key} =")] + [f"{key} = {value}"]
@@ -568,6 +571,49 @@ def test_chain_keeping_under_two_draws_exit_code(
     for key in keys:
         assert key in res.err
     assert not (tmp_path / "out" / "params.csv").exists()
+
+
+def config_with(workspace, tmp_path, keys):
+    """The workspace config with keys set, written under tmp_path."""
+    config = tmp_path / "c.kv"
+    lines = workspace["config"].read_text(encoding="utf-8").splitlines()
+    lines = [ln for ln in lines if ln.split(" =")[0] not in keys]
+    lines += [f"{k} = {v}" for k, v in keys.items()]
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return config
+
+
+def test_fit_fair_without_latent_columns(workspace, tmp_path):
+    # latents.csv then holds the draw index alone, with no trailing comma
+    config = config_with(workspace, tmp_path, {"out.latent_columns": 0})
+    out = tmp_path / "out"
+    res = run_cli(["fit", "--model", "fair", "--config", str(config), "--out", str(out)])
+    assert res.code == 0, res.err
+    lines = (out / "latents.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1:] == ["draw"] + [str(d) for d in range(30)]
+
+
+def test_median_latent_point_fit_and_compare(workspace, tmp_path):
+    # the median is the one latent point that needs every latent draw
+    config = config_with(workspace, tmp_path, {"fair.latent_point": "median"})
+    out = tmp_path / "out"
+    for command in (["fit", "--model", "fair"], ["compare"]):
+        res = run_cli([*command, "--config", str(config), "--out", str(out)])
+        assert res.code == 0, res.err
+    saved = parse_kv_text((out / "model_fair" / "config.kv").read_text(encoding="utf-8"))
+    assert saved["latent_point"] == "median"
+    assert (out / "compare.csv").exists()
+
+
+def test_synth_rate_cap_names_its_config_keys(tmp_path):
+    config = tmp_path / "c.kv"
+    config.write_text("synth.n = 50\nsynth.param.beta_c_c = 30\n", encoding="utf-8")
+    res = run_cli(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert res.code == 2
+    assert res.err.startswith("error: poisson rate overflow: linear predictor ")
+    assert res.err.count("\n") == 1
+    assert "synth.param.*" in res.err and "model.poisson_rate_cap" in res.err
 
 
 @pytest.mark.parametrize(

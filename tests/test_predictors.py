@@ -459,7 +459,7 @@ def small_fair_model(tiny_dataset, latent_point="mean", mc=ModelConfig()):
 
     sc = SamplerConfig(iterations=300, burn_in=100, thin=2, seed=5)
     fc = ForestConfig(n_trees=8, max_depth=3, min_leaf=2, seed=1)
-    chain = run_chain(tiny_dataset, mc, sc)
+    chain = run_chain(tiny_dataset, mc, sc, keep_medians=latent_point == "median")
     model = fit_fair(tiny_dataset, mc, sc, fc, latent_point=latent_point, chain=chain)
     return model, chain
 
@@ -475,13 +475,20 @@ def test_fit_fair_uses_posterior_medians_and_latent_means(tiny_dataset):
 
 
 def test_fit_fair_latent_point_median_changes_features(tiny_dataset):
-    mean_model, chain = small_fair_model(tiny_dataset, "mean")
-    median_model, _ = small_fair_model(tiny_dataset, "median")
+    mean_model, mean_chain = small_fair_model(tiny_dataset, "mean")
+    median_model, chain = small_fair_model(tiny_dataset, "median")
     assert mean_model.latent_point == "mean"
     assert median_model.latent_point == "median"
+    assert np.array_equal(chain.latent_means(), mean_chain.latent_means())
     assert not np.array_equal(chain.latent_means(), chain.latent_medians())
     with pytest.raises(ConfigError):
         fit_fair(tiny_dataset, ModelConfig(), chain.config, ForestConfig(), latent_point="mode")
+    # a chain run without keep_medians has no medians to fit on
+    with pytest.raises(ValueError, match="kept no latent medians"):
+        fit_fair(
+            tiny_dataset, ModelConfig(), chain.config, ForestConfig(),
+            latent_point="median", chain=mean_chain,
+        )
 
 
 def test_predict_fair_deterministic_and_protocol_sensitive(tiny_dataset):

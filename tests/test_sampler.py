@@ -204,11 +204,12 @@ def reference_chain(data, model_config, cfg):
 
 
 def assert_chain_matches_reference(data, model_config, cfg):
-    chain = run_chain(data, model_config, cfg)
+    chain = run_chain(data, model_config, cfg, latent_columns=range(len(data)))
     params, latents, acc_p, acc_l, delta, step, errors = reference_chain(data, model_config, cfg)
     assert chain.n_likelihood_errors == sum(errors)
     assert np.array_equal(chain.param_draws, params)
     assert np.array_equal(chain.latent_draws, latents)
+    assert np.array_equal(chain.latent_mean, latents.mean(axis=0))
     assert np.array_equal(chain.accept_rate_params, acc_p)
     assert chain.accept_rate_latents == acc_l
     assert chain.final_delta == delta
@@ -246,7 +247,7 @@ def test_run_chain_is_deterministic(tiny_dataset, short_sampler_config):
     a = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
     b = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
     assert np.array_equal(a.param_draws, b.param_draws)
-    assert np.array_equal(a.latent_draws, b.latent_draws)
+    assert np.array_equal(a.latent_mean, b.latent_mean)
 
 
 def test_run_chain_seed_changes_draws(tiny_dataset, short_sampler_config):
@@ -258,13 +259,40 @@ def test_run_chain_seed_changes_draws(tiny_dataset, short_sampler_config):
 
 def test_run_chain_shapes_and_names(tiny_dataset):
     cfg = SamplerConfig(iterations=30, burn_in=10, thin=4, seed=0)
-    chain = run_chain(tiny_dataset, ModelConfig(), cfg)
+    chain = run_chain(tiny_dataset, ModelConfig(), cfg, latent_columns=(0, 3))
     assert chain.n_draws() == 5
     assert chain.param_draws.shape == (5, 11)
-    assert chain.latent_draws.shape == (5, len(tiny_dataset))
+    assert chain.latent_columns == (0, 3)
+    assert chain.latent_draws.shape == (5, 2)
+    assert chain.latent_mean.shape == (len(tiny_dataset),)
+    assert chain.latent_median is None
     assert chain.param_names == ModelConfig().active_param_names()
     med = chain.theta_median()
     assert med.b_c is None
+
+
+def test_run_chain_streams_exact_latent_summaries(tiny_dataset, short_sampler_config):
+    n = len(tiny_dataset)
+    full = run_chain(
+        tiny_dataset, ModelConfig(), short_sampler_config,
+        latent_columns=range(n), keep_medians=True,
+    )
+    draws = full.latent_draws
+    assert draws.shape == (full.n_draws(), n)
+    assert np.array_equal(full.latent_mean, draws.mean(axis=0))
+    assert np.array_equal(full.latent_median, np.median(draws, axis=0))
+    assert np.array_equal(full.latent_medians(), full.latent_median)
+
+    # by default the chain stores no (n_draws, n) latent matrix
+    small = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
+    assert np.array_equal(small.param_draws, full.param_draws)
+    assert np.array_equal(small.latent_mean, full.latent_mean)
+    assert small.latent_median is None
+    with pytest.raises(ValueError, match="keep_medians"):
+        small.latent_medians()
+    arrays = [v for v in vars(small).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size < small.n_draws() * n for a in arrays)
+    assert small.latent_draws.shape == (small.n_draws(), 0)
 
 
 def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset):
@@ -447,7 +475,7 @@ def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
 
 def test_export_and_read_chain_round_trip(tmp_path, tiny_dataset, short_sampler_config):
     chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
-    paths = export_chain(chain, str(tmp_path), [0], header_lines=("config_hash=feed",))
+    paths = export_chain(chain, str(tmp_path), header_lines=("config_hash=feed",))
     assert [p.rsplit("/", 1)[1] for p in paths] == ["params.csv", "latents.csv"]
     for p in paths:
         assert open(p).readline() == "# config_hash=feed\n"
@@ -457,12 +485,18 @@ def test_export_and_read_chain_round_trip(tmp_path, tiny_dataset, short_sampler_
 
 
 def test_export_chain_latent_subset(tmp_path, tiny_dataset, short_sampler_config):
-    chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
-    export_chain(chain, str(tmp_path), latent_indices=[0, 7])
-    header = open(tmp_path / "latents.csv").readline().strip()
-    assert header == "draw,c_0,c_7"
-    with pytest.raises(ValueError, match="out of range"):
-        export_chain(chain, str(tmp_path), latent_indices=[99])
+    n = len(tiny_dataset)
+    full = run_chain(tiny_dataset, ModelConfig(), short_sampler_config, latent_columns=range(n))
+    chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config, latent_columns=[0, 7])
+    export_chain(chain, str(tmp_path))
+    lines = open(tmp_path / "latents.csv").read().splitlines()
+    assert lines[0] == "draw,c_0,c_7"
+    assert len(lines) == 1 + chain.n_draws()
+    assert lines[1] == f"0,{float(full.latent_draws[0, 0])!r},{float(full.latent_draws[0, 7])!r}"
+    # the indices are checked before the first sweep
+    for bad in ([n], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            run_chain(tiny_dataset, ModelConfig(), short_sampler_config, latent_columns=bad)
 
 
 def test_read_param_chain_csv_errors(tmp_path):

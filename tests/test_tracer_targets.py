@@ -7,7 +7,8 @@ import importlib.util
 import inspect
 import os
 
-from faircredit.sampler import infer_latent, run_chain
+from faircredit.probmodel import ModelConfig
+from faircredit.sampler import SamplerConfig, infer_latent, run_chain
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -37,3 +38,17 @@ def test_infer_latent_takes_include_credit_by_keyword():
     # infer_latent does not have
     param = inspect.signature(infer_latent).parameters["include_credit"]
     assert param.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_run_chain_observer_runs_on_a_real_chain(tiny_dataset):
+    # a traced fit, compare or synth hands every chain to this observer, and
+    # its ESS is taken from the kept parameter draws after the command ends
+    tracer = load_tracer()
+    mc, sc = ModelConfig(), SamplerConfig(iterations=120, burn_in=20, seed=0)
+    chain = run_chain(tiny_dataset, mc, sc)
+    stat = tracer.Stat()
+    tracer._observe_run_chain(stat, (tiny_dataset, mc, sc), {}, chain, 0.0)
+    tracer.ess_bulk_min(chain.param_draws)
+    assert stat.extra["sweeps"] == sc.iterations
+    assert stat.extra["draws_bytes"] == chain.param_draws.nbytes + chain.latent_draws.nbytes
+    assert stat.kept["param_draws"] is chain.param_draws
