@@ -13,8 +13,13 @@ defaults, then `synth` with the benchmark's synth_large config
 (perfbench/checks.py), one after the other into the same --out path, so that
 the config hashes match. Then `fit --model fair` and `compare` run again
 with `fair.latent_point = median`, the one path on which the chain keeps
-every latent draw, into a second --out path. Every file under both --out
-paths is compared, and so are each command's stdout, stderr and exit code.
+every latent draw, into a second --out path. `fit --model fair --preset
+recommended`, which turns the credit intercept on, runs into a third. Last,
+`synth` runs with two configs it refuses (`sampler.delta = abc`,
+`model.poisson_rate_cap = x`) into a fourth, so that their error messages
+and exit codes are compared; synth reads every config it needs before any
+work, in both trees. Every file under the --out paths is compared, and so
+are each command's stdout, stderr and exit code.
 Prints `seed N: identical` or the outputs that differ; the exit code is 1 if
 any differ. The data and the synth_large config come from the checkout that
 holds this script, and the commands run from its root.
@@ -43,8 +48,17 @@ COMMANDS = (
     ("synth", "out", ["synth", "--config", "{work}/synth.kv"]),
     ("fit fair median", "out_median", ["fit", "--model", "fair", "--config", "{work}/median.kv"]),
     ("compare median", "out_median", ["compare", "--config", "{work}/median.kv"]),
+    ("fit fair recommended", "out_recommended",
+     ["fit", "--model", "fair", "--preset", "recommended"]),
+    ("synth bad delta", "out_refused", ["synth", "--config", "{work}/bad_delta.kv"]),
+    ("synth bad rate cap", "out_refused", ["synth", "--config", "{work}/bad_rate_cap.kv"]),
 )
-CONFIGS = {"synth.kv": synth_config_text(), "median.kv": "fair.latent_point = median\n"}
+CONFIGS = {
+    "synth.kv": synth_config_text(),
+    "median.kv": "fair.latent_point = median\n",
+    "bad_delta.kv": "sampler.delta = abc\n",
+    "bad_rate_cap.kv": "model.poisson_rate_cap = x\n",
+}
 
 
 def run_tree(src: str, seed: int, work: str) -> dict[str, bytes]:

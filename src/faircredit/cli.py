@@ -47,7 +47,15 @@ from .evaluation import compare_models, covariance_matrix, matrix_to_csv_text
 from .predictors import ForestConfig, fit_fair, fit_full, fit_unaware, save_fair_model
 from .probmodel import ModelConfig, ModelParams, PARAM_NAMES
 from .sampler import Chain, SamplerConfig, export_chain, read_param_chain_csv, run_chain
-from .util import atomic_write_text, format_kv_text, parse_bool, parse_kv_text, sha256_hex
+from .util import (
+    atomic_write_text,
+    config_from_items,
+    config_items,
+    format_kv_text,
+    parse_kv_text,
+    parse_value,
+    sha256_hex,
+)
 
 _SYNTH_PARAM_DEFAULTS = {f"synth.param.{name}": "0.0" for name in PARAM_NAMES[:-1]}
 _SYNTH_PARAM_DEFAULTS["synth.param.b_c"] = "none"
@@ -64,21 +72,9 @@ DEFAULTS: dict[str, str] = {
     "preprocess.standardize_age": "true",
     "split.train_count": "800",
     "split.seed": "0",
-    "model.include_credit_intercept": "false",
-    "model.credit_scale": "1.0",
-    "model.poisson_rate_cap": "10000000.0",
-    "sampler.iterations": "5000",
-    "sampler.burn_in": "1000",
-    "sampler.thin": "1",
-    "sampler.delta": "0.5",
-    "sampler.param_step": "0.1",
-    "sampler.adapt_during_burn_in": "true",
-    "sampler.target_accept": "0.35",
-    "sampler.seed": "0",
-    "forest.n_trees": "200",
-    "forest.max_depth": "6",
-    "forest.min_leaf": "5",
-    "forest.seed": "0",
+    **config_items(ModelConfig(), "model."),
+    **config_items(SamplerConfig(), "sampler."),
+    **config_items(ForestConfig(), "forest."),
     "fair.latent_point": "mean",
     "fair.leaky": "false",
     "eval.age_mode": "mirror",
@@ -92,7 +88,8 @@ DEFAULTS: dict[str, str] = {
     **_SYNTH_PARAM_DEFAULTS,
 }
 
-# paper: fixed step sizes, no credit intercept, raw credit counts.
+# paper: fixed step sizes, no credit intercept, raw credit counts. Its values
+# are the paper's, written out so that a changed default does not move them.
 # recommended: same model but with the credit intercept and burn-in step
 # adaptation, which is what you want on new data.
 PRESETS: dict[str, dict[str, str]] = {
@@ -148,13 +145,13 @@ def resolve_config(
         for key in SEED_KEYS:
             cfg[key] = str(seed)
     for key in SEED_KEYS:
-        if _get_int(cfg, key) < 0:
+        if _get(cfg, key, int) < 0:
             raise ConfigError(f"config key {key} must be a non-negative integer, got {cfg[key]!r}")
     for key, least in (("out.bins", 1), ("out.max_lag", 0), ("out.latent_columns", 0)):
-        if _get_int(cfg, key) < least:
+        if _get(cfg, key, int) < least:
             raise ConfigError(f"config key {key} must be an integer >= {least}, got {cfg[key]!r}")
     span = AGE_MAX - AGE_MIN
-    if not abs(_get_float(cfg, "eval.age_years")) <= span:  # also refuses nan
+    if not abs(_get(cfg, "eval.age_years", float)) <= span:  # also refuses nan
         raise ConfigError(
             f"config key eval.age_years must be a number in [-{span}, {span}], "
             f"got {cfg['eval.age_years']!r}"
@@ -170,22 +167,8 @@ def config_hash(cfg: dict[str, str]) -> str:
     return sha256_hex("\n".join(f"{k} = {v}" for k, v in sorted(cfg.items())))
 
 
-def _get_int(cfg: dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key} must be an integer, got {cfg[key]!r}") from None
-
-
-def _get_float(cfg: dict[str, str], key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key} must be a number, got {cfg[key]!r}") from None
-
-
-def _get_bool(cfg: dict[str, str], key: str) -> bool:
-    return parse_bool(cfg[key], key)
+def _get(cfg: dict[str, str], key: str, kind: type):
+    return parse_value(cfg[key], kind, key)
 
 
 def _get_choice(cfg: dict[str, str], key: str, options: tuple[str, ...]) -> str:
@@ -198,32 +181,17 @@ def _validated(value, section: str):
     """value after its validate(); a rejected value is the user's config error."""
     try:
         value.validate()
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"invalid {section} config: {exc}") from None
     return value
 
 
 def build_model_config(cfg: dict[str, str]) -> ModelConfig:
-    mc = ModelConfig(
-        include_credit_intercept=_get_bool(cfg, "model.include_credit_intercept"),
-        credit_scale=_get_float(cfg, "model.credit_scale"),
-        poisson_rate_cap=_get_float(cfg, "model.poisson_rate_cap"),
-    )
-    return _validated(mc, "model")
+    return _validated(config_from_items(ModelConfig, cfg, "model."), "model")
 
 
 def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
-    sc = SamplerConfig(
-        iterations=_get_int(cfg, "sampler.iterations"),
-        burn_in=_get_int(cfg, "sampler.burn_in"),
-        thin=_get_int(cfg, "sampler.thin"),
-        delta=_get_float(cfg, "sampler.delta"),
-        param_step=_get_float(cfg, "sampler.param_step"),
-        adapt_during_burn_in=_get_bool(cfg, "sampler.adapt_during_burn_in"),
-        target_accept=_get_float(cfg, "sampler.target_accept"),
-        seed=_get_int(cfg, "sampler.seed"),
-    )
-    _validated(sc, "sampler")
+    sc = _validated(config_from_items(SamplerConfig, cfg, "sampler."), "sampler")
     # a chain is summarized from its kept draws, which takes at least two
     if sc.n_draws() < 2:
         raise ConfigError(
@@ -235,21 +203,14 @@ def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
 
 
 def build_forest_config(cfg: dict[str, str]) -> ForestConfig:
-    fc = ForestConfig(
-        n_trees=_get_int(cfg, "forest.n_trees"),
-        max_depth=_get_int(cfg, "forest.max_depth"),
-        min_leaf=_get_int(cfg, "forest.min_leaf"),
-        seed=_get_int(cfg, "forest.seed"),
-    )
-    fc.validate()
-    return fc
+    return _validated(config_from_items(ForestConfig, cfg, "forest."), "forest")
 
 
 def build_preprocess_config(cfg: dict[str, str]) -> PreprocessConfig:
     return PreprocessConfig(
-        job_threshold=_get_int(cfg, "preprocess.job_threshold"),
+        job_threshold=_get(cfg, "preprocess.job_threshold", int),
         own_label=cfg["preprocess.own_label"],
-        standardize_age=_get_bool(cfg, "preprocess.standardize_age"),
+        standardize_age=_get(cfg, "preprocess.standardize_age", bool),
     )
 
 
@@ -264,9 +225,9 @@ def _column_map(cfg: dict[str, str]) -> dict[str, str] | None:
 
 
 def _synth_truth(cfg: dict[str, str]) -> ModelParams:
-    values = {name: _get_float(cfg, f"synth.param.{name}") for name in PARAM_NAMES[:-1]}
+    values = {name: _get(cfg, f"synth.param.{name}", float) for name in PARAM_NAMES[:-1]}
     b_c_raw = cfg["synth.param.b_c"]
-    values["b_c"] = None if b_c_raw.lower() == "none" else _get_float(cfg, "synth.param.b_c")
+    values["b_c"] = None if b_c_raw.lower() == "none" else _get(cfg, "synth.param.b_c", float)
     return _validated(ModelParams(**values), "synth.param")
 
 
@@ -291,8 +252,9 @@ def _write_resolved_config(cfg: dict[str, str], header: tuple[str, ...]) -> None
 
 
 def _ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
+    pc = build_preprocess_config(cfg)
     records = load_csv(cfg["data.path"], _column_map(cfg))
-    data = preprocess(records, build_preprocess_config(cfg))
+    data = preprocess(records, pc)
     out = cfg["out.dir"]
     write_processed_csv(data, os.path.join(out, "preprocessed.csv"), header)
 
@@ -306,7 +268,7 @@ def _ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     counts_csv("job", sorted(Counter(r.job for r in records).items()))
     counts_csv("housing", sorted(Counter(r.housing for r in records).items()))
     credit = np.array([r.credit_amount for r in records], dtype=float)
-    bins = _get_int(cfg, "out.bins")
+    bins = _get(cfg, "out.bins", int)
     hist, edges = np.histogram(credit, bins=bins)
     lines = [f"# {h}" for h in header] + ["bin_left,count"]
     lines += [f"{float(edges[b])!r},{int(hist[b])}" for b in range(bins)]
@@ -330,19 +292,18 @@ def cmd_ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
 
 
 def _load_splits(cfg: dict[str, str], header: tuple[str, ...]):
+    spec = SplitSpec(train_count=_get(cfg, "split.train_count", int), seed=_get(cfg, "split.seed", int))
     path = os.path.join(cfg["out.dir"], "preprocessed.csv")
     if not os.path.exists(path):
         n = _ingest(cfg, header)
         print(f"(auto-ingested {n} rows from {cfg['data.path']})")
-    data = read_processed_csv(path)
-    spec = SplitSpec(train_count=_get_int(cfg, "split.train_count"), seed=_get_int(cfg, "split.seed"))
-    return split(data, spec)
+    return split(read_processed_csv(path), spec)
 
 
 def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
-    train, _ = _load_splits(cfg, header)
     out = cfg["out.dir"]
     if model in ("full", "unaware"):
+        train, _ = _load_splits(cfg, header)
         fitted = fit_full(train) if model == "full" else fit_unaware(train)
         path = os.path.join(out, f"model_{model}.kv")
         atomic_write_text(path, fitted.to_kv_text(header))
@@ -353,20 +314,21 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
         print(f"wrote {path}")
         return 0
 
+    # every config is read before any work, so a bad one runs no chain
     mc = build_model_config(cfg)
     sc = build_sampler_config(cfg)
+    fc = build_forest_config(cfg)
     latent_point = _get_choice(cfg, "fair.latent_point", ("mean", "median"))
+    train, _ = _load_splits(cfg, header)
     chain = run_chain(
         train, mc, sc,
-        latent_columns=_latent_columns(len(train), _get_int(cfg, "out.latent_columns")),
+        latent_columns=_latent_columns(len(train), _get(cfg, "out.latent_columns", int)),
         keep_medians=latent_point == "median",
     )
     export_chain(chain, out, header_lines=header)
     summary = summarize(chain)
     write_summary_csv(summary, os.path.join(out, "summary.csv"), header)
-    fair = fit_fair(
-        train, mc, sc, build_forest_config(cfg), latent_point=latent_point, chain=chain
-    )
+    fair = fit_fair(train, mc, sc, fc, latent_point=latent_point, chain=chain)
     save_fair_model(fair, os.path.join(out, "model_fair"), header)
 
     print(f"fair model: {chain.n_draws()} stored draws over {len(train)} observations")
@@ -420,8 +382,8 @@ def cmd_diagnose(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     export_plot_data(
         [(name, draws[:, j]) for j, name in enumerate(names)],
         plot_dir,
-        max_lag=min(_get_int(cfg, "out.max_lag"), draws.shape[0] - 1),
-        bins=_get_int(cfg, "out.bins"),
+        max_lag=min(_get(cfg, "out.max_lag", int), draws.shape[0] - 1),
+        bins=_get(cfg, "out.bins", int),
         header_lines=header,
     )
     sys.stdout.write(summary_to_csv_text(rows))
@@ -430,21 +392,24 @@ def cmd_diagnose(cfg: dict[str, str], header: tuple[str, ...]) -> int:
 
 
 def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
-    train, test = _load_splits(cfg, header)
     mc = build_model_config(cfg)
     sc = build_sampler_config(cfg)
+    fc = build_forest_config(cfg)
     latent_point = _get_choice(cfg, "fair.latent_point", ("mean", "median"))
+    age_mode = _get_choice(cfg, "eval.age_mode", ("mirror", "shift"))
+    leaky_headline = _get(cfg, "fair.leaky", bool)
+    train, test = _load_splits(cfg, header)
     report = compare_models(
         train,
         test,
         mc,
         sc,
-        build_forest_config(cfg),
+        fc,
         latent_point=latent_point,
-        age_mode=_get_choice(cfg, "eval.age_mode", ("mirror", "shift")),
-        age_years=_get_float(cfg, "eval.age_years"),
-        split_seed=_get_int(cfg, "split.seed"),
-        leaky_headline=_get_bool(cfg, "fair.leaky"),
+        age_mode=age_mode,
+        age_years=_get(cfg, "eval.age_years", float),
+        split_seed=_get(cfg, "split.seed", int),
+        leaky_headline=leaky_headline,
         # a temporary, not a local: compare_models then holds the only
         # reference and frees the draws before test-time inference
         chain=_warned_chain(train, mc, sc, keep_medians=latent_point == "median"),
@@ -462,7 +427,7 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     sc = build_sampler_config(cfg)
     try:
         data, true_c = generate_synthetic(
-            truth, _get_int(cfg, "synth.n"), _get_int(cfg, "synth.seed"),
+            truth, _get(cfg, "synth.n", int), _get(cfg, "synth.seed", int),
             rate_cap=mc.poisson_rate_cap,
         )
     except RateCapError as exc:

@@ -28,9 +28,10 @@ from .sampler import Chain, SamplerConfig, infer_latent, run_chain
 from .util import (
     STREAM_TREE,
     atomic_write_text,
+    config_from_items,
+    config_items,
     derive_rng,
     format_kv_text,
-    parse_bool,
     parse_kv_text,
 )
 
@@ -386,28 +387,21 @@ FOREST_FORMAT = "forest/2"
 
 
 def forest_to_text(model: ForestModel, header_lines: tuple[str, ...] = ()) -> str:
-    lines = [f"# {h}" for h in header_lines]
-    cfg = model.config
-    lines += [
-        f"format = {FOREST_FORMAT}",
-        f"n_trees = {cfg.n_trees}",
-        f"max_depth = {cfg.max_depth}",
-        f"min_leaf = {cfg.min_leaf}",
-        f"seed = {cfg.seed}",
-    ]
+    meta = {"format": FOREST_FORMAT, **config_items(model.config)}
     ends = model.breaks.tolist() + [math.inf]
-    lines += [f"{b!r} {v!r}" for b, v in zip(ends, model.values.tolist())]
-    return "\n".join(lines) + "\n"
+    intervals = "".join(f"{b!r} {v!r}\n" for b, v in zip(ends, model.values.tolist()))
+    return format_kv_text(meta, header_lines) + intervals
 
 
-def _field(raw: dict[str, str], key: str, convert, where: str):
-    """raw[key] through convert; a missing or unreadable value is a UserError."""
-    if key not in raw:
-        raise UserError(f"{where} is missing {key!r}")
+def _read_config(cls, items: dict[str, str], where: str, prefix: str = ""):
+    """The config dataclass cls from a stored file's items, validated; a
+    missing, unreadable or rejected value is a UserError naming where."""
     try:
-        return convert(raw[key])
-    except ValueError:
-        raise UserError(f"{where}: bad value for {key!r}: {raw[key]!r}") from None
+        config = config_from_items(cls, items, prefix)
+        config.validate()
+    except (ValueError, UserError) as exc:
+        raise UserError(f"{where}: {exc}") from None
+    return config
 
 
 def forest_from_text(text: str) -> ForestModel:
@@ -420,12 +414,7 @@ def forest_from_text(text: str) -> ForestModel:
         pos += 1
     if meta.get("format") != FOREST_FORMAT:
         raise UserError(f"unsupported forest format: {meta.get('format')!r}")
-    cfg = ForestConfig(
-        n_trees=_field(meta, "n_trees", int, "forest header"),
-        max_depth=_field(meta, "max_depth", int, "forest header"),
-        min_leaf=_field(meta, "min_leaf", int, "forest header"),
-        seed=_field(meta, "seed", int, "forest header"),
-    )
+    cfg = _read_config(ForestConfig, meta, "forest header")
     intervals = []
     for line in lines[pos:]:
         try:
@@ -529,13 +518,7 @@ def predict_fair(model: FairModel, test: Dataset, condition_on_credit: bool = Fa
 def save_fair_model(model: FairModel, out_dir: str, header_lines: tuple[str, ...] = ()) -> None:
     atomic_write_text(os.path.join(out_dir, "params.kv"), model.theta_hat.to_kv_text(header_lines))
     atomic_write_text(os.path.join(out_dir, "forest.txt"), forest_to_text(model.forest, header_lines))
-    mc = model.model_config
-    items = {
-        "model.include_credit_intercept": str(mc.include_credit_intercept).lower(),
-        "model.credit_scale": repr(mc.credit_scale),
-        "model.poisson_rate_cap": repr(mc.poisson_rate_cap),
-        "latent_point": model.latent_point,
-    }
+    items = {**config_items(model.model_config, "model."), "latent_point": model.latent_point}
     atomic_write_text(os.path.join(out_dir, "config.kv"), format_kv_text(items, header_lines))
 
 
@@ -556,23 +539,8 @@ def load_fair_model(model_dir: str) -> FairModel:
     forest = forest_from_text(read("forest.txt"))
     raw = parse_kv_text(read("config.kv"), where="fair model config")
     where = os.path.join(model_dir, "config.kv")
-
-    def get(key, convert):
-        return _field(raw, key, convert, where)
-
-    def flag(key):
-        return get(key, lambda v: parse_bool(v, key))
-
-    mc = ModelConfig(
-        include_credit_intercept=flag("model.include_credit_intercept"),
-        credit_scale=get("model.credit_scale", float),
-        poisson_rate_cap=get("model.poisson_rate_cap", float),
-    )
-    try:
-        mc.validate()
-    except ValueError as exc:
-        raise UserError(f"{where}: {exc}") from None
-    latent_point = get("latent_point", str)
+    mc = _read_config(ModelConfig, raw, where, "model.")
+    latent_point = raw.get("latent_point")
     if latent_point not in ("mean", "median"):
         raise UserError(f"{where}: latent_point must be 'mean' or 'median', got {latent_point!r}")
     if (theta.b_c is not None) != mc.include_credit_intercept:

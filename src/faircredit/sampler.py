@@ -44,6 +44,7 @@ from .probmodel import (
     HEAD_HOUSE,
     HEAD_JOB,
     LOG_2PI,
+    PARAM_NAMES,
     per_obs_log_likelihood,
 )
 from .util import (
@@ -635,6 +636,11 @@ def read_param_chain_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     if header[:1] != ["draw"] or len(header) < 2:
         raise DataError(f"{path}: malformed chain file header: {rows[0]!r}")
     names = tuple(header[1:])
+    # the names become plot file names, so only export_chain's are accepted
+    if len(set(names)) < len(names) or not set(names) <= set(PARAM_NAMES):
+        raise DataError(
+            f"{path}: chain file columns must be distinct parameter names, got {rows[0]!r}"
+        )
     try:
         draws = np.array([[float(v) for v in ln.split(",")[1:]] for ln in rows[1:]])
     except ValueError as exc:

@@ -1,5 +1,6 @@
 """Small shared helpers: random stream derivation, key=value text io, atomic writes."""
 
+import dataclasses
 import hashlib
 import os
 import tempfile
@@ -61,6 +62,45 @@ def format_kv_text(items: dict[str, str], header_lines: tuple[str, ...] = ()) ->
     lines = [f"# {h}" for h in header_lines]
     lines += [f"{k} = {v}" for k, v in items.items()]
     return "\n".join(lines) + "\n"
+
+
+def config_items(config, prefix: str = "") -> dict[str, str]:
+    """A config dataclass as `prefix + field` -> text items, in field order.
+
+    A bool is written true/false, a float by repr, any other value by str,
+    so config_from_items reads the same config back.
+    """
+    items = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        items[prefix + field.name] = repr(value) if isinstance(value, float) else str(value)
+    return items
+
+
+def config_from_items(cls, items: dict[str, str], prefix: str = ""):
+    """The config dataclass cls from its `prefix + field` items, each read as
+    its field's type (bool, int, float or str); other items are ignored. A
+    missing or unreadable value raises a ConfigError naming its key."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        key = prefix + field.name
+        if key not in items:
+            raise ConfigError(f"missing config key {key}")
+        values[field.name] = parse_value(items[key], field.type, key)
+    return cls(**values)
+
+
+def parse_value(text: str, kind: type, key: str):
+    """text as a kind (bool, int, float or str); a bad value is a ConfigError naming key."""
+    if kind is bool:
+        return parse_bool(text, key)
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key} must be {noun}, got {text!r}") from None
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -29,7 +29,9 @@ from faircredit.cli import (
 )
 from faircredit.diagnostics import SummaryRow
 from faircredit.errors import ConfigError
-from faircredit.predictors import LinearModel
+from faircredit.predictors import ForestConfig, LinearModel
+from faircredit.probmodel import ModelConfig
+from faircredit.sampler import SamplerConfig
 from faircredit.util import parse_kv_text
 
 
@@ -181,6 +183,35 @@ def test_config_hash_sensitive_to_values():
     changed = dict(DEFAULTS)
     changed["sampler.seed"] = "1"
     assert config_hash(changed) != config_hash(DEFAULTS)
+
+
+def typed_fields(config) -> dict:
+    return {name: (value, type(value)) for name, value in vars(config).items()}
+
+
+def test_default_config_is_pinned():
+    # every output file's header records this hash, so a changed default
+    # key or value changes every output
+    assert config_hash(DEFAULTS) == "8c094f6e831382aa"
+    assert typed_fields(cli.build_model_config(DEFAULTS)) == typed_fields(ModelConfig())
+    assert typed_fields(cli.build_sampler_config(DEFAULTS)) == typed_fields(SamplerConfig())
+    assert typed_fields(cli.build_forest_config(DEFAULTS)) == typed_fields(ForestConfig())
+
+
+def test_config_file_values_arrive_typed(tmp_path):
+    config = tmp_path / "c.kv"
+    config.write_text(
+        "sampler.delta = 0.25\nsampler.iterations = 6000\n"
+        "model.include_credit_intercept = yes\nmodel.credit_scale = 2\nforest.min_leaf = 3\n",
+        encoding="utf-8",
+    )
+    cfg = resolve_config(str(config), None, None, None, False)
+    for built, want in (
+        (cli.build_model_config(cfg), ModelConfig(include_credit_intercept=True, credit_scale=2.0)),
+        (cli.build_sampler_config(cfg), SamplerConfig(delta=0.25, iterations=6000)),
+        (cli.build_forest_config(cfg), ForestConfig(min_leaf=3)),
+    ):
+        assert typed_fields(built) == typed_fields(want)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +494,18 @@ AGE_SHIFT_ERROR = "error: config key eval.age_years must be a number in [-102, 1
     [
         ("sampler.burn_in = 9000", "burn_in must lie in"),
         ("model.credit_scale = -1", "credit_scale must be positive"),
+        ("sampler.delta = abc", "error: config key sampler.delta must be a number, got 'abc'"),
+        ("sampler.thin = 1.5", "error: config key sampler.thin must be an integer, got '1.5'"),
+        ("model.include_credit_intercept = maybe",
+         "error: model.include_credit_intercept: expected a boolean, got 'maybe'"),
         ("synth.param.b_j = nan", "b_j is not finite"),
         ("synth.param.beta_c_c = 30", "error: poisson rate overflow: linear predictor "),
         ("eval.age_mode = shift\neval.age_years = nan", AGE_SHIFT_ERROR + "'nan'"),
         ("eval.age_mode = shift\neval.age_years = inf", AGE_SHIFT_ERROR + "'inf'"),
         ("eval.age_mode = shift\neval.age_years = 1e300", AGE_SHIFT_ERROR + "'1e300'"),
     ],
-    ids=("sampler", "model", "synth_param", "synth_rate_cap", "age_shift_nan", "age_shift_inf",
+    ids=("sampler", "model", "sampler_not_a_number", "sampler_not_an_integer",
+         "model_not_a_boolean", "synth_param", "synth_rate_cap", "age_shift_nan", "age_shift_inf",
          "age_shift_huge"),
 )
 def test_invalid_config_value_exit_code(tmp_path, line, message):
@@ -583,6 +619,17 @@ def config_with(workspace, tmp_path, keys):
     return config
 
 
+def test_fit_fair_refuses_forest_config_before_any_work(workspace, tmp_path):
+    # stage two's config is read with stage one's, so a bad forest setting
+    # runs no chain and leaves no half-written outputs
+    config = config_with(workspace, tmp_path, {"forest.n_trees": 0})
+    out = tmp_path / "out"
+    res = run_cli(["fit", "--model", "fair", "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err == "error: invalid forest config: n_trees must be >= 1, got 0\n"
+    assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
+
+
 def test_fit_fair_without_latent_columns(workspace, tmp_path):
     # latents.csv then holds the draw index alone, with no trailing comma
     config = config_with(workspace, tmp_path, {"out.latent_columns": 0})
@@ -616,19 +663,29 @@ def test_synth_rate_cap_names_its_config_keys(tmp_path):
     assert "synth.param.*" in res.err and "model.poisson_rate_cap" in res.err
 
 
+TWO_DRAWS = "0,0.5,0.25\n1,0.75,0.125\n"
+
+
 @pytest.mark.parametrize(
-    "rows",
-    ["0,0.5,0.25\n", "0,0.5,0.25\n1,nan,0.5\n2,0.75,0.125\n"],
-    ids=("one_draw", "nan"),
+    "header, rows",
+    [
+        ("draw,b_j,b_h", "0,0.5,0.25\n"),
+        ("draw,b_j,b_h", "0,0.5,0.25\n1,nan,0.5\n2,0.75,0.125\n"),
+        # column names become plot file names: one would write outside
+        # plots/, a repeated one would overwrite the first column's plots
+        ("draw,b_j,../escaped", TWO_DRAWS),
+        ("draw,b_j,b_j", TWO_DRAWS),
+    ],
+    ids=("one_draw", "nan", "escaped_name", "repeated_name"),
 )
-def test_diagnose_corrupt_chain_exit_code(workspace, tmp_path, rows):
+def test_diagnose_corrupt_chain_exit_code(workspace, tmp_path, header, rows):
     out = tmp_path / "out"
     out.mkdir()
-    (out / "params.csv").write_text("draw,b_j,b_h\n" + rows, encoding="utf-8")
+    (out / "params.csv").write_text(f"{header}\n{rows}", encoding="utf-8")
     res = run_cli(["diagnose", "--config", str(workspace["config"]), "--out", str(out)])
     assert res.code == 2
     assert res.err.startswith(f"error: {out / 'params.csv'}:") and res.err.count("\n") == 1
-    assert not (out / "summary.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["config.kv", "params.csv"]
 
 
 def test_diagnose_without_chain(workspace, tmp_path):

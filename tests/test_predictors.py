@@ -444,6 +444,12 @@ def test_forest_from_text_rejects_malformed():
         # a header missing or garbling a key
         "n_trees": [good.replace("n_trees = 1\n", "")],
         "max_depth": [good.replace("max_depth = ", "max_depth = deep")],
+        # or holding a value ForestConfig.validate refuses
+        "forest header: .* must be >= ": [
+            good.replace("n_trees = 1\n", "n_trees = 0\n"),
+            good.replace("max_depth = 6\n", "max_depth = -4\n"),
+            good.replace("min_leaf = 5\n", "min_leaf = 0\n"),
+        ],
     }
     for message, texts in bad_bodies.items():
         for text in texts:

@@ -1,6 +1,7 @@
 """Stream derivation and small text helpers."""
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from faircredit.util import (
     STREAM_TRAIN_LATENT,
     STREAM_TREE,
     atomic_write_text,
+    config_from_items,
+    config_items,
     derive_rng,
     format_kv_text,
     parse_bool,
@@ -96,6 +99,42 @@ def test_format_kv_round_trip():
     text = format_kv_text(items, header_lines=("generated", "for a test"))
     assert text.startswith("# generated\n# for a test\n")
     assert parse_kv_text(text) == items
+
+
+@dataclass(frozen=True)
+class Section:
+    flag: bool = False
+    count: int = 3
+    rate: float = 1e7
+    label: str = "mean"
+
+
+def test_config_items_round_trip():
+    items = config_items(Section(), "sec.")
+    assert items == {
+        "sec.flag": "false", "sec.count": "3", "sec.rate": "10000000.0", "sec.label": "mean",
+    }
+    assert config_from_items(Section, {**items, "other.key": "x"}, "sec.") == Section()
+    given = {"flag": "yes", "count": "7", "rate": "2", "label": "median"}
+    back = config_from_items(Section, given)
+    assert back == Section(True, 7, 2.0, "median")
+    assert type(back.rate) is float
+    assert config_items(back) == {"flag": "true", "count": "7", "rate": "2.0", "label": "median"}
+
+
+def test_config_from_items_names_the_bad_key():
+    good = config_items(Section(), "sec.")
+    for key, value, message in (
+        ("sec.flag", "maybe", "sec.flag: expected a boolean, got 'maybe'"),
+        ("sec.count", "3.0", "config key sec.count must be an integer, got '3.0'"),
+        ("sec.rate", "fast", "config key sec.rate must be a number, got 'fast'"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            config_from_items(Section, {**good, key: value}, "sec.")
+        assert str(info.value) == message
+    del good["sec.count"]
+    with pytest.raises(ConfigError, match="missing config key sec.count"):
+        config_from_items(Section, good, "sec.")
 
 
 def test_atomic_write_text(tmp_path):
