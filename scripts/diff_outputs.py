@@ -14,12 +14,16 @@ defaults, then `synth` with the benchmark's synth_large config
 the config hashes match. Then `fit --model fair` and `compare` run again
 with `fair.latent_point = median`, the one path on which the chain keeps
 every latent draw, into a second --out path. `fit --model fair --preset
-recommended`, which turns the credit intercept on, runs into a third. Last,
-`synth` runs with two configs it refuses (`sampler.delta = abc`,
-`model.poisson_rate_cap = x`) into a fourth, so that their error messages
-and exit codes are compared; synth reads every config it needs before any
-work, in both trees. Every file under the --out paths is compared, and so
-are each command's stdout, stderr and exit code.
+recommended`, which turns the credit intercept on, runs into a third.
+`fit --model fair` with `model.poisson_rate_cap = 300`, just over the
+data's largest credit (251), runs into a fourth: its chain proposes rates
+over the cap in both phases (about 16,000 times at seed 0) without
+aborting, so the cap guard is compared too. Last, `synth` runs with two
+configs it refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`)
+into a fifth, so that their error messages and exit codes are compared;
+synth reads every config it needs before any work, in both trees. Every
+file under the --out paths is compared, and so are each command's stdout,
+stderr and exit code.
 Prints `seed N: identical` or the outputs that differ; the exit code is 1 if
 any differ. The data and the synth_large config come from the checkout that
 holds this script, and the commands run from its root.
@@ -50,12 +54,14 @@ COMMANDS = (
     ("compare median", "out_median", ["compare", "--config", "{work}/median.kv"]),
     ("fit fair recommended", "out_recommended",
      ["fit", "--model", "fair", "--preset", "recommended"]),
+    ("fit fair rate cap", "out_rate_cap", ["fit", "--model", "fair", "--config", "{work}/rate_cap.kv"]),
     ("synth bad delta", "out_refused", ["synth", "--config", "{work}/bad_delta.kv"]),
     ("synth bad rate cap", "out_refused", ["synth", "--config", "{work}/bad_rate_cap.kv"]),
 )
 CONFIGS = {
     "synth.kv": synth_config_text(),
     "median.kv": "fair.latent_point = median\n",
+    "rate_cap.kv": "model.poisson_rate_cap = 300\n",
     "bad_delta.kv": "sampler.delta = abc\n",
     "bad_rate_cap.kv": "model.poisson_rate_cap = x\n",
 }

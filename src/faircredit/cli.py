@@ -26,6 +26,7 @@ from .dataset import (
     AGE_MIN,
     Dataset,
     PreprocessConfig,
+    RawRecord,
     SplitSpec,
     generate_synthetic,
     load_csv,
@@ -251,39 +252,45 @@ def _write_resolved_config(cfg: dict[str, str], header: tuple[str, ...]) -> None
     atomic_write_text(path, format_kv_text(dict(sorted(cfg.items())), header))
 
 
-def _ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
-    pc = build_preprocess_config(cfg)
+def _read_data(cfg: dict[str, str]) -> tuple[list[RawRecord], Dataset]:
+    """The raw records of data.path and the dataset that column.* and
+    preprocess.* make of them."""
     records = load_csv(cfg["data.path"], _column_map(cfg))
-    data = preprocess(records, pc)
-    out = cfg["out.dir"]
-    write_processed_csv(data, os.path.join(out, "preprocessed.csv"), header)
+    return records, preprocess(records, build_preprocess_config(cfg))
 
-    def counts_csv(name: str, pairs) -> None:
-        lines = [f"# {h}" for h in header] + ["value,count"]
-        lines += [f"{v},{c}" for v, c in pairs]
-        atomic_write_text(os.path.join(out, f"dist_{name}.csv"), "\n".join(lines) + "\n")
 
-    counts_csv("sex", sorted(Counter(r.sex for r in records).items()))
-    counts_csv("age", sorted(Counter(r.age for r in records).items()))
-    counts_csv("job", sorted(Counter(r.job for r in records).items()))
-    counts_csv("housing", sorted(Counter(r.housing for r in records).items()))
+def _ingest(
+    cfg: dict[str, str], header: tuple[str, ...], records: list[RawRecord], data: Dataset
+) -> None:
+    """Write ingest's outputs. Each is computed, and the correlation check
+    made, before the first is written, so a refused ingest writes none."""
+    comments = [f"# {h}" for h in header]
+    texts = {}
+    for name in ("sex", "age", "job", "housing"):
+        pairs = sorted(Counter(getattr(r, name) for r in records).items())
+        lines = comments + ["value,count"] + [f"{v},{c}" for v, c in pairs]
+        texts[f"dist_{name}.csv"] = "\n".join(lines) + "\n"
     credit = np.array([r.credit_amount for r in records], dtype=float)
     bins = _get(cfg, "out.bins", int)
     hist, edges = np.histogram(credit, bins=bins)
-    lines = [f"# {h}" for h in header] + ["bin_left,count"]
+    lines = comments + ["bin_left,count"]
     lines += [f"{float(edges[b])!r},{int(hist[b])}" for b in range(bins)]
-    atomic_write_text(os.path.join(out, "dist_credit.csv"), "\n".join(lines) + "\n")
-
+    texts["dist_credit.csv"] = "\n".join(lines) + "\n"
     names, cov = covariance_matrix(data, correlation=False)
-    atomic_write_text(os.path.join(out, "covariance.csv"), matrix_to_csv_text(names, cov, header))
+    texts["covariance.csv"] = matrix_to_csv_text(names, cov, header)
     _, corr = covariance_matrix(data, correlation=True)
-    atomic_write_text(os.path.join(out, "correlation.csv"), matrix_to_csv_text(names, corr, header))
-    return len(records)
+    texts["correlation.csv"] = matrix_to_csv_text(names, corr, header)
+
+    out = cfg["out.dir"]
+    write_processed_csv(data, os.path.join(out, "preprocessed.csv"), header)
+    for name, text in texts.items():
+        atomic_write_text(os.path.join(out, name), text)
 
 
 def cmd_ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
-    n = _ingest(cfg, header)
-    print(f"ingested {n} rows from {cfg['data.path']}")
+    records, data = _read_data(cfg)
+    _ingest(cfg, header, records, data)
+    print(f"ingested {len(records)} rows from {cfg['data.path']}")
     print(
         f"wrote {cfg['out.dir']}/: preprocessed.csv, dist_*.csv, "
         "covariance.csv, correlation.csv"
@@ -291,13 +298,32 @@ def cmd_ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     return 0
 
 
+def _same_data(a: Dataset, b: Dataset) -> bool:
+    """Whether two datasets hold the columns and standardization that
+    preprocessed.csv stores."""
+    columns = ("sex", "age_std", "job", "house", "credit")
+    return a.standardization == b.standardization and all(
+        np.array_equal(getattr(a, col), getattr(b, col)) for col in columns
+    )
+
+
 def _load_splits(cfg: dict[str, str], header: tuple[str, ...]):
+    """The train and test splits of out.dir's preprocessed.csv, written
+    first if absent. An existing file is used only if it holds what the
+    config's data.path, column.* and preprocess.* keys make."""
     spec = SplitSpec(train_count=_get(cfg, "split.train_count", int), seed=_get(cfg, "split.seed", int))
     path = os.path.join(cfg["out.dir"], "preprocessed.csv")
+    records, data = _read_data(cfg)
     if not os.path.exists(path):
-        n = _ingest(cfg, header)
-        print(f"(auto-ingested {n} rows from {cfg['data.path']})")
-    return split(read_processed_csv(path), spec)
+        _ingest(cfg, header, records, data)
+        print(f"(auto-ingested {len(records)} rows from {cfg['data.path']})")
+    stored = read_processed_csv(path)
+    if not _same_data(stored, data):
+        raise ConfigError(
+            f"{path} holds other data than data.path, column.* and preprocess.* "
+            "give; run ingest into this out.dir with this config, or use another out.dir"
+        )
+    return split(stored, spec)
 
 
 def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:

@@ -245,14 +245,17 @@ def _logistic_rows(z: np.ndarray) -> np.ndarray:
     return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
 
 
-def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson rows of credit linear predictors, and those over the rate cap."""
+def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson rows of credit linear predictors, those over the rate cap, and
+    the rates exp(lin) the rows subtract, inf where over the cap."""
     over = lin > design.cap_log
     if not over.any():
-        return design.counts * lin - np.exp(lin) - design.lgamma_counts, _NO_OVERFLOW
-    safe = np.where(over, 0.0, lin)
-    term = design.counts * lin - np.exp(safe) - design.lgamma_counts
-    return np.where(over, -np.inf, term), lin[over]
+        rates = np.exp(lin)
+        return design.counts * lin - rates - design.lgamma_counts, _NO_OVERFLOW, rates
+    rates = np.exp(np.where(over, 0.0, lin))
+    term = design.counts * lin - rates - design.lgamma_counts
+    rates[over] = np.inf
+    return np.where(over, -np.inf, term), lin[over], rates
 
 
 def _head_rows(
@@ -271,7 +274,7 @@ def _head_rows(
     """
     if head != HEAD_CREDIT:
         return _logistic_rows(_signed_logit(head, vec, c, design)), _NO_OVERFLOW
-    return _credit_rows(credit_linear(vec, c, design), design)
+    return _credit_rows(credit_linear(vec, c, design), design)[:2]
 
 
 def _head_slopes(
@@ -340,6 +343,11 @@ def per_obs_latent_slopes(
 # ---------------------------------------------------------------------------
 # cached linear-predictor terms, for proposals that move one term at a time
 
+# relative rounding margin of HeadTerms.step_bound, see there
+_BOUND_MARGIN = 1e-9
+_TINY = float(np.finfo(float).tiny)
+
+
 def _row_totals(rows: np.ndarray) -> list[float]:
     """Each head's sum of its rows, as head_log_likelihood sums them."""
     return np.add.reduce(rows, axis=1).tolist()
@@ -356,6 +364,7 @@ class TermMove:
     sums: list[np.ndarray]      # running sums k, ..., m - 2 of the m terms
     rows: np.ndarray            # (heads, n) per-observation log-likelihood
     n_over: int                 # rows over the rate cap
+    rates: np.ndarray | None    # a credit block's (1, n) rates, as _credit_rows gives them
     # each head's log-likelihood, -inf where a rate is over the cap; only a
     # coefficient move sums its rows
     totals: list[float] | None = None
@@ -372,6 +381,9 @@ class HeadTerms:
     them, a move's rows, totals and overflow count are bitwise those of
     head_log_likelihood on the moved state. The kept state changes only
     through accept_heads and accept_rows.
+
+    The credit block also keeps its rates, the exp(lin) its rows subtract,
+    from which step_bound bounds a coefficient move without making it.
     """
 
     def __init__(self, heads: tuple[int, ...], vec: np.ndarray, c: np.ndarray, design: Design):
@@ -388,8 +400,18 @@ class HeadTerms:
         self.coefs = [vec[list(p)][:, None] for p in self.positions]
         self.terms = [_term(col, coef) for col, coef in zip(self.columns, self.coefs)]
         state = self._moved(0, self.coefs[0], self.columns[0])
-        self.sums, self.rows = state.sums, state.rows
+        self.sums, self.rows, self.rates = state.sums, state.rows, state.rates
         self.totals = _row_totals(self.rows)
+        if self.rates is not None:
+            # step_bound's columns x_k (1 for the intercept), their squares and
+            # max |x_k|; the latent row is refreshed with each state
+            ones = np.ones(len(design))
+            self._x = np.stack([ones if col is None else col for col in self.columns])
+            self._x2 = self._x * self._x
+            self._spread = np.abs(self._x).max(axis=1).tolist()
+            self._count_sum = float(design.counts.sum())
+            self._lgamma_sum = float(design.lgamma_counts.sum())
+        self._screen = None  # step_bound's sums at the kept state, made on first use
 
     def _moved(self, k: int, coef: np.ndarray, column: np.ndarray | None) -> TermMove:
         """Term k recomputed from coef and column, then the running sums after
@@ -401,9 +423,9 @@ class HeadTerms:
             sums.append(x)
             x = x + t
         if self.sign is not None:
-            return TermMove(k, coef, term, sums, _logistic_rows(x * self.sign), 0)
-        rows, over_lin = _credit_rows(x, self.design)
-        return TermMove(k, coef, term, sums, rows, over_lin.size)
+            return TermMove(k, coef, term, sums, _logistic_rows(x * self.sign), 0, None)
+        rows, over_lin, rates = _credit_rows(x, self.design)
+        return TermMove(k, coef, term, sums, rows, over_lin.size, rates)
 
     def move(self, k: int, coefs: list[float]) -> TermMove:
         """The block with term k's coefficients set to coefs, one per head."""
@@ -416,14 +438,67 @@ class HeadTerms:
         k = self.latent_term
         return self._moved(k, self.coefs[k], c)
 
+    def step_bound(self, k: int, delta: float) -> float:
+        """An upper bound on move(k, [coef + delta]).totals[0] - totals[0] in
+        a credit block whose term k has coefficient coef; inf when the move
+        could put a rate over the cap.
+
+        Term k has column x (1 for the intercept). With the kept rates r_i
+        and d_i = delta x_i, the move changes the log-likelihood by
+        sum y_i d_i - r_i (e^d_i - 1). Since e^d - 1 - d >= d^2 e^-|d| / 2,
+        that is at most delta G - delta^2 e^-D H / 2, where
+        G = sum (y_i - r_i) x_i, H = sum r_i x_i^2, M = max |x_i| and
+        D = |delta| M. G, H and M are computed once per kept state.
+
+        A margin covers rounding: the engine's in its terms, rows and sums,
+        and this bound's in its own sums. L = sum_k M_k |coef_k| bounds
+        |lin_i| and every term, so each error is a few ulp of at most
+        S = sum log y_i! + (sum y_i + n max r)(1 + L + D). Where d_i <= 1 the
+        proposed rate is at most e r_i; where d_i > 1 the bound is loose by
+        more than a sixth of it, which absorbs its rounding. The margin is
+        _BOUND_MARGIN (1 + S), about 10^7 ulp of S. The cap gets the same
+        slack: when max lin_i + D + _BOUND_MARGIN (1 + L + D) reaches
+        cap_log, the result is inf, so a move that the engine would find over
+        the cap is always made.
+        """
+        if self._screen is None:
+            self._screen = self._screen_state()
+        top, max_rate, lin_scale, spread, grad, curv = self._screen
+        reach = abs(delta) * spread[k]
+        if top + reach + _BOUND_MARGIN * (1.0 + lin_scale + reach) >= self.design.cap_log:
+            return math.inf
+        bound = delta * grad[k] - 0.5 * delta * delta * math.exp(-reach) * curv[k]
+        scale = self._lgamma_sum + (self._count_sum + len(self.design) * max_rate) * (1.0 + lin_scale + reach)
+        return bound + _BOUND_MARGIN * (1.0 + scale)
+
+    def _screen_state(self) -> tuple[float, float, float, list[float], list[float], list[float]]:
+        """max lin, max rate, L, and each term's M, G and H, of step_bound at
+        the kept state."""
+        k = self.latent_term
+        c = self.columns[k]
+        self._x[k] = c
+        np.multiply(c, c, out=self._x2[k])
+        spread = self._spread
+        spread[k] = float(np.abs(c).max())
+        rates = self.rates[0]
+        max_rate = float(rates.max())
+        # rates are within an ulp of exp(lin) where normal, and inf over the cap
+        top = math.log(max_rate) if max_rate >= _TINY else math.inf
+        lin_scale = sum(m * abs(coef.item()) for m, coef in zip(spread, self.coefs))
+        grad = (self._x @ (self.design.counts - rates)).tolist()
+        curv = (self._x2 @ rates).tolist()
+        return top, max_rate, lin_scale, spread, grad, curv
+
     def accept_heads(self, move: TermMove, accepted: list[bool]) -> None:
         """Keep a coefficient move for the heads where accepted is true."""
         k = move.k
         if all(accepted):
             self.coefs[k], self.terms[k], self.sums[k:] = move.coef, move.term, move.sums
-            self.rows, self.totals = move.rows, move.totals
+            self.rows, self.totals, self.rates = move.rows, move.totals, move.rates
+            self._screen = None
             return
-        # the kept arrays are this block's own, so an accepted head's row is copied in
+        # the kept arrays are this block's own, so an accepted head's row is
+        # copied in (the credit block has one head, so it keeps its rates above)
         for h, a in enumerate(accepted):
             if a:
                 self.coefs[k][h] = move.coef[h]
@@ -444,3 +519,6 @@ class HeadTerms:
             self.sums[j] = self.terms[j] if j == 0 else self.sums[j - 1] + self.terms[j]
         self.rows = np.where(accept, move.rows, self.rows)
         self.totals = _row_totals(self.rows)
+        if self.rates is not None:
+            self.rates = np.where(accept, move.rates, self.rates)
+            self._screen = None

@@ -7,7 +7,11 @@ rejected in log space against the joint posterior. The job and house heads
 share no parameter, so their coefficients are proposed in lockstep, as one
 (2, n) evaluation, and accepted or rejected each on its own. Each head block
 keeps its linear-predictor terms between proposals (probmodel.HeadTerms), so
-a proposal recomputes only the term it moves and the sums after it.
+a proposal recomputes only the term it moves and the sums after it. The
+credit head's coefficient steps are accepted a few percent of the time, so
+each is first screened: an upper bound on its log ratio
+(HeadTerms.step_bound), which holds after rounding, below the log of its
+accept uniform rejects it unevaluated. The screen changes no accept decision.
 
 Test-time inference (infer_latent) fixes the parameters, so each row's
 latent posterior is one-dimensional and log-concave: Newton finds its mode
@@ -192,6 +196,21 @@ def _latent_uniforms(rngs: Sequence[np.random.Generator]):
         yield prop, acc
 
 
+def _surely_rejected(credit: HeadTerms, term: int, old: float, proposal: float, u_acc: float) -> bool:
+    """Whether a credit coefficient step from old to proposal, with accept
+    uniform u_acc, fails its accept test whatever the moved likelihood.
+
+    The step's log ratio is (new_sum - cur_sum) plus the prior term, added in
+    floating point. credit.step_bound is at least new_sum - cur_sum, and
+    rounded addition is monotone, so the bound plus the same prior term is at
+    least the log ratio: below log u_acc, the step is rejected.
+    """
+    if u_acc == 0.0:
+        return False
+    bound = credit.step_bound(term, proposal - old)
+    return bound + 0.5 * (old * old - proposal * proposal) < math.log(u_acc)
+
+
 def run_chain(
     data: Dataset,
     model_config: ModelConfig,
@@ -227,7 +246,11 @@ def run_chain(
     computed from scratch. The latent phase moves each block's latent term
     once, and the rows of the latents it accepts are merged in. A rejected
     proposal's values, such as the -inf rows of one over the rate cap, are
-    never kept. Results are bit-identical for a given config and seed.
+    never kept. A credit coefficient step whose log ratio is provably below
+    the log of its accept uniform (_surely_rejected) is rejected without
+    evaluating it; one that could put a rate over the cap is always
+    evaluated, so the error count is that of evaluating every step. Results
+    are bit-identical for a given config and seed.
     Persistent likelihood errors (more than 1% of steps) abort with
     diagnostics.
     """
@@ -287,6 +310,10 @@ def run_chain(
         for term, block in schedule:
             positions = block.positions[term]
             proposals = [theta[j] + step * pairs[j][0] for j in positions]
+            if block is credit:
+                (j,) = positions
+                if _surely_rejected(credit, term, theta[j], proposals[0], pairs[j][1]):
+                    continue  # unevaluated: evaluating it would reject it too
             move = block.move(term, proposals)
             accepted = []
             for j, proposal, new_sum, cur_sum in zip(positions, proposals, move.totals, block.totals):

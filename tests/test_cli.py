@@ -630,6 +630,30 @@ def test_fit_fair_refuses_forest_config_before_any_work(workspace, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
 
 
+def test_refused_ingest_writes_no_output(workspace, tmp_path):
+    # every job level is >= 0, so job is constant and the correlation check
+    # refuses it; no output may be written before that check
+    config = config_with(workspace, tmp_path, {"preprocess.job_threshold": 0})
+    out = tmp_path / "out"
+    res = run_cli(["ingest", "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err.startswith("error:") and res.err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
+
+
+def test_fit_refuses_preprocessed_csv_of_other_data_keys(workspace, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["ingest", "--config", str(workspace["config"]), "--out", str(out)]).code == 0
+    before = (out / "preprocessed.csv").read_bytes()
+    config = config_with(workspace, tmp_path, {"preprocess.job_threshold": 0})
+    res = run_cli(["fit", "--model", "full", "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err.startswith(f"error: {out / 'preprocessed.csv'} holds other data")
+    assert res.err.count("\n") == 1
+    assert (out / "preprocessed.csv").read_bytes() == before
+    assert not (out / "model_full.kv").exists()
+
+
 def test_fit_fair_without_latent_columns(workspace, tmp_path):
     # latents.csv then holds the draw index alone, with no trailing comma
     config = config_with(workspace, tmp_path, {"out.latent_columns": 0})

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import gammaln, log_expit
 from scipy.stats import poisson
 
-from faircredit.dataset import Dataset
+from faircredit.dataset import Dataset, generate_synthetic
 from faircredit.errors import DataError
 from faircredit.probmodel import (
     BASE_PARAM_NAMES,
@@ -24,6 +24,7 @@ from faircredit.probmodel import (
     HeadTerms,
     ModelConfig,
     ModelParams,
+    credit_linear,
     head_log_likelihood,
     per_obs_latent_slopes,
     per_obs_log_likelihood,
@@ -441,6 +442,8 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
                 assert all(np.array_equal(a, b) for a, b in zip(kept, want))
             assert np.array_equal(block.rows, fresh.rows)
             assert block.totals == fresh.totals
+            assert (block.rates is None) == (fresh.rates is None)
+            assert block.rates is None or np.array_equal(block.rates, fresh.rates)
             assert_block_matches_scratch(heads, block.rows, block.totals, vec, c, design)
 
 
@@ -448,3 +451,56 @@ def test_head_terms_need_shared_columns(tiny_dataset, modest_params):
     design = Design.from_dataset(tiny_dataset, ModelConfig())
     with pytest.raises(ValueError):
         HeadTerms((HEAD_JOB, HEAD_CREDIT), modest_params.to_vector(), np.zeros(len(tiny_dataset)), design)
+
+
+# --- the credit block's bound on a coefficient move ---------------------------
+
+@pytest.mark.parametrize("intercept", [False, True], ids=("no_intercept", "intercept"))
+@pytest.mark.parametrize("rows", ["tiny", "synth"])
+def test_credit_step_bound_covers_the_engine(tiny_dataset, modest_params, rows, intercept):
+    # run_chain rejects a credit step unevaluated when step_bound plus the
+    # prior term is below log u, so the bound must be at least the log
+    # ratio the engine computes for it: on every credit term, for steps from
+    # tiny to far, with rates a few nats under the cap, at kept states that
+    # accepted moves; a step the engine finds over the cap must give inf
+    if rows == "tiny":
+        data = tiny_dataset
+    else:  # the synth workload's truth: rates about e^1.8
+        data = generate_synthetic(modest_params.replace(b_c=1.8), 400, seed=4)[0]
+    n, n_params = len(data), 12 if intercept else 11
+    rng = np.random.default_rng(7)
+    seen = {"over": 0, "far": 0, "near_cap": 0}
+    for gap in (math.inf, 3.0, 0.5):  # nats from the highest rate up to the cap
+        vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(n)
+        lin = credit_linear(vec, c, Design.from_dataset(data, ModelConfig()))
+        cap = 1e7 if gap == math.inf else math.exp(float(lin.max()) + gap)
+        design = Design.from_dataset(data, ModelConfig(include_credit_intercept=intercept, poisson_rate_cap=cap))
+        block = HeadTerms((HEAD_CREDIT,), vec, c, design)
+        for _ in range(40):
+            k = int(rng.integers(len(block.positions)))
+            (j,) = block.positions[k]
+            old = vec[j]
+            proposal = old + rng.choice([1e-3, 0.1, 1.0, 4.0]) * rng.standard_normal()
+            move = block.move(k, [proposal])
+            bound = block.step_bound(k, proposal - old)
+            if move.n_over:
+                assert bound == math.inf
+                seen["over"] += 1
+            else:
+                prior = 0.5 * (old * old - proposal * proposal)
+                assert bound + prior >= (move.totals[0] - block.totals[0]) + prior
+                column = block.columns[k]
+                spread = 1.0 if column is None else float(np.abs(column).max())
+                seen["far"] += bound < math.inf and abs(proposal - old) * spread > 2.0
+                seen["near_cap"] += bound < math.inf and gap < math.inf
+            if rng.random() < 0.3 and not move.n_over:
+                block.accept_heads(move, [True])
+                vec[j] = proposal
+            elif rng.random() < 0.3:
+                c_prop = c + rng.standard_normal(n)
+                latent = block.move_latent(c_prop)
+                accept = (rng.random(n) < 0.5) & np.isfinite(latent.rows[0])
+                c = np.where(accept, c_prop, c)
+                block.accept_rows(latent, accept, c)
+    assert all(seen.values()), seen
+

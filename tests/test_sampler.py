@@ -15,17 +15,20 @@ against a dense trapezoid rule with the heads written out by hand.
 
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from faircredit.dataset import Dataset
+from faircredit import sampler
+from faircredit.dataset import Dataset, SplitSpec, load_csv, preprocess, split
 from faircredit.errors import DataError, SamplerError
 from faircredit.probmodel import (
     LOG_2PI,
     PARAM_HEAD,
     Design,
+    HeadTerms,
     ModelConfig,
     head_log_likelihood,
     per_obs_latent_slopes,
@@ -239,6 +242,56 @@ def test_run_chain_matches_scalar_kernels_across_the_rate_cap(tiny_dataset):
         tiny_dataset, ModelConfig(poisson_rate_cap=80.0), cfg
     )
     assert param_errors > 0 and latent_errors > 0
+
+
+@pytest.mark.parametrize(
+    "model_config",
+    [ModelConfig(), ModelConfig(include_credit_intercept=True, credit_scale=5.0),
+     ModelConfig(poisson_rate_cap=80.0)],
+    ids=("default", "intercept", "rate_cap"),
+)
+def test_credit_screen_changes_no_draw(tiny_dataset, monkeypatch, model_config):
+    # run_chain rejects a credit step unevaluated when its bound rules it
+    # out; evaluating every step instead must give the same chain, bit for bit
+    cfg = SamplerConfig(iterations=300, burn_in=100, thin=2, seed=3)
+    screened = []
+    real = sampler._surely_rejected
+
+    def recording(*args):
+        screened.append(real(*args))
+        return screened[-1]
+
+    monkeypatch.setattr(sampler, "_surely_rejected", recording)
+    kept = run_chain(tiny_dataset, model_config, cfg, latent_columns=range(len(tiny_dataset)))
+    assert any(screened) and not all(screened)
+    monkeypatch.setattr(sampler, "_surely_rejected", lambda *args: False)
+    full = run_chain(tiny_dataset, model_config, cfg, latent_columns=range(len(tiny_dataset)))
+    for name in ("param_draws", "latent_mean", "latent_draws", "accept_rate_params"):
+        assert np.array_equal(getattr(kept, name), getattr(full, name)), name
+    assert kept.accept_rate_latents == full.accept_rate_latents
+    assert kept.n_likelihood_errors == full.n_likelihood_errors
+    if model_config.poisson_rate_cap < 1e3:
+        assert kept.n_likelihood_errors > 0
+
+
+def test_credit_screen_skips_most_credit_evaluations(monkeypatch):
+    # at seed 0 on the bundled data the credit coefficients accept a few
+    # percent of their steps, and the screen leaves most rejections unevaluated
+    path = Path(__file__).resolve().parents[1] / "data" / "german_synthetic.csv"
+    train, _ = split(preprocess(load_csv(str(path))), SplitSpec(train_count=800, seed=0))
+    evaluated = []
+    real = HeadTerms.move
+
+    def counting(block, k, coefs):
+        evaluated.append(block.rates is not None)
+        return real(block, k, coefs)
+
+    monkeypatch.setattr(HeadTerms, "move", counting)
+    cfg = SamplerConfig(iterations=300, burn_in=100, seed=0)
+    run_chain(train, ModelConfig(), cfg)
+    credit_steps = 3 * cfg.iterations
+    assert sum(evaluated) < 0.2 * credit_steps
+    assert len(evaluated) - sum(evaluated) == 4 * cfg.iterations  # no logistic step is screened
 
 
 # --- chain driver behavior -----------------------------------------------------
