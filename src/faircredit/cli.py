@@ -259,6 +259,16 @@ def _read_data(cfg: dict[str, str]) -> tuple[list[RawRecord], Dataset]:
     return records, preprocess(records, build_preprocess_config(cfg))
 
 
+# the config key that makes each column of the dataset from the raw records
+_COLUMN_KEYS = {
+    "age_std": "column.age",
+    "sex": "column.sex",
+    "job": "preprocess.job_threshold",
+    "house": "preprocess.own_label",
+    "credit": "column.credit",
+}
+
+
 def _ingest(
     cfg: dict[str, str], header: tuple[str, ...], records: list[RawRecord], data: Dataset
 ) -> None:
@@ -277,6 +287,13 @@ def _ingest(
     lines += [f"{float(edges[b])!r},{int(hist[b])}" for b in range(bins)]
     texts["dist_credit.csv"] = "\n".join(lines) + "\n"
     names, cov = covariance_matrix(data, correlation=False)
+    flat = [name for name, var in zip(names, np.diag(cov)) if var == 0.0]
+    if flat:
+        key = _COLUMN_KEYS[flat[0]]
+        raise ConfigError(
+            f"column {flat[0]!r} is constant, so its correlation is undefined; "
+            f"check config key {key} (= {cfg[key]!r})"
+        )
     texts["covariance.csv"] = matrix_to_csv_text(names, cov, header)
     _, corr = covariance_matrix(data, correlation=True)
     texts["correlation.csv"] = matrix_to_csv_text(names, corr, header)

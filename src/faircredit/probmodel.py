@@ -180,11 +180,16 @@ class Design:
     def __len__(self) -> int:
         return self.sex.shape[0]
 
+    def rows(self, index) -> "Design":
+        """Every per-row array indexed by index: a slice or index array
+        selects rows."""
+        arrays = {f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "cap_log"}
+        return _dc_replace(self, **arrays)
+
     def columns(self) -> "Design":
         """The same rows as (n, 1) columns, so that every head broadcasts over
         an (n, m) array of latent values: m points per row."""
-        arrays = {f.name: getattr(self, f.name)[:, None] for f in fields(self) if f.name != "cap_log"}
-        return _dc_replace(self, **arrays)
+        return self.rows((slice(None), None))
 
 
 _NO_OVERFLOW = np.empty(0)

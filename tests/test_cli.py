@@ -630,14 +630,30 @@ def test_fit_fair_refuses_forest_config_before_any_work(workspace, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
 
 
+CONSTANT_JOB_ERROR = (
+    "error: column 'job' is constant, so its correlation is undefined; "
+    "check config key preprocess.job_threshold (= '0')\n"
+)
+
+
 def test_refused_ingest_writes_no_output(workspace, tmp_path):
     # every job level is >= 0, so job is constant and the correlation check
-    # refuses it; no output may be written before that check
+    # refuses it, naming the key; no output may be written before that check
     config = config_with(workspace, tmp_path, {"preprocess.job_threshold": 0})
     out = tmp_path / "out"
     res = run_cli(["ingest", "--config", str(config), "--out", str(out)])
     assert res.code == 2
-    assert res.err.startswith("error:") and res.err.count("\n") == 1
+    assert res.err == CONSTANT_JOB_ERROR
+    assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
+
+
+@pytest.mark.parametrize("command", (["fit", "--model", "full"], ["compare"]))
+def test_auto_ingest_refuses_a_constant_column_by_its_config_key(workspace, tmp_path, command):
+    config = config_with(workspace, tmp_path, {"preprocess.job_threshold": 0})
+    out = tmp_path / "out"
+    res = run_cli([*command, "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err == CONSTANT_JOB_ERROR
     assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
 
 

@@ -14,6 +14,7 @@ against a dense trapezoid rule with the heads written out by hand.
 """
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from faircredit.probmodel import (
 from faircredit.sampler import (
     ADAPT_EVERY,
     ADAPT_FACTOR,
+    GRID_BLOCK,
     TAIL_NATS,
     Chain,
     SamplerConfig,
@@ -522,6 +524,64 @@ def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
         for name in ("mean", "median", "std"):
             assert np.array_equal(getattr(other, name)[keep], getattr(full, name)[keep]), name
         assert not np.array_equal(other.mean[6:], full.mean[6:])
+
+
+def block_edge_dataset() -> tuple[Dataset, list[int]]:
+    """2 * GRID_BLOCK + 3 rows, so the last block is short. The rows at each
+    block's first and last index are extreme: age six sds out and credit
+    amounts in the thousands."""
+    n = 2 * GRID_BLOCK + 3
+    rng = np.random.default_rng(20)
+    age = rng.normal(size=n)
+    credit = rng.integers(5, 46, size=n)
+    edges = [0, GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK - 1, 2 * GRID_BLOCK, n - 1]
+    age[edges] = np.resize([6.0, -6.0], len(edges))
+    credit[edges] = np.resize([4000, 9000, 2500], len(edges))
+    return Dataset(
+        sex=rng.integers(0, 2, size=n), age_std=age, job=rng.integers(0, 2, size=n),
+        house=rng.integers(0, 2, size=n), credit=credit,
+    ), edges
+
+
+@pytest.mark.parametrize("low_cap", [False, True], ids=["default_cap", "low_cap"])
+@pytest.mark.parametrize("include_credit", [False, True], ids=["honest", "leaky"])
+def test_infer_latents_blocks_match_rows_alone(modest_params, low_cap, include_credit):
+    # rows across, at and inside block boundaries are bit-identical to the
+    # same row inferred on its own. At the low cap every leaky row's grid ends
+    # on the cap's bound, the extreme rows' posteriors pressed against it.
+    data, edges = block_edge_dataset()
+    rate_cap = math.exp(2.5) if low_cap else ModelConfig().poisson_rate_cap
+    model_config = ModelConfig(poisson_rate_cap=rate_cap)
+    full = infer_latent(modest_params, data, model_config, include_credit=include_credit)
+    for i in range(len(data)):
+        alone = infer_latent(
+            modest_params, data.subset(np.array([i])), model_config, include_credit=include_credit
+        )
+        for name in ("mean", "median", "std"):
+            assert getattr(alone, name)[0] == getattr(full, name)[i], (i, name)
+    if include_credit and low_cap:
+        t = modest_params
+        bound = (math.log(rate_cap) - (t.beta_c_s * data.sex + t.beta_c_a * data.age_std)) / t.beta_c_c
+        assert np.all(full.median < bound)
+        assert np.all(full.mean[edges] > bound[edges] - 0.1)
+
+
+def test_infer_latent_memory_does_not_grow_with_rows(modest_params):
+    # the grid stage runs per block of GRID_BLOCK rows, so eight blocks of
+    # rows peak at about what one block does; unblocked, the peak is 8x
+    data, _ = block_edge_dataset()
+    rows = np.arange(8 * GRID_BLOCK) % len(data)
+    peaks = []
+    for n in (GRID_BLOCK, 8 * GRID_BLOCK):
+        part = data.subset(rows[:n])
+        infer_latent(modest_params, part, ModelConfig(), include_credit=True)
+        tracemalloc.start()
+        try:
+            infer_latent(modest_params, part, ModelConfig(), include_credit=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 # --- chain file io ---------------------------------------------------------------
