@@ -489,7 +489,7 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         [getattr(truth, name) for name in PARAM_NAMES[:-1]]
         + ([truth.b_c if truth.b_c is not None else 0.0] if mc.include_credit_intercept else [])
     )
-    corr = float(np.corrcoef(chain.latent_means(), true_c)[0, 1])
+    corr = float(np.corrcoef(chain.latent_mean, true_c)[0, 1])
 
     lines = [f"# {h}" for h in header]
     lines.append(f"# latent_corr={corr:.6g}")

@@ -260,7 +260,7 @@ def compare_models(
             train, model_config, sampler_config, keep_medians=latent_point == "median"
         )
     fair = fit_fair(train, model_config, sampler_config, forest_config, latent_point, chain=chain)
-    c_train = chain.latent_means() if latent_point == "mean" else chain.latent_medians()
+    c_train = chain.latent_mean if latent_point == "mean" else chain.latent_medians()
     del chain  # lets the stage-one draws be freed before test-time inference
     metrics["fair"] = scores(fair, predict_forest(fair.forest, c_train), _predictions(fair, test))
     fair_honest = metrics["fair"]["test_r2"]

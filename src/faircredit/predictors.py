@@ -476,7 +476,7 @@ def fit_fair(
     if len(chain.latent_mean) != len(train):
         raise ValueError("chain latent width does not match the training set")
     theta_hat = chain.theta_median()
-    c_feat = chain.latent_means() if latent_point == "mean" else chain.latent_medians()
+    c_feat = chain.latent_mean if latent_point == "mean" else chain.latent_medians()
     forest = fit_forest(c_feat, np.asarray(train.credit, dtype=float), forest_config)
     return FairModel(
         theta_hat=theta_hat,

@@ -22,13 +22,16 @@ its working memory is about 12 arrays of GRID_BLOCK x GRID_POINTS doubles
 (1.2 MB) however many rows are inferred; everything else is O(rows).
 
 Random streams. One master seed. derive_rng(seed, 0, 0) drives the parameter
-updates and derive_rng(seed, 1, i) drives training latent i, so results do
-not depend on update order or parallel scheduling. Every latent step consumes
-exactly two uniforms from its stream: first the proposal, then the accept
-test. Every parameter step consumes one standard normal (proposal) then one
-uniform (accept test) from the parameter stream: a sweep draws its pairs
-first, in serialization order, so updating the heads in lockstep consumes
-the stream exactly as one parameter at a time in that order would.
+updates and derive_rng(seed, 1, 0) all n training latents: each sweep's
+latent phase takes the next 2n uniforms of that one stream, the first n the
+proposals of latents 0 to n-1 and the next n their accept tests. They are
+drawn in whole sweeps, BUDGET doubles' worth at a time (one sweep's if 2n is
+more), into one buffer: 512 KB up to n = 32,768 and 16 bytes per row beyond,
+however long the chain runs. Every parameter step consumes one standard
+normal (proposal) then one uniform (accept test) from the parameter stream:
+a sweep draws its pairs first, in serialization order, so updating the heads
+in lockstep consumes the stream exactly as one parameter at a time in that
+order would.
 """
 
 import math
@@ -63,8 +66,7 @@ from .util import (
 ADAPT_EVERY = 100     # sweeps between proposal-width rescalings during burn-in
 ADAPT_FACTOR = 1.1
 ERROR_BUDGET = 0.01   # abort when likelihood errors exceed this fraction of steps
-_LATENT_CHUNK = 256   # sweeps of pre-drawn uniforms per latent stream refill
-_FILL_BLOCK = 64      # latents drawn into one block before it is copied into a chunk
+BUDGET = 1 << 16      # latent uniforms drawn per refill, in whole sweeps of 2n
 
 # exact test-time inference (infer_latent)
 NEWTON_MAX_STEPS = 100
@@ -149,9 +151,6 @@ class Chain:
         med = np.median(self.param_draws, axis=0)
         return ModelParams.from_vector(med)
 
-    def latent_means(self) -> np.ndarray:
-        return self.latent_mean
-
     def latent_medians(self) -> np.ndarray:
         if self.latent_median is None:
             raise ValueError("this chain kept no latent medians; run it with keep_medians=True")
@@ -165,38 +164,6 @@ class LatentPosteriors:
     mean: np.ndarray
     median: np.ndarray
     std: np.ndarray
-
-
-def _latent_uniforms(rngs: Sequence[np.random.Generator]):
-    """Yield every latent's proposal and accept-test variates, _LATENT_CHUNK
-    sweeps at a time.
-
-    Both arrays have shape (_LATENT_CHUNK, n) and contiguous rows: entry
-    [s, i] comes from sweep s's pair of uniforms from rngs[i], taken in the
-    order two scalar draws per step take them. The first array holds 2u - 1
-    of the proposal uniform, the second log u of the accept-test uniform,
-    each computed once per chunk in place. A sweep reads one row across all
-    latents, so the draws are made _FILL_BLOCK latents at a time into a small
-    block, one latent per row, and copied into their columns. Drawing in
-    chunks keeps memory at 2 * _LATENT_CHUNK doubles per latent however long
-    the chain runs. The arrays are views, valid until the next chunk is
-    taken.
-    """
-    n = len(rngs)
-    buf = np.empty((2 * _LATENT_CHUNK, n))
-    block = np.empty((min(n, _FILL_BLOCK), 2 * _LATENT_CHUNK))
-    prop, acc = buf[0::2], buf[1::2]
-    while True:
-        for start in range(0, n, len(block)):
-            part = block[: n - start]
-            for row, g in zip(part, rngs[start:]):
-                g.random(out=row)
-            buf[:, start : start + len(part)] = part.T
-        np.multiply(prop, 2.0, out=prop)
-        np.subtract(prop, 1.0, out=prop)
-        with np.errstate(divide="ignore"):
-            np.log(acc, out=acc)
-        yield prop, acc
 
 
 def _surely_rejected(credit: HeadTerms, term: int, old: float, proposal: float, u_acc: float) -> bool:
@@ -276,7 +243,12 @@ def run_chain(
     step = cfg.param_step
 
     param_rng = derive_rng(cfg.seed, STREAM_PARAMS, 0)
-    latent_rngs = [derive_rng(cfg.seed, STREAM_TRAIN_LATENT, i) for i in range(n)]
+    latent_rng = derive_rng(cfg.seed, STREAM_TRAIN_LATENT, 0)
+    # a refill draws chunk sweeps' blocks of n proposal then n accept-test
+    # uniforms; in C order their values do not depend on chunk
+    chunk = max(1, BUDGET // (2 * n))
+    uniforms = np.empty((chunk, 2, n))
+    w, log_u = uniforms[:, 0], uniforms[:, 1]
 
     n_draws = cfg.n_draws()
     param_draws = np.empty((n_draws, k))
@@ -293,7 +265,6 @@ def run_chain(
     err_steps = 0
     total_steps = 0
 
-    uniforms = _latent_uniforms(latent_rngs)
     draw_idx = 0
 
     logistic = HeadTerms((HEAD_JOB, HEAD_HOUSE), np.array(theta), c, design)
@@ -338,11 +309,15 @@ def run_chain(
             block.accept_heads(move, accepted)
 
         # latent phase, vectorized across observations
-        s = (sweep - 1) % _LATENT_CHUNK
+        s = (sweep - 1) % chunk
         if s == 0:
-            w_chunk, log_u_chunk = next(uniforms)
+            latent_rng.random(out=uniforms)
+            np.multiply(w, 2.0, out=w)
+            np.subtract(w, 1.0, out=w)
+            with np.errstate(divide="ignore"):
+                np.log(log_u, out=log_u)
 
-        c_prop = c + delta * w_chunk[s]
+        c_prop = c + delta * w[s]
         logistic_prop, credit_prop = logistic.move_latent(c_prop), credit.move_latent(c_prop)
         total_steps += n
         err_steps += credit_prop.n_over
@@ -353,7 +328,7 @@ def run_chain(
         ll_prop = (logistic_prop.rows[0] + logistic_prop.rows[1]) + credit_prop.rows[0]
         log_r = (ll_prop - 0.5 * (LOG_2PI + c_prop * c_prop)) - (ll_cur - 0.5 * (LOG_2PI + c * c))
         # log u < 0, so this also accepts every log_r >= 0
-        accept = log_u_chunk[s] < log_r
+        accept = log_u[s] < log_r
         c = np.where(accept, c_prop, c)
         logistic.accept_rows(logistic_prop, accept, c)
         credit.accept_rows(credit_prop, accept, c)

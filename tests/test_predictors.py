@@ -474,7 +474,7 @@ def test_fit_fair_uses_posterior_medians_and_latent_means(tiny_dataset):
     model, chain = small_fair_model(tiny_dataset)
     assert model.theta_hat == chain.theta_median()
     refit = fit_forest(
-        chain.latent_means(), np.asarray(tiny_dataset.credit, dtype=float), model.forest.config
+        chain.latent_mean, np.asarray(tiny_dataset.credit, dtype=float), model.forest.config
     )
     grid = np.linspace(-2, 2, 40)
     assert np.array_equal(predict_forest(model.forest, grid), predict_forest(refit, grid))
@@ -485,8 +485,8 @@ def test_fit_fair_latent_point_median_changes_features(tiny_dataset):
     median_model, chain = small_fair_model(tiny_dataset, "median")
     assert mean_model.latent_point == "mean"
     assert median_model.latent_point == "median"
-    assert np.array_equal(chain.latent_means(), mean_chain.latent_means())
-    assert not np.array_equal(chain.latent_means(), chain.latent_medians())
+    assert np.array_equal(chain.latent_mean, mean_chain.latent_mean)
+    assert not np.array_equal(chain.latent_mean, chain.latent_medians())
     with pytest.raises(ConfigError):
         fit_fair(tiny_dataset, ModelConfig(), chain.config, ForestConfig(), latent_point="mode")
     # a chain run without keep_medians has no medians to fit on
