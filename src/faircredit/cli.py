@@ -46,7 +46,7 @@ from .diagnostics import (
 from .errors import ConfigError, FairCreditError, RateCapError, UserError
 from .evaluation import compare_models, covariance_matrix, matrix_to_csv_text
 from .predictors import ForestConfig, fit_fair, fit_full, fit_unaware, save_fair_model
-from .probmodel import ModelConfig, ModelParams, PARAM_NAMES
+from .probmodel import HEAD_TERMS, ModelConfig, ModelParams, PARAM_NAMES
 from .sampler import Chain, SamplerConfig, export_chain, read_param_chain_csv, run_chain
 from .util import (
     atomic_write_text,
@@ -490,20 +490,29 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         + ([truth.b_c if truth.b_c is not None else 0.0] if mc.include_credit_intercept else [])
     )
     corr = float(np.corrcoef(chain.latent_mean, true_c)[0, 1])
+    # the posterior is unchanged by c -> -c with every latent slope negated, so
+    # the errors are those of the medians in the orientation the chain found
+    orientation = -1 if corr < 0.0 else 1
+    slopes = [pos for terms in HEAD_TERMS for pos, column in terms if column == "c"]
+    oriented = medians.copy()
+    oriented[slopes] *= orientation
+    errors = np.abs(oriented - truth_vec)
 
     lines = [f"# {h}" for h in header]
     lines.append(f"# latent_corr={corr:.6g}")
+    lines.append(f"# latent_orientation={orientation:+d}")
     lines.append("name,truth,median,abs_error")
-    for name, t, m in zip(chain.param_names, truth_vec, medians):
-        lines.append(f"{name},{t:.6g},{m:.6g},{abs(m - t):.6g}")
+    for name, t, m, e in zip(chain.param_names, truth_vec, medians, errors):
+        lines.append(f"{name},{t:.6g},{m:.6g},{e:.6g}")
     path = os.path.join(out, "recovery.csv")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
     print(f"synthetic run: n={len(data)}, {len(chain.param_names)} parameter errors reported")
-    worst = max(range(len(chain.param_names)), key=lambda j: abs(medians[j] - truth_vec[j]))
+    worst = int(np.argmax(errors))
     print(
         f"worst recovery: {chain.param_names[worst]} "
-        f"(truth {truth_vec[worst]:.4g}, median {medians[worst]:.4g})"
+        f"(truth {truth_vec[worst]:.4g}, median {oriented[worst]:.4g} "
+        f"in latent orientation {orientation:+d})"
     )
     print(f"corr(inferred latent means, true latents) = {corr:.4f}")
     print(f"wrote {out}/: synthetic.csv, true_latents.csv, recovery.csv")

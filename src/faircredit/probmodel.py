@@ -104,9 +104,6 @@ class ModelParams:
             if not math.isfinite(v):
                 raise ValueError(f"parameter {name} is not finite: {v!r}")
 
-    def replace(self, **kw) -> "ModelParams":
-        return _dc_replace(self, **kw)
-
     def to_vector(self, include_credit_intercept: bool = False) -> np.ndarray:
         vals = [getattr(self, n) for n in BASE_PARAM_NAMES]
         if include_credit_intercept:
@@ -246,8 +243,16 @@ def credit_linear(vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
 
 
 def _logistic_rows(z: np.ndarray) -> np.ndarray:
-    """log sigmoid(z) of signed linear predictors z."""
-    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+    """log sigmoid(z) of signed linear predictors z.
+
+    -|z|, its exp and their log1p are computed in one buffer, and the result
+    is written there too. np.copysign(z, -1.0) gives -|z| in one call, but
+    its loop is slower than abs and negative together."""
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    return np.subtract(np.minimum(z, 0.0), t, out=t)
 
 
 def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,39 +358,24 @@ _BOUND_MARGIN = 1e-9
 _TINY = float(np.finfo(float).tiny)
 
 
-def _row_totals(rows: np.ndarray) -> list[float]:
-    """Each head's sum of its rows, as head_log_likelihood sums them."""
-    return np.add.reduce(rows, axis=1).tolist()
-
-
-@dataclass(slots=True)
-class TermMove:
-    """A HeadTerms block with one term moved: the heads' coefficients of term
-    k, or the latent column when term k is the latent score's."""
-
-    k: int
-    coef: np.ndarray            # term k's coefficients, one row per head
-    term: np.ndarray
-    sums: list[np.ndarray]      # running sums k, ..., m - 2 of the m terms
-    rows: np.ndarray            # (heads, n) per-observation log-likelihood
-    n_over: int                 # rows over the rate cap
-    rates: np.ndarray | None    # a credit block's (1, n) rates, as _credit_rows gives them
-    # each head's log-likelihood, -inf where a rate is over the cap; only a
-    # coefficient move sums its rows
-    totals: list[float] | None = None
-
-
 class HeadTerms:
     """The linear-predictor terms of one or more heads at one state (vec, c),
-    their running sums in HEAD_TERMS order, and their rows and totals.
+    their running sums in HEAD_TERMS order, and their rows.
 
     The heads are evaluated together, as one (heads, n) block, so they must
     share their columns, as the job and house heads do. A move of one term
     recomputes that term and the running sums after it, and reuses the rest.
     Since the terms are added in the same order as _linear_predictor adds
     them, a move's rows, totals and overflow count are bitwise those of
-    head_log_likelihood on the moved state. The kept state changes only
-    through accept_heads and accept_rows.
+    head_log_likelihood on the moved state.
+
+    A proposal takes two calls. move (term k's coefficients) or move_latent
+    (the latent column) evaluates the moved block and holds it, with its rows
+    as moved_rows; accept_heads or accept_rows then takes it into the kept
+    state for the heads or the rows that accept it. Only those two change
+    the kept state. Each head's total, the sum of its kept rows, is summed
+    on first use after the rows change (totals), so a block that no move
+    reads in between is not summed.
 
     The credit block also keeps its rates, the exp(lin) its rows subtract,
     from which step_bound bounds a coefficient move without making it.
@@ -404,9 +394,11 @@ class HeadTerms:
         self.columns = [_column(name, c, design) for name in names]
         self.coefs = [vec[list(p)][:, None] for p in self.positions]
         self.terms = [_term(col, coef) for col, coef in zip(self.columns, self.coefs)]
-        state = self._moved(0, self.coefs[0], self.columns[0])
-        self.sums, self.rows, self.rates = state.sums, state.rows, state.rates
-        self.totals = _row_totals(self.rows)
+        self.sums, self.rows, _, self.rates = self._moved(0, self.terms[0])
+        self._totals = None
+        # the held move: its rows and rates, and a coefficient move's
+        # (k, coef, term, sums, totals)
+        self.moved_rows = self._moved_rates = self._held = None
         if self.rates is not None:
             # step_bound's columns x_k (1 for the intercept), their squares and
             # max |x_k|; the latent row is refreshed with each state
@@ -418,34 +410,66 @@ class HeadTerms:
             self._lgamma_sum = float(design.lgamma_counts.sum())
         self._screen = None  # step_bound's sums at the kept state, made on first use
 
-    def _moved(self, k: int, coef: np.ndarray, column: np.ndarray | None) -> TermMove:
-        """Term k recomputed from coef and column, then the running sums after
-        it from the kept terms, and the rows of the full sum."""
-        term = _term(column, coef)
+    def _moved(self, k: int, term: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, int, np.ndarray | None]:
+        """With term k set to term and the kept terms after it: the running
+        sums k, ..., m - 2 of the m terms, and the rows, the number of rows
+        over the rate cap and (a credit block's) rates of the full sum."""
         x = term if k == 0 else self.sums[k - 1] + term
         sums = []
         for t in self.terms[k + 1:]:
             sums.append(x)
             x = x + t
         if self.sign is not None:
-            return TermMove(k, coef, term, sums, _logistic_rows(x * self.sign), 0, None)
+            return sums, _logistic_rows(x * self.sign), 0, None
         rows, over_lin, rates = _credit_rows(x, self.design)
-        return TermMove(k, coef, term, sums, rows, over_lin.size, rates)
+        return sums, rows, over_lin.size, rates
 
-    def move(self, k: int, coefs: list[float]) -> TermMove:
-        """The block with term k's coefficients set to coefs, one per head."""
-        move = self._moved(k, np.array(coefs)[:, None], self.columns[k])
-        move.totals = _row_totals(move.rows)
-        return move
+    def totals(self) -> list[float]:
+        """Each head's log-likelihood at the kept state, as head_log_likelihood sums it."""
+        if self._totals is None:
+            self._totals = np.add.reduce(self.rows, axis=1).tolist()
+        return self._totals
 
-    def move_latent(self, c: np.ndarray) -> TermMove:
-        """The block with the latent scores set to c."""
+    def move(self, k: int, coef: np.ndarray) -> list[float]:
+        """Each head's log-likelihood with term k's coefficients set to coef,
+        a (heads, 1) array: -inf where a rate is over the cap. The moved block
+        is held for accept_heads."""
+        term = _term(self.columns[k], coef)
+        sums, self.moved_rows, _, self._moved_rates = self._moved(k, term)
+        totals = np.add.reduce(self.moved_rows, axis=1).tolist()
+        self._held = (k, coef, term, sums, totals)
+        return totals
+
+    def accept_heads(self, accepted: list[bool]) -> None:
+        """Keep the held coefficient move for the heads where accepted is true."""
+        k, coef, term, sums, totals = self._held
+        if all(accepted):
+            self.coefs[k], self.terms[k], self.sums[k:] = coef, term, sums
+            self.rows, self._totals, self.rates = self.moved_rows, totals, self._moved_rates
+            self._screen = None
+            return
+        # the kept arrays are this block's own, so an accepted head's row is
+        # copied in (the credit block has one head, so it keeps its rates above)
+        for h, a in enumerate(accepted):
+            if a:
+                self.coefs[k][h] = coef[h]
+                self.terms[k][h] = term[h]
+                for kept, new in zip(self.sums[k:], sums):
+                    kept[h] = new[h]
+                self.totals()[h] = totals[h]
+                self.rows[h] = self.moved_rows[h]
+
+    def move_latent(self, c: np.ndarray) -> tuple[np.ndarray, int]:
+        """The rows with the latent scores set to c, and how many are over the
+        rate cap. The moved block is held for accept_rows."""
         k = self.latent_term
-        return self._moved(k, self.coefs[k], c)
+        _, self.moved_rows, n_over, self._moved_rates = self._moved(k, _term(c, self.coefs[k]))
+        self._held = None
+        return self.moved_rows, n_over
 
     def step_bound(self, k: int, delta: float) -> float:
-        """An upper bound on move(k, [coef + delta]).totals[0] - totals[0] in
-        a credit block whose term k has coefficient coef; inf when the move
+        """An upper bound on move(k, coef + delta)[0] - totals()[0] in a
+        credit block whose term k has coefficient coef; inf when the move
         could put a rate over the cap.
 
         Term k has column x (1 for the intercept). With the kept rates r_i
@@ -494,36 +518,17 @@ class HeadTerms:
         curv = (self._x2 @ rates).tolist()
         return top, max_rate, lin_scale, spread, grad, curv
 
-    def accept_heads(self, move: TermMove, accepted: list[bool]) -> None:
-        """Keep a coefficient move for the heads where accepted is true."""
-        k = move.k
-        if all(accepted):
-            self.coefs[k], self.terms[k], self.sums[k:] = move.coef, move.term, move.sums
-            self.rows, self.totals, self.rates = move.rows, move.totals, move.rates
-            self._screen = None
-            return
-        # the kept arrays are this block's own, so an accepted head's row is
-        # copied in (the credit block has one head, so it keeps its rates above)
-        for h, a in enumerate(accepted):
-            if a:
-                self.coefs[k][h] = move.coef[h]
-                self.terms[k][h] = move.term[h]
-                for kept, new in zip(self.sums[k:], move.sums):
-                    kept[h] = new[h]
-                self.rows[h] = move.rows[h]
-                self.totals[h] = move.totals[h]
-
-    def accept_rows(self, move: TermMove, accept: np.ndarray, c: np.ndarray) -> None:
-        """Keep a latent move for the rows where accept is true; c is the
-        latent column that results, so the latent term and the running sums
-        after it are those of c."""
-        k = move.k
+    def accept_rows(self, accept: np.ndarray, c: np.ndarray) -> None:
+        """Keep the held latent move for the rows where accept is true; c is
+        the latent column that results, so the latent term and the running
+        sums after it are those of c."""
+        k = self.latent_term
         self.columns[k] = c
         self.terms[k] = _term(c, self.coefs[k])
         for j in range(k, len(self.sums)):
             self.sums[j] = self.terms[j] if j == 0 else self.sums[j - 1] + self.terms[j]
-        self.rows = np.where(accept, move.rows, self.rows)
-        self.totals = _row_totals(self.rows)
+        self.rows = np.where(accept, self.moved_rows, self.rows)
+        self._totals = None
         if self.rates is not None:
-            self.rates = np.where(accept, move.rates, self.rates)
+            self.rates = np.where(accept, self._moved_rates, self.rates)
             self._screen = None

@@ -27,11 +27,11 @@ latent phase takes the next 2n uniforms of that one stream, the first n the
 proposals of latents 0 to n-1 and the next n their accept tests. They are
 drawn in whole sweeps, BUDGET doubles' worth at a time (one sweep's if 2n is
 more), into one buffer: 512 KB up to n = 32,768 and 16 bytes per row beyond,
-however long the chain runs. Every parameter step consumes one standard
-normal (proposal) then one uniform (accept test) from the parameter stream:
-a sweep draws its pairs first, in serialization order, so updating the heads
-in lockstep consumes the stream exactly as one parameter at a time in that
-order would.
+however long the chain runs. The parameter stream gives each sweep k
+standard normals, the proposals of the k parameters in serialization order,
+then k uniforms, their accept tests, two calls in all. All are drawn before
+the sweep's first step, so updating the heads in lockstep consumes the
+stream exactly as one parameter at a time in that order would.
 """
 
 import math
@@ -204,17 +204,20 @@ def run_chain(
     logistic heads (b, then the sex, age and latent coefficients) as one
     (2, n) evaluation and accepts or rejects each head on its own, and the
     credit head's coefficient k (the intercept last) follows in the same
-    step. Each parameter's proposal and accept test still come from its own
-    (normal, uniform) pair, drawn at the start of the sweep in serialization
-    order, so the stream is consumed, and the chain comes out, exactly as
-    with one step per parameter in that order.
+    step. The sweep draws its k proposal normals, then its k accept
+    uniforms, before its first step; parameter j's proposal and accept test
+    are the j-th of each, in serialization order, so the stream is consumed,
+    and the chain comes out, exactly as with one step per parameter in that
+    order.
 
-    Each head block (probmodel.HeadTerms) keeps the terms, running sums, rows
-    and totals of its linear predictors at the current state: a proposal
+    Each head block (probmodel.HeadTerms) keeps the terms, running sums and
+    rows of its linear predictors at the current state: a proposal
     recomputes only its own term and the sums after it, in the order
     head_log_likelihood adds them, so every likelihood is bitwise the one
     computed from scratch. The latent phase moves each block's latent term
-    once, and the rows of the latents it accepts are merged in. A rejected
+    once, and the rows of the latents it accepts, and their prior terms, are
+    merged in. A block's totals are summed only when a coefficient step is
+    evaluated on it, so the credit block's mostly are not. A rejected
     proposal's values, such as the -inf rows of one over the rate cap, are
     never kept. A credit coefficient step whose log ratio is provably below
     the log of its accept uniform (_surely_rejected) is rejected without
@@ -237,8 +240,9 @@ def run_chain(
     names = model_config.active_param_names()
     k = len(names)
 
-    theta = [0.0] * k
+    theta = np.zeros(k)
     c = np.zeros(n)
+    prior = 0.5 * (LOG_2PI + c * c)  # each latent's -log N(c; 0, 1)
     delta = cfg.delta
     step = cfg.param_step
 
@@ -267,46 +271,49 @@ def run_chain(
 
     draw_idx = 0
 
-    logistic = HeadTerms((HEAD_JOB, HEAD_HOUSE), np.array(theta), c, design)
-    credit = HeadTerms((HEAD_CREDIT,), np.array(theta), c, design)
+    logistic = HeadTerms((HEAD_JOB, HEAD_HOUSE), theta, c, design)
+    credit = HeadTerms((HEAD_CREDIT,), theta, c, design)
     blocks = (logistic, credit)
-    # step k moves term k of both logistic heads, then the credit head's term k
-    schedule = [(term, block) for term in range(max(len(b.positions) for b in blocks))
+    # step k moves term k of both logistic heads, then the credit head's term
+    # k; index picks the step's proposals out of the sweep's, as (heads, 1)
+    schedule = [(term, block, block.positions[term], np.array(block.positions[term])[:, None])
+                for term in range(max(len(b.positions) for b in blocks))
                 for block in blocks if term < len(block.positions)]
 
     for sweep in range(1, cfg.iterations + 1):
         post = sweep > cfg.burn_in
 
-        # parameter phase: one (normal, uniform) pair per parameter
-        pairs = [(param_rng.standard_normal(), param_rng.random()) for _ in range(k)]
+        # parameter phase: k proposal normals, then k accept uniforms
+        proposal = theta + step * param_rng.standard_normal(k)
+        u = param_rng.random(k).tolist()
+        olds, props = theta.tolist(), proposal.tolist()
         total_steps += k
         win_param_tot += k
-        for term, block in schedule:
-            positions = block.positions[term]
-            proposals = [theta[j] + step * pairs[j][0] for j in positions]
+        for term, block, positions, index in schedule:
             if block is credit:
                 (j,) = positions
-                if _surely_rejected(credit, term, theta[j], proposals[0], pairs[j][1]):
+                if _surely_rejected(credit, term, olds[j], props[j], u[j]):
                     continue  # unevaluated: evaluating it would reject it too
-            move = block.move(term, proposals)
+            new_sums = block.move(term, proposal[index])
             accepted = []
-            for j, proposal, new_sum, cur_sum in zip(positions, proposals, move.totals, block.totals):
+            for j, new_sum, cur_sum in zip(positions, new_sums, block.totals()):
                 if new_sum == -math.inf:  # a rate over the cap
                     err_steps += 1
                     ok = False
                 else:
                     # only this head moved; its sum plus the prior term is the full ratio
-                    old = theta[j]
-                    log_r = (new_sum - cur_sum) + 0.5 * (old * old - proposal * proposal)
-                    u_acc = pairs[j][1]
+                    old, new = olds[j], props[j]
+                    log_r = (new_sum - cur_sum) + 0.5 * (old * old - new * new)
+                    u_acc = u[j]
                     ok = log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r)
                 if ok:
-                    theta[j] = proposal
+                    theta[j] = props[j]
                     win_param_acc += 1
                     if post:
                         acc_param_post[j] += 1
                 accepted.append(ok)
-            block.accept_heads(move, accepted)
+            if any(accepted):
+                block.accept_heads(accepted)
 
         # latent phase, vectorized across observations
         s = (sweep - 1) % chunk
@@ -318,20 +325,23 @@ def run_chain(
                 np.log(log_u, out=log_u)
 
         c_prop = c + delta * w[s]
-        logistic_prop, credit_prop = logistic.move_latent(c_prop), credit.move_latent(c_prop)
+        prior_prop = 0.5 * (LOG_2PI + c_prop * c_prop)
+        logistic_rows, _ = logistic.move_latent(c_prop)
+        credit_rows, n_over = credit.move_latent(c_prop)
         total_steps += n
-        err_steps += credit_prop.n_over
+        err_steps += n_over
         # heads added as per_obs_log_likelihood adds them, and the ratio
         # associated as target(proposal) - target(current), so a scalar step
         # on one latent at a time agrees with this vectorized phase bitwise
         ll_cur = (logistic.rows[0] + logistic.rows[1]) + credit.rows[0]
-        ll_prop = (logistic_prop.rows[0] + logistic_prop.rows[1]) + credit_prop.rows[0]
-        log_r = (ll_prop - 0.5 * (LOG_2PI + c_prop * c_prop)) - (ll_cur - 0.5 * (LOG_2PI + c * c))
+        ll_prop = (logistic_rows[0] + logistic_rows[1]) + credit_rows[0]
+        log_r = (ll_prop - prior_prop) - (ll_cur - prior)
         # log u < 0, so this also accepts every log_r >= 0
         accept = log_u[s] < log_r
         c = np.where(accept, c_prop, c)
-        logistic.accept_rows(logistic_prop, accept, c)
-        credit.accept_rows(credit_prop, accept, c)
+        prior = np.where(accept, prior_prop, prior)
+        logistic.accept_rows(accept, c)
+        credit.accept_rows(accept, c)
         n_acc = int(np.count_nonzero(accept))
         win_latent_acc += n_acc
         win_latent_tot += n

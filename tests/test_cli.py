@@ -11,7 +11,7 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -436,6 +436,61 @@ def test_synth_outputs(workspace):
     assert any(r.startswith("b_j,0.5,") for r in rows)
     synth_lines = (out / "synthetic.csv").read_text(encoding="utf-8").splitlines()
     assert synth_lines[0] == f"# config_hash={expected_hash(workspace)}"
+
+
+def recovery_table(out) -> tuple[dict[str, str], dict[str, tuple[float, float, float]]]:
+    """recovery.csv's comment values and its rows, name -> (truth, median, abs_error)."""
+    lines = (out / "recovery.csv").read_text(encoding="utf-8").splitlines()
+    comments = dict(l[2:].split("=", 1) for l in lines if l.startswith("# ") and "=" in l)
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    return comments, {r[0]: tuple(map(float, r[1:])) for r in rows}
+
+
+def test_synth_recovery_is_judged_in_the_chain_latent_orientation(tmp_path, monkeypatch):
+    # the posterior is unchanged by c -> -c with the three latent slopes
+    # negated, so a chain in the mirror mode reports the same errors; the
+    # mirror here is the found chain's, exactly: its slopes' draws and its
+    # latent means negated
+    config = tmp_path / "synth.kv"
+    config.write_text(
+        "synth.n = 60\nsynth.param.beta_j_c = 1.2\nsynth.param.beta_c_c = 0.4\n"
+        "sampler.iterations = 300\nsampler.burn_in = 100\n",
+        encoding="utf-8",
+    )
+    slopes = ("beta_j_c", "beta_h_c", "beta_c_c")
+    found = run_cli(["synth", "--config", str(config), "--out", str(tmp_path / "found")])
+    real = cli.run_chain
+
+    def mirrored(*args, **kwargs):
+        chain = real(*args, **kwargs)
+        flip = np.array([-1.0 if name in slopes else 1.0 for name in chain.param_names])
+        return replace(chain, param_draws=chain.param_draws * flip, latent_mean=-chain.latent_mean)
+
+    monkeypatch.setattr(cli, "run_chain", mirrored)
+    mirror = run_cli(["synth", "--config", str(config), "--out", str(tmp_path / "mirror")])
+    assert found.code == 0 and mirror.code == 0
+    (found_notes, found_rows), (mirror_notes, mirror_rows) = (
+        recovery_table(tmp_path / name) for name in ("found", "mirror")
+    )
+    # truth, median and latent_corr stay raw, the orientation is the corr's sign
+    assert float(mirror_notes["latent_corr"]) == -float(found_notes["latent_corr"])
+    orientations = {found_notes["latent_orientation"], mirror_notes["latent_orientation"]}
+    assert orientations == {"+1", "-1"}
+    for notes, rows in ((found_notes, found_rows), (mirror_notes, mirror_rows)):
+        assert (notes["latent_orientation"] == "-1") == (float(notes["latent_corr"]) < 0)
+        sign = float(notes["latent_orientation"])
+        for name, (truth, median, error) in rows.items():
+            oriented = sign * median if name in slopes else median
+            assert error == pytest.approx(abs(oriented - truth), abs=2e-6), name
+    assert list(found_rows) == list(mirror_rows)
+    for name, (truth, median, error) in found_rows.items():
+        m_truth, m_median, m_error = mirror_rows[name]
+        assert (m_truth, m_error) == (truth, error), name
+        assert m_median == (-median if name in slopes else median), name
+    # the worst recovery names the same parameter and value either way
+    worst = [l for l in found.out.splitlines() if l.startswith("worst recovery:")]
+    assert len(worst) == 1
+    assert worst[0].split(" in latent orientation")[0] in mirror.out
 
 
 def test_master_seed_changes_outputs(workspace, tmp_path):

@@ -1,6 +1,7 @@
 """CSV loading, preprocessing, splitting, and synthetic generation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ def test_generate_synthetic_shapes_and_ranges(modest_params):
 
 def test_generate_synthetic_credit_intercept_shifts_scale(modest_params):
     low, _ = generate_synthetic(modest_params, 400, seed=3)
-    high, _ = generate_synthetic(modest_params.replace(b_c=2.0), 400, seed=3)
+    high, _ = generate_synthetic(replace(modest_params, b_c=2.0), 400, seed=3)
     assert float(np.mean(high.credit)) > 3.0 * float(np.mean(low.credit))
 
 

@@ -158,7 +158,7 @@ def test_model_params_vector_round_trip():
     assert vec.shape == (11,)
     assert ModelParams.from_vector(vec) == theta
 
-    theta12 = theta.replace(b_c=2.5)
+    theta12 = replace(theta, b_c=2.5)
     vec12 = theta12.to_vector(include_credit_intercept=True)
     assert vec12.shape == (12,)
     assert vec12[11] == 2.5
@@ -224,7 +224,7 @@ def test_obs_log_likelihood_matches_hand_assembly(tiny_dataset, modest_params):
 
 def test_obs_log_likelihood_uses_credit_intercept(tiny_dataset, modest_params):
     config = ModelConfig(include_credit_intercept=True)
-    theta = modest_params.replace(b_c=1.5)
+    theta = replace(modest_params, b_c=1.5)
     design = Design.from_dataset(tiny_dataset, config)
     c = np.full(len(tiny_dataset), 0.2)
     with_b, _ = per_obs_log_likelihood(theta.to_vector(True), c, design)
@@ -242,7 +242,7 @@ def test_obs_log_likelihood_uses_credit_intercept(tiny_dataset, modest_params):
 def test_per_obs_matches_scalar_loop(tiny_dataset, modest_params):
     for config, theta in (
         (ModelConfig(), modest_params),
-        (ModelConfig(include_credit_intercept=True, credit_scale=5.0), modest_params.replace(b_c=0.8)),
+        (ModelConfig(include_credit_intercept=True, credit_scale=5.0), replace(modest_params, b_c=0.8)),
     ):
         design = Design.from_dataset(tiny_dataset, config)
         vec = theta.to_vector(config.include_credit_intercept)
@@ -321,8 +321,8 @@ def test_latent_slopes_match_finite_differences(tiny_dataset, modest_params, inc
     # central differences of the engine itself, over an (n, m) grid of latent
     # values through the column-shaped design, checking that layout too
     for config, theta in (
-        (ModelConfig(), modest_params.replace(beta_j_c=4.0)),
-        (ModelConfig(include_credit_intercept=True, credit_scale=5.0), modest_params.replace(b_c=0.8)),
+        (ModelConfig(), replace(modest_params, beta_j_c=4.0)),
+        (ModelConfig(include_credit_intercept=True, credit_scale=5.0), replace(modest_params, b_c=0.8)),
     ):
         cols = Design.from_dataset(tiny_dataset, config).columns()
         vec = theta.to_vector(config.include_credit_intercept)
@@ -346,7 +346,7 @@ def test_column_design_broadcasts_every_head(tiny_dataset, modest_params):
     # exactly the 1-D engine's rows
     config = ModelConfig(include_credit_intercept=True, credit_scale=5.0)
     design = Design.from_dataset(tiny_dataset, config)
-    vec = modest_params.replace(b_c=0.8).to_vector(True)
+    vec = replace(modest_params, b_c=0.8).to_vector(True)
     c = np.random.default_rng(3).standard_normal((len(tiny_dataset), 4))
     grid, _ = per_obs_log_likelihood(vec, c, design.columns())
     for k in range(4):
@@ -390,19 +390,19 @@ def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
         vec, c = rng.standard_normal(n_params), 1.5 * rng.standard_normal(n)
         for heads in BLOCKS:
             block = HeadTerms(heads, vec, c, design)
-            assert_block_matches_scratch(heads, block.rows, block.totals, vec, c, design)
+            assert_block_matches_scratch(heads, block.rows, block.totals(), vec, c, design)
             for k, positions in enumerate(block.positions):
                 coefs = 3.0 * rng.standard_normal(len(heads))
-                move = block.move(k, coefs.tolist())
+                totals = block.move(k, coefs[:, None])
                 moved = vec.copy()
                 moved[list(positions)] = coefs
-                n_over = assert_block_matches_scratch(heads, move.rows, move.totals, moved, c, design)
-                assert move.n_over == n_over
+                n_over = assert_block_matches_scratch(heads, block.moved_rows, totals, moved, c, design)
                 over_moves += n_over > 0
                 finite_moves += n_over == 0
             c_prop = c + rng.standard_normal(n)
-            move = block.move_latent(c_prop)
-            assert move.n_over == assert_block_matches_scratch(heads, move.rows, None, vec, c_prop, design)
+            rows, n_over = block.move_latent(c_prop)
+            assert rows is block.moved_rows
+            assert n_over == assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
     assert finite_moves > 0
     if config.poisson_rate_cap < 1e3:
         assert over_moves > 0
@@ -423,28 +423,29 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
             k = int(rng.integers(len(block.positions)))
             positions = block.positions[k]
             coefs = vec[list(positions)] + rng.standard_normal(len(heads))
-            move = block.move(k, coefs.tolist())
+            block.move(k, coefs[:, None])
             accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
-            block.accept_heads(move, accepted)
+            block.accept_heads(accepted)
             for j, keep, v in zip(positions, accepted, coefs):
                 if keep:
                     vec[j] = v
         c_prop = c + rng.standard_normal(n)
-        moves = [block.move_latent(c_prop) for block in blocks]
+        for block in blocks:
+            block.move_latent(c_prop)
         accept = rng.random(n) < 0.5
         c = np.where(accept, c_prop, c)
-        for block, move in zip(blocks, moves):
-            block.accept_rows(move, accept, c)
+        for block in blocks:
+            block.accept_rows(accept, c)
         for heads, block in zip(BLOCKS, blocks):
             fresh = HeadTerms(heads, vec, c, design)
             for kept, want in ((block.coefs, fresh.coefs), (block.terms, fresh.terms), (block.sums, fresh.sums)):
                 assert len(kept) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(kept, want))
             assert np.array_equal(block.rows, fresh.rows)
-            assert block.totals == fresh.totals
+            assert block.totals() == fresh.totals()
             assert (block.rates is None) == (fresh.rates is None)
             assert block.rates is None or np.array_equal(block.rates, fresh.rates)
-            assert_block_matches_scratch(heads, block.rows, block.totals, vec, c, design)
+            assert_block_matches_scratch(heads, block.rows, block.totals(), vec, c, design)
 
 
 def test_head_terms_need_shared_columns(tiny_dataset, modest_params):
@@ -466,7 +467,7 @@ def test_credit_step_bound_covers_the_engine(tiny_dataset, modest_params, rows, 
     if rows == "tiny":
         data = tiny_dataset
     else:  # the synth workload's truth: rates about e^1.8
-        data = generate_synthetic(modest_params.replace(b_c=1.8), 400, seed=4)[0]
+        data = generate_synthetic(replace(modest_params, b_c=1.8), 400, seed=4)[0]
     n, n_params = len(data), 12 if intercept else 11
     rng = np.random.default_rng(7)
     seen = {"over": 0, "far": 0, "near_cap": 0}
@@ -481,26 +482,27 @@ def test_credit_step_bound_covers_the_engine(tiny_dataset, modest_params, rows, 
             (j,) = block.positions[k]
             old = vec[j]
             proposal = old + rng.choice([1e-3, 0.1, 1.0, 4.0]) * rng.standard_normal()
-            move = block.move(k, [proposal])
+            (total,) = block.move(k, np.array([[proposal]]))
             bound = block.step_bound(k, proposal - old)
-            if move.n_over:
+            over = total == -math.inf
+            if over:
                 assert bound == math.inf
                 seen["over"] += 1
             else:
                 prior = 0.5 * (old * old - proposal * proposal)
-                assert bound + prior >= (move.totals[0] - block.totals[0]) + prior
+                assert bound + prior >= (total - block.totals()[0]) + prior
                 column = block.columns[k]
                 spread = 1.0 if column is None else float(np.abs(column).max())
                 seen["far"] += bound < math.inf and abs(proposal - old) * spread > 2.0
                 seen["near_cap"] += bound < math.inf and gap < math.inf
-            if rng.random() < 0.3 and not move.n_over:
-                block.accept_heads(move, [True])
+            if rng.random() < 0.3 and not over:
+                block.accept_heads([True])
                 vec[j] = proposal
             elif rng.random() < 0.3:
                 c_prop = c + rng.standard_normal(n)
-                latent = block.move_latent(c_prop)
-                accept = (rng.random(n) < 0.5) & np.isfinite(latent.rows[0])
+                rows, _ = block.move_latent(c_prop)
+                accept = (rng.random(n) < 0.5) & np.isfinite(rows[0])
                 c = np.where(accept, c_prop, c)
-                block.accept_rows(latent, accept, c)
+                block.accept_rows(accept, c)
     assert all(seen.values()), seen
 
