@@ -9,12 +9,23 @@ log-space, and overflow-guarded.
 The likelihood is written once, per head, over arrays of observations. A
 head's linear predictor is its HEAD_TERMS entry: (parameter, column) terms
 added left to right, which fixes the floating-point association of every
-evaluation of it. Its rows come from _logistic_rows or _credit_rows. A
-logistic row is log sigmoid(z) of the signed predictor z, computed as
-min(z, 0) - log1p(exp(-|z|)). That is the formula of numpy's scalar
-logaddexp, but run through exp and log1p, whose loops are vectorized:
-np.logaddexp calls a scalar function per element and takes about twice as
-long at n=800. exp(-|z|) <= 1 cannot overflow.
+evaluation of it. Its rows come from _logistic_rows or _credit_rows.
+
+A logistic row is log sigmoid(z) of the signed predictor z. The engine
+multiplies the linear predictor by the outcome's negated sign (Design's
+job_nsign and house_nsign), which gives nz = -z at no extra cost, and the
+row is -log1p(exp(nz)): exp and log1p in place in nz's buffer, then a
+subtraction from 0. The stable formula, min(z, 0) - log1p(exp(-|z|)),
+takes six passes (abs, negative, exp, log1p, minimum, subtract) for the
+same two transcendental ones. Both are vectorized; np.logaddexp calls a
+scalar function per element and takes about twice as long at n=800. For
+z >= 0 the two formulas agree bit for bit, and for z < 0 the fast one is
+within 2 ulp of -logaddexp(0, -z). exp(nz) overflows for z below about
+-709.78. There the row is z itself, which is what the stable formula
+rounds to, since exp(z) is far below half an ulp of z. So each row is a
+function of its own z alone, and a block's rows do not depend on which
+check found the overflow. One reduction over nz guards the exp, so no
+overflow warning is raised.
 
 head_log_likelihood evaluates one head from scratch (_head_rows) and returns
 its rows beside their sum. per_obs_log_likelihood adds the heads per
@@ -150,8 +161,8 @@ class Design:
 
     sex: np.ndarray
     age: np.ndarray
-    job_sign: np.ndarray    # 2*job - 1
-    house_sign: np.ndarray  # 2*house - 1
+    job_nsign: np.ndarray    # 1 - 2*job, the outcome's sign negated
+    house_nsign: np.ndarray  # 1 - 2*house
     counts: np.ndarray      # credit / credit_scale, rounded half to even
     lgamma_counts: np.ndarray  # log(counts!), by math.lgamma
     cap_log: float
@@ -167,8 +178,8 @@ class Design:
         return cls(
             sex=sex,
             age=age,
-            job_sign=2.0 * job - 1.0,
-            house_sign=2.0 * house - 1.0,
+            job_nsign=1.0 - 2.0 * job,
+            house_nsign=1.0 - 2.0 * house,
             counts=counts,
             lgamma_counts=lgamma_counts,
             cap_log=math.log(config.poisson_rate_cap),
@@ -228,13 +239,14 @@ def _linear_predictor(head: int, vec: np.ndarray, c: np.ndarray, design: Design)
     return x
 
 
-def _outcome_sign(head: int, design: Design) -> np.ndarray:
-    return design.job_sign if head == HEAD_JOB else design.house_sign
+def _outcome_nsign(head: int, design: Design) -> np.ndarray:
+    return design.job_nsign if head == HEAD_JOB else design.house_nsign
 
 
-def _signed_logit(head: int, vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
-    """A logistic head's linear predictor times the outcome's sign (+1 or -1)."""
-    return _linear_predictor(head, vec, c, design) * _outcome_sign(head, design)
+def _negated_logit(head: int, vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
+    """-z for a logistic head's signed predictor z: its linear predictor times
+    the outcome's negated sign (-1 or +1)."""
+    return _linear_predictor(head, vec, c, design) * _outcome_nsign(head, design)
 
 
 def credit_linear(vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
@@ -242,17 +254,28 @@ def credit_linear(vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
     return _linear_predictor(HEAD_CREDIT, vec, c, design)
 
 
-def _logistic_rows(z: np.ndarray) -> np.ndarray:
-    """log sigmoid(z) of signed linear predictors z.
+# exp(t) is finite for every t up to this, just below log(DBL_MAX) = 709.7827
+_EXP_SAFE = 709.78
 
-    -|z|, its exp and their log1p are computed in one buffer, and the result
-    is written there too. np.copysign(z, -1.0) gives -|z| in one call, but
-    its loop is slower than abs and negative together."""
-    t = np.abs(z)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    return np.subtract(np.minimum(z, 0.0), t, out=t)
+
+def _logistic_rows(nz: np.ndarray) -> np.ndarray:
+    """log sigmoid(z) of signed linear predictors z, from nz = -z, written
+    over nz: 0 - log1p(exp(nz)), or z itself where exp(nz) overflows.
+
+    The max of nz is the one reduction. When it is at most _EXP_SAFE, no exp
+    can overflow, and the rows are two transcendental passes and a
+    subtraction in nz's buffer, with nothing else allocated. Otherwise the
+    array runs with the overflow ignored, and the overflowed rows take z.
+    np.maximum.reduce costs a Python call less than nz.max()."""
+    if np.maximum.reduce(nz, axis=None) <= _EXP_SAFE:
+        np.exp(nz, out=nz)
+        np.log1p(nz, out=nz)
+        return np.subtract(0.0, nz, out=nz)
+    with np.errstate(over="ignore"):
+        rows = np.subtract(0.0, np.log1p(np.exp(nz)))
+    over = rows == -np.inf
+    rows[over] = -nz[over]
+    return rows
 
 
 def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,14 +299,14 @@ def _head_rows(
 
     The logistic heads work on the signed linear predictor z, never on the
     probability, so they stay exact where it would round to 0 or 1. Their
-    rows are log sigmoid(z) = min(z, 0) - log1p(exp(-|z|)), within a few ulp
-    of -logaddexp(0, -z), which is the same formula run one element at a time.
+    rows are log sigmoid(z) = -log1p(exp(-z)) (_logistic_rows), within a few
+    ulp of -logaddexp(0, -z), and z itself where exp(-z) overflows.
     Credit rows whose rate exceeds the cap are -inf, and their linear
     predictors are returned in row order; the second array is empty
     otherwise, and only a rate above the cap costs the masking.
     """
     if head != HEAD_CREDIT:
-        return _logistic_rows(_signed_logit(head, vec, c, design)), _NO_OVERFLOW
+        return _logistic_rows(_negated_logit(head, vec, c, design)), _NO_OVERFLOW
     return _credit_rows(credit_linear(vec, c, design), design)[:2]
 
 
@@ -299,12 +322,11 @@ def _head_slopes(
     Rates over the cap are not masked: callers keep c where the rate is capped.
     """
     if head != HEAD_CREDIT:
-        z = _signed_logit(head, vec, c, design)
-        t = np.exp(-np.abs(z))
+        nz = _negated_logit(head, vec, c, design)
+        t = np.exp(-np.abs(nz))
         k = vec[4 * head + 3]
-        sign = _outcome_sign(head, design)
-        sig_neg = np.where(z > 0.0, t, 1.0) / (1.0 + t)
-        return (k * sign) * sig_neg, -(k * k) * t / ((1.0 + t) * (1.0 + t))
+        sig_neg = np.where(nz < 0.0, t, 1.0) / (1.0 + t)
+        return (-k * _outcome_nsign(head, design)) * sig_neg, -(k * k) * t / ((1.0 + t) * (1.0 + t))
     rate = np.exp(credit_linear(vec, c, design))
     k = vec[10]
     return k * (design.counts - rate), -(k * k) * rate
@@ -377,6 +399,12 @@ class HeadTerms:
     on first use after the rows change (totals), so a block that no move
     reads in between is not summed.
 
+    A logistic block keeps its heads' negated outcome signs as one
+    (heads, n) array, so each evaluation multiplies its full sum by them and
+    hands the product to _logistic_rows, which writes the rows over it. The
+    rows are that kernel's on the whole block, element by element, so they
+    match head_log_likelihood's on either side of its overflow rule.
+
     The credit block also keeps its rates, the exp(lin) its rows subtract,
     from which step_bound bounds a coefficient move without making it.
     """
@@ -390,7 +418,7 @@ class HeadTerms:
         # positions[k]: term k's parameter position in each head
         self.positions = [tuple(t[k][0] for t in table) for k in range(len(names))]
         self.latent_term = names.index("c")
-        self.sign = None if HEAD_CREDIT in heads else np.stack([_outcome_sign(h, design) for h in heads])
+        self.nsign = None if HEAD_CREDIT in heads else np.stack([_outcome_nsign(h, design) for h in heads])
         self.columns = [_column(name, c, design) for name in names]
         self.coefs = [vec[list(p)][:, None] for p in self.positions]
         self.terms = [_term(col, coef) for col, coef in zip(self.columns, self.coefs)]
@@ -419,8 +447,8 @@ class HeadTerms:
         for t in self.terms[k + 1:]:
             sums.append(x)
             x = x + t
-        if self.sign is not None:
-            return sums, _logistic_rows(x * self.sign), 0, None
+        if self.nsign is not None:
+            return sums, _logistic_rows(x * self.nsign), 0, None
         rows, over_lin, rates = _credit_rows(x, self.design)
         return sums, rows, over_lin.size, rates
 

@@ -88,23 +88,72 @@ def test_bernoulli_logit_form_agrees_and_survives_extremes():
     assert head_log_likelihood(HEAD_JOB, vec, np.array([-800.0]), at_m800)[0] == -800.0
 
 
+def logistic_design(n: int) -> Design:
+    """n rows whose job head has signed predictor +c and house head -c when
+    both latent coefficients are 1 (job outcome 1, house outcome 0)."""
+    return columns_design(np.zeros(n), np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n))
+
+
+UNIT_LATENT = ModelParams(beta_j_c=1.0, beta_h_c=1.0).to_vector()
+
+
+def stable_log_sigmoid(z: np.ndarray) -> np.ndarray:
+    """min(z, 0) - log1p(exp(-|z|)), whose exp cannot overflow."""
+    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+
+
 def test_logistic_rows_match_logaddexp_within_4_ulp():
-    # log sigmoid(z) as min(z, 0) - log1p(exp(-|z|)) against the independent
-    # -logaddexp(0, -z), over a dense grid and the points where either form
-    # could lose: 0, subnormal-adjacent, exp's overflow and underflow edges
+    # log sigmoid(z) against the independent -logaddexp(0, -z), over a dense
+    # grid and the points where either form could lose: 0, subnormal-adjacent,
+    # exp's overflow and underflow edges; the grid's far ends overflow exp(-z)
     z = np.concatenate([
         np.linspace(-800.0, 800.0, 400_001),
         [0.0, 1e-300, -1e-300, 40.0, -40.0, 709.7, -709.7, 745.0, -745.0, -np.inf],
     ])
-    n = z.size
-    # job outcome 1 gives the head +z, house outcome 0 gives it -z
-    design = columns_design(np.zeros(n), np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n))
-    vec = ModelParams(beta_j_c=1.0, beta_h_c=1.0).to_vector()
-    job = head_log_likelihood(HEAD_JOB, vec, z, design)[2]
-    house = head_log_likelihood(HEAD_HOUSE, vec, z, design)[2]
+    design = logistic_design(z.size)
+    job = head_log_likelihood(HEAD_JOB, UNIT_LATENT, z, design)[2]
+    house = head_log_likelihood(HEAD_HOUSE, UNIT_LATENT, z, design)[2]
     np.testing.assert_array_max_ulp(job, -np.logaddexp(0.0, -z), maxulp=4)
     np.testing.assert_array_max_ulp(house, -np.logaddexp(0.0, z), maxulp=4)
     assert job[-1] == -np.inf and house[-1] == 0.0
+
+
+def test_logistic_rows_without_overflow_match_logaddexp_within_4_ulp():
+    # every exp(-z) finite, the whole array in one pass of -log1p(exp(-z)):
+    # within 4 ulp of -logaddexp(0, -z), and where z >= 0 bit for bit the
+    # stable formula
+    z = np.concatenate([
+        np.linspace(-709.0, 709.0, 400_001),
+        [0.0, 1e-300, -1e-300, 40.0, -40.0, 709.7, -709.7],
+    ])
+    design = logistic_design(z.size)
+    for head, signed in ((HEAD_JOB, z), (HEAD_HOUSE, -z)):
+        rows = head_log_likelihood(head, UNIT_LATENT, z, design)[2]
+        np.testing.assert_array_max_ulp(rows, -np.logaddexp(0.0, -signed), maxulp=4)
+        up = signed >= 0.0
+        assert np.array_equal(rows[up].view(np.int64), stable_log_sigmoid(signed[up]).view(np.int64))
+
+
+def test_logistic_rows_at_the_overflow_edge_are_the_stable_formula():
+    # arrays whose largest -z sits just below and just above the largest t
+    # with exp(t) finite: rows within 4 ulp of the stable formula, and equal
+    # to it, z itself, where exp(-z) overflows, out to z = -800
+    with np.errstate(over="ignore"):
+        edge = math.log(np.finfo(float).max)
+        while not np.isfinite(np.exp(edge)):
+            edge = np.nextafter(edge, 0.0)
+        assert np.exp(np.nextafter(edge, np.inf)) == np.inf
+    grid = np.linspace(-30.0, 30.0, 1201)
+    for far in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 745.0, 800.0):
+        z = np.concatenate([grid, [-far, far]])
+        design = logistic_design(z.size)
+        rows = head_log_likelihood(HEAD_JOB, UNIT_LATENT, z, design)[2]
+        want = stable_log_sigmoid(z)
+        np.testing.assert_array_max_ulp(rows, want, maxulp=4)
+        if far > edge:
+            assert rows[-2] == want[-2] == -far
+    z = np.array([-800.0])
+    assert head_log_likelihood(HEAD_JOB, UNIT_LATENT, z, logistic_design(1))[0] == -800.0
 
 
 def test_poisson_log_pmf_frozen_value():
@@ -446,6 +495,34 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
             assert (block.rates is None) == (fresh.rates is None)
             assert block.rates is None or np.array_equal(block.rates, fresh.rates)
             assert_block_matches_scratch(heads, block.rows, block.totals(), vec, c, design)
+
+
+def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
+    # latent scores out to +-800 under unit, halved and doubled loadings: in
+    # some moved states exp(-z) overflows in one head, both or neither, and
+    # the block's rows and totals stay bitwise head_log_likelihood's
+    c = np.array([-800.0, -360.0, -5.0, 0.0, 2.5, 400.0, 750.0])
+    design = logistic_design(c.size)
+    heads = (HEAD_JOB, HEAD_HOUSE)
+    vec = UNIT_LATENT.copy()
+    block = HeadTerms(heads, vec, c, design)
+    assert_block_matches_scratch(heads, block.rows, block.totals(), vec, c, design)
+    k = block.latent_term
+    overflowed = set()
+    for coefs in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.5, 0.5), (1.0, -1.0)):
+        totals = block.move(k, np.array(coefs)[:, None])
+        moved = vec.copy()
+        moved[list(block.positions[k])] = coefs
+        assert_block_matches_scratch(heads, block.moved_rows, totals, moved, c, design)
+        # exp(t) overflows for every t > 710 and for no t < 709.78
+        nz = moved[[3, 7]][:, None] * c * block.nsign
+        overflowed.add(tuple((nz > 710.0).any(axis=1)))
+        assert not ((nz > 709.78) & (nz <= 710.0)).any()
+    assert overflowed == {(True, True), (True, False), (False, True), (False, False)}
+    for scale in (1.0, 0.5, 2.0):
+        c_prop = scale * c[::-1]
+        rows, _ = block.move_latent(c_prop)
+        assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
 
 
 def test_head_terms_need_shared_columns(tiny_dataset, modest_params):
