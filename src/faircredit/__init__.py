@@ -45,7 +45,6 @@ from .errors import (
 from .evaluation import (
     ComparisonReport,
     compare_models,
-    counterfactual_gap,
     covariance_matrix,
     flip_age,
     flip_sex,
@@ -108,7 +107,6 @@ __all__ = [
     "UserError",
     "autocorrelation",
     "compare_models",
-    "counterfactual_gap",
     "covariance_matrix",
     "ess_bulk",
     "ess_tail",

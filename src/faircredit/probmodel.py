@@ -9,18 +9,21 @@ log-space, and overflow-guarded.
 The likelihood is written once, per head, over arrays of observations. A
 head's linear predictor is its HEAD_TERMS entry: (parameter, column) terms
 added left to right, which fixes the floating-point association of every
-evaluation of it. Its rows come from _logistic_rows or _credit_rows.
+evaluation of it. Its rows come from _softplus_rows or _credit_rows.
 
 A logistic row is log sigmoid(z) of the signed predictor z. The engine
 multiplies the linear predictor by the outcome's negated sign (Design's
-job_nsign and house_nsign), which gives nz = -z at no extra cost, and the
-row is -log1p(exp(nz)): exp and log1p in place in nz's buffer, then a
-subtraction from 0. The stable formula, min(z, 0) - log1p(exp(-|z|)),
-takes six passes (abs, negative, exp, log1p, minimum, subtract) for the
-same two transcendental ones. Both are vectorized; np.logaddexp calls a
-scalar function per element and takes about twice as long at n=800. For
-z >= 0 the two formulas agree bit for bit, and for z < 0 the fast one is
-within 2 ulp of -logaddexp(0, -z). exp(nz) overflows for z below about
+job_nsign and house_nsign), which gives nz = -z at no extra cost. One
+kernel, _softplus_rows, computes the softplus s = log1p(exp(nz)), minus the
+row: exp and log1p in place in nz's buffer. _head_rows subtracts it from
+0, which gives the row. HeadTerms keeps s itself for a logistic
+block, saving that pass: its totals are -sum(s), and the sampler subtracts
+s where it adds rows, both exact. The stable formula,
+min(z, 0) - log1p(exp(-|z|)), takes six passes (abs, negative, exp, log1p,
+minimum, subtract) for the same two transcendental ones. Both are
+vectorized; np.logaddexp calls a scalar function per element and takes
+about twice as long at n=800. For z >= 0 the two formulas agree bit for
+bit, and for z < 0 the fast one is within 2 ulp of -logaddexp(0, -z). exp(nz) overflows for z below about
 -709.78. There the row is z itself, which is what the stable formula
 rounds to, since exp(z) is far below half an ulp of z. So each row is a
 function of its own z alone, and a block's rows do not depend on which
@@ -32,7 +35,8 @@ its rows beside their sum. per_obs_log_likelihood adds the heads per
 observation. HeadTerms keeps a block of heads' terms, running sums and rows
 at one state, for the sampler: a proposal that moves one term recomputes
 that term and the sums after it, through the same term and row helpers and
-in the same order, so its rows are bitwise head_log_likelihood's. Arrays
+in the same order, so its rows are bitwise head_log_likelihood's (a
+logistic block's once subtracted from 0). Arrays
 of shape (n, m) evaluate m latent values per row through Design.columns(),
 and per_obs_latent_slopes gives each row's derivatives in c beside the
 heads (_head_slopes), so test-time inference (sampler.infer_latent) is an
@@ -258,23 +262,23 @@ def credit_linear(vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
 _EXP_SAFE = 709.78
 
 
-def _logistic_rows(nz: np.ndarray) -> np.ndarray:
-    """log sigmoid(z) of signed linear predictors z, from nz = -z, written
-    over nz: 0 - log1p(exp(nz)), or z itself where exp(nz) overflows.
+def _softplus_rows(nz: np.ndarray) -> np.ndarray:
+    """log1p(exp(nz)) for nz = -z, the signed linear predictors negated,
+    written over nz: minus the rows log sigmoid(z), and nz itself where
+    exp(nz) overflows.
 
     The max of nz is the one reduction. When it is at most _EXP_SAFE, no exp
-    can overflow, and the rows are two transcendental passes and a
-    subtraction in nz's buffer, with nothing else allocated. Otherwise the
-    array runs with the overflow ignored, and the overflowed rows take z.
-    np.maximum.reduce costs a Python call less than nz.max()."""
+    can overflow, and the rows are two transcendental passes in nz's buffer,
+    with nothing else allocated. Otherwise the array runs with the overflow
+    ignored, and the overflowed rows take nz. np.maximum.reduce costs a
+    Python call less than nz.max()."""
     if np.maximum.reduce(nz, axis=None) <= _EXP_SAFE:
         np.exp(nz, out=nz)
-        np.log1p(nz, out=nz)
-        return np.subtract(0.0, nz, out=nz)
+        return np.log1p(nz, out=nz)
     with np.errstate(over="ignore"):
-        rows = np.subtract(0.0, np.log1p(np.exp(nz)))
-    over = rows == -np.inf
-    rows[over] = -nz[over]
+        rows = np.log1p(np.exp(nz))
+    over = rows == np.inf
+    rows[over] = nz[over]
     return rows
 
 
@@ -299,14 +303,15 @@ def _head_rows(
 
     The logistic heads work on the signed linear predictor z, never on the
     probability, so they stay exact where it would round to 0 or 1. Their
-    rows are log sigmoid(z) = -log1p(exp(-z)) (_logistic_rows), within a few
-    ulp of -logaddexp(0, -z), and z itself where exp(-z) overflows.
+    rows are log sigmoid(z) = 0 - log1p(exp(-z)) (_softplus_rows), within a
+    few ulp of -logaddexp(0, -z), and z itself where exp(-z) overflows.
     Credit rows whose rate exceeds the cap are -inf, and their linear
     predictors are returned in row order; the second array is empty
     otherwise, and only a rate above the cap costs the masking.
     """
     if head != HEAD_CREDIT:
-        return _logistic_rows(_negated_logit(head, vec, c, design)), _NO_OVERFLOW
+        rows = _softplus_rows(_negated_logit(head, vec, c, design))
+        return np.subtract(0.0, rows, out=rows), _NO_OVERFLOW
     return _credit_rows(credit_linear(vec, c, design), design)[:2]
 
 
@@ -395,15 +400,21 @@ class HeadTerms:
     (the latent column) evaluates the moved block and holds it, with its rows
     as moved_rows; accept_heads or accept_rows then takes it into the kept
     state for the heads or the rows that accept it. Only those two change
-    the kept state. Each head's total, the sum of its kept rows, is summed
-    on first use after the rows change (totals), so a block that no move
-    reads in between is not summed.
+    the kept state: accept_rows copies the accepted rows into the kept
+    arrays in place, as accept_heads does when only some heads accept, and
+    neither writes the held move. Each head's total, the sum of its kept
+    rows, is summed on first use after the rows change (totals), so a block
+    that no move reads in between is not summed.
 
     A logistic block keeps its heads' negated outcome signs as one
     (heads, n) array, so each evaluation multiplies its full sum by them and
-    hands the product to _logistic_rows, which writes the rows over it. The
-    rows are that kernel's on the whole block, element by element, so they
-    match head_log_likelihood's on either side of its overflow rule.
+    hands the product to _softplus_rows, which writes the softplus rows s
+    over it. Its rows and moved_rows hold s, minus the log-likelihood rows,
+    and its totals are -sum(s), bitwise the sums of the rows -s, since
+    negation is exact and rounding symmetric; a caller that adds rows
+    subtracts s instead (0 - s is bitwise head_log_likelihood's rows). s is
+    that kernel's on the whole block, element by element, so it matches
+    head_log_likelihood on either side of its overflow rule.
 
     The credit block also keeps its rates, the exp(lin) its rows subtract,
     from which step_bound bounds a coefficient move without making it.
@@ -448,14 +459,21 @@ class HeadTerms:
             sums.append(x)
             x = x + t
         if self.nsign is not None:
-            return sums, _logistic_rows(x * self.nsign), 0, None
+            return sums, _softplus_rows(x * self.nsign), 0, None
         rows, over_lin, rates = _credit_rows(x, self.design)
         return sums, rows, over_lin.size, rates
+
+    def _sum(self, rows: np.ndarray) -> list[float]:
+        """Each head's log-likelihood from its rows: their sum, negated for
+        softplus rows. Rounding is symmetric, so -sum(s) is bitwise the sum
+        of the rows -s in the same order."""
+        totals = np.add.reduce(rows, axis=1).tolist()
+        return totals if self.nsign is None else [-t for t in totals]
 
     def totals(self) -> list[float]:
         """Each head's log-likelihood at the kept state, as head_log_likelihood sums it."""
         if self._totals is None:
-            self._totals = np.add.reduce(self.rows, axis=1).tolist()
+            self._totals = self._sum(self.rows)
         return self._totals
 
     def move(self, k: int, coef: np.ndarray) -> list[float]:
@@ -464,7 +482,7 @@ class HeadTerms:
         is held for accept_heads."""
         term = _term(self.columns[k], coef)
         sums, self.moved_rows, _, self._moved_rates = self._moved(k, term)
-        totals = np.add.reduce(self.moved_rows, axis=1).tolist()
+        totals = self._sum(self.moved_rows)
         self._held = (k, coef, term, sums, totals)
         return totals
 
@@ -546,17 +564,24 @@ class HeadTerms:
         curv = (self._x2 @ rates).tolist()
         return top, max_rate, lin_scale, spread, grad, curv
 
-    def accept_rows(self, accept: np.ndarray, c: np.ndarray) -> None:
-        """Keep the held latent move for the rows where accept is true; c is
-        the latent column that results, so the latent term and the running
-        sums after it are those of c."""
+    def accept_rows(self, accepted: np.ndarray, c: np.ndarray) -> None:
+        """Keep the held latent move for the rows accepted selects, an index
+        array or a bool mask; c is the latent column that results, so the
+        latent term and the running sums after it are those of c.
+
+        The accepted rows, and a credit block's rates, are written into the
+        kept arrays in place, one head row at a time. The held move's arrays
+        are only read, and a move replaces them before the next merge, so
+        the kept arrays never alias them here."""
         k = self.latent_term
         self.columns[k] = c
         self.terms[k] = _term(c, self.coefs[k])
         for j in range(k, len(self.sums)):
             self.sums[j] = self.terms[j] if j == 0 else self.sums[j - 1] + self.terms[j]
-        self.rows = np.where(accept, self.moved_rows, self.rows)
+        for kept, moved in zip(self.rows, self.moved_rows):
+            kept[accepted] = moved[accepted]
         self._totals = None
         if self.rates is not None:
-            self.rates = np.where(accept, self._moved_rates, self.rates)
+            for kept, moved in zip(self.rates, self._moved_rates):
+                kept[accepted] = moved[accepted]
             self._screen = None

@@ -26,7 +26,7 @@ from faircredit.dataset import (
     split,
 )
 from faircredit.diagnostics import autocorrelation, ess_bulk, summarize, summary_to_csv_text
-from faircredit.evaluation import compare_models, counterfactual_gap, flip_age, flip_sex
+from faircredit.evaluation import _flip_gap, _predictions, compare_models, flip_age, flip_sex
 from faircredit.predictors import (
     FairModel,
     ForestConfig,
@@ -260,11 +260,13 @@ def test_criterion_6_fairness_invariants(report):
     full = fit_full(data)
     unaware = fit_unaware(data)
 
-    gap_sex_unaware = counterfactual_gap(unaware, data, "sex")
-    gap_age_unaware = counterfactual_gap(unaware, data, "age")
+    # the gaps compare_models reports: mean absolute prediction change
+    base_unaware = _predictions(unaware, data)
+    gap_sex_unaware = _flip_gap(unaware, flip_sex(data), base_unaware)
+    gap_age_unaware = _flip_gap(unaware, flip_age(data), base_unaware)
     unaware_exact = gap_sex_unaware == 0.0 and gap_age_unaware == 0.0
 
-    gap_sex_full = counterfactual_gap(full, data, "sex")
+    gap_sex_full = _flip_gap(full, flip_sex(data), _predictions(full, data))
     sex_coef = full.coefficients[full.feature_names.index("sex")]
     full_matches_coef = abs(gap_sex_full - abs(sex_coef)) < 1e-10
 

@@ -415,15 +415,28 @@ TERM_CONFIG_IDS = ("default", "intercept", "rate_cap")
 
 def assert_block_matches_scratch(heads, rows, totals, vec, c, design):
     """A HeadTerms block's rows and totals against head_log_likelihood from
-    scratch, bit for bit; returns the heads' overflow count."""
+    scratch, bit for bit; returns the heads' overflow count. A logistic
+    block keeps softplus rows, which head_log_likelihood's are 0 minus."""
     n_over = 0
     for i, h in enumerate(heads):
         total, over, expected = head_log_likelihood(h, vec, c, design)
-        assert np.array_equal(rows[i], expected)
+        assert np.array_equal(rows[i] if h == HEAD_CREDIT else 0.0 - rows[i], expected)
         if totals is not None:
             assert totals[i] == total
         n_over += over
     return n_over
+
+
+def assert_blocks_equal(a, b):
+    """Two HeadTerms blocks' kept coefficients, terms, sums, rows, totals
+    and rates, bit for bit."""
+    for kept, want in ((a.coefs, b.coefs), (a.terms, b.terms), (a.sums, b.sums)):
+        assert len(kept) == len(want)
+        assert all(np.array_equal(x, y) for x, y in zip(kept, want))
+    assert np.array_equal(a.rows, b.rows)
+    assert a.totals() == b.totals()
+    assert (a.rates is None) == (b.rates is None)
+    assert a.rates is None or np.array_equal(a.rates, b.rates)
 
 
 @pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
@@ -486,15 +499,66 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
         for block in blocks:
             block.accept_rows(accept, c)
         for heads, block in zip(BLOCKS, blocks):
-            fresh = HeadTerms(heads, vec, c, design)
-            for kept, want in ((block.coefs, fresh.coefs), (block.terms, fresh.terms), (block.sums, fresh.sums)):
-                assert len(kept) == len(want)
-                assert all(np.array_equal(a, b) for a, b in zip(kept, want))
-            assert np.array_equal(block.rows, fresh.rows)
-            assert block.totals() == fresh.totals()
-            assert (block.rates is None) == (fresh.rates is None)
-            assert block.rates is None or np.array_equal(block.rates, fresh.rates)
+            assert_blocks_equal(block, HeadTerms(heads, vec, c, design))
             assert_block_matches_scratch(heads, block.rows, block.totals(), vec, c, design)
+
+
+@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
+def test_head_terms_accept_rows_by_index_or_mask_alike(tiny_dataset, config):
+    # run_chain passes accept_rows the accepted rows' indices; a bool mask
+    # over the same rows keeps the same block, bit for bit, whether none,
+    # some or all rows accept
+    design = Design.from_dataset(tiny_dataset, config)
+    n_params, n = len(config.active_param_names()), len(tiny_dataset)
+    rng = np.random.default_rng(17)
+    vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(n)
+    c_prop = c + rng.standard_normal(n)
+    some = rng.random(n) < 0.5
+    assert 0 < np.count_nonzero(some) < n
+    for mask in (np.zeros(n, dtype=bool), some, np.ones(n, dtype=bool)):
+        kept = np.where(mask, c_prop, c)
+        for heads in BLOCKS:
+            by_mask, by_index = HeadTerms(heads, vec, c, design), HeadTerms(heads, vec, c, design)
+            for block, accepted in ((by_mask, mask), (by_index, np.flatnonzero(mask))):
+                block.move_latent(c_prop)
+                block.accept_rows(accepted, kept)
+            assert_blocks_equal(by_index, by_mask)
+
+
+@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
+def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
+    # accept_rows and accept_heads write the kept rows in place, so they must
+    # only read the held move: the rows (and rates) that move_latent
+    # returned, and a coefficient move's rows, are unchanged by the accept
+    # that follows, also after a move kept whole became the kept rows
+    design = Design.from_dataset(tiny_dataset, config)
+    n_params, n = len(config.active_param_names()), len(tiny_dataset)
+    rng = np.random.default_rng(23)
+    vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(n)
+    blocks = [HeadTerms(heads, vec, c, design) for heads in BLOCKS]
+    for _ in range(30):
+        for heads, block in zip(BLOCKS, blocks):
+            k = int(rng.integers(len(block.positions)))
+            coefs = vec[list(block.positions[k])] + rng.standard_normal(len(heads))
+            block.move(k, coefs[:, None])
+            held, before = block.moved_rows, block.moved_rows.copy()
+            accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
+            block.accept_heads(accepted)
+            assert np.array_equal(held, before)
+            for j, keep, v in zip(block.positions[k], accepted, coefs):
+                if keep:
+                    vec[j] = v
+        c_prop = c + rng.standard_normal(n)
+        accepted = np.flatnonzero(rng.random(n) < 0.5)
+        c = c.copy()
+        c[accepted] = c_prop[accepted]
+        for block in blocks:
+            rows, _ = block.move_latent(c_prop)
+            held = [(a, a.copy()) for a in (rows, block._moved_rates) if a is not None]
+            block.accept_rows(accepted, c)
+            assert all(np.array_equal(a, before) for a, before in held)
+    for heads, block in zip(BLOCKS, blocks):
+        assert_blocks_equal(block, HeadTerms(heads, vec, c, design))
 
 
 def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
