@@ -11,19 +11,17 @@ command: `ingest`, `fit --model full`, `fit --model unaware`,
 `fit --model fair`, `diagnose` (on the chain that fit wrote) and `compare` at
 defaults, then `synth` with the benchmark's synth_large config
 (perfbench/checks.py), one after the other into the same --out path, so that
-the config hashes match. Then `fit --model fair` and `compare` run again
-with `fair.latent_point = median`, the one path on which the chain keeps
-every latent draw, into a second --out path. `fit --model fair --preset
-recommended`, which turns the credit intercept on, runs into a third.
+the config hashes match. Then `fit --model fair --preset recommended`,
+which turns the credit intercept on, runs into a second --out path.
 `fit --model fair` and `compare` with `model.poisson_rate_cap = 300`, just
 over the data's largest credit (251), and `eval.age_mode = shift` run into a
-fourth: the chain proposes rates over the cap in both phases (about 16,000
+third: the chain proposes rates over the cap in both phases (about 16,000
 times at seed 0) without aborting, so the cap guard is compared too, and
 in compare's leaky test-time inference, which runs in blocks of rows, some
 grids end on the cap's bound (2 of the 200 at seed 0); compare also runs
 the age shift there. Last, `synth` runs with two
 configs it refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`)
-into a fifth, so that their error messages and exit codes are compared;
+into a fourth, so that their error messages and exit codes are compared;
 synth reads every config it needs before any work, in both trees. Every
 file under the --out paths is compared, and so are each command's stdout,
 stderr and exit code.
@@ -53,8 +51,6 @@ COMMANDS = (
     ("diagnose", "out", ["diagnose"]),
     ("compare", "out", ["compare"]),
     ("synth", "out", ["synth", "--config", "{work}/synth.kv"]),
-    ("fit fair median", "out_median", ["fit", "--model", "fair", "--config", "{work}/median.kv"]),
-    ("compare median", "out_median", ["compare", "--config", "{work}/median.kv"]),
     ("fit fair recommended", "out_recommended",
      ["fit", "--model", "fair", "--preset", "recommended"]),
     ("fit fair rate cap", "out_rate_cap", ["fit", "--model", "fair", "--config", "{work}/rate_cap.kv"]),
@@ -64,7 +60,6 @@ COMMANDS = (
 )
 CONFIGS = {
     "synth.kv": synth_config_text(),
-    "median.kv": "fair.latent_point = median\n",
     "rate_cap.kv": "model.poisson_rate_cap = 300\neval.age_mode = shift\n",
     "bad_delta.kv": "sampler.delta = abc\n",
     "bad_rate_cap.kv": "model.poisson_rate_cap = x\n",

@@ -13,6 +13,7 @@ produce byte-identical outputs.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -76,7 +77,6 @@ DEFAULTS: dict[str, str] = {
     **config_items(ModelConfig(), "model."),
     **config_items(SamplerConfig(), "sampler."),
     **config_items(ForestConfig(), "forest."),
-    "fair.latent_point": "mean",
     "fair.leaky": "false",
     "eval.age_mode": "mirror",
     "eval.age_years": "10.0",
@@ -361,17 +361,15 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     mc = build_model_config(cfg)
     sc = build_sampler_config(cfg)
     fc = build_forest_config(cfg)
-    latent_point = _get_choice(cfg, "fair.latent_point", ("mean", "median"))
     train, _ = _load_splits(cfg, header)
     chain = run_chain(
         train, mc, sc,
         latent_columns=_latent_columns(len(train), _get(cfg, "out.latent_columns", int)),
-        keep_medians=latent_point == "median",
     )
     export_chain(chain, out, header_lines=header)
     summary = summarize(chain)
     write_summary_csv(summary, os.path.join(out, "summary.csv"), header)
-    fair = fit_fair(train, mc, sc, fc, latent_point=latent_point, chain=chain)
+    fair = fit_fair(train, mc, sc, fc, chain=chain)
     save_fair_model(fair, os.path.join(out, "model_fair"), header)
 
     print(f"fair model: {chain.n_draws()} stored draws over {len(train)} observations")
@@ -406,11 +404,9 @@ def _warn_if_unmixed(summary: Sequence[SummaryRow]) -> None:
         print(warning, file=sys.stderr)
 
 
-def _warned_chain(
-    train: Dataset, mc: ModelConfig, sc: SamplerConfig, keep_medians: bool
-) -> Chain:
+def _warned_chain(train: Dataset, mc: ModelConfig, sc: SamplerConfig) -> Chain:
     """run_chain, with fit's mixing warning on stderr."""
-    chain = run_chain(train, mc, sc, keep_medians=keep_medians)
+    chain = run_chain(train, mc, sc)
     _warn_if_unmixed(summarize(chain))
     return chain
 
@@ -438,7 +434,6 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     mc = build_model_config(cfg)
     sc = build_sampler_config(cfg)
     fc = build_forest_config(cfg)
-    latent_point = _get_choice(cfg, "fair.latent_point", ("mean", "median"))
     age_mode = _get_choice(cfg, "eval.age_mode", ("mirror", "shift"))
     leaky_headline = _get(cfg, "fair.leaky", bool)
     train, test = _load_splits(cfg, header)
@@ -448,14 +443,13 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         mc,
         sc,
         fc,
-        latent_point=latent_point,
         age_mode=age_mode,
         age_years=_get(cfg, "eval.age_years", float),
         split_seed=_get(cfg, "split.seed", int),
         leaky_headline=leaky_headline,
         # a temporary, not a local: compare_models then holds the only
         # reference and frees the draws before test-time inference
-        chain=_warned_chain(train, mc, sc, keep_medians=latent_point == "median"),
+        chain=_warned_chain(train, mc, sc),
     )
     path = os.path.join(cfg["out.dir"], "compare.csv")
     atomic_write_text(path, report.to_csv_text(header))
@@ -485,10 +479,9 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
 
     chain = run_chain(data, mc, sc)
     medians = chain.theta_median().to_vector(include_credit_intercept=mc.include_credit_intercept)
-    truth_vec = np.array(
-        [getattr(truth, name) for name in PARAM_NAMES[:-1]]
-        + ([truth.b_c if truth.b_c is not None else 0.0] if mc.include_credit_intercept else [])
-    )
+    truth_vec = dataclasses.replace(
+        truth, b_c=0.0 if truth.b_c is None else truth.b_c
+    ).to_vector(mc.include_credit_intercept)
     corr = float(np.corrcoef(chain.latent_mean, true_c)[0, 1])
     # the posterior is unchanged by c -> -c with every latent slope negated, so
     # the errors are those of the medians in the orientation the chain found

@@ -195,7 +195,6 @@ def compare_models(
     model_config: ModelConfig,
     sampler_config: SamplerConfig,
     forest_config: ForestConfig,
-    latent_point: str = "mean",
     age_mode: str = "mirror",
     age_years: float = 10.0,
     split_seed: int | None = None,
@@ -204,14 +203,13 @@ def compare_models(
 ) -> ComparisonReport:
     """Fit all three models and score them on both splits.
 
-    The fair training score uses the stage-one latent point estimates the
-    forest was actually trained on. Both fair test protocols are always
-    computed (honest: credit excluded from test-time inference; leaky:
-    conditioned on it) and reported under their own labels; leaky_headline
-    picks which fills the fair test_r2 cell. Flip gaps always use the honest
+    The fair training score uses the stage-one latent means the forest was
+    actually trained on. Both fair test protocols are always computed
+    (honest: credit excluded from test-time inference; leaky: conditioned on
+    it) and reported under their own labels; leaky_headline picks which
+    fills the fair test_r2 cell. Flip gaps always use the honest
     protocol. Pass a chain already run on (train, model_config,
-    sampler_config) to skip stage-one sampling; latent_point="median" needs
-    one run with keep_medians.
+    sampler_config) to skip stage-one sampling.
     """
     y_train = np.asarray(train.credit, dtype=float)
     y_test = np.asarray(test.credit, dtype=float)
@@ -233,11 +231,9 @@ def compare_models(
         metrics[name] = scores(model, _predictions(model, train), _predictions(model, test))
 
     if chain is None:
-        chain = run_chain(
-            train, model_config, sampler_config, keep_medians=latent_point == "median"
-        )
-    fair = fit_fair(train, model_config, sampler_config, forest_config, latent_point, chain=chain)
-    c_train = chain.latent_mean if latent_point == "mean" else chain.latent_medians()
+        chain = run_chain(train, model_config, sampler_config)
+    fair = fit_fair(train, model_config, sampler_config, forest_config, chain=chain)
+    c_train = chain.latent_mean
     del chain  # lets the stage-one draws be freed before test-time inference
     metrics["fair"] = scores(fair, predict_forest(fair.forest, c_train), _predictions(fair, test))
     fair_honest = metrics["fair"]["test_r2"]

@@ -442,15 +442,14 @@ def forest_from_text(text: str) -> ForestModel:
 class FairModel:
     """Stage-one posterior medians plus the stage-two forest.
 
-    latent_point picks the per-observation point estimate fed to the forest:
-    the posterior mean (default) or median of the latent score, from the
-    chain's draws at training time and computed exactly at prediction time.
+    The forest's feature is each row's posterior mean latent score, averaged
+    over the chain's draws at training time and computed exactly at
+    prediction time.
     """
 
     theta_hat: ModelParams
     forest: ForestModel
     model_config: ModelConfig = field(default_factory=ModelConfig)
-    latent_point: str = "mean"
 
 
 def fit_fair(
@@ -458,38 +457,26 @@ def fit_fair(
     model_config: ModelConfig,
     sampler_config: SamplerConfig,
     forest_config: ForestConfig,
-    latent_point: str = "mean",
     chain: Chain | None = None,
 ) -> FairModel:
     """Two-stage fit: full-model chain, then forest of credit on the latent score.
 
     Pass a chain already run on (train, model_config, sampler_config) to skip
-    the sampling stage; latent_point="median" needs one run with keep_medians.
+    the sampling stage.
     """
-    if latent_point not in ("mean", "median"):
-        raise ConfigError(f"latent_point must be 'mean' or 'median', got {latent_point!r}")
     train.validate()
     if chain is None:
-        chain = run_chain(
-            train, model_config, sampler_config, keep_medians=latent_point == "median"
-        )
+        chain = run_chain(train, model_config, sampler_config)
     if len(chain.latent_mean) != len(train):
         raise ValueError("chain latent width does not match the training set")
-    theta_hat = chain.theta_median()
-    c_feat = chain.latent_mean if latent_point == "mean" else chain.latent_medians()
-    forest = fit_forest(c_feat, np.asarray(train.credit, dtype=float), forest_config)
-    return FairModel(
-        theta_hat=theta_hat,
-        forest=forest,
-        model_config=model_config,
-        latent_point=latent_point,
-    )
+    forest = fit_forest(chain.latent_mean, np.asarray(train.credit, dtype=float), forest_config)
+    return FairModel(theta_hat=chain.theta_median(), forest=forest, model_config=model_config)
 
 
 def fair_latent_points(
     model: FairModel, data: Dataset, condition_on_credit: bool = False
 ) -> np.ndarray:
-    """Per-observation latent point estimates at prediction time.
+    """Per-observation posterior mean latent scores at prediction time.
 
     Each is an exact function of its own row under theta_hat, with nothing
     random, so two datasets that differ only in a flipped attribute differ
@@ -498,7 +485,7 @@ def fair_latent_points(
     post = infer_latent(
         model.theta_hat, data, model.model_config, include_credit=condition_on_credit
     )
-    return post.mean if model.latent_point == "mean" else post.median
+    return post.mean
 
 
 def predict_fair(model: FairModel, test: Dataset, condition_on_credit: bool = False) -> np.ndarray:
@@ -518,7 +505,7 @@ def predict_fair(model: FairModel, test: Dataset, condition_on_credit: bool = Fa
 def save_fair_model(model: FairModel, out_dir: str, header_lines: tuple[str, ...] = ()) -> None:
     atomic_write_text(os.path.join(out_dir, "params.kv"), model.theta_hat.to_kv_text(header_lines))
     atomic_write_text(os.path.join(out_dir, "forest.txt"), forest_to_text(model.forest, header_lines))
-    items = {**config_items(model.model_config, "model."), "latent_point": model.latent_point}
+    items = config_items(model.model_config, "model.")
     atomic_write_text(os.path.join(out_dir, "config.kv"), format_kv_text(items, header_lines))
 
 
@@ -540,17 +527,16 @@ def load_fair_model(model_dir: str) -> FairModel:
     raw = parse_kv_text(read("config.kv"), where="fair model config")
     where = os.path.join(model_dir, "config.kv")
     mc = _read_config(ModelConfig, raw, where, "model.")
-    latent_point = raw.get("latent_point")
-    if latent_point not in ("mean", "median"):
-        raise UserError(f"{where}: latent_point must be 'mean' or 'median', got {latent_point!r}")
+    # older directories record the latent point the forest was trained on:
+    # the mean is ignored like any stale key, and another point is refused
+    if raw.get("latent_point", "mean") != "mean":
+        raise UserError(
+            f"{where}: latent_point = {raw['latent_point']} is not supported; "
+            "the fair model uses the posterior mean latent score"
+        )
     if (theta.b_c is not None) != mc.include_credit_intercept:
         raise UserError(
             f"{params_path}: b_c is {'missing' if theta.b_c is None else 'present'}, but "
             f"model.include_credit_intercept = {raw['model.include_credit_intercept']}"
         )
-    return FairModel(
-        theta_hat=theta,
-        forest=forest,
-        model_config=mc,
-        latent_point=latent_point,
-    )
+    return FairModel(theta_hat=theta, forest=forest, model_config=mc)

@@ -28,10 +28,10 @@ and nothing else may hold it across sweeps.
 Test-time inference (infer_latent) fixes the parameters, so each row's
 latent posterior is one-dimensional and log-concave: Newton finds its mode
 and a grid centred there integrates it. Nothing is random and no step
-reduces across rows, so each row's mean, median and std are an exact
-function of that row. The grid stage runs on GRID_BLOCK rows at a time, so
-its working memory is about 12 arrays of GRID_BLOCK x GRID_POINTS doubles
-(1.2 MB) however many rows are inferred; everything else is O(rows).
+reduces across rows, so each row's mean and std are an exact function of
+that row. The grid stage runs on GRID_BLOCK rows at a time, so its working
+memory is about 12 arrays of GRID_BLOCK x GRID_POINTS doubles (1.2 MB)
+however many rows are inferred; everything else is O(rows).
 
 Random streams. One master seed. derive_rng(seed, 0, 0) drives the parameter
 updates and derive_rng(seed, 1, 0) all n training latents: each sweep's
@@ -84,10 +84,12 @@ BUDGET = 1 << 16      # latent uniforms drawn per refill, in whole sweeps of 2n
 NEWTON_MAX_STEPS = 100
 NEWTON_TOL = 1e-12       # a row's mode is found once its step is below this, relative
 TAIL_NATS = 40.0         # each end of a row's grid lies this far below its mode
-GRID_POINTS = 401        # per row's grid; 201 left seed-0 medians off by up to 4e-7
+# per row's grid. At 201, seed 0's 200 test rows are as close to a dense
+# quadrature (mean and std within 1e-15, both protocols), but most rows' last
+# bits move; 401 keeps every row's test-time mean and std bit for bit
+GRID_POINTS = 401
 GRID_BLOCK = 32          # rows per grid block; 16 to 32 ran fastest, 64 ran 11-34% slower
 WIDEN_MAX = 20           # moves of a grid end before giving up
-MEDIAN_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -138,15 +140,13 @@ class Chain:
     """Stored draws, per-row latent summaries and bookkeeping from one run.
 
     Every parameter draw is kept. Of the latent draws only the requested
-    columns are: latent_draws[:, j] holds latent latent_columns[j]. Each
-    row's latent mean is always kept, its median only when the chain was
-    run with keep_medians.
+    columns are: latent_draws[:, j] holds latent latent_columns[j], and
+    latent_mean holds each row's mean over the draws.
     """
 
     param_names: tuple[str, ...]
     param_draws: np.ndarray            # (n_draws, n_params)
     latent_mean: np.ndarray            # (n_obs,)
-    latent_median: np.ndarray | None   # (n_obs,), or None when not requested
     latent_columns: tuple[int, ...]
     latent_draws: np.ndarray           # (n_draws, len(latent_columns))
     accept_rate_params: np.ndarray     # per parameter, post burn-in
@@ -163,18 +163,12 @@ class Chain:
         med = np.median(self.param_draws, axis=0)
         return ModelParams.from_vector(med)
 
-    def latent_medians(self) -> np.ndarray:
-        if self.latent_median is None:
-            raise ValueError("this chain kept no latent medians; run it with keep_medians=True")
-        return self.latent_median
-
 
 @dataclass
 class LatentPosteriors:
     """Posterior summaries of every row's latent score: entry i is row i."""
 
     mean: np.ndarray
-    median: np.ndarray
     std: np.ndarray
 
 
@@ -199,7 +193,6 @@ def run_chain(
     sampler_config: SamplerConfig,
     *,
     latent_columns: Sequence[int] = (),
-    keep_medians: bool = False,
 ) -> Chain:
     """Run the full Metropolis-within-Gibbs chain on a dataset.
 
@@ -207,8 +200,7 @@ def run_chain(
     running sum of the kept rows, so latent_mean is bitwise the column mean
     of the full (n_draws, n) draw matrix when n >= 2 (numpy then reduces its
     axis 0 row by row, in the same order), and the draws of latent_columns
-    only. Only with keep_medians does it store the full matrix, to take its
-    column medians at the end, in place; the matrix is not returned.
+    only; the full matrix is never stored.
 
     Initial state is all zeros. Within a sweep, parameters update first,
     then all latents. The job and house heads share no parameter, so the
@@ -279,7 +271,6 @@ def run_chain(
     latent_sum = np.empty(n)
     column_index = np.array(columns, dtype=np.intp)
     column_draws = np.empty((n_draws, len(columns)))
-    all_draws = np.empty((n_draws, n)) if keep_medians else None
 
     post_sweeps = cfg.iterations - cfg.burn_in
     acc_param_post = [0] * k
@@ -402,8 +393,6 @@ def run_chain(
             else:
                 latent_sum += c
             column_draws[draw_idx] = c[column_index]
-            if all_draws is not None:
-                all_draws[draw_idx] = c
             draw_idx += 1
 
     if err_steps > ERROR_BUDGET * total_steps:
@@ -416,10 +405,6 @@ def run_chain(
         param_names=names,
         param_draws=param_draws,
         latent_mean=latent_sum / n_draws,
-        # the matrix is dropped after this, so it may be partitioned in place
-        latent_median=(
-            None if all_draws is None else np.median(all_draws, axis=0, overwrite_input=True)
-        ),
         latent_columns=columns,
         latent_draws=column_draws,
         accept_rate_params=np.array(acc_param_post) / max(post_sweeps, 1),
@@ -513,7 +498,7 @@ def infer_latent(
     *,
     include_credit: bool,
 ) -> LatentPosteriors:
-    """Posterior mean, median and std of every row's latent score under fixed
+    """Posterior mean and std of every row's latent score under fixed
     parameters, computed exactly rather than sampled.
 
     Given the parameters, row i's latent posterior is one-dimensional and
@@ -523,12 +508,10 @@ def infer_latent(
     TAIL_NATS below it, each end moved out until the log density there truly
     is TAIL_NATS below the mode's (or the end is the rate cap's bound). The
     engine evaluates the grid through a column-shaped Design; points over the
-    rate cap weigh 0. Mean, std and the CDF are trapezoid sums with
-    Euler-Maclaurin corrections, and the median inverts the CDF within its
-    grid interval through the cubic Hermite interpolant of the density. No
-    step reduces across rows, so row i is an exact function of row i, and
-    the grid stage (_grid_summaries) runs on blocks of GRID_BLOCK rows: its
-    memory, about 12 x GRID_BLOCK x GRID_POINTS doubles, does not grow with
+    rate cap weigh 0. Mean and std are trapezoid sums with Euler-Maclaurin
+    corrections. No step reduces across rows, so row i is an exact function
+    of row i, and the grid stage (_grid_summaries) runs on blocks of
+    GRID_BLOCK rows: its memory, about 12 x GRID_BLOCK x GRID_POINTS doubles, does not grow with
     the number of rows. Newton and the grid ends hold O(rows) arrays.
     include_credit=True conditions each row on its own credit amount;
     prediction must use False so the target cannot leak into its feature.
@@ -574,13 +557,13 @@ def infer_latent(
         raise SamplerError(f"latent grid did not reach {TAIL_NATS:g} nats below the mode")
 
     n = len(design)
-    mean, median, std = np.empty(n), np.empty(n), np.empty(n)
+    mean, std = np.empty(n), np.empty(n)
     for start in range(0, n, GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
-        mean[block], median[block], std[block] = _grid_summaries(
+        mean[block], std[block] = _grid_summaries(
             log_density, slopes, cols.rows(block), mode[block], top[block], ends[block]
         )
-    return LatentPosteriors(mean=mean, median=median, std=std)
+    return LatentPosteriors(mean=mean, std=std)
 
 
 def _grid_summaries(
@@ -590,8 +573,8 @@ def _grid_summaries(
     mode: np.ndarray,
     top: np.ndarray,
     ends: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, median and std of each row's latent posterior from a grid of
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std of each row's latent posterior from a grid of
     GRID_POINTS values on [ends[:, 0], ends[:, 1]].
 
     cols holds the rows as columns, mode their modes and top the log
@@ -618,58 +601,11 @@ def _grid_summaries(
         trap = h * (np.cumsum(values, axis=1) - 0.5 * (values[:, :1] + values))
         return trap + h * h * ((third - third[:, :1]) / 720.0 - (slope - slope[:, :1]) / 12.0)
 
-    cdf = integrals(dens, dens_d)
-    mass = cdf[:, -1]
+    mass = integrals(dens, dens_d)[:, -1]
     off = grid - mode[:, None]  # moments about the mode, which is near the mean
     m1 = integrals(off * dens, dens + off * dens_d)[:, -1] / mass
     m2 = integrals(off * off * dens, off * (2.0 * dens + off * dens_d))[:, -1] / mass
-    return (
-        mode + m1,
-        _hermite_median(grid, h, dens, dens_d, cdf, 0.5 * mass),
-        np.sqrt(np.maximum(m2 - m1 * m1, 0.0)),
-    )
-
-
-def _hermite_median(
-    grid: np.ndarray,
-    h: np.ndarray,
-    dens: np.ndarray,
-    dens_d: np.ndarray,
-    cdf: np.ndarray,
-    half: np.ndarray,
-) -> np.ndarray:
-    """Per row, where the integral of the piecewise-cubic Hermite interpolant
-    of the density (values dens, slopes dens_d) reaches half.
-
-    cdf holds that integral at the grid points, plus Euler-Maclaurin's next
-    term. Within the interval that crosses half, the integral is a quartic in
-    the fraction s of the interval, solved by a fixed number of Newton steps
-    from the linear interpolation of cdf.
-    """
-    j = np.clip(np.count_nonzero(cdf < half[:, None], axis=1), 1, grid.shape[1] - 1)[:, None]
-
-    def at(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(a, k, axis=1)[:, 0]
-
-    f0, f1 = at(cdf, j - 1), at(cdf, j)
-    p0, p1 = at(dens, j - 1), at(dens, j)
-    step = h[:, 0]
-    d0, d1 = step * at(dens_d, j - 1), step * at(dens_d, j)
-    s = np.clip((half - f0) / (f1 - f0), 0.0, 1.0)
-    for _ in range(MEDIAN_NEWTON_STEPS):
-        s2, s3 = s * s, s * s * s
-        s4 = s2 * s2
-        # the Hermite basis h00, h10, h01, h11 and their integrals from 0 to s
-        value = (
-            p0 * (2 * s3 - 3 * s2 + 1) + d0 * (s3 - 2 * s2 + s)
-            + p1 * (3 * s2 - 2 * s3) + d1 * (s3 - s2)
-        )
-        area = (
-            p0 * (s4 / 2 - s3 + s) + d0 * (s4 / 4 - 2 * s3 / 3 + s2 / 2)
-            + p1 * (s3 - s4 / 2) + d1 * (s4 / 4 - s3 / 3)
-        )
-        s = np.clip(s - (f0 + step * area - half) / (step * value), 0.0, 1.0)
-    return at(grid, j - 1) + s * step
+    return mode + m1, np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -285,12 +285,7 @@ def test_criterion_6_fairness_invariants(report):
         b_h=-0.2, beta_h_s=0.0, beta_h_a=0.0, beta_h_c=0.6,
         beta_c_s=0.0, beta_c_a=0.0, beta_c_c=0.5,
     )
-    fair = FairModel(
-        theta_hat=neutral,
-        forest=forest,
-        model_config=ModelConfig(),
-        latent_point="mean",
-    )
+    fair = FairModel(theta_hat=neutral, forest=forest, model_config=ModelConfig())
     subset = data.subset(range(25))
     flipped = (flip_sex(subset), flip_age(subset, mode="mirror"))
     points = fair_latent_points(fair, subset)

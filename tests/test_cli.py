@@ -192,7 +192,7 @@ def typed_fields(config) -> dict:
 def test_default_config_is_pinned():
     # every output file's header records this hash, so a changed default
     # key or value changes every output
-    assert config_hash(DEFAULTS) == "8c094f6e831382aa"
+    assert config_hash(DEFAULTS) == "b4dc145470f7e377"
     assert typed_fields(cli.build_model_config(DEFAULTS)) == typed_fields(ModelConfig())
     assert typed_fields(cli.build_sampler_config(DEFAULTS)) == typed_fields(SamplerConfig())
     assert typed_fields(cli.build_forest_config(DEFAULTS)) == typed_fields(ForestConfig())
@@ -736,16 +736,19 @@ def test_fit_fair_without_latent_columns(workspace, tmp_path):
     assert lines[1:] == ["draw"] + [str(d) for d in range(30)]
 
 
-def test_median_latent_point_fit_and_compare(workspace, tmp_path):
-    # the median is the one latent point that needs every latent draw
-    config = config_with(workspace, tmp_path, {"fair.latent_point": "median"})
+def test_latent_point_key_is_refused(workspace, tmp_path):
+    # the forest's feature is always the posterior mean latent score, so the
+    # key that once chose it is unknown and is refused before any chain runs
     out = tmp_path / "out"
-    for command in (["fit", "--model", "fair"], ["compare"]):
-        res = run_cli([*command, "--config", str(config), "--out", str(out)])
-        assert res.code == 0, res.err
-    saved = parse_kv_text((out / "model_fair" / "config.kv").read_text(encoding="utf-8"))
-    assert saved["latent_point"] == "median"
-    assert (out / "compare.csv").exists()
+    for value in ("mean", "median"):
+        config = config_with(workspace, tmp_path, {"fair.latent_point": value})
+        for command in (["fit", "--model", "fair"], ["compare"]):
+            res = run_cli([*command, "--config", str(config), "--out", str(out)])
+            assert res.code == 2
+            assert res.err.startswith("error: ") and res.err.count("\n") == 1
+            assert "unknown config keys: fair.latent_point" in res.err
+            assert not (out / "params.csv").exists()
+            assert not (out / "compare.csv").exists()
 
 
 def test_synth_rate_cap_names_its_config_keys(tmp_path):

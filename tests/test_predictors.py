@@ -1,6 +1,7 @@
 """Linear baselines, the bagged tree ensemble, and the two-stage fair model."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -460,13 +461,13 @@ def test_forest_from_text_rejects_malformed():
 
 # --- two-stage fair model ---------------------------------------------------------
 
-def small_fair_model(tiny_dataset, latent_point="mean", mc=ModelConfig()):
+def small_fair_model(tiny_dataset, mc=ModelConfig()):
     from faircredit.sampler import SamplerConfig
 
     sc = SamplerConfig(iterations=300, burn_in=100, thin=2, seed=5)
     fc = ForestConfig(n_trees=8, max_depth=3, min_leaf=2, seed=1)
-    chain = run_chain(tiny_dataset, mc, sc, keep_medians=latent_point == "median")
-    model = fit_fair(tiny_dataset, mc, sc, fc, latent_point=latent_point, chain=chain)
+    chain = run_chain(tiny_dataset, mc, sc)
+    model = fit_fair(tiny_dataset, mc, sc, fc, chain=chain)
     return model, chain
 
 
@@ -478,23 +479,6 @@ def test_fit_fair_uses_posterior_medians_and_latent_means(tiny_dataset):
     )
     grid = np.linspace(-2, 2, 40)
     assert np.array_equal(predict_forest(model.forest, grid), predict_forest(refit, grid))
-
-
-def test_fit_fair_latent_point_median_changes_features(tiny_dataset):
-    mean_model, mean_chain = small_fair_model(tiny_dataset, "mean")
-    median_model, chain = small_fair_model(tiny_dataset, "median")
-    assert mean_model.latent_point == "mean"
-    assert median_model.latent_point == "median"
-    assert np.array_equal(chain.latent_mean, mean_chain.latent_mean)
-    assert not np.array_equal(chain.latent_mean, chain.latent_medians())
-    with pytest.raises(ConfigError):
-        fit_fair(tiny_dataset, ModelConfig(), chain.config, ForestConfig(), latent_point="mode")
-    # a chain run without keep_medians has no medians to fit on
-    with pytest.raises(ValueError, match="kept no latent medians"):
-        fit_fair(
-            tiny_dataset, ModelConfig(), chain.config, ForestConfig(),
-            latent_point="median", chain=mean_chain,
-        )
 
 
 def test_predict_fair_deterministic_and_protocol_sensitive(tiny_dataset):
@@ -527,7 +511,6 @@ def test_save_load_fair_model_round_trip(tmp_path, tiny_dataset):
     back = load_fair_model(str(tmp_path / "m"))
     assert back.theta_hat == model.theta_hat
     assert back.model_config == model.model_config
-    assert back.latent_point == model.latent_point
     test = tiny_dataset.subset(np.arange(5))
     assert np.array_equal(predict_fair(back, test), predict_fair(model, test))
 
@@ -538,9 +521,11 @@ def test_load_fair_model_missing_file(tmp_path):
 
 
 def test_load_fair_model_ignores_stale_sampler_keys(tmp_path, tiny_dataset):
-    # config.kv once also recorded the stage-one sampler settings; prediction
-    # never read them, and a directory that still holds them, even an invalid
-    # burn-in, loads and predicts exactly as one without them
+    # config.kv once also recorded the stage-one sampler settings, and ended
+    # with latent_point = mean, the forest's feature; prediction never read
+    # the sampler keys, the mean is the only feature left, and a directory
+    # that still holds them, even an invalid burn-in, loads and predicts
+    # exactly as one without them
     model, _ = small_fair_model(tiny_dataset)
     save_fair_model(model, str(tmp_path / "new"))
     save_fair_model(model, str(tmp_path / "old"))
@@ -555,11 +540,12 @@ def test_load_fair_model_ignores_stale_sampler_keys(tmp_path, tiny_dataset):
         "sampler.target_accept = 0.35\n"
         "sampler.seed = 5\n"
     )
-    config.write_text(stale + config.read_text(encoding="utf-8"), encoding="utf-8")
+    config.write_text(
+        stale + config.read_text(encoding="utf-8") + "latent_point = mean\n", encoding="utf-8"
+    )
     new, old = load_fair_model(str(tmp_path / "new")), load_fair_model(str(tmp_path / "old"))
     assert old.theta_hat == new.theta_hat
     assert old.model_config == new.model_config
-    assert old.latent_point == new.latent_point
     for leaky in (False, True):
         assert np.array_equal(
             predict_fair(old, tiny_dataset, condition_on_credit=leaky),
@@ -573,14 +559,16 @@ def test_load_fair_model_rejects_bad_config(tmp_path, tiny_dataset):
     config = tmp_path / "m" / "config.kv"
     text = config.read_text(encoding="utf-8")
 
-    config.write_text(text.replace("latent_point = mean", "latent_point = bogus"), encoding="utf-8")
-    with pytest.raises(UserError, match="latent_point"):
-        load_fair_model(str(tmp_path / "m"))
+    # an older directory's forest, trained on another latent point, is refused
+    for point in ("median", "bogus"):
+        config.write_text(text + f"latent_point = {point}\n", encoding="utf-8")
+        with pytest.raises(UserError, match=re.escape(f"{config}: latent_point = {point}")):
+            load_fair_model(str(tmp_path / "m"))
 
-    # a file cut before its last line loses latent_point, which is required
-    assert text.endswith("latent_point = mean\n")
-    config.write_text(text[: text.rindex("latent_point")], encoding="utf-8")
-    with pytest.raises(UserError, match="latent_point"):
+    # a file cut before its last line loses a required key
+    assert text.splitlines()[-1].startswith("model.poisson_rate_cap = ")
+    config.write_text(text[: text.rindex("model.poisson_rate_cap")], encoding="utf-8")
+    with pytest.raises(UserError, match="missing config key model.poisson_rate_cap"):
         load_fair_model(str(tmp_path / "m"))
 
     config.write_text(text, encoding="utf-8")

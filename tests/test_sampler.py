@@ -374,7 +374,6 @@ def test_run_chain_shapes_and_names(tiny_dataset):
     assert chain.latent_columns == (0, 3)
     assert chain.latent_draws.shape == (5, 2)
     assert chain.latent_mean.shape == (len(tiny_dataset),)
-    assert chain.latent_median is None
     assert chain.param_names == ModelConfig().active_param_names()
     med = chain.theta_median()
     assert med.b_c is None
@@ -384,21 +383,16 @@ def test_run_chain_streams_exact_latent_summaries(tiny_dataset, short_sampler_co
     n = len(tiny_dataset)
     full = run_chain(
         tiny_dataset, ModelConfig(), short_sampler_config,
-        latent_columns=range(n), keep_medians=True,
+        latent_columns=range(n),
     )
     draws = full.latent_draws
     assert draws.shape == (full.n_draws(), n)
     assert np.array_equal(full.latent_mean, draws.mean(axis=0))
-    assert np.array_equal(full.latent_median, np.median(draws, axis=0))
-    assert np.array_equal(full.latent_medians(), full.latent_median)
 
-    # by default the chain stores no (n_draws, n) latent matrix
+    # without latent columns the chain stores no (n_draws, n) latent matrix
     small = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
     assert np.array_equal(small.param_draws, full.param_draws)
     assert np.array_equal(small.latent_mean, full.latent_mean)
-    assert small.latent_median is None
-    with pytest.raises(ValueError, match="keep_medians"):
-        small.latent_medians()
     arrays = [v for v in vars(small).values() if isinstance(v, np.ndarray)]
     assert arrays and all(a.size < small.n_draws() * n for a in arrays)
     assert small.latent_draws.shape == (small.n_draws(), 0)
@@ -444,7 +438,7 @@ def test_infer_latent_conditioning_pulls_toward_credit(modest_params):
 # --- exact test-time inference ----------------------------------------------------
 
 def quadrature(theta, data, i, model_config, include_credit, lo, hi, points=400_001):
-    """Mean, median and std of row i's latent posterior by a dense trapezoid
+    """Mean and std of row i's latent posterior by a dense trapezoid
     rule on [lo, hi], with the heads written out by hand. No rate cap is
     applied: a truncated posterior is integrated by ending the window at the
     cap's bound. Also returns the density at both ends relative to its peak."""
@@ -465,27 +459,24 @@ def quadrature(theta, data, i, model_config, include_credit, lo, hi, points=400_
     z = np.trapezoid(w, c)
     mean = np.trapezoid(c * w, c) / z
     std = math.sqrt(np.trapezoid((c - mean) ** 2 * w, c) / z)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(c))])
-    median = float(np.interp(0.5 * cdf[-1], cdf, c))
-    return mean, median, std, max(w[0], w[-1])
+    return mean, std, max(w[0], w[-1])
 
 
 def assert_matches_quadrature(theta, data, model_config, include_credit, windows=None):
-    """infer_latent against quadrature row by row: mean and std to 1e-8 and
-    the median to 1e-7. The window defaults to the row's mean +- 40 std, and
-    the density at its ends must be negligible."""
+    """infer_latent against quadrature row by row: mean and std to 1e-8. The
+    window defaults to the row's mean +- 40 std, and the density at its ends
+    must be negligible."""
     post = infer_latent(theta, data, model_config, include_credit=include_credit)
     for i in range(len(data)):
         if windows is None:
             lo, hi = post.mean[i] - 40 * post.std[i], post.mean[i] + 40 * post.std[i]
         else:
             lo, hi = windows[i]
-        mean, median, std, edge = quadrature(theta, data, i, model_config, include_credit, lo, hi)
+        mean, std, edge = quadrature(theta, data, i, model_config, include_credit, lo, hi)
         if windows is None:
             assert edge < 1e-30, i
         assert abs(post.mean[i] - mean) <= 1e-8, (i, post.mean[i], mean)
         assert abs(post.std[i] - std) <= 1e-8, (i, post.std[i], std)
-        assert abs(post.median[i] - median) <= 1e-7, (i, post.median[i], median)
     return post
 
 
@@ -551,7 +542,6 @@ def test_infer_latents_truncates_at_the_rate_cap(modest_params):
         t, data, model_config, include_credit=True, windows=[(bound - 12.0, bound)]
     )
     assert bound - 0.1 < post.mean[0] < bound
-    assert post.median[0] < bound
 
 
 def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
@@ -572,10 +562,10 @@ def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
                 modest_params, tiny_dataset.subset(np.arange(k)), ModelConfig(),
                 include_credit=include_credit,
             )
-            for name in ("mean", "median", "std"):
+            for name in ("mean", "std"):
                 assert np.array_equal(getattr(part, name), getattr(full, name)[:k]), (k, name)
         other = infer_latent(modest_params, changed, ModelConfig(), include_credit=include_credit)
-        for name in ("mean", "median", "std"):
+        for name in ("mean", "std"):
             assert np.array_equal(getattr(other, name)[keep], getattr(full, name)[keep]), name
         assert not np.array_equal(other.mean[6:], full.mean[6:])
 
@@ -611,12 +601,12 @@ def test_infer_latents_blocks_match_rows_alone(modest_params, low_cap, include_c
         alone = infer_latent(
             modest_params, data.subset(np.array([i])), model_config, include_credit=include_credit
         )
-        for name in ("mean", "median", "std"):
+        for name in ("mean", "std"):
             assert getattr(alone, name)[0] == getattr(full, name)[i], (i, name)
     if include_credit and low_cap:
         t = modest_params
         bound = (math.log(rate_cap) - (t.beta_c_s * data.sex + t.beta_c_a * data.age_std)) / t.beta_c_c
-        assert np.all(full.median < bound)
+        assert np.all(full.mean < bound)
         assert np.all(full.mean[edges] > bound[edges] - 0.1)
 
 
