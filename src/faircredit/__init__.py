@@ -69,7 +69,6 @@ from .predictors import (
 from .probmodel import BASE_PARAM_NAMES, PARAM_NAMES, ModelConfig, ModelParams
 from .sampler import (
     Chain,
-    LatentPosteriors,
     SamplerConfig,
     infer_latent,
     run_chain,
@@ -90,7 +89,6 @@ __all__ = [
     "FairModel",
     "ForestConfig",
     "ForestModel",
-    "LatentPosteriors",
     "LinearModel",
     "ModelConfig",
     "ModelParams",

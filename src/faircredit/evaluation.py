@@ -11,11 +11,11 @@ from .predictors import (
     FairModel,
     ForestConfig,
     LinearModel,
-    fair_latent_points,
     feature_matrix,
     fit_fair,
     fit_full,
     fit_unaware,
+    predict_fair,
     predict_forest,
     predict_ols,
 )
@@ -100,8 +100,7 @@ def _predictions(model, data: Dataset, condition_on_credit: bool = False) -> np.
     if isinstance(model, LinearModel):
         return predict_ols(model, feature_matrix(data, model.feature_names))
     if isinstance(model, FairModel):
-        c_hat = fair_latent_points(model, data, condition_on_credit)
-        return predict_forest(model.forest, c_hat)
+        return predict_fair(model, data, condition_on_credit)
     raise TypeError(f"cannot predict with {type(model).__name__}")
 
 

@@ -482,10 +482,9 @@ def fair_latent_points(
     random, so two datasets that differ only in a flipped attribute differ
     in their points only through that attribute.
     """
-    post = infer_latent(
+    return infer_latent(
         model.theta_hat, data, model.model_config, include_credit=condition_on_credit
     )
-    return post.mean
 
 
 def predict_fair(model: FairModel, test: Dataset, condition_on_credit: bool = False) -> np.ndarray:
@@ -494,7 +493,6 @@ def predict_fair(model: FairModel, test: Dataset, condition_on_credit: bool = Fa
     condition_on_credit=True reproduces the leaky protocol where the observed
     credit informs its own feature; keep it False for honest prediction.
     """
-    test.validate()
     c_hat = fair_latent_points(model, test, condition_on_credit)
     return predict_forest(model.forest, c_hat)
 
@@ -521,6 +519,7 @@ def load_fair_model(model_dir: str) -> FairModel:
     params_path = os.path.join(model_dir, "params.kv")
     try:
         theta = ModelParams.from_kv_text(read("params.kv"))
+        theta.validate()
     except ValueError as exc:
         raise UserError(f"{params_path}: {exc}") from None
     forest = forest_from_text(read("forest.txt"))

@@ -28,9 +28,9 @@ and nothing else may hold it across sweeps.
 Test-time inference (infer_latent) fixes the parameters, so each row's
 latent posterior is one-dimensional and log-concave: Newton finds its mode
 and a grid centred there integrates it. Nothing is random and no step
-reduces across rows, so each row's mean and std are an exact function of
+reduces across rows, so each row's posterior mean is an exact function of
 that row. The grid stage runs on GRID_BLOCK rows at a time, so its working
-memory is about 12 arrays of GRID_BLOCK x GRID_POINTS doubles (1.2 MB)
+memory peaks at about 7 arrays of GRID_BLOCK x GRID_POINTS doubles (0.7 MB)
 however many rows are inferred; everything else is O(rows).
 
 Random streams. One master seed. derive_rng(seed, 0, 0) drives the parameter
@@ -84,9 +84,9 @@ BUDGET = 1 << 16      # latent uniforms drawn per refill, in whole sweeps of 2n
 NEWTON_MAX_STEPS = 100
 NEWTON_TOL = 1e-12       # a row's mode is found once its step is below this, relative
 TAIL_NATS = 40.0         # each end of a row's grid lies this far below its mode
-# per row's grid. At 201, seed 0's 200 test rows are as close to a dense
-# quadrature (mean and std within 1e-15, both protocols), but most rows' last
-# bits move; 401 keeps every row's test-time mean and std bit for bit
+# points in each row's grid. At 201, seed 0's 200 test rows are as close to
+# a dense quadrature (means within 1e-15, both protocols), but most rows'
+# last bits move; 401 keeps every row's test-time mean bit for bit
 GRID_POINTS = 401
 GRID_BLOCK = 32          # rows per grid block; 16 to 32 ran fastest, 64 ran 11-34% slower
 WIDEN_MAX = 20           # moves of a grid end before giving up
@@ -162,14 +162,6 @@ class Chain:
     def theta_median(self) -> ModelParams:
         med = np.median(self.param_draws, axis=0)
         return ModelParams.from_vector(med)
-
-
-@dataclass
-class LatentPosteriors:
-    """Posterior summaries of every row's latent score: entry i is row i."""
-
-    mean: np.ndarray
-    std: np.ndarray
 
 
 def _surely_rejected(credit: HeadTerms, term: int, old: float, proposal: float, u_acc: float) -> bool:
@@ -497,9 +489,9 @@ def infer_latent(
     model_config: ModelConfig,
     *,
     include_credit: bool,
-) -> LatentPosteriors:
-    """Posterior mean and std of every row's latent score under fixed
-    parameters, computed exactly rather than sampled.
+) -> np.ndarray:
+    """Posterior mean of every row's latent score under fixed parameters,
+    computed exactly rather than sampled: entry i is row i's.
 
     Given the parameters, row i's latent posterior is one-dimensional and
     strictly log-concave (concave heads, N(0, 1) prior). Newton finds its
@@ -508,11 +500,12 @@ def infer_latent(
     TAIL_NATS below it, each end moved out until the log density there truly
     is TAIL_NATS below the mode's (or the end is the rate cap's bound). The
     engine evaluates the grid through a column-shaped Design; points over the
-    rate cap weigh 0. Mean and std are trapezoid sums with Euler-Maclaurin
-    corrections. No step reduces across rows, so row i is an exact function
-    of row i, and the grid stage (_grid_summaries) runs on blocks of
-    GRID_BLOCK rows: its memory, about 12 x GRID_BLOCK x GRID_POINTS doubles, does not grow with
-    the number of rows. Newton and the grid ends hold O(rows) arrays.
+    rate cap weigh 0. The mean is a ratio of trapezoid sums with
+    Euler-Maclaurin end corrections. No step reduces across rows, so row i
+    is an exact function of row i, and the grid stage (_grid_means) runs on
+    blocks of GRID_BLOCK rows: its memory, about 7 x GRID_BLOCK x GRID_POINTS
+    doubles, does not grow with the rows. Newton and the grid ends hold
+    O(rows) arrays.
     include_credit=True conditions each row on its own credit amount;
     prediction must use False so the target cannot leak into its feature.
     """
@@ -557,55 +550,56 @@ def infer_latent(
         raise SamplerError(f"latent grid did not reach {TAIL_NATS:g} nats below the mode")
 
     n = len(design)
-    mean, std = np.empty(n), np.empty(n)
+    mean = np.empty(n)
     for start in range(0, n, GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
-        mean[block], std[block] = _grid_summaries(
+        mean[block] = _grid_means(
             log_density, slopes, cols.rows(block), mode[block], top[block], ends[block]
         )
-    return LatentPosteriors(mean=mean, std=std)
+    return mean
 
 
-def _grid_summaries(
+def _grid_means(
     log_density: Callable[[np.ndarray, Design], np.ndarray],
     slopes: Callable[[np.ndarray, Design], tuple[np.ndarray, np.ndarray]],
     cols: Design,
     mode: np.ndarray,
     top: np.ndarray,
     ends: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and std of each row's latent posterior from a grid of
-    GRID_POINTS values on [ends[:, 0], ends[:, 1]].
+) -> np.ndarray:
+    """Mean of each row's latent posterior from a grid of GRID_POINTS values
+    on [ends[:, 0], ends[:, 1]].
 
     cols holds the rows as columns, mode their modes and top the log
-    density there. Every array here has shape (rows, GRID_POINTS), so
-    infer_latent passes at most GRID_BLOCK rows at a time.
+    density there. The density's arrays have shape (rows, GRID_POINTS), so
+    infer_latent passes at most GRID_BLOCK rows at a time; its slope is
+    evaluated only on the three points at each end.
     """
     lo, hi = ends[:, 0], ends[:, 1]
     grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, GRID_POINTS)
     grid[:, -1] = hi
-    h = ((hi - lo) / (GRID_POINTS - 1))[:, None]
+    h = (hi - lo) / (GRID_POINTS - 1)
     dens = np.exp(log_density(grid, cols) - top[:, None])
+    off = grid - mode[:, None]  # the first moment about the mode, which is near the mean
+    at = [0, 1, 2, -3, -2, -1]  # the points the end corrections read
+    end_dens, end_off = dens[:, at], off[:, at]
     with np.errstate(over="ignore", invalid="ignore"):
-        dens_d = np.where(dens == 0.0, 0.0, dens * slopes(grid, cols)[0])
+        end_dens_d = np.where(end_dens == 0.0, 0.0, end_dens * slopes(grid[:, at], cols)[0])
 
-    # integrals from the grid's start to each point, by Euler-Maclaurin: the
-    # trapezoid sums less h^2/12 times the change in the integrand's slope,
-    # plus h^4/720 times that in its third derivative, taken as h^-2 times a
-    # second difference of the slope (central, first order at the ends). The
-    # terms vanish at an end TAIL_NATS down, but not at the rate cap's bound
-    def integrals(values: np.ndarray, slope: np.ndarray) -> np.ndarray:
-        third = np.empty_like(slope)
-        third[:, 1:-1] = slope[:, 2:] - 2.0 * slope[:, 1:-1] + slope[:, :-2]
-        third[:, 0], third[:, -1] = third[:, 1], third[:, -2]
-        trap = h * (np.cumsum(values, axis=1) - 0.5 * (values[:, :1] + values))
-        return trap + h * h * ((third - third[:, :1]) / 720.0 - (slope - slope[:, :1]) / 12.0)
+    # the integral over the grid by Euler-Maclaurin: the trapezoid sum (a
+    # sequential one, as the last of np.cumsum's running sums) less h^2/12
+    # times the change in the integrand's slope, plus h^4/720 times that in
+    # its third derivative, taken as h^-2 times the second difference of the
+    # slope at each end. The terms vanish at an end TAIL_NATS down, but not
+    # at the rate cap's bound
+    def integral(values: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        trap = h * (np.cumsum(values, axis=1)[:, -1] - 0.5 * (values[:, 0] + values[:, -1]))
+        third_lo = slope[:, 2] - 2.0 * slope[:, 1] + slope[:, 0]
+        third_hi = slope[:, 5] - 2.0 * slope[:, 4] + slope[:, 3]
+        return trap + h * h * ((third_hi - third_lo) / 720.0 - (slope[:, 5] - slope[:, 0]) / 12.0)
 
-    mass = integrals(dens, dens_d)[:, -1]
-    off = grid - mode[:, None]  # moments about the mode, which is near the mean
-    m1 = integrals(off * dens, dens + off * dens_d)[:, -1] / mass
-    m2 = integrals(off * off * dens, off * (2.0 * dens + off * dens_d))[:, -1] / mass
-    return mode + m1, np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
+    mass = integral(dens, end_dens_d)
+    return mode + integral(off * dens, end_dens + end_off * end_dens_d) / mass
 
 
 # ---------------------------------------------------------------------------

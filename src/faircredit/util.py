@@ -104,12 +104,16 @@ def parse_value(text: str, kind: type, key: str):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place,
+    with the mode open(path, "w") gives a new file: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)  # read by setting it; no other way is portable
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp creates it 0o600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import faircredit
-from faircredit import cli, evaluation
+from faircredit import cli, predictors
 from faircredit.cli import (
     DEFAULTS,
     ESS_WARN_MIN,
@@ -311,7 +311,7 @@ def test_compare_warns_on_poor_mixing(workspace):
 )
 def test_compare_frees_the_chain_before_test_time_inference(workspace, monkeypatch, tmp_path):
     real_run_chain = cli.run_chain
-    real_fair_latent_points = evaluation.fair_latent_points
+    real_fair_latent_points = predictors.fair_latent_points
     chains, freed = [], []
 
     def run_chain(*args, **kwargs):
@@ -324,7 +324,7 @@ def test_compare_frees_the_chain_before_test_time_inference(workspace, monkeypat
         return real_fair_latent_points(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_chain", run_chain)
-    monkeypatch.setattr(evaluation, "fair_latent_points", fair_latent_points)
+    monkeypatch.setattr(predictors, "fair_latent_points", fair_latent_points)
     res = run_cli(["compare", "--config", str(workspace["config"]), "--out", str(tmp_path)])
     assert res.code == 0, res.err
     assert len(chains) == 1

@@ -583,6 +583,15 @@ def test_load_fair_model_rejects_bad_config(tmp_path, tiny_dataset):
     with pytest.raises(UserError, match="b_c is present"):
         load_fair_model(str(tmp_path / "m"))
 
+    # a non-finite coefficient is refused on load, not first at prediction
+    assert params_text.count("b_j = ") == 1
+    start = params_text.index("b_j = ")
+    end = params_text.index("\n", start)
+    for value in ("nan", "inf"):
+        params.write_text(params_text[:start] + f"b_j = {value}" + params_text[end:], encoding="utf-8")
+        with pytest.raises(UserError, match=re.escape(f"{params}: parameter b_j is not finite")):
+            load_fair_model(str(tmp_path / "m"))
+
     # an intercept model's params.kv cut before its last line loses b_c
     model, _ = small_fair_model(tiny_dataset, mc=ModelConfig(include_credit_intercept=True))
     save_fair_model(model, str(tmp_path / "b"))

@@ -41,6 +41,7 @@ from faircredit.sampler import (
     ADAPT_EVERY,
     ADAPT_FACTOR,
     GRID_BLOCK,
+    GRID_POINTS,
     TAIL_NATS,
     Chain,
     SamplerConfig,
@@ -432,7 +433,7 @@ def test_infer_latent_conditioning_pulls_toward_credit(modest_params):
     )
     with_credit = infer_latent(modest_params, rich, ModelConfig(), include_credit=True)
     without = infer_latent(modest_params, rich, ModelConfig(), include_credit=False)
-    assert with_credit.mean[0] > without.mean[0]
+    assert with_credit[0] > without[0]
 
 
 # --- exact test-time inference ----------------------------------------------------
@@ -463,21 +464,25 @@ def quadrature(theta, data, i, model_config, include_credit, lo, hi, points=400_
 
 
 def assert_matches_quadrature(theta, data, model_config, include_credit, windows=None):
-    """infer_latent against quadrature row by row: mean and std to 1e-8. The
-    window defaults to the row's mean +- 40 std, and the density at its ends
-    must be negligible."""
-    post = infer_latent(theta, data, model_config, include_credit=include_credit)
+    """infer_latent's means against quadrature row by row, to 1e-8. The
+    window defaults to the oracle's own mean +- 40 std, from a first pass
+    on [-40, 40], and the density at its ends must be negligible. Returns
+    the means and the oracle's stds."""
+    means = infer_latent(theta, data, model_config, include_credit=include_credit)
+    stds = np.empty(len(data))
     for i in range(len(data)):
         if windows is None:
-            lo, hi = post.mean[i] - 40 * post.std[i], post.mean[i] + 40 * post.std[i]
+            mean, std, _ = quadrature(
+                theta, data, i, model_config, include_credit, -40.0, 40.0, points=100_001
+            )
+            lo, hi = mean - 40 * std, mean + 40 * std
         else:
             lo, hi = windows[i]
-        mean, std, edge = quadrature(theta, data, i, model_config, include_credit, lo, hi)
+        mean, stds[i], edge = quadrature(theta, data, i, model_config, include_credit, lo, hi)
         if windows is None:
             assert edge < 1e-30, i
-        assert abs(post.mean[i] - mean) <= 1e-8, (i, post.mean[i], mean)
-        assert abs(post.std[i] - std) <= 1e-8, (i, post.std[i], std)
-    return post
+        assert abs(means[i] - mean) <= 1e-8, (i, means[i], mean)
+    return means, stds
 
 
 ORACLE_CASES = {
@@ -490,8 +495,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_infer_latents_matches_quadrature(tiny_dataset, modest_params, case, include_credit):
     theta = replace(modest_params, b_c=-0.4)
-    post = assert_matches_quadrature(theta, tiny_dataset, ORACLE_CASES[case], include_credit)
-    assert np.all(post.std > 0.0)
+    assert_matches_quadrature(theta, tiny_dataset, ORACLE_CASES[case], include_credit)
 
 
 def test_infer_latents_narrow_leaky_rows(modest_params):
@@ -501,8 +505,8 @@ def test_infer_latents_narrow_leaky_rows(modest_params):
         sex=np.array([0, 1, 1]), age_std=np.array([0.5, -1.0, 2.0]), job=np.array([1, 0, 1]),
         house=np.array([0, 1, 1]), credit=np.array([2500, 7000, 15000]),
     )
-    post = assert_matches_quadrature(modest_params, data, ModelConfig(), include_credit=True)
-    assert np.all(post.std < 0.04) and np.all(post.mean > 12.0)
+    means, stds = assert_matches_quadrature(modest_params, data, ModelConfig(), include_credit=True)
+    assert np.all(stds < 0.04) and np.all(means > 12.0)
 
 
 def test_infer_latents_widens_a_grid_the_laplace_width_undercovers(modest_params):
@@ -538,10 +542,10 @@ def test_infer_latents_truncates_at_the_rate_cap(modest_params):
     model_config = ModelConfig(poisson_rate_cap=math.exp(2.5))
     t = modest_params
     bound = (math.log(model_config.poisson_rate_cap) - (t.beta_c_s + 0.3 * t.beta_c_a)) / t.beta_c_c
-    post = assert_matches_quadrature(
+    means, _ = assert_matches_quadrature(
         t, data, model_config, include_credit=True, windows=[(bound - 12.0, bound)]
     )
-    assert bound - 0.1 < post.mean[0] < bound
+    assert bound - 0.1 < means[0] < bound
 
 
 def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
@@ -562,12 +566,10 @@ def test_infer_latents_rows_do_not_interact(tiny_dataset, modest_params):
                 modest_params, tiny_dataset.subset(np.arange(k)), ModelConfig(),
                 include_credit=include_credit,
             )
-            for name in ("mean", "std"):
-                assert np.array_equal(getattr(part, name), getattr(full, name)[:k]), (k, name)
+            assert np.array_equal(part, full[:k]), k
         other = infer_latent(modest_params, changed, ModelConfig(), include_credit=include_credit)
-        for name in ("mean", "std"):
-            assert np.array_equal(getattr(other, name)[keep], getattr(full, name)[keep]), name
-        assert not np.array_equal(other.mean[6:], full.mean[6:])
+        assert np.array_equal(other[keep], full[keep])
+        assert not np.array_equal(other[6:], full[6:])
 
 
 def block_edge_dataset() -> tuple[Dataset, list[int]]:
@@ -601,13 +603,34 @@ def test_infer_latents_blocks_match_rows_alone(modest_params, low_cap, include_c
         alone = infer_latent(
             modest_params, data.subset(np.array([i])), model_config, include_credit=include_credit
         )
-        for name in ("mean", "std"):
-            assert getattr(alone, name)[0] == getattr(full, name)[i], (i, name)
+        assert alone[0] == full[i], i
     if include_credit and low_cap:
         t = modest_params
         bound = (math.log(rate_cap) - (t.beta_c_s * data.sex + t.beta_c_a * data.age_std)) / t.beta_c_c
-        assert np.all(full.mean < bound)
-        assert np.all(full.mean[edges] > bound[edges] - 0.1)
+        assert np.all(full < bound)
+        assert np.all(full[edges] > bound[edges] - 0.1)
+
+
+def test_infer_latent_grid_reads_slopes_only_at_its_ends(modest_params, monkeypatch):
+    # the grid's Euler-Maclaurin corrections read the integrand's slope at
+    # three points at each end, so no slope call spans a row's whole grid;
+    # at the low cap every leaky grid ends on the cap's bound
+    data, _ = block_edge_dataset()
+    model_config = ModelConfig(poisson_rate_cap=math.exp(2.5))
+    plain = [infer_latent(modest_params, data, model_config, include_credit=ic) for ic in (False, True)]
+    shapes = []
+    real_slopes = sampler.probmodel.per_obs_latent_slopes
+
+    def recording(vec, c, design, include_credit=True):
+        shapes.append(np.shape(c))
+        return real_slopes(vec, c, design, include_credit)
+
+    monkeypatch.setattr(sampler.probmodel, "per_obs_latent_slopes", recording)
+    wrapped = [infer_latent(modest_params, data, model_config, include_credit=ic) for ic in (False, True)]
+    assert any(len(s) == 2 for s in shapes)
+    assert not [s for s in shapes if len(s) == 2 and s[1] == GRID_POINTS]
+    for a, b in zip(wrapped, plain):
+        assert np.array_equal(a, b)
 
 
 def test_infer_latent_memory_does_not_grow_with_rows(modest_params):

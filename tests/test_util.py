@@ -147,6 +147,23 @@ def test_atomic_write_text(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_text_mode_follows_umask(tmp_path):
+    # as open(path, "w") creates a file: 0o666 less the umask, also when
+    # the write replaces a file of another mode
+    old = tmp_path / "old.txt"
+    old.write_text("old\n")
+    old.chmod(0o600)
+    umask = os.umask(0o022)
+    try:
+        atomic_write_text(str(tmp_path / "new.txt"), "new\n")
+        atomic_write_text(str(old), "replaced\n")
+    finally:
+        os.umask(umask)
+    for name in ("new.txt", "old.txt"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
+    assert old.read_text() == "replaced\n"
+
+
 def test_sha256_hex_frozen_vector():
     # published digest of "abc", truncated
     assert sha256_hex("abc") == "ba7816bf8f01cfea"
