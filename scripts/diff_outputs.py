@@ -23,8 +23,8 @@ the age shift there. Last, `synth` runs with two
 configs it refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`)
 into a fourth, so that their error messages and exit codes are compared;
 synth reads every config it needs before any work, in both trees. Every
-file under the --out paths is compared, and so are each command's stdout,
-stderr and exit code.
+file under the --out paths is compared, bytes and permission bits
+(st_mode & 0o777), and so are each command's stdout, stderr and exit code.
 Prints `seed N: identical` or the outputs that differ; the exit code is 1 if
 any differ. The data and the synth_large config come from the checkout that
 holds this script, and the commands run from its root.
@@ -85,8 +85,10 @@ def run_tree(src: str, seed: int, work: str) -> dict[str, bytes]:
         for folder, _, files in os.walk(out):
             for f in files:
                 path = os.path.join(folder, f)
+                name = os.path.relpath(path, work)
                 with open(path, "rb") as fh:
-                    outputs[os.path.relpath(path, work)] = fh.read()
+                    outputs[name] = fh.read()
+                outputs[f"mode of {name}"] = f"{os.stat(path).st_mode & 0o777:o}".encode()
     return outputs
 
 

@@ -369,7 +369,7 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     export_chain(chain, out, header_lines=header)
     summary = summarize(chain)
     write_summary_csv(summary, os.path.join(out, "summary.csv"), header)
-    fair = fit_fair(train, mc, sc, fc, chain=chain)
+    fair = fit_fair(train, chain, fc)
     save_fair_model(fair, os.path.join(out, "model_fair"), header)
 
     print(f"fair model: {chain.n_draws()} stored draws over {len(train)} observations")
@@ -440,16 +440,14 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     report = compare_models(
         train,
         test,
-        mc,
-        sc,
+        # a temporary, not a local: compare_models then holds the only
+        # reference and frees the draws before test-time inference
+        _warned_chain(train, mc, sc),
         fc,
         age_mode=age_mode,
         age_years=_get(cfg, "eval.age_years", float),
         split_seed=_get(cfg, "split.seed", int),
         leaky_headline=leaky_headline,
-        # a temporary, not a local: compare_models then holds the only
-        # reference and frees the draws before test-time inference
-        chain=_warned_chain(train, mc, sc),
     )
     path = os.path.join(cfg["out.dir"], "compare.csv")
     atomic_write_text(path, report.to_csv_text(header))

@@ -19,8 +19,7 @@ from .predictors import (
     predict_forest,
     predict_ols,
 )
-from .probmodel import ModelConfig
-from .sampler import Chain, SamplerConfig, run_chain
+from .sampler import Chain
 
 COVARIANCE_COLUMNS = ("age_std", "sex", "job", "house", "credit")
 
@@ -191,24 +190,24 @@ class ComparisonReport:
 def compare_models(
     train: Dataset,
     test: Dataset,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
+    chain: Chain,
     forest_config: ForestConfig,
     age_mode: str = "mirror",
     age_years: float = 10.0,
     split_seed: int | None = None,
     leaky_headline: bool = False,
-    chain: Chain | None = None,
 ) -> ComparisonReport:
     """Fit all three models and score them on both splits.
 
-    The fair training score uses the stage-one latent means the forest was
-    actually trained on. Both fair test protocols are always computed
-    (honest: credit excluded from test-time inference; leaky: conditioned on
-    it) and reported under their own labels; leaky_headline picks which
-    fills the fair test_r2 cell. Flip gaps always use the honest
-    protocol. Pass a chain already run on (train, model_config,
-    sampler_config) to skip stage-one sampling.
+    The fair model is stage two on chain, a stage-one chain run on train,
+    which carries its model and sampler configs; the report's sampler seed
+    is the chain's. The fair training score uses the stage-one latent means
+    the forest was actually trained on. Both fair test protocols are always
+    computed (honest: credit excluded from test-time inference; leaky:
+    conditioned on it) and reported under their own labels; leaky_headline
+    picks which fills the fair test_r2 cell. Flip gaps always use the honest
+    protocol. Pass the chain as a temporary: the draws are freed here,
+    before test-time inference.
     """
     y_train = np.asarray(train.credit, dtype=float)
     y_test = np.asarray(test.credit, dtype=float)
@@ -229,10 +228,8 @@ def compare_models(
     for name, model in (("full", fit_full(train)), ("unaware", fit_unaware(train))):
         metrics[name] = scores(model, _predictions(model, train), _predictions(model, test))
 
-    if chain is None:
-        chain = run_chain(train, model_config, sampler_config)
-    fair = fit_fair(train, model_config, sampler_config, forest_config, chain=chain)
-    c_train = chain.latent_mean
+    fair = fit_fair(train, chain, forest_config)
+    c_train, sampler_seed = chain.latent_mean, chain.config.seed
     del chain  # lets the stage-one draws be freed before test-time inference
     metrics["fair"] = scores(fair, predict_forest(fair.forest, c_train), _predictions(fair, test))
     fair_honest = metrics["fair"]["test_r2"]
@@ -247,7 +244,7 @@ def compare_models(
         n_train=len(train),
         n_test=len(test),
         split_seed=split_seed,
-        sampler_seed=sampler_config.seed,
+        sampler_seed=sampler_seed,
         age_mode=age_mode,
         age_years=age_years,
     )

@@ -15,7 +15,7 @@ for bit as if each node were grown alone.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import as_strided
 from .dataset import Dataset
 from .errors import ConfigError, DataError, RankDeficientError, UserError
 from .probmodel import ModelConfig, ModelParams
-from .sampler import Chain, SamplerConfig, infer_latent, run_chain
+from .sampler import Chain, infer_latent
 from .util import (
     STREAM_TREE,
     atomic_write_text,
@@ -219,18 +219,15 @@ BLOCK_ELEMS = 1 << 14
 Tree = tuple[list[float], list[float]]
 
 
-def _build_tree(c: np.ndarray, y: np.ndarray, depth: int, cfg: ForestConfig) -> Tree:
-    """One CART tree as its split thresholds in order and its leaf values from
-    left to right. A point x lands in leaf searchsorted(thresholds, x, "left"),
-    the leaf that a walk sending x <= threshold to the left reaches."""
-    return _grow_trees(c, y, np.arange(c.shape[0])[None], depth, cfg)[0]
-
-
 def _grow_trees(
     c: np.ndarray, y: np.ndarray, boot: np.ndarray, depth: int, cfg: ForestConfig
 ) -> list[Tree]:
-    """_build_tree of each row of boot, a (k, n) array of indices into c and y,
-    every tree grown at once, one level at a time.
+    """One CART tree per row of boot, a (k, n) array of indices into c and y,
+    every tree grown at once, one level at a time, from depth.
+
+    Each tree is its split thresholds in order and its leaf values from left
+    to right. A point x lands in leaf searchsorted(thresholds, x, "left"), the
+    leaf that a walk sending x <= threshold to the left reaches.
 
     The samples are sorted by c once, end to end, and every node is a run of
     them. A leaf takes np.mean's sum of its run; a tree that never splits
@@ -449,28 +446,23 @@ class FairModel:
 
     theta_hat: ModelParams
     forest: ForestModel
-    model_config: ModelConfig = field(default_factory=ModelConfig)
+    model_config: ModelConfig
 
 
-def fit_fair(
-    train: Dataset,
-    model_config: ModelConfig,
-    sampler_config: SamplerConfig,
-    forest_config: ForestConfig,
-    chain: Chain | None = None,
-) -> FairModel:
-    """Two-stage fit: full-model chain, then forest of credit on the latent score.
+def fit_fair(train: Dataset, chain: Chain, forest_config: ForestConfig) -> FairModel:
+    """Stage two: a forest of credit on the latent means of a stage-one chain
+    run on train.
 
-    Pass a chain already run on (train, model_config, sampler_config) to skip
-    the sampling stage.
+    The chain carries the model config it ran with, which the fair model
+    keeps beside the chain's posterior medians.
     """
     train.validate()
-    if chain is None:
-        chain = run_chain(train, model_config, sampler_config)
     if len(chain.latent_mean) != len(train):
         raise ValueError("chain latent width does not match the training set")
     forest = fit_forest(chain.latent_mean, np.asarray(train.credit, dtype=float), forest_config)
-    return FairModel(theta_hat=chain.theta_median(), forest=forest, model_config=model_config)
+    return FairModel(
+        theta_hat=chain.theta_median(), forest=forest, model_config=chain.model_config
+    )
 
 
 def fair_latent_points(

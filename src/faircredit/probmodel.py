@@ -67,8 +67,6 @@ PARAM_NAMES = (
 BASE_PARAM_NAMES = PARAM_NAMES[:11]
 
 HEAD_JOB, HEAD_HOUSE, HEAD_CREDIT = 0, 1, 2
-# which likelihood head each parameter position feeds
-PARAM_HEAD = (0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,9 @@ class Chain:
 
     Every parameter draw is kept. Of the latent draws only the requested
     columns are: latent_draws[:, j] holds latent latent_columns[j], and
-    latent_mean holds each row's mean over the draws.
+    latent_mean holds each row's mean over the draws. The chain carries the
+    configs it ran with, config (the sampler's) and model_config, so stage
+    two takes the chain alone.
     """
 
     param_names: tuple[str, ...]
@@ -152,6 +154,7 @@ class Chain:
     accept_rate_params: np.ndarray     # per parameter, post burn-in
     accept_rate_latents: float         # pooled over latents, post burn-in
     config: SamplerConfig
+    model_config: ModelConfig
     n_likelihood_errors: int = 0
     final_delta: float = 0.0
     final_param_step: float = 0.0
@@ -260,17 +263,15 @@ def run_chain(
 
     n_draws = cfg.n_draws()
     param_draws = np.empty((n_draws, k))
-    latent_sum = np.empty(n)
+    latent_sum = np.zeros(n)
     column_index = np.array(columns, dtype=np.intp)
     column_draws = np.empty((n_draws, len(columns)))
 
     post_sweeps = cfg.iterations - cfg.burn_in
     acc_param_post = [0] * k
     acc_latent_post = 0
-    win_param_acc = win_param_tot = 0
-    win_latent_acc = win_latent_tot = 0
+    win_param_acc = win_latent_acc = 0
     err_steps = 0
-    total_steps = 0
 
     draw_idx = 0
 
@@ -290,8 +291,6 @@ def run_chain(
         proposal = theta + step * param_rng.standard_normal(k)
         u = param_rng.random(k).tolist()
         olds, props = theta.tolist(), proposal.tolist()
-        total_steps += k
-        win_param_tot += k
         for term, block, positions, index in schedule:
             if block is credit:
                 (j,) = positions
@@ -334,7 +333,6 @@ def run_chain(
         np.multiply(prior_prop, 0.5, out=prior_prop)
         soft_rows, _ = logistic.move_latent(c_prop)
         credit_rows, n_over = credit.move_latent(c_prop)
-        total_steps += n
         err_steps += n_over
         # heads added as per_obs_log_likelihood adds them, and the ratio
         # associated as target(proposal) - target(current), so a scalar step
@@ -357,11 +355,12 @@ def run_chain(
         credit.accept_rows(accepted, c)
         n_acc = accepted.size
         win_latent_acc += n_acc
-        win_latent_tot += n
         if post:
             acc_latent_post += n_acc
 
         if sweep % ADAPT_EVERY == 0:
+            # every sweep takes k parameter steps and n latent steps
+            total_steps = sweep * (k + n)
             if err_steps > ERROR_BUDGET * total_steps:
                 raise SamplerError(
                     f"sampler aborted at sweep {sweep}: {err_steps} likelihood errors "
@@ -369,24 +368,20 @@ def run_chain(
                     f"delta={delta!r} param_step={step!r}"
                 )
             if cfg.adapt_during_burn_in and sweep <= cfg.burn_in:
-                if win_latent_tot:
-                    rate = win_latent_acc / win_latent_tot
-                    delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
-                if win_param_tot:
-                    rate = win_param_acc / win_param_tot
-                    step = step * ADAPT_FACTOR if rate > cfg.target_accept else step / ADAPT_FACTOR
-                win_param_acc = win_param_tot = 0
-                win_latent_acc = win_latent_tot = 0
+                # the window since the last reset is ADAPT_EVERY sweeps long
+                rate = win_latent_acc / (n * ADAPT_EVERY)
+                delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
+                rate = win_param_acc / (k * ADAPT_EVERY)
+                step = step * ADAPT_FACTOR if rate > cfg.target_accept else step / ADAPT_FACTOR
+                win_param_acc = win_latent_acc = 0
 
         if post and (sweep - cfg.burn_in) % cfg.thin == 0:
             param_draws[draw_idx] = theta
-            if draw_idx == 0:
-                latent_sum[:] = c
-            else:
-                latent_sum += c
+            latent_sum += c
             column_draws[draw_idx] = c[column_index]
             draw_idx += 1
 
+    total_steps = cfg.iterations * (k + n)
     if err_steps > ERROR_BUDGET * total_steps:
         raise SamplerError(
             f"sampler finished with {err_steps} likelihood errors over {total_steps} steps "
@@ -402,6 +397,7 @@ def run_chain(
         accept_rate_params=np.array(acc_param_post) / max(post_sweeps, 1),
         accept_rate_latents=acc_latent_post / max(n * post_sweeps, 1),
         config=cfg,
+        model_config=model_config,
         n_likelihood_errors=err_steps,
         final_delta=delta,
         final_param_step=step,

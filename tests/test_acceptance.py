@@ -178,8 +178,7 @@ def test_criterion_4_real_data_score_bands(report, german_splits):
     rep = compare_models(
         train,
         test,
-        PAPER_MODEL,
-        PAPER_SAMPLER,
+        run_chain(train, PAPER_MODEL, PAPER_SAMPLER),
         ForestConfig(n_trees=200, max_depth=6, min_leaf=5, seed=0),
         split_seed=0,
     )

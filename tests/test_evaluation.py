@@ -22,7 +22,7 @@ from faircredit.evaluation import (
 from faircredit import predictors
 from faircredit.predictors import ForestConfig, fit_full, fit_unaware
 from faircredit.probmodel import ModelConfig
-from faircredit.sampler import SamplerConfig
+from faircredit.sampler import SamplerConfig, run_chain
 
 
 # --- r squared ------------------------------------------------------------------
@@ -158,17 +158,23 @@ def larger_split():
     return split(ds, SplitSpec(train_count=55, seed=3))
 
 
+SMALL_FOREST = ForestConfig(n_trees=6, max_depth=3, min_leaf=3, seed=0)
+
+
 @pytest.fixture(scope="module")
-def comparison():
+def split_chain():
+    """larger_split() and one stage-one chain on its train rows."""
     train, test = larger_split()
-    report = compare_models(
-        train, test,
-        ModelConfig(),
-        SamplerConfig(iterations=250, burn_in=100, thin=3, seed=2),
-        ForestConfig(n_trees=6, max_depth=3, min_leaf=3, seed=0),
-        split_seed=3,
+    chain = run_chain(
+        train, ModelConfig(), SamplerConfig(iterations=250, burn_in=100, thin=3, seed=2)
     )
-    return report
+    return train, test, chain
+
+
+@pytest.fixture(scope="module")
+def comparison(split_chain):
+    train, test, chain = split_chain
+    return compare_models(train, test, chain, SMALL_FOREST, split_seed=3)
 
 
 def test_report_covers_all_models_and_metrics(comparison):
@@ -208,15 +214,10 @@ def test_report_text_table_shows_both_protocols(comparison):
         assert any(ln.startswith(row) for ln in table.splitlines())
 
 
-def test_leaky_headline_swaps_only_the_fair_test_cell():
-    train, test = larger_split()
-    kwargs = dict(
-        model_config=ModelConfig(),
-        sampler_config=SamplerConfig(iterations=250, burn_in=100, thin=3, seed=2),
-        forest_config=ForestConfig(n_trees=6, max_depth=3, min_leaf=3, seed=0),
-    )
-    honest = compare_models(train, test, **kwargs)
-    leaky = compare_models(train, test, leaky_headline=True, **kwargs)
+def test_leaky_headline_swaps_only_the_fair_test_cell(split_chain):
+    train, test, chain = split_chain
+    honest = compare_models(train, test, chain, SMALL_FOREST)
+    leaky = compare_models(train, test, chain, SMALL_FOREST, leaky_headline=True)
     assert leaky.metrics["fair"]["test_r2"] == leaky.fair_test_r2_leaky
     assert leaky.fair_test_r2_honest == honest.fair_test_r2_honest
     assert leaky.metrics["fair"]["train_r2"] == honest.metrics["fair"]["train_r2"]
@@ -228,7 +229,7 @@ def test_leaky_headline_swaps_only_the_fair_test_cell():
     )
 
 
-def test_compare_runs_four_test_time_passes(monkeypatch):
+def test_compare_runs_four_test_time_passes(monkeypatch, split_chain):
     # honest factual (test r2 and the base of both gaps), leaky factual, and
     # one honest pass per flipped attribute
     calls = []
@@ -239,11 +240,6 @@ def test_compare_runs_four_test_time_passes(monkeypatch):
         return original(theta, data, model_config, include_credit=include_credit)
 
     monkeypatch.setattr(predictors, "infer_latent", counting)
-    train, test = larger_split()
-    compare_models(
-        train, test,
-        ModelConfig(),
-        SamplerConfig(iterations=250, burn_in=100, thin=3, seed=2),
-        ForestConfig(n_trees=6, max_depth=3, min_leaf=3, seed=0),
-    )
+    train, test, chain = split_chain
+    compare_models(train, test, chain, SMALL_FOREST)
     assert sorted(calls) == [False, False, False, True]

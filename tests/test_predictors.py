@@ -18,7 +18,7 @@ from faircredit.predictors import (
     ForestConfig,
     ForestModel,
     LinearModel,
-    _build_tree,
+    _grow_trees,
     _householder_qr,
     fair_latent_points,
     feature_matrix,
@@ -36,7 +36,7 @@ from faircredit.predictors import (
     save_fair_model,
 )
 from faircredit.probmodel import ModelConfig
-from faircredit.sampler import run_chain
+from faircredit.sampler import SamplerConfig, run_chain
 from faircredit.util import STREAM_TREE, derive_rng
 
 
@@ -161,6 +161,11 @@ def test_feature_matrix_rejects_unknown_name(tiny_dataset):
 
 
 # --- regression trees -----------------------------------------------------------
+
+def _build_tree(c, y, depth, cfg):
+    """One tree grown on every point of (c, y) in order, from depth."""
+    return _grow_trees(c, y, np.arange(c.shape[0])[None], depth, cfg)[0]
+
 
 def test_build_tree_hand_case():
     c = np.array([0.0, 1.0, 2.0, 3.0])
@@ -462,12 +467,10 @@ def test_forest_from_text_rejects_malformed():
 # --- two-stage fair model ---------------------------------------------------------
 
 def small_fair_model(tiny_dataset, mc=ModelConfig()):
-    from faircredit.sampler import SamplerConfig
-
     sc = SamplerConfig(iterations=300, burn_in=100, thin=2, seed=5)
     fc = ForestConfig(n_trees=8, max_depth=3, min_leaf=2, seed=1)
     chain = run_chain(tiny_dataset, mc, sc)
-    model = fit_fair(tiny_dataset, mc, sc, fc, chain=chain)
+    model = fit_fair(tiny_dataset, chain, fc)
     return model, chain
 
 
@@ -479,6 +482,22 @@ def test_fit_fair_uses_posterior_medians_and_latent_means(tiny_dataset):
     )
     grid = np.linspace(-2, 2, 40)
     assert np.array_equal(predict_forest(model.forest, grid), predict_forest(refit, grid))
+
+
+def test_fit_fair_keeps_the_chains_model_config(tmp_path, tiny_dataset):
+    # the fair model's config is the one its chain ran with, so a chain with
+    # the credit intercept gives a model whose inference reads b_c, and whose
+    # saved directory loads
+    model, chain = small_fair_model(tiny_dataset, mc=ModelConfig(include_credit_intercept=True))
+    assert model.model_config is chain.model_config
+    assert model.theta_hat.b_c is not None
+    save_fair_model(model, str(tmp_path / "m"))
+    back = load_fair_model(str(tmp_path / "m"))
+    for leaky in (False, True):
+        assert np.array_equal(
+            predict_fair(back, tiny_dataset, condition_on_credit=leaky),
+            predict_fair(model, tiny_dataset, condition_on_credit=leaky),
+        )
 
 
 def test_predict_fair_deterministic_and_protocol_sensitive(tiny_dataset):

@@ -28,8 +28,8 @@ from faircredit import sampler
 from faircredit.dataset import Dataset, SplitSpec, load_csv, preprocess, split
 from faircredit.errors import DataError, SamplerError
 from faircredit.probmodel import (
+    HEAD_TERMS,
     LOG_2PI,
-    PARAM_HEAD,
     Design,
     HeadTerms,
     ModelConfig,
@@ -52,6 +52,9 @@ from faircredit.sampler import (
 )
 from faircredit.util import STREAM_PARAMS, STREAM_TRAIN_LATENT, derive_rng
 from scalar_kernel import mh_step_scalar
+
+# which likelihood head each parameter position feeds
+PARAM_HEAD = {pos: head for head, terms in enumerate(HEAD_TERMS) for pos, _ in terms}
 
 
 # --- config ------------------------------------------------------------------
