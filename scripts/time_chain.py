@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Time run_chain in two source trees of faircredit, round by round.
+
+Usage:
+
+    python3 scripts/time_chain.py OLD_SRC NEW_SRC --rounds 10 --seed 0
+
+OLD_SRC and NEW_SRC are directories holding the faircredit package, such as
+the src/ of two checkouts. Each round runs one subprocess per tree, the old
+first in odd rounds and the new first in even ones. A subprocess pins itself
+to one CPU (os.sched_setaffinity), builds both chains' data and times
+run_chain at the default sampler config with --seed on each:
+
+    fit          the fit workload's chain: the bundled data's 800-row
+                 training split (split seed --seed), default model config.
+    synth_large  the synth_large workload's chain: generate_synthetic at
+                 n = 3200 with acceptance 3's truth (perfbench/checks.py),
+                 synth seed --seed, the credit intercept on.
+
+Only run_chain is timed, by time.perf_counter. For each chain the script
+prints each tree's median and quartiles, the ratio of medians (new/old) and
+the rounds in which the new tree was faster, then one JSON line with every
+round's times. The chains must agree bit for bit: the exit code is 1, and a
+line says so, when the sha256 of param_draws and latent_mean differs between
+the trees in any round.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CHAINS = ("fit", "synth_large")
+TRAIN_COUNT = 800
+
+
+def child(seed: int) -> None:
+    """Time both chains with the faircredit on sys.path; print one JSON line."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from checks import SYNTH_N, SYNTH_TRUTH
+    from faircredit.dataset import SplitSpec, generate_synthetic, load_csv, preprocess, split
+    from faircredit.probmodel import ModelConfig, ModelParams
+    from faircredit.sampler import SamplerConfig, run_chain
+
+    records = load_csv(os.path.join(ROOT, "data", "german_synthetic.csv"))
+    train, _ = split(preprocess(records), SplitSpec(train_count=TRAIN_COUNT, seed=seed))
+    synth, _ = generate_synthetic(ModelParams(**SYNTH_TRUTH), SYNTH_N, seed)
+    runs = {
+        "fit": (train, ModelConfig()),
+        "synth_large": (synth, ModelConfig(include_credit_intercept=True)),
+    }
+    result = {}
+    for name in CHAINS:
+        data, model_config = runs[name]
+        start = time.perf_counter()
+        chain = run_chain(data, model_config, SamplerConfig(seed=seed))
+        elapsed = time.perf_counter() - start
+        digest = hashlib.sha256(chain.param_draws.tobytes() + chain.latent_mean.tobytes())
+        result[name] = {"s": elapsed, "sha256": digest.hexdigest()}
+    print(json.dumps(result))
+
+
+def run_side(src: str, seed: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, os.path.abspath(__file__), "--child", "--seed", str(seed)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("old_src", nargs="?", help="directory holding the old faircredit package")
+    parser.add_argument("new_src", nargs="?", help="directory holding the new faircredit package")
+    parser.add_argument("--rounds", type=int, default=10, metavar="N")
+    parser.add_argument("--seed", type=int, default=0, metavar="S")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.seed)
+        return 0
+    if args.old_src is None or args.new_src is None or args.rounds < 1:
+        parser.error("OLD_SRC and NEW_SRC are required, and --rounds must be at least 1")
+    trees = {"old": os.path.abspath(args.old_src), "new": os.path.abspath(args.new_src)}
+    for src in trees.values():
+        if not os.path.isfile(os.path.join(src, "faircredit", "sampler.py")):
+            print(f"error: no faircredit package in {src}", file=sys.stderr)
+            return 2
+    rounds = []
+    for r in range(args.rounds):
+        order = ("old", "new") if r % 2 == 0 else ("new", "old")
+        rounds.append({side: run_side(trees[side], args.seed) for side in order})
+        print(f"round {r + 1}: " + ", ".join(
+            f"{name} old {rounds[-1]['old'][name]['s']:.4f} s new {rounds[-1]['new'][name]['s']:.4f} s"
+            for name in CHAINS), flush=True)
+    differ = False
+    for name in CHAINS:
+        times = {side: [rd[side][name]["s"] for rd in rounds] for side in trees}
+        medians = {side: statistics.median(v) for side, v in times.items()}
+        for side in trees:
+            lo, hi = quartiles(times[side]) if args.rounds > 1 else (medians[side],) * 2
+            print(f"{name} {side}: median {medians[side]:.4f} s, quartiles {lo:.4f}-{hi:.4f} s")
+        wins = sum(rd["new"][name]["s"] < rd["old"][name]["s"] for rd in rounds)
+        print(f"{name}: ratio of medians new/old {medians['new'] / medians['old']:.4f}, "
+              f"new faster in {wins} of {args.rounds} rounds")
+        if any(rd["old"][name]["sha256"] != rd["new"][name]["sha256"] for rd in rounds):
+            print(f"{name}: param_draws and latent_mean differ between the trees")
+            differ = True
+    print(json.dumps({"seed": args.seed, "rounds": rounds}))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -446,7 +446,6 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         fc,
         age_mode=age_mode,
         age_years=_get(cfg, "eval.age_years", float),
-        split_seed=_get(cfg, "split.seed", int),
         leaky_headline=leaky_headline,
     )
     path = os.path.join(cfg["out.dir"], "compare.csv")

@@ -57,12 +57,20 @@ class Standardization(NamedTuple):
 
 
 @dataclass(frozen=True)
+class SplitSpec:
+    train_count: int
+    seed: int
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Column-major processed data plus the standardization that produced it.
 
     standardization is None in raw-age mode (ages passed through unscaled).
     age_raw keeps the original years when known; split() prefers it when
     re-standardizing, otherwise it reconstructs years from the stored moments.
+    split is the SplitSpec of the split() that returned the dataset, as a
+    chain records its configs, and None for any other dataset, a subset too.
     """
 
     sex: np.ndarray
@@ -72,6 +80,7 @@ class Dataset:
     credit: np.ndarray
     standardization: Standardization | None = None
     age_raw: np.ndarray | None = None
+    split: SplitSpec | None = None
 
     def __len__(self) -> int:
         return int(self.sex.shape[0])
@@ -133,12 +142,6 @@ class PreprocessConfig:
 
 
 DEFAULT_PREPROCESS = PreprocessConfig()
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_count: int
-    seed: int
 
 
 def _resolve_columns(
@@ -251,7 +254,8 @@ def preprocess(records: Sequence[RawRecord], config: PreprocessConfig = DEFAULT_
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Disjoint train/test split, deterministic in the seed.
+    """Disjoint train/test split, deterministic in the seed; both datasets
+    record spec as their split.
 
     Age is re-standardized with the train split's own moments, and the test
     split reuses those train moments (never its own).
@@ -264,8 +268,8 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     perm = np.random.default_rng(spec.seed).permutation(n)
     train_idx = np.sort(perm[: spec.train_count])
     test_idx = np.sort(perm[spec.train_count :])
-    train = data.subset(train_idx)
-    test = data.subset(test_idx)
+    train = _dc_replace(data.subset(train_idx), split=spec)
+    test = _dc_replace(data.subset(test_idx), split=spec)
     if data.standardization is None:
         return train, test
     ages = data.ages_in_years()

@@ -194,21 +194,26 @@ def compare_models(
     forest_config: ForestConfig,
     age_mode: str = "mirror",
     age_years: float = 10.0,
-    split_seed: int | None = None,
     leaky_headline: bool = False,
 ) -> ComparisonReport:
     """Fit all three models and score them on both splits.
 
-    The fair model is stage two on chain, a stage-one chain run on train,
-    which carries its model and sampler configs; the report's sampler seed
-    is the chain's. The fair training score uses the stage-one latent means
-    the forest was actually trained on. Both fair test protocols are always
-    computed (honest: credit excluded from test-time inference; leaky:
-    conditioned on it) and reported under their own labels; leaky_headline
-    picks which fills the fair test_r2 cell. Flip gaps always use the honest
-    protocol. Pass the chain as a temporary: the draws are freed here,
-    before test-time inference.
+    train and test must come from one split (dataset.split records it on
+    both, and None on data that no split made), and the report's split seed
+    is its seed. The fair model is stage two on chain, a stage-one chain run
+    on train, which carries its model and sampler configs; the report's
+    sampler seed is the chain's. The fair training score uses the stage-one
+    latent means the forest was actually trained on. Both fair test
+    protocols are always computed (honest: credit excluded from test-time
+    inference; leaky: conditioned on it) and reported under their own
+    labels; leaky_headline picks which fills the fair test_r2 cell. Flip
+    gaps always use the honest protocol. Pass the chain as a temporary: the
+    draws are freed here, before test-time inference.
     """
+    if train.split != test.split:
+        raise ValueError(
+            f"train and test come from different splits: {train.split} and {test.split}"
+        )
     y_train = np.asarray(train.credit, dtype=float)
     y_test = np.asarray(test.credit, dtype=float)
     sex_flipped = flip_sex(test)
@@ -243,7 +248,7 @@ def compare_models(
         leaky_headline=leaky_headline,
         n_train=len(train),
         n_test=len(test),
-        split_seed=split_seed,
+        split_seed=None if train.split is None else train.split.seed,
         sampler_seed=sampler_seed,
         age_mode=age_mode,
         age_years=age_years,

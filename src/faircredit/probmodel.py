@@ -17,26 +17,29 @@ job_nsign and house_nsign), which gives nz = -z at no extra cost. One
 kernel, _softplus_rows, computes the softplus s = log1p(exp(nz)), minus the
 row: exp and log1p in place in nz's buffer. _head_rows subtracts it from
 0, which gives the row. HeadTerms keeps s itself for a logistic
-block, saving that pass: its totals are -sum(s), and the sampler subtracts
-s where it adds rows, both exact. The stable formula,
+block, saving that pass: its totals are sum(s), which the sampler's ratio
+subtracts the other way round, and it subtracts s where it adds rows, all
+exact. The stable formula,
 min(z, 0) - log1p(exp(-|z|)), takes six passes (abs, negative, exp, log1p,
 minimum, subtract) for the same two transcendental ones. Both are
 vectorized; np.logaddexp calls a scalar function per element and takes
 about twice as long at n=800. For z >= 0 the two formulas agree bit for
-bit, and for z < 0 the fast one is within 2 ulp of -logaddexp(0, -z). exp(nz) overflows for z below about
--709.78. There the row is z itself, which is what the stable formula
-rounds to, since exp(z) is far below half an ulp of z. So each row is a
-function of its own z alone, and a block's rows do not depend on which
-check found the overflow. One reduction over nz guards the exp, so no
-overflow warning is raised.
+bit, and for z < 0 the fast one is within 2 ulp of -logaddexp(0, -z).
+exp(nz) overflows for z below about -709.78. There the row is z itself,
+which is what the stable formula rounds to, since exp(z) is far below half
+an ulp of z. So each row is a function of its own z alone, and a block's
+rows do not depend on which check found the overflow. One reduction over nz
+guards the exp, so no overflow warning is raised; a HeadTerms block skips
+it while a bound on its linear predictors, taken once a sweep, rules the
+overflow out.
 
 head_log_likelihood evaluates one head from scratch (_head_rows) and returns
 its rows beside their sum. per_obs_log_likelihood adds the heads per
 observation. HeadTerms keeps a block of heads' terms, running sums and rows
 at one state, for the sampler: a proposal that moves one term recomputes
-that term and the sums after it, through the same term and row helpers and
-in the same order, so its rows are bitwise head_log_likelihood's (a
-logistic block's once subtracted from 0). Arrays
+that term and the sums after it, in one method per kind of proposal and in
+the same order, so its rows are bitwise head_log_likelihood's (a logistic
+block's once subtracted from 0). Arrays
 of shape (n, m) evaluate m latent values per row through Design.columns(),
 and per_obs_latent_slopes gives each row's derivatives in c beside the
 heads (_head_slopes), so test-time inference (sampler.infer_latent) is an
@@ -226,17 +229,13 @@ def _column(name: str, c: np.ndarray, design: Design) -> np.ndarray | None:
     return c if name == "c" else getattr(design, name)
 
 
-def _term(column: np.ndarray | None, coef):
-    """One term of a linear predictor: coef times its column, or coef alone
-    for an intercept (no column)."""
-    return coef if column is None else column * coef
-
-
 def _linear_predictor(head: int, vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
-    """A head's linear predictor, its terms added in HEAD_TERMS order."""
+    """A head's linear predictor, its terms added in HEAD_TERMS order: each
+    coefficient times its column, or alone for an intercept."""
     x = None
     for pos, name in _active_terms(head, vec.shape[0]):
-        t = _term(_column(name, c, design), vec[pos])
+        column = _column(name, c, design)
+        t = vec[pos] if column is None else column * vec[pos]
         x = t if x is None else x + t
     return x
 
@@ -284,7 +283,7 @@ def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, np.ndarra
     """Poisson rows of credit linear predictors, those over the rate cap, and
     the rates exp(lin) the rows subtract, inf where over the cap."""
     over = lin > design.cap_log
-    if not over.any():
+    if not np.count_nonzero(over):
         rates = np.exp(lin)
         return design.counts * lin - rates - design.lgamma_counts, _NO_OVERFLOW, rates
     rates = np.exp(np.where(over, 0.0, lin))
@@ -378,6 +377,10 @@ def per_obs_latent_slopes(
 # ---------------------------------------------------------------------------
 # cached linear-predictor terms, for proposals that move one term at a time
 
+# a logistic block runs exp bare while HeadTerms.bound is below this: the
+# engine's rounding of a few terms, each within the bound, is a few ulp of
+# it, far below the 1-nat margin, so no exp(nz) can overflow
+_EXP_BARE = _EXP_SAFE - 1.0
 # relative rounding margin of HeadTerms.step_bound, see there
 _BOUND_MARGIN = 1e-9
 _TINY = float(np.finfo(float).tiny)
@@ -388,31 +391,35 @@ class HeadTerms:
     their running sums in HEAD_TERMS order, and their rows.
 
     The heads are evaluated together, as one (heads, n) block, so they must
-    share their columns, as the job and house heads do. A move of one term
-    recomputes that term and the running sums after it, and reuses the rest.
-    Since the terms are added in the same order as _linear_predictor adds
-    them, a move's rows, totals and overflow count are bitwise those of
-    head_log_likelihood on the moved state.
+    share their columns, as the job and house heads do. Each kind of
+    proposal is one method that computes its term, the running sums after
+    it, the rows and the totals, adding the terms in _linear_predictor's
+    order, so its rows, totals and overflow count are bitwise those of
+    head_log_likelihood on the moved state. move (term k's coefficients) and
+    move_latent (the latent column) evaluate the moved block and hold it,
+    with its rows as moved_rows; accept_heads or accept_rows then takes it
+    into the kept state for the heads or the rows that accept it. Only those
+    two change the kept state: accept_rows copies the accepted rows into the
+    kept arrays in place, as accept_heads copies an accepted head's entries
+    when only some heads accept, and neither writes the held move. Each
+    head's total, the sum of its kept rows, is summed by the first move
+    after the rows change, so a block that no move reads in between is not
+    summed.
 
-    A proposal takes two calls. move (term k's coefficients) or move_latent
-    (the latent column) evaluates the moved block and holds it, with its rows
-    as moved_rows; accept_heads or accept_rows then takes it into the kept
-    state for the heads or the rows that accept it. Only those two change
-    the kept state: accept_rows copies the accepted rows into the kept
-    arrays in place, as accept_heads does when only some heads accept, and
-    neither writes the held move. Each head's total, the sum of its kept
-    rows, is summed on first use after the rows change (totals), so a block
-    that no move reads in between is not summed.
+    A move kept whole keeps its coef, which may be a view of the caller's
+    proposal vector, as the term's coefficient (and an intercept's term),
+    and a later partial accept of that term writes into it. run_chain draws
+    a new proposal vector every sweep and moves each term once a sweep, so
+    the entries written belong to vectors it no longer reads.
 
     A logistic block keeps its heads' negated outcome signs as one
-    (heads, n) array, so each evaluation multiplies its full sum by them and
-    hands the product to _softplus_rows, which writes the softplus rows s
-    over it. Its rows and moved_rows hold s, minus the log-likelihood rows,
-    and its totals are -sum(s), bitwise the sums of the rows -s, since
-    negation is exact and rounding symmetric; a caller that adds rows
-    subtracts s instead (0 - s is bitwise head_log_likelihood's rows). s is
-    that kernel's on the whole block, element by element, so it matches
-    head_log_likelihood on either side of its overflow rule.
+    (heads, n) array, so each evaluation multiplies its full sum by them,
+    which gives nz, and writes the softplus rows s = log1p(exp(nz)) over it.
+    Its rows hold s and its totals sum(s): bitwise minus the log-likelihood
+    rows and totals, since negation is exact and rounding symmetric (0 - s
+    is head_log_likelihood's rows). The reduction in _softplus_rows guards
+    exp unless bound has ruled the overflow out; then exp and log1p run
+    bare, to the same s, element by element.
 
     The credit block also keeps its rates, the exp(lin) its rows subtract,
     from which step_bound bounds a coefficient move without making it.
@@ -429,60 +436,83 @@ class HeadTerms:
         self.latent_term = names.index("c")
         self.nsign = None if HEAD_CREDIT in heads else np.stack([_outcome_nsign(h, design) for h in heads])
         self.columns = [_column(name, c, design) for name in names]
+        # max |x_k| of each term's column, 1 for the intercept's; the latent
+        # one is refreshed with each merge
+        self.spread = [1.0 if col is None else float(np.abs(col).max()) for col in self.columns]
         self.coefs = [vec[list(p)][:, None] for p in self.positions]
-        self.terms = [_term(col, coef) for col, coef in zip(self.columns, self.coefs)]
-        self.sums, self.rows, _, self.rates = self._moved(0, self.terms[0])
+        self.terms = [coef if col is None else col * coef for col, coef in zip(self.columns, self.coefs)]
+        x, self.sums = self.terms[0], []
+        for t in self.terms[1:]:
+            self.sums.append(x)
+            x = x + t
+        if self.nsign is None:
+            self.rows, _, self.rates = _credit_rows(x, design)
+        else:
+            self.rows, self.rates = _softplus_rows(x * self.nsign), None
         self._totals = None
         # the held move: its rows and rates, and a coefficient move's
         # (k, coef, term, sums, totals)
         self.moved_rows = self._moved_rates = self._held = None
+        # bound's (heads, terms) parameter positions, and its spreads
+        self._index = np.array(self.positions).T
+        self._reach = np.array(self.spread)
+        self.bare = False
         if self.rates is not None:
-            # step_bound's columns x_k (1 for the intercept), their squares and
-            # max |x_k|; the latent row is refreshed with each state
+            # step_bound's columns x_k (1 for the intercept) and their
+            # squares; the latent row is refreshed with each state
             ones = np.ones(len(design))
             self._x = np.stack([ones if col is None else col for col in self.columns])
             self._x2 = self._x * self._x
-            self._spread = np.abs(self._x).max(axis=1).tolist()
             self._count_sum = float(design.counts.sum())
             self._lgamma_sum = float(design.lgamma_counts.sum())
         self._screen = None  # step_bound's sums at the kept state, made on first use
 
-    def _moved(self, k: int, term: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, int, np.ndarray | None]:
-        """With term k set to term and the kept terms after it: the running
-        sums k, ..., m - 2 of the m terms, and the rows, the number of rows
-        over the rate cap and (a credit block's) rates of the full sum."""
+    def bound(self, mags: np.ndarray, latent_spread: float) -> float:
+        """Bound every |lin| of the evaluations to come, and let a logistic
+        block run exp bare under it; returns the bound.
+
+        mags[j] is at least |coefficient j| and latent_spread at least |c|
+        in every state to be evaluated: run_chain passes, once a sweep,
+        max(|theta_j|, |theta'_j|) over the current and proposed parameters,
+        and max |c| + delta. A head's |lin| is then at most the sum over its
+        terms k of mags[its position of k] times max |x_k|, and the bound is
+        the heads' largest. While it is below _EXP_BARE, no exp(nz) can
+        overflow, so moves skip the reduction that guards it."""
+        spread = self._reach
+        spread[self.latent_term] = latent_spread
+        reach = max(mags[self._index].dot(spread).tolist())
+        self.bare = reach < _EXP_BARE
+        return reach
+
+    def move(self, k: int, coef: np.ndarray) -> tuple[list[float], list[float]]:
+        """Each head's total with term k's coefficients set to coef, a
+        (heads, 1) array, and each head's total at the kept state. A credit
+        total is the head's log-likelihood, -inf where a rate is over the
+        cap; a logistic one is minus it. The moved block is held for
+        accept_heads."""
+        column = self.columns[k]
+        term = coef if column is None else column * coef
         x = term if k == 0 else self.sums[k - 1] + term
         sums = []
         for t in self.terms[k + 1:]:
             sums.append(x)
             x = x + t
-        if self.nsign is not None:
-            return sums, _softplus_rows(x * self.nsign), 0, None
-        rows, over_lin, rates = _credit_rows(x, self.design)
-        return sums, rows, over_lin.size, rates
-
-    def _sum(self, rows: np.ndarray) -> list[float]:
-        """Each head's log-likelihood from its rows: their sum, negated for
-        softplus rows. Rounding is symmetric, so -sum(s) is bitwise the sum
-        of the rows -s in the same order."""
+        if self.nsign is None:
+            rows, _, self._moved_rates = _credit_rows(x, self.design)
+        else:
+            # x is this move's own array, which nz and the rows overwrite
+            np.multiply(x, self.nsign, out=x)
+            if self.bare:
+                np.exp(x, out=x)
+                rows = np.log1p(x, out=x)
+            else:
+                rows = _softplus_rows(x)
         totals = np.add.reduce(rows, axis=1).tolist()
-        return totals if self.nsign is None else [-t for t in totals]
-
-    def totals(self) -> list[float]:
-        """Each head's log-likelihood at the kept state, as head_log_likelihood sums it."""
         if self._totals is None:
-            self._totals = self._sum(self.rows)
-        return self._totals
-
-    def move(self, k: int, coef: np.ndarray) -> list[float]:
-        """Each head's log-likelihood with term k's coefficients set to coef,
-        a (heads, 1) array: -inf where a rate is over the cap. The moved block
-        is held for accept_heads."""
-        term = _term(self.columns[k], coef)
-        sums, self.moved_rows, _, self._moved_rates = self._moved(k, term)
-        totals = self._sum(self.moved_rows)
+            self._totals = np.add.reduce(self.rows, axis=1).tolist()
+        self.moved_rows = rows
         self._held = (k, coef, term, sums, totals)
-        return totals
+        return totals, self._totals
 
     def accept_heads(self, accepted: list[bool]) -> None:
         """Keep the held coefficient move for the heads where accepted is true."""
@@ -492,36 +522,70 @@ class HeadTerms:
             self.rows, self._totals, self.rates = self.moved_rows, totals, self._moved_rates
             self._screen = None
             return
-        # the kept arrays are this block's own, so an accepted head's row is
-        # copied in (the credit block has one head, so it keeps its rates above)
+        # an accepted head's entries are copied into the kept arrays (the
+        # credit block has one head, so it keeps its rates above)
         for h, a in enumerate(accepted):
             if a:
                 self.coefs[k][h] = coef[h]
                 self.terms[k][h] = term[h]
                 for kept, new in zip(self.sums[k:], sums):
                     kept[h] = new[h]
-                self.totals()[h] = totals[h]
                 self.rows[h] = self.moved_rows[h]
+                self._totals[h] = totals[h]
 
     def move_latent(self, c: np.ndarray) -> tuple[np.ndarray, int]:
         """The rows with the latent scores set to c, and how many are over the
         rate cap. The moved block is held for accept_rows."""
         k = self.latent_term
-        _, self.moved_rows, n_over, self._moved_rates = self._moved(k, _term(c, self.coefs[k]))
+        x = self.sums[k - 1] + c * self.coefs[k]
+        for t in self.terms[k + 1:]:
+            x = x + t
         self._held = None
-        return self.moved_rows, n_over
+        if self.nsign is None:
+            self.moved_rows, over, self._moved_rates = _credit_rows(x, self.design)
+            return self.moved_rows, over.size
+        np.multiply(x, self.nsign, out=x)
+        if self.bare:
+            np.exp(x, out=x)
+            self.moved_rows = np.log1p(x, out=x)
+        else:
+            self.moved_rows = _softplus_rows(x)
+        return self.moved_rows, 0
+
+    def accept_rows(self, accepted: np.ndarray, c: np.ndarray, c_max: float) -> None:
+        """Keep the held latent move for the rows accepted selects, an index
+        array or a bool mask; c is the latent column that results, and c_max
+        its max |c|, so the latent term, the running sums after it and the
+        spread are those of c.
+
+        The accepted rows, and a credit block's rates, are written into the
+        kept arrays in place, one head row at a time. The held move's arrays
+        are only read, and a move replaces them before the next merge, so
+        the kept arrays never alias them here."""
+        k = self.latent_term
+        self.columns[k] = c
+        self.spread[k] = c_max
+        self.terms[k] = c * self.coefs[k]
+        for j in range(k, len(self.sums)):
+            self.sums[j] = self.sums[j - 1] + self.terms[j]
+        for kept, moved in zip(self.rows, self.moved_rows):
+            kept[accepted] = moved[accepted]
+        self._totals = None
+        if self.rates is not None:
+            self.rates[0][accepted] = self._moved_rates[0][accepted]
+            self._screen = None
 
     def step_bound(self, k: int, delta: float) -> float:
-        """An upper bound on move(k, coef + delta)[0] - totals()[0] in a
-        credit block whose term k has coefficient coef; inf when the move
-        could put a rate over the cap.
+        """An upper bound on move(k, coef + delta)[0][0] minus the kept total
+        in a credit block whose term k has coefficient coef; inf when the
+        move could put a rate over the cap.
 
         Term k has column x (1 for the intercept). With the kept rates r_i
         and d_i = delta x_i, the move changes the log-likelihood by
         sum y_i d_i - r_i (e^d_i - 1). Since e^d - 1 - d >= d^2 e^-|d| / 2,
         that is at most delta G - delta^2 e^-D H / 2, where
-        G = sum (y_i - r_i) x_i, H = sum r_i x_i^2, M = max |x_i| and
-        D = |delta| M. G, H and M are computed once per kept state.
+        G = sum (y_i - r_i) x_i, H = sum r_i x_i^2, M = max |x_i| (spread)
+        and D = |delta| M. G and H are computed once per kept state.
 
         A margin covers rounding: the engine's in its terms, rows and sums,
         and this bound's in its own sums. L = sum_k M_k |coef_k| bounds
@@ -534,52 +598,24 @@ class HeadTerms:
         cap_log, the result is inf, so a move that the engine would find over
         the cap is always made.
         """
-        if self._screen is None:
-            self._screen = self._screen_state()
-        top, max_rate, lin_scale, spread, grad, curv = self._screen
-        reach = abs(delta) * spread[k]
+        screen = self._screen
+        if screen is None:
+            j = self.latent_term
+            c = self.columns[j]
+            self._x[j] = c
+            np.multiply(c, c, out=self._x2[j])
+            rates = self.rates[0]
+            max_rate = float(np.maximum.reduce(rates))
+            # rates are within an ulp of exp(lin) where normal, and inf over the cap
+            top = math.log(max_rate) if max_rate >= _TINY else math.inf
+            lin_scale = sum([m * abs(coef.item()) for m, coef in zip(self.spread, self.coefs)])
+            grad = self._x.dot(self.design.counts - rates).tolist()
+            curv = self._x2.dot(rates).tolist()
+            screen = self._screen = (top, max_rate, lin_scale, grad, curv)
+        top, max_rate, lin_scale, grad, curv = screen
+        reach = abs(delta) * self.spread[k]
         if top + reach + _BOUND_MARGIN * (1.0 + lin_scale + reach) >= self.design.cap_log:
             return math.inf
         bound = delta * grad[k] - 0.5 * delta * delta * math.exp(-reach) * curv[k]
         scale = self._lgamma_sum + (self._count_sum + len(self.design) * max_rate) * (1.0 + lin_scale + reach)
         return bound + _BOUND_MARGIN * (1.0 + scale)
-
-    def _screen_state(self) -> tuple[float, float, float, list[float], list[float], list[float]]:
-        """max lin, max rate, L, and each term's M, G and H, of step_bound at
-        the kept state."""
-        k = self.latent_term
-        c = self.columns[k]
-        self._x[k] = c
-        np.multiply(c, c, out=self._x2[k])
-        spread = self._spread
-        spread[k] = float(np.abs(c).max())
-        rates = self.rates[0]
-        max_rate = float(rates.max())
-        # rates are within an ulp of exp(lin) where normal, and inf over the cap
-        top = math.log(max_rate) if max_rate >= _TINY else math.inf
-        lin_scale = sum(m * abs(coef.item()) for m, coef in zip(spread, self.coefs))
-        grad = (self._x @ (self.design.counts - rates)).tolist()
-        curv = (self._x2 @ rates).tolist()
-        return top, max_rate, lin_scale, spread, grad, curv
-
-    def accept_rows(self, accepted: np.ndarray, c: np.ndarray) -> None:
-        """Keep the held latent move for the rows accepted selects, an index
-        array or a bool mask; c is the latent column that results, so the
-        latent term and the running sums after it are those of c.
-
-        The accepted rows, and a credit block's rates, are written into the
-        kept arrays in place, one head row at a time. The held move's arrays
-        are only read, and a move replaces them before the next merge, so
-        the kept arrays never alias them here."""
-        k = self.latent_term
-        self.columns[k] = c
-        self.terms[k] = _term(c, self.coefs[k])
-        for j in range(k, len(self.sums)):
-            self.sums[j] = self.terms[j] if j == 0 else self.sums[j - 1] + self.terms[j]
-        for kept, moved in zip(self.rows, self.moved_rows):
-            kept[accepted] = moved[accepted]
-        self._totals = None
-        if self.rates is not None:
-            for kept, moved in zip(self.rates, self._moved_rates):
-                kept[accepted] = moved[accepted]
-            self._screen = None

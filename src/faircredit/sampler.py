@@ -7,23 +7,31 @@ rejected in log space against the joint posterior. The job and house heads
 share no parameter, so their coefficients are proposed in lockstep, as one
 (2, n) evaluation, and accepted or rejected each on its own. Each head block
 keeps its linear-predictor terms between proposals (probmodel.HeadTerms), so
-a proposal recomputes only the term it moves and the sums after it. The
-credit head's coefficient steps are accepted a few percent of the time, so
-each is first screened: an upper bound on its log ratio
+a proposal recomputes only the term it moves and the sums after it, in one
+call per proposal and one per accept; the sweep takes each step's
+coefficients out of its proposal vector as a strided view. The credit
+head's coefficient steps are accepted a few percent of the time, so each is
+first screened, in one call: an upper bound on its log ratio
 (HeadTerms.step_bound), which holds after rounding, below the log of its
-accept uniform rejects it unevaluated. The screen changes no accept decision.
+accept uniform rejects it unevaluated. The screen changes no accept
+decision. One bound per sweep on the logistic linear predictors
+(HeadTerms.bound), from the larger of each coefficient's current and
+proposed magnitude and from max |c| + delta, lets their exp run without
+the reduction that guards it against overflow; the rows are the same
+either way.
 
 The latent phase proposes every latent score at once. Its per-sweep arrays
 (the proposals, their prior terms, the two log-likelihood sums, the log
 ratio and the accept mask) are allocated once per chain and refilled in
-place. The accepted latents' indices are found once (np.flatnonzero), and
+place. The accepted latents' indices are found once (ndarray.nonzero), and
 only those entries of the latent scores, their prior terms and each block's
 kept rows and rates are overwritten, in place. On a mask that is new and
 random every sweep, an indexed copy beats np.where while up to about 60% of
 the latents accept; the default chains, which adapt toward 35%, accept 29%
 (fit) and 53% (synth_large) after burn-in. So the latent scores are one
 array for the whole chain, which the blocks hold as their latent column,
-and nothing else may hold it across sweeps.
+and nothing else may hold it across sweeps. max |c| is taken once, after
+the merge, for the next sweep's bound and the credit screen.
 
 Test-time inference (infer_latent) fixes the parameters, so each row's
 latent posterior is one-dimensional and log-concave: Newton finds its mode
@@ -167,21 +175,6 @@ class Chain:
         return ModelParams.from_vector(med)
 
 
-def _surely_rejected(credit: HeadTerms, term: int, old: float, proposal: float, u_acc: float) -> bool:
-    """Whether a credit coefficient step from old to proposal, with accept
-    uniform u_acc, fails its accept test whatever the moved likelihood.
-
-    The step's log ratio is (new_sum - cur_sum) plus the prior term, added in
-    floating point. credit.step_bound is at least new_sum - cur_sum, and
-    rounded addition is monotone, so the bound plus the same prior term is at
-    least the log ratio: below log u_acc, the step is rejected.
-    """
-    if u_acc == 0.0:
-        return False
-    bound = credit.step_bound(term, proposal - old)
-    return bound + 0.5 * (old * old - proposal * proposal) < math.log(u_acc)
-
-
 def run_chain(
     data: Dataset,
     model_config: ModelConfig,
@@ -217,16 +210,17 @@ def run_chain(
     once, into arrays allocated once per chain, and the entries of the
     latents it accepts are merged in by index, in place: their latent
     scores, prior terms, and each block's rows (HeadTerms.accept_rows). The
-    logistic block keeps softplus rows, minus its log-likelihood rows, so
-    the latent ratio subtracts their sum from the credit rows. A block's
-    totals are summed only when a coefficient step is evaluated on it, so
-    the credit block's mostly are not. A rejected
-    proposal's values, such as the -inf rows of one over the rate cap, are
-    never kept. A credit coefficient step whose log ratio is provably below
-    the log of its accept uniform (_surely_rejected) is rejected without
-    evaluating it; one that could put a rate over the cap is always
-    evaluated, so the error count is that of evaluating every step. Results
-    are bit-identical for a given config and seed.
+    logistic block keeps softplus rows and totals, minus its log-likelihood
+    ones, so a logistic step's ratio is its kept total less its moved one,
+    and the latent ratio subtracts the rows' sum from the credit rows. A
+    block's totals are summed only when a coefficient step is evaluated on
+    it, so the credit block's mostly are not. A rejected proposal's values,
+    such as the -inf rows of one over the rate cap, are never kept. A credit
+    coefficient step whose log ratio is provably below the log of its
+    accept uniform (HeadTerms.step_bound) is rejected without evaluating
+    it; one that could put a rate over the cap is always evaluated, so the
+    error count is that of evaluating every step. Results are bit-identical
+    for a given config and seed, whichever way the logistic exp is guarded.
     Persistent likelihood errors (more than 1% of steps) abort with
     diagnostics.
     """
@@ -277,45 +271,70 @@ def run_chain(
 
     logistic = HeadTerms((HEAD_JOB, HEAD_HOUSE), theta, c, design)
     credit = HeadTerms((HEAD_CREDIT,), theta, c, design)
-    blocks = (logistic, credit)
-    # step k moves term k of both logistic heads, then the credit head's term
-    # k; index picks the step's proposals out of the sweep's, as (heads, 1)
-    schedule = [(term, block, block.positions[term], np.array(block.positions[term])[:, None])
-                for term in range(max(len(b.positions) for b in blocks))
-                for block in blocks if term < len(block.positions)]
+    c_max = 0.0  # max |c|, taken once per sweep, after the latent merge
+    # each step takes its coefficients out of the sweep's proposals as a
+    # (heads, 1) strided view: term k of the logistic heads is at k and k + 4
+    logistic_steps, credit_steps = (
+        [((slice(p[0], p[-1] + 1, max(1, p[-1] - p[0])), None), p) for p in block.positions]
+        for block in (logistic, credit)
+    )
 
     for sweep in range(1, cfg.iterations + 1):
         post = sweep > cfg.burn_in
 
-        # parameter phase: k proposal normals, then k accept uniforms
+        # parameter phase: k proposal normals, then k accept uniforms. The
+        # blocks may keep views of proposal, a new array every sweep
         proposal = theta + step * param_rng.standard_normal(k)
         u = param_rng.random(k).tolist()
         olds, props = theta.tolist(), proposal.tolist()
-        for term, block, positions, index in schedule:
-            if block is credit:
-                (j,) = positions
-                if _surely_rejected(credit, term, olds[j], props[j], u[j]):
-                    continue  # unevaluated: evaluating it would reject it too
-            new_sums = block.move(term, proposal[index])
+        # every coefficient this sweep evaluates is the current or the
+        # proposed one, and every latent score within delta of the kept
+        # ones: one bound on the logistic predictors for the whole sweep
+        logistic.bound(np.maximum(np.abs(theta), np.abs(proposal)), c_max + delta)
+        for term, (view, positions) in enumerate(logistic_steps):
+            # the logistic heads' term, in lockstep. Their totals are softplus
+            # sums, minus their log-likelihoods, so each ratio is cur - new
+            new_sums, cur_sums = logistic.move(term, proposal[view])
             accepted = []
-            for j, new_sum, cur_sum in zip(positions, new_sums, block.totals()):
-                if new_sum == -math.inf:  # a rate over the cap
+            for j, new_sum, cur_sum in zip(positions, new_sums, cur_sums):
+                if new_sum == math.inf:  # a -inf log-likelihood, as for credit
                     err_steps += 1
                     ok = False
                 else:
-                    # only this head moved; its sum plus the prior term is the full ratio
                     old, new = olds[j], props[j]
-                    log_r = (new_sum - cur_sum) + 0.5 * (old * old - new * new)
+                    log_r = (cur_sum - new_sum) + 0.5 * (old * old - new * new)
                     u_acc = u[j]
                     ok = log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r)
                 if ok:
-                    theta[j] = props[j]
+                    theta[j] = new
                     win_param_acc += 1
                     if post:
                         acc_param_post[j] += 1
                 accepted.append(ok)
             if any(accepted):
-                block.accept_heads(accepted)
+                logistic.accept_heads(accepted)
+            if term >= len(credit_steps):
+                continue
+            # then the credit head's term
+            view, (j,) = credit_steps[term]
+            old, new, u_acc = olds[j], props[j], u[j]
+            prior_diff = 0.5 * (old * old - new * new)
+            # the screen: step_bound plus the prior term is at least the
+            # step's log ratio (rounded addition is monotone), so below
+            # log u_acc the step is rejected, unevaluated
+            if u_acc != 0.0 and credit.step_bound(term, new - old) + prior_diff < math.log(u_acc):
+                continue
+            (new_sum,), (cur_sum,) = credit.move(term, proposal[view])
+            if new_sum == -math.inf:  # a rate over the cap
+                err_steps += 1
+                continue
+            log_r = (new_sum - cur_sum) + prior_diff
+            if log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r):
+                theta[j] = new
+                win_param_acc += 1
+                if post:
+                    acc_param_post[j] += 1
+                credit.accept_heads([True])
 
         # latent phase, vectorized across observations
         s = (sweep - 1) % chunk
@@ -348,11 +367,12 @@ def run_chain(
         np.subtract(ll_prop, ll_cur, out=log_ratio)
         # log u < 0, so this also accepts every ratio >= 0
         np.less(log_u[s], log_ratio, out=accept)
-        accepted = np.flatnonzero(accept)
+        accepted = accept.nonzero()[0]
         c[accepted] = c_prop[accepted]
         prior[accepted] = prior_prop[accepted]
-        logistic.accept_rows(accepted, c)
-        credit.accept_rows(accepted, c)
+        c_max = float(np.maximum.reduce(np.abs(c, out=log_ratio)))
+        logistic.accept_rows(accepted, c, c_max)
+        credit.accept_rows(accepted, c, c_max)
         n_acc = accepted.size
         win_latent_acc += n_acc
         if post:

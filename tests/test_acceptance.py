@@ -180,7 +180,6 @@ def test_criterion_4_real_data_score_bands(report, german_splits):
         test,
         run_chain(train, PAPER_MODEL, PAPER_SAMPLER),
         ForestConfig(n_trees=200, max_depth=6, min_leaf=5, seed=0),
-        split_seed=0,
     )
     m = rep.metrics
     full_tr = m["full"]["train_r2"]

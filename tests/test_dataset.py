@@ -205,6 +205,18 @@ def test_split_disjoint_and_deterministic():
     assert not np.array_equal(train.credit, train3.credit)
 
 
+def test_split_records_its_spec_on_both_halves():
+    # a split's datasets name the split that made them, in both age modes;
+    # a subset and data no split made name none
+    spec = SplitSpec(train_count=30, seed=4)
+    for config in (PreprocessConfig(), PreprocessConfig(standardize_age=False)):
+        ds = preprocess(make_raw(50), config)
+        assert ds.split is None
+        train, test = split(ds, spec)
+        assert train.split == spec and test.split == spec
+        assert train.subset(np.arange(5)).split is None
+
+
 def test_split_rejects_a_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         split(preprocess(make_raw(40)), SplitSpec(train_count=25, seed=-1))

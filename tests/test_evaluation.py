@@ -1,5 +1,7 @@
 """Scores, counterfactual flips, and the three-model comparison report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,7 @@ def split_chain():
 @pytest.fixture(scope="module")
 def comparison(split_chain):
     train, test, chain = split_chain
-    return compare_models(train, test, chain, SMALL_FOREST, split_seed=3)
+    return compare_models(train, test, chain, SMALL_FOREST)
 
 
 def test_report_covers_all_models_and_metrics(comparison):
@@ -185,6 +187,18 @@ def test_report_covers_all_models_and_metrics(comparison):
     assert comparison.metrics["unaware"]["counterfactual_gap_age"] == 0.0
     assert comparison.n_train == 55 and comparison.n_test == 25
     assert comparison.split_seed == 3 and comparison.sampler_seed == 2
+
+
+def test_report_names_the_split_it_was_given(split_chain):
+    # the split seed comes from the datasets: larger_split() splits at seed 3,
+    # and a train and test half of two different splits are refused
+    train, test, chain = split_chain
+    assert "# split_seed=3 sampler_seed=2" in compare_models(
+        train, test, chain, SMALL_FOREST
+    ).to_csv_text().splitlines()
+    for other in (replace(test, split=SplitSpec(train_count=55, seed=4)), replace(test, split=None)):
+        with pytest.raises(ValueError, match="different splits"):
+            compare_models(train, other, chain, SMALL_FOREST)
 
 
 def test_report_headline_is_honest_by_default(comparison):

@@ -12,6 +12,7 @@ import pytest
 from scipy.special import gammaln, log_expit
 from scipy.stats import poisson
 
+from faircredit import probmodel
 from faircredit.dataset import Dataset, generate_synthetic
 from faircredit.errors import DataError
 from faircredit.probmodel import (
@@ -416,27 +417,50 @@ TERM_CONFIG_IDS = ("default", "intercept", "rate_cap")
 def assert_block_matches_scratch(heads, rows, totals, vec, c, design):
     """A HeadTerms block's rows and totals against head_log_likelihood from
     scratch, bit for bit; returns the heads' overflow count. A logistic
-    block keeps softplus rows, which head_log_likelihood's are 0 minus."""
+    block keeps softplus rows and totals, which head_log_likelihood's are 0
+    minus."""
     n_over = 0
     for i, h in enumerate(heads):
         total, over, expected = head_log_likelihood(h, vec, c, design)
         assert np.array_equal(rows[i] if h == HEAD_CREDIT else 0.0 - rows[i], expected)
         if totals is not None:
-            assert totals[i] == total
+            assert (totals[i] if h == HEAD_CREDIT else -totals[i]) == total
         n_over += over
     return n_over
 
 
+def kept_totals(block):
+    """A block's totals at its kept state, as a move hands them back beside
+    its own: here a move of term 0 to its kept coefficients, which holds
+    nothing that a later accept reads."""
+    return block.move(0, block.coefs[0])[1]
+
+
+def spread_of(c):
+    """max |c|, which accept_rows takes beside the latent column."""
+    return float(np.abs(c).max())
+
+
+def bound_move(block, vec, positions, coefs, c):
+    """Bound a block's next coefficient move as run_chain does: every
+    coefficient at most its kept or its proposed magnitude, and the latent
+    scores at most max |c|."""
+    mags = np.abs(vec)
+    mags[list(positions)] = np.maximum(mags[list(positions)], np.abs(coefs))
+    return block.bound(mags, spread_of(c))
+
+
 def assert_blocks_equal(a, b):
-    """Two HeadTerms blocks' kept coefficients, terms, sums, rows, totals
-    and rates, bit for bit."""
+    """Two HeadTerms blocks' kept coefficients, terms, sums, rows, totals,
+    rates and column spreads, bit for bit."""
     for kept, want in ((a.coefs, b.coefs), (a.terms, b.terms), (a.sums, b.sums)):
         assert len(kept) == len(want)
         assert all(np.array_equal(x, y) for x, y in zip(kept, want))
     assert np.array_equal(a.rows, b.rows)
-    assert a.totals() == b.totals()
+    assert kept_totals(a) == kept_totals(b)
     assert (a.rates is None) == (b.rates is None)
     assert a.rates is None or np.array_equal(a.rates, b.rates)
+    assert a.spread == b.spread
 
 
 @pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
@@ -452,16 +476,19 @@ def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
         vec, c = rng.standard_normal(n_params), 1.5 * rng.standard_normal(n)
         for heads in BLOCKS:
             block = HeadTerms(heads, vec, c, design)
-            assert_block_matches_scratch(heads, block.rows, block.totals(), vec, c, design)
+            assert_block_matches_scratch(heads, block.rows, kept_totals(block), vec, c, design)
             for k, positions in enumerate(block.positions):
                 coefs = 3.0 * rng.standard_normal(len(heads))
-                totals = block.move(k, coefs[:, None])
+                bound_move(block, vec, positions, coefs, c)
+                totals, kept = block.move(k, coefs[:, None])
+                assert_block_matches_scratch(heads, block.rows, kept, vec, c, design)
                 moved = vec.copy()
                 moved[list(positions)] = coefs
                 n_over = assert_block_matches_scratch(heads, block.moved_rows, totals, moved, c, design)
                 over_moves += n_over > 0
                 finite_moves += n_over == 0
             c_prop = c + rng.standard_normal(n)
+            block.bound(np.abs(vec), spread_of(c_prop))
             rows, n_over = block.move_latent(c_prop)
             assert rows is block.moved_rows
             assert n_over == assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
@@ -485,6 +512,7 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
             k = int(rng.integers(len(block.positions)))
             positions = block.positions[k]
             coefs = vec[list(positions)] + rng.standard_normal(len(heads))
+            bound_move(block, vec, positions, coefs, c)
             block.move(k, coefs[:, None])
             accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
             block.accept_heads(accepted)
@@ -493,14 +521,15 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
                     vec[j] = v
         c_prop = c + rng.standard_normal(n)
         for block in blocks:
+            block.bound(np.abs(vec), spread_of(c_prop))
             block.move_latent(c_prop)
         accept = rng.random(n) < 0.5
         c = np.where(accept, c_prop, c)
         for block in blocks:
-            block.accept_rows(accept, c)
+            block.accept_rows(accept, c, spread_of(c))
         for heads, block in zip(BLOCKS, blocks):
             assert_blocks_equal(block, HeadTerms(heads, vec, c, design))
-            assert_block_matches_scratch(heads, block.rows, block.totals(), vec, c, design)
+            assert_block_matches_scratch(heads, block.rows, kept_totals(block), vec, c, design)
 
 
 @pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
@@ -521,7 +550,7 @@ def test_head_terms_accept_rows_by_index_or_mask_alike(tiny_dataset, config):
             by_mask, by_index = HeadTerms(heads, vec, c, design), HeadTerms(heads, vec, c, design)
             for block, accepted in ((by_mask, mask), (by_index, np.flatnonzero(mask))):
                 block.move_latent(c_prop)
-                block.accept_rows(accepted, kept)
+                block.accept_rows(accepted, kept, spread_of(kept))
             assert_blocks_equal(by_index, by_mask)
 
 
@@ -540,6 +569,7 @@ def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
         for heads, block in zip(BLOCKS, blocks):
             k = int(rng.integers(len(block.positions)))
             coefs = vec[list(block.positions[k])] + rng.standard_normal(len(heads))
+            bound_move(block, vec, block.positions[k], coefs, c)
             block.move(k, coefs[:, None])
             held, before = block.moved_rows, block.moved_rows.copy()
             accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
@@ -553,9 +583,10 @@ def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
         c = c.copy()
         c[accepted] = c_prop[accepted]
         for block in blocks:
+            block.bound(np.abs(vec), spread_of(c_prop))
             rows, _ = block.move_latent(c_prop)
             held = [(a, a.copy()) for a in (rows, block._moved_rates) if a is not None]
-            block.accept_rows(accepted, c)
+            block.accept_rows(accepted, c, spread_of(c))
             assert all(np.array_equal(a, before) for a, before in held)
     for heads, block in zip(BLOCKS, blocks):
         assert_blocks_equal(block, HeadTerms(heads, vec, c, design))
@@ -570,11 +601,11 @@ def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
     heads = (HEAD_JOB, HEAD_HOUSE)
     vec = UNIT_LATENT.copy()
     block = HeadTerms(heads, vec, c, design)
-    assert_block_matches_scratch(heads, block.rows, block.totals(), vec, c, design)
+    assert_block_matches_scratch(heads, block.rows, kept_totals(block), vec, c, design)
     k = block.latent_term
     overflowed = set()
     for coefs in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.5, 0.5), (1.0, -1.0)):
-        totals = block.move(k, np.array(coefs)[:, None])
+        totals, _ = block.move(k, np.array(coefs)[:, None])
         moved = vec.copy()
         moved[list(block.positions[k])] = coefs
         assert_block_matches_scratch(heads, block.moved_rows, totals, moved, c, design)
@@ -587,6 +618,53 @@ def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
         c_prop = scale * c[::-1]
         rows, _ = block.move_latent(c_prop)
         assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
+
+
+def test_head_terms_bound_switches_the_guard_without_changing_a_row(monkeypatch):
+    # bound is the heads' largest sum of coefficient magnitudes times their
+    # columns' max |x|. Below _EXP_BARE a logistic block's moves run exp
+    # bare; above it they run the guarded kernel, _softplus_rows, whether
+    # or not a row overflows. Either way every row and total is bitwise
+    # head_log_likelihood's
+    guarded = []
+    real = probmodel._softplus_rows
+
+    def counting(nz):
+        guarded.append(nz.ndim == 2)  # a block's, not head_log_likelihood's
+        return real(nz)
+
+    monkeypatch.setattr(probmodel, "_softplus_rows", counting)
+    heads = (HEAD_JOB, HEAD_HOUSE)
+    # the job head's nz is -beta_j_c c and the house head's beta_h_c c; only
+    # the latent coefficients are nonzero, so the bound is 2 max |c|
+    vec = ModelParams(beta_j_c=1.0, beta_h_c=-1.0).to_vector()
+    coefs = np.array([0.5, 2.0])
+    mags = np.abs(vec)
+    mags[[3, 7]] = 2.0
+    cases = (
+        ("below", np.array([-40.0, -3.0, 0.0, 2.5])),
+        ("above", np.array([-3.0, 0.0, 300.0, -400.0])),
+        ("overflow", np.array([-3.0, 0.0, 400.0, -750.0])),
+    )
+    for name, c in cases:
+        design = logistic_design(c.size)
+        block = HeadTerms(heads, vec, c, design)
+        before = sum(guarded)
+        assert block.bound(mags, spread_of(c)) == 2.0 * spread_of(c)
+        assert block.bare == (name == "below")
+        k = block.latent_term
+        totals, _ = block.move(k, coefs[:, None])
+        moved = vec.copy()
+        moved[[3, 7]] = coefs
+        assert_block_matches_scratch(heads, block.moved_rows, totals, moved, c, design)
+        # exp(t) overflows for every t > 710 and for no t < 709.78
+        nz = coefs[:, None] * c * block.nsign
+        assert (nz > 710.0).any() == (name == "overflow")
+        assert not ((nz > 709.78) & (nz <= 710.0)).any()
+        c_prop = c[::-1].copy()
+        rows, _ = block.move_latent(c_prop)
+        assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
+        assert sum(guarded) - before == (0 if block.bare else 2)
 
 
 def test_head_terms_need_shared_columns(tiny_dataset, modest_params):
@@ -623,7 +701,7 @@ def test_credit_step_bound_covers_the_engine(tiny_dataset, modest_params, rows, 
             (j,) = block.positions[k]
             old = vec[j]
             proposal = old + rng.choice([1e-3, 0.1, 1.0, 4.0]) * rng.standard_normal()
-            (total,) = block.move(k, np.array([[proposal]]))
+            (total,), (kept,) = block.move(k, np.array([[proposal]]))
             bound = block.step_bound(k, proposal - old)
             over = total == -math.inf
             if over:
@@ -631,7 +709,7 @@ def test_credit_step_bound_covers_the_engine(tiny_dataset, modest_params, rows, 
                 seen["over"] += 1
             else:
                 prior = 0.5 * (old * old - proposal * proposal)
-                assert bound + prior >= (total - block.totals()[0]) + prior
+                assert bound + prior >= (total - kept) + prior
                 column = block.columns[k]
                 spread = 1.0 if column is None else float(np.abs(column).max())
                 seen["far"] += bound < math.inf and abs(proposal - old) * spread > 2.0
@@ -644,6 +722,6 @@ def test_credit_step_bound_covers_the_engine(tiny_dataset, modest_params, rows, 
                 rows, _ = block.move_latent(c_prop)
                 accept = (rng.random(n) < 0.5) & np.isfinite(rows[0])
                 c = np.where(accept, c_prop, c)
-                block.accept_rows(accept, c)
+                block.accept_rows(accept, c, spread_of(c))
     assert all(seen.values()), seen
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from faircredit import sampler
+from faircredit import probmodel, sampler
 from faircredit.dataset import Dataset, SplitSpec, load_csv, preprocess, split
 from faircredit.errors import DataError, SamplerError
 from faircredit.probmodel import (
@@ -268,40 +268,122 @@ def test_run_chain_matches_scalar_kernels_across_the_rate_cap(tiny_dataset):
     assert param_errors > 0 and latent_errors > 0
 
 
-# The rate_cap case's cap is the smallest multiple of 10 at which this
-# test's chain stays under half the error budget at every seed 0-7: 110, whose
+# The rate_cap case's cap is the smallest multiple of 10 at which these
+# tests' chain stays under half the error budget at every seed 0-7: 110, whose
 # worst is 33 errors in 6900 steps, at seed 7. At seed 3, the seed used here,
 # it has 14, all in the latent phase; the reference test above crosses the
 # cap in the parameter phase too. The reference test's cap of 80, which its
 # 120 sweeps cross under the budget, aborts in these 300 at seeds 0, 3 and 7.
-@pytest.mark.parametrize(
+SCREEN_CONFIGS = pytest.mark.parametrize(
     "model_config",
     [ModelConfig(), ModelConfig(include_credit_intercept=True, credit_scale=5.0),
      ModelConfig(poisson_rate_cap=110.0)],
     ids=("default", "intercept", "rate_cap"),
 )
-def test_credit_screen_changes_no_draw(tiny_dataset, monkeypatch, model_config):
-    # run_chain rejects a credit step unevaluated when its bound rules it
-    # out; evaluating every step instead must give the same chain, bit for bit
-    cfg = SamplerConfig(iterations=300, burn_in=100, thin=2, seed=3)
-    screened = []
-    real = sampler._surely_rejected
+SCREEN_SAMPLER = SamplerConfig(iterations=300, burn_in=100, thin=2, seed=3)
 
-    def recording(*args):
-        screened.append(real(*args))
-        return screened[-1]
 
-    monkeypatch.setattr(sampler, "_surely_rejected", recording)
-    kept = run_chain(tiny_dataset, model_config, cfg, latent_columns=range(len(tiny_dataset)))
-    assert any(screened) and not all(screened)
-    monkeypatch.setattr(sampler, "_surely_rejected", lambda *args: False)
-    full = run_chain(tiny_dataset, model_config, cfg, latent_columns=range(len(tiny_dataset)))
+def assert_same_chain(kept, full, model_config):
     for name in ("param_draws", "latent_mean", "latent_draws", "accept_rate_params"):
         assert np.array_equal(getattr(kept, name), getattr(full, name)), name
     assert kept.accept_rate_latents == full.accept_rate_latents
     assert kept.n_likelihood_errors == full.n_likelihood_errors
     if model_config.poisson_rate_cap < 1e3:
         assert kept.n_likelihood_errors > 0
+
+
+@SCREEN_CONFIGS
+def test_credit_screen_changes_no_draw(tiny_dataset, monkeypatch, model_config):
+    # run_chain rejects a credit step unevaluated when its bound rules it
+    # out; evaluating every step instead must give the same chain, bit for
+    # bit. Every credit step is screened (its accept uniform is never 0
+    # here), so the steps that HeadTerms.move evaluates on the credit block
+    # are those the screen let through
+    bounds, evaluated = [], []
+    real_bound, real_move = HeadTerms.step_bound, HeadTerms.move
+
+    def recording(block, k, delta):
+        bounds.append(real_bound(block, k, delta))
+        return bounds[-1]
+
+    def counting(block, k, coef):
+        evaluated.append(block.rates is not None)
+        return real_move(block, k, coef)
+
+    monkeypatch.setattr(HeadTerms, "step_bound", recording)
+    monkeypatch.setattr(HeadTerms, "move", counting)
+    cols = range(len(tiny_dataset))
+    kept = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
+    assert len(bounds) == len(model_config.active_param_names()[8:]) * SCREEN_SAMPLER.iterations
+    assert 0 < sum(evaluated) < len(bounds)  # some steps screened out, some not
+    monkeypatch.setattr(HeadTerms, "step_bound", lambda *args: math.inf)
+    full = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
+    assert_same_chain(kept, full, model_config)
+
+
+@SCREEN_CONFIGS
+def test_guarded_softplus_changes_no_draw(tiny_dataset, monkeypatch, model_config):
+    # run_chain lets the logistic evaluations run exp bare while the sweep's
+    # bound is below _EXP_BARE; a threshold of 0 forces the guarded kernel,
+    # with its reduction, on every evaluation, and must give the same chain,
+    # bit for bit
+    guarded = []
+    real = probmodel._softplus_rows
+
+    def counting(nz):
+        guarded.append(nz.shape)
+        return real(nz)
+
+    monkeypatch.setattr(probmodel, "_softplus_rows", counting)
+    cols = range(len(tiny_dataset))
+    bare = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
+    assert len(guarded) == 1  # building the logistic block; every move ran bare
+    monkeypatch.setattr(probmodel, "_EXP_BARE", 0.0)
+    full = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
+    # the block again, then four coefficient moves and a latent move a sweep
+    assert len(guarded) == 2 + 5 * SCREEN_SAMPLER.iterations
+    assert_same_chain(bare, full, model_config)
+
+
+def test_run_chain_bounds_every_logistic_evaluation(tiny_dataset, monkeypatch):
+    # the logistic exp runs bare on the strength of one HeadTerms.bound call
+    # a sweep, so the magnitudes run_chain hands it must cover every
+    # coefficient and latent score the logistic block then evaluates: the
+    # kept and the moved ones of each coefficient step, and the latent
+    # proposals
+    bounds, counts = [], {"moves": 0, "latent": 0}
+    real_bound, real_move, real_latent = HeadTerms.bound, HeadTerms.move, HeadTerms.move_latent
+
+    def covered(block, coefs, c):
+        mags, spread = bounds[-1]
+        assert all(np.all(np.abs(coef[:, 0]) <= mags[list(p)]) for coef, p in zip(coefs, block.positions))
+        assert np.abs(c).max() <= spread
+
+    def bound(block, mags, latent_spread):
+        bounds.append((mags.copy(), latent_spread))
+        return real_bound(block, mags, latent_spread)
+
+    def move(block, k, coef):
+        if block.nsign is not None:
+            coefs = list(block.coefs)
+            coefs[k] = coef
+            covered(block, coefs, block.columns[block.latent_term])
+            counts["moves"] += 1
+        return real_move(block, k, coef)
+
+    def move_latent(block, c):
+        if block.nsign is not None:
+            covered(block, block.coefs, c)
+            counts["latent"] += 1
+        return real_latent(block, c)
+
+    monkeypatch.setattr(HeadTerms, "bound", bound)
+    monkeypatch.setattr(HeadTerms, "move", move)
+    monkeypatch.setattr(HeadTerms, "move_latent", move_latent)
+    run_chain(tiny_dataset, ModelConfig(include_credit_intercept=True), SCREEN_SAMPLER)
+    iterations = SCREEN_SAMPLER.iterations
+    assert len(bounds) == iterations
+    assert counts == {"moves": 4 * iterations, "latent": iterations}
 
 
 def test_credit_screen_skips_most_credit_evaluations(monkeypatch):
