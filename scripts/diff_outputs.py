@@ -25,9 +25,12 @@ into a fourth, so that their error messages and exit codes are compared;
 synth reads every config it needs before any work, in both trees. Every
 file under the --out paths is compared, bytes and permission bits
 (st_mode & 0o777), and so are each command's stdout, stderr and exit code.
-Prints `seed N: identical` or the outputs that differ; the exit code is 1 if
-any differ. The data and the synth_large config come from the checkout that
-holds this script, and the commands run from its root.
+Prints `seed N: identical`, or the outputs that differ in two lists: those
+that differ anywhere but a first `# config_hash=` line, and those that
+differ only there (a changed default config changes every output's hash).
+The exit code is 1 if any output differs, in either list. The data and the
+synth_large config come from the checkout that holds this script, and the
+commands run from its root.
 """
 
 import argparse
@@ -92,6 +95,17 @@ def run_tree(src: str, seed: int, work: str) -> dict[str, bytes]:
     return outputs
 
 
+def only_hash_differs(old: bytes | None, new: bytes | None) -> bool:
+    """Whether two outputs differ in their first line alone, and it is a
+    `# config_hash=` line in both."""
+    if old is None or new is None:
+        return False
+    (old_first, _, old_rest), (new_first, _, new_rest) = (x.partition(b"\n") for x in (old, new))
+    return old_rest == new_rest and all(
+        first.startswith(b"# config_hash=") for first in (old_first, new_first)
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("old_src", help="directory holding the old faircredit package")
@@ -112,8 +126,12 @@ def main(argv=None) -> int:
             old, new = (run_tree(src, seed, work) for src in trees)
             differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
             any_differ = any_differ or bool(differ)
-            print(f"seed {seed}: " + (f"differ: {', '.join(differ)}" if differ else "identical"),
-                  flush=True)
+            hash_only = [k for k in differ if only_hash_differs(old.get(k), new.get(k))]
+            elsewhere = [k for k in differ if k not in hash_only]
+            parts = [f"differ: {', '.join(elsewhere)}"] if elsewhere else []
+            if hash_only:
+                parts.append(f"differ only in the # config_hash= line: {', '.join(hash_only)}")
+            print(f"seed {seed}: " + ("; ".join(parts) or "identical"), flush=True)
     return 1 if any_differ else 0
 
 

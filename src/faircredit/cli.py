@@ -71,7 +71,6 @@ DEFAULTS: dict[str, str] = {
     "column.credit": "credit amount",
     "preprocess.job_threshold": "1",
     "preprocess.own_label": "own",
-    "preprocess.standardize_age": "true",
     "split.train_count": "800",
     "split.seed": "0",
     **config_items(ModelConfig(), "model."),
@@ -211,7 +210,6 @@ def build_preprocess_config(cfg: dict[str, str]) -> PreprocessConfig:
     return PreprocessConfig(
         job_threshold=_get(cfg, "preprocess.job_threshold", int),
         own_label=cfg["preprocess.own_label"],
-        standardize_age=_get(cfg, "preprocess.standardize_age", bool),
     )
 
 

@@ -66,9 +66,11 @@ class SplitSpec:
 class Dataset:
     """Column-major processed data plus the standardization that produced it.
 
-    standardization is None in raw-age mode (ages passed through unscaled).
-    age_raw keeps the original years when known; split() prefers it when
-    re-standardizing, otherwise it reconstructs years from the stored moments.
+    age_std is age in years about standardization's mean, in units of its sd.
+    preprocess, split and generate_synthetic always store those moments, and
+    split rebuilds years from them alone. standardization is None only for a
+    dataset built by hand: split keeps its age_std as it is, and flip_age's
+    shift in years refuses it.
     split is the SplitSpec of the split() that returned the dataset, as a
     chain records its configs, and None for any other dataset, a subset too.
     """
@@ -79,7 +81,6 @@ class Dataset:
     house: np.ndarray
     credit: np.ndarray
     standardization: Standardization | None = None
-    age_raw: np.ndarray | None = None
     split: SplitSpec | None = None
 
     def __len__(self) -> int:
@@ -113,16 +114,7 @@ class Dataset:
             house=self.house[idx],
             credit=self.credit[idx],
             standardization=self.standardization,
-            age_raw=None if self.age_raw is None else self.age_raw[idx],
         )
-
-    def ages_in_years(self) -> np.ndarray:
-        if self.age_raw is not None:
-            return np.asarray(self.age_raw, dtype=float)
-        if self.standardization is None:
-            return np.asarray(self.age_std, dtype=float)
-        mu, sd = self.standardization
-        return np.asarray(self.age_std, dtype=float) * sd + mu
 
 
 @dataclass(frozen=True)
@@ -131,14 +123,13 @@ class PreprocessConfig:
 
     sex_codes maps lowercased sex labels to {0,1}; labels outside the map are
     rejected. job becomes 1 when the ordinal level is >= job_threshold. house
-    becomes 1 exactly when the housing label equals own_label. standardize_age
-    False passes raw years through (no standardization stored).
+    becomes 1 exactly when the housing label equals own_label. Age is always
+    standardized, by the mean and n-1 sd of the records' years.
     """
 
     sex_codes: dict[str, int] = field(default_factory=lambda: {"female": 0, "male": 1})
     job_threshold: int = 1
     own_label: str = "own"
-    standardize_age: bool = True
 
 
 DEFAULT_PREPROCESS = PreprocessConfig()
@@ -211,6 +202,18 @@ def load_csv(path: str, column_map: dict[str, str] | None = None) -> list[RawRec
     return records
 
 
+def _standardized(ages: np.ndarray, where: str) -> tuple[np.ndarray, Standardization]:
+    """Ages in years as z-scores about their mean, by their n-1 sd, and those
+    moments. where names the ages in the errors."""
+    if ages.size < 2:
+        raise DataError(f"need at least 2 ages to standardize age; {where} has {ages.size}")
+    mu = float(np.mean(ages))
+    sd = float(np.std(ages, ddof=1))
+    if sd == 0.0:
+        raise DataError(f"age has zero variance in {where}; cannot standardize")
+    return (ages - mu) / sd, Standardization(mu, sd)
+
+
 def preprocess(records: Sequence[RawRecord], config: PreprocessConfig = DEFAULT_PREPROCESS) -> Dataset:
     """Map raw records onto model features. Pure: no global state, no RNG."""
     if not records:
@@ -231,23 +234,10 @@ def preprocess(records: Sequence[RawRecord], config: PreprocessConfig = DEFAULT_
         [1 if rec.housing.strip().lower() == own else 0 for rec in records], dtype=np.int64
     )
     credit = np.array([rec.credit_amount for rec in records], dtype=np.int64)
-
-    if config.standardize_age:
-        if len(records) < 2:
-            raise DataError("need at least 2 records to standardize age")
-        mu = float(np.mean(ages))
-        sd = float(np.std(ages, ddof=1))
-        if sd == 0.0:
-            raise DataError("age has zero variance; cannot standardize")
-        age_std = (ages - mu) / sd
-        standardization = Standardization(mu, sd)
-    else:
-        age_std = ages.copy()
-        standardization = None
-
+    age_std, standardization = _standardized(ages, "the data")
     ds = Dataset(
         sex=sex, age_std=age_std, job=job, house=house, credit=credit,
-        standardization=standardization, age_raw=ages,
+        standardization=standardization,
     )
     ds.validate()
     return ds
@@ -258,7 +248,10 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     record spec as their split.
 
     Age is re-standardized with the train split's own moments, and the test
-    split reuses those train moments (never its own).
+    split reuses those train moments (never its own). The years come from
+    age_std and data's stored moments alone, so a dataset and its
+    write_processed_csv round trip split to the same bits. A dataset with no
+    stored standardization keeps its age_std.
     """
     n = len(data)
     if not (0 < spec.train_count < n):
@@ -272,20 +265,14 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     test = _dc_replace(data.subset(test_idx), split=spec)
     if data.standardization is None:
         return train, test
-    ages = data.ages_in_years()
-    train_ages = ages[train_idx]
-    mu = float(np.mean(train_ages))
-    sd = float(np.std(train_ages, ddof=1))
-    if sd == 0.0:
-        raise DataError("train split has zero age variance")
-    stdz = Standardization(mu, sd)
-    train = _dc_replace(
-        train, age_std=(train_ages - mu) / sd, standardization=stdz, age_raw=train_ages
+    mu, sd = data.standardization
+    ages = np.asarray(data.age_std, dtype=float) * sd + mu
+    train_std, stdz = _standardized(ages[train_idx], "the train split")
+    test_std = (ages[test_idx] - stdz.age_mean) / stdz.age_std
+    return (
+        _dc_replace(train, age_std=train_std, standardization=stdz),
+        _dc_replace(test, age_std=test_std, standardization=stdz),
     )
-    test = _dc_replace(
-        test, age_std=(ages[test_idx] - mu) / sd, standardization=stdz, age_raw=ages[test_idx]
-    )
-    return train, test
 
 
 @dataclass(frozen=True)
@@ -330,11 +317,7 @@ def generate_synthetic(
         covariate_spec.age_max,
     )
     c = rng.standard_normal(n)
-    mu = float(np.mean(ages))
-    sd = float(np.std(ages, ddof=1))
-    if sd == 0.0:
-        raise DataError("synthetic ages degenerate; widen the covariate spec")
-    age_std = (ages - mu) / sd
+    age_std, standardization = _standardized(ages, "the synthetic data")
 
     p_job = _sigmoid_vec(params.b_j + sex * params.beta_j_s + age_std * params.beta_j_a + c * params.beta_j_c)
     job = (rng.random(n) < p_job).astype(np.int64)
@@ -351,7 +334,7 @@ def generate_synthetic(
 
     ds = Dataset(
         sex=sex, age_std=age_std, job=job, house=house, credit=credit,
-        standardization=Standardization(mu, sd), age_raw=ages,
+        standardization=standardization,
     )
     ds.validate()
     return ds, c

@@ -78,8 +78,10 @@ def flip_sex(data: Dataset) -> Dataset:
 
 
 def flip_age(data: Dataset, mode: str = "mirror", years: float = 10.0) -> Dataset:
-    """Counterfactual ages: 'mirror' negates the standardized age; 'shift'
-    adds `years` in raw units (years / stored sd on the standardized scale)."""
+    """Counterfactual ages: 'mirror' negates the standardized age, reflecting
+    each age about the stored training mean; 'shift' adds `years` in raw
+    units (years / stored sd on the standardized scale), so it needs the
+    stored standardization, which a hand-built dataset may lack."""
     if mode == "mirror":
         shifted = -np.asarray(data.age_std, dtype=float)
     elif mode == "shift":
@@ -88,11 +90,7 @@ def flip_age(data: Dataset, mode: str = "mirror", years: float = 10.0) -> Datase
         shifted = np.asarray(data.age_std, dtype=float) + years / data.standardization.age_std
     else:
         raise ValueError(f"unknown age flip mode {mode!r}")
-    flipped = dc_replace(data, age_std=shifted)
-    if data.age_raw is not None and data.standardization is not None:
-        st = data.standardization
-        flipped = dc_replace(flipped, age_raw=st.age_mean + shifted * st.age_std)
-    return flipped
+    return dc_replace(data, age_std=shifted)
 
 
 def _predictions(model, data: Dataset, condition_on_credit: bool = False) -> np.ndarray:

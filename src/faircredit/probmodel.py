@@ -205,8 +205,6 @@ class Design:
         return self.rows((slice(None), None))
 
 
-_NO_OVERFLOW = np.empty(0)
-
 # Each head's linear predictor as (parameter position, column) terms, added
 # left to right in this order wherever it is evaluated: this is its
 # association order. Column "one" marks an intercept, whose term is its
@@ -279,36 +277,36 @@ def _softplus_rows(nz: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Poisson rows of credit linear predictors, those over the rate cap, and
-    the rates exp(lin) the rows subtract, inf where over the cap."""
+def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, int, np.ndarray]:
+    """Poisson rows of credit linear predictors, how many rates are over the
+    rate cap, and the rates exp(lin) the rows subtract, inf where over the
+    cap."""
     over = lin > design.cap_log
     if not np.count_nonzero(over):
         rates = np.exp(lin)
-        return design.counts * lin - rates - design.lgamma_counts, _NO_OVERFLOW, rates
+        return design.counts * lin - rates - design.lgamma_counts, 0, rates
     rates = np.exp(np.where(over, 0.0, lin))
     term = design.counts * lin - rates - design.lgamma_counts
     rates[over] = np.inf
-    return np.where(over, -np.inf, term), lin[over], rates
+    return np.where(over, -np.inf, term), int(np.count_nonzero(over)), rates
 
 
 def _head_rows(
     head: int, vec: np.ndarray, c: np.ndarray, design: Design
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-observation log-likelihood of one head, and the overflowed credit
-    linear predictors.
+) -> tuple[np.ndarray, int]:
+    """Per-observation log-likelihood of one head, and how many credit rates
+    are over the cap.
 
     The logistic heads work on the signed linear predictor z, never on the
     probability, so they stay exact where it would round to 0 or 1. Their
     rows are log sigmoid(z) = 0 - log1p(exp(-z)) (_softplus_rows), within a
     few ulp of -logaddexp(0, -z), and z itself where exp(-z) overflows.
-    Credit rows whose rate exceeds the cap are -inf, and their linear
-    predictors are returned in row order; the second array is empty
-    otherwise, and only a rate above the cap costs the masking.
+    Credit rows whose rate exceeds the cap are -inf, and only a rate above
+    the cap costs the masking.
     """
     if head != HEAD_CREDIT:
         rows = _softplus_rows(_negated_logit(head, vec, c, design))
-        return np.subtract(0.0, rows, out=rows), _NO_OVERFLOW
+        return np.subtract(0.0, rows, out=rows), 0
     return _credit_rows(credit_linear(vec, c, design), design)[:2]
 
 
@@ -342,9 +340,9 @@ def head_log_likelihood(
     Overflowed credit rates give -inf rows and a -inf sum instead of raising,
     so sampler steps can reject them and keep a counter.
     """
-    rows, over_lin = _head_rows(head, vec, c, design)
-    if over_lin.size:
-        return float("-inf"), over_lin.size, rows
+    rows, n_over = _head_rows(head, vec, c, design)
+    if n_over:
+        return float("-inf"), n_over, rows
     return float(rows.sum()), 0, rows
 
 
@@ -355,8 +353,8 @@ def per_obs_log_likelihood(
     ll = _head_rows(HEAD_JOB, vec, c, design)[0] + _head_rows(HEAD_HOUSE, vec, c, design)[0]
     if not include_credit:
         return ll, 0
-    credit, over_lin = _head_rows(HEAD_CREDIT, vec, c, design)
-    return ll + credit, over_lin.size
+    credit, n_over = _head_rows(HEAD_CREDIT, vec, c, design)
+    return ll + credit, n_over
 
 
 def per_obs_latent_slopes(
@@ -542,8 +540,8 @@ class HeadTerms:
             x = x + t
         self._held = None
         if self.nsign is None:
-            self.moved_rows, over, self._moved_rates = _credit_rows(x, self.design)
-            return self.moved_rows, over.size
+            self.moved_rows, n_over, self._moved_rates = _credit_rows(x, self.design)
+            return self.moved_rows, n_over
         np.multiply(x, self.nsign, out=x)
         if self.bare:
             np.exp(x, out=x)

@@ -192,7 +192,7 @@ def typed_fields(config) -> dict:
 def test_default_config_is_pinned():
     # every output file's header records this hash, so a changed default
     # key or value changes every output
-    assert config_hash(DEFAULTS) == "b4dc145470f7e377"
+    assert config_hash(DEFAULTS) == "4cebc9e91987de7d"
     assert typed_fields(cli.build_model_config(DEFAULTS)) == typed_fields(ModelConfig())
     assert typed_fields(cli.build_sampler_config(DEFAULTS)) == typed_fields(SamplerConfig())
     assert typed_fields(cli.build_forest_config(DEFAULTS)) == typed_fields(ForestConfig())
@@ -749,6 +749,36 @@ def test_latent_point_key_is_refused(workspace, tmp_path):
             assert "unknown config keys: fair.latent_point" in res.err
             assert not (out / "params.csv").exists()
             assert not (out / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("model", ("full", "fair"))
+def test_fit_refuses_a_train_split_of_one_row(workspace, tmp_path, model):
+    # age is standardized with the train split's moments, which take two
+    # ages: the refusal names the split's size, and no numpy warning comes
+    # before it. A subprocess, so that a warning reaches stderr as a user
+    # would see it
+    config = config_with(workspace, tmp_path, {"split.train_count": 1})
+    src = os.path.dirname(os.path.dirname(faircredit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "faircredit.cli", "fit", "--model", model,
+         "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 2
+    assert out.stderr == "error: need at least 2 ages to standardize age; the train split has 1\n"
+
+
+def test_standardize_age_key_is_refused(workspace, tmp_path):
+    # age is always standardized, so the key that once turned it off is
+    # unknown and is refused before any work
+    config = config_with(workspace, tmp_path, {"preprocess.standardize_age": "false"})
+    out = tmp_path / "out"
+    res = run_cli(["fit", "--model", "full", "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err == f"error: {config}: unknown config keys: preprocess.standardize_age\n"
+    assert not out.exists()
 
 
 def test_synth_rate_cap_names_its_config_keys(tmp_path):

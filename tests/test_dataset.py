@@ -114,7 +114,9 @@ def test_preprocess_codings():
     assert list(ds.job) == [1, 0, 1]       # threshold 1
     assert list(ds.house) == [1, 0, 0]     # only "own" counts
     assert list(ds.credit) == [1000, 500, 700]
-    assert ds.age_raw is not None and list(ds.age_raw) == [30, 40, 50]
+    # the years come back from age_std and the stored moments
+    mu, sd = ds.standardization
+    assert ds.age_std * sd + mu == pytest.approx([30, 40, 50], abs=1e-12)
 
 
 def test_preprocess_job_threshold():
@@ -134,15 +136,6 @@ def test_preprocess_two_point_standardization():
     ds = preprocess(records_for(("male", 30, 1, "own", 10), ("female", 40, 1, "rent", 20)))
     assert ds.age_std == pytest.approx([-0.7071067811865475, 0.7071067811865475], abs=1e-12)
     assert ds.standardization == pytest.approx((35.0, 7.0710678118654755))
-
-
-def test_preprocess_raw_age_mode():
-    ds = preprocess(
-        records_for(("male", 30, 1, "own", 10), ("female", 40, 1, "rent", 20)),
-        PreprocessConfig(standardize_age=False),
-    )
-    assert list(ds.age_std) == [30.0, 40.0]
-    assert ds.standardization is None
 
 
 def test_preprocess_degenerate_age():
@@ -172,9 +165,9 @@ def test_dataset_subset_and_ages(tiny_dataset):
     sub = tiny_dataset.subset(np.array([0, 2, 5]))
     assert len(sub) == 3
     assert list(sub.credit) == [12, 8, 15]
-    # years reconstructed from the stored moments
-    expected = np.asarray(tiny_dataset.age_std)[[0, 2, 5]] * 10.0 + 35.0
-    assert sub.ages_in_years() == pytest.approx(expected)
+    # the rows' standardized ages, and the moments that give their years
+    assert np.array_equal(sub.age_std, np.asarray(tiny_dataset.age_std)[[0, 2, 5]])
+    assert sub.standardization == tiny_dataset.standardization
 
 
 # --- splitting ---------------------------------------------------------------
@@ -206,15 +199,14 @@ def test_split_disjoint_and_deterministic():
 
 
 def test_split_records_its_spec_on_both_halves():
-    # a split's datasets name the split that made them, in both age modes;
-    # a subset and data no split made name none
+    # a split's datasets name the split that made them; a subset and data
+    # no split made name none
     spec = SplitSpec(train_count=30, seed=4)
-    for config in (PreprocessConfig(), PreprocessConfig(standardize_age=False)):
-        ds = preprocess(make_raw(50), config)
-        assert ds.split is None
-        train, test = split(ds, spec)
-        assert train.split == spec and test.split == spec
-        assert train.subset(np.arange(5)).split is None
+    ds = preprocess(make_raw(50))
+    assert ds.split is None
+    train, test = split(ds, spec)
+    assert train.split == spec and test.split == spec
+    assert train.subset(np.arange(5)).split is None
 
 
 def test_split_rejects_a_negative_seed():
@@ -225,20 +217,41 @@ def test_split_rejects_a_negative_seed():
 def test_split_partitions_rows():
     ds = preprocess(make_raw(40))
     train, test = split(ds, SplitSpec(train_count=25, seed=1))
-    together = sorted(np.concatenate([train.ages_in_years(), test.ages_in_years()]))
-    assert together == sorted(ds.ages_in_years())
+    # credit is an integer column, so the halves' values compare exactly
+    together = sorted(np.concatenate([train.credit, test.credit]).tolist())
+    assert together == sorted(ds.credit.tolist())
 
 
 def test_split_restandardizes_with_train_moments():
-    ds = preprocess(make_raw(60))
-    train, test = split(ds, SplitSpec(train_count=40, seed=2))
+    records = make_raw(60)
+    train, test = split(preprocess(records), SplitSpec(train_count=40, seed=2))
     assert float(np.mean(train.age_std)) == pytest.approx(0.0, abs=1e-12)
     assert float(np.std(train.age_std, ddof=1)) == pytest.approx(1.0, abs=1e-12)
-    # the test half reuses the train moments, never its own
+    # the test half reuses the train moments, never its own: through them
+    # both halves give back the records' years
     mu, sd = train.standardization
     assert test.standardization == train.standardization
-    assert test.age_std == pytest.approx((test.ages_in_years() - mu) / sd)
+    years = np.concatenate([train.age_std, test.age_std]) * sd + mu
+    assert sorted(years) == pytest.approx(sorted(r.age for r in records), abs=1e-9)
     assert float(np.mean(test.age_std)) != pytest.approx(0.0, abs=1e-6)
+
+
+def test_split_of_a_dataset_and_its_processed_csv_agree_bit_for_bit(tmp_path):
+    # the library splits preprocess's dataset and the CLI splits its
+    # preprocessed.csv round trip; both rebuild years from age_std and the
+    # stored moments, so the halves' ages and moments are the same bits
+    ds = preprocess(make_raw(60))
+    path = str(tmp_path / "processed.csv")
+    write_processed_csv(ds, path)
+    spec = SplitSpec(train_count=40, seed=1)
+    for direct, stored in zip(split(ds, spec), split(read_processed_csv(path), spec)):
+        assert direct.age_std.tobytes() == stored.age_std.tobytes()
+        assert direct.standardization == stored.standardization
+
+
+def test_split_refuses_a_train_half_of_one_age():
+    with pytest.raises(DataError, match="at least 2 ages.*the train split has 1$"):
+        split(preprocess(make_raw(10)), SplitSpec(train_count=1, seed=0))
 
 
 def test_split_bad_train_count():
@@ -264,8 +277,10 @@ def test_generate_synthetic_shapes_and_ranges(modest_params):
     ds.validate()
     assert len(ds) == 300 and c.shape == (300,)
     spec = CovariateSpec()
-    ages = ds.ages_in_years()
-    assert ages.min() >= spec.age_min and ages.max() <= spec.age_max
+    mu, sd = ds.standardization
+    ages = ds.age_std * sd + mu
+    assert ages == pytest.approx(np.rint(ages), abs=1e-9)
+    assert ages.min() >= spec.age_min - 1e-9 and ages.max() <= spec.age_max + 1e-9
     assert ds.credit.min() >= 1
 
 
