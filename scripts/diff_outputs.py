@@ -19,9 +19,13 @@ third: the chain proposes rates over the cap in both phases (about 16,000
 times at seed 0) without aborting, so the cap guard is compared too, and
 in compare's leaky test-time inference, which runs in blocks of rows, some
 grids end on the cap's bound (2 of the 200 at seed 0); compare also runs
-the age shift there. Last, `synth` runs with two
-configs it refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`)
-into a fourth, so that their error messages and exit codes are compared;
+the age shift there. `fit --model fair` runs twice more, with
+`out.latent_columns = 0` and with `out.latent_columns = 800` (every training
+row), each into its own --out path, so that both edges of the chain export
+are compared: rows of the draw index alone, with no trailing comma, and the
+widest latents.csv. Last, `synth` runs with two configs it refuses
+(`sampler.delta = abc`, `model.poisson_rate_cap = x`) into one more, so that
+their error messages and exit codes are compared;
 synth reads every config it needs before any work, in both trees. Every
 file under the --out paths is compared, bytes and permission bits
 (st_mode & 0o777), and so are each command's stdout, stderr and exit code.
@@ -58,12 +62,18 @@ COMMANDS = (
      ["fit", "--model", "fair", "--preset", "recommended"]),
     ("fit fair rate cap", "out_rate_cap", ["fit", "--model", "fair", "--config", "{work}/rate_cap.kv"]),
     ("compare rate cap shift", "out_rate_cap", ["compare", "--config", "{work}/rate_cap.kv"]),
+    ("fit fair no latents", "out_latents_none",
+     ["fit", "--model", "fair", "--config", "{work}/latents_none.kv"]),
+    ("fit fair all latents", "out_latents_all",
+     ["fit", "--model", "fair", "--config", "{work}/latents_all.kv"]),
     ("synth bad delta", "out_refused", ["synth", "--config", "{work}/bad_delta.kv"]),
     ("synth bad rate cap", "out_refused", ["synth", "--config", "{work}/bad_rate_cap.kv"]),
 )
 CONFIGS = {
     "synth.kv": synth_config_text(),
     "rate_cap.kv": "model.poisson_rate_cap = 300\neval.age_mode = shift\n",
+    "latents_none.kv": "out.latent_columns = 0\n",
+    "latents_all.kv": "out.latent_columns = 800\n",
     "bad_delta.kv": "sampler.delta = abc\n",
     "bad_rate_cap.kv": "model.poisson_rate_cap = x\n",
 }

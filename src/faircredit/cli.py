@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .dataset import (
     write_processed_csv,
 )
 from .diagnostics import (
-    SummaryRow,
+    ess_bulk_or_nan,
     export_plot_data,
     summarize,
     summarize_series,
@@ -378,34 +378,36 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     rate = chain.accept_rate_latents
     note = "" if lo <= rate <= hi else f"  <-- outside [{lo}, {hi}]"
     print(f"  accept(latents) = {rate:.3f}{note}")
-    _warn_if_unmixed(summary)
+    _warn_if_unmixed((row.name, row.ess_bulk) for row in summary)
     print(f"wrote {out}/: params.csv, latents.csv, summary.csv, model_fair/")
     return 0
 
 
-def mixing_warning(rows: Sequence[SummaryRow]) -> str | None:
-    """The warning for the parameter with the worst bulk ESS, if it is below
-    ESS_WARN_MIN. A NaN ESS (constant draws, or too few to estimate) is worst."""
-    worst = min(rows, key=lambda r: -math.inf if math.isnan(r.ess_bulk) else r.ess_bulk)
-    if worst.ess_bulk >= ESS_WARN_MIN:
+def mixing_warning(bulk_ess: Iterable[tuple[str, float]]) -> str | None:
+    """The warning for the parameter with the worst bulk ESS, of (name, bulk
+    ESS) pairs, if it is below ESS_WARN_MIN. A NaN ESS (constant draws, or too
+    few to estimate) is worst."""
+    name, worst = min(bulk_ess, key=lambda p: -math.inf if math.isnan(p[1]) else p[1])
+    if worst >= ESS_WARN_MIN:
         return None
     return (
-        f"warning: worst bulk ESS is {worst.ess_bulk:.4g} ({worst.name}), below "
+        f"warning: worst bulk ESS is {worst:.4g} ({name}), below "
         f"{ESS_WARN_MIN:g}: the chain has not mixed, so its estimates are unreliable; "
         "raise sampler.iterations"
     )
 
 
-def _warn_if_unmixed(summary: Sequence[SummaryRow]) -> None:
-    warning = mixing_warning(summary)
+def _warn_if_unmixed(bulk_ess: Iterable[tuple[str, float]]) -> None:
+    warning = mixing_warning(bulk_ess)
     if warning:
         print(warning, file=sys.stderr)
 
 
 def _warned_chain(train: Dataset, mc: ModelConfig, sc: SamplerConfig) -> Chain:
-    """run_chain, with fit's mixing warning on stderr."""
+    """run_chain, with fit's mixing warning on stderr. Only the bulk ESS it
+    reads is computed, not the rest of the summary."""
     chain = run_chain(train, mc, sc)
-    _warn_if_unmixed(summarize(chain))
+    _warn_if_unmixed(zip(chain.param_names, map(ess_bulk_or_nan, chain.param_draws.T)))
     return chain
 
 
@@ -469,7 +471,7 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     out = cfg["out.dir"]
     write_processed_csv(data, os.path.join(out, "synthetic.csv"), header)
     lines = [f"# {h}" for h in header] + ["index,c"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(true_c)]
+    lines += [f"{i},{v!r}" for i, v in enumerate(true_c.tolist())]
     atomic_write_text(os.path.join(out, "true_latents.csv"), "\n".join(lines) + "\n")
 
     chain = run_chain(data, mc, sc)

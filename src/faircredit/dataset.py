@@ -359,11 +359,14 @@ def write_processed_csv(data: Dataset, path: str, header_lines: tuple[str, ...] 
         lines.append(f"# age_mean={data.standardization.age_mean!r}")
         lines.append(f"# age_sd={data.standardization.age_std!r}")
     lines.append(",".join(PROCESSED_COLUMNS))
-    for i in range(len(data)):
-        lines.append(
-            f"{int(data.sex[i])},{float(data.age_std[i])!r},{int(data.job[i])},"
-            f"{int(data.house[i])},{int(data.credit[i])}"
-        )
+    sex, job, house, credit = (
+        np.asarray(col).astype(np.int64).tolist()
+        for col in (data.sex, data.job, data.house, data.credit)
+    )
+    age = np.asarray(data.age_std, dtype=float).tolist()
+    lines += [
+        f"{s},{a!r},{j},{h},{c}" for s, a, j, h, c in zip(sex, age, job, house, credit)
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

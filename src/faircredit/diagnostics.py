@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError
 from .sampler import Chain
-from .util import atomic_write_text
+from .util import atomic_write_text, numbered_rows
 
 SUMMARY_COLUMNS = ("name", "std", "q05", "median", "q95", "ess_bulk", "ess_tail")
 
@@ -218,34 +218,41 @@ def ess_tail(series) -> float:
     return float(min(out))
 
 
+def ess_bulk_or_nan(series) -> float:
+    """ess_bulk, or NaN for a series summarize_series marks degenerate: a
+    constant one, or one of fewer than 4 draws, too short for an
+    autocorrelation-based ESS (flagged instead of guessed)."""
+    x = _as_series(series)
+    if x.shape[0] < 4 or np.all(x == x[0]):
+        return math.nan
+    return ess_bulk(x)
+
+
 def summarize_series(name: str, x: np.ndarray) -> SummaryRow:
     x = _as_series(x)
+    bulk = ess_bulk_or_nan(x)
     if np.all(x == x[0]):
         v = float(x[0])
         return SummaryRow(
             name=name, std=0.0, q05=v, median=v, q95=v,
-            ess_bulk=float("nan"), ess_tail=float("nan"), degenerate=True,
+            ess_bulk=bulk, ess_tail=math.nan, degenerate=True,
         )
     q05, med, q95 = np.quantile(x, [0.05, 0.5, 0.95])
-    std = float(np.std(x, ddof=1))
-    if x.shape[0] < 4:
-        # too short for an autocorrelation-based ESS; flag instead of guessing
-        return SummaryRow(
-            name=name, std=std, q05=float(q05), median=float(med), q95=float(q95),
-            ess_bulk=float("nan"), ess_tail=float("nan"), degenerate=True,
-        )
-    try:
-        tail = ess_tail(x)
-    except DegenerateSeriesError:
-        tail = float("nan")
+    tail = math.nan
+    if not math.isnan(bulk):
+        try:
+            tail = ess_tail(x)
+        except DegenerateSeriesError:
+            pass
     return SummaryRow(
         name=name,
-        std=std,
+        std=float(np.std(x, ddof=1)),
         q05=float(q05),
         median=float(med),
         q95=float(q95),
-        ess_bulk=ess_bulk(x),
+        ess_bulk=bulk,
         ess_tail=tail,
+        degenerate=math.isnan(bulk),
     )
 
 
@@ -298,7 +305,7 @@ def export_plot_data(
         n = x.shape[0]
 
         lines = head + ["draw,value"]
-        lines += [f"{d},{float(v)!r}" for d, v in enumerate(x)]
+        lines += numbered_rows(x[:, None])
         p = os.path.join(out_dir, f"{name}_trace.csv")
         atomic_write_text(p, "\n".join(lines) + "\n")
         paths.append(p)

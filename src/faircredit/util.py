@@ -1,9 +1,12 @@
-"""Small shared helpers: random stream derivation, key=value text io, atomic writes."""
+"""Small shared helpers: random stream derivation, key=value text io, numbered
+float rows, atomic writes."""
 
 import dataclasses
 import hashlib
+import math
 import os
 import tempfile
+from typing import Iterator
 
 import numpy as np
 
@@ -101,6 +104,30 @@ def parse_value(text: str, kind: type, key: str):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"config key {key} must be {noun}, got {text!r}") from None
+
+
+def numbered_rows(values: np.ndarray) -> Iterator[str]:
+    """The CSV rows `d,v_1,...,v_m` of a (k, m) float array, each value by
+    repr, one row per d in 0..k-1; with m = 0 each row is `d` alone.
+
+    A rejected Metropolis step repeats its draw, so a chain's columns run in
+    repeats. Each column keeps its last value and that value's text, and
+    calls repr only when the value changes. A zero is always formatted, as
+    0.0 == -0.0 but they print differently, and NaN, never equal, is too.
+    The array is read one row at a time, so no list holds all its values,
+    and the rows are yielded, so the caller's list is the only one of them.
+    """
+    last = [math.nan] * values.shape[1]
+    texts = [""] * values.shape[1]
+    columns = range(values.shape[1])
+    for d, row in enumerate(values):
+        row_values = row.tolist()
+        for j in columns:
+            v = row_values[j]
+            if v != last[j] or not v:
+                last[j] = v
+                texts[j] = repr(v)
+        yield ",".join([str(d), *texts])
 
 
 def atomic_write_text(path: str, text: str) -> None:

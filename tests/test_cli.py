@@ -27,11 +27,11 @@ from faircredit.cli import (
     mixing_warning,
     resolve_config,
 )
-from faircredit.diagnostics import SummaryRow
+from faircredit.diagnostics import summarize
 from faircredit.errors import ConfigError
 from faircredit.predictors import ForestConfig, LinearModel
 from faircredit.probmodel import ModelConfig
-from faircredit.sampler import SamplerConfig
+from faircredit.sampler import SamplerConfig, run_chain
 from faircredit.util import parse_kv_text
 
 
@@ -355,17 +355,32 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"
 
 
-def _row(name, ess):
-    return SummaryRow(name, 1.0, -1.0, 0.0, 1.0, ess, ess)
-
-
 def test_mixing_warning_threshold():
-    assert mixing_warning([_row("a", 400.0), _row("b", ESS_WARN_MIN)]) is None
-    text = mixing_warning([_row("a", 400.0), _row("b", 99.5), _row("c", 120.0)])
+    assert mixing_warning([("a", 400.0), ("b", ESS_WARN_MIN)]) is None
+    text = mixing_warning([("a", 400.0), ("b", 99.5), ("c", 120.0)])
     assert text.startswith("warning: worst bulk ESS is 99.5 (b)")
     # a constant parameter has no ESS at all, which is worst
-    text = mixing_warning([_row("a", 3.0), _row("b", float("nan"))])
+    text = mixing_warning([("a", 3.0), ("b", float("nan"))])
     assert "(b)" in text
+
+
+def test_compare_warns_as_fit_does(monkeypatch, capsys, tiny_dataset):
+    # compare computes only the bulk ESS, fit the whole summary; both warn
+    # alike on an unmixed chain, a constant parameter and too few draws
+    mc = ModelConfig()
+    unmixed = run_chain(tiny_dataset, mc, SamplerConfig(iterations=300, burn_in=100, seed=5))
+    draws = unmixed.param_draws.copy()
+    draws[:, 4] = 0.25
+    constant = replace(unmixed, param_draws=draws)
+    short = run_chain(tiny_dataset, mc, SamplerConfig(iterations=103, burn_in=100, seed=5))
+    assert short.n_draws() == 3
+    monkeypatch.setattr(cli, "summarize", None)  # compare takes no summary
+    for chain in (unmixed, constant, short):
+        monkeypatch.setattr(cli, "run_chain", lambda *args, chain=chain: chain)
+        assert cli._warned_chain(tiny_dataset, mc, chain.config) is chain
+        want = mixing_warning((row.name, row.ess_bulk) for row in summarize(chain))
+        assert want is not None
+        assert capsys.readouterr().err == want + "\n"
 
 
 def test_diagnose_outputs(workspace):

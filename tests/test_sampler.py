@@ -764,6 +764,24 @@ def test_export_chain_latent_subset(tmp_path, tiny_dataset, short_sampler_config
             run_chain(tiny_dataset, ModelConfig(), short_sampler_config, latent_columns=bad)
 
 
+def test_export_chain_without_latent_columns(tmp_path, tiny_dataset, short_sampler_config):
+    chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config, latent_columns=())
+    export_chain(chain, str(tmp_path))
+    lines = (tmp_path / "latents.csv").read_text().splitlines()
+    assert lines == ["draw"] + [str(d) for d in range(chain.n_draws())]
+
+
+def test_theta_median_is_np_median(tiny_dataset):
+    # an odd and an even number of draws: the middle draw, and the two
+    # middle ones' sum halved
+    for iterations in (25, 26):
+        cfg = SamplerConfig(iterations=iterations, burn_in=10, seed=0)
+        chain = run_chain(tiny_dataset, ModelConfig(), cfg)
+        want = np.median(chain.param_draws, axis=0)
+        got = chain.theta_median().to_vector(include_credit_intercept=False)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_read_param_chain_csv_errors(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_param_chain_csv(str(tmp_path / "absent.csv"))

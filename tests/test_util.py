@@ -1,5 +1,6 @@
 """Stream derivation and small text helpers."""
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from faircredit.util import (
     config_items,
     derive_rng,
     format_kv_text,
+    numbered_rows,
     parse_bool,
     parse_kv_text,
     sha256_hex,
@@ -177,3 +179,33 @@ def test_parse_bool():
         assert parse_bool(v, "k") is False
     with pytest.raises(ConfigError, match="some.key"):
         parse_bool("maybe", "some.key")
+
+
+def _numbered_rows_oracle(values):
+    # every value formatted on its own, as the chain files were written
+    return [",".join([str(d), *map(repr, row.tolist())]) for d, row in enumerate(values)]
+
+
+def test_numbered_rows_matches_per_value_repr():
+    z, nz, inf, nan = 0.0, -0.0, math.inf, math.nan
+    cases = {
+        # zeros of both signs compare equal but print differently
+        "signed zeros": [[z, nz], [nz, z], [nz, z], [z, z], [nz, nz], [z, nz]],
+        "infinities": [[inf, -inf], [inf, -inf], [-inf, inf], [1.0, inf]],
+        "nan": [[nan, 1.0], [nan, 1.0], [2.5, nan], [2.5, nan]],
+        "constant": [[3.25, -7.0]] * 5,
+        "alternating": [[0.1, 1e-300], [0.2, 5e300], [0.1, 1e-300], [0.2, 5e300]],
+    }
+    for name, rows in cases.items():
+        values = np.array(rows)
+        assert list(numbered_rows(values)) == _numbered_rows_oracle(values), name
+    draws = np.random.default_rng(3).standard_normal((200, 4))
+    draws[1::3] = draws[::3][: len(draws[1::3])]  # runs of repeats, as rejections make
+    draws[50:60, 2] = 0.0
+    assert list(numbered_rows(draws)) == _numbered_rows_oracle(draws)
+
+
+def test_numbered_rows_without_columns():
+    # the draw index alone, with no trailing comma
+    assert list(numbered_rows(np.empty((3, 0)))) == ["0", "1", "2"]
+    assert list(numbered_rows(np.empty((0, 2)))) == []
