@@ -32,12 +32,14 @@ file under the --out paths is compared, bytes and permission bits
 Prints `seed N: identical`, or the outputs that differ in two lists: those
 that differ anywhere but a first `# config_hash=` line, and those that
 differ only there (a changed default config changes every output's hash).
-The exit code is 1 if any output differs, in either list. The data and the
-synth_large config come from the checkout that holds this script, and the
-commands run from its root.
+Each output of the first list is then shown as a unified diff, cut after
+DIFF_LINES lines. The exit code is 1 if any output differs, in either list.
+The data and the synth_large config come from the checkout that holds this
+script, and the commands run from its root.
 """
 
 import argparse
+import difflib
 import os
 import shutil
 import subprocess
@@ -69,6 +71,8 @@ COMMANDS = (
     ("synth bad delta", "out_refused", ["synth", "--config", "{work}/bad_delta.kv"]),
     ("synth bad rate cap", "out_refused", ["synth", "--config", "{work}/bad_rate_cap.kv"]),
 )
+DIFF_LINES = 20  # lines of each output's unified diff that are printed
+
 CONFIGS = {
     "synth.kv": synth_config_text(),
     "rate_cap.kv": "model.poisson_rate_cap = 300\neval.age_mode = shift\n",
@@ -116,6 +120,20 @@ def only_hash_differs(old: bytes | None, new: bytes | None) -> bool:
     )
 
 
+def unified_diff(name: str, old: bytes | None, new: bytes | None) -> list[str]:
+    """The unified diff of one output, one line of context, cut after
+    DIFF_LINES lines; a missing output diffs as empty."""
+    old_lines, new_lines = (
+        (x or b"").decode("utf-8", errors="replace").splitlines() for x in (old, new)
+    )
+    lines = list(difflib.unified_diff(
+        old_lines, new_lines, f"old: {name}", f"new: {name}", n=1, lineterm=""
+    ))
+    if len(lines) > DIFF_LINES:
+        lines = lines[:DIFF_LINES] + [f"... ({len(lines) - DIFF_LINES} more diff lines)"]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("old_src", help="directory holding the old faircredit package")
@@ -141,7 +159,10 @@ def main(argv=None) -> int:
             parts = [f"differ: {', '.join(elsewhere)}"] if elsewhere else []
             if hash_only:
                 parts.append(f"differ only in the # config_hash= line: {', '.join(hash_only)}")
-            print(f"seed {seed}: " + ("; ".join(parts) or "identical"), flush=True)
+            print(f"seed {seed}: " + ("; ".join(parts) or "identical"))
+            for k in elsewhere:
+                print("\n".join(unified_diff(k, old.get(k), new.get(k))))
+            sys.stdout.flush()
     return 1 if any_differ else 0
 
 

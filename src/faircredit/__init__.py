@@ -10,7 +10,6 @@ metrics are included, along with a command line front end (``faircredit``).
 """
 
 from .dataset import (
-    CovariateSpec,
     Dataset,
     PreprocessConfig,
     RawRecord,
@@ -81,7 +80,6 @@ __all__ = [
     "Chain",
     "ComparisonReport",
     "ConfigError",
-    "CovariateSpec",
     "DataError",
     "Dataset",
     "DegenerateSeriesError",

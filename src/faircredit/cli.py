@@ -47,7 +47,7 @@ from .diagnostics import (
 from .errors import ConfigError, FairCreditError, RateCapError, UserError
 from .evaluation import compare_models, covariance_matrix, matrix_to_csv_text
 from .predictors import ForestConfig, fit_fair, fit_full, fit_unaware, save_fair_model
-from .probmodel import HEAD_TERMS, ModelConfig, ModelParams, PARAM_NAMES
+from .probmodel import LATENT_SLOPES, ModelConfig, ModelParams, PARAM_NAMES
 from .sampler import Chain, SamplerConfig, export_chain, read_param_chain_csv, run_chain
 from .util import (
     atomic_write_text,
@@ -76,7 +76,6 @@ DEFAULTS: dict[str, str] = {
     **config_items(ModelConfig(), "model."),
     **config_items(SamplerConfig(), "sampler."),
     **config_items(ForestConfig(), "forest."),
-    "fair.leaky": "false",
     "eval.age_mode": "mirror",
     "eval.age_years": "10.0",
     "out.dir": "out",
@@ -120,7 +119,6 @@ def resolve_config(
     preset: str | None,
     seed: int | None,
     out_dir: str | None,
-    leaky_fair: bool,
 ) -> dict[str, str]:
     cfg = dict(DEFAULTS)
     if preset is not None:
@@ -158,8 +156,6 @@ def resolve_config(
         )
     if out_dir is not None:
         cfg["out.dir"] = out_dir
-    if leaky_fair:
-        cfg["fair.leaky"] = "true"
     return cfg
 
 
@@ -234,7 +230,8 @@ def _latent_columns(n: int, want: int) -> tuple[int, ...]:
     """Evenly spaced latent indices for export, at most `want` of them."""
     if n <= want:
         return tuple(range(n))
-    return tuple(np.unique(np.round(np.linspace(0, n - 1, want)).astype(int)).tolist())
+    # the points lie more than 1 apart, so rounding keeps them distinct
+    return tuple(np.round(np.linspace(0, n - 1, want)).astype(int).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +432,6 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     sc = build_sampler_config(cfg)
     fc = build_forest_config(cfg)
     age_mode = _get_choice(cfg, "eval.age_mode", ("mirror", "shift"))
-    leaky_headline = _get(cfg, "fair.leaky", bool)
     train, test = _load_splits(cfg, header)
     report = compare_models(
         train,
@@ -446,7 +442,6 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         fc,
         age_mode=age_mode,
         age_years=_get(cfg, "eval.age_years", float),
-        leaky_headline=leaky_headline,
     )
     path = os.path.join(cfg["out.dir"], "compare.csv")
     atomic_write_text(path, report.to_csv_text(header))
@@ -483,9 +478,8 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     # the posterior is unchanged by c -> -c with every latent slope negated, so
     # the errors are those of the medians in the orientation the chain found
     orientation = -1 if corr < 0.0 else 1
-    slopes = [pos for terms in HEAD_TERMS for pos, column in terms if column == "c"]
     oriented = medians.copy()
-    oriented[slopes] *= orientation
+    oriented[list(LATENT_SLOPES)] *= orientation
     errors = np.abs(oriented - truth_vec)
 
     lines = [f"# {h}" for h in header]
@@ -520,11 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--preset", choices=sorted(PRESETS), help="named config bundle applied before --config"
     )
-    common.add_argument(
-        "--leaky-fair",
-        action="store_true",
-        help="headline the paper-protocol fair test score (test latents see credit)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="faircredit",
@@ -543,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args.config, args.preset, args.seed, args.out, args.leaky_fair)
+        cfg = resolve_config(args.config, args.preset, args.seed, args.out)
         header = (f"config_hash={config_hash(cfg)}",)
         _write_resolved_config(cfg, header)
         if args.command == "ingest":

@@ -8,7 +8,8 @@ maps these onto the binary/standardized features the model consumes.
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, replace as _dc_replace
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +28,15 @@ DEFAULT_COLUMN_CANDIDATES: dict[str, tuple[str, ...]] = {
 }
 
 AGE_MIN, AGE_MAX = 18, 120
+
+# lowercased sex labels and their codes; preprocess rejects any other label
+SEX_CODES = {"female": 0, "male": 1}
+
+# marginals of the exogenous covariates of synthetic data: P(sex = 1), and
+# ages drawn normal, rounded to whole years and clipped to the range
+SYNTH_SEX_P = 0.69
+SYNTH_AGE_MEAN, SYNTH_AGE_SD = 35.5, 11.0
+SYNTH_AGE_MIN, SYNTH_AGE_MAX = 19, 75
 
 
 @dataclass(frozen=True)
@@ -121,13 +131,12 @@ class Dataset:
 class PreprocessConfig:
     """How raw labels become model features.
 
-    sex_codes maps lowercased sex labels to {0,1}; labels outside the map are
-    rejected. job becomes 1 when the ordinal level is >= job_threshold. house
-    becomes 1 exactly when the housing label equals own_label. Age is always
-    standardized, by the mean and n-1 sd of the records' years.
+    Sex labels are coded by SEX_CODES. job becomes 1 when the ordinal level
+    is >= job_threshold. house becomes 1 exactly when the housing label
+    equals own_label. Age is always standardized, by the mean and n-1 sd of
+    the records' years.
     """
 
-    sex_codes: dict[str, int] = field(default_factory=lambda: {"female": 0, "male": 1})
     job_threshold: int = 1
     own_label: str = "own"
 
@@ -221,12 +230,11 @@ def preprocess(records: Sequence[RawRecord], config: PreprocessConfig = DEFAULT_
     sex = np.empty(len(records), dtype=np.int64)
     for i, rec in enumerate(records):
         label = rec.sex.strip().lower()
-        if label not in config.sex_codes:
+        if label not in SEX_CODES:
             raise DataError(
-                f"row {i + 1}: unknown sex label {rec.sex!r} "
-                f"(known: {sorted(config.sex_codes)})"
+                f"row {i + 1}: unknown sex label {rec.sex!r} (known: {sorted(SEX_CODES)})"
             )
-        sex[i] = int(config.sex_codes[label])
+        sex[i] = SEX_CODES[label]
     ages = np.array([rec.age for rec in records], dtype=float)
     job = np.array([1 if rec.job >= config.job_threshold else 0 for rec in records], dtype=np.int64)
     own = config.own_label.strip().lower()
@@ -275,32 +283,19 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     )
 
 
-@dataclass(frozen=True)
-class CovariateSpec:
-    """Marginals for the exogenous covariates of synthetic data."""
-
-    sex_p: float = 0.69
-    age_mean: float = 35.5
-    age_sd: float = 11.0
-    age_min: int = 19
-    age_max: int = 75
-
-
-DEFAULT_COVARIATES = CovariateSpec()
-
-
 def generate_synthetic(
     params: probmodel.ModelParams,
     n: int,
     seed: int,
-    covariate_spec: CovariateSpec = DEFAULT_COVARIATES,
     rate_cap: float = 1e7,
 ) -> tuple[Dataset, np.ndarray]:
     """Draw a dataset from the generative model. Returns (dataset, true latents).
 
-    Draw order is fixed (sex, age, latents, job, house, credit) so results are
-    reproducible for a given seed. The credit head includes params.b_c when it
-    is set. Poisson draws of 0 are clamped to the credit floor of 1; with
+    Covariates follow the SYNTH_* marginals. Draw order is fixed (sex, age,
+    latents, job, house, credit) so results are reproducible for a given
+    seed. Each head's linear predictor is probmodel's, its terms added in
+    HEAD_TERMS order; the credit head includes params.b_c when it is set.
+    Poisson draws of 0 are clamped to the credit floor of 1; with
     realistic rates the clamp never fires. A rate above rate_cap raises
     RateCapError.
     """
@@ -310,23 +305,22 @@ def generate_synthetic(
         raise ConfigError(f"synthetic seed must be a non-negative integer, got {seed}")
     params.validate()
     rng = np.random.default_rng(seed)
-    sex = (rng.random(n) < covariate_spec.sex_p).astype(np.int64)
+    sex = (rng.random(n) < SYNTH_SEX_P).astype(np.int64)
     ages = np.clip(
-        np.rint(rng.normal(covariate_spec.age_mean, covariate_spec.age_sd, size=n)),
-        covariate_spec.age_min,
-        covariate_spec.age_max,
+        np.rint(rng.normal(SYNTH_AGE_MEAN, SYNTH_AGE_SD, size=n)), SYNTH_AGE_MIN, SYNTH_AGE_MAX
     )
     c = rng.standard_normal(n)
     age_std, standardization = _standardized(ages, "the synthetic data")
 
-    p_job = _sigmoid_vec(params.b_j + sex * params.beta_j_s + age_std * params.beta_j_a + c * params.beta_j_c)
+    vec = params.to_vector(include_credit_intercept=params.b_c is not None)
+    # the linear predictors read no column of the design but sex and age
+    columns = SimpleNamespace(sex=sex, age=age_std)
+    p_job = _sigmoid_vec(probmodel._linear_predictor(probmodel.HEAD_JOB, vec, c, columns))
     job = (rng.random(n) < p_job).astype(np.int64)
-    p_house = _sigmoid_vec(params.b_h + sex * params.beta_h_s + age_std * params.beta_h_a + c * params.beta_h_c)
+    p_house = _sigmoid_vec(probmodel._linear_predictor(probmodel.HEAD_HOUSE, vec, c, columns))
     house = (rng.random(n) < p_house).astype(np.int64)
 
-    lin = sex * params.beta_c_s + age_std * params.beta_c_a + c * params.beta_c_c
-    if params.b_c is not None:
-        lin = lin + params.b_c
+    lin = probmodel.credit_linear(vec, c, columns)
     over = lin > math.log(rate_cap)
     if np.any(over):
         raise RateCapError(float(lin[np.nonzero(over)[0][0]]), rate_cap)

@@ -196,6 +196,23 @@ def _ess_of_normalized(z: np.ndarray) -> float:
     return float(min(n / tau, n))
 
 
+def _quantiles(x: np.ndarray, probs: tuple[float, ...]) -> list[float]:
+    """Type-7 quantiles of x at each p < 1 in probs, from one sort, bit for
+    bit those of np.quantile's default method: with h = (n - 1) p, a and b
+    the sorted values at floor(h) and the next, and t = h - floor(h), numpy's
+    _lerp takes a + (b - a) t, or b - (b - a) (1 - t) where t >= 0.5. Not by
+    np.quantile, which imports numpy.ma (several ms)."""
+    xs = np.sort(x).tolist()
+    out = []
+    for p in probs:
+        h = (len(xs) - 1) * p
+        lo = math.floor(h)
+        t = h - lo
+        a, b = xs[lo], xs[lo + 1]
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))
+    return out
+
+
 def ess_tail(series) -> float:
     """min ESS over the 5% and 95% quantile indicator series.
 
@@ -205,7 +222,7 @@ def ess_tail(series) -> float:
     x = _as_series(series, min_len=4)
     if np.all(x == x[0]):
         raise DegenerateSeriesError("constant series: ESS undefined")
-    q05, q95 = np.quantile(x, [0.05, 0.95])
+    q05, q95 = _quantiles(x, (0.05, 0.95))
     out = []
     for q in (q05, q95):
         below = x <= q
@@ -237,7 +254,7 @@ def summarize_series(name: str, x: np.ndarray) -> SummaryRow:
             name=name, std=0.0, q05=v, median=v, q95=v,
             ess_bulk=bulk, ess_tail=math.nan, degenerate=True,
         )
-    q05, med, q95 = np.quantile(x, [0.05, 0.5, 0.95])
+    q05, med, q95 = _quantiles(x, (0.05, 0.5, 0.95))
     tail = math.nan
     if not math.isnan(bulk):
         try:
@@ -247,9 +264,9 @@ def summarize_series(name: str, x: np.ndarray) -> SummaryRow:
     return SummaryRow(
         name=name,
         std=float(np.std(x, ddof=1)),
-        q05=float(q05),
-        median=float(med),
-        q95=float(q95),
+        q05=q05,
+        median=med,
+        q95=q95,
         ess_bulk=bulk,
         ess_tail=tail,
         degenerate=math.isnan(bulk),

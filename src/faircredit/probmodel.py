@@ -215,6 +215,8 @@ HEAD_TERMS = (
     ((4, "one"), (5, "sex"), (6, "age"), (7, "c")),
     ((8, "sex"), (9, "age"), (10, "c"), (11, "one")),
 )
+# each head's latent coefficient's parameter position, in head order
+LATENT_SLOPES = tuple(pos for terms in HEAD_TERMS for pos, column in terms if column == "c")
 
 
 def _active_terms(head: int, n_params: int) -> tuple[tuple[int, str], ...]:
@@ -324,11 +326,11 @@ def _head_slopes(
     if head != HEAD_CREDIT:
         nz = _negated_logit(head, vec, c, design)
         t = np.exp(-np.abs(nz))
-        k = vec[4 * head + 3]
+        k = vec[LATENT_SLOPES[head]]
         sig_neg = np.where(nz < 0.0, t, 1.0) / (1.0 + t)
         return (-k * _outcome_nsign(head, design)) * sig_neg, -(k * k) * t / ((1.0 + t) * (1.0 + t))
     rate = np.exp(credit_linear(vec, c, design))
-    k = vec[10]
+    k = vec[LATENT_SLOPES[HEAD_CREDIT]]
     return k * (design.counts - rate), -(k * k) * rate
 
 

@@ -165,8 +165,6 @@ class Chain:
     config: SamplerConfig
     model_config: ModelConfig
     n_likelihood_errors: int = 0
-    final_delta: float = 0.0
-    final_param_step: float = 0.0
 
     def n_draws(self) -> int:
         return int(self.param_draws.shape[0])
@@ -427,8 +425,6 @@ def run_chain(
         config=cfg,
         model_config=model_config,
         n_likelihood_errors=err_steps,
-        final_delta=delta,
-        final_param_step=step,
     )
 
 
@@ -446,7 +442,7 @@ def _latent_domain(
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
     if not include_credit:
         return lo, hi
-    k = float(vec[10])
+    k = float(vec[probmodel.LATENT_SLOPES[HEAD_CREDIT]])
     base = probmodel.credit_linear(vec, np.zeros(n), design)
     if k == 0.0:
         if np.any(base > design.cap_log):

@@ -206,7 +206,7 @@ def test_criterion_4_real_data_score_bands(report, german_splits):
         f"real-data bands: full train R2 {full_tr:.3f} in [0.45, 0.75] and > "
         f"unaware {unaware_tr:.3f} in [0.30, 0.60]; fair train R2 {fair_tr:.3f} > "
         f"unaware; both leak protocols reported "
-        f"(honest {rep.fair_test_r2_honest:.3f}, leaky {rep.fair_test_r2_leaky:.3f})",
+        f"(honest {m['fair']['test_r2']:.3f}, leaky {rep.fair_test_r2_leaky:.3f})",
     )
 
 

@@ -109,7 +109,7 @@ def workspace(tmp_path_factory):
 
 
 def expected_hash(workspace) -> str:
-    cfg = resolve_config(str(workspace["config"]), None, None, None, False)
+    cfg = resolve_config(str(workspace["config"]), None, None, None)
     return config_hash(cfg)
 
 
@@ -122,7 +122,7 @@ def first_line(path) -> str:
 
 
 def test_resolve_defaults_untouched():
-    cfg = resolve_config(None, None, None, None, False)
+    cfg = resolve_config(None, None, None, None)
     assert cfg == DEFAULTS
     assert cfg is not DEFAULTS
 
@@ -133,7 +133,7 @@ def test_resolve_preset_then_file_then_flags(tmp_path):
         "sampler.iterations = 123\nsampler.adapt_during_burn_in = true\n",
         encoding="utf-8",
     )
-    cfg = resolve_config(str(config), "paper", 77, str(tmp_path / "o"), True)
+    cfg = resolve_config(str(config), "paper", 77, str(tmp_path / "o"))
     # preset applied first
     assert cfg["model.include_credit_intercept"] == "false"
     assert cfg["sampler.delta"] == "0.5"
@@ -146,7 +146,6 @@ def test_resolve_preset_then_file_then_flags(tmp_path):
     assert cfg["forest.seed"] == "77"
     assert cfg["synth.seed"] == "77"
     assert cfg["out.dir"] == str(tmp_path / "o")
-    assert cfg["fair.leaky"] == "true"
 
 
 def test_resolve_preset_keys_are_known():
@@ -159,17 +158,17 @@ def test_resolve_unknown_config_key(tmp_path):
     config = tmp_path / "c.kv"
     config.write_text("sampler.iterationz = 5\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown config keys.*sampler.iterationz"):
-        resolve_config(str(config), None, None, None, False)
+        resolve_config(str(config), None, None, None)
 
 
 def test_resolve_unknown_preset():
     with pytest.raises(ConfigError, match="unknown preset"):
-        resolve_config(None, "bogus", None, None, False)
+        resolve_config(None, "bogus", None, None)
 
 
 def test_resolve_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
-        resolve_config(str(tmp_path / "nope.kv"), None, None, None, False)
+        resolve_config(str(tmp_path / "nope.kv"), None, None, None)
 
 
 def test_config_hash_stable_and_order_free():
@@ -192,7 +191,7 @@ def typed_fields(config) -> dict:
 def test_default_config_is_pinned():
     # every output file's header records this hash, so a changed default
     # key or value changes every output
-    assert config_hash(DEFAULTS) == "4cebc9e91987de7d"
+    assert config_hash(DEFAULTS) == "251d068a29d83ea8"
     assert typed_fields(cli.build_model_config(DEFAULTS)) == typed_fields(ModelConfig())
     assert typed_fields(cli.build_sampler_config(DEFAULTS)) == typed_fields(SamplerConfig())
     assert typed_fields(cli.build_forest_config(DEFAULTS)) == typed_fields(ForestConfig())
@@ -205,7 +204,7 @@ def test_config_file_values_arrive_typed(tmp_path):
         "model.include_credit_intercept = yes\nmodel.credit_scale = 2\nforest.min_leaf = 3\n",
         encoding="utf-8",
     )
-    cfg = resolve_config(str(config), None, None, None, False)
+    cfg = resolve_config(str(config), None, None, None)
     for built, want in (
         (cli.build_model_config(cfg), ModelConfig(include_credit_intercept=True, credit_scale=2.0)),
         (cli.build_sampler_config(cfg), SamplerConfig(delta=0.25, iterations=6000)),
@@ -241,7 +240,7 @@ def test_ingest_outputs(workspace):
 def test_resolved_config_recorded(workspace):
     text = (workspace["out"] / "config.kv").read_text(encoding="utf-8")
     stored = parse_kv_text(text, where="config.kv")
-    assert stored == resolve_config(str(workspace["config"]), None, None, None, False)
+    assert stored == resolve_config(str(workspace["config"]), None, None, None)
 
 
 def test_fit_linear_models(workspace):
@@ -352,6 +351,8 @@ def test_every_command_runs_without_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0, out.stderr
+    # the first command ingests into the fresh out dir
+    assert "(auto-ingested 40 rows" in out.stdout
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"
 
 
@@ -415,25 +416,21 @@ def test_compare_rerun_is_byte_identical(workspace):
     assert path.read_bytes() == before
 
 
-def test_compare_leaky_flag(workspace, tmp_path):
-    out2 = tmp_path / "leaky_out"
-    res = run_cli(
-        [
-            "compare",
-            "--config",
-            str(workspace["config"]),
-            "--out",
-            str(out2),
-            "--leaky-fair",
-        ]
-    )
-    assert res.code == 0
-    assert "(auto-ingested 40 rows" in res.out
-    stored = parse_kv_text(
-        (out2 / "config.kv").read_text(encoding="utf-8"), where="config.kv"
-    )
-    assert stored["fair.leaky"] == "true"
-    assert "fair_test_r2_leaky=" in (out2 / "compare.csv").read_text(encoding="utf-8")
+def test_compare_refuses_the_leaky_switch(workspace, tmp_path, capsys):
+    # the fair test_r2 cell is always the honest score; neither the flag nor
+    # the key that once put the leaky one there exists
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", str(workspace["config"]), "--out", str(out), "--leaky-fair"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --leaky-fair" in capsys.readouterr().err
+    config = tmp_path / "leaky.kv"
+    config.write_text(workspace["config"].read_text(encoding="utf-8") + "fair.leaky = true\n",
+                      encoding="utf-8")
+    res = run_cli(["compare", "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err == f"error: {config}: unknown config keys: fair.leaky\n"
+    assert not out.exists()
 
 
 def test_synth_outputs(workspace):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from faircredit.dataset import (
-    CovariateSpec,
+    SYNTH_AGE_MAX,
+    SYNTH_AGE_MIN,
     Dataset,
     PreprocessConfig,
     RawRecord,
@@ -276,11 +277,10 @@ def test_generate_synthetic_shapes_and_ranges(modest_params):
     ds, c = generate_synthetic(modest_params, 300, seed=1)
     ds.validate()
     assert len(ds) == 300 and c.shape == (300,)
-    spec = CovariateSpec()
     mu, sd = ds.standardization
     ages = ds.age_std * sd + mu
     assert ages == pytest.approx(np.rint(ages), abs=1e-9)
-    assert ages.min() >= spec.age_min - 1e-9 and ages.max() <= spec.age_max + 1e-9
+    assert ages.min() >= SYNTH_AGE_MIN - 1e-9 and ages.max() <= SYNTH_AGE_MAX + 1e-9
     assert ds.credit.min() >= 1
 
 
