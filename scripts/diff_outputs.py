@@ -23,12 +23,16 @@ the age shift there. `fit --model fair` runs twice more, with
 `out.latent_columns = 0` and with `out.latent_columns = 800` (every training
 row), each into its own --out path, so that both edges of the chain export
 are compared: rows of the draw index alone, with no trailing comma, and the
-widest latents.csv. Last, `synth` runs with two configs it refuses
-(`sampler.delta = abc`, `model.poisson_rate_cap = x`) into one more, so that
-their error messages and exit codes are compared;
-synth reads every config it needs before any work, in both trees. Every
-file under the --out paths is compared, bytes and permission bits
-(st_mode & 0o777), and so are each command's stdout, stderr and exit code.
+widest latents.csv. Last come the refused runs, so that their error
+messages and exit codes are compared. `synth` runs with two configs it
+refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`) into one more
+--out path; synth reads every config it needs before any work, in both
+trees. Then `fit --model fair` and `diagnose` run into another, each with a
+file where it makes its subdirectory (BLOCKERS: `model_fair`, `plots`),
+written just before it runs; diagnose reads the chain that the refused fit
+wrote before it reached model_fair/. Every file under the --out paths is
+compared, bytes and permission bits (st_mode & 0o777), and so are each
+command's stdout, stderr and exit code.
 Prints `seed N: identical`, or the outputs that differ in two lists: those
 that differ anywhere but a first `# config_hash=` line, and those that
 differ only there (a changed default config changes every output's hash).
@@ -70,7 +74,12 @@ COMMANDS = (
      ["fit", "--model", "fair", "--config", "{work}/latents_all.kv"]),
     ("synth bad delta", "out_refused", ["synth", "--config", "{work}/bad_delta.kv"]),
     ("synth bad rate cap", "out_refused", ["synth", "--config", "{work}/bad_rate_cap.kv"]),
+    ("fit fair blocked model dir", "out_blocked", ["fit", "--model", "fair"]),
+    ("diagnose blocked plot dir", "out_blocked", ["diagnose"]),
 )
+# the file each of these commands finds where it makes a subdirectory of
+# its --out path
+BLOCKERS = {"fit fair blocked model dir": "model_fair", "diagnose blocked plot dir": "plots"}
 DIFF_LINES = 20  # lines of each output's unified diff that are printed
 
 CONFIGS = {
@@ -94,6 +103,10 @@ def run_tree(src: str, seed: int, work: str) -> dict[str, bytes]:
         argv = [sys.executable, "-m", "faircredit.cli"]
         argv += [a.format(work=work) for a in args]
         argv += ["--seed", str(seed), "--out", os.path.join(work, out)]
+        if name in BLOCKERS:
+            os.makedirs(os.path.join(work, out), exist_ok=True)
+            with open(os.path.join(work, out, BLOCKERS[name]), "w", encoding="utf-8") as fh:
+                fh.write("kept\n")
         proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
         outputs[f"stdout of {name}"] = proc.stdout
         outputs[f"stderr of {name}"] = proc.stderr

@@ -69,8 +69,7 @@ DEFAULTS: dict[str, str] = {
     "column.job": "job",
     "column.housing": "housing",
     "column.credit": "credit amount",
-    "preprocess.job_threshold": "1",
-    "preprocess.own_label": "own",
+    **config_items(PreprocessConfig(), "preprocess."),
     "split.train_count": "800",
     "split.seed": "0",
     **config_items(ModelConfig(), "model."),
@@ -203,10 +202,7 @@ def build_forest_config(cfg: dict[str, str]) -> ForestConfig:
 
 
 def build_preprocess_config(cfg: dict[str, str]) -> PreprocessConfig:
-    return PreprocessConfig(
-        job_threshold=_get(cfg, "preprocess.job_threshold", int),
-        own_label=cfg["preprocess.own_label"],
-    )
+    return config_from_items(PreprocessConfig, cfg, "preprocess.")
 
 
 def _column_map(cfg: dict[str, str]) -> dict[str, str] | None:
@@ -238,12 +234,7 @@ def _latent_columns(n: int, want: int) -> tuple[int, ...]:
 # commands
 
 def _write_resolved_config(cfg: dict[str, str], header: tuple[str, ...]) -> None:
-    out = cfg["out.dir"]
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
-        raise ConfigError(f"cannot create output directory {out!r}: {exc.strerror}") from None
-    path = os.path.join(out, "config.kv")
+    path = os.path.join(cfg["out.dir"], "config.kv")
     atomic_write_text(path, format_kv_text(dict(sorted(cfg.items())), header))
 
 

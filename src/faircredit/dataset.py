@@ -398,7 +398,11 @@ def read_processed_csv(path: str) -> Dataset:
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed data row: {exc}") from exc
     stdz = None
-    if len(moments) == 2:
+    if moments:
+        # one moment alone would leave split to keep age_std as it is
+        for key in ("age_mean", "age_sd"):
+            if key not in moments:
+                raise DataError(f"{path}: missing {key} comment beside the other age moment")
         stdz = Standardization(moments["age_mean"], moments["age_sd"])
     ds = Dataset(sex=sex, age_std=age_std, job=job, house=house, credit=credit, standardization=stdz)
     ds.validate()

@@ -33,7 +33,6 @@ class SummaryRow:
     q95: float
     ess_bulk: float
     ess_tail: float
-    degenerate: bool = False
 
 
 def _as_series(series, min_len: int = 2) -> np.ndarray:
@@ -236,9 +235,9 @@ def ess_tail(series) -> float:
 
 
 def ess_bulk_or_nan(series) -> float:
-    """ess_bulk, or NaN for a series summarize_series marks degenerate: a
-    constant one, or one of fewer than 4 draws, too short for an
-    autocorrelation-based ESS (flagged instead of guessed)."""
+    """ess_bulk, or NaN for a degenerate series: a constant one, or one of
+    fewer than 4 draws, too short for an autocorrelation-based ESS (flagged
+    instead of guessed)."""
     x = _as_series(series)
     if x.shape[0] < 4 or np.all(x == x[0]):
         return math.nan
@@ -252,7 +251,7 @@ def summarize_series(name: str, x: np.ndarray) -> SummaryRow:
         v = float(x[0])
         return SummaryRow(
             name=name, std=0.0, q05=v, median=v, q95=v,
-            ess_bulk=bulk, ess_tail=math.nan, degenerate=True,
+            ess_bulk=bulk, ess_tail=math.nan,
         )
     q05, med, q95 = _quantiles(x, (0.05, 0.5, 0.95))
     tail = math.nan
@@ -269,15 +268,13 @@ def summarize_series(name: str, x: np.ndarray) -> SummaryRow:
         q95=q95,
         ess_bulk=bulk,
         ess_tail=tail,
-        degenerate=math.isnan(bulk),
     )
 
 
 def summarize(chain: Chain) -> list[SummaryRow]:
     """One summary row per parameter, in chain order.
 
-    Constant series do not raise here; their rows are marked degenerate and
-    carry NaN ESS fields.
+    Degenerate series do not raise here; their rows carry NaN ESS fields.
     """
     draws = chain.param_draws
     return [summarize_series(name, draws[:, j]) for j, name in enumerate(chain.param_names)]
@@ -314,7 +311,6 @@ def export_plot_data(
     <name>_hist.csv (bin_left,count). Histogram counts sum to the draw count.
     A constant series gets an empty acf file marked degenerate.
     """
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     head = [f"# {h}" for h in header_lines]
     for name, raw in named_series:

@@ -14,12 +14,12 @@ evaluation of it. Its rows come from _softplus_rows or _credit_rows.
 A logistic row is log sigmoid(z) of the signed predictor z. The engine
 multiplies the linear predictor by the outcome's negated sign (Design's
 job_nsign and house_nsign), which gives nz = -z at no extra cost. One
-kernel, _softplus_rows, computes the softplus s = log1p(exp(nz)), minus the
-row: exp and log1p in place in nz's buffer. _head_rows subtracts it from
-0, which gives the row. HeadTerms keeps s itself for a logistic
-block, saving that pass: its totals are sum(s), which the sampler's ratio
-subtracts the other way round, and it subtracts s where it adds rows, all
-exact. The stable formula,
+kernel, _softplus_rows, the one site of a logistic block's exp and log1p,
+computes the softplus s = log1p(exp(nz)), minus the row: exp and log1p in
+place in nz's buffer. _head_rows subtracts it from 0, which gives the row.
+HeadTerms keeps s itself for a logistic block, saving that pass: its totals
+are sum(s), which the sampler's ratio subtracts the other way round, and it
+subtracts s where it adds rows, all exact. The stable formula,
 min(z, 0) - log1p(exp(-|z|)), takes six passes (abs, negative, exp, log1p,
 minimum, subtract) for the same two transcendental ones. Both are
 vectorized; np.logaddexp calls a scalar function per element and takes
@@ -29,17 +29,17 @@ exp(nz) overflows for z below about -709.78. There the row is z itself,
 which is what the stable formula rounds to, since exp(z) is far below half
 an ulp of z. So each row is a function of its own z alone, and a block's
 rows do not depend on which check found the overflow. One reduction over nz
-guards the exp, so no overflow warning is raised; a HeadTerms block skips
-it while a bound on its linear predictors, taken once a sweep, rules the
-overflow out.
+guards the exp, so no overflow warning is raised; a HeadTerms block passes
+bare to skip it while a bound on its linear predictors, taken once a sweep,
+rules the overflow out.
 
 head_log_likelihood evaluates one head from scratch (_head_rows) and returns
 its rows beside their sum. per_obs_log_likelihood adds the heads per
 observation. HeadTerms keeps a block of heads' terms, running sums and rows
 at one state, for the sampler: a proposal that moves one term recomputes
-that term and the sums after it, in one method per kind of proposal and in
-the same order, so its rows are bitwise head_log_likelihood's (a logistic
-block's once subtracted from 0). Arrays
+that term and the sums after it, in the same order, through the block's
+one evaluation path (HeadTerms._evaluate), so its rows are bitwise
+head_log_likelihood's (a logistic block's once subtracted from 0). Arrays
 of shape (n, m) evaluate m latent values per row through Design.columns(),
 and per_obs_latent_slopes gives each row's derivatives in c beside the
 heads (_head_slopes), so test-time inference (sampler.infer_latent) is an
@@ -259,17 +259,18 @@ def credit_linear(vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
 _EXP_SAFE = 709.78
 
 
-def _softplus_rows(nz: np.ndarray) -> np.ndarray:
+def _softplus_rows(nz: np.ndarray, bare: bool = False) -> np.ndarray:
     """log1p(exp(nz)) for nz = -z, the signed linear predictors negated,
     written over nz: minus the rows log sigmoid(z), and nz itself where
-    exp(nz) overflows.
+    exp(nz) overflows. The engine's only exp and log1p of a logistic block.
 
     The max of nz is the one reduction. When it is at most _EXP_SAFE, no exp
     can overflow, and the rows are two transcendental passes in nz's buffer,
     with nothing else allocated. Otherwise the array runs with the overflow
-    ignored, and the overflowed rows take nz. np.maximum.reduce costs a
-    Python call less than nz.max()."""
-    if np.maximum.reduce(nz, axis=None) <= _EXP_SAFE:
+    ignored, and the overflowed rows take nz. bare is the caller's licence
+    that no exp can overflow (HeadTerms.bound), which skips the reduction.
+    np.maximum.reduce costs a Python call less than nz.max()."""
+    if bare or np.maximum.reduce(nz, axis=None) <= _EXP_SAFE:
         np.exp(nz, out=nz)
         return np.log1p(nz, out=nz)
     with np.errstate(over="ignore"):
@@ -391,17 +392,18 @@ class HeadTerms:
     their running sums in HEAD_TERMS order, and their rows.
 
     The heads are evaluated together, as one (heads, n) block, so they must
-    share their columns, as the job and house heads do. Each kind of
-    proposal is one method that computes its term, the running sums after
-    it, the rows and the totals, adding the terms in _linear_predictor's
-    order, so its rows, totals and overflow count are bitwise those of
-    head_log_likelihood on the moved state. move (term k's coefficients) and
-    move_latent (the latent column) evaluate the moved block and hold it,
-    with its rows as moved_rows; accept_heads or accept_rows then takes it
-    into the kept state for the heads or the rows that accept it. Only those
-    two change the kept state: accept_rows copies the accepted rows into the
-    kept arrays in place, as accept_heads copies an accepted head's entries
-    when only some heads accept, and neither writes the held move. Each
+    share their columns, as the job and house heads do. The block is built,
+    and every proposal evaluated, by one path, _evaluate: it adds the moved
+    term to the running sum before it and the later terms after it, in
+    _linear_predictor's order, and turns the total into rows, so the rows,
+    totals and overflow count are bitwise those of head_log_likelihood on
+    the moved state. move (term k's coefficients) and move_latent (the
+    latent column) evaluate the moved block and hold it, with its rows as
+    moved_rows; accept_heads or accept_rows then takes it into the kept
+    state for the heads or the rows that accept it. Only those two change
+    the kept state: accept_rows copies the accepted rows into the kept
+    arrays in place, as accept_heads copies an accepted head's entries when
+    only some heads accept, and neither writes the held move. Each
     head's total, the sum of its kept rows, is summed by the first move
     after the rows change, so a block that no move reads in between is not
     summed.
@@ -418,8 +420,8 @@ class HeadTerms:
     Its rows hold s and its totals sum(s): bitwise minus the log-likelihood
     rows and totals, since negation is exact and rounding symmetric (0 - s
     is head_log_likelihood's rows). The reduction in _softplus_rows guards
-    exp unless bound has ruled the overflow out; then exp and log1p run
-    bare, to the same s, element by element.
+    exp unless bound has ruled the overflow out; then _evaluate passes bare,
+    and exp and log1p run unguarded, to the same s, element by element.
 
     The credit block also keeps its rates, the exp(lin) its rows subtract,
     from which step_bound bounds a coefficient move without making it.
@@ -441,14 +443,8 @@ class HeadTerms:
         self.spread = [1.0 if col is None else float(np.abs(col).max()) for col in self.columns]
         self.coefs = [vec[list(p)][:, None] for p in self.positions]
         self.terms = [coef if col is None else col * coef for col, coef in zip(self.columns, self.coefs)]
-        x, self.sums = self.terms[0], []
-        for t in self.terms[1:]:
-            self.sums.append(x)
-            x = x + t
-        if self.nsign is None:
-            self.rows, _, self.rates = _credit_rows(x, design)
-        else:
-            self.rows, self.rates = _softplus_rows(x * self.nsign), None
+        self.bare = False
+        self.sums, self.rows, _, self.rates = self._evaluate(0, self.terms[0])
         self._totals = None
         # the held move: its rows and rates, and a coefficient move's
         # (k, coef, term, sums, totals)
@@ -456,7 +452,6 @@ class HeadTerms:
         # bound's (heads, terms) parameter positions, and its spreads
         self._index = np.array(self.positions).T
         self._reach = np.array(self.spread)
-        self.bare = False
         if self.rates is not None:
             # step_bound's columns x_k (1 for the intercept) and their
             # squares; the latent row is refreshed with each state
@@ -484,6 +479,23 @@ class HeadTerms:
         self.bare = reach < _EXP_BARE
         return reach
 
+    def _evaluate(self, k: int, term: np.ndarray) -> tuple[list, np.ndarray, int, np.ndarray | None]:
+        """The block with term k set to term: its running sums from term k
+        on, its rows, how many rates are over the cap, and a credit block's
+        rates. term is added to the running sum before it, and the later
+        terms after it in HEAD_TERMS order, so the total is bitwise
+        _linear_predictor's. A logistic total is this call's own array,
+        which nz and the rows overwrite."""
+        x = term if k == 0 else self.sums[k - 1] + term
+        sums = []
+        for t in self.terms[k + 1:]:
+            sums.append(x)
+            x = x + t
+        if self.nsign is None:
+            return sums, *_credit_rows(x, self.design)
+        np.multiply(x, self.nsign, out=x)
+        return sums, _softplus_rows(x, self.bare), 0, None
+
     def move(self, k: int, coef: np.ndarray) -> tuple[list[float], list[float]]:
         """Each head's total with term k's coefficients set to coef, a
         (heads, 1) array, and each head's total at the kept state. A credit
@@ -492,21 +504,7 @@ class HeadTerms:
         accept_heads."""
         column = self.columns[k]
         term = coef if column is None else column * coef
-        x = term if k == 0 else self.sums[k - 1] + term
-        sums = []
-        for t in self.terms[k + 1:]:
-            sums.append(x)
-            x = x + t
-        if self.nsign is None:
-            rows, _, self._moved_rates = _credit_rows(x, self.design)
-        else:
-            # x is this move's own array, which nz and the rows overwrite
-            np.multiply(x, self.nsign, out=x)
-            if self.bare:
-                np.exp(x, out=x)
-                rows = np.log1p(x, out=x)
-            else:
-                rows = _softplus_rows(x)
+        sums, rows, _, self._moved_rates = self._evaluate(k, term)
         totals = np.add.reduce(rows, axis=1).tolist()
         if self._totals is None:
             self._totals = np.add.reduce(self.rows, axis=1).tolist()
@@ -537,20 +535,9 @@ class HeadTerms:
         """The rows with the latent scores set to c, and how many are over the
         rate cap. The moved block is held for accept_rows."""
         k = self.latent_term
-        x = self.sums[k - 1] + c * self.coefs[k]
-        for t in self.terms[k + 1:]:
-            x = x + t
+        _, self.moved_rows, n_over, self._moved_rates = self._evaluate(k, c * self.coefs[k])
         self._held = None
-        if self.nsign is None:
-            self.moved_rows, n_over, self._moved_rates = _credit_rows(x, self.design)
-            return self.moved_rows, n_over
-        np.multiply(x, self.nsign, out=x)
-        if self.bare:
-            np.exp(x, out=x)
-            self.moved_rows = np.log1p(x, out=x)
-        else:
-            self.moved_rows = _softplus_rows(x)
-        return self.moved_rows, 0
+        return self.moved_rows, n_over
 
     def accept_rows(self, accepted: np.ndarray, c: np.ndarray, c_max: float) -> None:
         """Keep the held latent move for the rows accepted selects, an index

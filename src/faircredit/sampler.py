@@ -3,22 +3,23 @@ exact test-time inference of latent scores under fixed parameters.
 
 Each sweep updates every parameter by a single-coordinate normal random walk,
 then every latent score by a uniform-window random walk, all accepted or
-rejected in log space against the joint posterior. The job and house heads
-share no parameter, so their coefficients are proposed in lockstep, as one
-(2, n) evaluation, and accepted or rejected each on its own. Each head block
-keeps its linear-predictor terms between proposals (probmodel.HeadTerms), so
-a proposal recomputes only the term it moves and the sums after it, in one
-call per proposal and one per accept; the sweep takes each step's
-coefficients out of its proposal vector as a strided view. The credit
-head's coefficient steps are accepted a few percent of the time, so each is
-first screened, in one call: an upper bound on its log ratio
-(HeadTerms.step_bound), which holds after rounding, below the log of its
-accept uniform rejects it unevaluated. The screen changes no accept
-decision. One bound per sweep on the logistic linear predictors
-(HeadTerms.bound), from the larger of each coefficient's current and
-proposed magnitude and from max |c| + delta, lets their exp run without
-the reduction that guards it against overflow; the rows are the same
-either way.
+rejected in log space against the joint posterior by one test: a step with
+log ratio r and accept uniform u accepts when log u < r, where log 0 is
+-inf. Since log u < 0, every r >= 0 accepts, and a nan or -inf r never
+does. The job and house heads share no parameter, so their coefficients are
+proposed in lockstep, as one (2, n) evaluation, and accepted or rejected
+each on its own. Each head block keeps its linear-predictor terms between
+proposals (probmodel.HeadTerms), so a proposal recomputes only the term it
+moves and the sums after it, in one call per proposal and one per accept;
+the sweep takes each step's coefficients out of its proposal vector as a
+strided view. The credit head's coefficient steps are accepted a few
+percent of the time, so each is first screened, in one call: an upper
+bound on its log ratio (HeadTerms.step_bound), which holds after rounding,
+below log u rejects it unevaluated. The screen changes no accept decision.
+One bound per sweep on the logistic linear predictors (HeadTerms.bound),
+from the larger of each coefficient's current and proposed magnitude and
+from max |c| + delta, lets their exp run without the reduction that guards
+it against overflow; the rows are the same either way.
 
 The latent phase proposes every latent score at once. Its per-sweep arrays
 (the proposals, their prior terms, the two log-likelihood sums, the log
@@ -291,7 +292,8 @@ def run_chain(
         # parameter phase: k proposal normals, then k accept uniforms. The
         # blocks may keep views of proposal, a new array every sweep
         proposal = theta + step * param_rng.standard_normal(k)
-        u = param_rng.random(k).tolist()
+        # each step's log u, log 0 = -inf: it accepts when log u < log r
+        param_log_u = [math.log(v) if v else -math.inf for v in param_rng.random(k).tolist()]
         olds, props = theta.tolist(), proposal.tolist()
         # every coefficient this sweep evaluates is the current or the
         # proposed one, and every latent score within delta of the kept
@@ -308,9 +310,7 @@ def run_chain(
                     ok = False
                 else:
                     old, new = olds[j], props[j]
-                    log_r = (cur_sum - new_sum) + 0.5 * (old * old - new * new)
-                    u_acc = u[j]
-                    ok = log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r)
+                    ok = param_log_u[j] < (cur_sum - new_sum) + 0.5 * (old * old - new * new)
                 if ok:
                     theta[j] = new
                     win_param_acc += 1
@@ -323,19 +323,18 @@ def run_chain(
                 continue
             # then the credit head's term
             view, (j,) = credit_steps[term]
-            old, new, u_acc = olds[j], props[j], u[j]
+            old, new = olds[j], props[j]
             prior_diff = 0.5 * (old * old - new * new)
             # the screen: step_bound plus the prior term is at least the
             # step's log ratio (rounded addition is monotone), so below
-            # log u_acc the step is rejected, unevaluated
-            if u_acc != 0.0 and credit.step_bound(term, new - old) + prior_diff < math.log(u_acc):
+            # log u the step is rejected, unevaluated
+            if credit.step_bound(term, new - old) + prior_diff < param_log_u[j]:
                 continue
             (new_sum,), (cur_sum,) = credit.move(term, proposal[view])
             if new_sum == -math.inf:  # a rate over the cap
                 err_steps += 1
                 continue
-            log_r = (new_sum - cur_sum) + prior_diff
-            if log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r):
+            if param_log_u[j] < (new_sum - cur_sum) + prior_diff:
                 theta[j] = new
                 win_param_acc += 1
                 if post:

@@ -132,9 +132,15 @@ def numbered_rows(values: np.ndarray) -> Iterator[str]:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place,
-    with the mode open(path, "w") gives a new file: 0o666 less the umask."""
+    with the mode open(path, "w") gives a new file: 0o666 less the umask.
+    The directory is made first; a ConfigError says when it cannot be."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(
+            f"cannot create output directory {os.path.dirname(path)!r}: {exc.strerror}"
+        ) from None
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -20,15 +20,16 @@ def mh_step_scalar(
     """One uniform-window random-walk step against an arbitrary scalar log target.
 
     Consumes exactly two uniforms: proposal then accept test. Returns
-    (new value, accepted, log acceptance ratio). A log ratio >= 0 always
-    accepts; a log_target of -inf at the proposal always rejects.
+    (new value, accepted, log acceptance ratio). The step accepts when
+    log u_acc < log ratio, with log 0 = -inf: since log u_acc < 0, a log
+    ratio >= 0 always accepts, and a log_target of -inf at the proposal
+    always rejects.
     """
     u_prop = rng.random()
     u_acc = rng.random()
     proposal = current + delta * (2.0 * u_prop - 1.0)
     log_r = log_target(proposal) - log_target(current)
-    if log_r >= 0.0:
-        return proposal, True, log_r
-    if u_acc > 0.0 and math.log(u_acc) < log_r:
+    log_u = math.log(u_acc) if u_acc else -math.inf
+    if log_u < log_r:
         return proposal, True, log_r
     return current, False, log_r

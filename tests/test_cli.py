@@ -545,6 +545,27 @@ def test_out_naming_a_file_exit_code(tmp_path, below):
     assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "command, blocked",
+    [(["fit", "--model", "fair"], "model_fair"), (["diagnose"], "plots")],
+    ids=("fit_fair", "diagnose"),
+)
+def test_blocked_output_subdirectory_exit_code(workspace, tmp_path, command, blocked):
+    # a file where the command makes its subdirectory is the user's mistake,
+    # refused like an out.dir that names a file; diagnose reads the chain in
+    # out.dir, which fit writes before its model_fair/
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "params.csv").write_bytes((workspace["out"] / "params.csv").read_bytes())
+    blocker = out / blocked
+    blocker.write_text("kept\n", encoding="utf-8")
+    res = run_cli([*command, "--config", str(workspace["config"]), "--out", str(out)])
+    assert res.code == 2
+    assert res.err.startswith(f"error: cannot create output directory {str(blocker)!r}: ")
+    assert res.err.count("\n") == 1
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_bad_config_key_exit_code(tmp_path):
     config = tmp_path / "c.kv"
     config.write_text("no.such.key = 1\n", encoding="utf-8")

@@ -349,6 +349,20 @@ def test_read_processed_csv_rejects_a_malformed_age_comment(tmp_path, tiny_datas
     assert str(err.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("kept, missing", [("age_mean", "age_sd"), ("age_sd", "age_mean")])
+def test_read_processed_csv_rejects_one_age_comment_alone(tmp_path, tiny_dataset, kept, missing):
+    # with one moment alone the dataset would carry no standardization, and
+    # split would keep its age_std as it is rather than re-standardize it
+    path = tmp_path / "processed.csv"
+    write_processed_csv(tiny_dataset, str(path))
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"# {missing}=")]
+    assert any(ln.startswith(f"# {kept}=") for ln in lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"missing {missing} comment") as err:
+        read_processed_csv(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_read_processed_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("sex,age_std,job\n0,0.0,1\n")

@@ -194,13 +194,12 @@ def test_summarize_series_fields_match_numpy():
     assert row.q05 == pytest.approx(float(np.quantile(x, 0.05)))
     assert row.median == pytest.approx(float(np.median(x)))
     assert row.q95 == pytest.approx(float(np.quantile(x, 0.95)))
-    assert not row.degenerate
+    assert not math.isnan(row.ess_bulk)
     assert row.ess_bulk == ess_bulk(x)
 
 
 def test_summarize_series_constant_flagged_degenerate():
     row = summarize_series("flat", np.full(50, 3.25))
-    assert row.degenerate
     assert row.std == 0.0
     assert row.q05 == row.median == row.q95 == 3.25
     assert math.isnan(row.ess_bulk) and math.isnan(row.ess_tail)
@@ -208,7 +207,6 @@ def test_summarize_series_constant_flagged_degenerate():
 
 def test_summarize_series_too_short_for_ess():
     row = summarize_series("short", np.array([1.0, 2.0, 4.0]))
-    assert row.degenerate
     assert math.isnan(row.ess_bulk)
     assert row.median == 2.0
 

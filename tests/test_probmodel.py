@@ -622,16 +622,17 @@ def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
 
 def test_head_terms_bound_switches_the_guard_without_changing_a_row(monkeypatch):
     # bound is the heads' largest sum of coefficient magnitudes times their
-    # columns' max |x|. Below _EXP_BARE a logistic block's moves run exp
-    # bare; above it they run the guarded kernel, _softplus_rows, whether
-    # or not a row overflows. Either way every row and total is bitwise
+    # columns' max |x|. Below _EXP_BARE a logistic block's moves run
+    # _softplus_rows bare; above it they run it guarded, whether or not a
+    # row overflows. Either way every row and total is bitwise
     # head_log_likelihood's
     guarded = []
     real = probmodel._softplus_rows
 
-    def counting(nz):
-        guarded.append(nz.ndim == 2)  # a block's, not head_log_likelihood's
-        return real(nz)
+    def counting(nz, bare=False):
+        if not bare:
+            guarded.append(nz.ndim == 2)  # a block's, not head_log_likelihood's
+        return real(nz, bare)
 
     monkeypatch.setattr(probmodel, "_softplus_rows", counting)
     heads = (HEAD_JOB, HEAD_HOUSE)

@@ -192,7 +192,8 @@ def reference_chain(data, model_config, cfg):
                 param_errors += 1
                 continue
             log_r = (new - current) + 0.5 * (old * old - proposal * proposal)
-            if log_r >= 0.0 or (u_acc > 0.0 and math.log(u_acc) < log_r):
+            log_u = math.log(u_acc) if u_acc else -math.inf
+            if log_u < log_r:
                 theta = moved
                 wp_acc += 1
                 if post:
@@ -323,17 +324,18 @@ def test_guarded_softplus_changes_no_draw(tiny_dataset, monkeypatch, model_confi
     # bound is below _EXP_BARE; a threshold of 0 forces the guarded kernel,
     # with its reduction, on every evaluation, and must give the same chain,
     # bit for bit
-    guarded = []
+    guarded, unguarded = [], []
     real = probmodel._softplus_rows
 
-    def counting(nz):
-        guarded.append(nz.shape)
-        return real(nz)
+    def counting(nz, bare=False):
+        (unguarded if bare else guarded).append(nz.shape)
+        return real(nz, bare)
 
     monkeypatch.setattr(probmodel, "_softplus_rows", counting)
     cols = range(len(tiny_dataset))
     bare = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
     assert len(guarded) == 1  # building the logistic block; every move ran bare
+    assert len(unguarded) == 5 * SCREEN_SAMPLER.iterations
     monkeypatch.setattr(probmodel, "_EXP_BARE", 0.0)
     full = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
     # the block again, then four coefficient moves and a latent move a sweep
