@@ -29,8 +29,8 @@ refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`) into one more
 --out path; synth reads every config it needs before any work, in both
 trees. Then `fit --model fair` and `diagnose` run into another, each with a
 file where it makes its subdirectory (BLOCKERS: `model_fair`, `plots`),
-written just before it runs; diagnose reads the chain that the refused fit
-wrote before it reached model_fair/. Every file under the --out paths is
+written just before it runs; the refused fit writes nothing, so diagnose is
+refused at plots/ before it reads any chain. Every file under the --out paths is
 compared, bytes and permission bits (st_mode & 0o777), and so are each
 command's stdout, stderr and exit code.
 Prints `seed N: identical`, or the outputs that differ in two lists: those

@@ -17,12 +17,18 @@ run_chain at the default sampler config with --seed on each:
                  n = 3200 with acceptance 3's truth (perfbench/checks.py),
                  synth seed --seed, the credit intercept on.
 
-Only run_chain is timed, by time.perf_counter. For each chain the script
-prints each tree's median and quartiles, the ratio of medians (new/old) and
-the rounds in which the new tree was faster, then one JSON line with every
-round's times. The chains must agree bit for bit: the exit code is 1, and a
-line says so, when the sha256 of param_draws and latent_mean differs between
-the trees in any round.
+Only run_chain is timed, by time.perf_counter, and the benchmark's speed
+probe (perfbench/run.py's SpeedProbe) runs in the subprocess around it: a
+thread on the same CPU that times a fixed loop of small numpy calls by its
+own CPU time. A chain's probe loops are its seconds divided by that loop's
+mean time during it, so they stay put when the host switches its CPU's
+speed, as raw seconds do not. For each chain the script prints each tree's
+median and quartiles of probe loops, with the median raw seconds beside
+them, the ratio of the loop medians (new/old) and the rounds in which the
+new tree took fewer loops, then one JSON line with every round's times.
+The chains must agree bit for bit: the exit code is 1, and a line says so,
+when the sha256 of param_draws and latent_mean differs between the trees in
+any round.
 """
 
 import argparse
@@ -44,6 +50,7 @@ def child(seed: int) -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from checks import SYNTH_N, SYNTH_TRUTH
+    from run import SpeedProbe
     from faircredit.dataset import SplitSpec, generate_synthetic, load_csv, preprocess, split
     from faircredit.probmodel import ModelConfig, ModelParams
     from faircredit.sampler import SamplerConfig, run_chain
@@ -58,11 +65,14 @@ def child(seed: int) -> None:
     result = {}
     for name in CHAINS:
         data, model_config = runs[name]
-        start = time.perf_counter()
-        chain = run_chain(data, model_config, SamplerConfig(seed=seed))
-        elapsed = time.perf_counter() - start
+        with SpeedProbe() as probe:
+            start = time.perf_counter()
+            chain = run_chain(data, model_config, SamplerConfig(seed=seed))
+            elapsed = time.perf_counter() - start
         digest = hashlib.sha256(chain.param_draws.tobytes() + chain.latent_mean.tobytes())
-        result[name] = {"s": elapsed, "sha256": digest.hexdigest()}
+        result[name] = {
+            "s": elapsed, "loops": elapsed / probe.mean_s(), "sha256": digest.hexdigest()
+        }
     print(json.dumps(result))
 
 
@@ -101,16 +111,20 @@ def main(argv=None) -> int:
         order = ("old", "new") if r % 2 == 0 else ("new", "old")
         rounds.append({side: run_side(trees[side], args.seed) for side in order})
         print(f"round {r + 1}: " + ", ".join(
-            f"{name} old {rounds[-1]['old'][name]['s']:.4f} s new {rounds[-1]['new'][name]['s']:.4f} s"
+            f"{name} " + " ".join(
+                f"{side} {rounds[-1][side][name]['loops']:.0f} loops "
+                f"({rounds[-1][side][name]['s']:.4f} s)" for side in trees)
             for name in CHAINS), flush=True)
     differ = False
     for name in CHAINS:
-        times = {side: [rd[side][name]["s"] for rd in rounds] for side in trees}
-        medians = {side: statistics.median(v) for side, v in times.items()}
+        loops = {side: [rd[side][name]["loops"] for rd in rounds] for side in trees}
+        medians = {side: statistics.median(v) for side, v in loops.items()}
         for side in trees:
-            lo, hi = quartiles(times[side]) if args.rounds > 1 else (medians[side],) * 2
-            print(f"{name} {side}: median {medians[side]:.4f} s, quartiles {lo:.4f}-{hi:.4f} s")
-        wins = sum(rd["new"][name]["s"] < rd["old"][name]["s"] for rd in rounds)
+            lo, hi = quartiles(loops[side]) if args.rounds > 1 else (medians[side],) * 2
+            seconds = statistics.median(rd[side][name]["s"] for rd in rounds)
+            print(f"{name} {side}: median {medians[side]:.0f} probe loops, "
+                  f"quartiles {lo:.0f}-{hi:.0f} (median {seconds:.4f} s)")
+        wins = sum(rd["new"][name]["loops"] < rd["old"][name]["loops"] for rd in rounds)
         print(f"{name}: ratio of medians new/old {medians['new'] / medians['old']:.4f}, "
               f"new faster in {wins} of {args.rounds} rounds")
         if any(rd["old"][name]["sha256"] != rd["new"][name]["sha256"] for rd in rounds):

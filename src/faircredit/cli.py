@@ -39,10 +39,10 @@ from .dataset import (
 from .diagnostics import (
     ess_bulk_or_nan,
     export_plot_data,
+    histogram_csv_text,
     summarize,
     summarize_series,
     summary_to_csv_text,
-    write_summary_csv,
 )
 from .errors import ConfigError, FairCreditError, RateCapError, UserError
 from .evaluation import compare_models, covariance_matrix, matrix_to_csv_text
@@ -54,8 +54,10 @@ from .util import (
     config_from_items,
     config_items,
     format_kv_text,
+    output_dir,
     parse_kv_text,
     parse_value,
+    read_text,
     sha256_hex,
 )
 
@@ -125,11 +127,7 @@ def resolve_config(
             raise ConfigError(f"unknown preset {preset!r} (have: {', '.join(sorted(PRESETS))})")
         cfg.update(PRESETS[preset])
     if config_path is not None:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+        text = read_text(config_path, ConfigError, "config ")
         fromfile = parse_kv_text(text, where=config_path)
         unknown = sorted(set(fromfile) - set(DEFAULTS))
         if unknown:
@@ -233,11 +231,6 @@ def _latent_columns(n: int, want: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # commands
 
-def _write_resolved_config(cfg: dict[str, str], header: tuple[str, ...]) -> None:
-    path = os.path.join(cfg["out.dir"], "config.kv")
-    atomic_write_text(path, format_kv_text(dict(sorted(cfg.items())), header))
-
-
 def _read_data(cfg: dict[str, str]) -> tuple[list[RawRecord], Dataset]:
     """The raw records of data.path and the dataset that column.* and
     preprocess.* make of them."""
@@ -260,18 +253,12 @@ def _ingest(
 ) -> None:
     """Write ingest's outputs. Each is computed, and the correlation check
     made, before the first is written, so a refused ingest writes none."""
-    comments = [f"# {h}" for h in header]
     texts = {}
     for name in ("sex", "age", "job", "housing"):
         pairs = sorted(Counter(getattr(r, name) for r in records).items())
-        lines = comments + ["value,count"] + [f"{v},{c}" for v, c in pairs]
-        texts[f"dist_{name}.csv"] = "\n".join(lines) + "\n"
+        texts[f"dist_{name}.csv"] = "value,count\n" + "".join(f"{v},{c}\n" for v, c in pairs)
     credit = np.array([r.credit_amount for r in records], dtype=float)
-    bins = _get(cfg, "out.bins", int)
-    hist, edges = np.histogram(credit, bins=bins)
-    lines = comments + ["bin_left,count"]
-    lines += [f"{float(edges[b])!r},{int(hist[b])}" for b in range(bins)]
-    texts["dist_credit.csv"] = "\n".join(lines) + "\n"
+    texts["dist_credit.csv"] = histogram_csv_text(credit, _get(cfg, "out.bins", int))
     names, cov = covariance_matrix(data, correlation=False)
     flat = [name for name, var in zip(names, np.diag(cov)) if var == 0.0]
     if flat:
@@ -280,14 +267,14 @@ def _ingest(
             f"column {flat[0]!r} is constant, so its correlation is undefined; "
             f"check config key {key} (= {cfg[key]!r})"
         )
-    texts["covariance.csv"] = matrix_to_csv_text(names, cov, header)
+    texts["covariance.csv"] = matrix_to_csv_text(names, cov)
     _, corr = covariance_matrix(data, correlation=True)
-    texts["correlation.csv"] = matrix_to_csv_text(names, corr, header)
+    texts["correlation.csv"] = matrix_to_csv_text(names, corr)
 
     out = cfg["out.dir"]
     write_processed_csv(data, os.path.join(out, "preprocessed.csv"), header)
     for name, text in texts.items():
-        atomic_write_text(os.path.join(out, name), text)
+        atomic_write_text(os.path.join(out, name), text, header)
 
 
 def cmd_ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
@@ -335,7 +322,7 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
         train, _ = _load_splits(cfg, header)
         fitted = fit_full(train) if model == "full" else fit_unaware(train)
         path = os.path.join(out, f"model_{model}.kv")
-        atomic_write_text(path, fitted.to_kv_text(header))
+        atomic_write_text(path, fitted.to_kv_text(), header)
         terms = ", ".join(
             f"{n}={b:.4g}" for n, b in zip(fitted.feature_names, fitted.coefficients)
         )
@@ -352,9 +339,9 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
         train, mc, sc,
         latent_columns=_latent_columns(len(train), _get(cfg, "out.latent_columns", int)),
     )
-    export_chain(chain, out, header_lines=header)
+    export_chain(chain, out, header)
     summary = summarize(chain)
-    write_summary_csv(summary, os.path.join(out, "summary.csv"), header)
+    atomic_write_text(os.path.join(out, "summary.csv"), summary_to_csv_text(summary), header)
     fair = fit_fair(train, chain, fc)
     save_fair_model(fair, os.path.join(out, "model_fair"), header)
 
@@ -404,16 +391,17 @@ def cmd_diagnose(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     chain_path = os.path.join(out, "params.csv")
     names, draws = read_param_chain_csv(chain_path)
     rows = [summarize_series(name, draws[:, j]) for j, name in enumerate(names)]
-    write_summary_csv(rows, os.path.join(out, "summary.csv"), header)
+    summary = summary_to_csv_text(rows)
+    atomic_write_text(os.path.join(out, "summary.csv"), summary, header)
     plot_dir = os.path.join(out, "plots")
     export_plot_data(
         [(name, draws[:, j]) for j, name in enumerate(names)],
         plot_dir,
         max_lag=min(_get(cfg, "out.max_lag", int), draws.shape[0] - 1),
         bins=_get(cfg, "out.bins", int),
-        header_lines=header,
+        header=header,
     )
-    sys.stdout.write(summary_to_csv_text(rows))
+    sys.stdout.write(summary)
     print(f"wrote {out}/summary.csv and {plot_dir}/ (trace, acf, hist per parameter)")
     return 0
 
@@ -435,7 +423,7 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         age_years=_get(cfg, "eval.age_years", float),
     )
     path = os.path.join(cfg["out.dir"], "compare.csv")
-    atomic_write_text(path, report.to_csv_text(header))
+    atomic_write_text(path, report.to_csv_text(), header)
     sys.stdout.write(report.to_text_table())
     print(f"wrote {path}")
     return 0
@@ -456,9 +444,8 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         ) from None
     out = cfg["out.dir"]
     write_processed_csv(data, os.path.join(out, "synthetic.csv"), header)
-    lines = [f"# {h}" for h in header] + ["index,c"]
-    lines += [f"{i},{v!r}" for i, v in enumerate(true_c.tolist())]
-    atomic_write_text(os.path.join(out, "true_latents.csv"), "\n".join(lines) + "\n")
+    lines = ["index,c"] + [f"{i},{v!r}" for i, v in enumerate(true_c.tolist())]
+    atomic_write_text(os.path.join(out, "true_latents.csv"), "\n".join(lines) + "\n", header)
 
     chain = run_chain(data, mc, sc)
     medians = chain.theta_median().to_vector(include_credit_intercept=mc.include_credit_intercept)
@@ -473,14 +460,15 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     oriented[list(LATENT_SLOPES)] *= orientation
     errors = np.abs(oriented - truth_vec)
 
-    lines = [f"# {h}" for h in header]
-    lines.append(f"# latent_corr={corr:.6g}")
-    lines.append(f"# latent_orientation={orientation:+d}")
-    lines.append("name,truth,median,abs_error")
+    lines = [
+        f"# latent_corr={corr:.6g}",
+        f"# latent_orientation={orientation:+d}",
+        "name,truth,median,abs_error",
+    ]
     for name, t, m, e in zip(chain.param_names, truth_vec, medians, errors):
         lines.append(f"{name},{t:.6g},{m:.6g},{e:.6g}")
     path = os.path.join(out, "recovery.csv")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n", header)
 
     print(f"synthetic run: n={len(data)}, {len(chain.param_names)} parameter errors reported")
     worst = int(np.argmax(errors))
@@ -525,7 +513,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = resolve_config(args.config, args.preset, args.seed, args.out)
         header = (f"config_hash={config_hash(cfg)}",)
-        _write_resolved_config(cfg, header)
+        # a file where the command makes its subdirectory is refused before any write
+        if args.command == "fit" and args.model == "fair":
+            output_dir(os.path.join(cfg["out.dir"], "model_fair"), create=False)
+        if args.command == "diagnose":
+            output_dir(os.path.join(cfg["out.dir"], "plots"), create=False)
+        config_text = format_kv_text(dict(sorted(cfg.items())))
+        atomic_write_text(os.path.join(cfg["out.dir"], "config.kv"), config_text, header)
         if args.command == "ingest":
             return cmd_ingest(cfg, header)
         if args.command == "fit":

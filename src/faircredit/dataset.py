@@ -16,7 +16,7 @@ import numpy as np
 
 from . import probmodel
 from .errors import ConfigError, DataError, RateCapError
-from .util import atomic_write_text
+from .util import atomic_write_text, read_text
 
 # candidate header spellings accepted out of the box (lowercased)
 DEFAULT_COLUMN_CANDIDATES: dict[str, tuple[str, ...]] = {
@@ -180,12 +180,7 @@ def load_csv(path: str, column_map: dict[str, str] | None = None) -> list[RawRec
     column_map overrides individual header names, e.g. {"credit": "Kredit"}.
     Errors name the offending row and column.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    lines = [ln for ln in read_text(path).splitlines() if not ln.startswith("#")]
     reader = csv.reader(io.StringIO("\n".join(lines)))
     rows = list(reader)
     if not rows:
@@ -346,9 +341,10 @@ def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
 PROCESSED_COLUMNS = ("sex", "age_std", "job", "house", "credit")
 
 
-def write_processed_csv(data: Dataset, path: str, header_lines: tuple[str, ...] = ()) -> None:
-    """Export the processed dataset. Standardization rides along as comments."""
-    lines = [f"# {h}" for h in header_lines]
+def write_processed_csv(data: Dataset, path: str, header: tuple[str, ...] = ()) -> None:
+    """Export the processed dataset, after the header lines. Standardization
+    rides along as comments."""
+    lines = []
     if data.standardization is not None:
         lines.append(f"# age_mean={data.standardization.age_mean!r}")
         lines.append(f"# age_sd={data.standardization.age_std!r}")
@@ -361,19 +357,14 @@ def write_processed_csv(data: Dataset, path: str, header_lines: tuple[str, ...] 
     lines += [
         f"{s},{a!r},{j},{h},{c}" for s, a, j, h, c in zip(sex, age, job, house, credit)
     ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n", header)
 
 
 def read_processed_csv(path: str) -> Dataset:
     """Read a dataset written by write_processed_csv."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     moments: dict[str, float] = {}
     rows: list[str] = []
-    for ln in raw.splitlines():
+    for ln in read_text(path).splitlines():
         if ln.startswith("#"):
             key, _, value = ln[1:].strip().partition("=")
             if key in ("age_mean", "age_sd"):

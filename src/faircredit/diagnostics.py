@@ -280,10 +280,9 @@ def summarize(chain: Chain) -> list[SummaryRow]:
     return [summarize_series(name, draws[:, j]) for j, name in enumerate(chain.param_names)]
 
 
-def summary_to_csv_text(rows: Sequence[SummaryRow], header_lines: tuple[str, ...] = ()) -> str:
+def summary_to_csv_text(rows: Sequence[SummaryRow]) -> str:
     """CSV with 6 significant digits per value."""
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(",".join(SUMMARY_COLUMNS))
+    lines = [",".join(SUMMARY_COLUMNS)]
     for r in rows:
         lines.append(
             f"{r.name},{r.std:.6g},{r.q05:.6g},{r.median:.6g},{r.q95:.6g},"
@@ -292,10 +291,16 @@ def summary_to_csv_text(rows: Sequence[SummaryRow], header_lines: tuple[str, ...
     return "\n".join(lines) + "\n"
 
 
-def write_summary_csv(
-    rows: Sequence[SummaryRow], path: str, header_lines: tuple[str, ...] = ()
-) -> None:
-    atomic_write_text(path, summary_to_csv_text(rows, header_lines))
+def histogram_csv_text(x: np.ndarray, bins: int) -> str:
+    """CSV `bin_left,count` of x's histogram: bins equal bins over [min(x),
+    max(x)], or for a constant x one row holding every value."""
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if lo == hi:
+        return f"bin_left,count\n{lo!r},{len(x)}\n"
+    counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
+    return "bin_left,count\n" + "".join(
+        f"{float(edges[b])!r},{int(counts[b])}\n" for b in range(bins)
+    )
 
 
 def export_plot_data(
@@ -303,45 +308,38 @@ def export_plot_data(
     out_dir: str,
     max_lag: int = 100,
     bins: int = 40,
-    header_lines: tuple[str, ...] = (),
+    header: tuple[str, ...] = (),
 ) -> list[str]:
-    """Per-series trace, autocorrelation, and histogram CSVs.
+    """Per-series trace, autocorrelation, and histogram CSVs, each after the
+    header lines.
 
     Writes <name>_trace.csv (draw,value), <name>_acf.csv (lag,rho), and
     <name>_hist.csv (bin_left,count). Histogram counts sum to the draw count.
     A constant series gets an empty acf file marked degenerate.
     """
     paths = []
-    head = [f"# {h}" for h in header_lines]
     for name, raw in named_series:
         x = _as_series(raw)
         n = x.shape[0]
 
-        lines = head + ["draw,value"]
+        lines = ["draw,value"]
         lines += numbered_rows(x[:, None])
         p = os.path.join(out_dir, f"{name}_trace.csv")
-        atomic_write_text(p, "\n".join(lines) + "\n")
+        atomic_write_text(p, "\n".join(lines) + "\n", header)
         paths.append(p)
 
-        lines = head + ["lag,rho"]
+        lines = ["lag,rho"]
         try:
             rho = autocorrelation(x, min(max_lag, n - 1))
             lines += [f"{lag},{float(r)!r}" for lag, r in enumerate(rho)]
         except DegenerateSeriesError:
-            lines = head + ["# degenerate: constant series", "lag,rho"]
+            lines = ["# degenerate: constant series", "lag,rho"]
         p = os.path.join(out_dir, f"{name}_acf.csv")
-        atomic_write_text(p, "\n".join(lines) + "\n")
+        atomic_write_text(p, "\n".join(lines) + "\n", header)
         paths.append(p)
 
-        lines = head + ["bin_left,count"]
-        lo, hi = float(np.min(x)), float(np.max(x))
-        if lo == hi:
-            lines.append(f"{lo!r},{n}")
-        else:
-            counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
-            lines += [f"{float(edges[b])!r},{int(counts[b])}" for b in range(bins)]
         p = os.path.join(out_dir, f"{name}_hist.csv")
-        atomic_write_text(p, "\n".join(lines) + "\n")
+        atomic_write_text(p, histogram_csv_text(x, bins), header)
         paths.append(p)
     return paths
 

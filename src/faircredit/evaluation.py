@@ -59,11 +59,8 @@ def covariance_matrix(data: Dataset, correlation: bool = False) -> tuple[tuple[s
     return COVARIANCE_COLUMNS, cov
 
 
-def matrix_to_csv_text(
-    names: tuple[str, ...], matrix: np.ndarray, header_lines: tuple[str, ...] = ()
-) -> str:
-    lines = [f"# {h}" for h in header_lines]
-    lines.append("," + ",".join(names))
+def matrix_to_csv_text(names: tuple[str, ...], matrix: np.ndarray) -> str:
+    lines = ["," + ",".join(names)]
     for i, name in enumerate(names):
         lines.append(name + "," + ",".join(f"{matrix[i, j]:.6g}" for j in range(len(names))))
     return "\n".join(lines) + "\n"
@@ -136,9 +133,8 @@ class ComparisonReport:
     age_mode: str
     age_years: float
 
-    def to_csv_text(self, header_lines: tuple[str, ...] = ()) -> str:
-        lines = [f"# {h}" for h in header_lines]
-        lines += [
+    def to_csv_text(self) -> str:
+        lines = [
             f"# n_train={self.n_train} n_test={self.n_test}",
             f"# split_seed={self.split_seed} sampler_seed={self.sampler_seed}",
             f"# age_flip={self.age_mode}"

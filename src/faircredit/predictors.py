@@ -33,6 +33,7 @@ from .util import (
     derive_rng,
     format_kv_text,
     parse_kv_text,
+    read_text,
 )
 
 FULL_FEATURES = ("sex", "age_std", "job", "house")
@@ -48,11 +49,11 @@ class LinearModel:
     coefficients: np.ndarray
     intercept: float
 
-    def to_kv_text(self, header_lines: tuple[str, ...] = ()) -> str:
+    def to_kv_text(self) -> str:
         items = {"intercept": repr(float(self.intercept))}
         for name, b in zip(self.feature_names, self.coefficients):
             items[f"coef.{name}"] = repr(float(b))
-        return format_kv_text(items, header_lines)
+        return format_kv_text(items)
 
     @classmethod
     def from_kv_text(cls, text: str) -> "LinearModel":
@@ -383,11 +384,11 @@ def predict_forest(model: ForestModel, c_values: np.ndarray) -> np.ndarray:
 FOREST_FORMAT = "forest/2"
 
 
-def forest_to_text(model: ForestModel, header_lines: tuple[str, ...] = ()) -> str:
+def forest_to_text(model: ForestModel) -> str:
     meta = {"format": FOREST_FORMAT, **config_items(model.config)}
     ends = model.breaks.tolist() + [math.inf]
     intervals = "".join(f"{b!r} {v!r}\n" for b, v in zip(ends, model.values.tolist()))
-    return format_kv_text(meta, header_lines) + intervals
+    return format_kv_text(meta) + intervals
 
 
 def _read_config(cls, items: dict[str, str], where: str, prefix: str = ""):
@@ -492,21 +493,19 @@ def predict_fair(model: FairModel, test: Dataset, condition_on_credit: bool = Fa
 # ---------------------------------------------------------------------------
 # fair model directory io
 
-def save_fair_model(model: FairModel, out_dir: str, header_lines: tuple[str, ...] = ()) -> None:
-    atomic_write_text(os.path.join(out_dir, "params.kv"), model.theta_hat.to_kv_text(header_lines))
-    atomic_write_text(os.path.join(out_dir, "forest.txt"), forest_to_text(model.forest, header_lines))
-    items = config_items(model.model_config, "model.")
-    atomic_write_text(os.path.join(out_dir, "config.kv"), format_kv_text(items, header_lines))
+def save_fair_model(model: FairModel, out_dir: str, header: tuple[str, ...] = ()) -> None:
+    texts = {
+        "params.kv": model.theta_hat.to_kv_text(),
+        "forest.txt": forest_to_text(model.forest),
+        "config.kv": format_kv_text(config_items(model.model_config, "model.")),
+    }
+    for name, text in texts.items():
+        atomic_write_text(os.path.join(out_dir, name), text, header)
 
 
 def load_fair_model(model_dir: str) -> FairModel:
     def read(name: str) -> str:
-        path = os.path.join(model_dir, name)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise UserError(f"cannot read fair model file {path}: {exc}") from exc
+        return read_text(os.path.join(model_dir, name), UserError, "fair model file ")
 
     params_path = os.path.join(model_dir, "params.kv")
     try:

@@ -137,12 +137,12 @@ class ModelParams:
             return cls(*v[:11], b_c=v[11])
         raise ValueError(f"expected 11 or 12 values, got {len(v)}")
 
-    def to_kv_text(self, header_lines: tuple[str, ...] = ()) -> str:
+    def to_kv_text(self) -> str:
         # float() first: a numpy scalar's repr is not readable back
         items = {n: repr(float(getattr(self, n))) for n in BASE_PARAM_NAMES}
         if self.b_c is not None:
             items["b_c"] = repr(float(self.b_c))
-        return format_kv_text(items, header_lines)
+        return format_kv_text(items)
 
     @classmethod
     def from_kv_text(cls, text: str) -> "ModelParams":

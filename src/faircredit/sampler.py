@@ -83,6 +83,7 @@ from .util import (
     atomic_write_text,
     derive_rng,
     numbered_rows,
+    read_text,
 )
 
 ADAPT_EVERY = 100     # sweeps between proposal-width rescalings during burn-in
@@ -624,8 +625,9 @@ def _grid_means(
 # ---------------------------------------------------------------------------
 # chain file io
 
-def export_chain(chain: Chain, out_dir: str, header_lines: tuple[str, ...] = ()) -> list[str]:
-    """Write params.csv and latents.csv under out_dir; returns the paths.
+def export_chain(chain: Chain, out_dir: str, header: tuple[str, ...] = ()) -> list[str]:
+    """Write params.csv and latents.csv under out_dir, each after the header
+    lines; returns the paths.
 
     Each row is the draw index and that draw's values, each value by repr
     (util.numbered_rows, which formats each run of a repeated value once).
@@ -637,23 +639,17 @@ def export_chain(chain: Chain, out_dir: str, header_lines: tuple[str, ...] = ())
         ("params.csv", chain.param_names, chain.param_draws),
         ("latents.csv", [f"c_{i}" for i in chain.latent_columns], chain.latent_draws),
     ):
-        lines = [f"# {h}" for h in header_lines]
-        lines.append(",".join(["draw", *columns]))
+        lines = [",".join(["draw", *columns])]
         lines += numbered_rows(draws)
         p = os.path.join(out_dir, name)
-        atomic_write_text(p, "\n".join(lines) + "\n")
+        atomic_write_text(p, "\n".join(lines) + "\n", header)
         paths.append(p)
     return paths
 
 
 def read_param_chain_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a params.csv written by export_chain: (names, draws array)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [ln for ln in raw.splitlines() if ln.strip() and not ln.startswith("#")]
+    rows = [ln for ln in read_text(path).splitlines() if ln.strip() and not ln.startswith("#")]
     if not rows:
         raise DataError(f"{path}: no content")
     header = rows[0].split(",")

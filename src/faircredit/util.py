@@ -1,37 +1,36 @@
 """Small shared helpers: random stream derivation, key=value text io, numbered
-float rows, atomic writes."""
+float rows, and the file boundary: the one reader, the one writer and the
+output directory check they share."""
 
 import dataclasses
+import errno
 import hashlib
 import math
 import os
 import tempfile
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError, UserError
 
 _MASK64 = (1 << 64) - 1
 
 
-def derive_rng(seed: int, *stream_key: int) -> np.random.Generator:
-    """Return an independent generator for (seed, *stream_key).
+def derive_rng(seed: int, kind: int, index: int) -> np.random.Generator:
+    """Return an independent generator for the stream (seed, kind, index).
 
-    Splitting scheme used across the package (documented contract):
-    the master seed plus a tuple of small non-negative stream ids is fed
-    to ``numpy.random.SeedSequence`` as its entropy list. Streams with
-    different keys of the same length are independent, and the mapping
-    does not depend on the order quantities are updated in. Callers must
-    use fixed-length keys (always (kind, index) here): SeedSequence
-    zero-pads short entropy lists, so (0,) and (0, 0) coincide. A negative
-    seed or key raises ConfigError: masked to 64 bits it would alias a large
-    positive one.
+    Splitting scheme used across the package (documented contract): the
+    master seed, a quantity kind (a STREAM_* id) and an index within it are
+    fed to ``numpy.random.SeedSequence`` as its entropy list. Streams with
+    different keys are independent, and the mapping does not depend on the
+    order quantities are updated in. A negative seed or key raises
+    ConfigError: masked to 64 bits it would alias a large positive one.
     """
-    if seed < 0 or any(k < 0 for k in stream_key):
-        raise ConfigError(f"seed and stream key must be non-negative, got {(seed, *stream_key)}")
-    entropy = [int(seed) & _MASK64] + [int(k) & _MASK64 for k in stream_key]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    key = (seed, kind, index)
+    if min(key) < 0:
+        raise ConfigError(f"seed and stream key must be non-negative, got {key}")
+    return np.random.default_rng(np.random.SeedSequence([int(k) & _MASK64 for k in key]))
 
 
 # stream id of the first key after the master seed, one per quantity kind
@@ -61,10 +60,8 @@ def parse_kv_text(text: str, where: str = "config") -> dict[str, str]:
     return out
 
 
-def format_kv_text(items: dict[str, str], header_lines: tuple[str, ...] = ()) -> str:
-    lines = [f"# {h}" for h in header_lines]
-    lines += [f"{k} = {v}" for k, v in items.items()]
-    return "\n".join(lines) + "\n"
+def format_kv_text(items: dict[str, str]) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in items.items())
 
 
 def config_items(config, prefix: str = "") -> dict[str, str]:
@@ -130,23 +127,44 @@ def numbered_rows(values: np.ndarray) -> Iterator[str]:
         yield ",".join([str(d), *texts])
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place,
-    with the mode open(path, "w") gives a new file: 0o666 less the umask.
-    The directory is made first; a ConfigError says when it cannot be."""
-    directory = os.path.dirname(os.path.abspath(path))
+def read_text(path: str, error: type[UserError] = DataError, what: str = "") -> str:
+    """The text of the file at path, read as UTF-8 with line ends kept as
+    written (csv needs them so, and splitlines() splits every kind). A file
+    that cannot be opened or decoded raises error("cannot read <what><path>")."""
     try:
-        os.makedirs(directory, exist_ok=True)
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from exc
+
+
+def output_dir(directory: str, create: bool = True) -> None:
+    """Make directory and its parents, or with create=False make nothing and
+    refuse only a file already in its place. Either way a ConfigError says
+    when the directory cannot be made."""
+    try:
+        if create:
+            os.makedirs(os.path.abspath(directory), exist_ok=True)
+        elif os.path.lexists(directory) and not os.path.isdir(directory):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
     except OSError as exc:  # a file in the way, or no permission
-        raise ConfigError(
-            f"cannot create output directory {os.path.dirname(path)!r}: {exc.strerror}"
-        ) from None
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+        raise ConfigError(f"cannot create output directory {directory!r}: {exc.strerror}") from None
+
+
+def atomic_write_text(path: str, text: str, header: Iterable[str] = ()) -> None:
+    """Write `# <line>` for each header line, then text, via a temp file in
+    the same directory renamed into place, with the mode a new file gets by
+    default: 0o666 less the umask. The directory is made first (output_dir)."""
+    directory = os.path.dirname(path)
+    output_dir(directory)
+    fd, tmp = tempfile.mkstemp(dir=os.path.abspath(directory), prefix=".tmp_", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
             umask = os.umask(0)  # read by setting it; no other way is portable
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp creates it 0o600
+            for line in header:
+                fh.write(f"# {line}\n")
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -1,4 +1,5 @@
-"""Shared fixtures: a small hand-built dataset and a short sampler config."""
+"""Shared fixtures: a small hand-built dataset, a short sampler config, and
+the package's file writer stamping a header."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from faircredit.dataset import Dataset, Standardization
 from faircredit.probmodel import ModelConfig, ModelParams
 from faircredit.sampler import SamplerConfig
+from faircredit.util import atomic_write_text
 
 
 @pytest.fixture
@@ -20,6 +22,19 @@ def tiny_dataset() -> Dataset:
         credit=np.array([12, 30, 8, 45, 20, 15, 33, 9, 27, 40, 11, 22]),
         standardization=Standardization(35.0, 10.0),
     )
+
+
+@pytest.fixture
+def stamped(tmp_path):
+    """A function that writes text after header lines by atomic_write_text,
+    as every output file is written, and returns the file's text."""
+
+    def write(text: str, header: tuple[str, ...]) -> str:
+        path = tmp_path / "stamped.txt"
+        atomic_write_text(str(path), text, header)
+        return path.read_text(encoding="utf-8")
+
+    return write
 
 
 @pytest.fixture

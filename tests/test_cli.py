@@ -552,18 +552,47 @@ def test_out_naming_a_file_exit_code(tmp_path, below):
 )
 def test_blocked_output_subdirectory_exit_code(workspace, tmp_path, command, blocked):
     # a file where the command makes its subdirectory is the user's mistake,
-    # refused like an out.dir that names a file; diagnose reads the chain in
-    # out.dir, which fit writes before its model_fair/
+    # refused like an out.dir that names a file, and before any file is
+    # written: neither config.kv nor fit's chain or diagnose's summary
     out = tmp_path / "out"
     out.mkdir()
-    (out / "params.csv").write_bytes((workspace["out"] / "params.csv").read_bytes())
+    chain = (workspace["out"] / "params.csv").read_bytes()
+    (out / "params.csv").write_bytes(chain)
     blocker = out / blocked
     blocker.write_text("kept\n", encoding="utf-8")
     res = run_cli([*command, "--config", str(workspace["config"]), "--out", str(out)])
     assert res.code == 2
-    assert res.err.startswith(f"error: cannot create output directory {str(blocker)!r}: ")
-    assert res.err.count("\n") == 1
+    assert res.err == f"error: cannot create output directory {str(blocker)!r}: File exists\n"
+    assert res.out == ""
     assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(["params.csv", blocked])
+    assert (out / "params.csv").read_bytes() == chain
+
+
+@pytest.mark.parametrize(
+    "command, target, what",
+    [
+        (["ingest"], "raw.csv", ""),
+        (["ingest"], "c.kv", "config "),
+        (["diagnose"], "out/params.csv", ""),
+        (["fit", "--model", "full"], "out/preprocessed.csv", ""),
+    ],
+    ids=("data_path", "config", "params_csv", "preprocessed_csv"),
+)
+def test_undecodable_input_exit_code(workspace, tmp_path, command, target, what):
+    # a byte that is not UTF-8 in a file the CLI reads is the user's mistake,
+    # refused with one error line like a file that cannot be opened
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(workspace["raw"].read_bytes())
+    config = config_with(workspace, tmp_path, {"data.path": raw})
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = tmp_path / target
+    bad.write_bytes(b"sex,age\n\xff\n")
+    res = run_cli([*command, "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err.startswith(f"error: cannot read {what}{bad}: ")
+    assert res.err.count("\n") == 1
 
 
 def test_bad_config_key_exit_code(tmp_path):

@@ -324,7 +324,7 @@ def test_generate_synthetic_rate_cap():
 
 def test_processed_csv_round_trip(tmp_path, tiny_dataset):
     path = str(tmp_path / "processed.csv")
-    write_processed_csv(tiny_dataset, path, header_lines=("config_hash=abc",))
+    write_processed_csv(tiny_dataset, path, ("config_hash=abc",))
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     assert text.startswith("# config_hash=abc\n")

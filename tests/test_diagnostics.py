@@ -24,7 +24,6 @@ from faircredit.diagnostics import (
     summarize,
     summarize_series,
     summary_to_csv_text,
-    write_summary_csv,
 )
 from faircredit.errors import DegenerateSeriesError
 from faircredit.probmodel import ModelConfig
@@ -217,10 +216,10 @@ def test_summarize_chain_rows_in_order(tiny_dataset, short_sampler_config):
     assert [r.name for r in rows] == list(chain.param_names)
 
 
-def test_summary_csv_exact_header_and_formatting(tmp_path):
+def test_summary_csv_exact_header_and_formatting(stamped):
     x = np.random.default_rng(8).standard_normal(600)
     rows = [summarize_series("alpha", x)]
-    text = summary_to_csv_text(rows, header_lines=("config_hash=00ff",))
+    text = stamped(summary_to_csv_text(rows), ("config_hash=00ff",))
     lines = text.splitlines()
     assert lines[0] == "# config_hash=00ff"
     assert lines[1] == "name,std,q05,median,q95,ess_bulk,ess_tail"
@@ -229,10 +228,7 @@ def test_summary_csv_exact_header_and_formatting(tmp_path):
     assert cells[0] == "alpha"
     assert cells[1] == f"{rows[0].std:.6g}"
     assert len(cells) == 7
-
-    path = tmp_path / "summary.csv"
-    write_summary_csv(rows, str(path))
-    assert path.read_text() == summary_to_csv_text(rows)
+    assert text == "# config_hash=00ff\n" + summary_to_csv_text(rows)
 
 
 # --- plot data -------------------------------------------------------------------
@@ -240,7 +236,7 @@ def test_summary_csv_exact_header_and_formatting(tmp_path):
 def test_export_plot_data_files(tmp_path):
     x = np.random.default_rng(9).standard_normal(300)
     paths = export_plot_data([("a", x)], str(tmp_path), max_lag=20, bins=10,
-                             header_lines=("config_hash=beef",))
+                             header=("config_hash=beef",))
     names = sorted(p.rsplit("/", 1)[1] for p in paths)
     assert names == ["a_acf.csv", "a_hist.csv", "a_trace.csv"]
 

@@ -74,9 +74,9 @@ def test_correlation_matrix_unit_diagonal(tiny_dataset):
     assert np.max(np.abs(corr)) <= 1.0 + 1e-12
 
 
-def test_matrix_to_csv_text(tiny_dataset):
+def test_matrix_to_csv_text(tiny_dataset, stamped):
     names, cov = covariance_matrix(tiny_dataset)
-    text = matrix_to_csv_text(names, cov, header_lines=("config_hash=be",))
+    text = stamped(matrix_to_csv_text(names, cov), ("config_hash=be",))
     lines = text.splitlines()
     assert lines[0] == "# config_hash=be"
     assert lines[1] == "," + ",".join(names)
@@ -216,8 +216,8 @@ def test_report_headline_is_the_honest_score(split_chain, comparison):
     assert f"# fair_test_r2_honest={honest:.6g} " in comparison.to_csv_text()
 
 
-def test_report_csv_layout(comparison):
-    text = comparison.to_csv_text(header_lines=("config_hash=77",))
+def test_report_csv_layout(comparison, stamped):
+    text = stamped(comparison.to_csv_text(), ("config_hash=77",))
     lines = text.splitlines()
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0] == "model," + ",".join(METRIC_COLUMNS)

@@ -128,9 +128,9 @@ def test_predict_ols_shape_guard():
         predict_ols(model, np.zeros((5, 3)))
 
 
-def test_linear_model_kv_round_trip():
+def test_linear_model_kv_round_trip(stamped):
     model = LinearModel(("sex", "age_std"), np.array([1.25, -0.5]), intercept=3.75)
-    back = LinearModel.from_kv_text(model.to_kv_text(header_lines=("note",)))
+    back = LinearModel.from_kv_text(stamped(model.to_kv_text(), ("note",)))
     assert back.feature_names == model.feature_names
     assert back.intercept == model.intercept
     assert np.array_equal(back.coefficients, model.coefficients)
@@ -392,13 +392,13 @@ def test_fit_forest_input_guards():
         fit_forest(np.array([0.0, float("inf")]), np.zeros(2), ForestConfig())
 
 
-def test_forest_text_round_trip():
+def test_forest_text_round_trip(stamped):
     rng = np.random.default_rng(7)
     c = rng.standard_normal(80)
     y = c**2 + 0.2 * rng.standard_normal(80)
     cfg = ForestConfig(n_trees=7, max_depth=4, min_leaf=2, seed=3)
     forest = fit_forest(c, y, cfg)
-    text = forest_to_text(forest, header_lines=("config_hash=aa",))
+    text = stamped(forest_to_text(forest), ("config_hash=aa",))
     assert text.startswith("# config_hash=aa\nformat = forest/2\n")
     body = text.splitlines()[6:]
     assert len(body) == forest.values.size == forest.breaks.size + 1
@@ -526,7 +526,7 @@ def test_fair_latent_points_change_with_credit_only_when_conditioned(tiny_datase
 
 def test_save_load_fair_model_round_trip(tmp_path, tiny_dataset):
     model, _ = small_fair_model(tiny_dataset)
-    save_fair_model(model, str(tmp_path / "m"), header_lines=("config_hash=11",))
+    save_fair_model(model, str(tmp_path / "m"), ("config_hash=11",))
     back = load_fair_model(str(tmp_path / "m"))
     assert back.theta_hat == model.theta_hat
     assert back.model_config == model.model_config
@@ -537,6 +537,14 @@ def test_save_load_fair_model_round_trip(tmp_path, tiny_dataset):
 def test_load_fair_model_missing_file(tmp_path):
     with pytest.raises(UserError, match="cannot read"):
         load_fair_model(str(tmp_path / "absent"))
+
+
+def test_load_fair_model_undecodable_file(tmp_path, tiny_dataset):
+    model, _ = small_fair_model(tiny_dataset)
+    save_fair_model(model, str(tmp_path / "m"))
+    (tmp_path / "m" / "forest.txt").write_bytes(b"format = forest/2\n\xff\n")
+    with pytest.raises(UserError, match="cannot read fair model file .*forest.txt: "):
+        load_fair_model(str(tmp_path / "m"))
 
 
 def test_load_fair_model_ignores_stale_sampler_keys(tmp_path, tiny_dataset):

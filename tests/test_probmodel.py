@@ -222,9 +222,9 @@ def test_model_params_vector_errors():
         ModelParams.from_vector([0.0] * 10)
 
 
-def test_model_params_kv_round_trip():
+def test_model_params_kv_round_trip(stamped):
     theta = ModelParams(*np.linspace(-0.9, 0.9, 11), b_c=1.25)
-    text = theta.to_kv_text(header_lines=("written by a test",))
+    text = stamped(theta.to_kv_text(), ("written by a test",))
     assert text.startswith("# written by a test\n")
     assert ModelParams.from_kv_text(text) == theta
     # without b_c the key is simply absent

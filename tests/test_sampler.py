@@ -732,7 +732,7 @@ def test_infer_latent_memory_does_not_grow_with_rows(modest_params):
 
 def test_export_and_read_chain_round_trip(tmp_path, tiny_dataset, short_sampler_config):
     chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
-    paths = export_chain(chain, str(tmp_path), header_lines=("config_hash=feed",))
+    paths = export_chain(chain, str(tmp_path), ("config_hash=feed",))
     assert [p.rsplit("/", 1)[1] for p in paths] == ["params.csv", "latents.csv"]
     for p in paths:
         assert Path(p).read_text().startswith("# config_hash=feed\n")

@@ -38,9 +38,7 @@ def test_derive_rng_deterministic():
 
 
 def test_derive_rng_streams_disjoint():
-    # every stream the package derives is (kind, index); all must differ.
-    # keys of mixed arity are not tested: SeedSequence zero-pads short
-    # entropy lists, so (0,) and (0, 0) intentionally coincide.
+    # every stream the package derives is (kind, index); all must differ
     keys = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (4, 0)]
     draws = [tuple(derive_rng(7, *k).random(4)) for k in keys]
     assert len(set(draws)) == len(draws)
@@ -96,9 +94,9 @@ def test_parse_kv_text_where_label_in_message():
         parse_kv_text("oops", where="params")
 
 
-def test_format_kv_round_trip():
+def test_format_kv_round_trip(stamped):
     items = {"alpha": "0.5", "beta": "-1", "name": "hello world"}
-    text = format_kv_text(items, header_lines=("generated", "for a test"))
+    text = stamped(format_kv_text(items), ("generated", "for a test"))
     assert text.startswith("# generated\n# for a test\n")
     assert parse_kv_text(text) == items
 
