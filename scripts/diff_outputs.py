@@ -23,8 +23,14 @@ the age shift there. `fit --model fair` runs twice more, with
 `out.latent_columns = 0` and with `out.latent_columns = 800` (every training
 row), each into its own --out path, so that both edges of the chain export
 are compared: rows of the draw index alone, with no trailing comma, and the
-widest latents.csv. Last come the refused runs, so that their error
-messages and exit codes are compared. `synth` runs with two configs it
+widest latents.csv. `fit --model fair` runs once more into out_overflow,
+with `sampler.param_step = 500`, adaptation off, 300 sweeps (100 of
+burn-in) and `model.poisson_rate_cap = 1e300`: its far logistic steps
+overflow exp in the logistic block (669 of its 1,501 evaluations at seed
+0) and are rejected, and the cap keeps the credit head's far steps under
+the error budget, so the overflow rule is compared end to end. Last come
+the refused runs, so that their error messages and exit codes are
+compared. `synth` runs with two configs it
 refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`) into one more
 --out path; synth reads every config it needs before any work, in both
 trees. Then `fit --model fair` and `diagnose` run into another, each with a
@@ -72,6 +78,7 @@ COMMANDS = (
      ["fit", "--model", "fair", "--config", "{work}/latents_none.kv"]),
     ("fit fair all latents", "out_latents_all",
      ["fit", "--model", "fair", "--config", "{work}/latents_all.kv"]),
+    ("fit fair overflow", "out_overflow", ["fit", "--model", "fair", "--config", "{work}/overflow.kv"]),
     ("synth bad delta", "out_refused", ["synth", "--config", "{work}/bad_delta.kv"]),
     ("synth bad rate cap", "out_refused", ["synth", "--config", "{work}/bad_rate_cap.kv"]),
     ("fit fair blocked model dir", "out_blocked", ["fit", "--model", "fair"]),
@@ -87,6 +94,10 @@ CONFIGS = {
     "rate_cap.kv": "model.poisson_rate_cap = 300\neval.age_mode = shift\n",
     "latents_none.kv": "out.latent_columns = 0\n",
     "latents_all.kv": "out.latent_columns = 800\n",
+    "overflow.kv": (
+        "sampler.param_step = 500\nsampler.adapt_during_burn_in = false\n"
+        "sampler.iterations = 300\nsampler.burn_in = 100\nmodel.poisson_rate_cap = 1e300\n"
+    ),
     "bad_delta.kv": "sampler.delta = abc\n",
     "bad_rate_cap.kv": "model.poisson_rate_cap = x\n",
 }

@@ -41,7 +41,6 @@ from .diagnostics import (
     export_plot_data,
     histogram_csv_text,
     summarize,
-    summarize_series,
     summary_to_csv_text,
 )
 from .errors import ConfigError, FairCreditError, RateCapError, UserError
@@ -340,7 +339,7 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
         latent_columns=_latent_columns(len(train), _get(cfg, "out.latent_columns", int)),
     )
     export_chain(chain, out, header)
-    summary = summarize(chain)
+    summary = summarize(chain.param_names, chain.param_draws)
     atomic_write_text(os.path.join(out, "summary.csv"), summary_to_csv_text(summary), header)
     fair = fit_fair(train, chain, fc)
     save_fair_model(fair, os.path.join(out, "model_fair"), header)
@@ -390,8 +389,7 @@ def cmd_diagnose(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     out = cfg["out.dir"]
     chain_path = os.path.join(out, "params.csv")
     names, draws = read_param_chain_csv(chain_path)
-    rows = [summarize_series(name, draws[:, j]) for j, name in enumerate(names)]
-    summary = summary_to_csv_text(rows)
+    summary = summary_to_csv_text(summarize(names, draws))
     atomic_write_text(os.path.join(out, "summary.csv"), summary, header)
     plot_dir = os.path.join(out, "plots")
     export_plot_data(

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSeriesError
-from .sampler import Chain
 from .util import atomic_write_text, numbered_rows
 
 SUMMARY_COLUMNS = ("name", "std", "q05", "median", "q95", "ess_bulk", "ess_tail")
@@ -271,13 +270,13 @@ def summarize_series(name: str, x: np.ndarray) -> SummaryRow:
     )
 
 
-def summarize(chain: Chain) -> list[SummaryRow]:
-    """One summary row per parameter, in chain order.
+def summarize(names: Sequence[str], draws: np.ndarray) -> list[SummaryRow]:
+    """One summary row per column of the (n_draws, len(names)) draws, in
+    order, each named by its entry of names.
 
     Degenerate series do not raise here; their rows carry NaN ESS fields.
     """
-    draws = chain.param_draws
-    return [summarize_series(name, draws[:, j]) for j, name in enumerate(chain.param_names)]
+    return [summarize_series(name, draws[:, j]) for j, name in enumerate(names)]
 
 
 def summary_to_csv_text(rows: Sequence[SummaryRow]) -> str:

@@ -27,11 +27,10 @@ about twice as long at n=800. For z >= 0 the two formulas agree bit for
 bit, and for z < 0 the fast one is within 2 ulp of -logaddexp(0, -z).
 exp(nz) overflows for z below about -709.78. There the row is z itself,
 which is what the stable formula rounds to, since exp(z) is far below half
-an ulp of z. So each row is a function of its own z alone, and a block's
-rows do not depend on which check found the overflow. One reduction over nz
-guards the exp, so no overflow warning is raised; a HeadTerms block passes
-bare to skip it while a bound on its linear predictors, taken once a sweep,
-rules the overflow out.
+an ulp of z. So each row is a function of its own z alone. One reduction
+over nz guards the exp, so no overflow warning is raised. A HeadTerms block
+skips it: its exp runs unguarded, so where it overflows the softplus is
++inf and the row -inf, which the sampler's accept test rejects.
 
 head_log_likelihood evaluates one head from scratch (_head_rows) and returns
 its rows beside their sum. per_obs_log_likelihood adds the heads per
@@ -39,7 +38,8 @@ observation. HeadTerms keeps a block of heads' terms, running sums and rows
 at one state, for the sampler: a proposal that moves one term recomputes
 that term and the sums after it, in the same order, through the block's
 one evaluation path (HeadTerms._evaluate), so its rows are bitwise
-head_log_likelihood's (a logistic block's once subtracted from 0). Arrays
+head_log_likelihood's (a logistic block's once subtracted from 0) wherever
+exp does not overflow. Arrays
 of shape (n, m) evaluate m latent values per row through Design.columns(),
 and per_obs_latent_slopes gives each row's derivatives in c beside the
 heads (_head_slopes), so test-time inference (sampler.infer_latent) is an
@@ -267,8 +267,9 @@ def _softplus_rows(nz: np.ndarray, bare: bool = False) -> np.ndarray:
     The max of nz is the one reduction. When it is at most _EXP_SAFE, no exp
     can overflow, and the rows are two transcendental passes in nz's buffer,
     with nothing else allocated. Otherwise the array runs with the overflow
-    ignored, and the overflowed rows take nz. bare is the caller's licence
-    that no exp can overflow (HeadTerms.bound), which skips the reduction.
+    ignored, and the overflowed rows take nz. bare (HeadTerms) skips the
+    reduction and always runs the two passes: an overflowed entry is then
+    +inf, and the caller's error state decides whether numpy warns.
     np.maximum.reduce costs a Python call less than nz.max()."""
     if bare or np.maximum.reduce(nz, axis=None) <= _EXP_SAFE:
         np.exp(nz, out=nz)
@@ -378,10 +379,6 @@ def per_obs_latent_slopes(
 # ---------------------------------------------------------------------------
 # cached linear-predictor terms, for proposals that move one term at a time
 
-# a logistic block runs exp bare while HeadTerms.bound is below this: the
-# engine's rounding of a few terms, each within the bound, is a few ulp of
-# it, far below the 1-nat margin, so no exp(nz) can overflow
-_EXP_BARE = _EXP_SAFE - 1.0
 # relative rounding margin of HeadTerms.step_bound, see there
 _BOUND_MARGIN = 1e-9
 _TINY = float(np.finfo(float).tiny)
@@ -397,16 +394,16 @@ class HeadTerms:
     term to the running sum before it and the later terms after it, in
     _linear_predictor's order, and turns the total into rows, so the rows,
     totals and overflow count are bitwise those of head_log_likelihood on
-    the moved state. move (term k's coefficients) and move_latent (the
-    latent column) evaluate the moved block and hold it, with its rows as
-    moved_rows; accept_heads or accept_rows then takes it into the kept
-    state for the heads or the rows that accept it. Only those two change
-    the kept state: accept_rows copies the accepted rows into the kept
-    arrays in place, as accept_heads copies an accepted head's entries when
-    only some heads accept, and neither writes the held move. Each
-    head's total, the sum of its kept rows, is summed by the first move
-    after the rows change, so a block that no move reads in between is not
-    summed.
+    the moved state, except where a logistic exp overflows (see below).
+    move (term k's coefficients) and move_latent (the latent column)
+    evaluate the moved block and hold it, with its rows as moved_rows;
+    accept_heads or accept_rows then takes it into the kept state for the
+    heads or the rows that accept it. Only those two change the kept state:
+    accept_rows copies the accepted rows into the kept arrays in place, as
+    accept_heads copies an accepted head's entries when only some heads
+    accept, and neither writes the held move. Each head's total, the sum of
+    its kept rows, is summed by the first move after the rows change, so a
+    block that no move reads in between is not summed.
 
     A move kept whole keeps its coef, which may be a view of the caller's
     proposal vector, as the term's coefficient (and an intercept's term),
@@ -419,12 +416,17 @@ class HeadTerms:
     which gives nz, and writes the softplus rows s = log1p(exp(nz)) over it.
     Its rows hold s and its totals sum(s): bitwise minus the log-likelihood
     rows and totals, since negation is exact and rounding symmetric (0 - s
-    is head_log_likelihood's rows). The reduction in _softplus_rows guards
-    exp unless bound has ruled the overflow out; then _evaluate passes bare,
-    and exp and log1p run unguarded, to the same s, element by element.
+    is head_log_likelihood's rows). _evaluate runs exp and log1p bare, with
+    no reduction: where exp(nz) overflows (nz above about 709.78), s is
+    +inf, and so is its head's total, where head_log_likelihood's row is
+    the finite z. run_chain's accept test rejects such a move, as it
+    rejects a credit rate over the cap, so the rows it keeps stay finite.
+    Outside run_chain, which ignores the overflow warning, an evaluation
+    that overflows warns.
 
     The credit block also keeps its rates, the exp(lin) its rows subtract,
-    from which step_bound bounds a coefficient move without making it.
+    from which step_bound bounds a coefficient move without making it, and
+    each term's max |x_k| (spread), the latent one taken by step_bound.
     """
 
     def __init__(self, heads: tuple[int, ...], vec: np.ndarray, c: np.ndarray, design: Design):
@@ -438,46 +440,24 @@ class HeadTerms:
         self.latent_term = names.index("c")
         self.nsign = None if HEAD_CREDIT in heads else np.stack([_outcome_nsign(h, design) for h in heads])
         self.columns = [_column(name, c, design) for name in names]
-        # max |x_k| of each term's column, 1 for the intercept's; the latent
-        # one is refreshed with each merge
-        self.spread = [1.0 if col is None else float(np.abs(col).max()) for col in self.columns]
         self.coefs = [vec[list(p)][:, None] for p in self.positions]
         self.terms = [coef if col is None else col * coef for col, coef in zip(self.columns, self.coefs)]
-        self.bare = False
         self.sums, self.rows, _, self.rates = self._evaluate(0, self.terms[0])
         self._totals = None
         # the held move: its rows and rates, and a coefficient move's
         # (k, coef, term, sums, totals)
         self.moved_rows = self._moved_rates = self._held = None
-        # bound's (heads, terms) parameter positions, and its spreads
-        self._index = np.array(self.positions).T
-        self._reach = np.array(self.spread)
         if self.rates is not None:
-            # step_bound's columns x_k (1 for the intercept) and their
-            # squares; the latent row is refreshed with each state
+            # step_bound's max |x_k| of each term's column, its columns x_k
+            # (1 for the intercept) and their squares; the latent ones are
+            # refreshed with each state
+            self.spread = [1.0 if col is None else float(np.abs(col).max()) for col in self.columns]
             ones = np.ones(len(design))
             self._x = np.stack([ones if col is None else col for col in self.columns])
             self._x2 = self._x * self._x
             self._count_sum = float(design.counts.sum())
             self._lgamma_sum = float(design.lgamma_counts.sum())
         self._screen = None  # step_bound's sums at the kept state, made on first use
-
-    def bound(self, mags: np.ndarray, latent_spread: float) -> float:
-        """Bound every |lin| of the evaluations to come, and let a logistic
-        block run exp bare under it; returns the bound.
-
-        mags[j] is at least |coefficient j| and latent_spread at least |c|
-        in every state to be evaluated: run_chain passes, once a sweep,
-        max(|theta_j|, |theta'_j|) over the current and proposed parameters,
-        and max |c| + delta. A head's |lin| is then at most the sum over its
-        terms k of mags[its position of k] times max |x_k|, and the bound is
-        the heads' largest. While it is below _EXP_BARE, no exp(nz) can
-        overflow, so moves skip the reduction that guards it."""
-        spread = self._reach
-        spread[self.latent_term] = latent_spread
-        reach = max(mags[self._index].dot(spread).tolist())
-        self.bare = reach < _EXP_BARE
-        return reach
 
     def _evaluate(self, k: int, term: np.ndarray) -> tuple[list, np.ndarray, int, np.ndarray | None]:
         """The block with term k set to term: its running sums from term k
@@ -494,14 +474,14 @@ class HeadTerms:
         if self.nsign is None:
             return sums, *_credit_rows(x, self.design)
         np.multiply(x, self.nsign, out=x)
-        return sums, _softplus_rows(x, self.bare), 0, None
+        return sums, _softplus_rows(x, bare=True), 0, None
 
     def move(self, k: int, coef: np.ndarray) -> tuple[list[float], list[float]]:
         """Each head's total with term k's coefficients set to coef, a
         (heads, 1) array, and each head's total at the kept state. A credit
         total is the head's log-likelihood, -inf where a rate is over the
-        cap; a logistic one is minus it. The moved block is held for
-        accept_heads."""
+        cap; a logistic one is minus it, +inf where an exp overflows. The
+        moved block is held for accept_heads."""
         column = self.columns[k]
         term = coef if column is None else column * coef
         sums, rows, _, self._moved_rates = self._evaluate(k, term)
@@ -539,11 +519,10 @@ class HeadTerms:
         self._held = None
         return self.moved_rows, n_over
 
-    def accept_rows(self, accepted: np.ndarray, c: np.ndarray, c_max: float) -> None:
+    def accept_rows(self, accepted: np.ndarray, c: np.ndarray) -> None:
         """Keep the held latent move for the rows accepted selects, an index
-        array or a bool mask; c is the latent column that results, and c_max
-        its max |c|, so the latent term, the running sums after it and the
-        spread are those of c.
+        array or a bool mask; c is the latent column that results, so the
+        latent term and the running sums after it are those of c.
 
         The accepted rows, and a credit block's rates, are written into the
         kept arrays in place, one head row at a time. The held move's arrays
@@ -551,7 +530,6 @@ class HeadTerms:
         the kept arrays never alias them here."""
         k = self.latent_term
         self.columns[k] = c
-        self.spread[k] = c_max
         self.terms[k] = c * self.coefs[k]
         for j in range(k, len(self.sums)):
             self.sums[j] = self.sums[j - 1] + self.terms[j]
@@ -572,7 +550,8 @@ class HeadTerms:
         sum y_i d_i - r_i (e^d_i - 1). Since e^d - 1 - d >= d^2 e^-|d| / 2,
         that is at most delta G - delta^2 e^-D H / 2, where
         G = sum (y_i - r_i) x_i, H = sum r_i x_i^2, M = max |x_i| (spread)
-        and D = |delta| M. G and H are computed once per kept state.
+        and D = |delta| M. G, H and the latent column's M are computed once
+        per kept state.
 
         A margin covers rounding: the engine's in its terms, rows and sums,
         and this bound's in its own sums. L = sum_k M_k |coef_k| bounds
@@ -590,7 +569,10 @@ class HeadTerms:
             j = self.latent_term
             c = self.columns[j]
             self._x[j] = c
-            np.multiply(c, c, out=self._x2[j])
+            # |c| into the row of squares: its max, then its square, c^2
+            c2 = np.abs(c, out=self._x2[j])
+            self.spread[j] = float(np.maximum.reduce(c2))
+            np.multiply(c2, c2, out=c2)
             rates = self.rates[0]
             max_rate = float(np.maximum.reduce(rates))
             # rates are within an ulp of exp(lin) where normal, and inf over the cap

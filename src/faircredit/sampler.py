@@ -16,10 +16,11 @@ strided view. The credit head's coefficient steps are accepted a few
 percent of the time, so each is first screened, in one call: an upper
 bound on its log ratio (HeadTerms.step_bound), which holds after rounding,
 below log u rejects it unevaluated. The screen changes no accept decision.
-One bound per sweep on the logistic linear predictors (HeadTerms.bound),
-from the larger of each coefficient's current and proposed magnitude and
-from max |c| + delta, lets their exp run without the reduction that guards
-it against overflow; the rows are the same either way.
+The logistic exp runs with no guard against overflow: the chain runs with
+numpy's overflow and divide warnings off, and a proposal whose exp
+overflows (a signed predictor z below about -709.78) has an infinite
+softplus and a -inf log ratio, which the test rejects, as it rejects a
+credit rate over the cap; it is not counted as a likelihood error.
 
 The latent phase proposes every latent score at once. Its per-sweep arrays
 (the proposals, their prior terms, the two log-likelihood sums, the log
@@ -31,8 +32,8 @@ random every sweep, an indexed copy beats np.where while up to about 60% of
 the latents accept; the default chains, which adapt toward 35%, accept 29%
 (fit) and 53% (synth_large) after burn-in. So the latent scores are one
 array for the whole chain, which the blocks hold as their latent column,
-and nothing else may hold it across sweeps. max |c| is taken once, after
-the merge, for the next sweep's bound and the credit screen.
+and nothing else may hold it across sweeps. The credit screen takes max |c|
+when it first runs after the merge.
 
 Test-time inference (infer_latent) fixes the parameters, so each row's
 latent posterior is one-dimensional and log-concave: Newton finds its mode
@@ -183,6 +184,7 @@ class Chain:
         return ModelParams.from_vector(med)
 
 
+@np.errstate(over="ignore", divide="ignore")
 def run_chain(
     data: Dataset,
     model_config: ModelConfig,
@@ -228,7 +230,19 @@ def run_chain(
     accept uniform (HeadTerms.step_bound) is rejected without evaluating
     it; one that could put a rate over the cap is always evaluated, so the
     error count is that of evaluating every step. Results are bit-identical
-    for a given config and seed, whichever way the logistic exp is guarded.
+    for a given config and seed.
+
+    The logistic rows are bitwise head_log_likelihood's except where exp
+    overflows (z below about -709.78). There head_log_likelihood's row is z
+    and the block's is -inf, so the step's log ratio is -inf and the step is
+    rejected. With the exact row the log ratio is at most -709.78 less the
+    kept target (the head's log-likelihood, or the latent's rows, less half
+    the moved value's square), so the step is rejected alike at every
+    accept uniform above 0 (log u >= -36.8) unless that target is below
+    about -673: the chain can differ from one on the exact rows only at a
+    uniform of exactly 0 (probability 2^-53 a step) or from a kept state
+    that far down. The chain runs with numpy's overflow and divide warnings
+    off, and restores the caller's error state on return or raise.
     Persistent likelihood errors (more than 1% of steps) abort with
     diagnostics.
     """
@@ -279,7 +293,6 @@ def run_chain(
 
     logistic = HeadTerms((HEAD_JOB, HEAD_HOUSE), theta, c, design)
     credit = HeadTerms((HEAD_CREDIT,), theta, c, design)
-    c_max = 0.0  # max |c|, taken once per sweep, after the latent merge
     # each step takes its coefficients out of the sweep's proposals as a
     # (heads, 1) strided view: term k of the logistic heads is at k and k + 4
     logistic_steps, credit_steps = (
@@ -296,22 +309,15 @@ def run_chain(
         # each step's log u, log 0 = -inf: it accepts when log u < log r
         param_log_u = [math.log(v) if v else -math.inf for v in param_rng.random(k).tolist()]
         olds, props = theta.tolist(), proposal.tolist()
-        # every coefficient this sweep evaluates is the current or the
-        # proposed one, and every latent score within delta of the kept
-        # ones: one bound on the logistic predictors for the whole sweep
-        logistic.bound(np.maximum(np.abs(theta), np.abs(proposal)), c_max + delta)
         for term, (view, positions) in enumerate(logistic_steps):
             # the logistic heads' term, in lockstep. Their totals are softplus
-            # sums, minus their log-likelihoods, so each ratio is cur - new
+            # sums, minus their log-likelihoods, so each ratio is cur - new:
+            # -inf where an exp overflowed
             new_sums, cur_sums = logistic.move(term, proposal[view])
             accepted = []
             for j, new_sum, cur_sum in zip(positions, new_sums, cur_sums):
-                if new_sum == math.inf:  # a -inf log-likelihood, as for credit
-                    err_steps += 1
-                    ok = False
-                else:
-                    old, new = olds[j], props[j]
-                    ok = param_log_u[j] < (cur_sum - new_sum) + 0.5 * (old * old - new * new)
+                old, new = olds[j], props[j]
+                ok = param_log_u[j] < (cur_sum - new_sum) + 0.5 * (old * old - new * new)
                 if ok:
                     theta[j] = new
                     win_param_acc += 1
@@ -348,8 +354,7 @@ def run_chain(
             latent_rng.random(out=uniforms)
             np.multiply(w, 2.0, out=w)
             np.subtract(w, 1.0, out=w)
-            with np.errstate(divide="ignore"):
-                np.log(log_u, out=log_u)
+            np.log(log_u, out=log_u)  # log 0 = -inf
 
         np.multiply(w[s], delta, out=c_prop)
         np.add(c, c_prop, out=c_prop)
@@ -376,9 +381,8 @@ def run_chain(
         accepted = accept.nonzero()[0]
         c[accepted] = c_prop[accepted]
         prior[accepted] = prior_prop[accepted]
-        c_max = float(np.maximum.reduce(np.abs(c, out=log_ratio)))
-        logistic.accept_rows(accepted, c, c_max)
-        credit.accept_rows(accepted, c, c_max)
+        logistic.accept_rows(accepted, c)
+        credit.accept_rows(accepted, c)
         n_acc = accepted.size
         win_latent_acc += n_acc
         if post:

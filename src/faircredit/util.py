@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, UserError
 
-_MASK64 = (1 << 64) - 1
-
 
 def derive_rng(seed: int, kind: int, index: int) -> np.random.Generator:
     """Return an independent generator for the stream (seed, kind, index).
@@ -24,13 +22,16 @@ def derive_rng(seed: int, kind: int, index: int) -> np.random.Generator:
     master seed, a quantity kind (a STREAM_* id) and an index within it are
     fed to ``numpy.random.SeedSequence`` as its entropy list. Streams with
     different keys are independent, and the mapping does not depend on the
-    order quantities are updated in. A negative seed or key raises
-    ConfigError: masked to 64 bits it would alias a large positive one.
+    order quantities are updated in. Each key is used whole, never cut to
+    64 bits. SeedSequence splits the keys into 32-bit words, and pads fewer
+    than four with zeros, so a seed of 2**32 or more can share a stream with
+    a smaller seed's other kind: (2**32, 0, 0) draws what (0, 1, 0) does. A
+    negative seed or key raises ConfigError.
     """
     key = (seed, kind, index)
     if min(key) < 0:
         raise ConfigError(f"seed and stream key must be non-negative, got {key}")
-    return np.random.default_rng(np.random.SeedSequence([int(k) & _MASK64 for k in key]))
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
 
 
 # stream id of the first key after the master seed, one per quantity kind
@@ -129,10 +130,11 @@ def numbered_rows(values: np.ndarray) -> Iterator[str]:
 
 def read_text(path: str, error: type[UserError] = DataError, what: str = "") -> str:
     """The text of the file at path, read as UTF-8 with line ends kept as
-    written (csv needs them so, and splitlines() splits every kind). A file
-    that cannot be opened or decoded raises error("cannot read <what><path>")."""
+    written (csv needs them so, and splitlines() splits every kind). A
+    leading byte-order mark, as spreadsheets write, is dropped. A file that
+    cannot be opened or decoded raises error("cannot read <what><path>")."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what}{path}: {exc}") from exc

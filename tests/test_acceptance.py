@@ -226,7 +226,7 @@ def test_criterion_5_real_data_chain_quality(report, german_splits):
             seed=11,
         ),
     )
-    rows = summarize(chain)
+    rows = summarize(chain.param_names, chain.param_draws)
     header = summary_to_csv_text(rows).splitlines()[0]
     columns_ok = header == "name,std,q05,median,q95,ess_bulk,ess_tail"
     n_params_ok = len(rows) == 11

@@ -379,7 +379,8 @@ def test_compare_warns_as_fit_does(monkeypatch, capsys, tiny_dataset):
     for chain in (unmixed, constant, short):
         monkeypatch.setattr(cli, "run_chain", lambda *args, chain=chain: chain)
         assert cli._warned_chain(tiny_dataset, mc, chain.config) is chain
-        want = mixing_warning((row.name, row.ess_bulk) for row in summarize(chain))
+        rows = summarize(chain.param_names, chain.param_draws)
+        want = mixing_warning((row.name, row.ess_bulk) for row in rows)
         assert want is not None
         assert capsys.readouterr().err == want + "\n"
 
@@ -593,6 +594,25 @@ def test_undecodable_input_exit_code(workspace, tmp_path, command, target, what)
     assert res.code == 2
     assert res.err.startswith(f"error: cannot read {what}{bad}: ")
     assert res.err.count("\n") == 1
+
+
+def test_byte_order_mark_is_dropped(workspace, tmp_path):
+    # a spreadsheet's "CSV UTF-8" starts with a UTF-8 byte-order mark; a data
+    # file or a config file that does is read as if it did not, so its first
+    # column or key keeps its name and ingest writes the same files
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(workspace["raw"].read_bytes())
+    config = config_with(workspace, tmp_path, {"data.path": raw})
+    out = tmp_path / "out"
+    argv = ["ingest", "--config", str(config), "--out", str(out)]
+    names = ("preprocessed.csv", "covariance.csv", "dist_credit.csv")
+    assert run_cli(argv).code == 0
+    plain = {name: (out / name).read_bytes() for name in names}
+    for marked in (raw, config):
+        marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        res = run_cli(argv)
+        assert res.code == 0, res.err
+        assert {name: (out / name).read_bytes() for name in names} == plain
 
 
 def test_bad_config_key_exit_code(tmp_path):

@@ -212,7 +212,7 @@ def test_summarize_series_too_short_for_ess():
 
 def test_summarize_chain_rows_in_order(tiny_dataset, short_sampler_config):
     chain = run_chain(tiny_dataset, ModelConfig(), short_sampler_config)
-    rows = summarize(chain)
+    rows = summarize(chain.param_names, chain.param_draws)
     assert [r.name for r in rows] == list(chain.param_names)
 
 

@@ -12,7 +12,6 @@ import pytest
 from scipy.special import gammaln, log_expit
 from scipy.stats import poisson
 
-from faircredit import probmodel
 from faircredit.dataset import Dataset, generate_synthetic
 from faircredit.errors import DataError
 from faircredit.probmodel import (
@@ -436,23 +435,10 @@ def kept_totals(block):
     return block.move(0, block.coefs[0])[1]
 
 
-def spread_of(c):
-    """max |c|, which accept_rows takes beside the latent column."""
-    return float(np.abs(c).max())
-
-
-def bound_move(block, vec, positions, coefs, c):
-    """Bound a block's next coefficient move as run_chain does: every
-    coefficient at most its kept or its proposed magnitude, and the latent
-    scores at most max |c|."""
-    mags = np.abs(vec)
-    mags[list(positions)] = np.maximum(mags[list(positions)], np.abs(coefs))
-    return block.bound(mags, spread_of(c))
-
-
 def assert_blocks_equal(a, b):
     """Two HeadTerms blocks' kept coefficients, terms, sums, rows, totals,
-    rates and column spreads, bit for bit."""
+    and a credit block's rates, column spreads and, with no rate over the
+    cap, screen bounds, bit for bit."""
     for kept, want in ((a.coefs, b.coefs), (a.terms, b.terms), (a.sums, b.sums)):
         assert len(kept) == len(want)
         assert all(np.array_equal(x, y) for x, y in zip(kept, want))
@@ -460,7 +446,14 @@ def assert_blocks_equal(a, b):
     assert kept_totals(a) == kept_totals(b)
     assert (a.rates is None) == (b.rates is None)
     assert a.rates is None or np.array_equal(a.rates, b.rates)
-    assert a.spread == b.spread
+    if a.rates is not None:
+        j = a.latent_term
+        assert a.spread[:j] + a.spread[j + 1:] == b.spread[:j] + b.spread[j + 1:]
+        if np.isfinite(a.rates).all():  # no rate over the cap, as run_chain keeps them
+            # the screen, which takes the latent column's spread from the kept c
+            terms = range(len(a.positions))
+            assert [a.step_bound(k, 0.5) for k in terms] == [b.step_bound(k, 0.5) for k in terms]
+            assert a.spread == b.spread
 
 
 @pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
@@ -479,7 +472,6 @@ def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
             assert_block_matches_scratch(heads, block.rows, kept_totals(block), vec, c, design)
             for k, positions in enumerate(block.positions):
                 coefs = 3.0 * rng.standard_normal(len(heads))
-                bound_move(block, vec, positions, coefs, c)
                 totals, kept = block.move(k, coefs[:, None])
                 assert_block_matches_scratch(heads, block.rows, kept, vec, c, design)
                 moved = vec.copy()
@@ -488,7 +480,6 @@ def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
                 over_moves += n_over > 0
                 finite_moves += n_over == 0
             c_prop = c + rng.standard_normal(n)
-            block.bound(np.abs(vec), spread_of(c_prop))
             rows, n_over = block.move_latent(c_prop)
             assert rows is block.moved_rows
             assert n_over == assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
@@ -512,7 +503,6 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
             k = int(rng.integers(len(block.positions)))
             positions = block.positions[k]
             coefs = vec[list(positions)] + rng.standard_normal(len(heads))
-            bound_move(block, vec, positions, coefs, c)
             block.move(k, coefs[:, None])
             accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
             block.accept_heads(accepted)
@@ -521,12 +511,11 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
                     vec[j] = v
         c_prop = c + rng.standard_normal(n)
         for block in blocks:
-            block.bound(np.abs(vec), spread_of(c_prop))
             block.move_latent(c_prop)
         accept = rng.random(n) < 0.5
         c = np.where(accept, c_prop, c)
         for block in blocks:
-            block.accept_rows(accept, c, spread_of(c))
+            block.accept_rows(accept, c)
         for heads, block in zip(BLOCKS, blocks):
             assert_blocks_equal(block, HeadTerms(heads, vec, c, design))
             assert_block_matches_scratch(heads, block.rows, kept_totals(block), vec, c, design)
@@ -550,7 +539,7 @@ def test_head_terms_accept_rows_by_index_or_mask_alike(tiny_dataset, config):
             by_mask, by_index = HeadTerms(heads, vec, c, design), HeadTerms(heads, vec, c, design)
             for block, accepted in ((by_mask, mask), (by_index, np.flatnonzero(mask))):
                 block.move_latent(c_prop)
-                block.accept_rows(accepted, kept, spread_of(kept))
+                block.accept_rows(accepted, kept)
             assert_blocks_equal(by_index, by_mask)
 
 
@@ -569,7 +558,6 @@ def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
         for heads, block in zip(BLOCKS, blocks):
             k = int(rng.integers(len(block.positions)))
             coefs = vec[list(block.positions[k])] + rng.standard_normal(len(heads))
-            bound_move(block, vec, block.positions[k], coefs, c)
             block.move(k, coefs[:, None])
             held, before = block.moved_rows, block.moved_rows.copy()
             accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
@@ -583,10 +571,9 @@ def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
         c = c.copy()
         c[accepted] = c_prop[accepted]
         for block in blocks:
-            block.bound(np.abs(vec), spread_of(c_prop))
             rows, _ = block.move_latent(c_prop)
             held = [(a, a.copy()) for a in (rows, block._moved_rates) if a is not None]
-            block.accept_rows(accepted, c, spread_of(c))
+            block.accept_rows(accepted, c)
             assert all(np.array_equal(a, before) for a, before in held)
     for heads, block in zip(BLOCKS, blocks):
         assert_blocks_equal(block, HeadTerms(heads, vec, c, design))
@@ -594,78 +581,46 @@ def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
 
 def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
     # latent scores out to +-800 under unit, halved and doubled loadings: in
-    # some moved states exp(-z) overflows in one head, both or neither, and
-    # the block's rows and totals stay bitwise head_log_likelihood's
+    # some states exp(-z) overflows in one head, both or neither. The block
+    # runs exp unguarded, so its rows are bitwise head_log_likelihood's (0
+    # minus) wherever nz <= 709.78 and +inf where exp(nz) overflows, and a
+    # head's total is +inf exactly when it has such a row
     c = np.array([-800.0, -360.0, -5.0, 0.0, 2.5, 400.0, 750.0])
     design = logistic_design(c.size)
     heads = (HEAD_JOB, HEAD_HOUSE)
     vec = UNIT_LATENT.copy()
-    block = HeadTerms(heads, vec, c, design)
-    assert_block_matches_scratch(heads, block.rows, kept_totals(block), vec, c, design)
-    k = block.latent_term
-    overflowed = set()
-    for coefs in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.5, 0.5), (1.0, -1.0)):
-        totals, _ = block.move(k, np.array(coefs)[:, None])
-        moved = vec.copy()
-        moved[list(block.positions[k])] = coefs
-        assert_block_matches_scratch(heads, block.moved_rows, totals, moved, c, design)
-        # exp(t) overflows for every t > 710 and for no t < 709.78
+
+    def check(rows, totals, moved, c):
+        # only the latent coefficients are nonzero, so nz is exactly this
         nz = moved[[3, 7]][:, None] * c * block.nsign
-        overflowed.add(tuple((nz > 710.0).any(axis=1)))
-        assert not ((nz > 709.78) & (nz <= 710.0)).any()
-    assert overflowed == {(True, True), (True, False), (False, True), (False, False)}
-    for scale in (1.0, 0.5, 2.0):
-        c_prop = scale * c[::-1]
-        rows, _ = block.move_latent(c_prop)
-        assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
-
-
-def test_head_terms_bound_switches_the_guard_without_changing_a_row(monkeypatch):
-    # bound is the heads' largest sum of coefficient magnitudes times their
-    # columns' max |x|. Below _EXP_BARE a logistic block's moves run
-    # _softplus_rows bare; above it they run it guarded, whether or not a
-    # row overflows. Either way every row and total is bitwise
-    # head_log_likelihood's
-    guarded = []
-    real = probmodel._softplus_rows
-
-    def counting(nz, bare=False):
-        if not bare:
-            guarded.append(nz.ndim == 2)  # a block's, not head_log_likelihood's
-        return real(nz, bare)
-
-    monkeypatch.setattr(probmodel, "_softplus_rows", counting)
-    heads = (HEAD_JOB, HEAD_HOUSE)
-    # the job head's nz is -beta_j_c c and the house head's beta_h_c c; only
-    # the latent coefficients are nonzero, so the bound is 2 max |c|
-    vec = ModelParams(beta_j_c=1.0, beta_h_c=-1.0).to_vector()
-    coefs = np.array([0.5, 2.0])
-    mags = np.abs(vec)
-    mags[[3, 7]] = 2.0
-    cases = (
-        ("below", np.array([-40.0, -3.0, 0.0, 2.5])),
-        ("above", np.array([-3.0, 0.0, 300.0, -400.0])),
-        ("overflow", np.array([-3.0, 0.0, 400.0, -750.0])),
-    )
-    for name, c in cases:
-        design = logistic_design(c.size)
-        block = HeadTerms(heads, vec, c, design)
-        before = sum(guarded)
-        assert block.bound(mags, spread_of(c)) == 2.0 * spread_of(c)
-        assert block.bare == (name == "below")
-        k = block.latent_term
-        totals, _ = block.move(k, coefs[:, None])
-        moved = vec.copy()
-        moved[[3, 7]] = coefs
-        assert_block_matches_scratch(heads, block.moved_rows, totals, moved, c, design)
         # exp(t) overflows for every t > 710 and for no t < 709.78
-        nz = coefs[:, None] * c * block.nsign
-        assert (nz > 710.0).any() == (name == "overflow")
-        assert not ((nz > 709.78) & (nz <= 710.0)).any()
-        c_prop = c[::-1].copy()
-        rows, _ = block.move_latent(c_prop)
-        assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
-        assert sum(guarded) - before == (0 if block.bare else 2)
+        over = nz > 710.0
+        assert not ((nz > 709.78) & ~over).any()
+        for i, h in enumerate(heads):
+            total, _, expected = head_log_likelihood(h, moved, c, design)
+            fine = ~over[i]
+            assert np.array_equal(0.0 - rows[i][fine], expected[fine])
+            assert np.all(rows[i][over[i]] == np.inf)
+            if totals is not None:
+                assert (totals[i] == np.inf) == over[i].any()
+                assert over[i].any() or -totals[i] == total
+        return tuple(over.any(axis=1).tolist())
+
+    overflowed = set()
+    with np.errstate(over="ignore"):
+        block = HeadTerms(heads, vec, c, design)
+        overflowed.add(check(block.rows, kept_totals(block), vec, c))
+        k = block.latent_term
+        for coefs in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.5, 0.5), (1.0, -1.0)):
+            totals, _ = block.move(k, np.array(coefs)[:, None])
+            moved = vec.copy()
+            moved[list(block.positions[k])] = coefs
+            overflowed.add(check(block.moved_rows, totals, moved, c))
+        for scale in (1.0, 0.5, 2.0):
+            c_prop = scale * c[::-1]
+            rows, _ = block.move_latent(c_prop)
+            overflowed.add(check(rows, None, vec, c_prop))
+    assert overflowed == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_head_terms_need_shared_columns(tiny_dataset, modest_params):
@@ -723,6 +678,6 @@ def test_credit_step_bound_covers_the_engine(tiny_dataset, modest_params, rows, 
                 rows, _ = block.move_latent(c_prop)
                 accept = (rng.random(n) < 0.5) & np.isfinite(rows[0])
                 c = np.where(accept, c_prop, c)
-                block.accept_rows(accept, c, spread_of(c))
+                block.accept_rows(accept, c)
     assert all(seen.values()), seen
 

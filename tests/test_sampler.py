@@ -318,70 +318,41 @@ def test_credit_screen_changes_no_draw(tiny_dataset, monkeypatch, model_config):
     assert_same_chain(kept, full, model_config)
 
 
-@SCREEN_CONFIGS
-def test_guarded_softplus_changes_no_draw(tiny_dataset, monkeypatch, model_config):
-    # run_chain lets the logistic evaluations run exp bare while the sweep's
-    # bound is below _EXP_BARE; a threshold of 0 forces the guarded kernel,
-    # with its reduction, on every evaluation, and must give the same chain,
-    # bit for bit
-    guarded, unguarded = [], []
+def test_run_chain_rejects_overflowing_logistic_steps_as_the_exact_rows_do(tiny_dataset, monkeypatch):
+    # param_step 200 with adaptation off proposes logistic coefficients far
+    # enough that exp(nz) overflows in some of the logistic block's
+    # evaluations. There its softplus is +inf and the step's log ratio
+    # -inf, rejected; the reference's exact rows (head_log_likelihood's,
+    # finite) reject the same steps, so the chains match bit for bit. The
+    # rate cap at 1e300 keeps the credit head's far steps under the error
+    # budget
+    overflowed = []
     real = probmodel._softplus_rows
 
     def counting(nz, bare=False):
-        (unguarded if bare else guarded).append(nz.shape)
-        return real(nz, bare)
+        rows = real(nz, bare)
+        overflowed.append(bare and bool(np.isinf(rows).any()))
+        return rows
 
     monkeypatch.setattr(probmodel, "_softplus_rows", counting)
-    cols = range(len(tiny_dataset))
-    bare = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
-    assert len(guarded) == 1  # building the logistic block; every move ran bare
-    assert len(unguarded) == 5 * SCREEN_SAMPLER.iterations
-    monkeypatch.setattr(probmodel, "_EXP_BARE", 0.0)
-    full = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
-    # the block again, then four coefficient moves and a latent move a sweep
-    assert len(guarded) == 2 + 5 * SCREEN_SAMPLER.iterations
-    assert_same_chain(bare, full, model_config)
+    cfg = SamplerConfig(iterations=300, burn_in=100, thin=2, param_step=200.0,
+                        adapt_during_burn_in=False, seed=3)
+    assert_chain_matches_reference(tiny_dataset, ModelConfig(poisson_rate_cap=1e300), cfg)
+    assert sum(overflowed) > 0
 
 
-def test_run_chain_bounds_every_logistic_evaluation(tiny_dataset, monkeypatch):
-    # the logistic exp runs bare on the strength of one HeadTerms.bound call
-    # a sweep, so the magnitudes run_chain hands it must cover every
-    # coefficient and latent score the logistic block then evaluates: the
-    # kept and the moved ones of each coefficient step, and the latent
-    # proposals
-    bounds, counts = [], {"moves": 0, "latent": 0}
-    real_bound, real_move, real_latent = HeadTerms.bound, HeadTerms.move, HeadTerms.move_latent
-
-    def covered(block, coefs, c):
-        mags, spread = bounds[-1]
-        assert all(np.all(np.abs(coef[:, 0]) <= mags[list(p)]) for coef, p in zip(coefs, block.positions))
-        assert np.abs(c).max() <= spread
-
-    def bound(block, mags, latent_spread):
-        bounds.append((mags.copy(), latent_spread))
-        return real_bound(block, mags, latent_spread)
-
-    def move(block, k, coef):
-        if block.nsign is not None:
-            coefs = list(block.coefs)
-            coefs[k] = coef
-            covered(block, coefs, block.columns[block.latent_term])
-            counts["moves"] += 1
-        return real_move(block, k, coef)
-
-    def move_latent(block, c):
-        if block.nsign is not None:
-            covered(block, block.coefs, c)
-            counts["latent"] += 1
-        return real_latent(block, c)
-
-    monkeypatch.setattr(HeadTerms, "bound", bound)
-    monkeypatch.setattr(HeadTerms, "move", move)
-    monkeypatch.setattr(HeadTerms, "move_latent", move_latent)
-    run_chain(tiny_dataset, ModelConfig(include_credit_intercept=True), SCREEN_SAMPLER)
-    iterations = SCREEN_SAMPLER.iterations
-    assert len(bounds) == iterations
-    assert counts == {"moves": 4 * iterations, "latent": iterations}
+def test_run_chain_restores_the_error_state_when_it_aborts(tiny_dataset):
+    # run_chain ignores overflow and divide warnings while it runs. A chain
+    # that aborts mid-way (param_step 500 puts credit rates over the cap in
+    # more than 1% of steps by sweep 100) hands back the caller's own error
+    # state, here one that differs from run_chain's in both
+    cfg = SamplerConfig(iterations=300, burn_in=100, param_step=500.0,
+                        adapt_during_burn_in=False, seed=3)
+    with np.errstate(over="raise", divide="print"):
+        before = np.geterr()
+        with pytest.raises(SamplerError, match="aborted at sweep 100"):
+            run_chain(tiny_dataset, ModelConfig(poisson_rate_cap=1e300), cfg)
+        assert np.geterr() == before
 
 
 def test_credit_screen_skips_most_credit_evaluations(monkeypatch):

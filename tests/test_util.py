@@ -52,8 +52,16 @@ def test_derive_rng_seed_matters():
     assert not np.array_equal(derive_rng(5, 1, 2).random(4), derive_rng(6, 1, 2).random(4))
 
 
+def test_derive_rng_uses_the_whole_seed():
+    # seed 0's first parameter-stream draw, pinned; a seed of 2**64 is not
+    # cut to its low 64 bits, so it draws another stream
+    assert derive_rng(0, 0, 0).random() == 0.6369616873214543
+    assert not np.array_equal(derive_rng(2**64, 0, 0).random(3), derive_rng(0, 0, 0).random(3))
+
+
 def test_derive_rng_rejects_negative_seed_or_key():
-    # masked to 64 bits, -3 would draw exactly what 2**64 - 3 draws
+    # numpy.random.SeedSequence refuses a negative key; derive_rng says so
+    # as a user error
     for args in ((-3, 0, 0), (3, -1, 0), (3, 0, -2)):
         with pytest.raises(ConfigError, match="non-negative"):
             derive_rng(*args)
