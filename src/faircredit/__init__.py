@@ -2,11 +2,11 @@
 
 The pipeline infers a latent per-person reliability score from sex, age, job,
 housing, and credit amount with a Metropolis-within-Gibbs sampler over a small
-generative model, then predicts credit from that score alone. Because the
-protected attributes influence the prediction only through the inferred score,
-flipping them leaves the second-stage input unchanged. Full and unaware
-least-squares baselines, convergence diagnostics, and counterfactual fairness
-metrics are included, along with a command line front end (``faircredit``).
+generative model, then predicts credit from that score alone, so the
+protected attributes influence the prediction only through the inferred score.
+Full and unaware least-squares baselines, convergence diagnostics, and
+counterfactual fairness metrics are included, along with a command line front
+end (``faircredit``).
 """
 
 from .dataset import (

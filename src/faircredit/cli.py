@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .dataset import (
     generate_synthetic,
     load_csv,
     preprocess,
-    read_processed_csv,
     split,
     write_processed_csv,
 )
@@ -50,6 +49,7 @@ from .probmodel import LATENT_SLOPES, ModelConfig, ModelParams, PARAM_NAMES
 from .sampler import Chain, SamplerConfig, export_chain, read_param_chain_csv, run_chain
 from .util import (
     atomic_write_text,
+    check_seed,
     config_from_items,
     config_items,
     format_kv_text,
@@ -133,14 +133,10 @@ def resolve_config(
             raise ConfigError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
         cfg.update(fromfile)
     if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
         # one master seed for every random stage
-        for key in SEED_KEYS:
-            cfg[key] = str(seed)
+        cfg.update(dict.fromkeys(SEED_KEYS, str(check_seed(seed, "--seed"))))
     for key in SEED_KEYS:
-        if _get(cfg, key, int) < 0:
-            raise ConfigError(f"config key {key} must be a non-negative integer, got {cfg[key]!r}")
+        check_seed(_get(cfg, key, int), f"config key {key}")
     for key, least in (("out.bins", 1), ("out.max_lag", 0), ("out.latent_columns", 0)):
         if _get(cfg, key, int) < least:
             raise ConfigError(f"config key {key} must be an integer >= {least}, got {cfg[key]!r}")
@@ -169,21 +165,21 @@ def _get_choice(cfg: dict[str, str], key: str, options: tuple[str, ...]) -> str:
     return cfg[key]
 
 
-def _validated(value, section: str):
-    """value after its validate(); a rejected value is the user's config error."""
+def _validated(build: Callable, section: str):
+    """build(), which builds a checked dataclass; a value it refuses
+    (ValueError) is the user's config error."""
     try:
-        value.validate()
-    except (ValueError, ConfigError) as exc:
+        return build()
+    except ValueError as exc:
         raise ConfigError(f"invalid {section} config: {exc}") from None
-    return value
 
 
 def build_model_config(cfg: dict[str, str]) -> ModelConfig:
-    return _validated(config_from_items(ModelConfig, cfg, "model."), "model")
+    return _validated(lambda: config_from_items(ModelConfig, cfg, "model."), "model")
 
 
 def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
-    sc = _validated(config_from_items(SamplerConfig, cfg, "sampler."), "sampler")
+    sc = _validated(lambda: config_from_items(SamplerConfig, cfg, "sampler."), "sampler")
     # a chain is summarized from its kept draws, which takes at least two
     if sc.n_draws() < 2:
         raise ConfigError(
@@ -195,7 +191,7 @@ def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
 
 
 def build_forest_config(cfg: dict[str, str]) -> ForestConfig:
-    return _validated(config_from_items(ForestConfig, cfg, "forest."), "forest")
+    return _validated(lambda: config_from_items(ForestConfig, cfg, "forest."), "forest")
 
 
 def build_preprocess_config(cfg: dict[str, str]) -> PreprocessConfig:
@@ -216,7 +212,7 @@ def _synth_truth(cfg: dict[str, str]) -> ModelParams:
     values = {name: _get(cfg, f"synth.param.{name}", float) for name in PARAM_NAMES[:-1]}
     b_c_raw = cfg["synth.param.b_c"]
     values["b_c"] = None if b_c_raw.lower() == "none" else _get(cfg, "synth.param.b_c", float)
-    return _validated(ModelParams(**values), "synth.param")
+    return _validated(lambda: ModelParams(**values), "synth.param")
 
 
 def _latent_columns(n: int, want: int) -> tuple[int, ...]:
@@ -287,32 +283,15 @@ def cmd_ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     return 0
 
 
-def _same_data(a: Dataset, b: Dataset) -> bool:
-    """Whether two datasets hold the columns and standardization that
-    preprocessed.csv stores."""
-    columns = ("sex", "age_std", "job", "house", "credit")
-    return a.standardization == b.standardization and all(
-        np.array_equal(getattr(a, col), getattr(b, col)) for col in columns
-    )
-
-
 def _load_splits(cfg: dict[str, str], header: tuple[str, ...]):
-    """The train and test splits of out.dir's preprocessed.csv, written
-    first if absent. An existing file is used only if it holds what the
-    config's data.path, column.* and preprocess.* keys make."""
+    """The train and test splits of the dataset that the config's data.path,
+    column.* and preprocess.* keys make, after ingest's outputs for it are
+    written into out.dir, replacing any there."""
     spec = SplitSpec(train_count=_get(cfg, "split.train_count", int), seed=_get(cfg, "split.seed", int))
-    path = os.path.join(cfg["out.dir"], "preprocessed.csv")
     records, data = _read_data(cfg)
-    if not os.path.exists(path):
-        _ingest(cfg, header, records, data)
-        print(f"(auto-ingested {len(records)} rows from {cfg['data.path']})")
-    stored = read_processed_csv(path)
-    if not _same_data(stored, data):
-        raise ConfigError(
-            f"{path} holds other data than data.path, column.* and preprocess.* "
-            "give; run ingest into this out.dir with this config, or use another out.dir"
-        )
-    return split(stored, spec)
+    _ingest(cfg, header, records, data)
+    print(f"(auto-ingested {len(records)} rows from {cfg['data.path']})")
+    return split(data, spec)
 
 
 def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
@@ -440,12 +419,12 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         raise ConfigError(
             f"{exc}; check the synth.param.* values and model.poisson_rate_cap"
         ) from None
+    chain = _warned_chain(data, mc, sc)
     out = cfg["out.dir"]
     write_processed_csv(data, os.path.join(out, "synthetic.csv"), header)
     lines = ["index,c"] + [f"{i},{v!r}" for i, v in enumerate(true_c.tolist())]
     atomic_write_text(os.path.join(out, "true_latents.csv"), "\n".join(lines) + "\n", header)
 
-    chain = run_chain(data, mc, sc)
     medians = chain.theta_median().to_vector(include_credit_intercept=mc.include_credit_intercept)
     truth_vec = dataclasses.replace(
         truth, b_c=0.0 if truth.b_c is None else truth.b_c
@@ -478,6 +457,12 @@ def cmd_synth(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     print(f"corr(inferred latent means, true latents) = {corr:.4f}")
     print(f"wrote {out}/: synthetic.csv, true_latents.csv, recovery.csv")
     return 0
+
+
+# the commands but fit, which also takes its --model
+COMMANDS = {
+    "ingest": cmd_ingest, "diagnose": cmd_diagnose, "compare": cmd_compare, "synth": cmd_synth,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +501,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             output_dir(os.path.join(cfg["out.dir"], "model_fair"), create=False)
         if args.command == "diagnose":
             output_dir(os.path.join(cfg["out.dir"], "plots"), create=False)
-        config_text = format_kv_text(dict(sorted(cfg.items())))
-        atomic_write_text(os.path.join(cfg["out.dir"], "config.kv"), config_text, header)
-        if args.command == "ingest":
-            return cmd_ingest(cfg, header)
         if args.command == "fit":
-            return cmd_fit(cfg, header, args.model)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg, header)
-        if args.command == "compare":
-            return cmd_compare(cfg, header)
-        if args.command == "synth":
-            return cmd_synth(cfg, header)
-        raise AssertionError(f"unhandled command {args.command!r}")
+            code = cmd_fit(cfg, header, args.model)
+        else:
+            code = COMMANDS[args.command](cfg, header)
+        # stamped last, so a refused run leaves no config beside older outputs
+        if code == 0:
+            config_text = format_kv_text(dict(sorted(cfg.items())))
+            atomic_write_text(os.path.join(cfg["out.dir"], "config.kv"), config_text, header)
+        return code
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

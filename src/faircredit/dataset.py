@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import probmodel
-from .errors import ConfigError, DataError, RateCapError
-from .util import atomic_write_text, read_text
+from .errors import DataError, RateCapError
+from .util import atomic_write_text, check_seed, read_text
 
 # candidate header spellings accepted out of the box (lowercased)
 DEFAULT_COLUMN_CANDIDATES: dict[str, tuple[str, ...]] = {
@@ -71,6 +71,9 @@ class SplitSpec:
     train_count: int
     seed: int
 
+    def __post_init__(self) -> None:
+        check_seed(self.seed, "split seed")
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -83,6 +86,7 @@ class Dataset:
     shift in years refuses it.
     split is the SplitSpec of the split() that returned the dataset, as a
     chain records its configs, and None for any other dataset, a subset too.
+    A dataset is checked (validate) when it is built, so every one is valid.
     """
 
     sex: np.ndarray
@@ -92,6 +96,9 @@ class Dataset:
     credit: np.ndarray
     standardization: Standardization | None = None
     split: SplitSpec | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def __len__(self) -> int:
         return int(self.sex.shape[0])
@@ -238,12 +245,10 @@ def preprocess(records: Sequence[RawRecord], config: PreprocessConfig = DEFAULT_
     )
     credit = np.array([rec.credit_amount for rec in records], dtype=np.int64)
     age_std, standardization = _standardized(ages, "the data")
-    ds = Dataset(
+    return Dataset(
         sex=sex, age_std=age_std, job=job, house=house, credit=credit,
         standardization=standardization,
     )
-    ds.validate()
-    return ds
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -259,8 +264,6 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     n = len(data)
     if not (0 < spec.train_count < n):
         raise DataError(f"train_count must be in (0, {n}), got {spec.train_count}")
-    if spec.seed < 0:
-        raise ConfigError(f"split seed must be a non-negative integer, got {spec.seed}")
     perm = np.random.default_rng(spec.seed).permutation(n)
     train_idx = np.sort(perm[: spec.train_count])
     test_idx = np.sort(perm[spec.train_count :])
@@ -296,10 +299,7 @@ def generate_synthetic(
     """
     if n < 2:
         raise DataError("need n >= 2 synthetic records")
-    if seed < 0:
-        raise ConfigError(f"synthetic seed must be a non-negative integer, got {seed}")
-    params.validate()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, "synthetic seed"))
     sex = (rng.random(n) < SYNTH_SEX_P).astype(np.int64)
     ages = np.clip(
         np.rint(rng.normal(SYNTH_AGE_MEAN, SYNTH_AGE_SD, size=n)), SYNTH_AGE_MIN, SYNTH_AGE_MAX
@@ -321,12 +321,10 @@ def generate_synthetic(
         raise RateCapError(float(lin[np.nonzero(over)[0][0]]), rate_cap)
     credit = np.maximum(rng.poisson(np.exp(lin)), 1).astype(np.int64)
 
-    ds = Dataset(
+    return Dataset(
         sex=sex, age_std=age_std, job=job, house=house, credit=credit,
         standardization=standardization,
-    )
-    ds.validate()
-    return ds, c
+    ), c
 
 
 def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
@@ -395,6 +393,4 @@ def read_processed_csv(path: str) -> Dataset:
             if key not in moments:
                 raise DataError(f"{path}: missing {key} comment beside the other age moment")
         stdz = Standardization(moments["age_mean"], moments["age_sd"])
-    ds = Dataset(sex=sex, age_std=age_std, job=job, house=house, credit=credit, standardization=stdz)
-    ds.validate()
-    return ds
+    return Dataset(sex=sex, age_std=age_std, job=job, house=house, credit=credit, standardization=stdz)

@@ -43,7 +43,6 @@ def covariance_matrix(data: Dataset, correlation: bool = False) -> tuple[tuple[s
     """Sample covariance (ddof=1) of the five observed columns, in the fixed
     order age_std, sex, job, house, credit. correlation=True normalizes to
     unit diagonal."""
-    data.validate()
     if len(data) < 2:
         raise DataError("need at least two observations for a covariance matrix")
     cols = np.column_stack(

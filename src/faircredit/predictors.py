@@ -22,12 +22,13 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError, RankDeficientError, UserError
+from .errors import DataError, RankDeficientError, UserError
 from .probmodel import ModelConfig, ModelParams
 from .sampler import Chain, infer_latent
 from .util import (
     STREAM_TREE,
     atomic_write_text,
+    check_seed,
     config_from_items,
     config_items,
     derive_rng,
@@ -163,7 +164,6 @@ def predict_ols(model: LinearModel, features: np.ndarray) -> np.ndarray:
 
 def fit_full(train: Dataset) -> LinearModel:
     """OLS of credit on (sex, age_std, job, house)."""
-    train.validate()
     return fit_ols(
         feature_matrix(train, FULL_FEATURES),
         np.asarray(train.credit, dtype=float),
@@ -173,7 +173,6 @@ def fit_full(train: Dataset) -> LinearModel:
 
 def fit_unaware(train: Dataset) -> LinearModel:
     """OLS of credit on (job, house) only: protected attributes dropped."""
-    train.validate()
     return fit_ols(
         feature_matrix(train, UNAWARE_FEATURES),
         np.asarray(train.credit, dtype=float),
@@ -186,20 +185,24 @@ def fit_unaware(train: Dataset) -> LinearModel:
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """The forest's size and seed, checked (validate) when built."""
+
     n_trees: int = 200
     max_depth: int = 6
     min_leaf: int = 5
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.max_depth < 0:
-            raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.min_leaf < 1:
-            raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        check_seed(self.seed, "seed")
 
 
 @dataclass
@@ -338,7 +341,6 @@ def fit_forest(c_values: np.ndarray, targets: np.ndarray, config: ForestConfig) 
     the fsum of their leaves over n_trees: bit for bit the average of walking
     every tree.
     """
-    config.validate()
     c = np.asarray(c_values, dtype=float)
     y = np.asarray(targets, dtype=float)
     if c.ndim != 1 or c.shape != y.shape:
@@ -392,14 +394,12 @@ def forest_to_text(model: ForestModel) -> str:
 
 
 def _read_config(cls, items: dict[str, str], where: str, prefix: str = ""):
-    """The config dataclass cls from a stored file's items, validated; a
-    missing, unreadable or rejected value is a UserError naming where."""
+    """The config dataclass cls from a stored file's items; a missing,
+    unreadable or rejected value is a UserError naming where."""
     try:
-        config = config_from_items(cls, items, prefix)
-        config.validate()
+        return config_from_items(cls, items, prefix)
     except (ValueError, UserError) as exc:
         raise UserError(f"{where}: {exc}") from None
-    return config
 
 
 def forest_from_text(text: str) -> ForestModel:
@@ -457,7 +457,6 @@ def fit_fair(train: Dataset, chain: Chain, forest_config: ForestConfig) -> FairM
     The chain carries the model config it ran with, which the fair model
     keeps beside the chain's posterior medians.
     """
-    train.validate()
     if len(chain.latent_mean) != len(train):
         raise ValueError("chain latent width does not match the training set")
     forest = fit_forest(chain.latent_mean, np.asarray(train.credit, dtype=float), forest_config)
@@ -510,7 +509,6 @@ def load_fair_model(model_dir: str) -> FairModel:
     params_path = os.path.join(model_dir, "params.kv")
     try:
         theta = ModelParams.from_kv_text(read("params.kv"))
-        theta.validate()
     except ValueError as exc:
         raise UserError(f"{params_path}: {exc}") from None
     forest = forest_from_text(read("forest.txt"))

@@ -79,11 +79,15 @@ class ModelConfig:
     include_credit_intercept: whether the Poisson head gets an intercept b_c.
     credit_scale: divisor applied to raw credit before treating it as a count.
     poisson_rate_cap: rates above this raise / reject as divergent.
+    A config is checked (validate) when it is built.
     """
 
     include_credit_intercept: bool = False
     credit_scale: float = 1.0
     poisson_rate_cap: float = 1e7
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not (self.credit_scale > 0 and math.isfinite(self.credit_scale)):
@@ -97,7 +101,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One point in parameter space. b_c is None unless the credit intercept is on."""
+    """One point in parameter space. b_c is None unless the credit intercept
+    is on. A point is checked (validate) when it is built."""
 
     b_j: float = 0.0
     beta_j_s: float = 0.0
@@ -111,6 +116,9 @@ class ModelParams:
     beta_c_a: float = 0.0
     beta_c_c: float = 0.0
     b_c: float | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for name in PARAM_NAMES:

@@ -82,6 +82,7 @@ from .util import (
     STREAM_PARAMS,
     STREAM_TRAIN_LATENT,
     atomic_write_text,
+    check_seed,
     derive_rng,
     numbered_rows,
     read_text,
@@ -125,6 +126,9 @@ class SamplerConfig:
     target_accept: float = 0.35
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
@@ -140,8 +144,7 @@ class SamplerConfig:
             raise ValueError(f"param_step must be positive, got {self.param_step!r}")
         if not (0 < self.target_accept < 1):
             raise ValueError(f"target_accept must be in (0,1), got {self.target_accept!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        check_seed(self.seed, "seed")
 
     def n_draws(self) -> int:
         return (self.iterations - self.burn_in) // self.thin
@@ -246,9 +249,6 @@ def run_chain(
     Persistent likelihood errors (more than 1% of steps) abort with
     diagnostics.
     """
-    sampler_config.validate()
-    model_config.validate()
-    data.validate()
     cfg = sampler_config
     n = len(data)
     columns = tuple(int(i) for i in latent_columns)
@@ -533,9 +533,6 @@ def infer_latent(
     include_credit=True conditions each row on its own credit amount;
     prediction must use False so the target cannot leak into its feature.
     """
-    model_config.validate()
-    theta_hat.validate()
-    data.validate()
     design = Design.from_dataset(data, model_config)
     cols = design.columns()
     # b_c is read only by the credit head

@@ -15,6 +15,16 @@ import numpy as np
 from .errors import ConfigError, DataError, UserError
 
 
+def check_seed(value: int, what: str) -> int:
+    """value if it is a seed, an int in [0, 2**32); else a ConfigError
+    naming what. numpy.random.SeedSequence refuses a negative key, and
+    splits a larger one into 32-bit words, padding fewer than four with
+    zeros, so a key of 2**32 or more would draw a smaller key's stream."""
+    if not 0 <= value < 2**32:
+        raise ConfigError(f"{what} must be a non-negative integer below 2**32, got {value}")
+    return value
+
+
 def derive_rng(seed: int, kind: int, index: int) -> np.random.Generator:
     """Return an independent generator for the stream (seed, kind, index).
 
@@ -22,16 +32,12 @@ def derive_rng(seed: int, kind: int, index: int) -> np.random.Generator:
     master seed, a quantity kind (a STREAM_* id) and an index within it are
     fed to ``numpy.random.SeedSequence`` as its entropy list. Streams with
     different keys are independent, and the mapping does not depend on the
-    order quantities are updated in. Each key is used whole, never cut to
-    64 bits. SeedSequence splits the keys into 32-bit words, and pads fewer
-    than four with zeros, so a seed of 2**32 or more can share a stream with
-    a smaller seed's other kind: (2**32, 0, 0) draws what (0, 1, 0) does. A
-    negative seed or key raises ConfigError.
+    order quantities are updated in. Each key must be a seed (check_seed),
+    below 2**32, or a ConfigError is raised.
     """
-    key = (seed, kind, index)
-    if min(key) < 0:
-        raise ConfigError(f"seed and stream key must be non-negative, got {key}")
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    names = ("seed", "stream kind", "stream index")
+    key = [check_seed(int(k), name) for k, name in zip((seed, kind, index), names)]
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 # stream id of the first key after the master seed, one per quantity kind

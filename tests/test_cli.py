@@ -6,6 +6,7 @@ exit codes, captured output, and files. Error paths get fresh invocations.
 """
 
 import contextlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -33,6 +34,9 @@ from faircredit.predictors import ForestConfig, LinearModel
 from faircredit.probmodel import ModelConfig
 from faircredit.sampler import SamplerConfig, run_chain
 from faircredit.util import parse_kv_text
+
+
+CHECKS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "checks.py")
 
 
 @dataclass
@@ -576,9 +580,8 @@ def test_blocked_output_subdirectory_exit_code(workspace, tmp_path, command, blo
         (["ingest"], "raw.csv", ""),
         (["ingest"], "c.kv", "config "),
         (["diagnose"], "out/params.csv", ""),
-        (["fit", "--model", "full"], "out/preprocessed.csv", ""),
     ],
-    ids=("data_path", "config", "params_csv", "preprocessed_csv"),
+    ids=("data_path", "config", "params_csv"),
 )
 def test_undecodable_input_exit_code(workspace, tmp_path, command, target, what):
     # a byte that is not UTF-8 in a file the CLI reads is the user's mistake,
@@ -687,6 +690,24 @@ def test_negative_seed_exit_code(workspace, tmp_path, flags, key):
 
 
 @pytest.mark.parametrize(
+    "flags, key",
+    [(["--seed", str(2**32)], None), ([], "split.seed"), ([], "synth.seed")],
+    ids=("flag", "split", "synth"),
+)
+def test_seed_of_2_to_the_32_exit_code(workspace, tmp_path, flags, key):
+    # numpy.random.SeedSequence would draw a smaller seed's stream for it
+    config = config_with(workspace, tmp_path, {key: 2**32} if key else {})
+    out = tmp_path / "out"
+    res = run_cli(["synth", "--config", str(config), "--out", str(out), *flags])
+    assert res.code == 2
+    assert res.err == (
+        f"error: {'config key ' + key if key else '--seed'} must be a non-negative "
+        f"integer below 2**32, got {2**32}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, key, value, least",
     [
         ("ingest", "out.bins", "0", 1),
@@ -764,7 +785,7 @@ def test_fit_fair_refuses_forest_config_before_any_work(workspace, tmp_path):
     res = run_cli(["fit", "--model", "fair", "--config", str(config), "--out", str(out)])
     assert res.code == 2
     assert res.err == "error: invalid forest config: n_trees must be >= 1, got 0\n"
-    assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
+    assert not out.exists()
 
 
 CONSTANT_JOB_ERROR = (
@@ -775,13 +796,14 @@ CONSTANT_JOB_ERROR = (
 
 def test_refused_ingest_writes_no_output(workspace, tmp_path):
     # every job level is >= 0, so job is constant and the correlation check
-    # refuses it, naming the key; no output may be written before that check
+    # refuses it, naming the key; a refused run writes no output, config.kv
+    # included
     config = config_with(workspace, tmp_path, {"preprocess.job_threshold": 0})
     out = tmp_path / "out"
     res = run_cli(["ingest", "--config", str(config), "--out", str(out)])
     assert res.code == 2
     assert res.err == CONSTANT_JOB_ERROR
-    assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", (["fit", "--model", "full"], ["compare"]))
@@ -791,20 +813,30 @@ def test_auto_ingest_refuses_a_constant_column_by_its_config_key(workspace, tmp_
     res = run_cli([*command, "--config", str(config), "--out", str(out)])
     assert res.code == 2
     assert res.err == CONSTANT_JOB_ERROR
-    assert sorted(p.name for p in out.iterdir()) == ["config.kv"]
+    assert not out.exists()
 
 
-def test_fit_refuses_preprocessed_csv_of_other_data_keys(workspace, tmp_path):
-    out = tmp_path / "out"
-    assert run_cli(["ingest", "--config", str(workspace["config"]), "--out", str(out)]).code == 0
-    before = (out / "preprocessed.csv").read_bytes()
-    config = config_with(workspace, tmp_path, {"preprocess.job_threshold": 0})
-    res = run_cli(["fit", "--model", "full", "--config", str(config), "--out", str(out)])
-    assert res.code == 2
-    assert res.err.startswith(f"error: {out / 'preprocessed.csv'} holds other data")
-    assert res.err.count("\n") == 1
-    assert (out / "preprocessed.csv").read_bytes() == before
-    assert not (out / "model_full.kv").exists()
+def test_fit_rewrites_a_stale_preprocessed_csv_to_its_own_data(workspace, tmp_path):
+    # fit reads data.path alone: ingest's outputs left by another config, or
+    # a preprocessed.csv that is not even UTF-8, are replaced by those of
+    # fit's own config, as ingest with that config writes them below the
+    # config hash, which records out.dir
+    config = config_with(workspace, tmp_path, {"preprocess.own_label": "rent"})
+    want = tmp_path / "want"
+    assert run_cli(["ingest", "--config", str(config), "--out", str(want)]).code == 0
+    stale, garbled = tmp_path / "stale", tmp_path / "garbled"
+    assert run_cli(["ingest", "--config", str(workspace["config"]), "--out", str(stale)]).code == 0
+    garbled.mkdir()
+    (garbled / "preprocessed.csv").write_bytes(b"sex,age\n\xff\n")
+    for out in (stale, garbled):
+        res = run_cli(["fit", "--model", "full", "--config", str(config), "--out", str(out)])
+        assert res.code == 0, res.err
+        assert res.out.startswith("(auto-ingested 40 rows from ")
+        for path in want.iterdir():
+            if path.name != "config.kv":
+                body = (out / path.name).read_bytes().split(b"\n", 1)
+                assert body[1] == path.read_bytes().split(b"\n", 1)[1], path.name
+        assert (out / "model_full.kv").exists()
 
 
 def test_fit_fair_without_latent_columns(workspace, tmp_path):
@@ -873,6 +905,50 @@ def test_synth_rate_cap_names_its_config_keys(tmp_path):
     assert "synth.param.*" in res.err and "model.poisson_rate_cap" in res.err
 
 
+def test_synth_warns_as_fit_does(tmp_path):
+    # the benchmark's synth_large config mixes no better than the defaults
+    # (worst bulk ESS 14.14, beta_c_s, at seed 0), and synth says so
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS_PATH)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    config = tmp_path / "synth.kv"
+    config.write_text(checks.synth_config_text(), encoding="utf-8")
+    res = run_cli(["synth", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert res.code == 0, res.err
+    assert res.err.startswith("warning: worst bulk ESS is 14.14 (beta_c_s), below 100")
+    assert res.err.count("\n") == 1
+
+
+def test_aborted_synth_writes_nothing(tmp_path):
+    # far credit steps over a low rate cap exceed the sampler's error budget;
+    # synth writes its data after the chain, so the abort leaves no file
+    config = tmp_path / "c.kv"
+    lines = (
+        "synth.n = 50", "synth.param.beta_c_c = 1.0", "synth.param.b_c = 2.0",
+        "model.include_credit_intercept = true", "model.poisson_rate_cap = 200",
+        "sampler.iterations = 200", "sampler.burn_in = 50", "sampler.param_step = 3",
+        "sampler.adapt_during_burn_in = false",
+    )
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    res = run_cli(["synth", "--config", str(config), "--out", str(out)])
+    assert res.code == 1
+    assert res.err.startswith("internal error: sampler aborted at sweep ")
+    assert not out.exists()
+
+
+def test_refused_run_keeps_the_config_kv_of_the_last_run(workspace, tmp_path):
+    # config.kv is stamped after the command succeeds, so beside the outputs
+    # it describes it always records the config that wrote them
+    out = tmp_path / "out"
+    assert run_cli(["ingest", "--config", str(workspace["config"]), "--out", str(out)]).code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    config = config_with(workspace, tmp_path, {"forest.n_trees": 0})
+    res = run_cli(["fit", "--model", "fair", "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 TWO_DRAWS = "0,0.5,0.25\n1,0.75,0.125\n"
 
 
@@ -895,7 +971,7 @@ def test_diagnose_corrupt_chain_exit_code(workspace, tmp_path, header, rows):
     res = run_cli(["diagnose", "--config", str(workspace["config"]), "--out", str(out)])
     assert res.code == 2
     assert res.err.startswith(f"error: {out / 'params.csv'}:") and res.err.count("\n") == 1
-    assert sorted(p.name for p in out.iterdir()) == ["config.kv", "params.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["params.csv"]
 
 
 def test_diagnose_without_chain(workspace, tmp_path):

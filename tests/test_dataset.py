@@ -150,16 +150,15 @@ def test_preprocess_degenerate_age():
 # --- dataset invariants -----------------------------------------------------
 
 def test_dataset_validate_errors(tiny_dataset):
+    # a dataset is checked when it is built, so an invalid one never exists
     tiny_dataset.validate()
-    bad = Dataset(
-        sex=np.array([0, 2]), age_std=np.zeros(2), job=np.zeros(2, dtype=int),
-        house=np.zeros(2, dtype=int), credit=np.ones(2, dtype=int),
-    )
     with pytest.raises(DataError, match="binary"):
-        bad.validate()
-    empty = Dataset(*(np.empty(0) for _ in range(5)))
+        Dataset(
+            sex=np.array([0, 2]), age_std=np.zeros(2), job=np.zeros(2, dtype=int),
+            house=np.zeros(2, dtype=int), credit=np.ones(2, dtype=int),
+        )
     with pytest.raises(DataError, match="empty"):
-        empty.validate()
+        Dataset(*(np.empty(0) for _ in range(5)))
 
 
 def test_dataset_subset_and_ages(tiny_dataset):

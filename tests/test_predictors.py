@@ -375,12 +375,13 @@ def test_predict_forest_averages_trees():
 
 
 def test_forest_config_validate():
-    for bad in (
-        ForestConfig(n_trees=0), ForestConfig(max_depth=-1), ForestConfig(min_leaf=0),
-        ForestConfig(seed=-3),
-    ):
-        with pytest.raises(ConfigError):
-            bad.validate()
+    # a config is checked when it is built; a seed by util.check_seed
+    for bad in ({"n_trees": 0}, {"max_depth": -1}, {"min_leaf": 0}):
+        with pytest.raises(ValueError):
+            ForestConfig(**bad)
+    for seed in (-3, 2**32):
+        with pytest.raises(ConfigError, match="seed"):
+            ForestConfig(seed=seed)
 
 
 def test_fit_forest_input_guards():

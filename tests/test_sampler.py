@@ -26,7 +26,7 @@ from scipy.special import gammaln
 
 from faircredit import probmodel, sampler
 from faircredit.dataset import Dataset, SplitSpec, load_csv, preprocess, split
-from faircredit.errors import DataError, SamplerError
+from faircredit.errors import ConfigError, DataError, SamplerError
 from faircredit.probmodel import (
     HEAD_TERMS,
     LOG_2PI,
@@ -60,19 +60,22 @@ PARAM_HEAD = {pos: head for head, terms in enumerate(HEAD_TERMS) for pos, _ in t
 # --- config ------------------------------------------------------------------
 
 def test_sampler_config_validate():
+    # a config is checked when it is built; a seed by util.check_seed
     SamplerConfig().validate()
     for bad in (
-        SamplerConfig(iterations=0),
-        SamplerConfig(iterations=10, burn_in=10),
-        SamplerConfig(burn_in=-1),
-        SamplerConfig(thin=0),
-        SamplerConfig(delta=0.0),
-        SamplerConfig(param_step=-0.1),
-        SamplerConfig(target_accept=1.0),
-        SamplerConfig(seed=-3),
+        {"iterations": 0},
+        {"iterations": 10, "burn_in": 10},
+        {"burn_in": -1},
+        {"thin": 0},
+        {"delta": 0.0},
+        {"param_step": -0.1},
+        {"target_accept": 1.0},
     ):
         with pytest.raises(ValueError):
-            bad.validate()
+            SamplerConfig(**bad)
+    for seed in (-3, 2**32):
+        with pytest.raises(ConfigError, match="seed"):
+            SamplerConfig(seed=seed)
 
 
 def test_n_draws_arithmetic():

@@ -1,16 +1,22 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions by
 name and reports a renamed or deleted one as "missing", which spoils the
-benchmark's per-layer record. These tests fail first."""
+benchmark's per-layer record. These tests fail first, and the last runs the
+traced path end to end."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import math
 import os
+import subprocess
+import sys
 
 from faircredit.probmodel import ModelConfig
 from faircredit.sampler import SamplerConfig, infer_latent, run_chain
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER_PATH = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 def load_tracer():
@@ -52,3 +58,30 @@ def test_run_chain_observer_runs_on_a_real_chain(tiny_dataset):
     assert stat.extra["sweeps"] == sc.iterations
     assert stat.extra["draws_bytes"] == chain.param_draws.nbytes + chain.latent_draws.nbytes
     assert stat.kept["param_draws"] is chain.param_draws
+
+
+def refuse_constant(name):
+    raise ValueError(f"the trace holds {name}")
+
+
+def test_traced_fit_writes_a_well_formed_trace(tmp_path):
+    # the benchmark's traced path end to end: the tracer runs fit --model fair
+    # in its own process, as perfbench/run.py --trace 1 does, on a short chain
+    config = tmp_path / "c.kv"
+    data = os.path.join(ROOT, "data", "german_synthetic.csv")
+    config.write_text(
+        f"data.path = {data}\nsampler.iterations = 200\nsampler.burn_in = 50\n", encoding="utf-8"
+    )
+    trace = tmp_path / "trace.json"
+    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, TRACER_PATH, str(trace), "fit", "--model", "fair",
+         "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert res.returncode == 0, res.stderr
+    record = json.loads(trace.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+    assert record["missing"] == []
+    chain = record["functions"]["sampler.run_chain"]
+    assert chain["calls"] == 1
+    assert math.isfinite(chain["ess_bulk_min"]) and chain["ess_bulk_min"] > 0

@@ -52,11 +52,17 @@ def test_derive_rng_seed_matters():
     assert not np.array_equal(derive_rng(5, 1, 2).random(4), derive_rng(6, 1, 2).random(4))
 
 
-def test_derive_rng_uses_the_whole_seed():
-    # seed 0's first parameter-stream draw, pinned; a seed of 2**64 is not
-    # cut to its low 64 bits, so it draws another stream
+def test_derive_rng_refuses_a_key_from_2_to_the_32():
+    # SeedSequence splits a key into 32-bit words and pads fewer than four
+    # with zeros, so (2**32, 0, 0) would draw (0, 1, 0)'s stream: every key
+    # of 2**32 or more is refused, and the accepted keys' streams are pinned
+    # at both ends of the range
     assert derive_rng(0, 0, 0).random() == 0.6369616873214543
-    assert not np.array_equal(derive_rng(2**64, 0, 0).random(3), derive_rng(0, 0, 0).random(3))
+    assert derive_rng(2**32 - 1, 0, 0).random() == 0.2519435680449965
+    assert derive_rng(2**32 - 1, 2**32 - 1, 2**32 - 1).random() == 0.34183666349269504
+    for key in ((2**32, 0, 0), (0, 2**32, 0), (0, 0, 2**32), (2**64, 0, 0)):
+        with pytest.raises(ConfigError, match="below 2\\*\\*32"):
+            derive_rng(*key)
 
 
 def test_derive_rng_rejects_negative_seed_or_key():
