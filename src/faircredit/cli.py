@@ -331,6 +331,7 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     rate = chain.accept_rate_latents
     note = "" if lo <= rate <= hi else f"  <-- outside [{lo}, {hi}]"
     print(f"  accept(latents) = {rate:.3f}{note}")
+    print(f"  likelihood errors = {chain.n_likelihood_errors}")
     _warn_if_unmixed((row.name, row.ess_bulk) for row in summary)
     print(f"wrote {out}/: params.csv, latents.csv, summary.csv, model_fair/")
     return 0

@@ -34,6 +34,7 @@ from .util import (
     derive_rng,
     format_kv_text,
     parse_kv_text,
+    parse_value,
     read_text,
 )
 
@@ -61,9 +62,16 @@ class LinearModel:
         raw = parse_kv_text(text, where="linear model")
         if "intercept" not in raw:
             raise UserError("linear model file is missing 'intercept'")
+
+        def value(key: str) -> float:
+            v = parse_value(raw[key], float, key)
+            if not math.isfinite(v):
+                raise UserError(f"linear model file: {key} must be finite, got {raw[key]!r}")
+            return v
+
         names = tuple(k[len("coef."):] for k in raw if k.startswith("coef."))
-        coefs = np.array([float(raw[f"coef.{n}"]) for n in names])
-        return cls(feature_names=names, coefficients=coefs, intercept=float(raw["intercept"]))
+        coefs = np.array([value(f"coef.{n}") for n in names])
+        return cls(feature_names=names, coefficients=coefs, intercept=value("intercept"))
 
 
 def feature_matrix(data: Dataset, names: Sequence[str]) -> np.ndarray:
@@ -75,45 +83,17 @@ def feature_matrix(data: Dataset, names: Sequence[str]) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _householder_qr(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder QR with column pivoting (Golub & Van Loan, Algorithm 5.4.1).
-
-    Returns (R, c, piv) with A[:, piv] = Q R, where Q has p orthonormal
-    columns, R is (p, p) upper triangular and c = Q^T y. Step k brings the
-    column of largest remaining norm to position k, so |R[k, k]| never
-    increases. Those norms are recomputed at each step, not downdated.
-    """
-    R = A.copy()
-    b = y.copy()
-    p = R.shape[1]
-    piv = np.arange(p)
-    for k in range(p):
-        j = k + int(np.argmax(np.einsum("ij,ij->j", R[k:, k:], R[k:, k:])))
-        R[:, [k, j]] = R[:, [j, k]]
-        piv[[k, j]] = piv[[j, k]]
-        x = R[k:, k]
-        alpha = -math.copysign(float(np.sqrt(x @ x)), float(x[0]))
-        if alpha == 0.0:  # the remaining columns are exactly zero
-            continue
-        v = x.copy()
-        v[0] -= alpha
-        tau = 2.0 / (v @ v)
-        R[k:, k + 1:] -= np.outer(tau * v, v @ R[k:, k + 1:])
-        b[k:] -= (tau * (v @ b[k:])) * v
-        R[k, k] = alpha
-        R[k + 1:, k] = 0.0
-    return R[:p], b[:p], piv
-
-
 def fit_ols(
     features: np.ndarray, targets: np.ndarray, feature_names: Sequence[str] | None = None
 ) -> LinearModel:
-    """Least squares through a pivoted Householder QR (never normal equations).
+    """Least squares through numpy's QR of the design (never normal equations).
 
-    The intercept column is prepended internally. The coefficients solve
-    R beta = Q^T y by back substitution. Rank deficiency (a diagonal entry of
-    R within max(n, p+1) * eps * |R[0, 0]| of zero) raises and names the first
-    column the pivoting could not add independently, piv[rank].
+    The intercept is prepended as column 0, and the coefficients solve
+    R beta = Q^T y: LAPACK's LU of a triangular R is R, so that is back
+    substitution. Column j is dependent when |R[j, j]| <= max(n, p+1) * eps
+    * |A[:, j]|, a bound that scales with the column's own norm; rank
+    deficiency raises and names the first such column as spanned by the
+    columns before it.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -133,21 +113,17 @@ def fit_ols(
         raise DataError("features/targets contain non-finite values")
 
     A = np.column_stack([np.ones(n), X])
-    r, qty, piv = _householder_qr(A, y)
+    q, r = np.linalg.qr(A)
     diag = np.abs(np.diag(r))
-    tol = max(A.shape) * np.finfo(float).eps * diag[0]
-    rank = int(np.count_nonzero(diag > tol))
-    if rank < p + 1:
+    tol = max(A.shape) * np.finfo(float).eps * np.linalg.norm(A, axis=0)
+    dependent = np.flatnonzero(diag <= tol)
+    if dependent.size:
         all_names = ("intercept",) + feature_names
         raise RankDeficientError(
-            f"design matrix is rank deficient (rank {rank} of {p + 1}); "
-            f"column {all_names[piv[rank]]!r} is linearly dependent on the others"
+            f"design matrix is rank deficient: column {all_names[dependent[0]]!r} is spanned "
+            "by the columns before it"
         )
-    beta_perm = np.empty(p + 1)
-    for i in range(p, -1, -1):
-        beta_perm[i] = (qty[i] - r[i, i + 1:] @ beta_perm[i + 1:]) / r[i, i]
-    beta = np.empty(p + 1)
-    beta[piv] = beta_perm
+    beta = np.linalg.solve(r, q.T @ y)
     return LinearModel(
         feature_names=feature_names, coefficients=beta[1:].copy(), intercept=float(beta[0])
     )

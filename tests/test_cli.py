@@ -9,6 +9,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -263,6 +264,9 @@ def test_fit_linear_models(workspace):
 def test_fit_fair_outputs(workspace):
     res = workspace["results"]["fit_fair"]
     assert "accept(" in res.out
+    # the default rate cap is never reached, and the count goes to stdout only
+    assert "\n  likelihood errors = 0\n" in res.out
+    assert "likelihood" not in res.err
     out = workspace["out"]
     h = expected_hash(workspace)
     for name in ("params.csv", "latents.csv", "summary.csv"):
@@ -279,6 +283,21 @@ def test_fit_fair_outputs(workspace):
     assert fields[0] == "draw"
     assert fields[1] == "c_0"
     assert len(fields) == 4
+
+
+def test_fit_fair_prints_its_likelihood_errors(workspace, tmp_path):
+    # a rate cap the chain's proposals cross a few times, under the budget
+    config = tmp_path / "cap.kv"
+    config.write_text(
+        CONFIG_TEMPLATE.format(raw=workspace["raw"], out=tmp_path / "out")
+        + "model.poisson_rate_cap = 300\n",
+        encoding="utf-8",
+    )
+    res = run_cli(["fit", "--config", str(config), "--model", "fair"])
+    assert res.code == 0, res.err
+    (count,) = re.findall(r"^  likelihood errors = (\d+)$", res.out, flags=re.M)
+    assert int(count) > 0
+    assert "likelihood" not in res.err
 
 
 def test_fit_fair_warns_on_poor_mixing(workspace):

@@ -1,6 +1,6 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions by
 name and reports a renamed or deleted one as "missing", which spoils the
-benchmark's per-layer record. These tests fail first, and the last runs the
+benchmark's per-layer record. These tests fail first, and the last two run the
 traced path end to end."""
 
 import importlib
@@ -64,9 +64,11 @@ def refuse_constant(name):
     raise ValueError(f"the trace holds {name}")
 
 
-def test_traced_fit_writes_a_well_formed_trace(tmp_path):
-    # the benchmark's traced path end to end: the tracer runs fit --model fair
-    # in its own process, as perfbench/run.py --trace 1 does, on a short chain
+def traced_run(tmp_path, *command):
+    """The trace record of the benchmark's traced path end to end: the tracer
+    runs command in its own process, as perfbench/run.py --trace 1 does, on a
+    short chain. The run must exit 0, and its trace must load with NaN and
+    Infinity refused, name no missing target and hold only finite values."""
     config = tmp_path / "c.kv"
     data = os.path.join(ROOT, "data", "german_synthetic.csv")
     config.write_text(
@@ -75,13 +77,27 @@ def test_traced_fit_writes_a_well_formed_trace(tmp_path):
     trace = tmp_path / "trace.json"
     path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run(
-        [sys.executable, TRACER_PATH, str(trace), "fit", "--model", "fair",
+        [sys.executable, TRACER_PATH, str(trace), *command,
          "--config", str(config), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     assert res.returncode == 0, res.stderr
     record = json.loads(trace.read_text(encoding="utf-8"), parse_constant=refuse_constant)
     assert record["missing"] == []
+    for name, stat in record["functions"].items():
+        for key, value in stat.items():
+            assert math.isfinite(value), f"{name}.{key} = {value!r}"
+    return record
+
+
+def test_traced_fit_writes_a_well_formed_trace(tmp_path):
+    record = traced_run(tmp_path, "fit", "--model", "fair")
     chain = record["functions"]["sampler.run_chain"]
     assert chain["calls"] == 1
-    assert math.isfinite(chain["ess_bulk_min"]) and chain["ess_bulk_min"] > 0
+    assert chain["ess_bulk_min"] > 0
+
+
+def test_traced_compare_writes_a_well_formed_trace(tmp_path):
+    record = traced_run(tmp_path, "compare")
+    assert record["functions"]["sampler.run_chain"]["calls"] == 1
+    assert record["functions"]["predictors.fit_ols"]["calls"] == 2
