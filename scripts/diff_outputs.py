@@ -30,9 +30,12 @@ overflow exp in the logistic block (669 of its 1,501 evaluations at seed
 0) and are rejected, and the cap keeps the credit head's far steps under
 the error budget, so the overflow rule is compared end to end. Last come
 the refused runs, so that their error messages and exit codes are
-compared. `synth` runs with two configs it
-refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`) into one more
---out path; synth reads every config it needs before any work, in both
+compared. `fit --model fair` runs with `model.poisson_rate_cap = 100`
+into out_budget: its steps over the cap pass the likelihood-error budget
+and the chain aborts (at sweep 100 at seed 0), so its exit code, its error
+line and the absence of any file it wrote are compared. `synth` runs with
+two configs it refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`)
+into one more --out path; synth reads every config it needs before any work, in both
 trees. Then `fit --model fair` and `diagnose` run into another, each with a
 file where it makes its subdirectory (BLOCKERS: `model_fair`, `plots`),
 written just before it runs; the refused fit writes nothing, so diagnose is
@@ -79,6 +82,8 @@ COMMANDS = (
     ("fit fair all latents", "out_latents_all",
      ["fit", "--model", "fair", "--config", "{work}/latents_all.kv"]),
     ("fit fair overflow", "out_overflow", ["fit", "--model", "fair", "--config", "{work}/overflow.kv"]),
+    ("fit fair budget abort", "out_budget",
+     ["fit", "--model", "fair", "--config", "{work}/budget.kv"]),
     ("synth bad delta", "out_refused", ["synth", "--config", "{work}/bad_delta.kv"]),
     ("synth bad rate cap", "out_refused", ["synth", "--config", "{work}/bad_rate_cap.kv"]),
     ("fit fair blocked model dir", "out_blocked", ["fit", "--model", "fair"]),
@@ -98,6 +103,7 @@ CONFIGS = {
         "sampler.param_step = 500\nsampler.adapt_during_burn_in = false\n"
         "sampler.iterations = 300\nsampler.burn_in = 100\nmodel.poisson_rate_cap = 1e300\n"
     ),
+    "budget.kv": "model.poisson_rate_cap = 100\n",
     "bad_delta.kv": "sampler.delta = abc\n",
     "bad_rate_cap.kv": "model.poisson_rate_cap = x\n",
 }

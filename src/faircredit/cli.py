@@ -58,6 +58,7 @@ from .util import (
     parse_value,
     read_text,
     sha256_hex,
+    validated,
 )
 
 _SYNTH_PARAM_DEFAULTS = {f"synth.param.{name}": "0.0" for name in PARAM_NAMES[:-1]}
@@ -165,21 +166,12 @@ def _get_choice(cfg: dict[str, str], key: str, options: tuple[str, ...]) -> str:
     return cfg[key]
 
 
-def _validated(build: Callable, section: str):
-    """build(), which builds a checked dataclass; a value it refuses
-    (ValueError) is the user's config error."""
-    try:
-        return build()
-    except ValueError as exc:
-        raise ConfigError(f"invalid {section} config: {exc}") from None
-
-
 def build_model_config(cfg: dict[str, str]) -> ModelConfig:
-    return _validated(lambda: config_from_items(ModelConfig, cfg, "model."), "model")
+    return validated("invalid model config", config_from_items, ModelConfig, cfg, "model.")
 
 
 def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
-    sc = _validated(lambda: config_from_items(SamplerConfig, cfg, "sampler."), "sampler")
+    sc = validated("invalid sampler config", config_from_items, SamplerConfig, cfg, "sampler.")
     # a chain is summarized from its kept draws, which takes at least two
     if sc.n_draws() < 2:
         raise ConfigError(
@@ -191,7 +183,7 @@ def build_sampler_config(cfg: dict[str, str]) -> SamplerConfig:
 
 
 def build_forest_config(cfg: dict[str, str]) -> ForestConfig:
-    return _validated(lambda: config_from_items(ForestConfig, cfg, "forest."), "forest")
+    return validated("invalid forest config", config_from_items, ForestConfig, cfg, "forest.")
 
 
 def build_preprocess_config(cfg: dict[str, str]) -> PreprocessConfig:
@@ -212,7 +204,7 @@ def _synth_truth(cfg: dict[str, str]) -> ModelParams:
     values = {name: _get(cfg, f"synth.param.{name}", float) for name in PARAM_NAMES[:-1]}
     b_c_raw = cfg["synth.param.b_c"]
     values["b_c"] = None if b_c_raw.lower() == "none" else _get(cfg, "synth.param.b_c", float)
-    return _validated(lambda: ModelParams(**values), "synth.param")
+    return validated("invalid synth.param config", ModelParams, **values)
 
 
 def _latent_columns(n: int, want: int) -> tuple[int, ...]:
@@ -244,10 +236,12 @@ _COLUMN_KEYS = {
 
 
 def _ingest(
-    cfg: dict[str, str], header: tuple[str, ...], records: list[RawRecord], data: Dataset
-) -> None:
-    """Write ingest's outputs. Each is computed, and the correlation check
-    made, before the first is written, so a refused ingest writes none."""
+    cfg: dict[str, str], records: list[RawRecord], data: Dataset
+) -> Callable[[tuple[str, ...]], None]:
+    """The function that writes ingest's outputs under a header. Each is
+    computed, and the correlation check made, before it is returned, so a
+    refused ingest writes none, and a command that ingests writes them only
+    once its own work is done, so a refused command writes none either."""
     texts = {}
     for name in ("sex", "age", "job", "housing"):
         pairs = sorted(Counter(getattr(r, name) for r in records).items())
@@ -266,15 +260,18 @@ def _ingest(
     _, corr = covariance_matrix(data, correlation=True)
     texts["correlation.csv"] = matrix_to_csv_text(names, corr)
 
-    out = cfg["out.dir"]
-    write_processed_csv(data, os.path.join(out, "preprocessed.csv"), header)
-    for name, text in texts.items():
-        atomic_write_text(os.path.join(out, name), text, header)
+    def write(header: tuple[str, ...]) -> None:
+        out = cfg["out.dir"]
+        write_processed_csv(data, os.path.join(out, "preprocessed.csv"), header)
+        for name, text in texts.items():
+            atomic_write_text(os.path.join(out, name), text, header)
+
+    return write
 
 
 def cmd_ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     records, data = _read_data(cfg)
-    _ingest(cfg, header, records, data)
+    _ingest(cfg, records, data)(header)
     print(f"ingested {len(records)} rows from {cfg['data.path']}")
     print(
         f"wrote {cfg['out.dir']}/: preprocessed.csv, dist_*.csv, "
@@ -283,22 +280,23 @@ def cmd_ingest(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     return 0
 
 
-def _load_splits(cfg: dict[str, str], header: tuple[str, ...]):
+def _load_splits(cfg: dict[str, str]):
     """The train and test splits of the dataset that the config's data.path,
-    column.* and preprocess.* keys make, after ingest's outputs for it are
-    written into out.dir, replacing any there."""
+    column.* and preprocess.* keys make, and the writer of ingest's outputs
+    for it (_ingest), which replace any in out.dir."""
     spec = SplitSpec(train_count=_get(cfg, "split.train_count", int), seed=_get(cfg, "split.seed", int))
     records, data = _read_data(cfg)
-    _ingest(cfg, header, records, data)
+    write_ingest = _ingest(cfg, records, data)
     print(f"(auto-ingested {len(records)} rows from {cfg['data.path']})")
-    return split(data, spec)
+    return split(data, spec), write_ingest
 
 
 def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     out = cfg["out.dir"]
     if model in ("full", "unaware"):
-        train, _ = _load_splits(cfg, header)
+        (train, _), write_ingest = _load_splits(cfg)
         fitted = fit_full(train) if model == "full" else fit_unaware(train)
+        write_ingest(header)
         path = os.path.join(out, f"model_{model}.kv")
         atomic_write_text(path, fitted.to_kv_text(), header)
         terms = ", ".join(
@@ -312,11 +310,12 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     mc = build_model_config(cfg)
     sc = build_sampler_config(cfg)
     fc = build_forest_config(cfg)
-    train, _ = _load_splits(cfg, header)
+    (train, _), write_ingest = _load_splits(cfg)
     chain = run_chain(
         train, mc, sc,
         latent_columns=_latent_columns(len(train), _get(cfg, "out.latent_columns", int)),
     )
+    write_ingest(header)
     export_chain(chain, out, header)
     summary = summarize(chain.param_names, chain.param_draws)
     atomic_write_text(os.path.join(out, "summary.csv"), summary_to_csv_text(summary), header)
@@ -389,7 +388,7 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
     sc = build_sampler_config(cfg)
     fc = build_forest_config(cfg)
     age_mode = _get_choice(cfg, "eval.age_mode", ("mirror", "shift"))
-    train, test = _load_splits(cfg, header)
+    (train, test), write_ingest = _load_splits(cfg)
     report = compare_models(
         train,
         test,
@@ -400,6 +399,7 @@ def cmd_compare(cfg: dict[str, str], header: tuple[str, ...]) -> int:
         age_mode=age_mode,
         age_years=_get(cfg, "eval.age_years", float),
     )
+    write_ingest(header)
     path = os.path.join(cfg["out.dir"], "compare.csv")
     atomic_write_text(path, report.to_csv_text(), header)
     sys.stdout.write(report.to_text_table())

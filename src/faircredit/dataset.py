@@ -16,7 +16,7 @@ import numpy as np
 
 from . import probmodel
 from .errors import DataError, RateCapError
-from .util import atomic_write_text, check_seed, read_text
+from .util import atomic_write_text, check_seed, parse_finite, read_text
 
 # candidate header spellings accepted out of the box (lowercased)
 DEFAULT_COLUMN_CANDIDATES: dict[str, tuple[str, ...]] = {
@@ -310,9 +310,9 @@ def generate_synthetic(
     vec = params.to_vector(include_credit_intercept=params.b_c is not None)
     # the linear predictors read no column of the design but sex and age
     columns = SimpleNamespace(sex=sex, age=age_std)
-    p_job = _sigmoid_vec(probmodel._linear_predictor(probmodel.HEAD_JOB, vec, c, columns))
+    p_job = probmodel._sigmoid(probmodel._linear_predictor(probmodel.HEAD_JOB, vec, c, columns))[0]
     job = (rng.random(n) < p_job).astype(np.int64)
-    p_house = _sigmoid_vec(probmodel._linear_predictor(probmodel.HEAD_HOUSE, vec, c, columns))
+    p_house = probmodel._sigmoid(probmodel._linear_predictor(probmodel.HEAD_HOUSE, vec, c, columns))[0]
     house = (rng.random(n) < p_house).astype(np.int64)
 
     lin = probmodel.credit_linear(vec, c, columns)
@@ -325,15 +325,6 @@ def generate_synthetic(
         sex=sex, age_std=age_std, job=job, house=house, credit=credit,
         standardization=standardization,
     ), c
-
-
-def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 PROCESSED_COLUMNS = ("sex", "age_std", "job", "house", "credit")
@@ -359,19 +350,17 @@ def write_processed_csv(data: Dataset, path: str, header: tuple[str, ...] = ()) 
 
 
 def read_processed_csv(path: str) -> Dataset:
-    """Read a dataset written by write_processed_csv."""
+    """Read a dataset written by write_processed_csv. A repeated age moment
+    comment, or one not a finite number (parse_finite), is a DataError."""
     moments: dict[str, float] = {}
     rows: list[str] = []
     for ln in read_text(path).splitlines():
         if ln.startswith("#"):
-            key, _, value = ln[1:].strip().partition("=")
+            key, _, value = (part.strip() for part in ln[1:].partition("="))
+            if key in moments:
+                raise DataError(f"{path}: duplicate {key} comment")
             if key in ("age_mean", "age_sd"):
-                try:
-                    moments[key] = float(value)
-                except ValueError:
-                    moments[key] = math.nan
-                if not math.isfinite(moments[key]):
-                    raise DataError(f"{path}: malformed {key} comment: {value!r}")
+                moments[key] = parse_finite(value, key, DataError, f"{path}: ")
             continue
         if ln.strip():
             rows.append(ln)

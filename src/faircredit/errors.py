@@ -38,4 +38,5 @@ class RankDeficientError(UserError):
 
 
 class SamplerError(FairCreditError):
-    """The sampler hit persistent likelihood failures and aborted."""
+    """Test-time latent inference failed: a row's Newton search or its grid.
+    A chain aborted by likelihood errors raises a ConfigError instead."""

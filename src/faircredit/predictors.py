@@ -33,9 +33,10 @@ from .util import (
     config_items,
     derive_rng,
     format_kv_text,
+    parse_finite,
     parse_kv_text,
-    parse_value,
     read_text,
+    validated,
 )
 
 FULL_FEATURES = ("sex", "age_std", "job", "house")
@@ -59,19 +60,15 @@ class LinearModel:
 
     @classmethod
     def from_kv_text(cls, text: str) -> "LinearModel":
+        """The model to_kv_text wrote. A repeated key is a ConfigError (parse_kv_text);
+        no intercept, or a value not a finite number (parse_finite), a UserError."""
         raw = parse_kv_text(text, where="linear model")
         if "intercept" not in raw:
             raise UserError("linear model file is missing 'intercept'")
-
-        def value(key: str) -> float:
-            v = parse_value(raw[key], float, key)
-            if not math.isfinite(v):
-                raise UserError(f"linear model file: {key} must be finite, got {raw[key]!r}")
-            return v
-
-        names = tuple(k[len("coef."):] for k in raw if k.startswith("coef."))
-        coefs = np.array([value(f"coef.{n}") for n in names])
-        return cls(feature_names=names, coefficients=coefs, intercept=value("intercept"))
+        keys = ["intercept", *(k for k in raw if k.startswith("coef."))]
+        values = [parse_finite(raw[k], k, UserError, "linear model file: ") for k in keys]
+        names = tuple(k[len("coef."):] for k in keys[1:])
+        return cls(feature_names=names, coefficients=np.array(values[1:]), intercept=values[0])
 
 
 def feature_matrix(data: Dataset, names: Sequence[str]) -> np.ndarray:
@@ -369,26 +366,16 @@ def forest_to_text(model: ForestModel) -> str:
     return format_kv_text(meta) + intervals
 
 
-def _read_config(cls, items: dict[str, str], where: str, prefix: str = ""):
-    """The config dataclass cls from a stored file's items; a missing,
-    unreadable or rejected value is a UserError naming where."""
-    try:
-        return config_from_items(cls, items, prefix)
-    except (ValueError, UserError) as exc:
-        raise UserError(f"{where}: {exc}") from None
-
-
 def forest_from_text(text: str) -> ForestModel:
+    """The forest forest_to_text wrote. Its header, the lines before the first with
+    no '=', is read by parse_kv_text, so a repeated key is a ConfigError, and its
+    config as the forest.* keys are. Any other fault raises a UserError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    meta: dict[str, str] = {}
-    pos = 0
-    while pos < len(lines) and "=" in lines[pos]:
-        k, _, v = lines[pos].partition("=")
-        meta[k.strip()] = v.strip()
-        pos += 1
+    pos = next((i for i, ln in enumerate(lines) if "=" not in ln), len(lines))
+    meta = parse_kv_text("\n".join(lines[:pos]), where="forest header")
     if meta.get("format") != FOREST_FORMAT:
         raise UserError(f"unsupported forest format: {meta.get('format')!r}")
-    cfg = _read_config(ForestConfig, meta, "forest header")
+    cfg = validated("forest header", config_from_items, ForestConfig, meta)
     intervals = []
     for line in lines[pos:]:
         try:
@@ -479,18 +466,17 @@ def save_fair_model(model: FairModel, out_dir: str, header: tuple[str, ...] = ()
 
 
 def load_fair_model(model_dir: str) -> FairModel:
+    """The model save_fair_model wrote into model_dir; any fault is a UserError."""
+
     def read(name: str) -> str:
         return read_text(os.path.join(model_dir, name), UserError, "fair model file ")
 
     params_path = os.path.join(model_dir, "params.kv")
-    try:
-        theta = ModelParams.from_kv_text(read("params.kv"))
-    except ValueError as exc:
-        raise UserError(f"{params_path}: {exc}") from None
+    theta = validated(params_path, ModelParams.from_kv_text, read("params.kv"))
     forest = forest_from_text(read("forest.txt"))
     raw = parse_kv_text(read("config.kv"), where="fair model config")
     where = os.path.join(model_dir, "config.kv")
-    mc = _read_config(ModelConfig, raw, where, "model.")
+    mc = validated(where, config_from_items, ModelConfig, raw, "model.")
     # older directories record the latent point the forest was trained on:
     # the mean is ignored like any stale key, and another point is refused
     if raw.get("latent_point", "mean") != "mean":

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .util import parse_kv_text, format_kv_text
+from .util import format_kv_text, parse_finite, parse_kv_text
 
 if TYPE_CHECKING:  # only for annotations; avoids a circular import
     from .dataset import Dataset
@@ -154,6 +154,8 @@ class ModelParams:
 
     @classmethod
     def from_kv_text(cls, text: str) -> "ModelParams":
+        """The point to_kv_text wrote. A repeated key is a ConfigError (parse_kv_text);
+        a bad name, or a value not a finite number (parse_finite), a ValueError."""
         raw = parse_kv_text(text, where="params")
         unknown = set(raw) - set(PARAM_NAMES)
         if unknown:
@@ -161,8 +163,7 @@ class ModelParams:
         missing = set(BASE_PARAM_NAMES) - set(raw)
         if missing:
             raise ValueError(f"missing parameter names: {sorted(missing)}")
-        kw = {k: float(v) for k, v in raw.items()}
-        return cls(**kw)
+        return cls(**{k: parse_finite(v, k, ValueError) for k, v in raw.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +323,13 @@ def _head_rows(
     return _credit_rows(credit_linear(vec, c, design), design)[:2]
 
 
+def _sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The logistic link 1 / (1 + exp(-x)), as 1 / (1 + t) or t / (1 + t) where
+    x < 0, and t = exp(-|x|), which cannot overflow."""
+    t = np.exp(-np.abs(x))
+    return np.where(x < 0.0, t, 1.0) / (1.0 + t), t
+
+
 def _head_slopes(
     head: int, vec: np.ndarray, c: np.ndarray, design: Design
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -329,15 +337,13 @@ def _head_slopes(
 
     A logistic row is log sigmoid(z) for the signed predictor z, whose slope
     in z is sigmoid(-z) and curvature -sigmoid(z) * sigmoid(-z); both come from
-    one exp(-|z|), which cannot overflow. A credit row's slope is
-    k * (count - rate) and its curvature -k^2 * rate, for latent coefficient k.
+    _sigmoid's one exp(-|z|). A credit row's slope is k * (count - rate) and
+    its curvature -k^2 * rate, for latent coefficient k.
     Rates over the cap are not masked: callers keep c where the rate is capped.
     """
     if head != HEAD_CREDIT:
-        nz = _negated_logit(head, vec, c, design)
-        t = np.exp(-np.abs(nz))
+        sig_neg, t = _sigmoid(_negated_logit(head, vec, c, design))
         k = vec[LATENT_SLOPES[head]]
-        sig_neg = np.where(nz < 0.0, t, 1.0) / (1.0 + t)
         return (-k * _outcome_nsign(head, design)) * sig_neg, -(k * k) * t / ((1.0 + t) * (1.0 + t))
     rate = np.exp(credit_linear(vec, c, design))
     k = vec[LATENT_SLOPES[HEAD_CREDIT]]

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import probmodel
 from .dataset import Dataset
-from .errors import DataError, SamplerError
+from .errors import ConfigError, DataError, SamplerError
 from .probmodel import (
     Design,
     HeadTerms,
@@ -246,8 +246,10 @@ def run_chain(
     uniform of exactly 0 (probability 2^-53 a step) or from a kept state
     that far down. The chain runs with numpy's overflow and divide warnings
     off, and restores the caller's error state on return or raise.
-    Persistent likelihood errors (more than 1% of steps) abort with
-    diagnostics.
+    Persistent likelihood errors, steps that propose a credit rate above the
+    cap, abort the chain with a ConfigError naming model.poisson_rate_cap
+    once they pass ERROR_BUDGET of its steps, checked every ADAPT_EVERY
+    sweeps and at the last.
     """
     cfg = sampler_config
     n = len(data)
@@ -388,22 +390,22 @@ def run_chain(
         if post:
             acc_latent_post += n_acc
 
-        if sweep % ADAPT_EVERY == 0:
-            # every sweep takes k parameter steps and n latent steps
-            total_steps = sweep * (k + n)
-            if err_steps > ERROR_BUDGET * total_steps:
-                raise SamplerError(
-                    f"sampler aborted at sweep {sweep}: {err_steps} likelihood errors "
-                    f"over {total_steps} steps (> {ERROR_BUDGET:.0%}); "
-                    f"delta={delta!r} param_step={step!r}"
-                )
-            if cfg.adapt_during_burn_in and sweep <= cfg.burn_in:
-                # the window since the last reset is ADAPT_EVERY sweeps long
-                rate = win_latent_acc / (n * ADAPT_EVERY)
-                delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
-                rate = win_param_acc / (k * ADAPT_EVERY)
-                step = step * ADAPT_FACTOR if rate > cfg.target_accept else step / ADAPT_FACTOR
-                win_param_acc = win_latent_acc = 0
+        total_steps = sweep * (k + n)  # k parameter steps and n latent steps a sweep
+        checked = sweep % ADAPT_EVERY == 0 or sweep == cfg.iterations
+        if checked and err_steps > ERROR_BUDGET * total_steps:
+            raise ConfigError(
+                f"sampler aborted at sweep {sweep}: {err_steps} likelihood errors (steps "
+                "proposing a credit rate above model.poisson_rate_cap = "
+                f"{model_config.poisson_rate_cap!r}) over {total_steps} steps "
+                f"(> {ERROR_BUDGET:.0%}); delta={delta!r} param_step={step!r}"
+            )
+        if sweep % ADAPT_EVERY == 0 and cfg.adapt_during_burn_in and sweep <= cfg.burn_in:
+            # the window since the last reset is ADAPT_EVERY sweeps long
+            rate = win_latent_acc / (n * ADAPT_EVERY)
+            delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
+            rate = win_param_acc / (k * ADAPT_EVERY)
+            step = step * ADAPT_FACTOR if rate > cfg.target_accept else step / ADAPT_FACTOR
+            win_param_acc = win_latent_acc = 0
 
         if post and (sweep - cfg.burn_in) % cfg.thin == 0:
             param_draws[draw_idx] = theta
@@ -411,12 +413,6 @@ def run_chain(
             column_draws[draw_idx] = c[column_index]
             draw_idx += 1
 
-    total_steps = cfg.iterations * (k + n)
-    if err_steps > ERROR_BUDGET * total_steps:
-        raise SamplerError(
-            f"sampler finished with {err_steps} likelihood errors over {total_steps} steps "
-            f"(> {ERROR_BUDGET:.0%})"
-        )
     assert draw_idx == n_draws
     return Chain(
         param_names=names,

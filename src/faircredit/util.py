@@ -1,6 +1,6 @@
-"""Small shared helpers: random stream derivation, key=value text io, numbered
-float rows, and the file boundary: the one reader, the one writer and the
-output directory check they share."""
+"""Small shared helpers: random stream derivation, key=value text and value
+parsing, numbered float rows, and the file boundary: the one reader, the one
+writer and the output directory check they share."""
 
 import dataclasses
 import errno
@@ -8,7 +8,7 @@ import hashlib
 import math
 import os
 import tempfile
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -99,6 +99,15 @@ def config_from_items(cls, items: dict[str, str], prefix: str = ""):
     return cls(**values)
 
 
+def validated(where: str, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), a checked dataclass such as config_from_items
+    builds; a value it refuses (ValueError) raises ConfigError("<where>: <reason>")."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def parse_value(text: str, kind: type, key: str):
     """text as a kind (bool, int, float or str); a bad value is a ConfigError naming key."""
     if kind is bool:
@@ -108,6 +117,18 @@ def parse_value(text: str, kind: type, key: str):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"config key {key} must be {noun}, got {text!r}") from None
+
+
+def parse_finite(text: str, key: str, error: type[Exception], what: str = "") -> float:
+    """text as a finite float (parse_value). A non-number or a non-finite value
+    raises error, the caller's type as in read_text, naming what + key."""
+    try:
+        value = parse_value(text, float, key)
+    except ConfigError:
+        raise error(f"{what}{key} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise error(f"{what}{key} must be finite, got {text!r}")
+    return value
 
 
 def numbered_rows(values: np.ndarray) -> Iterator[str]:

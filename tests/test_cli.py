@@ -807,6 +807,21 @@ def test_fit_fair_refuses_forest_config_before_any_work(workspace, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["fit", "--model", "fair"], ["compare"]])
+def test_budget_abort_is_a_user_error_and_writes_nothing(workspace, tmp_path, command):
+    # a rate cap under the data's largest credit puts more than 1% of the
+    # chain's steps over it: the cap is the user's to raise, and the ingest
+    # files are written only after the chain returns
+    config = config_with(workspace, tmp_path, {"model.poisson_rate_cap": 100})
+    out = tmp_path / "out"
+    res = run_cli([*command, "--config", str(config), "--out", str(out)])
+    assert res.code == 2
+    assert res.err.startswith("error: sampler aborted at sweep ")
+    assert "(steps proposing a credit rate above model.poisson_rate_cap = 100.0)" in res.err
+    assert res.err.count("\n") == 1
+    assert not out.exists()
+
+
 CONSTANT_JOB_ERROR = (
     "error: column 'job' is constant, so its correlation is undefined; "
     "check config key preprocess.job_threshold (= '0')\n"
@@ -951,8 +966,8 @@ def test_aborted_synth_writes_nothing(tmp_path):
     config.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     res = run_cli(["synth", "--config", str(config), "--out", str(out)])
-    assert res.code == 1
-    assert res.err.startswith("internal error: sampler aborted at sweep ")
+    assert res.code == 2
+    assert res.err.startswith("error: sampler aborted at sweep ")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """CSV loading, preprocessing, splitting, and synthetic generation."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -332,6 +333,10 @@ def test_processed_csv_round_trip(tmp_path, tiny_dataset):
     assert np.array_equal(back.age_std, tiny_dataset.age_std)  # repr round trip
     assert np.array_equal(back.credit, tiny_dataset.credit)
     assert back.standardization == tiny_dataset.standardization
+    # a moment comment spaced as a key = value line reads the same
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(re.sub(r"^# (age_\w+)=", r"#  \1 = ", text, flags=re.M))
+    assert read_processed_csv(path).standardization == tiny_dataset.standardization
 
 
 @pytest.mark.parametrize("key, value", [("age_mean", "abc"), ("age_sd", "abc"), ("age_mean", "inf")])
@@ -343,7 +348,20 @@ def test_read_processed_csv_rejects_a_malformed_age_comment(tmp_path, tiny_datas
     lines = path.read_text().splitlines()
     lines = [f"# {key}={value}" if ln.startswith(f"# {key}=") else ln for ln in lines]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match=f"malformed {key} comment") as err:
+    with pytest.raises(DataError, match=f"{key} must be (a number|finite), got '{value}'") as err:
+        read_processed_csv(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("key", ["age_mean", "age_sd"])
+def test_read_processed_csv_refuses_a_repeated_age_comment(tmp_path, tiny_dataset, key):
+    # a second comment is not left to overwrite the first
+    path = tmp_path / "processed.csv"
+    write_processed_csv(tiny_dataset, str(path))
+    lines = path.read_text().splitlines()
+    assert sum(ln.startswith(f"# {key}=") for ln in lines) == 1
+    path.write_text("\n".join([f"# {key}=1.5", *lines]) + "\n")
+    with pytest.raises(DataError, match=f"duplicate {key} comment") as err:
         read_processed_csv(str(path))
     assert str(err.value).startswith(f"{path}: ")
 

@@ -448,7 +448,13 @@ def test_forest_from_text_rejects_malformed():
             good.replace("-1.0 1.0", "tree 0"),
         ],
         # a header missing or garbling a key
-        "n_trees": [good.replace("n_trees = 1\n", "")],
+        "n_trees": [
+            good.replace("n_trees = 1\n", ""),
+            good.replace("n_trees = 1\n", "n_trees = abc\n"),
+            good.replace("n_trees = 1\n", "n_trees = inf\n"),
+        ],
+        # or repeating one, which is not left to overwrite the first
+        "duplicate key 'n_trees'": [good.replace("n_trees = 1\n", "n_trees = 1\nn_trees = 5\n")],
         "max_depth": [good.replace("max_depth = ", "max_depth = deep")],
         # or holding a value ForestConfig.validate refuses
         "forest header: .* must be >= ": [
@@ -462,6 +468,13 @@ def test_forest_from_text_rejects_malformed():
             assert text != good
             with pytest.raises(UserError, match=message):
                 forest_from_text(text)
+
+
+def test_linear_model_refuses_a_repeated_key():
+    # test_linear_model_refuses_a_bad_value_by_its_key covers the values
+    text = LinearModel(("sex",), np.array([1.25]), intercept=3.75).to_kv_text()
+    with pytest.raises(UserError, match="duplicate key 'coef.sex'"):
+        LinearModel.from_kv_text(text + "coef.sex = 1.25\n")
 
 
 # --- two-stage fair model ---------------------------------------------------------
@@ -610,13 +623,19 @@ def test_load_fair_model_rejects_bad_config(tmp_path, tiny_dataset):
     with pytest.raises(UserError, match="b_c is present"):
         load_fair_model(str(tmp_path / "m"))
 
-    # a non-finite coefficient is refused on load, not first at prediction
+    # a coefficient that is not a finite number is refused on load, by its
+    # key, not first at prediction; so is a repeated key
     assert params_text.count("b_j = ") == 1
     start = params_text.index("b_j = ")
     end = params_text.index("\n", start)
-    for value in ("nan", "inf"):
-        params.write_text(params_text[:start] + f"b_j = {value}" + params_text[end:], encoding="utf-8")
-        with pytest.raises(UserError, match=re.escape(f"{params}: parameter b_j is not finite")):
+    for line, message in (
+        ("b_j = abc", f"{params}: b_j must be a number, got 'abc'"),
+        ("b_j = nan", f"{params}: b_j must be finite, got 'nan'"),
+        ("b_j = inf", f"{params}: b_j must be finite, got 'inf'"),
+        ("b_j = 0.5\nb_j = 0.5", "duplicate key 'b_j'"),
+    ):
+        params.write_text(params_text[:start] + line + params_text[end:], encoding="utf-8")
+        with pytest.raises(UserError, match=re.escape(message)):
             load_fair_model(str(tmp_path / "m"))
 
     # an intercept model's params.kv cut before its last line loses b_c

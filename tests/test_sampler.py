@@ -26,7 +26,7 @@ from scipy.special import gammaln
 
 from faircredit import probmodel, sampler
 from faircredit.dataset import Dataset, SplitSpec, load_csv, preprocess, split
-from faircredit.errors import ConfigError, DataError, SamplerError
+from faircredit.errors import ConfigError, DataError
 from faircredit.probmodel import (
     HEAD_TERMS,
     LOG_2PI,
@@ -353,7 +353,7 @@ def test_run_chain_restores_the_error_state_when_it_aborts(tiny_dataset):
                         adapt_during_burn_in=False, seed=3)
     with np.errstate(over="raise", divide="print"):
         before = np.geterr()
-        with pytest.raises(SamplerError, match="aborted at sweep 100"):
+        with pytest.raises(ConfigError, match="aborted at sweep 100"):
             run_chain(tiny_dataset, ModelConfig(poisson_rate_cap=1e300), cfg)
         assert np.geterr() == before
 
@@ -470,7 +470,7 @@ def test_run_chain_aborts_on_persistent_likelihood_errors(tiny_dataset):
     mc = ModelConfig(poisson_rate_cap=1e-6)
     cfg = SamplerConfig(iterations=100, burn_in=0, adapt_during_burn_in=False, seed=0)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(SamplerError, match="likelihood errors"):
+        with pytest.raises(ConfigError, match="likelihood errors"):
             run_chain(tiny_dataset, mc, cfg)
 
 

@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions by
 name and reports a renamed or deleted one as "missing", which spoils the
-benchmark's per-layer record. These tests fail first, and the last two run the
-traced path end to end."""
+benchmark's per-layer record. These tests fail first, and the last three run
+the traced path end to end."""
 
 import importlib
 import importlib.util
@@ -64,15 +64,17 @@ def refuse_constant(name):
     raise ValueError(f"the trace holds {name}")
 
 
-def traced_run(tmp_path, *command):
+def traced_run(tmp_path, *command, config_text=""):
     """The trace record of the benchmark's traced path end to end: the tracer
     runs command in its own process, as perfbench/run.py --trace 1 does, on a
-    short chain. The run must exit 0, and its trace must load with NaN and
-    Infinity refused, name no missing target and hold only finite values."""
+    short chain and any config_text lines. The run must exit 0, and its trace
+    must load with NaN and Infinity refused, name no missing target and hold
+    only finite values."""
     config = tmp_path / "c.kv"
     data = os.path.join(ROOT, "data", "german_synthetic.csv")
     config.write_text(
-        f"data.path = {data}\nsampler.iterations = 200\nsampler.burn_in = 50\n", encoding="utf-8"
+        f"data.path = {data}\nsampler.iterations = 200\nsampler.burn_in = 50\n{config_text}",
+        encoding="utf-8",
     )
     trace = tmp_path / "trace.json"
     path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
@@ -101,3 +103,10 @@ def test_traced_compare_writes_a_well_formed_trace(tmp_path):
     record = traced_run(tmp_path, "compare")
     assert record["functions"]["sampler.run_chain"]["calls"] == 1
     assert record["functions"]["predictors.fit_ols"]["calls"] == 2
+
+
+def test_traced_synth_writes_a_well_formed_trace(tmp_path):
+    # synth is the command behind the benchmark's synth_large workload
+    record = traced_run(tmp_path, "synth", config_text="synth.n = 200\n")
+    assert record["functions"]["sampler.run_chain"]["calls"] == 1
+    assert record["functions"]["dataset.generate_synthetic"]["calls"] == 1
