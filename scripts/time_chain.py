@@ -25,7 +25,12 @@ mean time during it, so they stay put when the host switches its CPU's
 speed, as raw seconds do not. For each chain the script prints each tree's
 median and quartiles of probe loops, with the median raw seconds beside
 them, the ratio of the loop medians (new/old) and the rounds in which the
-new tree took fewer loops, then one JSON line with every round's times.
+new tree took fewer loops; then each tree's worst folded bulk ESS (the
+minimum of diagnostics.ess_bulk over the parameters, with every draw folded
+to beta_c_c <= 0 by negating the three latent loadings, since the posterior
+is symmetric under that mirror) and that ESS per 1,000 probe loops of its
+median chain, the sampler's figure of merit; then one JSON line with every
+round's times.
 The chains must agree bit for bit: the exit code is 1, and a line says so,
 when the sha256 of param_draws and latent_mean differs between the trees in
 any round.
@@ -40,6 +45,8 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHAINS = ("fit", "synth_large")
 TRAIN_COUNT = 800
@@ -52,6 +59,7 @@ def child(seed: int) -> None:
     from checks import SYNTH_N, SYNTH_TRUTH
     from run import SpeedProbe
     from faircredit.dataset import SplitSpec, generate_synthetic, load_csv, preprocess, split
+    from faircredit.diagnostics import ess_bulk
     from faircredit.probmodel import ModelConfig, ModelParams
     from faircredit.sampler import SamplerConfig, run_chain
 
@@ -70,8 +78,12 @@ def child(seed: int) -> None:
             chain = run_chain(data, model_config, SamplerConfig(seed=seed))
             elapsed = time.perf_counter() - start
         digest = hashlib.sha256(chain.param_draws.tobytes() + chain.latent_mean.tobytes())
+        folded = chain.param_draws.copy()
+        loads = [chain.param_names.index(n) for n in ("beta_j_c", "beta_h_c", "beta_c_c")]
+        folded[:, loads] *= np.where(folded[:, loads[-1]] > 0.0, -1.0, 1.0)[:, None]
         result[name] = {
-            "s": elapsed, "loops": elapsed / probe.mean_s(), "sha256": digest.hexdigest()
+            "s": elapsed, "loops": elapsed / probe.mean_s(), "sha256": digest.hexdigest(),
+            "ess": min(ess_bulk(column) for column in folded.T),
         }
     print(json.dumps(result))
 
@@ -127,6 +139,11 @@ def main(argv=None) -> int:
         wins = sum(rd["new"][name]["loops"] < rd["old"][name]["loops"] for rd in rounds)
         print(f"{name}: ratio of medians new/old {medians['new'] / medians['old']:.4f}, "
               f"new faster in {wins} of {args.rounds} rounds")
+        for side in trees:
+            # the draws, and so the ESS, are the same in every round
+            ess = rounds[0][side][name]["ess"]
+            print(f"{name} {side}: worst folded bulk ESS {ess:.1f}, "
+                  f"{1000.0 * ess / medians[side]:.1f} per 1,000 probe loops")
         if any(rd["old"][name]["sha256"] != rd["new"][name]["sha256"] for rd in rounds):
             print(f"{name}: param_draws and latent_mean differ between the trees")
             differ = True

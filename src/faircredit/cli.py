@@ -88,10 +88,11 @@ DEFAULTS: dict[str, str] = {
     **_SYNTH_PARAM_DEFAULTS,
 }
 
-# paper: fixed step sizes, no credit intercept, raw credit counts. Its values
-# are the paper's, written out so that a changed default does not move them.
-# recommended: same model but with the credit intercept and burn-in step
-# adaptation, which is what you want on new data.
+# paper: the paper's model (no credit intercept, raw credit counts) and run
+# length, with the latent width fixed at 0.5; the coefficient blocks and the
+# moves scale themselves. Its values are written out so that a changed
+# default does not move them. recommended: the credit intercept and the
+# latent width adapted in burn-in, which is what you want on new data.
 PRESETS: dict[str, dict[str, str]] = {
     "paper": {
         "model.include_credit_intercept": "false",
@@ -100,7 +101,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "sampler.burn_in": "1000",
         "sampler.thin": "1",
         "sampler.delta": "0.5",
-        "sampler.param_step": "0.1",
         "sampler.adapt_during_burn_in": "false",
     },
     "recommended": {

@@ -61,10 +61,14 @@ class LinearModel:
     @classmethod
     def from_kv_text(cls, text: str) -> "LinearModel":
         """The model to_kv_text wrote. A repeated key is a ConfigError (parse_kv_text);
-        no intercept, or a value not a finite number (parse_finite), a UserError."""
+        no intercept, a key other than intercept and coef.*, or a value not a
+        finite number (parse_finite), a UserError."""
         raw = parse_kv_text(text, where="linear model")
         if "intercept" not in raw:
             raise UserError("linear model file is missing 'intercept'")
+        unknown = [k for k in raw if k != "intercept" and not k.startswith("coef.")]
+        if unknown:
+            raise UserError(f"linear model file: unknown key {unknown[0]!r}")
         keys = ["intercept", *(k for k in raw if k.startswith("coef."))]
         values = [parse_finite(raw[k], k, UserError, "linear model file: ") for k in keys]
         names = tuple(k[len("coef."):] for k in keys[1:])
@@ -472,10 +476,14 @@ def load_fair_model(model_dir: str) -> FairModel:
         return read_text(os.path.join(model_dir, name), UserError, "fair model file ")
 
     params_path = os.path.join(model_dir, "params.kv")
-    theta = validated(params_path, ModelParams.from_kv_text, read("params.kv"))
-    forest = forest_from_text(read("forest.txt"))
-    raw = parse_kv_text(read("config.kv"), where="fair model config")
+    theta = validated(params_path, ModelParams.from_kv_text, read("params.kv"), params_path)
+    forest_text = read("forest.txt")
+    try:
+        forest = forest_from_text(forest_text)
+    except UserError as exc:  # forest_from_text's errors do not know the file
+        raise type(exc)(f"{os.path.join(model_dir, 'forest.txt')}: {exc}") from None
     where = os.path.join(model_dir, "config.kv")
+    raw = parse_kv_text(read("config.kv"), where=where)
     mc = validated(where, config_from_items, ModelConfig, raw, "model.")
     # older directories record the latent point the forest was trained on:
     # the mean is ignored like any stale key, and another point is refused

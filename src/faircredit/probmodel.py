@@ -15,11 +15,9 @@ A logistic row is log sigmoid(z) of the signed predictor z. The engine
 multiplies the linear predictor by the outcome's negated sign (Design's
 job_nsign and house_nsign), which gives nz = -z at no extra cost. One
 kernel, _softplus_rows, the one site of a logistic block's exp and log1p,
-computes the softplus s = log1p(exp(nz)), minus the row: exp and log1p in
-place in nz's buffer. _head_rows subtracts it from 0, which gives the row.
-HeadTerms keeps s itself for a logistic block, saving that pass: its totals
-are sum(s), which the sampler's ratio subtracts the other way round, and it
-subtracts s where it adds rows, all exact. The stable formula,
+computes the softplus s = log1p(exp(nz)), minus the row, in one new buffer.
+_head_rows subtracts it from 0, which gives the row; the sampler keeps s
+itself, and subtracts it where it adds rows. The stable formula,
 min(z, 0) - log1p(exp(-|z|)), takes six passes (abs, negative, exp, log1p,
 minimum, subtract) for the same two transcendental ones. Both are
 vectorized; np.logaddexp calls a scalar function per element and takes
@@ -28,22 +26,17 @@ bit, and for z < 0 the fast one is within 2 ulp of -logaddexp(0, -z).
 exp(nz) overflows for z below about -709.78. There the row is z itself,
 which is what the stable formula rounds to, since exp(z) is far below half
 an ulp of z. So each row is a function of its own z alone. One reduction
-over nz guards the exp, so no overflow warning is raised. A HeadTerms block
-skips it: its exp runs unguarded, so where it overflows the softplus is
-+inf and the row -inf, which the sampler's accept test rejects.
+over nz guards the exp, so no overflow warning is raised.
 
 head_log_likelihood evaluates one head from scratch (_head_rows) and returns
 its rows beside their sum. per_obs_log_likelihood adds the heads per
-observation. HeadTerms keeps a block of heads' terms, running sums and rows
-at one state, for the sampler: a proposal that moves one term recomputes
-that term and the sums after it, in the same order, through the block's
-one evaluation path (HeadTerms._evaluate), so its rows are bitwise
-head_log_likelihood's (a logistic block's once subtracted from 0) wherever
-exp does not overflow. Arrays
-of shape (n, m) evaluate m latent values per row through Design.columns(),
-and per_obs_latent_slopes gives each row's derivatives in c beside the
-heads (_head_slopes), so test-time inference (sampler.infer_latent) is an
-exact function of each row, computed by the same engine.
+observation. The sampler keeps each head's linear predictor at its state
+and turns it into rows with the same two kernels, _softplus_rows and
+_credit_rows (sampler._State). Arrays of shape (n, m) evaluate m latent
+values per row through Design.columns(), and per_obs_latent_slopes gives
+each row's derivatives in c beside the heads (_head_slopes), so test-time
+inference (sampler.infer_latent) is an exact function of each row, computed
+by the same engine.
 """
 
 import math
@@ -153,10 +146,11 @@ class ModelParams:
         return format_kv_text(items)
 
     @classmethod
-    def from_kv_text(cls, text: str) -> "ModelParams":
-        """The point to_kv_text wrote. A repeated key is a ConfigError (parse_kv_text);
-        a bad name, or a value not a finite number (parse_finite), a ValueError."""
-        raw = parse_kv_text(text, where="params")
+    def from_kv_text(cls, text: str, where: str = "params") -> "ModelParams":
+        """The point to_kv_text wrote. A repeated key is a ConfigError
+        (parse_kv_text, naming where); a bad name, or a value not a finite
+        number (parse_finite), a ValueError."""
+        raw = parse_kv_text(text, where=where)
         unknown = set(raw) - set(PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown parameter names: {sorted(unknown)}")
@@ -268,21 +262,20 @@ def credit_linear(vec: np.ndarray, c: np.ndarray, design: Design) -> np.ndarray:
 _EXP_SAFE = 709.78
 
 
-def _softplus_rows(nz: np.ndarray, bare: bool = False) -> np.ndarray:
-    """log1p(exp(nz)) for nz = -z, the signed linear predictors negated,
-    written over nz: minus the rows log sigmoid(z), and nz itself where
-    exp(nz) overflows. The engine's only exp and log1p of a logistic block.
+def _softplus_rows(nz: np.ndarray) -> np.ndarray:
+    """log1p(exp(nz)) for nz = -z, the signed linear predictors negated, in
+    a new array: minus the rows log sigmoid(z), and nz itself where exp(nz)
+    overflows. The engine's only exp and log1p of a logistic block. nz is
+    only read, so the sampler keeps it beside the rows.
 
     The max of nz is the one reduction. When it is at most _EXP_SAFE, no exp
-    can overflow, and the rows are two transcendental passes in nz's buffer,
-    with nothing else allocated. Otherwise the array runs with the overflow
-    ignored, and the overflowed rows take nz. bare (HeadTerms) skips the
-    reduction and always runs the two passes: an overflowed entry is then
-    +inf, and the caller's error state decides whether numpy warns.
-    np.maximum.reduce costs a Python call less than nz.max()."""
-    if bare or np.maximum.reduce(nz, axis=None) <= _EXP_SAFE:
-        np.exp(nz, out=nz)
-        return np.log1p(nz, out=nz)
+    can overflow, and the rows are two transcendental passes in one new
+    buffer. Otherwise the array runs with the overflow ignored, and the
+    overflowed rows take nz. np.maximum.reduce costs a Python call less than
+    nz.max()."""
+    if np.maximum.reduce(nz, axis=None) <= _EXP_SAFE:
+        rows = np.exp(nz)
+        return np.log1p(rows, out=rows)
     with np.errstate(over="ignore"):
         rows = np.log1p(np.exp(nz))
     over = rows == np.inf
@@ -290,18 +283,20 @@ def _softplus_rows(nz: np.ndarray, bare: bool = False) -> np.ndarray:
     return rows
 
 
-def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, int, np.ndarray]:
-    """Poisson rows of credit linear predictors, how many rates are over the
-    rate cap, and the rates exp(lin) the rows subtract, inf where over the
-    cap."""
+def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, int]:
+    """Poisson rows of credit linear predictors, and how many rates are over
+    the rate cap, whose rows are -inf. One reduction over lin finds whether
+    any is; the rows are then three passes, or, past the cap, the rates are
+    taken where they are under it."""
+    if np.maximum.reduce(lin, axis=None) <= design.cap_log:
+        rows = design.counts * lin
+        rows -= np.exp(lin)
+        rows -= design.lgamma_counts
+        return rows, 0
     over = lin > design.cap_log
-    if not np.count_nonzero(over):
-        rates = np.exp(lin)
-        return design.counts * lin - rates - design.lgamma_counts, 0, rates
-    rates = np.exp(np.where(over, 0.0, lin))
-    term = design.counts * lin - rates - design.lgamma_counts
-    rates[over] = np.inf
-    return np.where(over, -np.inf, term), int(np.count_nonzero(over)), rates
+    rows = design.counts * lin - np.exp(np.where(over, 0.0, lin)) - design.lgamma_counts
+    rows[over] = -np.inf
+    return rows, int(np.count_nonzero(over))
 
 
 def _head_rows(
@@ -320,7 +315,7 @@ def _head_rows(
     if head != HEAD_CREDIT:
         rows = _softplus_rows(_negated_logit(head, vec, c, design))
         return np.subtract(0.0, rows, out=rows), 0
-    return _credit_rows(credit_linear(vec, c, design), design)[:2]
+    return _credit_rows(credit_linear(vec, c, design), design)
 
 
 def _sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,217 +383,3 @@ def per_obs_latent_slopes(
         g_c, h_c = _head_slopes(HEAD_CREDIT, vec, c, design)
         grad, curv = grad + g_c, curv + h_c
     return grad, curv
-
-
-# ---------------------------------------------------------------------------
-# cached linear-predictor terms, for proposals that move one term at a time
-
-# relative rounding margin of HeadTerms.step_bound, see there
-_BOUND_MARGIN = 1e-9
-_TINY = float(np.finfo(float).tiny)
-
-
-class HeadTerms:
-    """The linear-predictor terms of one or more heads at one state (vec, c),
-    their running sums in HEAD_TERMS order, and their rows.
-
-    The heads are evaluated together, as one (heads, n) block, so they must
-    share their columns, as the job and house heads do. The block is built,
-    and every proposal evaluated, by one path, _evaluate: it adds the moved
-    term to the running sum before it and the later terms after it, in
-    _linear_predictor's order, and turns the total into rows, so the rows,
-    totals and overflow count are bitwise those of head_log_likelihood on
-    the moved state, except where a logistic exp overflows (see below).
-    move (term k's coefficients) and move_latent (the latent column)
-    evaluate the moved block and hold it, with its rows as moved_rows;
-    accept_heads or accept_rows then takes it into the kept state for the
-    heads or the rows that accept it. Only those two change the kept state:
-    accept_rows copies the accepted rows into the kept arrays in place, as
-    accept_heads copies an accepted head's entries when only some heads
-    accept, and neither writes the held move. Each head's total, the sum of
-    its kept rows, is summed by the first move after the rows change, so a
-    block that no move reads in between is not summed.
-
-    A move kept whole keeps its coef, which may be a view of the caller's
-    proposal vector, as the term's coefficient (and an intercept's term),
-    and a later partial accept of that term writes into it. run_chain draws
-    a new proposal vector every sweep and moves each term once a sweep, so
-    the entries written belong to vectors it no longer reads.
-
-    A logistic block keeps its heads' negated outcome signs as one
-    (heads, n) array, so each evaluation multiplies its full sum by them,
-    which gives nz, and writes the softplus rows s = log1p(exp(nz)) over it.
-    Its rows hold s and its totals sum(s): bitwise minus the log-likelihood
-    rows and totals, since negation is exact and rounding symmetric (0 - s
-    is head_log_likelihood's rows). _evaluate runs exp and log1p bare, with
-    no reduction: where exp(nz) overflows (nz above about 709.78), s is
-    +inf, and so is its head's total, where head_log_likelihood's row is
-    the finite z. run_chain's accept test rejects such a move, as it
-    rejects a credit rate over the cap, so the rows it keeps stay finite.
-    Outside run_chain, which ignores the overflow warning, an evaluation
-    that overflows warns.
-
-    The credit block also keeps its rates, the exp(lin) its rows subtract,
-    from which step_bound bounds a coefficient move without making it, and
-    each term's max |x_k| (spread), the latent one taken by step_bound.
-    """
-
-    def __init__(self, heads: tuple[int, ...], vec: np.ndarray, c: np.ndarray, design: Design):
-        table = [_active_terms(h, vec.shape[0]) for h in heads]
-        names = [name for _, name in table[0]]
-        if any([name for _, name in t] != names for t in table):
-            raise ValueError(f"heads {heads} do not share their columns")
-        self.design = design
-        # positions[k]: term k's parameter position in each head
-        self.positions = [tuple(t[k][0] for t in table) for k in range(len(names))]
-        self.latent_term = names.index("c")
-        self.nsign = None if HEAD_CREDIT in heads else np.stack([_outcome_nsign(h, design) for h in heads])
-        self.columns = [_column(name, c, design) for name in names]
-        self.coefs = [vec[list(p)][:, None] for p in self.positions]
-        self.terms = [coef if col is None else col * coef for col, coef in zip(self.columns, self.coefs)]
-        self.sums, self.rows, _, self.rates = self._evaluate(0, self.terms[0])
-        self._totals = None
-        # the held move: its rows and rates, and a coefficient move's
-        # (k, coef, term, sums, totals)
-        self.moved_rows = self._moved_rates = self._held = None
-        if self.rates is not None:
-            # step_bound's max |x_k| of each term's column, its columns x_k
-            # (1 for the intercept) and their squares; the latent ones are
-            # refreshed with each state
-            self.spread = [1.0 if col is None else float(np.abs(col).max()) for col in self.columns]
-            ones = np.ones(len(design))
-            self._x = np.stack([ones if col is None else col for col in self.columns])
-            self._x2 = self._x * self._x
-            self._count_sum = float(design.counts.sum())
-            self._lgamma_sum = float(design.lgamma_counts.sum())
-        self._screen = None  # step_bound's sums at the kept state, made on first use
-
-    def _evaluate(self, k: int, term: np.ndarray) -> tuple[list, np.ndarray, int, np.ndarray | None]:
-        """The block with term k set to term: its running sums from term k
-        on, its rows, how many rates are over the cap, and a credit block's
-        rates. term is added to the running sum before it, and the later
-        terms after it in HEAD_TERMS order, so the total is bitwise
-        _linear_predictor's. A logistic total is this call's own array,
-        which nz and the rows overwrite."""
-        x = term if k == 0 else self.sums[k - 1] + term
-        sums = []
-        for t in self.terms[k + 1:]:
-            sums.append(x)
-            x = x + t
-        if self.nsign is None:
-            return sums, *_credit_rows(x, self.design)
-        np.multiply(x, self.nsign, out=x)
-        return sums, _softplus_rows(x, bare=True), 0, None
-
-    def move(self, k: int, coef: np.ndarray) -> tuple[list[float], list[float]]:
-        """Each head's total with term k's coefficients set to coef, a
-        (heads, 1) array, and each head's total at the kept state. A credit
-        total is the head's log-likelihood, -inf where a rate is over the
-        cap; a logistic one is minus it, +inf where an exp overflows. The
-        moved block is held for accept_heads."""
-        column = self.columns[k]
-        term = coef if column is None else column * coef
-        sums, rows, _, self._moved_rates = self._evaluate(k, term)
-        totals = np.add.reduce(rows, axis=1).tolist()
-        if self._totals is None:
-            self._totals = np.add.reduce(self.rows, axis=1).tolist()
-        self.moved_rows = rows
-        self._held = (k, coef, term, sums, totals)
-        return totals, self._totals
-
-    def accept_heads(self, accepted: list[bool]) -> None:
-        """Keep the held coefficient move for the heads where accepted is true."""
-        k, coef, term, sums, totals = self._held
-        if all(accepted):
-            self.coefs[k], self.terms[k], self.sums[k:] = coef, term, sums
-            self.rows, self._totals, self.rates = self.moved_rows, totals, self._moved_rates
-            self._screen = None
-            return
-        # an accepted head's entries are copied into the kept arrays (the
-        # credit block has one head, so it keeps its rates above)
-        for h, a in enumerate(accepted):
-            if a:
-                self.coefs[k][h] = coef[h]
-                self.terms[k][h] = term[h]
-                for kept, new in zip(self.sums[k:], sums):
-                    kept[h] = new[h]
-                self.rows[h] = self.moved_rows[h]
-                self._totals[h] = totals[h]
-
-    def move_latent(self, c: np.ndarray) -> tuple[np.ndarray, int]:
-        """The rows with the latent scores set to c, and how many are over the
-        rate cap. The moved block is held for accept_rows."""
-        k = self.latent_term
-        _, self.moved_rows, n_over, self._moved_rates = self._evaluate(k, c * self.coefs[k])
-        self._held = None
-        return self.moved_rows, n_over
-
-    def accept_rows(self, accepted: np.ndarray, c: np.ndarray) -> None:
-        """Keep the held latent move for the rows accepted selects, an index
-        array or a bool mask; c is the latent column that results, so the
-        latent term and the running sums after it are those of c.
-
-        The accepted rows, and a credit block's rates, are written into the
-        kept arrays in place, one head row at a time. The held move's arrays
-        are only read, and a move replaces them before the next merge, so
-        the kept arrays never alias them here."""
-        k = self.latent_term
-        self.columns[k] = c
-        self.terms[k] = c * self.coefs[k]
-        for j in range(k, len(self.sums)):
-            self.sums[j] = self.sums[j - 1] + self.terms[j]
-        for kept, moved in zip(self.rows, self.moved_rows):
-            kept[accepted] = moved[accepted]
-        self._totals = None
-        if self.rates is not None:
-            self.rates[0][accepted] = self._moved_rates[0][accepted]
-            self._screen = None
-
-    def step_bound(self, k: int, delta: float) -> float:
-        """An upper bound on move(k, coef + delta)[0][0] minus the kept total
-        in a credit block whose term k has coefficient coef; inf when the
-        move could put a rate over the cap.
-
-        Term k has column x (1 for the intercept). With the kept rates r_i
-        and d_i = delta x_i, the move changes the log-likelihood by
-        sum y_i d_i - r_i (e^d_i - 1). Since e^d - 1 - d >= d^2 e^-|d| / 2,
-        that is at most delta G - delta^2 e^-D H / 2, where
-        G = sum (y_i - r_i) x_i, H = sum r_i x_i^2, M = max |x_i| (spread)
-        and D = |delta| M. G, H and the latent column's M are computed once
-        per kept state.
-
-        A margin covers rounding: the engine's in its terms, rows and sums,
-        and this bound's in its own sums. L = sum_k M_k |coef_k| bounds
-        |lin_i| and every term, so each error is a few ulp of at most
-        S = sum log y_i! + (sum y_i + n max r)(1 + L + D). Where d_i <= 1 the
-        proposed rate is at most e r_i; where d_i > 1 the bound is loose by
-        more than a sixth of it, which absorbs its rounding. The margin is
-        _BOUND_MARGIN (1 + S), about 10^7 ulp of S. The cap gets the same
-        slack: when max lin_i + D + _BOUND_MARGIN (1 + L + D) reaches
-        cap_log, the result is inf, so a move that the engine would find over
-        the cap is always made.
-        """
-        screen = self._screen
-        if screen is None:
-            j = self.latent_term
-            c = self.columns[j]
-            self._x[j] = c
-            # |c| into the row of squares: its max, then its square, c^2
-            c2 = np.abs(c, out=self._x2[j])
-            self.spread[j] = float(np.maximum.reduce(c2))
-            np.multiply(c2, c2, out=c2)
-            rates = self.rates[0]
-            max_rate = float(np.maximum.reduce(rates))
-            # rates are within an ulp of exp(lin) where normal, and inf over the cap
-            top = math.log(max_rate) if max_rate >= _TINY else math.inf
-            lin_scale = sum([m * abs(coef.item()) for m, coef in zip(self.spread, self.coefs)])
-            grad = self._x.dot(self.design.counts - rates).tolist()
-            curv = self._x2.dot(rates).tolist()
-            screen = self._screen = (top, max_rate, lin_scale, grad, curv)
-        top, max_rate, lin_scale, grad, curv = screen
-        reach = abs(delta) * self.spread[k]
-        if top + reach + _BOUND_MARGIN * (1.0 + lin_scale + reach) >= self.design.cap_log:
-            return math.inf
-        bound = delta * grad[k] - 0.5 * delta * delta * math.exp(-reach) * curv[k]
-        scale = self._lgamma_sum + (self._count_sum + len(self.design) * max_rate) * (1.0 + lin_scale + reach)
-        return bound + _BOUND_MARGIN * (1.0 + scale)

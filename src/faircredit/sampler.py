@@ -1,39 +1,55 @@
 """Metropolis-within-Gibbs inference over parameters and latent scores, and
 exact test-time inference of latent scores under fixed parameters.
 
-Each sweep updates every parameter by a single-coordinate normal random walk,
-then every latent score by a uniform-window random walk, all accepted or
-rejected in log space against the joint posterior by one test: a step with
-log ratio r and accept uniform u accepts when log u < r, where log 0 is
--inf. Since log u < 0, every r >= 0 accepts, and a nan or -inf r never
-does. The job and house heads share no parameter, so their coefficients are
-proposed in lockstep, as one (2, n) evaluation, and accepted or rejected
-each on its own. Each head block keeps its linear-predictor terms between
-proposals (probmodel.HeadTerms), so a proposal recomputes only the term it
-moves and the sums after it, in one call per proposal and one per accept;
-the sweep takes each step's coefficients out of its proposal vector as a
-strided view. The credit head's coefficient steps are accepted a few
-percent of the time, so each is first screened, in one call: an upper
-bound on its log ratio (HeadTerms.step_bound), which holds after rounding,
-below log u rejects it unevaluated. The screen changes no accept decision.
-The logistic exp runs with no guard against overflow: the chain runs with
-numpy's overflow and divide warnings off, and a proposal whose exp
-overflows (a signed predictor z below about -709.78) has an infinite
-softplus and a -inf log ratio, which the test rejects, as it rejects a
-credit rate over the cap; it is not counted as a likelihood error.
+The sweep. The chain's state (_State) keeps X = [1, sex, age, c], a (4, n)
+array whose row 3 holds the latent scores, each head's coefficients over
+X's rows, and each head's rows: the job and house heads' softplus rows
+(minus their log-likelihood rows) and the credit head's Poisson rows, by
+the engine's kernels (probmodel._softplus_rows and _credit_rows). A sweep
+(_sweep) makes four kinds of step, in this order:
 
-The latent phase proposes every latent score at once. Its per-sweep arrays
-(the proposals, their prior terms, the two log-likelihood sums, the log
-ratio and the accept mask) are allocated once per chain and refilled in
-place. The accepted latents' indices are found once (ndarray.nonzero), and
-only those entries of the latent scores, their prior terms and each block's
-kept rows and rates are overwritten, in place. On a mask that is new and
-random every sweep, an indexed copy beats np.where while up to about 60% of
-the latents accept; the default chains, which adapt toward 35%, accept 29%
-(fit) and 53% (synth_large) after burn-in. So the latent scores are one
-array for the whole chain, which the blocks hold as their latent column,
-and nothing else may hold it across sweeps. The credit screen takes max |c|
-when it first runs after the merge.
+- BLOCK_STEPS random-walk block steps per head: beta' = beta + L z, with L
+  the Cholesky factor of s^2 (F + I)^-1, F the head's Fisher information at
+  the tuned state (sum p(1 - p) x x' for a logistic head, sum rate x x' for
+  credit) and s = 2.38 / sqrt(d) for d coefficients (Roberts, Gelman &
+  Gilks 1997). The three heads are evaluated together, from one product
+  beta' X, and each is accepted on its own. A credit proposal with a rate
+  over the cap is rejected and counted as a likelihood error. One step per
+  head left the logistic heads the slowest to mix (worst bulk ESS 89 on
+  synth_large's chain at seed 0); the second doubles their ESS;
+- every latent score at once, by a uniform-window random walk of half-width
+  delta, accepted row by row; the accepted rows are merged in by index;
+- a scale move: c -> c e^eta and the three loadings -> e^-eta, with
+  eta ~ N(0, tau^2), accepted on its prior change plus its Jacobian
+  (n - 3) eta;
+- exact shifts, one for each column that all three heads carry (sex, age,
+  and the intercept when b_c is on): c -> c + m x and each head's
+  coefficient of x -> minus its loading times m, with m drawn from its
+  Gaussian conditional.
+
+The moves are the group moves of Liu & Sabatti 2000: they leave every
+linear predictor unchanged, so they evaluate no likelihood and keep the
+rows. Every accept test, with log ratio r and accept uniform u, accepts
+when log u < r, where log 0 is -inf: since log u < 0, every r >= 0 accepts,
+and a nan or -inf r never does.
+
+The equality contract. Every proposal's linear predictors, a block's or
+the latents', are computed from scratch, as coefs @ X with the moved
+coefficients or latent row, and the kept rows are the kernels' rows of the
+predictor at which each entry was last accepted. The moves change c and
+the coefficients but not the rows, which differ from rows recomputed from
+scratch in rounding only. The predictor's association is the matrix
+product's, not HEAD_TERMS order, so the rows match head_log_likelihood's
+within rounding, not bit for bit.
+
+Tuning. F, tau and delta are the only proposal scales. F and tau are
+functions of the state (tau = 2.38 / sqrt(2 (sum c^2 + sum of squared
+loadings))), computed (_State.tune) at the start and after burn-in sweeps
+1, 2, 4, 8, ... (so that the scales follow the chain's first steps away
+from the all-zero start), every ADAPT_EVERY sweeps, and the last. delta is
+rescaled every ADAPT_EVERY burn-in sweeps toward target_accept when
+adapt_during_burn_in is set. After burn-in all three are frozen, so the
+kernel is a fixed Metropolis-Hastings kernel.
 
 Test-time inference (infer_latent) fixes the parameters, so each row's
 latent posterior is one-dimensional and log-concave: Newton finds its mode
@@ -43,23 +59,23 @@ that row. The grid stage runs on GRID_BLOCK rows at a time, so its working
 memory peaks at about 7 arrays of GRID_BLOCK x GRID_POINTS doubles (0.7 MB)
 however many rows are inferred; everything else is O(rows).
 
-Random streams. One master seed. derive_rng(seed, 0, 0) drives the parameter
-updates and derive_rng(seed, 1, 0) all n training latents: each sweep's
-latent phase takes the next 2n uniforms of that one stream, the first n the
-proposals of latents 0 to n-1 and the next n their accept tests. They are
-drawn in whole sweeps, BUDGET doubles' worth at a time (one sweep's if 2n is
-more), into one buffer: 512 KB up to n = 32,768 and 16 bytes per row beyond,
-however long the chain runs. The parameter stream gives each sweep k
-standard normals, the proposals of the k parameters in serialization order,
-then k uniforms, their accept tests, two calls in all. All are drawn before
-the sweep's first step, so updating the heads in lockstep consumes the
-stream exactly as one parameter at a time in that order would.
+Random streams. One master seed. derive_rng(seed, 0, 0) drives the
+parameter steps and moves and derive_rng(seed, 1, 0) all n training
+latents: each sweep's latent phase takes the next 2n uniforms of that one
+stream, the first n the proposals of latents 0 to n-1 and the next n their
+accept tests. They are drawn in whole sweeps, BUDGET doubles' worth at a
+time (one sweep's if 2n is more), into one buffer: 512 KB up to n = 32,768
+and 16 bytes per row beyond, however long the chain runs. The parameter
+stream gives each sweep its standard normals in one call (each block
+step's, the job, house and credit blocks' in turn, then the scale move's,
+then one per shift), then its PARAM_UNIFORMS accept uniforms in another
+(each block step's job, house and credit tests, then the scale move's).
 """
 
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,14 +84,13 @@ from .dataset import Dataset
 from .errors import ConfigError, DataError, SamplerError
 from .probmodel import (
     Design,
-    HeadTerms,
     ModelConfig,
     ModelParams,
     HEAD_CREDIT,
-    HEAD_HOUSE,
-    HEAD_JOB,
-    LOG_2PI,
+    HEAD_TERMS,
     PARAM_NAMES,
+    _credit_rows,
+    _softplus_rows,
     per_obs_log_likelihood,
 )
 from .util import (
@@ -88,10 +103,13 @@ from .util import (
     read_text,
 )
 
-ADAPT_EVERY = 100     # sweeps between proposal-width rescalings during burn-in
+ADAPT_EVERY = 100     # sweeps between tunings during burn-in
 ADAPT_FACTOR = 1.1
 ERROR_BUDGET = 0.01   # abort when likelihood errors exceed this fraction of steps
 BUDGET = 1 << 16      # latent uniforms drawn per refill, in whole sweeps of 2n
+RW_SCALE = 2.38       # a random walk's scale per sqrt(dimension), Roberts et al. 1997
+BLOCK_STEPS = 2       # block steps per head a sweep
+PARAM_UNIFORMS = 3 * BLOCK_STEPS + 1  # a sweep's accept tests but the latents'
 
 # exact test-time inference (infer_latent)
 NEWTON_MAX_STEPS = 100
@@ -104,24 +122,30 @@ GRID_POINTS = 401
 GRID_BLOCK = 32          # rows per grid block; 16 to 32 ran fastest, 64 ran 11-34% slower
 WIDEN_MAX = 20           # moves of a grid end before giving up
 
+# The state's coefficients are a (3, 4) array: row h holds head h's
+# coefficients over X's rows (1, sex, age, c). _CELLS[j] is the flat cell of
+# parameter j, in serialization order; the credit head's intercept cell
+# stays 0 without b_c, which adds an exact 0 to its predictor.
+_X_ROWS = {"one": 0, "sex": 1, "age": 2, "c": 3}
+_CELLS = tuple(4 * head + _X_ROWS[name] for head, terms in enumerate(HEAD_TERMS) for _, name in terms)
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain length and proposal settings.
+    """Chain length and the latent proposal's width.
 
     iterations counts total sweeps; the first burn_in sweeps are discarded and
     the rest kept at stride thin, so (iterations - burn_in) // thin draws are
-    stored. delta is the half-width of the uniform latent proposal and
-    param_step the std of the normal parameter proposal; with
-    adapt_during_burn_in both are rescaled by 1.1 every 100 burn-in sweeps
-    toward target_accept, then frozen.
+    stored. delta is the half-width of the uniform latent proposal; with
+    adapt_during_burn_in it is rescaled by 1.1 every 100 burn-in sweeps
+    toward target_accept, then frozen. The coefficient blocks and the moves
+    scale themselves by the state (see the module docstring).
     """
 
     iterations: int = 5000
     burn_in: int = 1000
     thin: int = 1
     delta: float = 0.5
-    param_step: float = 0.1
     adapt_during_burn_in: bool = True
     target_accept: float = 0.35
     seed: int = 0
@@ -140,8 +164,6 @@ class SamplerConfig:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if not (self.param_step > 0 and math.isfinite(self.param_step)):
-            raise ValueError(f"param_step must be positive, got {self.param_step!r}")
         if not (0 < self.target_accept < 1):
             raise ValueError(f"target_accept must be in (0,1), got {self.target_accept!r}")
         check_seed(self.seed, "seed")
@@ -158,7 +180,8 @@ class Chain:
     columns are: latent_draws[:, j] holds latent latent_columns[j], and
     latent_mean holds each row's mean over the draws. The chain carries the
     configs it ran with, config (the sampler's) and model_config, so stage
-    two takes the chain alone.
+    two takes the chain alone. Each parameter's accept_rate_params entry is
+    its head's block's rate.
     """
 
     param_names: tuple[str, ...]
@@ -187,7 +210,224 @@ class Chain:
         return ModelParams.from_vector(med)
 
 
-@np.errstate(over="ignore", divide="ignore")
+class _Tuning(NamedTuple):
+    """The sweep's proposal scales, computed by _State.tune and fixed until
+    the next tuning."""
+
+    factor: np.ndarray  # (12, n_block): a block step's normals to its coefficients' moves
+    tau: float          # the scale move's normal sd
+    delta: float        # the latent window's half-width
+
+
+def _block_factor(info: np.ndarray) -> np.ndarray:
+    """L = chol(s^2 (F + I)^-1) of Fisher informations F, (..., d, d), for
+    s = RW_SCALE / sqrt(d): the block step's covariance is the posterior's
+    curvature at the tuned state, the prior's identity included."""
+    d = info.shape[-1]
+    return (RW_SCALE / math.sqrt(d)) * np.linalg.cholesky(np.linalg.inv(info + np.eye(d)))
+
+
+class _State:
+    """One state of the chain: X = [1, sex, age, c], each head's
+    coefficients over X's rows, and each head's rows there.
+
+    soft (2, n) holds the job and house heads' softplus rows, minus their
+    log-likelihood rows, and crow the credit head's rows, each from the
+    linear predictor computed from scratch (coefs @ X) when the entry was
+    last accepted. The moves leave every predictor unchanged, so they keep
+    the rows. A latent proposal's predictors are computed from scratch too,
+    in _proposal, a copy of X that differs from it in row 3 alone. The
+    steps change the state in place; see the module docstring.
+    """
+
+    def __init__(self, design: Design, theta: np.ndarray, c: np.ndarray):
+        k = theta.shape[0]
+        self.design = design
+        self.cells = np.array(_CELLS[:k])
+        self.coefs = np.zeros((3, 4))
+        self.coefs.flat[self.cells] = theta
+        self.X = np.stack([np.ones(len(design)), design.sex, design.age, c]).astype(float)
+        self._proposal = self.X.copy()
+        self.nsign = np.stack([design.job_nsign, design.house_nsign])
+        # the credit head's rows of X, in its parameters' order; the rows
+        # that every head carries, which the shifts move along; and the
+        # Gram matrix of X's rows 0 to 2
+        self.credit_rows = self.cells[8:] - 8
+        self.shift_rows = (1, 2, 0) if k == len(PARAM_NAMES) else (1, 2)
+        self._shift_x = self.X[list(self.shift_rows)]
+        self._gram = (self.X[:3] @ self.X[:3].T).tolist()
+        # a sweep's normals: each block step's, then the scale move's and
+        # one per shift
+        self.n_block = 8 + len(self.credit_rows)
+        self.n_normals = BLOCK_STEPS * self.n_block + 1 + len(self.shift_rows)
+        self.soft, self.crow, _ = self._rows(self.coefs, self.X)
+        self._totals = None
+
+    def _rows(self, coefs: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """The heads' rows at coefs and X, from the linear predictors
+        coefs @ X: the softplus rows, the credit rows, and how many credit
+        rates are over the cap."""
+        pred = np.matmul(coefs, X)
+        nz = pred[:2]
+        nz *= self.nsign
+        return _softplus_rows(nz), *_credit_rows(pred[2], self.design)
+
+    def theta(self) -> np.ndarray:
+        """The parameter vector, in serialization order."""
+        return self.coefs.take(self.cells)
+
+    def tune(self, delta: float) -> _Tuning:
+        """The proposal scales at this state, with latent half-width delta."""
+        X, c, loads = self.X, self.X[3], self.coefs[:, 3]
+        pred = np.matmul(self.coefs, X)
+        t = np.exp(-np.abs(pred[:2]))
+        weights = t / ((1.0 + t) * (1.0 + t))  # p (1 - p) of each logistic row
+        logistic = np.matmul(X * weights[:, None, :], X.T)
+        xc = X[self.credit_rows]
+        credit = np.matmul(xc * np.exp(pred[2]), xc.T)
+        # the scale move's log target has curvature -2 (sum c^2 + sum loads^2)
+        # at eta = 0; with both sums 0 the move is the identity, so tau = 0
+        spread = float(c @ c) + float(loads @ loads)
+        tau = RW_SCALE / math.sqrt(2.0 * spread) if spread > 0.0 else 0.0
+        # each head's factor L, block-diagonal from the normals of the job,
+        # house and credit blocks to the cells of their coefficients
+        factor = np.zeros((12, self.n_block))
+        factor[0:4, 0:4], factor[4:8, 4:8] = _block_factor(logistic)
+        factor[8 + self.credit_rows, 8:] = _block_factor(credit)
+        return _Tuning(factor, tau, delta)
+
+    def _kept_totals(self) -> list[float]:
+        """Each head's kept rows' sum (the logistic heads' softplus sums),
+        summed after the rows last changed."""
+        if self._totals is None:
+            self._totals = np.add.reduce(self.soft, axis=1).tolist() + [float(np.add.reduce(self.crow))]
+        return self._totals
+
+    def blocks(self, tuning: _Tuning, z: np.ndarray, log_u: list[float]) -> tuple[list[bool], int]:
+        """One block step per head from the normals z, accepted by log_u's
+        first three entries (job, house, credit). Returns whether each head
+        accepted, and 1 if the credit proposal put a rate over the cap."""
+        coefs = self.coefs
+        prop = coefs + (tuning.factor @ z).reshape(3, 4)
+        prior = np.add.reduce(coefs * coefs - prop * prop, axis=1).tolist()
+        soft, crow, n_over = self._rows(prop, self.X)
+        kept = self._kept_totals()
+        new = np.add.reduce(soft, axis=1).tolist() + [float(np.add.reduce(crow))]
+        # softplus rows are minus the log-likelihood's, so a logistic head's
+        # gain is its kept sum less its proposed one
+        gains = (kept[0] - new[0], kept[1] - new[1], new[2] - kept[2])
+        accepted = [log_u[h] < gains[h] + 0.5 * prior[h] for h in range(3)]
+        accepted[2] = accepted[2] and not n_over
+        if accepted[0] and accepted[1]:
+            coefs[:2] = prop[:2]
+            self.soft = soft
+        else:
+            for h in (0, 1):
+                if accepted[h]:
+                    coefs[h] = prop[h]
+                    self.soft[h] = soft[h]
+        if accepted[2]:
+            coefs[2] = prop[2]
+            self.crow = crow
+        for h in range(3):
+            if accepted[h]:
+                kept[h] = new[h]
+        return accepted, int(n_over > 0)
+
+    def latents(self, delta: float, steps: np.ndarray, log_u: np.ndarray) -> tuple[int, int]:
+        """Every latent score's random-walk step, c + delta * steps, accepted
+        where log_u is below its log ratio. Returns how many accepted and how
+        many proposed a rate over the cap."""
+        c, moved = self.X[3], self._proposal[3]
+        d = steps * delta
+        np.add(c, d, out=moved)
+        soft, crow, n_over = self._rows(self.coefs, self._proposal)
+        # each latent's log ratio: its rows' change, less the prior's, half
+        # the change in its square, (c + d/2) d
+        change = soft - self.soft
+        ratio = crow - self.crow
+        ratio -= change[0]
+        ratio -= change[1]
+        prior = d * 0.5
+        prior += c
+        prior *= d
+        ratio -= prior
+        # the accepted entries are merged by index, one 1-d array at a time
+        accepted = (log_u < ratio).nonzero()[0]
+        if accepted.size:
+            c[accepted] = moved[accepted]
+            for kept, new in zip(self.soft, soft):
+                kept[accepted] = new[accepted]
+            self.crow[accepted] = crow[accepted]
+            self._totals = None
+        return accepted.size, n_over
+
+    def scale(self, tau: float, z: float, log_u: float) -> bool:
+        """The scale move by eta = tau * z, accepted when log_u is below its
+        log ratio: the prior's change plus the Jacobian (n - 3) eta."""
+        c, loads = self.X[3], self.coefs[:, 3]
+        eta = tau * z
+        ratio = (
+            -0.5 * np.expm1(2.0 * eta) * float(c @ c)
+            - 0.5 * np.expm1(-2.0 * eta) * float(loads @ loads)
+            + (c.shape[0] - 3) * eta
+        )
+        if not log_u < ratio:
+            return False
+        c *= math.exp(eta)
+        loads *= math.exp(-eta)
+        return True
+
+    def shifts(self, z: list[float]) -> None:
+        """The exact shifts, one per shift row x of X with normal z, in turn:
+        m is drawn from N(-B/A, 1/A), A = sum x^2 + sum loads^2 and
+        B = sum c x - sum_h loads_h beta_h,x. Each shift's sum c x is the one
+        before the shifts plus the earlier shifts' m times the Gram matrix
+        of X's rows, and c takes all the shifts at the end, in one pass."""
+        c, coefs = self.X[3], self.coefs
+        loads = coefs[:, 3]
+        loads2 = float(loads @ loads)
+        cx = (self._shift_x @ c).tolist()
+        ms = []
+        for r, zr in zip(self.shift_rows, z):
+            a = self._gram[r][r] + loads2
+            # x and the loadings all 0: the move is the identity
+            m = 0.0 if a == 0.0 else (zr * math.sqrt(a) - (cx[len(ms)] - float(loads @ coefs[:, r]))) / a
+            coefs[:, r] -= m * loads
+            cx = [v + m * self._gram[r][s] for v, s in zip(cx, self.shift_rows)]
+            ms.append(m)
+        c += np.array(ms) @ self._shift_x
+
+
+def _sweep(
+    state: _State,
+    tuning: _Tuning,
+    normals: np.ndarray,
+    log_u: list[float],
+    steps: np.ndarray,
+    latent_log_u: np.ndarray,
+) -> tuple[list[int], int, int]:
+    """One sweep of the chain on state: BLOCK_STEPS block steps per head,
+    the latents, the scale move and the shifts. It takes the sweep's
+    state.n_normals normals (each block step's, then the scale move's, then
+    one per shift), its PARAM_UNIFORMS log uniforms (each block step's job,
+    house and credit tests, then the scale move's), and the latents' steps
+    (in [-1, 1]) and log uniforms. Returns each head's accepted block steps,
+    the latents accepted and the likelihood errors."""
+    accepts, errors = [0, 0, 0], 0
+    nb = state.n_block
+    for step in range(BLOCK_STEPS):
+        accepted, over = state.blocks(tuning, normals[nb * step:nb * (step + 1)], log_u[3 * step:])
+        accepts = [a + b for a, b in zip(accepts, accepted)]
+        errors += over
+    n_accepted, n_over = state.latents(tuning.delta, steps, latent_log_u)
+    rest = normals[nb * BLOCK_STEPS:].tolist()
+    state.scale(tuning.tau, rest[0], log_u[-1])
+    state.shifts(rest[1:])
+    return accepts, n_accepted, errors + n_over
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def run_chain(
     data: Dataset,
     model_config: ModelConfig,
@@ -203,53 +443,22 @@ def run_chain(
     axis 0 row by row, in the same order), and the draws of latent_columns
     only; the full matrix is never stored.
 
-    Initial state is all zeros. Within a sweep, parameters update first,
-    then all latents. The job and house heads share no parameter, so the
-    parameter phase moves them in lockstep: step k proposes term k of both
-    logistic heads (b, then the sex, age and latent coefficients) as one
-    (2, n) evaluation and accepts or rejects each head on its own, and the
-    credit head's coefficient k (the intercept last) follows in the same
-    step. The sweep draws its k proposal normals, then its k accept
-    uniforms, before its first step; parameter j's proposal and accept test
-    are the j-th of each, in serialization order, so the stream is consumed,
-    and the chain comes out, exactly as with one step per parameter in that
-    order.
+    The initial state is all zeros. Each sweep is _sweep on one _State (see
+    the module docstring), from the sweep's parameter normals and uniforms,
+    both drawn before its first step, and its share of the latent stream.
+    The proposal scales are tuned during burn-in, as the module docstring
+    says, and frozen after it. Results are bit-identical for a given config
+    and seed.
 
-    Each head block (probmodel.HeadTerms) keeps the terms, running sums and
-    rows of its linear predictors at the current state: a proposal
-    recomputes only its own term and the sums after it, in the order
-    head_log_likelihood adds them, so every likelihood is bitwise the one
-    computed from scratch. The latent phase moves each block's latent term
-    once, into arrays allocated once per chain, and the entries of the
-    latents it accepts are merged in by index, in place: their latent
-    scores, prior terms, and each block's rows (HeadTerms.accept_rows). The
-    logistic block keeps softplus rows and totals, minus its log-likelihood
-    ones, so a logistic step's ratio is its kept total less its moved one,
-    and the latent ratio subtracts the rows' sum from the credit rows. A
-    block's totals are summed only when a coefficient step is evaluated on
-    it, so the credit block's mostly are not. A rejected proposal's values,
-    such as the -inf rows of one over the rate cap, are never kept. A credit
-    coefficient step whose log ratio is provably below the log of its
-    accept uniform (HeadTerms.step_bound) is rejected without evaluating
-    it; one that could put a rate over the cap is always evaluated, so the
-    error count is that of evaluating every step. Results are bit-identical
-    for a given config and seed.
-
-    The logistic rows are bitwise head_log_likelihood's except where exp
-    overflows (z below about -709.78). There head_log_likelihood's row is z
-    and the block's is -inf, so the step's log ratio is -inf and the step is
-    rejected. With the exact row the log ratio is at most -709.78 less the
-    kept target (the head's log-likelihood, or the latent's rows, less half
-    the moved value's square), so the step is rejected alike at every
-    accept uniform above 0 (log u >= -36.8) unless that target is below
-    about -673: the chain can differ from one on the exact rows only at a
-    uniform of exactly 0 (probability 2^-53 a step) or from a kept state
-    that far down. The chain runs with numpy's overflow and divide warnings
-    off, and restores the caller's error state on return or raise.
-    Persistent likelihood errors, steps that propose a credit rate above the
-    cap, abort the chain with a ConfigError naming model.poisson_rate_cap
-    once they pass ERROR_BUDGET of its steps, checked every ADAPT_EVERY
-    sweeps and at the last.
+    The chain runs with numpy's overflow, divide and invalid warnings off,
+    and restores the caller's error state on return or raise: log 0 = -inf
+    is an accept uniform's log, a scale move far out overflows exp and is
+    rejected, and a start whose rates are over the cap has -inf rows, whose
+    differences are nan ratios that never accept. Persistent likelihood
+    errors, steps that propose a credit rate above the cap, abort the chain
+    with a ConfigError naming model.poisson_rate_cap once they pass
+    ERROR_BUDGET of its accept tests (PARAM_UNIFORMS and n latents a sweep),
+    checked every ADAPT_EVERY sweeps and at the last.
     """
     cfg = sampler_config
     n = len(data)
@@ -261,11 +470,10 @@ def run_chain(
     names = model_config.active_param_names()
     k = len(names)
 
-    theta = np.zeros(k)
-    c = np.zeros(n)
-    prior = 0.5 * (LOG_2PI + c * c)  # each latent's -log N(c; 0, 1)
+    state = _State(design, np.zeros(k), np.zeros(n))
+    c = state.X[3]
     delta = cfg.delta
-    step = cfg.param_step
+    tuning = state.tune(delta)
 
     param_rng = derive_rng(cfg.seed, STREAM_PARAMS, 0)
     latent_rng = derive_rng(cfg.seed, STREAM_TRAIN_LATENT, 0)
@@ -275,10 +483,6 @@ def run_chain(
     uniforms = np.empty((chunk, 2, n))
     w, log_u = uniforms[:, 0], uniforms[:, 1]
 
-    # the latent phase's per-sweep arrays, refilled in place every sweep
-    c_prop, prior_prop, ll_cur, ll_prop, log_ratio = np.empty((5, n))
-    accept = np.empty(n, dtype=bool)
-
     n_draws = cfg.n_draws()
     param_draws = np.empty((n_draws, k))
     latent_sum = np.zeros(n)
@@ -286,141 +490,72 @@ def run_chain(
     column_draws = np.empty((n_draws, len(columns)))
 
     post_sweeps = cfg.iterations - cfg.burn_in
-    acc_param_post = [0] * k
+    acc_blocks_post = [0, 0, 0]
     acc_latent_post = 0
-    win_param_acc = win_latent_acc = 0
+    win_latent_acc = 0
     err_steps = 0
 
     draw_idx = 0
 
-    logistic = HeadTerms((HEAD_JOB, HEAD_HOUSE), theta, c, design)
-    credit = HeadTerms((HEAD_CREDIT,), theta, c, design)
-    # each step takes its coefficients out of the sweep's proposals as a
-    # (heads, 1) strided view: term k of the logistic heads is at k and k + 4
-    logistic_steps, credit_steps = (
-        [((slice(p[0], p[-1] + 1, max(1, p[-1] - p[0])), None), p) for p in block.positions]
-        for block in (logistic, credit)
-    )
-
     for sweep in range(1, cfg.iterations + 1):
         post = sweep > cfg.burn_in
-
-        # parameter phase: k proposal normals, then k accept uniforms. The
-        # blocks may keep views of proposal, a new array every sweep
-        proposal = theta + step * param_rng.standard_normal(k)
-        # each step's log u, log 0 = -inf: it accepts when log u < log r
-        param_log_u = [math.log(v) if v else -math.inf for v in param_rng.random(k).tolist()]
-        olds, props = theta.tolist(), proposal.tolist()
-        for term, (view, positions) in enumerate(logistic_steps):
-            # the logistic heads' term, in lockstep. Their totals are softplus
-            # sums, minus their log-likelihoods, so each ratio is cur - new:
-            # -inf where an exp overflowed
-            new_sums, cur_sums = logistic.move(term, proposal[view])
-            accepted = []
-            for j, new_sum, cur_sum in zip(positions, new_sums, cur_sums):
-                old, new = olds[j], props[j]
-                ok = param_log_u[j] < (cur_sum - new_sum) + 0.5 * (old * old - new * new)
-                if ok:
-                    theta[j] = new
-                    win_param_acc += 1
-                    if post:
-                        acc_param_post[j] += 1
-                accepted.append(ok)
-            if any(accepted):
-                logistic.accept_heads(accepted)
-            if term >= len(credit_steps):
-                continue
-            # then the credit head's term
-            view, (j,) = credit_steps[term]
-            old, new = olds[j], props[j]
-            prior_diff = 0.5 * (old * old - new * new)
-            # the screen: step_bound plus the prior term is at least the
-            # step's log ratio (rounded addition is monotone), so below
-            # log u the step is rejected, unevaluated
-            if credit.step_bound(term, new - old) + prior_diff < param_log_u[j]:
-                continue
-            (new_sum,), (cur_sum,) = credit.move(term, proposal[view])
-            if new_sum == -math.inf:  # a rate over the cap
-                err_steps += 1
-                continue
-            if param_log_u[j] < (new_sum - cur_sum) + prior_diff:
-                theta[j] = new
-                win_param_acc += 1
-                if post:
-                    acc_param_post[j] += 1
-                credit.accept_heads([True])
-
-        # latent phase, vectorized across observations
+        normals = param_rng.standard_normal(state.n_normals)
+        # each test's log u, log 0 = -inf: it accepts when log u < log r
+        param_log_u = [
+            math.log(v) if v else -math.inf for v in param_rng.random(PARAM_UNIFORMS).tolist()
+        ]
         s = (sweep - 1) % chunk
         if s == 0:
             latent_rng.random(out=uniforms)
             np.multiply(w, 2.0, out=w)
             np.subtract(w, 1.0, out=w)
             np.log(log_u, out=log_u)  # log 0 = -inf
-
-        np.multiply(w[s], delta, out=c_prop)
-        np.add(c, c_prop, out=c_prop)
-        np.multiply(c_prop, c_prop, out=prior_prop)
-        np.add(prior_prop, LOG_2PI, out=prior_prop)
-        np.multiply(prior_prop, 0.5, out=prior_prop)
-        soft_rows, _ = logistic.move_latent(c_prop)
-        credit_rows, n_over = credit.move_latent(c_prop)
-        err_steps += n_over
-        # heads added as per_obs_log_likelihood adds them, and the ratio
-        # associated as target(proposal) - target(current), so a scalar step
-        # on one latent at a time agrees with this vectorized phase bitwise:
-        # the logistic block keeps softplus rows s, minus its rows, and
-        # credit - (s_job + s_house) is bitwise (-s_job + -s_house) + credit
-        np.add(logistic.rows[0], logistic.rows[1], out=ll_cur)
-        np.subtract(credit.rows[0], ll_cur, out=ll_cur)
-        np.add(soft_rows[0], soft_rows[1], out=ll_prop)
-        np.subtract(credit_rows[0], ll_prop, out=ll_prop)
-        np.subtract(ll_prop, prior_prop, out=ll_prop)
-        np.subtract(ll_cur, prior, out=ll_cur)
-        np.subtract(ll_prop, ll_cur, out=log_ratio)
-        # log u < 0, so this also accepts every ratio >= 0
-        np.less(log_u[s], log_ratio, out=accept)
-        accepted = accept.nonzero()[0]
-        c[accepted] = c_prop[accepted]
-        prior[accepted] = prior_prop[accepted]
-        logistic.accept_rows(accepted, c)
-        credit.accept_rows(accepted, c)
-        n_acc = accepted.size
+        accepts, n_acc, errors = _sweep(state, tuning, normals, param_log_u, w[s], log_u[s])
+        err_steps += errors
         win_latent_acc += n_acc
         if post:
             acc_latent_post += n_acc
+            acc_blocks_post = [a + b for a, b in zip(acc_blocks_post, accepts)]
 
-        total_steps = sweep * (k + n)  # k parameter steps and n latent steps a sweep
+        total_steps = sweep * (n + PARAM_UNIFORMS)
         checked = sweep % ADAPT_EVERY == 0 or sweep == cfg.iterations
         if checked and err_steps > ERROR_BUDGET * total_steps:
             raise ConfigError(
                 f"sampler aborted at sweep {sweep}: {err_steps} likelihood errors (steps "
                 "proposing a credit rate above model.poisson_rate_cap = "
                 f"{model_config.poisson_rate_cap!r}) over {total_steps} steps "
-                f"(> {ERROR_BUDGET:.0%}); delta={delta!r} param_step={step!r}"
+                f"(> {ERROR_BUDGET:.0%}); delta={delta!r}"
             )
-        if sweep % ADAPT_EVERY == 0 and cfg.adapt_during_burn_in and sweep <= cfg.burn_in:
-            # the window since the last reset is ADAPT_EVERY sweeps long
-            rate = win_latent_acc / (n * ADAPT_EVERY)
-            delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
-            rate = win_param_acc / (k * ADAPT_EVERY)
-            step = step * ADAPT_FACTOR if rate > cfg.target_accept else step / ADAPT_FACTOR
-            win_param_acc = win_latent_acc = 0
+        if sweep <= cfg.burn_in:
+            window = sweep % ADAPT_EVERY == 0
+            if window and cfg.adapt_during_burn_in:
+                # the window since the last rescaling is ADAPT_EVERY sweeps long
+                rate = win_latent_acc / (n * ADAPT_EVERY)
+                delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
+            if window:
+                win_latent_acc = 0
+            # powers of two too, so that the scales follow the chain's first
+            # steps away from the all-zero start
+            if window or sweep & (sweep - 1) == 0 or sweep == cfg.burn_in:
+                tuning = state.tune(delta)
 
         if post and (sweep - cfg.burn_in) % cfg.thin == 0:
-            param_draws[draw_idx] = theta
+            param_draws[draw_idx] = state.theta()
             latent_sum += c
             column_draws[draw_idx] = c[column_index]
             draw_idx += 1
 
     assert draw_idx == n_draws
+    head_of = [p // 4 for p in _CELLS[:k]]
     return Chain(
         param_names=names,
         param_draws=param_draws,
         latent_mean=latent_sum / n_draws,
         latent_columns=columns,
         latent_draws=column_draws,
-        accept_rate_params=np.array(acc_param_post) / max(post_sweeps, 1),
+        accept_rate_params=(
+            np.array([acc_blocks_post[h] for h in head_of]) / max(BLOCK_STEPS * post_sweeps, 1)
+        ),
         accept_rate_latents=acc_latent_post / max(n * post_sweeps, 1),
         config=cfg,
         model_config=model_config,

@@ -1,8 +1,8 @@
 """The scalar Metropolis kernel that the sampler's tests compare against.
 
 run_chain's latent phase is this step applied to every latent at once;
-tests/test_sampler.py re-runs the chain one step at a time with it, and
-acceptance 1 checks it against a conjugate posterior.
+tests/test_sampler.py checks each latent's proposal and log ratio against
+it, and acceptance 1 checks it against a conjugate posterior.
 """
 
 import math

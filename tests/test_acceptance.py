@@ -53,7 +53,6 @@ PAPER_SAMPLER = SamplerConfig(
     burn_in=1000,
     thin=1,
     delta=0.5,
-    param_step=0.1,
     adapt_during_burn_in=False,
     target_accept=0.35,
     seed=0,
@@ -220,7 +219,6 @@ def test_criterion_5_real_data_chain_quality(report, german_splits):
             burn_in=2000,
             thin=15,
             delta=0.5,
-            param_step=0.1,
             adapt_during_burn_in=True,
             target_accept=0.35,
             seed=11,

@@ -38,6 +38,7 @@ from faircredit.util import parse_kv_text
 
 
 CHECKS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "checks.py")
+BUNDLED_DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data", "german_synthetic.csv")
 
 
 @dataclass
@@ -196,7 +197,7 @@ def typed_fields(config) -> dict:
 def test_default_config_is_pinned():
     # every output file's header records this hash, so a changed default
     # key or value changes every output
-    assert config_hash(DEFAULTS) == "251d068a29d83ea8"
+    assert config_hash(DEFAULTS) == "023e6d830f2ef8d1"
     assert typed_fields(cli.build_model_config(DEFAULTS)) == typed_fields(ModelConfig())
     assert typed_fields(cli.build_sampler_config(DEFAULTS)) == typed_fields(SamplerConfig())
     assert typed_fields(cli.build_forest_config(DEFAULTS)) == typed_fields(ForestConfig())
@@ -939,9 +940,13 @@ def test_synth_rate_cap_names_its_config_keys(tmp_path):
     assert "synth.param.*" in res.err and "model.poisson_rate_cap" in res.err
 
 
-def test_synth_warns_as_fit_does(tmp_path):
-    # the benchmark's synth_large config mixes no better than the defaults
-    # (worst bulk ESS 14.14, beta_c_s, at seed 0), and synth says so
+def test_synth_warns_as_fit_does(workspace, tmp_path):
+    # synth warns on its chain as fit does: on the small config's 30 draws,
+    # and not on the benchmark's synth_large config, whose chain mixes
+    # (worst bulk ESS 346, beta_j_c, at seed 0)
+    fit_warning = workspace["results"]["fit_fair"].err
+    assert fit_warning.startswith("warning: worst bulk ESS is ")
+    assert workspace["results"]["synth"].err.startswith("warning: worst bulk ESS is ")
     spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS_PATH)
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
@@ -949,18 +954,30 @@ def test_synth_warns_as_fit_does(tmp_path):
     config.write_text(checks.synth_config_text(), encoding="utf-8")
     res = run_cli(["synth", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "out")])
     assert res.code == 0, res.err
-    assert res.err.startswith("warning: worst bulk ESS is 14.14 (beta_c_s), below 100")
-    assert res.err.count("\n") == 1
+    assert res.err == ""
+
+
+@pytest.mark.parametrize("command", [["fit", "--model", "fair"], ["compare"]], ids=("fit", "compare"))
+def test_default_chain_mixes_without_a_warning(tmp_path, command):
+    # at defaults on the bundled data the chain's worst bulk ESS is 585
+    # (b_j) at seed 0, so neither fit nor compare prints the mixing warning
+    config = tmp_path / "data.kv"
+    config.write_text(f"data.path = {BUNDLED_DATA}\n", encoding="utf-8")
+    res = run_cli([*command, "--config", str(config), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert res.code == 0, res.err
+    assert res.err == ""
 
 
 def test_aborted_synth_writes_nothing(tmp_path):
-    # far credit steps over a low rate cap exceed the sampler's error budget;
-    # synth writes its data after the chain, so the abort leaves no file
+    # a rate cap just over the truth's largest rate (e^3.42 = 30.6): the
+    # chain's steps cross it in over 1% of its accept tests by sweep 100, which
+    # exceeds the sampler's error budget; synth writes its data after the
+    # chain, so the abort leaves no file
     config = tmp_path / "c.kv"
     lines = (
         "synth.n = 50", "synth.param.beta_c_c = 1.0", "synth.param.b_c = 2.0",
-        "model.include_credit_intercept = true", "model.poisson_rate_cap = 200",
-        "sampler.iterations = 200", "sampler.burn_in = 50", "sampler.param_step = 3",
+        "model.include_credit_intercept = true", "model.poisson_rate_cap = 32",
+        "sampler.iterations = 200", "sampler.burn_in = 50",
         "sampler.adapt_during_burn_in = false",
     )
     config.write_text("\n".join(lines) + "\n", encoding="utf-8")

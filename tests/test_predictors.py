@@ -470,6 +470,12 @@ def test_forest_from_text_rejects_malformed():
                 forest_from_text(text)
 
 
+def test_linear_model_refuses_an_unknown_key():
+    # a misspelled coefficient is refused by its key, not dropped with its feature
+    with pytest.raises(UserError, match="linear model file: unknown key 'coeff.sex'"):
+        LinearModel.from_kv_text("intercept = 1.0\ncoeff.sex = 2.0\n")
+
+
 def test_linear_model_refuses_a_repeated_key():
     # test_linear_model_refuses_a_bad_value_by_its_key covers the values
     text = LinearModel(("sex",), np.array([1.25]), intercept=3.75).to_kv_text()
@@ -637,6 +643,26 @@ def test_load_fair_model_rejects_bad_config(tmp_path, tiny_dataset):
         params.write_text(params_text[:start] + line + params_text[end:], encoding="utf-8")
         with pytest.raises(UserError, match=re.escape(message)):
             load_fair_model(str(tmp_path / "m"))
+
+    # a repeated key names the file it is in: params.kv, config.kv, or the
+    # forest's header
+    params.write_text(params_text.replace("b_j = ", "b_j = 0.5\nb_j = ", 1), encoding="utf-8")
+    with pytest.raises(UserError, match=re.escape(f"{params} line 2: duplicate key 'b_j'")):
+        load_fair_model(str(tmp_path / "m"))
+    params.write_text(params_text, encoding="utf-8")
+    config.write_text(text + "model.credit_scale = 2.0\n", encoding="utf-8")
+    with pytest.raises(UserError, match=re.escape(f"{config} line ") + r"\d+: duplicate key 'model.credit_scale'"):
+        load_fair_model(str(tmp_path / "m"))
+    config.write_text(text, encoding="utf-8")
+    forest = tmp_path / "m" / "forest.txt"
+    forest_text = forest.read_text(encoding="utf-8")
+    forest.write_text(forest_text.replace("n_trees = ", "n_trees = 1\nn_trees = ", 1), encoding="utf-8")
+    with pytest.raises(UserError, match=re.escape(f"{forest}: forest header line ") + r"\d+: duplicate key 'n_trees'"):
+        load_fair_model(str(tmp_path / "m"))
+    forest.write_text(forest_text + "not an interval\n", encoding="utf-8")
+    with pytest.raises(UserError, match=re.escape(f"{forest}: malformed forest interval line")):
+        load_fair_model(str(tmp_path / "m"))
+    forest.write_text(forest_text, encoding="utf-8")
 
     # an intercept model's params.kv cut before its last line loses b_c
     model, _ = small_fair_model(tiny_dataset, mc=ModelConfig(include_credit_intercept=True))

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import gammaln, log_expit
 from scipy.stats import poisson
 
-from faircredit.dataset import Dataset, generate_synthetic
+from faircredit.dataset import Dataset
 from faircredit.errors import DataError
 from faircredit.probmodel import (
     BASE_PARAM_NAMES,
@@ -22,7 +22,6 @@ from faircredit.probmodel import (
     HEAD_JOB,
     PARAM_NAMES,
     Design,
-    HeadTerms,
     ModelConfig,
     ModelParams,
     credit_linear,
@@ -399,284 +398,3 @@ def test_column_design_broadcasts_every_head(tiny_dataset, modest_params):
     grid, _ = per_obs_log_likelihood(vec, c, design.columns())
     for k in range(4):
         assert np.array_equal(grid[:, k], per_obs_log_likelihood(vec, c[:, k].copy(), design)[0])
-
-
-# --- cached linear-predictor terms -------------------------------------------
-
-BLOCKS = ((HEAD_JOB, HEAD_HOUSE), (HEAD_CREDIT,))
-TERM_CONFIGS = (
-    ModelConfig(),
-    ModelConfig(include_credit_intercept=True, credit_scale=5.0),
-    ModelConfig(poisson_rate_cap=80.0),  # just over the largest count
-)
-TERM_CONFIG_IDS = ("default", "intercept", "rate_cap")
-
-
-def assert_block_matches_scratch(heads, rows, totals, vec, c, design):
-    """A HeadTerms block's rows and totals against head_log_likelihood from
-    scratch, bit for bit; returns the heads' overflow count. A logistic
-    block keeps softplus rows and totals, which head_log_likelihood's are 0
-    minus."""
-    n_over = 0
-    for i, h in enumerate(heads):
-        total, over, expected = head_log_likelihood(h, vec, c, design)
-        assert np.array_equal(rows[i] if h == HEAD_CREDIT else 0.0 - rows[i], expected)
-        if totals is not None:
-            assert (totals[i] if h == HEAD_CREDIT else -totals[i]) == total
-        n_over += over
-    return n_over
-
-
-def kept_totals(block):
-    """A block's totals at its kept state, as a move hands them back beside
-    its own: here a move of term 0 to its kept coefficients, which holds
-    nothing that a later accept reads."""
-    return block.move(0, block.coefs[0])[1]
-
-
-def assert_blocks_equal(a, b):
-    """Two HeadTerms blocks' kept coefficients, terms, sums, rows, totals,
-    and a credit block's rates, column spreads and, with no rate over the
-    cap, screen bounds, bit for bit."""
-    for kept, want in ((a.coefs, b.coefs), (a.terms, b.terms), (a.sums, b.sums)):
-        assert len(kept) == len(want)
-        assert all(np.array_equal(x, y) for x, y in zip(kept, want))
-    assert np.array_equal(a.rows, b.rows)
-    assert kept_totals(a) == kept_totals(b)
-    assert (a.rates is None) == (b.rates is None)
-    assert a.rates is None or np.array_equal(a.rates, b.rates)
-    if a.rates is not None:
-        j = a.latent_term
-        assert a.spread[:j] + a.spread[j + 1:] == b.spread[:j] + b.spread[j + 1:]
-        if np.isfinite(a.rates).all():  # no rate over the cap, as run_chain keeps them
-            # the screen, which takes the latent column's spread from the kept c
-            terms = range(len(a.positions))
-            assert [a.step_bound(k, 0.5) for k in terms] == [b.step_bound(k, 0.5) for k in terms]
-            assert a.spread == b.spread
-
-
-@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
-def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
-    # every coefficient of every head, and the latent column, moved from
-    # random states: the cached terms give head_log_likelihood's rows, sums
-    # and overflow counts at the moved state
-    design = Design.from_dataset(tiny_dataset, config)
-    n_params, n = len(config.active_param_names()), len(tiny_dataset)
-    rng = np.random.default_rng(11)
-    over_moves = finite_moves = 0
-    for _ in range(10):
-        vec, c = rng.standard_normal(n_params), 1.5 * rng.standard_normal(n)
-        for heads in BLOCKS:
-            block = HeadTerms(heads, vec, c, design)
-            assert_block_matches_scratch(heads, block.rows, kept_totals(block), vec, c, design)
-            for k, positions in enumerate(block.positions):
-                coefs = 3.0 * rng.standard_normal(len(heads))
-                totals, kept = block.move(k, coefs[:, None])
-                assert_block_matches_scratch(heads, block.rows, kept, vec, c, design)
-                moved = vec.copy()
-                moved[list(positions)] = coefs
-                n_over = assert_block_matches_scratch(heads, block.moved_rows, totals, moved, c, design)
-                over_moves += n_over > 0
-                finite_moves += n_over == 0
-            c_prop = c + rng.standard_normal(n)
-            rows, n_over = block.move_latent(c_prop)
-            assert rows is block.moved_rows
-            assert n_over == assert_block_matches_scratch(heads, rows, None, vec, c_prop, design)
-    assert finite_moves > 0
-    if config.poisson_rate_cap < 1e3:
-        assert over_moves > 0
-
-
-@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
-def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
-    # random moves accepted for some heads and some rows, as run_chain
-    # accepts them: each block's kept terms, running sums, rows and totals
-    # stay bitwise those of a block built from scratch at the kept state
-    design = Design.from_dataset(tiny_dataset, config)
-    n_params, n = len(config.active_param_names()), len(tiny_dataset)
-    rng = np.random.default_rng(5)
-    vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(n)
-    blocks = [HeadTerms(heads, vec, c, design) for heads in BLOCKS]
-    for _ in range(40):
-        for heads, block in zip(BLOCKS, blocks):
-            k = int(rng.integers(len(block.positions)))
-            positions = block.positions[k]
-            coefs = vec[list(positions)] + rng.standard_normal(len(heads))
-            block.move(k, coefs[:, None])
-            accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
-            block.accept_heads(accepted)
-            for j, keep, v in zip(positions, accepted, coefs):
-                if keep:
-                    vec[j] = v
-        c_prop = c + rng.standard_normal(n)
-        for block in blocks:
-            block.move_latent(c_prop)
-        accept = rng.random(n) < 0.5
-        c = np.where(accept, c_prop, c)
-        for block in blocks:
-            block.accept_rows(accept, c)
-        for heads, block in zip(BLOCKS, blocks):
-            assert_blocks_equal(block, HeadTerms(heads, vec, c, design))
-            assert_block_matches_scratch(heads, block.rows, kept_totals(block), vec, c, design)
-
-
-@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
-def test_head_terms_accept_rows_by_index_or_mask_alike(tiny_dataset, config):
-    # run_chain passes accept_rows the accepted rows' indices; a bool mask
-    # over the same rows keeps the same block, bit for bit, whether none,
-    # some or all rows accept
-    design = Design.from_dataset(tiny_dataset, config)
-    n_params, n = len(config.active_param_names()), len(tiny_dataset)
-    rng = np.random.default_rng(17)
-    vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(n)
-    c_prop = c + rng.standard_normal(n)
-    some = rng.random(n) < 0.5
-    assert 0 < np.count_nonzero(some) < n
-    for mask in (np.zeros(n, dtype=bool), some, np.ones(n, dtype=bool)):
-        kept = np.where(mask, c_prop, c)
-        for heads in BLOCKS:
-            by_mask, by_index = HeadTerms(heads, vec, c, design), HeadTerms(heads, vec, c, design)
-            for block, accepted in ((by_mask, mask), (by_index, np.flatnonzero(mask))):
-                block.move_latent(c_prop)
-                block.accept_rows(accepted, kept)
-            assert_blocks_equal(by_index, by_mask)
-
-
-@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
-def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
-    # accept_rows and accept_heads write the kept rows in place, so they must
-    # only read the held move: the rows (and rates) that move_latent
-    # returned, and a coefficient move's rows, are unchanged by the accept
-    # that follows, also after a move kept whole became the kept rows
-    design = Design.from_dataset(tiny_dataset, config)
-    n_params, n = len(config.active_param_names()), len(tiny_dataset)
-    rng = np.random.default_rng(23)
-    vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(n)
-    blocks = [HeadTerms(heads, vec, c, design) for heads in BLOCKS]
-    for _ in range(30):
-        for heads, block in zip(BLOCKS, blocks):
-            k = int(rng.integers(len(block.positions)))
-            coefs = vec[list(block.positions[k])] + rng.standard_normal(len(heads))
-            block.move(k, coefs[:, None])
-            held, before = block.moved_rows, block.moved_rows.copy()
-            accepted = [bool(a) for a in rng.random(len(heads)) < 0.6]
-            block.accept_heads(accepted)
-            assert np.array_equal(held, before)
-            for j, keep, v in zip(block.positions[k], accepted, coefs):
-                if keep:
-                    vec[j] = v
-        c_prop = c + rng.standard_normal(n)
-        accepted = np.flatnonzero(rng.random(n) < 0.5)
-        c = c.copy()
-        c[accepted] = c_prop[accepted]
-        for block in blocks:
-            rows, _ = block.move_latent(c_prop)
-            held = [(a, a.copy()) for a in (rows, block._moved_rates) if a is not None]
-            block.accept_rows(accepted, c)
-            assert all(np.array_equal(a, before) for a, before in held)
-    for heads, block in zip(BLOCKS, blocks):
-        assert_blocks_equal(block, HeadTerms(heads, vec, c, design))
-
-
-def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
-    # latent scores out to +-800 under unit, halved and doubled loadings: in
-    # some states exp(-z) overflows in one head, both or neither. The block
-    # runs exp unguarded, so its rows are bitwise head_log_likelihood's (0
-    # minus) wherever nz <= 709.78 and +inf where exp(nz) overflows, and a
-    # head's total is +inf exactly when it has such a row
-    c = np.array([-800.0, -360.0, -5.0, 0.0, 2.5, 400.0, 750.0])
-    design = logistic_design(c.size)
-    heads = (HEAD_JOB, HEAD_HOUSE)
-    vec = UNIT_LATENT.copy()
-
-    def check(rows, totals, moved, c):
-        # only the latent coefficients are nonzero, so nz is exactly this
-        nz = moved[[3, 7]][:, None] * c * block.nsign
-        # exp(t) overflows for every t > 710 and for no t < 709.78
-        over = nz > 710.0
-        assert not ((nz > 709.78) & ~over).any()
-        for i, h in enumerate(heads):
-            total, _, expected = head_log_likelihood(h, moved, c, design)
-            fine = ~over[i]
-            assert np.array_equal(0.0 - rows[i][fine], expected[fine])
-            assert np.all(rows[i][over[i]] == np.inf)
-            if totals is not None:
-                assert (totals[i] == np.inf) == over[i].any()
-                assert over[i].any() or -totals[i] == total
-        return tuple(over.any(axis=1).tolist())
-
-    overflowed = set()
-    with np.errstate(over="ignore"):
-        block = HeadTerms(heads, vec, c, design)
-        overflowed.add(check(block.rows, kept_totals(block), vec, c))
-        k = block.latent_term
-        for coefs in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.5, 0.5), (1.0, -1.0)):
-            totals, _ = block.move(k, np.array(coefs)[:, None])
-            moved = vec.copy()
-            moved[list(block.positions[k])] = coefs
-            overflowed.add(check(block.moved_rows, totals, moved, c))
-        for scale in (1.0, 0.5, 2.0):
-            c_prop = scale * c[::-1]
-            rows, _ = block.move_latent(c_prop)
-            overflowed.add(check(rows, None, vec, c_prop))
-    assert overflowed == {(True, True), (True, False), (False, True), (False, False)}
-
-
-def test_head_terms_need_shared_columns(tiny_dataset, modest_params):
-    design = Design.from_dataset(tiny_dataset, ModelConfig())
-    with pytest.raises(ValueError):
-        HeadTerms((HEAD_JOB, HEAD_CREDIT), modest_params.to_vector(), np.zeros(len(tiny_dataset)), design)
-
-
-# --- the credit block's bound on a coefficient move ---------------------------
-
-@pytest.mark.parametrize("intercept", [False, True], ids=("no_intercept", "intercept"))
-@pytest.mark.parametrize("rows", ["tiny", "synth"])
-def test_credit_step_bound_covers_the_engine(tiny_dataset, modest_params, rows, intercept):
-    # run_chain rejects a credit step unevaluated when step_bound plus the
-    # prior term is below log u, so the bound must be at least the log
-    # ratio the engine computes for it: on every credit term, for steps from
-    # tiny to far, with rates a few nats under the cap, at kept states that
-    # accepted moves; a step the engine finds over the cap must give inf
-    if rows == "tiny":
-        data = tiny_dataset
-    else:  # the synth workload's truth: rates about e^1.8
-        data = generate_synthetic(replace(modest_params, b_c=1.8), 400, seed=4)[0]
-    n, n_params = len(data), 12 if intercept else 11
-    rng = np.random.default_rng(7)
-    seen = {"over": 0, "far": 0, "near_cap": 0}
-    for gap in (math.inf, 3.0, 0.5):  # nats from the highest rate up to the cap
-        vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(n)
-        lin = credit_linear(vec, c, Design.from_dataset(data, ModelConfig()))
-        cap = 1e7 if gap == math.inf else math.exp(float(lin.max()) + gap)
-        design = Design.from_dataset(data, ModelConfig(include_credit_intercept=intercept, poisson_rate_cap=cap))
-        block = HeadTerms((HEAD_CREDIT,), vec, c, design)
-        for _ in range(40):
-            k = int(rng.integers(len(block.positions)))
-            (j,) = block.positions[k]
-            old = vec[j]
-            proposal = old + rng.choice([1e-3, 0.1, 1.0, 4.0]) * rng.standard_normal()
-            (total,), (kept,) = block.move(k, np.array([[proposal]]))
-            bound = block.step_bound(k, proposal - old)
-            over = total == -math.inf
-            if over:
-                assert bound == math.inf
-                seen["over"] += 1
-            else:
-                prior = 0.5 * (old * old - proposal * proposal)
-                assert bound + prior >= (total - kept) + prior
-                column = block.columns[k]
-                spread = 1.0 if column is None else float(np.abs(column).max())
-                seen["far"] += bound < math.inf and abs(proposal - old) * spread > 2.0
-                seen["near_cap"] += bound < math.inf and gap < math.inf
-            if rng.random() < 0.3 and not over:
-                block.accept_heads([True])
-                vec[j] = proposal
-            elif rng.random() < 0.3:
-                c_prop = c + rng.standard_normal(n)
-                rows, _ = block.move_latent(c_prop)
-                accept = (rng.random(n) < 0.5) & np.isfinite(rows[0])
-                c = np.where(accept, c_prop, c)
-                block.accept_rows(accept, c)
-    assert all(seen.values()), seen
-

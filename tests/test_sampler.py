@@ -1,23 +1,21 @@
 """Sampler kernels, the full chain driver, exact test-time inference, and
 chain file io.
 
-The central test here re-runs the Gibbs sweep one step at a time with a
-reference written in this file: each parameter step compares two
-head_log_likelihood sums, and each latent step is mh_step_scalar on a one-row
-slice of per_obs_log_likelihood. A step whose proposal is over the rate cap is
-rejected and counted. The reference keeps no likelihood between steps and
-consumes the same derived streams: per sweep, the parameter one as one
-proposal normal per coordinate and then one accept uniform per coordinate,
-and the latent one as a (2, n) block of proposal and accept-test uniforms. The vectorized run_chain, which
-keeps each head's terms and rows and moves the job and house heads in
-lockstep, must reproduce it bit for bit, including the burn-in adaptation
-bookkeeping and the error count. Test-time inference (infer_latent) is
-checked against a dense trapezoid rule with the heads written out by hand.
+The sweep is checked one step at a time against the log posterior from
+scratch (per_obs_log_likelihood and the priors): each block step and each
+latent step accepts just below its log ratio and rejects just above it, the
+latent step agreeing with mh_step_scalar on each row alone; the scale
+move's ratio carries its Jacobian; each shift is the exact conditional's
+draw; and the moves leave every row. Geweke's successive-conditional test
+checks the whole sweep against the prior. Test-time inference
+(infer_latent) is checked against a dense trapezoid rule with the heads
+written out by hand.
 """
 
+import copy
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,35 +24,37 @@ from scipy.special import gammaln
 
 from faircredit import probmodel, sampler
 from faircredit.dataset import Dataset, SplitSpec, load_csv, preprocess, split
+from faircredit.diagnostics import ess_bulk
 from faircredit.errors import ConfigError, DataError
 from faircredit.probmodel import (
-    HEAD_TERMS,
-    LOG_2PI,
+    HEAD_CREDIT,
+    HEAD_HOUSE,
+    HEAD_JOB,
+    LATENT_SLOPES,
     Design,
-    HeadTerms,
     ModelConfig,
     head_log_likelihood,
     per_obs_latent_slopes,
     per_obs_log_likelihood,
 )
 from faircredit.sampler import (
-    ADAPT_EVERY,
     ADAPT_FACTOR,
     GRID_BLOCK,
     GRID_POINTS,
+    PARAM_UNIFORMS,
+    RW_SCALE,
     TAIL_NATS,
     Chain,
     SamplerConfig,
+    _State,
+    _sweep,
     export_chain,
     infer_latent,
     read_param_chain_csv,
     run_chain,
 )
-from faircredit.util import STREAM_PARAMS, STREAM_TRAIN_LATENT, derive_rng
+from faircredit.util import derive_rng
 from scalar_kernel import mh_step_scalar
-
-# which likelihood head each parameter position feeds
-PARAM_HEAD = {pos: head for head, terms in enumerate(HEAD_TERMS) for pos, _ in terms}
 
 
 # --- config ------------------------------------------------------------------
@@ -68,7 +68,6 @@ def test_sampler_config_validate():
         {"burn_in": -1},
         {"thin": 0},
         {"delta": 0.0},
-        {"param_step": -0.1},
         {"target_accept": 1.0},
     ):
         with pytest.raises(ValueError):
@@ -128,12 +127,83 @@ def test_mh_step_scalar_targets_the_right_density():
     assert abs(total / 20000) < 0.05
 
 
-# --- the bitwise reference sweep ----------------------------------------------
+# --- the sweep, one step at a time -------------------------------------------
 
-def one_row(design: Design, i: int) -> Design:
-    """Observation i of a design on its own, sliced from the batched arrays."""
-    arrays = {f.name: getattr(design, f.name)[i : i + 1] for f in fields(design) if f.name != "cap_log"}
-    return replace(design, **arrays)
+# the models of the step tests: the default, the credit intercept (three
+# shifts), and a rate cap just over the data's largest count, which some
+# steps cross
+STEP_MODELS = pytest.mark.parametrize(
+    "model_config",
+    [ModelConfig(), ModelConfig(include_credit_intercept=True, credit_scale=5.0),
+     ModelConfig(poisson_rate_cap=50.0)],
+    ids=("default", "intercept", "rate_cap"),
+)
+# a step's log ratio against the log posterior from scratch: both sum about
+# 100 rows, each to within a few ulp
+RATIO_TOL = 1e-9
+
+
+def log_posterior(theta: np.ndarray, c: np.ndarray, design: Design) -> float:
+    """The log posterior from scratch, its constants dropped: the engine's
+    rows (per_obs_log_likelihood) and the N(0, 1) priors; -inf over the cap."""
+    rows, n_over = per_obs_log_likelihood(theta, c, design)
+    if n_over:
+        return -math.inf
+    return float(rows.sum()) - 0.5 * float(theta @ theta) - 0.5 * float(c @ c)
+
+
+def mid_chain_state(data, model_config, seed=0):
+    """A state that 150 sweeps of run_chain's kind reached from all zeros,
+    with its tuning, design and the generator that drove it."""
+    design = Design.from_dataset(data, model_config)
+    k = len(model_config.active_param_names())
+    state = _State(design, np.zeros(k), np.zeros(len(design)))
+    rng = derive_rng(seed, 9, 0)
+    tuning = state.tune(0.8)
+    for sweep in range(1, 151):
+        sweep_once(state, tuning, rng)
+        if sweep % 50 == 0:
+            tuning = state.tune(0.8)
+    return state, tuning, design, rng
+
+
+def sweep_once(state, tuning, rng):
+    """One _sweep on state with its variates from rng."""
+    n = state.X.shape[1]
+    normals = rng.standard_normal(state.n_normals)
+    log_u = np.log(rng.random(PARAM_UNIFORMS)).tolist()
+    return _sweep(state, tuning, normals, log_u, 2.0 * rng.random(n) - 1.0, np.log(rng.random(n)))
+
+
+@STEP_MODELS
+def test_block_steps_ratios_match_the_log_posterior(tiny_dataset, model_config):
+    # each head's block step accepts just below its log ratio from scratch
+    # and rejects just above it; a proposal over the cap is rejected and
+    # counted whatever its uniform
+    state, tuning, design, rng = mid_chain_state(tiny_dataset, model_config)
+    over = 0
+    for _ in range(30):
+        z = rng.standard_normal(state.n_block)
+        theta, c = state.theta(), state.X[3].copy()
+        prop = state.coefs + (tuning.factor @ z).reshape(3, 4)
+        ratios = []
+        for h in range(3):
+            moved = state.coefs.copy()
+            moved[h] = prop[h]
+            ratios.append(log_posterior(moved.take(state.cells), c, design) - log_posterior(theta, c, design))
+        for side in (-1.0, 1.0):
+            trial = copy.deepcopy(state)
+            log_u = [r + side * RATIO_TOL * (1.0 + abs(r)) if math.isfinite(r) else -math.inf for r in ratios]
+            accepted, errors = trial.blocks(tuning, z, log_u)
+            assert accepted == [side < 0 and math.isfinite(r) for r in ratios]
+            assert errors == (ratios[2] == -math.inf)
+            for h in range(3):
+                assert np.array_equal(trial.coefs[h], prop[h] if accepted[h] else state.coefs[h])
+        over += ratios[2] == -math.inf
+        # move on from the proposal the sampler would take at its uniforms
+        state.blocks(tuning, z, np.log(rng.random(3)).tolist())
+    if model_config.poisson_rate_cap < 1e3:
+        assert over > 0
 
 
 class UniformPair:
@@ -147,236 +217,258 @@ class UniformPair:
         return next(self._values)
 
 
-def reference_chain(data, model_config, cfg):
-    """One-step-at-a-time restatement of run_chain, same streams, same bookkeeping."""
-    names = model_config.active_param_names()
-    n = len(data)
-    design = Design.from_dataset(data, model_config)
-    rows = [one_row(design, i) for i in range(n)]
-    theta = np.zeros(len(names))
-    c = np.zeros(n)
-    delta, step = cfg.delta, cfg.param_step
-    param_rng = derive_rng(cfg.seed, STREAM_PARAMS, 0)
-    latent_rng = derive_rng(cfg.seed, STREAM_TRAIN_LATENT, 0)
-
-    post_sweeps = cfg.iterations - cfg.burn_in
-    acc_param = np.zeros(len(names))
-    acc_latent = 0
-    wp_acc = wp_tot = wl_acc = wl_tot = 0
-    param_errors = latent_errors = 0  # over-cap proposals in each phase
-    draws_p, draws_c = [], []
-
-    def latent_target(i):
-        def target(v: float) -> float:
-            nonlocal latent_errors
-            ll, n_over = per_obs_log_likelihood(theta, np.array([v]), rows[i])
-            # the current latent is never over the cap, so this counts proposals
-            latent_errors += n_over
-            return float("-inf") if n_over else float(ll[0] - 0.5 * (LOG_2PI + v * v))
-
-        return target
-
-    for sweep in range(1, cfg.iterations + 1):
-        post = sweep > cfg.burn_in
-        # the sweep's proposal normals, one per coordinate, then its accept uniforms
-        normals = param_rng.standard_normal(len(names)).tolist()
-        uniforms = param_rng.random(len(names)).tolist()
-        for j in range(len(names)):
-            # normal proposal on coordinate j; only its head enters the ratio
-            z, u_acc = normals[j], uniforms[j]
-            old = float(theta[j])
-            proposal = old + step * z
-            moved = theta.copy()
-            moved[j] = proposal
-            current = head_log_likelihood(PARAM_HEAD[j], theta, c, design)[0]
-            new, n_over, _ = head_log_likelihood(PARAM_HEAD[j], moved, c, design)
-            wp_tot += 1
-            if n_over:
-                param_errors += 1
-                continue
-            log_r = (new - current) + 0.5 * (old * old - proposal * proposal)
-            log_u = math.log(u_acc) if u_acc else -math.inf
-            if log_u < log_r:
-                theta = moved
-                wp_acc += 1
-                if post:
-                    acc_param[j] += 1
-        # one sweep's block: row 0 the proposals, row 1 the accept tests
-        u = latent_rng.random((2, n))
+@STEP_MODELS
+def test_latent_step_matches_the_scalar_kernel(tiny_dataset, model_config):
+    # each latent's proposal and log ratio are mh_step_scalar's on that row
+    # alone, from scratch: the vectorized step accepts every finite ratio
+    # just below it and none just above, and counts the proposals over the cap
+    state, tuning, design, rng = mid_chain_state(tiny_dataset, model_config)
+    n = len(design)
+    theta = state.theta()
+    over = 0
+    for _ in range(10):
+        u = rng.random((2, n))
+        c = state.X[3].copy()
+        proposals, ratios = np.empty(n), np.empty(n)
         for i in range(n):
-            pair = UniformPair(u[0, i], u[1, i])
-            c[i], accepted, _ = mh_step_scalar(c[i], latent_target(i), delta, pair)
-            wl_tot += 1
-            if accepted:
-                wl_acc += 1
-                if post:
-                    acc_latent += 1
-        if sweep % ADAPT_EVERY == 0 and cfg.adapt_during_burn_in and sweep <= cfg.burn_in:
-            if wl_tot:
-                rate = wl_acc / wl_tot
-                delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
-            if wp_tot:
-                rate = wp_acc / wp_tot
-                step = step * ADAPT_FACTOR if rate > cfg.target_accept else step / ADAPT_FACTOR
-            wp_acc = wp_tot = wl_acc = wl_tot = 0
-        if post and (sweep - cfg.burn_in) % cfg.thin == 0:
-            draws_p.append(theta.copy())
-            draws_c.append(c.copy())
+            row = design.rows(slice(i, i + 1))
 
-    return (
-        np.array(draws_p),
-        np.array(draws_c),
-        acc_param / post_sweeps,
-        acc_latent / (n * post_sweeps),
-        (param_errors, latent_errors),
-    )
+            def target(v):
+                rows, n_over = per_obs_log_likelihood(theta, np.array([v]), row)
+                return -math.inf if n_over else float(rows[0]) - 0.5 * v * v
 
-
-def assert_chain_matches_reference(data, model_config, cfg):
-    chain = run_chain(data, model_config, cfg, latent_columns=range(len(data)))
-    params, latents, acc_p, acc_l, errors = reference_chain(data, model_config, cfg)
-    assert chain.n_likelihood_errors == sum(errors)
-    assert np.array_equal(chain.param_draws, params)
-    assert np.array_equal(chain.latent_draws, latents)
-    assert np.array_equal(chain.latent_mean, latents.mean(axis=0))
-    assert np.array_equal(chain.accept_rate_params, acc_p)
-    assert chain.accept_rate_latents == acc_l
-    return errors
-
-
-def test_run_chain_matches_scalar_kernels_bitwise(tiny_dataset):
-    # crosses one adaptation event at sweep 100
-    cfg = SamplerConfig(iterations=120, burn_in=100, thin=2, seed=3)
-    assert_chain_matches_reference(tiny_dataset, ModelConfig(), cfg)
-
-
-def test_run_chain_matches_scalar_kernels_with_intercept(tiny_dataset):
-    # 12th coordinate active, no adaptation, thin 1
-    cfg = SamplerConfig(iterations=60, burn_in=20, thin=1, adapt_during_burn_in=False, seed=8)
-    mc = ModelConfig(include_credit_intercept=True, credit_scale=5.0)
-    assert_chain_matches_reference(tiny_dataset, mc, cfg)
-
-
-def test_run_chain_matches_scalar_kernels_across_the_rate_cap(tiny_dataset):
-    # a cap just over the largest count: some proposals of both phases cross
-    # it and are rejected (13 of 2760 steps, under the error budget), and
-    # run_chain must keep none of their -inf rows
-    cfg = SamplerConfig(iterations=120, burn_in=100, thin=2, seed=3)
-    param_errors, latent_errors = assert_chain_matches_reference(
-        tiny_dataset, ModelConfig(poisson_rate_cap=80.0), cfg
-    )
-    assert param_errors > 0 and latent_errors > 0
-
-
-# The rate_cap case's cap is the smallest multiple of 10 at which these
-# tests' chain stays under half the error budget at every seed 0-7: 110, whose
-# worst is 33 errors in 6900 steps, at seed 7. At seed 3, the seed used here,
-# it has 14, all in the latent phase; the reference test above crosses the
-# cap in the parameter phase too. The reference test's cap of 80, which its
-# 120 sweeps cross under the budget, aborts in these 300 at seeds 0, 3 and 7.
-SCREEN_CONFIGS = pytest.mark.parametrize(
-    "model_config",
-    [ModelConfig(), ModelConfig(include_credit_intercept=True, credit_scale=5.0),
-     ModelConfig(poisson_rate_cap=110.0)],
-    ids=("default", "intercept", "rate_cap"),
-)
-SCREEN_SAMPLER = SamplerConfig(iterations=300, burn_in=100, thin=2, seed=3)
-
-
-def assert_same_chain(kept, full, model_config):
-    for name in ("param_draws", "latent_mean", "latent_draws", "accept_rate_params"):
-        assert np.array_equal(getattr(kept, name), getattr(full, name)), name
-    assert kept.accept_rate_latents == full.accept_rate_latents
-    assert kept.n_likelihood_errors == full.n_likelihood_errors
+            # an accept uniform of 0 accepts every finite ratio
+            proposals[i], _, ratios[i] = mh_step_scalar(c[i], target, tuning.delta, UniformPair(u[0, i], 0.0))
+        finite = np.isfinite(ratios)
+        bounded = np.where(finite, ratios, 0.0)
+        for side in (-1.0, 1.0):
+            trial = copy.deepcopy(state)
+            log_u = np.where(finite, bounded + side * RATIO_TOL * (1.0 + np.abs(bounded)), -np.inf)
+            n_acc, n_over = trial.latents(tuning.delta, 2.0 * u[0] - 1.0, log_u)
+            assert n_over == np.count_nonzero(ratios == -np.inf)
+            want = finite if side < 0 else np.zeros(n, dtype=bool)
+            assert n_acc == np.count_nonzero(want)
+            assert np.array_equal(trial.X[3], np.where(want, proposals, c))
+        over += n_over
+        state.latents(tuning.delta, 2.0 * u[0] - 1.0, np.log(u[1]))
     if model_config.poisson_rate_cap < 1e3:
-        assert kept.n_likelihood_errors > 0
+        assert over > 0
 
 
-@SCREEN_CONFIGS
-def test_credit_screen_changes_no_draw(tiny_dataset, monkeypatch, model_config):
-    # run_chain rejects a credit step unevaluated when its bound rules it
-    # out; evaluating every step instead must give the same chain, bit for
-    # bit. Every credit step is screened (its accept uniform is never 0
-    # here), so the steps that HeadTerms.move evaluates on the credit block
-    # are those the screen let through
-    bounds, evaluated = [], []
-    real_bound, real_move = HeadTerms.step_bound, HeadTerms.move
+def assert_same_likelihood(state, theta, c, design):
+    """The engine's rows at state equal those at (theta, c) within 1e-12
+    relative."""
+    before = per_obs_log_likelihood(theta, c, design)[0]
+    after = per_obs_log_likelihood(state.theta(), state.X[3], design)[0]
+    assert np.allclose(after, before, rtol=1e-12, atol=0.0)
 
-    def recording(block, k, delta):
-        bounds.append(real_bound(block, k, delta))
-        return bounds[-1]
 
-    def counting(block, k, coef):
-        evaluated.append(block.rates is not None)
-        return real_move(block, k, coef)
+@STEP_MODELS
+def test_scale_move_ratio_is_the_log_posterior_change_plus_its_jacobian(tiny_dataset, model_config):
+    # c e^eta and the loadings e^-eta leave every row, and the move's log
+    # ratio is the log posterior's change plus the Jacobian (n - 3) eta
+    state, tuning, design, _ = mid_chain_state(tiny_dataset, model_config)
+    n = len(design)
+    theta, c = state.theta(), state.X[3].copy()
+    for z in (-2.5, -0.4, 0.9, 3.0):
+        eta = tuning.tau * z
+        moved = state.coefs.copy()
+        moved[:, 3] *= math.exp(-eta)
+        ratio = log_posterior(moved.take(state.cells), c * math.exp(eta), design)
+        ratio += (n - 3) * eta - log_posterior(theta, c, design)
+        for side in (-1.0, 1.0):
+            trial = copy.deepcopy(state)
+            assert trial.scale(tuning.tau, z, ratio + side * RATIO_TOL * (1.0 + abs(ratio))) == (side < 0)
+        assert np.array_equal(trial.coefs, state.coefs) and np.array_equal(trial.X[3], c)
+        trial = copy.deepcopy(state)
+        assert trial.scale(tuning.tau, z, -math.inf)
+        assert np.allclose(trial.X[3], c * math.exp(eta), rtol=1e-15, atol=0.0)
+        assert_same_likelihood(trial, theta, c, design)
 
-    monkeypatch.setattr(HeadTerms, "step_bound", recording)
-    monkeypatch.setattr(HeadTerms, "move", counting)
-    cols = range(len(tiny_dataset))
-    kept = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
-    assert len(bounds) == len(model_config.active_param_names()[8:]) * SCREEN_SAMPLER.iterations
-    assert 0 < sum(evaluated) < len(bounds)  # some steps screened out, some not
-    monkeypatch.setattr(HeadTerms, "step_bound", lambda *args: math.inf)
-    full = run_chain(tiny_dataset, model_config, SCREEN_SAMPLER, latent_columns=cols)
-    assert_same_chain(kept, full, model_config)
+
+@STEP_MODELS
+def test_shifts_draw_each_shift_from_its_exact_conditional(tiny_dataset, model_config):
+    # each shift m moves c by m x and each head's coefficient of x by -m
+    # times its loading, which leaves every row; along that line the log
+    # posterior from scratch is a parabola of curvature -A, and m lies
+    # z / sqrt(A) from its top, so its slope at m is -z sqrt(A)
+    state, tuning, design, _ = mid_chain_state(tiny_dataset, model_config)
+    assert state.shift_rows == ((1, 2, 0) if model_config.include_credit_intercept else (1, 2))
+    z = [0.8, -1.3, 0.4][:len(state.shift_rows)]
+    trial = copy.deepcopy(state)
+    trial.shifts(z)
+    assert_same_likelihood(trial, state.theta(), state.X[3], design)
+    loads = state.coefs[:, 3]
+    assert np.array_equal(trial.coefs[:, 3], loads)
+    coefs, c = state.coefs.copy(), state.X[3].copy()
+    for r, zr in zip(state.shift_rows, z):
+        m = float(np.mean((coefs[:, r] - trial.coefs[:, r]) / loads))
+        x = state.X[r]
+
+        def line(t, coefs=coefs, c=c, x=x, r=r):
+            moved = coefs.copy()
+            moved[:, r] -= t * loads
+            return log_posterior(moved.take(state.cells), c + t * x, design)
+
+        h = 1e-3
+        slope = (line(m + h) - line(m - h)) / (2.0 * h)
+        curvature = (line(m + h) - 2.0 * line(m) + line(m - h)) / (h * h)
+        area = float(x @ x) + float(loads @ loads)
+        assert curvature == pytest.approx(-area, rel=1e-5)
+        assert slope == pytest.approx(-zr * math.sqrt(area), rel=1e-5, abs=1e-6)
+        coefs[:, r] -= m * loads
+        c = c + m * x
+    assert np.allclose(trial.X[3], c, rtol=1e-12, atol=1e-12)
 
 
 def test_run_chain_rejects_overflowing_logistic_steps_as_the_exact_rows_do(tiny_dataset, monkeypatch):
-    # param_step 200 with adaptation off proposes logistic coefficients far
-    # enough that exp(nz) overflows in some of the logistic block's
-    # evaluations. There its softplus is +inf and the step's log ratio
-    # -inf, rejected; the reference's exact rows (head_log_likelihood's,
-    # finite) reject the same steps, so the chains match bit for bit. The
-    # rate cap at 1e300 keeps the credit head's far steps under the error
-    # budget
+    # logistic steps three hundred times too wide drive signed predictors
+    # below -709.78, where exp overflows; the rows are the engine's exact
+    # ones there (z itself), so each step's ratio is still the log
+    # posterior's from scratch, and none warns
     overflowed = []
     real = probmodel._softplus_rows
 
-    def counting(nz, bare=False):
-        rows = real(nz, bare)
-        overflowed.append(bare and bool(np.isinf(rows).any()))
-        return rows
+    def counting(nz):
+        overflowed.append(bool(np.maximum.reduce(nz, axis=None) > 709.78))
+        return real(nz)
 
-    monkeypatch.setattr(probmodel, "_softplus_rows", counting)
-    cfg = SamplerConfig(iterations=300, burn_in=100, thin=2, param_step=200.0,
-                        adapt_during_burn_in=False, seed=3)
-    assert_chain_matches_reference(tiny_dataset, ModelConfig(poisson_rate_cap=1e300), cfg)
-    assert sum(overflowed) > 0
-
-
-def test_run_chain_restores_the_error_state_when_it_aborts(tiny_dataset):
-    # run_chain ignores overflow and divide warnings while it runs. A chain
-    # that aborts mid-way (param_step 500 puts credit rates over the cap in
-    # more than 1% of steps by sweep 100) hands back the caller's own error
-    # state, here one that differs from run_chain's in both
-    cfg = SamplerConfig(iterations=300, burn_in=100, param_step=500.0,
-                        adapt_during_burn_in=False, seed=3)
-    with np.errstate(over="raise", divide="print"):
-        before = np.geterr()
-        with pytest.raises(ConfigError, match="aborted at sweep 100"):
-            run_chain(tiny_dataset, ModelConfig(poisson_rate_cap=1e300), cfg)
-        assert np.geterr() == before
+    monkeypatch.setattr(sampler, "_softplus_rows", counting)
+    state, tuning, design, rng = mid_chain_state(tiny_dataset, ModelConfig())
+    wide = tuning._replace(factor=300.0 * tuning.factor)
+    for _ in range(20):
+        z = rng.standard_normal(state.n_block)
+        theta, c = state.theta(), state.X[3]
+        prop = state.coefs + (wide.factor @ z).reshape(3, 4)
+        for h in (0, 1):
+            moved = state.coefs.copy()
+            moved[h] = prop[h]
+            ratio = log_posterior(moved.take(state.cells), c, design) - log_posterior(theta, c, design)
+            for side in (-1.0, 1.0):
+                trial = copy.deepcopy(state)
+                log_u = [math.inf] * 3
+                log_u[h] = ratio + side * RATIO_TOL * (1.0 + abs(ratio))
+                assert trial.blocks(wide, z, log_u)[0][h] == (side < 0)
+    assert any(overflowed)
 
 
-def test_credit_screen_skips_most_credit_evaluations(monkeypatch):
-    # at seed 0 on the bundled data the credit coefficients accept a few
-    # percent of their steps, and the screen leaves most rejections unevaluated
+def test_block_steps_reject_and_count_a_credit_rate_over_the_cap(tiny_dataset):
+    # a credit step a hundred times too wide puts rates over the cap: the
+    # step is rejected even at an accept uniform of 0, which accepts every
+    # other, and counted; the state keeps its coefficients and rows
+    state, tuning, design, rng = mid_chain_state(tiny_dataset, ModelConfig(poisson_rate_cap=50.0))
+    wide = tuning._replace(factor=100.0 * tuning.factor)
+    errors = 0
+    for _ in range(20):
+        before = copy.deepcopy(state)
+        accepted, over = state.blocks(wide, rng.standard_normal(state.n_block), [math.inf, math.inf, -math.inf])
+        errors += over
+        if over:
+            assert not accepted[2]
+            assert np.array_equal(state.coefs[2], before.coefs[2])
+            assert np.array_equal(state.crow, before.crow)
+    assert errors > 0
+
+
+def test_run_chain_keeps_no_state_over_the_rate_cap(tiny_dataset):
+    # a cap at about twice the data's largest count (45): the chain's steps
+    # propose rates over it (29 to 42 times at seeds 0-7), under the error
+    # budget; no kept draw is over it
+    cfg = SamplerConfig(iterations=300, burn_in=100, seed=3)
+    mc = ModelConfig(poisson_rate_cap=110.0)
+    chain = run_chain(tiny_dataset, mc, cfg, latent_columns=range(len(tiny_dataset)))
+    assert chain.n_likelihood_errors > 0
+    design = Design.from_dataset(tiny_dataset, mc)
+    for theta, c in zip(chain.param_draws, chain.latent_draws):
+        assert probmodel.credit_linear(theta, c, design).max() <= design.cap_log
+
+
+def test_kept_rows_match_rows_from_scratch_after_200_sweeps():
+    # the kept rows are the kernels' at each entry's last accepted
+    # predictor; the moves, which leave every predictor, keep them. After
+    # 200 sweeps on the bundled data they are within 1e-11 of each row's
+    # size of the engine's rows from scratch
     path = Path(__file__).resolve().parents[1] / "data" / "german_synthetic.csv"
     train, _ = split(preprocess(load_csv(str(path))), SplitSpec(train_count=800, seed=0))
-    # HeadTerms.move evaluates every coefficient step that is not screened out
-    evaluated = []
-    real = HeadTerms.move
+    for mc in (ModelConfig(), ModelConfig(include_credit_intercept=True)):
+        design = Design.from_dataset(train, mc)
+        state = _State(design, np.zeros(len(mc.active_param_names())), np.zeros(len(design)))
+        rng = derive_rng(1, 9, 0)
+        tuning = state.tune(0.5)
+        for sweep in range(1, 201):
+            sweep_once(state, tuning, rng)
+            if sweep & (sweep - 1) == 0:
+                tuning = state.tune(0.5)
+        theta, c = state.theta(), state.X[3]
+        scratch = [-head_log_likelihood(h, theta, c, design)[2] for h in (HEAD_JOB, HEAD_HOUSE)]
+        credit = head_log_likelihood(HEAD_CREDIT, theta, c, design)[2]
+        for kept, want in ((state.soft[0], scratch[0]), (state.soft[1], scratch[1]), (state.crow, credit)):
+            assert np.all(np.abs(kept - want) <= 1e-11 * (1.0 + np.abs(want)))
 
-    def counting(block, k, coef):
-        evaluated.append(block.rates is not None)
-        return real(block, k, coef)
 
-    monkeypatch.setattr(HeadTerms, "move", counting)
-    cfg = SamplerConfig(iterations=300, burn_in=100, seed=0)
-    run_chain(train, ModelConfig(), cfg)
-    credit_steps = 3 * cfg.iterations
-    assert sum(evaluated) < 0.2 * credit_steps
-    assert len(evaluated) - sum(evaluated) == 4 * cfg.iterations  # no logistic step is screened
+GEWEKE_ROWS = 20
+GEWEKE_DRAWS = 20_000
+
+
+def geweke_draws(seed: int) -> np.ndarray:
+    """Geweke's (2004) successive-conditional simulator: from (theta, c) of
+    the prior, alternately draw the outcomes exactly given (theta, c) and
+    make one _sweep on them, with the proposal scales fixed. Returns the
+    (draws, 11 + 3) theta and c[:3] after each sweep; if the sweep leaves
+    the posterior invariant, every column is N(0, 1).
+
+    The model is the default one, without b_c: with it, the credit head's
+    information grows as e^b_c, and at seeds 0-5 the simulator stuck for
+    stretches where it is large, so that the test read up to 5.9 standard
+    errors on correct code (3.7 without b_c). The step tests check the
+    intercept's shift. The rate cap is 1e300, so no prior draw is over it;
+    counts may be 0, which generate_synthetic would clamp to 1. The
+    posterior is symmetric under c -> -c with the three loadings negated,
+    and no step crosses between the two mirror modes, so each iteration
+    also flips them with probability 1/2, an exact move of the posterior."""
+    rng = derive_rng(seed, 9, 1)
+    n = GEWEKE_ROWS
+    sex = (np.arange(n) % 2).astype(float)
+    age = rng.standard_normal(n)
+    cap_log = math.log(1e300)
+    loads = list(LATENT_SLOPES)
+
+    def outcomes(theta, c):
+        job = rng.random(n) < probmodel._sigmoid(theta[0] + theta[1] * sex + theta[2] * age + theta[3] * c)[0]
+        house = rng.random(n) < probmodel._sigmoid(theta[4] + theta[5] * sex + theta[6] * age + theta[7] * c)[0]
+        counts = rng.poisson(np.exp(theta[8] * sex + theta[9] * age + theta[10] * c)).astype(float)
+        lgamma = np.array([math.lgamma(v + 1.0) for v in counts])
+        return Design(sex, age, 1.0 - 2.0 * job, 1.0 - 2.0 * house, counts, lgamma, cap_log)
+
+    theta, c = rng.standard_normal(11), rng.standard_normal(n)
+    tuning = _State(outcomes(theta, c), np.zeros(11), np.zeros(n)).tune(1.0)
+    tuning = tuning._replace(tau=RW_SCALE / math.sqrt(2.0 * (n + 3)))
+    draws = np.empty((GEWEKE_DRAWS, 14))
+    for t in range(GEWEKE_DRAWS):
+        state = _State(outcomes(theta, c), theta, c)
+        sweep_once(state, tuning, rng)
+        theta, c = state.theta(), state.X[3].copy()
+        if rng.random() < 0.5:  # the mirror move, which no step makes
+            theta[loads], c = -theta[loads], -c
+        draws[t, :11], draws[t, 11:] = theta, c[:3]
+    return draws
+
+
+def test_sweep_keeps_the_joint_distribution():
+    # Geweke 2004 (JASA 99:799-804): each column's mean, second moment and
+    # shares below N(0, 1)'s 10%, 50% and 90% quantiles lie within 4.5
+    # Monte Carlo standard errors of N(0, 1)'s, each standard error from
+    # that statistic's own series and its bulk ESS
+    draws = geweke_draws(0)
+    worst = 0.0
+    for x in draws.T:
+        checks = [(x, 0.0), (x * x, 1.0)]
+        checks += [((x <= q).astype(float), p) for q, p in ((-1.2815515655446004, 0.1), (0.0, 0.5), (1.2815515655446004, 0.9))]
+        for values, want in checks:
+            mcse = float(np.std(values)) / math.sqrt(ess_bulk(values))
+            worst = max(worst, abs(float(values.mean()) - want) / mcse)
+    assert worst < 4.5, worst
+
 
 
 # --- chain driver behavior -----------------------------------------------------
@@ -456,13 +548,51 @@ def test_run_chain_streams_exact_latent_summaries(tiny_dataset, short_sampler_co
     assert small.latent_draws.shape == (small.n_draws(), 0)
 
 
-def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset):
-    # the reference rescales both widths at sweep 100, inside burn-in, and
-    # not at sweep 200, after it, nor ever without adaptation; a width that
-    # moved otherwise would change the draws after it
+def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset, monkeypatch):
+    # the scales are tuned at the start and after burn-in sweeps 1, 2, 4,
+    # ..., every 100th and the last, and delta rescaled only at every 100th
+    # and only with adaptation; after burn-in every sweep runs on the one
+    # tuning made at its end
+    sweeps, tuned_after, used = [], [], []
+    real_tune, real_sweep = _State.tune, sampler._sweep
+
+    def tune(state, delta):
+        tuned_after.append(len(sweeps))
+        return real_tune(state, delta)
+
+    def sweep(state, tuning, *args):
+        sweeps.append(None)
+        used.append(tuning)
+        return real_sweep(state, tuning, *args)
+
+    monkeypatch.setattr(_State, "tune", tune)
+    monkeypatch.setattr(sampler, "_sweep", sweep)
     for adapt in (False, True):
-        cfg = SamplerConfig(iterations=210, burn_in=150, adapt_during_burn_in=adapt, seed=2)
-        assert_chain_matches_reference(tiny_dataset, ModelConfig(), cfg)
+        cfg = SamplerConfig(iterations=400, burn_in=250, adapt_during_burn_in=adapt, seed=2)
+        sweeps.clear(), tuned_after.clear(), used.clear()
+        run_chain(tiny_dataset, ModelConfig(), cfg)
+        assert tuned_after == [0, 1, 2, 4, 8, 16, 32, 64, 100, 128, 200, 250]
+        assert all(t is used[250] for t in used[250:])
+        deltas = [used[s].delta for s in tuned_after]
+        if adapt:
+            changed = [s for s, a, b in zip(tuned_after[1:], deltas, deltas[1:]) if a != b]
+            assert changed == [100, 200]
+            assert deltas[-1] in [cfg.delta * ADAPT_FACTOR ** e for e in (-2, 0, 2)]
+        else:
+            assert deltas == [cfg.delta] * len(deltas)
+
+
+def test_run_chain_restores_the_error_state_when_it_aborts(tiny_dataset):
+    # run_chain ignores overflow, divide and invalid warnings while it runs.
+    # A chain that aborts mid-way (a cap below exp(0): every credit
+    # evaluation is over it) hands back the caller's own error state, here
+    # one that differs from run_chain's in all three
+    cfg = SamplerConfig(iterations=300, burn_in=100, seed=3)
+    with np.errstate(over="raise", divide="print", invalid="warn"):
+        before = np.geterr()
+        with pytest.raises(ConfigError, match="aborted at sweep 100"):
+            run_chain(tiny_dataset, ModelConfig(poisson_rate_cap=1e-6), cfg)
+        assert np.geterr() == before
 
 
 def test_run_chain_aborts_on_persistent_likelihood_errors(tiny_dataset):
@@ -572,7 +702,7 @@ def test_infer_latents_widens_a_grid_the_laplace_width_undercovers(modest_params
     vec = theta.to_vector()
     c = np.linspace(-12.0, 12.0, 200_001)
     for i in range(len(data)):
-        row = one_row(design, i).columns()
+        row = design.rows(slice(i, i + 1)).columns()
         logp = per_obs_log_likelihood(vec, c[None, :], row, include_credit=False)[0][0] - 0.5 * c * c
         mode = c[np.argmax(logp)]
         curv = per_obs_latent_slopes(vec, np.array([[mode]]), row, include_credit=False)[1][0, 0] - 1.0
