@@ -15,13 +15,13 @@ A logistic row is log sigmoid(z) of the signed predictor z. The engine
 multiplies the linear predictor by the outcome's negated sign (Design's
 job_nsign and house_nsign), which gives nz = -z at no extra cost. One
 kernel, _softplus_rows, the one site of a logistic block's exp and log1p,
-computes the softplus s = log1p(exp(nz)), minus the row, in one new buffer.
-_head_rows subtracts it from 0, which gives the row; the sampler keeps s
-itself, and subtracts it where it adds rows. The stable formula,
-min(z, 0) - log1p(exp(-|z|)), takes six passes (abs, negative, exp, log1p,
-minimum, subtract) for the same two transcendental ones. Both are
-vectorized; np.logaddexp calls a scalar function per element and takes
-about twice as long at n=800. For z >= 0 the two formulas agree bit for
+computes the softplus s = log1p(exp(nz)), minus the row: exp and log1p in
+place in nz's buffer. _head_rows subtracts it from 0, which gives the row;
+the sampler keeps s itself, and subtracts it where it adds rows. The
+stable formula, min(z, 0) - log1p(exp(-|z|)), takes six passes (abs,
+negative, exp, log1p, minimum, subtract) for the same two transcendental
+ones. Both are vectorized; np.logaddexp calls a scalar function per
+element and takes about twice as long at n=800. For z >= 0 the two formulas agree bit for
 bit, and for z < 0 the fast one is within 2 ulp of -logaddexp(0, -z).
 exp(nz) overflows for z below about -709.78. There the row is z itself,
 which is what the stable formula rounds to, since exp(z) is far below half
@@ -30,13 +30,13 @@ over nz guards the exp, so no overflow warning is raised.
 
 head_log_likelihood evaluates one head from scratch (_head_rows) and returns
 its rows beside their sum. per_obs_log_likelihood adds the heads per
-observation. The sampler keeps each head's linear predictor at its state
-and turns it into rows with the same two kernels, _softplus_rows and
-_credit_rows (sampler._State). Arrays of shape (n, m) evaluate m latent
-values per row through Design.columns(), and per_obs_latent_slopes gives
-each row's derivatives in c beside the heads (_head_slopes), so test-time
-inference (sampler.infer_latent) is an exact function of each row, computed
-by the same engine.
+observation. The sampler computes the heads' linear predictors as one
+matrix product and turns them into rows with the same two kernels,
+_softplus_rows and _credit_rows (sampler._State). Arrays of shape (n, m)
+evaluate m latent values per row through Design.columns(), and
+per_obs_latent_slopes gives each row's derivatives in c beside the heads
+(_head_slopes), so test-time inference (sampler.infer_latent) is an exact
+function of each row, computed by the same engine.
 """
 
 import math
@@ -50,9 +50,8 @@ from .util import format_kv_text, parse_finite, parse_kv_text
 if TYPE_CHECKING:  # only for annotations; avoids a circular import
     from .dataset import Dataset
 
-LOG_2PI = math.log(2.0 * math.pi)
 
-# serialization / update order of the parameters; b_c participates only when
+# serialization order of the parameters; b_c participates only when
 # the credit head has an intercept
 PARAM_NAMES = (
     "b_j", "beta_j_s", "beta_j_a", "beta_j_c",
@@ -263,19 +262,18 @@ _EXP_SAFE = 709.78
 
 
 def _softplus_rows(nz: np.ndarray) -> np.ndarray:
-    """log1p(exp(nz)) for nz = -z, the signed linear predictors negated, in
-    a new array: minus the rows log sigmoid(z), and nz itself where exp(nz)
-    overflows. The engine's only exp and log1p of a logistic block. nz is
-    only read, so the sampler keeps it beside the rows.
+    """log1p(exp(nz)) for nz = -z, the signed linear predictors negated,
+    written over nz: minus the rows log sigmoid(z), and nz itself where
+    exp(nz) overflows. The engine's only exp and log1p of a logistic block.
 
     The max of nz is the one reduction. When it is at most _EXP_SAFE, no exp
-    can overflow, and the rows are two transcendental passes in one new
-    buffer. Otherwise the array runs with the overflow ignored, and the
-    overflowed rows take nz. np.maximum.reduce costs a Python call less than
-    nz.max()."""
+    can overflow, and the rows are two transcendental passes in nz's buffer,
+    with nothing else allocated. Otherwise the array runs with the overflow
+    ignored, and the overflowed rows take nz. np.maximum.reduce costs a
+    Python call less than nz.max()."""
     if np.maximum.reduce(nz, axis=None) <= _EXP_SAFE:
-        rows = np.exp(nz)
-        return np.log1p(rows, out=rows)
+        np.exp(nz, out=nz)
+        return np.log1p(nz, out=nz)
     with np.errstate(over="ignore"):
         rows = np.log1p(np.exp(nz))
     over = rows == np.inf

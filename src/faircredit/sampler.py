@@ -127,7 +127,9 @@ WIDEN_MAX = 20           # moves of a grid end before giving up
 # parameter j, in serialization order; the credit head's intercept cell
 # stays 0 without b_c, which adds an exact 0 to its predictor.
 _X_ROWS = {"one": 0, "sex": 1, "age": 2, "c": 3}
-_CELLS = tuple(4 * head + _X_ROWS[name] for head, terms in enumerate(HEAD_TERMS) for _, name in terms)
+_CELLS = tuple(
+    4 * head + _X_ROWS[name] for head, terms in enumerate(HEAD_TERMS) for _, name in terms
+)
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ class _State:
         self.cells = np.array(_CELLS[:k])
         self.coefs = np.zeros((3, 4))
         self.coefs.flat[self.cells] = theta
-        self.X = np.stack([np.ones(len(design)), design.sex, design.age, c]).astype(float)
+        self.X = np.stack([np.ones(len(design)), design.sex, design.age, c])
         self._proposal = self.X.copy()
         self.nsign = np.stack([design.job_nsign, design.house_nsign])
         # the credit head's rows of X, in its parameters' order; the rows
@@ -300,7 +302,7 @@ class _State:
         """Each head's kept rows' sum (the logistic heads' softplus sums),
         summed after the rows last changed."""
         if self._totals is None:
-            self._totals = np.add.reduce(self.soft, axis=1).tolist() + [float(np.add.reduce(self.crow))]
+            self._totals = [*np.add.reduce(self.soft, axis=1).tolist(), float(np.add.reduce(self.crow))]
         return self._totals
 
     def blocks(self, tuning: _Tuning, z: np.ndarray, log_u: list[float]) -> tuple[list[bool], int]:
@@ -312,7 +314,7 @@ class _State:
         prior = np.add.reduce(coefs * coefs - prop * prop, axis=1).tolist()
         soft, crow, n_over = self._rows(prop, self.X)
         kept = self._kept_totals()
-        new = np.add.reduce(soft, axis=1).tolist() + [float(np.add.reduce(crow))]
+        new = [*np.add.reduce(soft, axis=1).tolist(), float(np.add.reduce(crow))]
         # softplus rows are minus the log-likelihood's, so a logistic head's
         # gain is its kept sum less its proposed one
         gains = (kept[0] - new[0], kept[1] - new[1], new[2] - kept[2])
@@ -391,8 +393,9 @@ class _State:
         ms = []
         for r, zr in zip(self.shift_rows, z):
             a = self._gram[r][r] + loads2
+            b = cx[len(ms)] - float(loads @ coefs[:, r])
             # x and the loadings all 0: the move is the identity
-            m = 0.0 if a == 0.0 else (zr * math.sqrt(a) - (cx[len(ms)] - float(loads @ coefs[:, r]))) / a
+            m = 0.0 if a == 0.0 else (zr * math.sqrt(a) - b) / a
             coefs[:, r] -= m * loads
             cx = [v + m * self._gram[r][s] for v, s in zip(cx, self.shift_rows)]
             ms.append(m)
@@ -528,11 +531,11 @@ def run_chain(
             )
         if sweep <= cfg.burn_in:
             window = sweep % ADAPT_EVERY == 0
-            if window and cfg.adapt_during_burn_in:
-                # the window since the last rescaling is ADAPT_EVERY sweeps long
-                rate = win_latent_acc / (n * ADAPT_EVERY)
-                delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
             if window:
+                if cfg.adapt_during_burn_in:
+                    # the window since the last rescaling is ADAPT_EVERY sweeps long
+                    rate = win_latent_acc / (n * ADAPT_EVERY)
+                    delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
                 win_latent_acc = 0
             # powers of two too, so that the scales follow the chain's first
             # steps away from the all-zero start

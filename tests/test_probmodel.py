@@ -24,7 +24,6 @@ from faircredit.probmodel import (
     Design,
     ModelConfig,
     ModelParams,
-    credit_linear,
     head_log_likelihood,
     per_obs_latent_slopes,
     per_obs_log_likelihood,

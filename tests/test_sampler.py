@@ -408,6 +408,8 @@ def test_kept_rows_match_rows_from_scratch_after_200_sweeps():
 
 GEWEKE_ROWS = 20
 GEWEKE_DRAWS = 20_000
+# N(0, 1)'s 10%, 50% and 90% quantiles
+NORMAL_QUANTILES = ((-1.2815515655446004, 0.1), (0.0, 0.5), (1.2815515655446004, 0.9))
 
 
 def geweke_draws(seed: int) -> np.ndarray:
@@ -463,7 +465,7 @@ def test_sweep_keeps_the_joint_distribution():
     worst = 0.0
     for x in draws.T:
         checks = [(x, 0.0), (x * x, 1.0)]
-        checks += [((x <= q).astype(float), p) for q, p in ((-1.2815515655446004, 0.1), (0.0, 0.5), (1.2815515655446004, 0.9))]
+        checks += [((x <= q).astype(float), p) for q, p in NORMAL_QUANTILES]
         for values, want in checks:
             mcse = float(np.std(values)) / math.sqrt(ess_bulk(values))
             worst = max(worst, abs(float(values.mean()) - want) / mcse)
