@@ -152,13 +152,13 @@ def log_posterior(theta: np.ndarray, c: np.ndarray, design: Design) -> float:
     return float(rows.sum()) - 0.5 * float(theta @ theta) - 0.5 * float(c @ c)
 
 
-def mid_chain_state(data, model_config, seed=0):
+def mid_chain_state(data, model_config):
     """A state that 150 sweeps of run_chain's kind reached from all zeros,
     with its tuning, design and the generator that drove it."""
     design = Design.from_dataset(data, model_config)
     k = len(model_config.active_param_names())
     state = _State(design, np.zeros(k), np.zeros(len(design)))
-    rng = derive_rng(seed, 9, 0)
+    rng = derive_rng(0, 9, 0)
     tuning = state.tune(0.8)
     for sweep in range(1, 151):
         sweep_once(state, tuning, rng)
@@ -571,7 +571,8 @@ def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset, monkeypatch):
     monkeypatch.setattr(sampler, "_sweep", sweep)
     for adapt in (False, True):
         cfg = SamplerConfig(iterations=400, burn_in=250, adapt_during_burn_in=adapt, seed=2)
-        sweeps.clear(), tuned_after.clear(), used.clear()
+        for record in (sweeps, tuned_after, used):
+            record.clear()
         run_chain(tiny_dataset, ModelConfig(), cfg)
         assert tuned_after == [0, 1, 2, 4, 8, 16, 32, 64, 100, 128, 200, 250]
         assert all(t is used[250] for t in used[250:])
