@@ -1,9 +1,13 @@
-"""Parameter containers and the likelihood engine.
+"""Parameter containers, the likelihood engine, and the rows the sampler's
+state keeps of it.
 
 The engine's per-observation values are checked against scipy: log_expit for
-the logistic heads and poisson.logpmf for the credit head.
+the logistic heads and poisson.logpmf for the credit head. The sampler's
+per-head state (sampler._State) is checked against the engine's rows from
+scratch.
 """
 
+import copy
 import math
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -20,14 +24,17 @@ from faircredit.probmodel import (
     HEAD_CREDIT,
     HEAD_HOUSE,
     HEAD_JOB,
+    HEAD_TERMS,
     PARAM_NAMES,
     Design,
     ModelConfig,
     ModelParams,
+    credit_linear,
     head_log_likelihood,
     per_obs_latent_slopes,
     per_obs_log_likelihood,
 )
+from faircredit.sampler import _State, _Tuning
 
 
 def one_row(design: Design, i: int) -> Design:
@@ -397,3 +404,270 @@ def test_column_design_broadcasts_every_head(tiny_dataset, modest_params):
     grid, _ = per_obs_log_likelihood(vec, c, design.columns())
     for k in range(4):
         assert np.array_equal(grid[:, k], per_obs_log_likelihood(vec, c[:, k].copy(), design)[0])
+
+
+# --- the sampler's per-head state --------------------------------------------
+
+# sampler._State keeps each head's rows at its linear predictor: the job and
+# house heads' softplus rows, 0 minus head_log_likelihood's, and the credit
+# head's rows. Its predictors come from one matrix product, whose association
+# is not HEAD_TERMS order, so its rows match the engine's within rounding:
+# ROWS_TOL of each row's size, where rows of about 100 differ by a few ulp.
+TERM_CONFIGS = (
+    ModelConfig(),
+    ModelConfig(include_credit_intercept=True, credit_scale=5.0),
+    ModelConfig(poisson_rate_cap=80.0),  # under twice the largest count, 45
+)
+TERM_CONFIG_IDS = ("default", "intercept", "rate_cap")
+ROWS_TOL = 1e-12
+
+
+def assert_rows_match_engine(soft, crow, vec, c, design, exact=False):
+    """A state's softplus and credit rows against head_log_likelihood's at
+    (vec, c) from scratch, within ROWS_TOL, or bit for bit when exact; -inf
+    rows exactly where the engine's are. Returns the credit head's overflow
+    count."""
+    for kept, head in ((soft[0], HEAD_JOB), (soft[1], HEAD_HOUSE), (crow, HEAD_CREDIT)):
+        _, n_over, rows = head_log_likelihood(head, vec, c, design)
+        want = rows if head == HEAD_CREDIT else 0.0 - rows
+        if exact:
+            assert np.array_equal(kept, want)
+        fine = np.isfinite(want)
+        assert np.array_equal(kept[~fine], want[~fine])
+        assert np.all(np.abs(kept[fine] - want[fine]) <= ROWS_TOL * (1.0 + np.abs(want[fine])))
+    return n_over
+
+
+def fresh_totals(state):
+    """The sums of a state's kept rows, reduced as its cached totals are."""
+    return [*np.add.reduce(state.soft, axis=1).tolist(), float(np.add.reduce(state.crow))]
+
+
+def latent_proposal(state, c_prop):
+    """The heads' rows at the state's coefficients and latents c_prop, as its
+    latent step computes them: a copy of X that differs in row 3 alone."""
+    X = state.X.copy()
+    X[3] = c_prop
+    return state._rows(state.coefs, X)
+
+
+def under_cap_state(design, config, rng):
+    """A state at random coefficients and latents whose credit rates are all
+    under the cap, as every state the chain keeps is."""
+    n_params = len(config.active_param_names())
+    while True:
+        vec, c = 0.5 * rng.standard_normal(n_params), rng.standard_normal(len(design))
+        if credit_linear(vec, c, design).max() <= design.cap_log:
+            return _State(design, vec, c)
+
+
+@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
+def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
+    # from random states: the state's rows, each head's block proposal's
+    # rows and a latent proposal's rows match head_log_likelihood's at the
+    # moved state, with its overflow counts; the rows kept after every step
+    # is accepted and after the scale move and the shifts match it too
+    design = Design.from_dataset(tiny_dataset, config)
+    n = len(tiny_dataset)
+    rng = np.random.default_rng(11)
+    over_moves = finite_moves = 0
+    for _ in range(10):
+        state = under_cap_state(design, config, rng)
+        assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+        tuning = state.tune(0.5)
+        for _ in range(4):
+            z = 3.0 * rng.standard_normal(state.n_block)
+            prop = state.coefs + (tuning.factor @ z).reshape(3, 4)
+            soft, crow, n_over = state._rows(prop, state.X)
+            assert n_over == assert_rows_match_engine(soft, crow, prop.take(state.cells), state.X[3], design)
+            over_moves += n_over > 0
+            finite_moves += n_over == 0
+            accepted, errors = state.blocks(tuning, z, [-math.inf] * 3)
+            assert accepted == [True, True, not n_over] and errors == (n_over > 0)
+            assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+        c_prop = state.X[3] + rng.standard_normal(n)
+        soft, crow, n_over = latent_proposal(state, c_prop)
+        assert n_over == assert_rows_match_engine(soft, crow, state.theta(), c_prop, design)
+        state.latents(1.0, c_prop - state.X[3], np.full(n, -np.inf))
+        assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+        state.scale(tuning.tau, 0.7, -math.inf)
+        state.shifts([0.8, -1.3, 0.4][:len(state.shift_rows)])
+        assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+    assert finite_moves > 0
+    if config.poisson_rate_cap < 1e3:
+        assert over_moves > 0
+
+
+@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
+def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
+    # block and latent steps accepted for some heads and some rows, at random
+    # uniforms: each accepted entry keeps its proposal's coefficients, latent
+    # and rows bit for bit, each rejected one its own; the scale move and the
+    # shifts keep every row; the cached totals are the kept rows' sums
+    design = Design.from_dataset(tiny_dataset, config)
+    n = len(tiny_dataset)
+    rng = np.random.default_rng(5)
+    state = under_cap_state(design, config, rng)
+    tuning = state.tune(0.5)
+    heads_kept = rows_kept = 0
+    for _ in range(40):
+        before = copy.deepcopy(state)
+        z = rng.standard_normal(state.n_block)
+        prop = state.coefs + (tuning.factor @ z).reshape(3, 4)
+        soft, crow, _ = state._rows(prop, state.X)
+        accepted, _ = state.blocks(tuning, z, np.log(rng.random(3)).tolist())
+        for h, keep in enumerate(accepted):
+            assert np.array_equal(state.coefs[h], prop[h] if keep else before.coefs[h])
+            kept = state.crow if h == HEAD_CREDIT else state.soft[h]
+            new = crow if h == HEAD_CREDIT else soft[h]
+            old = before.crow if h == HEAD_CREDIT else before.soft[h]
+            assert np.array_equal(kept, new if keep else old)
+        heads_kept += sum(accepted)
+        assert state._kept_totals() == fresh_totals(state)
+
+        before = copy.deepcopy(state)
+        steps = 2.0 * rng.random(n) - 1.0
+        soft, crow, _ = latent_proposal(state, state.X[3] + steps * tuning.delta)
+        n_acc, _ = state.latents(tuning.delta, steps, np.log(rng.random(n)))
+        moved = state.X[3] != before.X[3]
+        assert np.count_nonzero(moved) == n_acc
+        assert np.array_equal(state.X[3], np.where(moved, before.X[3] + steps * tuning.delta, before.X[3]))
+        assert np.array_equal(state.soft, np.where(moved, soft, before.soft))
+        assert np.array_equal(state.crow, np.where(moved, crow, before.crow))
+        assert np.array_equal(state.coefs, before.coefs)
+        rows_kept += n_acc
+        assert state._kept_totals() == fresh_totals(state)
+
+        before = copy.deepcopy(state)
+        state.scale(tuning.tau, rng.standard_normal(), math.log(rng.random()))
+        state.shifts(rng.standard_normal(len(state.shift_rows)).tolist())
+        assert np.array_equal(state.soft, before.soft) and np.array_equal(state.crow, before.crow)
+        assert state._kept_totals() == fresh_totals(state)
+    assert 0 < heads_kept < 3 * 40 and 0 < rows_kept < n * 40
+    assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+
+
+@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
+def test_head_terms_accept_rows_by_index_or_mask_alike(tiny_dataset, config):
+    # the latent step merges the accepted rows in by index; a bool mask over
+    # the same rows, np.where's merge, keeps the same state bit for bit,
+    # whether none, some or all rows accept
+    design = Design.from_dataset(tiny_dataset, config)
+    n = len(tiny_dataset)
+    rng = np.random.default_rng(17)
+    state = under_cap_state(design, config, rng)
+    steps = 2.0 * rng.random(n) - 1.0
+    c_prop = state.X[3] + steps * 0.5
+    soft, crow, n_over = latent_proposal(state, c_prop)
+    assert n_over == 0
+    some = rng.random(n) < 0.5
+    assert 0 < np.count_nonzero(some) < n
+    for mask in (np.zeros(n, dtype=bool), some, np.ones(n, dtype=bool)):
+        by_index = copy.deepcopy(state)
+        n_acc, _ = by_index.latents(0.5, steps, np.where(mask, -np.inf, np.inf))
+        assert n_acc == np.count_nonzero(mask)
+        assert np.array_equal(by_index.X, np.where(mask, np.stack([*state.X[:3], c_prop]), state.X))
+        assert np.array_equal(by_index.soft, np.where(mask, soft, state.soft))
+        assert np.array_equal(by_index.crow, np.where(mask, crow, state.crow))
+        assert np.array_equal(by_index.coefs, state.coefs)
+        assert by_index._kept_totals() == fresh_totals(by_index)
+
+
+@pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
+def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
+    # the steps write the kept rows and latents in place, so they must only
+    # read the move they hold: the rows each proposal's evaluation returned
+    # are unchanged by the accept that follows, also where a block's rows
+    # were kept whole, and the latent proposal's X still holds the proposed
+    # latents in row 3 and X's other rows
+    design = Design.from_dataset(tiny_dataset, config)
+    n = len(tiny_dataset)
+    rng = np.random.default_rng(23)
+    state = under_cap_state(design, config, rng)
+    tuning = state.tune(0.5)
+    held = []
+
+    def recording(coefs, X):
+        out = _State._rows(state, coefs, X)
+        held.append([(a, a.copy()) for a in out[:2]])
+        return out
+
+    state._rows = recording
+    for _ in range(30):
+        held.clear()
+        state.blocks(tuning, rng.standard_normal(state.n_block), np.log(rng.random(3)).tolist())
+        assert len(held) == 1 and all(np.array_equal(a, kept) for a, kept in held[0])
+        held.clear()
+        steps = 2.0 * rng.random(n) - 1.0
+        proposed = state.X[3] + steps * tuning.delta
+        state.latents(tuning.delta, steps, np.log(rng.random(n)))
+        assert len(held) == 1 and all(np.array_equal(a, kept) for a, kept in held[0])
+        assert np.array_equal(state._proposal[3], proposed)
+        assert np.array_equal(state._proposal[:3], state.X[:3])
+        state.scale(tuning.tau, rng.standard_normal(), math.log(rng.random()))
+        state.shifts(rng.standard_normal(len(state.shift_rows)).tolist())
+    assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+
+
+def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
+    # latent scores out to +-800 under unit, halved and doubled loadings: in
+    # some states exp(nz) overflows in one head, both or neither. Only the
+    # latent coefficients are nonzero, so the predictors are exact and the
+    # state's rows are bitwise head_log_likelihood's (0 minus), nz itself
+    # where exp(nz) overflows, with finite totals; no step warns
+    c = np.array([-800.0, -360.0, -5.0, 0.0, 2.5, 400.0, 750.0])
+    design = logistic_design(c.size)
+    state = _State(design, UNIT_LATENT.copy(), c.copy())
+    # block normals 0 and 4 move the job and house loadings by themselves
+    factor = np.zeros((12, state.n_block))
+    factor[3, 0] = factor[7, 4] = 1.0
+    tuning = _Tuning(factor, 0.0, 1.0)
+
+    def check():
+        vec, c = state.theta(), state.X[3]
+        assert_rows_match_engine(state.soft, state.crow, vec, c, design, exact=True)
+        for h in (HEAD_JOB, HEAD_HOUSE):
+            assert -state._kept_totals()[h] == head_log_likelihood(h, vec, c, design)[0]
+        nz = state.coefs[:2, 3:] * c * state.nsign
+        # exp(t) overflows for every t > 710 and for no t < 709.78
+        over = nz > 710.0
+        assert not ((nz > 709.78) & ~over).any()
+        return tuple(over.any(axis=1).tolist())
+
+    overflowed = {check()}
+    for loads in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.5, 0.5), (1.0, -1.0)):
+        z = np.zeros(state.n_block)
+        z[0], z[4] = loads[0] - state.coefs[0, 3], loads[1] - state.coefs[1, 3]
+        assert state.blocks(tuning, z, [-math.inf] * 3)[0][:2] == [True, True]
+        overflowed.add(check())
+    for scale in (1.0, 0.5, 2.0):
+        c_prop = scale * c[::-1]
+        # the ratios are finite, so every row accepts at log u = -inf
+        assert state.latents(1.0, c_prop - state.X[3], np.full(c.size, -np.inf))[0] == c.size
+        assert np.array_equal(state.X[3], c_prop)
+        overflowed.add(check())
+    assert overflowed == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_head_terms_need_shared_columns(tiny_dataset):
+    # the shifts move c along a column x and every head's coefficient of x
+    # against it, so they need the columns that all three heads carry:
+    # sex and age, and the intercept when b_c is on. Each moves c and those
+    # coefficients and leaves every head's predictor
+    for config in (ModelConfig(), ModelConfig(include_credit_intercept=True)):
+        design = Design.from_dataset(tiny_dataset, config)
+        n_params = len(config.active_param_names())
+        carried = [{name for pos, name in terms if pos < n_params} for terms in HEAD_TERMS]
+        shared = set.intersection(*carried) - {"c"}
+        rows = {"one": 0, "sex": 1, "age": 2}
+        state = under_cap_state(design, config, np.random.default_rng(29))
+        assert sorted(state.shift_rows) == sorted(rows[name] for name in shared)
+        before = copy.deepcopy(state)
+        state.shifts([0.8, -1.3, 0.4][:len(state.shift_rows)])
+        assert not np.array_equal(state.X[3], before.X[3])
+        for r in state.shift_rows:
+            assert (state.coefs[:, r] != before.coefs[:, r]).all()
+        untouched = [r for r in range(3) if r not in state.shift_rows]
+        assert np.array_equal(state.coefs[:, untouched], before.coefs[:, untouched])
+        pred, want = state.coefs @ state.X, before.coefs @ before.X
+        assert np.allclose(pred, want, rtol=1e-12, atol=1e-12)

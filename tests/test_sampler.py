@@ -7,7 +7,9 @@ latent step accepts just below its log ratio and rejects just above it, the
 latent step agreeing with mh_step_scalar on each row alone; the scale
 move's ratio carries its Jacobian; each shift is the exact conditional's
 draw; and the moves leave every row. Geweke's successive-conditional test
-checks the whole sweep against the prior. Test-time inference
+checks the whole sweep against the prior, and run_chain is checked against
+a restatement of its sweep from scratch (reference_chain), one head's block
+and one row at a time. Test-time inference
 (infer_latent) is checked against a dense trapezoid rule with the heads
 written out by hand.
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 from faircredit import probmodel, sampler
 from faircredit.dataset import Dataset, SplitSpec, load_csv, preprocess, split
@@ -30,7 +32,9 @@ from faircredit.probmodel import (
     HEAD_CREDIT,
     HEAD_HOUSE,
     HEAD_JOB,
+    HEAD_TERMS,
     LATENT_SLOPES,
+    PARAM_NAMES,
     Design,
     ModelConfig,
     head_log_likelihood,
@@ -38,7 +42,9 @@ from faircredit.probmodel import (
     per_obs_log_likelihood,
 )
 from faircredit.sampler import (
+    ADAPT_EVERY,
     ADAPT_FACTOR,
+    BLOCK_STEPS,
     GRID_BLOCK,
     GRID_POINTS,
     PARAM_UNIFORMS,
@@ -53,7 +59,7 @@ from faircredit.sampler import (
     read_param_chain_csv,
     run_chain,
 )
-from faircredit.util import derive_rng
+from faircredit.util import STREAM_PARAMS, STREAM_TRAIN_LATENT, derive_rng
 from scalar_kernel import mh_step_scalar
 
 
@@ -471,6 +477,173 @@ def test_sweep_keeps_the_joint_distribution():
             worst = max(worst, abs(float(values.mean()) - want) / mcse)
     assert worst < 4.5, worst
 
+
+
+# --- the whole chain against a restatement from scratch -----------------------
+
+# the columns all three heads carry, in the order the shifts take them; the
+# intercept is shared only when b_c is on
+SHIFT_COLUMNS = ("sex", "age", "one")
+# run_chain's draws against the restatement's, relative to each draw's size:
+# the two compute the same steps with different association, so they differ
+# in rounding only, which the chains below carry to at most 1e-14
+CHAIN_TOL = 1e-12
+
+
+def reference_tuning(theta, c, design):
+    """_State.tune restated on (theta, c): each head's block factor
+    chol(s^2 (F + I)^-1) over its own parameters, in parameter order, and
+    the scale move's tau."""
+    k = theta.shape[0]
+    columns = {"one": np.ones(len(design)), "sex": design.sex, "age": design.age, "c": c}
+    factors = []
+    for head, terms in enumerate(HEAD_TERMS):
+        x = np.stack([columns[name] for pos, name in terms if pos < k])
+        lin = probmodel._linear_predictor(head, theta, c, design)
+        p = expit(lin)
+        weights = np.exp(lin) if head == HEAD_CREDIT else p * (1.0 - p)
+        d = x.shape[0]
+        cov = np.linalg.inv((x * weights) @ x.T + np.eye(d))
+        factors.append(RW_SCALE / math.sqrt(d) * np.linalg.cholesky(cov))
+    loads = theta[list(LATENT_SLOPES)]
+    spread = float(c @ c) + float(loads @ loads)
+    return factors, (RW_SCALE / math.sqrt(2.0 * spread) if spread > 0.0 else 0.0)
+
+
+def reference_chain(data, model_config, cfg):
+    """run_chain restated one step at a time on (theta, c), with the same
+    streams, tuning schedule and bookkeeping: each head's block ratio from
+    head_log_likelihood and its prior, each latent by mh_step_scalar on its
+    row alone, the scale move's ratio from log_posterior plus its Jacobian,
+    and each shift from its conditional's A and B summed from scratch."""
+    names = model_config.active_param_names()
+    k, n = len(names), len(data)
+    design = Design.from_dataset(data, model_config)
+    rows = [design.rows(slice(i, i + 1)) for i in range(n)]
+    theta, c = np.zeros(k), np.zeros(n)
+    heads = [[pos for pos, _ in terms if pos < k] for terms in HEAD_TERMS]
+    head_of = [h for h, params in enumerate(heads) for _ in params]
+    n_block = sum(len(params) for params in heads)
+    shifts = SHIFT_COLUMNS if k == len(PARAM_NAMES) else SHIFT_COLUMNS[:2]
+    columns = {"one": np.ones(n), "sex": design.sex, "age": design.age}
+    delta = cfg.delta
+    factors, tau = reference_tuning(theta, c, design)
+    param_rng = derive_rng(cfg.seed, STREAM_PARAMS, 0)
+    latent_rng = derive_rng(cfg.seed, STREAM_TRAIN_LATENT, 0)
+
+    post_sweeps = cfg.iterations - cfg.burn_in
+    acc_heads = [0, 0, 0]
+    acc_latent = win_latent = 0
+    param_errors = latent_errors = 0  # over-cap proposals in each phase
+    draws_p, draws_c = [], []
+
+    def latent_target(i):
+        def target(v: float) -> float:
+            nonlocal latent_errors
+            ll, n_over = per_obs_log_likelihood(theta, np.array([v]), rows[i])
+            # the current latent is never over the cap, so this counts proposals
+            latent_errors += n_over
+            return -math.inf if n_over else float(ll[0]) - 0.5 * v * v
+
+        return target
+
+    for sweep in range(1, cfg.iterations + 1):
+        post = sweep > cfg.burn_in
+        normals = param_rng.standard_normal(BLOCK_STEPS * n_block + 1 + len(shifts))
+        log_u = [math.log(u) if u else -math.inf for u in param_rng.random(PARAM_UNIFORMS).tolist()]
+        for step in range(BLOCK_STEPS):
+            z = normals[step * n_block:(step + 1) * n_block]
+            offset = 0
+            for head, params in enumerate(heads):
+                moved = theta.copy()
+                moved[params] += factors[head] @ z[offset:offset + len(params)]
+                offset += len(params)
+                new, n_over, _ = head_log_likelihood(head, moved, c, design)
+                if n_over:
+                    param_errors += 1
+                    continue
+                ratio = new - head_log_likelihood(head, theta, c, design)[0]
+                ratio += 0.5 * (float(theta[params] @ theta[params]) - float(moved[params] @ moved[params]))
+                if log_u[3 * step + head] < ratio:
+                    theta = moved
+                    acc_heads[head] += post
+        # one sweep's block of the latent stream: row 0 the proposals, row 1
+        # the accept tests
+        u = latent_rng.random((2, n))
+        for i in range(n):
+            c[i], accepted, _ = mh_step_scalar(c[i], latent_target(i), delta, UniformPair(u[0, i], u[1, i]))
+            win_latent += accepted
+            acc_latent += accepted and post
+        rest = normals[BLOCK_STEPS * n_block:].tolist()
+        eta = tau * rest[0]
+        moved = theta.copy()
+        moved[list(LATENT_SLOPES)] *= math.exp(-eta)
+        ratio = log_posterior(moved, c * math.exp(eta), design) - log_posterior(theta, c, design)
+        if log_u[-1] < ratio + (n - 3) * eta:
+            theta, c = moved, c * math.exp(eta)
+        for name, zr in zip(shifts, rest[1:]):
+            x = columns[name]
+            at = [pos for terms in HEAD_TERMS for pos, col in terms if col == name]
+            loads = theta[list(LATENT_SLOPES)]
+            a = float(x @ x) + float(loads @ loads)
+            b = float(c @ x) - float(loads @ theta[at])
+            m = (zr * math.sqrt(a) - b) / a
+            theta = theta.copy()
+            theta[at] -= m * loads
+            c = c + m * x
+        if sweep <= cfg.burn_in:
+            window = sweep % ADAPT_EVERY == 0
+            if window:
+                if cfg.adapt_during_burn_in:
+                    rate = win_latent / (n * ADAPT_EVERY)
+                    delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
+                win_latent = 0
+            if window or sweep & (sweep - 1) == 0 or sweep == cfg.burn_in:
+                factors, tau = reference_tuning(theta, c, design)
+        if post and (sweep - cfg.burn_in) % cfg.thin == 0:
+            draws_p.append(theta.copy())
+            draws_c.append(c.copy())
+
+    return (
+        np.array(draws_p),
+        np.array(draws_c),
+        np.array([acc_heads[h] for h in head_of]) / (BLOCK_STEPS * post_sweeps),
+        acc_latent / (n * post_sweeps),
+        (param_errors, latent_errors),
+    )
+
+
+def assert_chain_matches_reference(data, model_config, cfg):
+    chain = run_chain(data, model_config, cfg, latent_columns=range(len(data)))
+    params, latents, acc_p, acc_l, errors = reference_chain(data, model_config, cfg)
+    assert chain.n_likelihood_errors == sum(errors)
+    assert np.array_equal(chain.accept_rate_params, acc_p)
+    assert chain.accept_rate_latents == acc_l
+    for got, want in ((chain.param_draws, params), (chain.latent_draws, latents)):
+        assert np.all(np.abs(got - want) <= CHAIN_TOL * (1.0 + np.abs(want)))
+    assert np.allclose(chain.latent_mean, latents.mean(axis=0), rtol=CHAIN_TOL, atol=CHAIN_TOL)
+    return errors
+
+
+def test_run_chain_matches_scalar_kernels_with_intercept(tiny_dataset):
+    # the 12th coordinate active, so three shifts; no adaptation, thin 1
+    cfg = SamplerConfig(iterations=60, burn_in=20, thin=1, adapt_during_burn_in=False, seed=8)
+    mc = ModelConfig(include_credit_intercept=True, credit_scale=5.0)
+    assert_chain_matches_reference(tiny_dataset, mc, cfg)
+
+
+def test_run_chain_matches_scalar_kernels_across_the_rate_cap(tiny_dataset):
+    # a cap of 70, about 1.5 times the largest count (45), and a narrow
+    # latent window, crossing one adaptation event at sweep 100: proposals of
+    # both phases cross the cap and are rejected (5 block steps and 3 latent
+    # steps of 2280), under the error budget, and run_chain must keep none
+    # of their rows. At a cap of 80 and the default window the Fisher-scaled
+    # blocks cross it twice and the latents 42 times, over the budget
+    cfg = SamplerConfig(iterations=120, burn_in=100, thin=2, delta=0.2, seed=3)
+    param_errors, latent_errors = assert_chain_matches_reference(
+        tiny_dataset, ModelConfig(poisson_rate_cap=70.0), cfg
+    )
+    assert param_errors > 0 and latent_errors > 0
 
 
 # --- chain driver behavior -----------------------------------------------------
