@@ -15,7 +15,7 @@ the config hashes match. Then `fit --model fair --preset recommended`,
 which turns the credit intercept on, runs into a second --out path.
 `fit --model fair` and `compare` with `model.poisson_rate_cap = 300`, just
 over the data's largest credit (251), and `eval.age_mode = shift` run into a
-third: the chain proposes rates over the cap (about 5,000 times at seed 0)
+third: the chain proposes rates over the cap (1,250 times at seed 0)
 without aborting, so the cap guard is compared too, and
 in compare's leaky test-time inference, which runs in blocks of rows, some
 grids end on the cap's bound (2 of the 200 at seed 0); compare also runs
@@ -28,7 +28,7 @@ compared. `fit --model fair` runs with `model.poisson_rate_cap = 100`
 into out_budget: its steps over the cap pass the likelihood-error budget
 and the chain aborts (at sweep 100 at seed 0), so its exit code, its error
 line and the absence of any file it wrote are compared. `synth` runs with
-two configs it refuses (`sampler.delta = abc`, `model.poisson_rate_cap = x`)
+two configs it refuses (`sampler.thin = abc`, `model.poisson_rate_cap = x`)
 into one more --out path; synth reads every config it needs before any work, in both
 trees. Then `fit --model fair` and `diagnose` run into another, each with a
 file where it makes its subdirectory (BLOCKERS: `model_fair`, `plots`),
@@ -77,7 +77,7 @@ COMMANDS = (
      ["fit", "--model", "fair", "--config", "{work}/latents_all.kv"]),
     ("fit fair budget abort", "out_budget",
      ["fit", "--model", "fair", "--config", "{work}/budget.kv"]),
-    ("synth bad delta", "out_refused", ["synth", "--config", "{work}/bad_delta.kv"]),
+    ("synth bad thin", "out_refused", ["synth", "--config", "{work}/bad_thin.kv"]),
     ("synth bad rate cap", "out_refused", ["synth", "--config", "{work}/bad_rate_cap.kv"]),
     ("fit fair blocked model dir", "out_blocked", ["fit", "--model", "fair"]),
     ("diagnose blocked plot dir", "out_blocked", ["diagnose"]),
@@ -93,7 +93,7 @@ CONFIGS = {
     "latents_none.kv": "out.latent_columns = 0\n",
     "latents_all.kv": "out.latent_columns = 800\n",
     "budget.kv": "model.poisson_rate_cap = 100\n",
-    "bad_delta.kv": "sampler.delta = abc\n",
+    "bad_thin.kv": "sampler.thin = abc\n",
     "bad_rate_cap.kv": "model.poisson_rate_cap = x\n",
 }
 

@@ -28,9 +28,9 @@ them, the ratio of the loop medians (new/old) and the rounds in which the
 new tree took fewer loops; then each tree's worst folded bulk ESS (the
 minimum of diagnostics.ess_bulk over the parameters, with every draw folded
 to beta_c_c <= 0 by negating the three latent loadings, since the posterior
-is symmetric under that mirror) and that ESS per 1,000 probe loops of its
-median chain, the sampler's figure of merit; then one JSON line with every
-round's times.
+is symmetric under that mirror), that ESS per 1,000 probe loops of its
+median chain, the sampler's figure of merit, and the latents' acceptance
+rate after burn-in; then one JSON line with every round's times.
 The chains must agree bit for bit: the exit code is 1, and a line says so,
 when the sha256 of param_draws and latent_mean differs between the trees in
 any round.
@@ -84,6 +84,7 @@ def child(seed: int) -> None:
         result[name] = {
             "s": elapsed, "loops": elapsed / probe.mean_s(), "sha256": digest.hexdigest(),
             "ess": min(ess_bulk(column) for column in folded.T),
+            "accept_latents": chain.accept_rate_latents,
         }
     print(json.dumps(result))
 
@@ -140,10 +141,12 @@ def main(argv=None) -> int:
         print(f"{name}: ratio of medians new/old {medians['new'] / medians['old']:.4f}, "
               f"new faster in {wins} of {args.rounds} rounds")
         for side in trees:
-            # the draws, and so the ESS, are the same in every round
+            # the draws, and so the ESS and the acceptance, are the same in
+            # every round
             ess = rounds[0][side][name]["ess"]
             print(f"{name} {side}: worst folded bulk ESS {ess:.1f}, "
-                  f"{1000.0 * ess / medians[side]:.1f} per 1,000 probe loops")
+                  f"{1000.0 * ess / medians[side]:.1f} per 1,000 probe loops, "
+                  f"latent acceptance {rounds[0][side][name]['accept_latents']:.3f}")
         if any(rd["old"][name]["sha256"] != rd["new"][name]["sha256"] for rd in rounds):
             print(f"{name}: param_draws and latent_mean differ between the trees")
             differ = True

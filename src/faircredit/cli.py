@@ -89,10 +89,10 @@ DEFAULTS: dict[str, str] = {
 }
 
 # paper: the paper's model (no credit intercept, raw credit counts) and run
-# length, with the latent width fixed at 0.5; the coefficient blocks and the
-# moves scale themselves. Its values are written out so that a changed
-# default does not move them. recommended: the credit intercept and the
-# latent width adapted in burn-in, which is what you want on new data.
+# length. Its values are written out so that a changed default does not move
+# them; every proposal scales itself by the state, so the run length is all
+# it pins of the sampler. recommended: the credit intercept, which is what
+# you want on new data.
 PRESETS: dict[str, dict[str, str]] = {
     "paper": {
         "model.include_credit_intercept": "false",
@@ -100,13 +100,8 @@ PRESETS: dict[str, dict[str, str]] = {
         "sampler.iterations": "5000",
         "sampler.burn_in": "1000",
         "sampler.thin": "1",
-        "sampler.delta": "0.5",
-        "sampler.adapt_during_burn_in": "false",
     },
-    "recommended": {
-        "model.include_credit_intercept": "true",
-        "sampler.adapt_during_burn_in": "true",
-    },
+    "recommended": {"model.include_credit_intercept": "true"},
 }
 
 SEED_KEYS = ("split.seed", "sampler.seed", "forest.seed", "synth.seed")
@@ -323,13 +318,12 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     save_fair_model(fair, os.path.join(out, "model_fair"), header)
 
     print(f"fair model: {chain.n_draws()} stored draws over {len(train)} observations")
+    # one line per block: a head's parameters share its block's rate
     lo, hi = ACCEPT_RATE_BAND
-    for name, rate in zip(chain.param_names, chain.accept_rate_params):
+    rates = [*chain.accept_rate_params[list(LATENT_SLOPES)].tolist(), chain.accept_rate_latents]
+    for name, rate in zip(("job", "house", "credit", "latents"), rates):
         note = "" if lo <= rate <= hi else f"  <-- outside [{lo}, {hi}]"
         print(f"  accept({name}) = {rate:.3f}{note}")
-    rate = chain.accept_rate_latents
-    note = "" if lo <= rate <= hi else f"  <-- outside [{lo}, {hi}]"
-    print(f"  accept(latents) = {rate:.3f}{note}")
     print(f"  likelihood errors = {chain.n_likelihood_errors}")
     _warn_if_unmixed((row.name, row.ess_bulk) for row in summary)
     print(f"wrote {out}/: params.csv, latents.csv, summary.csv, model_fair/")

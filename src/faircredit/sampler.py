@@ -17,8 +17,9 @@ the engine's kernels (probmodel._softplus_rows and _credit_rows). A sweep
   over the cap is rejected and counted as a likelihood error. One step per
   head left the logistic heads the slowest to mix (worst bulk ESS 89 on
   synth_large's chain at seed 0); the second doubles their ESS;
-- every latent score at once, by a uniform-window random walk of half-width
-  delta, accepted row by row; the accepted rows are merged in by index;
+- every latent score at once, by a uniform-window random walk, row i's
+  window of half-width delta_i (see Tuning), accepted row by row; the
+  accepted rows are merged in by index;
 - a scale move: c -> c e^eta and the three loadings -> e^-eta, with
   eta ~ N(0, tau^2), accepted on its prior change plus its Jacobian
   (n - 3) eta;
@@ -42,13 +43,16 @@ scratch in rounding only. The predictor's association is the matrix
 product's, not HEAD_TERMS order, so the rows match head_log_likelihood's
 within rounding, not bit for bit.
 
-Tuning. F, tau and delta are the only proposal scales. F and tau are
-functions of the state (tau = 2.38 / sqrt(2 (sum c^2 + sum of squared
-loadings))), computed (_State.tune) at the start and after burn-in sweeps
-1, 2, 4, 8, ... (so that the scales follow the chain's first steps away
-from the all-zero start), every ADAPT_EVERY sweeps, and the last. delta is
-rescaled every ADAPT_EVERY burn-in sweeps toward target_accept when
-adapt_during_burn_in is set. After burn-in all three are frozen, so the
+Tuning. F, tau and the latent half-widths delta are the only proposal
+scales, and each is a function of the state: tau = 2.38 / sqrt(2 (sum c^2
++ sum of squared loadings)), and delta_i = 2.38 sqrt(3 / H_i), where
+H_i = 1 + sum_h k_h^2 w_hi is row i's conditional curvature in c, k_h head
+h's loading and w_hi the row's Fisher weight in F (p (1 - p), or the
+rate). A uniform window of half-width delta_i has sd 2.38 / sqrt(H_i), the
+Roberts-Gelman-Gilks scale with d = 1. All are computed (_State.tune) at
+the start and after burn-in sweeps 1, 2, 4, 8, ... (so that the scales
+follow the chain's first steps away from the all-zero start), every
+ADAPT_EVERY sweeps, and the last. After burn-in they are frozen, so the
 kernel is a fixed Metropolis-Hastings kernel.
 
 Test-time inference (infer_latent) fixes the parameters, so each row's
@@ -104,7 +108,6 @@ from .util import (
 )
 
 ADAPT_EVERY = 100     # sweeps between tunings during burn-in
-ADAPT_FACTOR = 1.1
 ERROR_BUDGET = 0.01   # abort when likelihood errors exceed this fraction of steps
 BUDGET = 1 << 16      # latent uniforms drawn per refill, in whole sweeps of 2n
 RW_SCALE = 2.38       # a random walk's scale per sqrt(dimension), Roberts et al. 1997
@@ -134,22 +137,17 @@ _CELLS = tuple(
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain length and the latent proposal's width.
+    """Chain length and seed.
 
     iterations counts total sweeps; the first burn_in sweeps are discarded and
     the rest kept at stride thin, so (iterations - burn_in) // thin draws are
-    stored. delta is the half-width of the uniform latent proposal; with
-    adapt_during_burn_in it is rescaled by 1.1 every 100 burn-in sweeps
-    toward target_accept, then frozen. The coefficient blocks and the moves
-    scale themselves by the state (see the module docstring).
+    stored. Nothing else is settable: every proposal, the latents' windows
+    included, scales itself by the state (see the module docstring).
     """
 
     iterations: int = 5000
     burn_in: int = 1000
     thin: int = 1
-    delta: float = 0.5
-    adapt_during_burn_in: bool = True
-    target_accept: float = 0.35
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -164,10 +162,6 @@ class SamplerConfig:
             )
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if not (0 < self.target_accept < 1):
-            raise ValueError(f"target_accept must be in (0,1), got {self.target_accept!r}")
         check_seed(self.seed, "seed")
 
     def n_draws(self) -> int:
@@ -218,7 +212,7 @@ class _Tuning(NamedTuple):
 
     factor: np.ndarray  # (12, n_block): a block step's normals to its coefficients' moves
     tau: float          # the scale move's normal sd
-    delta: float        # the latent window's half-width
+    widths: np.ndarray  # (n,): each latent window's half-width
 
 
 def _block_factor(info: np.ndarray) -> np.ndarray:
@@ -278,15 +272,22 @@ class _State:
         """The parameter vector, in serialization order."""
         return self.coefs.take(self.cells)
 
-    def tune(self, delta: float) -> _Tuning:
-        """The proposal scales at this state, with latent half-width delta."""
+    def tune(self) -> _Tuning:
+        """The proposal scales at this state."""
         X, c, loads = self.X, self.X[3], self.coefs[:, 3]
         pred = np.matmul(self.coefs, X)
         t = np.exp(-np.abs(pred[:2]))
         weights = t / ((1.0 + t) * (1.0 + t))  # p (1 - p) of each logistic row
         logistic = np.matmul(X * weights[:, None, :], X.T)
         xc = X[self.credit_rows]
-        credit = np.matmul(xc * np.exp(pred[2]), xc.T)
+        rate = np.exp(pred[2])
+        credit = np.matmul(xc * rate, xc.T)
+        # each latent's conditional curvature H = 1 + sum_h k_h^2 w_h, its
+        # rows' weights by the squared loadings plus the prior's 1; a uniform
+        # window of half-width RW_SCALE sqrt(3 / H) has sd RW_SCALE / sqrt(H)
+        squares = loads * loads
+        curvature = squares[0] * weights[0] + squares[1] * weights[1] + squares[2] * rate + 1.0
+        widths = RW_SCALE * np.sqrt(3.0 / curvature)
         # the scale move's log target has curvature -2 (sum c^2 + sum loads^2)
         # at eta = 0; with both sums 0 the move is the identity, so tau = 0
         spread = float(c @ c) + float(loads @ loads)
@@ -296,7 +297,7 @@ class _State:
         factor = np.zeros((12, self.n_block))
         factor[0:4, 0:4], factor[4:8, 4:8] = _block_factor(logistic)
         factor[8 + self.credit_rows, 8:] = _block_factor(credit)
-        return _Tuning(factor, tau, delta)
+        return _Tuning(factor, tau, widths)
 
     def _kept_totals(self) -> list[float]:
         """Each head's kept rows' sum (the logistic heads' softplus sums),
@@ -336,12 +337,12 @@ class _State:
                 kept[h] = new[h]
         return accepted, int(n_over > 0)
 
-    def latents(self, delta: float, steps: np.ndarray, log_u: np.ndarray) -> tuple[int, int]:
-        """Every latent score's random-walk step, c + delta * steps, accepted
+    def latents(self, widths: np.ndarray, steps: np.ndarray, log_u: np.ndarray) -> tuple[int, int]:
+        """Every latent score's random-walk step, c + widths * steps, accepted
         where log_u is below its log ratio. Returns how many accepted and how
         many proposed a rate over the cap."""
         c, moved = self.X[3], self._proposal[3]
-        d = steps * delta
+        d = steps * widths
         np.add(c, d, out=moved)
         soft, crow, n_over = self._rows(self.coefs, self._proposal)
         # each latent's log ratio: its rows' change, less the prior's, half
@@ -423,7 +424,7 @@ def _sweep(
         accepted, over = state.blocks(tuning, normals[nb * step:nb * (step + 1)], log_u[3 * step:])
         accepts = [a + b for a, b in zip(accepts, accepted)]
         errors += over
-    n_accepted, n_over = state.latents(tuning.delta, steps, latent_log_u)
+    n_accepted, n_over = state.latents(tuning.widths, steps, latent_log_u)
     rest = normals[nb * BLOCK_STEPS:].tolist()
     state.scale(tuning.tau, rest[0], log_u[-1])
     state.shifts(rest[1:])
@@ -475,8 +476,7 @@ def run_chain(
 
     state = _State(design, np.zeros(k), np.zeros(n))
     c = state.X[3]
-    delta = cfg.delta
-    tuning = state.tune(delta)
+    tuning = state.tune()
 
     param_rng = derive_rng(cfg.seed, STREAM_PARAMS, 0)
     latent_rng = derive_rng(cfg.seed, STREAM_TRAIN_LATENT, 0)
@@ -495,7 +495,6 @@ def run_chain(
     post_sweeps = cfg.iterations - cfg.burn_in
     acc_blocks_post = [0, 0, 0]
     acc_latent_post = 0
-    win_latent_acc = 0
     err_steps = 0
 
     draw_idx = 0
@@ -515,7 +514,6 @@ def run_chain(
             np.log(log_u, out=log_u)  # log 0 = -inf
         accepts, n_acc, errors = _sweep(state, tuning, normals, param_log_u, w[s], log_u[s])
         err_steps += errors
-        win_latent_acc += n_acc
         if post:
             acc_latent_post += n_acc
             acc_blocks_post = [a + b for a, b in zip(acc_blocks_post, accepts)]
@@ -527,20 +525,14 @@ def run_chain(
                 f"sampler aborted at sweep {sweep}: {err_steps} likelihood errors (steps "
                 "proposing a credit rate above model.poisson_rate_cap = "
                 f"{model_config.poisson_rate_cap!r}) over {total_steps} steps "
-                f"(> {ERROR_BUDGET:.0%}); delta={delta!r}"
+                f"(> {ERROR_BUDGET:.0%})"
             )
-        if sweep <= cfg.burn_in:
-            window = sweep % ADAPT_EVERY == 0
-            if window:
-                if cfg.adapt_during_burn_in:
-                    # the window since the last rescaling is ADAPT_EVERY sweeps long
-                    rate = win_latent_acc / (n * ADAPT_EVERY)
-                    delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
-                win_latent_acc = 0
-            # powers of two too, so that the scales follow the chain's first
-            # steps away from the all-zero start
-            if window or sweep & (sweep - 1) == 0 or sweep == cfg.burn_in:
-                tuning = state.tune(delta)
+        # powers of two too, so that the scales follow the chain's first
+        # steps away from the all-zero start
+        if sweep <= cfg.burn_in and (
+            sweep % ADAPT_EVERY == 0 or sweep & (sweep - 1) == 0 or sweep == cfg.burn_in
+        ):
+            tuning = state.tune()
 
         if post and (sweep - cfg.burn_in) % cfg.thin == 0:
             param_draws[draw_idx] = state.theta()

@@ -52,9 +52,6 @@ PAPER_SAMPLER = SamplerConfig(
     iterations=5000,
     burn_in=1000,
     thin=1,
-    delta=0.5,
-    adapt_during_burn_in=False,
-    target_accept=0.35,
     seed=0,
 )
 
@@ -218,9 +215,6 @@ def test_criterion_5_real_data_chain_quality(report, german_splits):
             iterations=150000,
             burn_in=2000,
             thin=15,
-            delta=0.5,
-            adapt_during_burn_in=True,
-            target_accept=0.35,
             seed=11,
         ),
     )

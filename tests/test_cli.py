@@ -75,7 +75,6 @@ split.seed = 1
 sampler.iterations = 80
 sampler.burn_in = 20
 sampler.thin = 2
-sampler.delta = 0.8
 forest.n_trees = 5
 forest.max_depth = 3
 forest.min_leaf = 2
@@ -136,16 +135,15 @@ def test_resolve_defaults_untouched():
 def test_resolve_preset_then_file_then_flags(tmp_path):
     config = tmp_path / "c.kv"
     config.write_text(
-        "sampler.iterations = 123\nsampler.adapt_during_burn_in = true\n",
+        "sampler.iterations = 123\nsampler.burn_in = 23\n",
         encoding="utf-8",
     )
     cfg = resolve_config(str(config), "paper", 77, str(tmp_path / "o"))
     # preset applied first
     assert cfg["model.include_credit_intercept"] == "false"
-    assert cfg["sampler.delta"] == "0.5"
     # file overrides the preset
     assert cfg["sampler.iterations"] == "123"
-    assert cfg["sampler.adapt_during_burn_in"] == "true"
+    assert cfg["sampler.burn_in"] == "23"
     # flags override everything
     assert cfg["split.seed"] == "77"
     assert cfg["sampler.seed"] == "77"
@@ -197,7 +195,7 @@ def typed_fields(config) -> dict:
 def test_default_config_is_pinned():
     # every output file's header records this hash, so a changed default
     # key or value changes every output
-    assert config_hash(DEFAULTS) == "023e6d830f2ef8d1"
+    assert config_hash(DEFAULTS) == "21e4da5bdb238024"
     assert typed_fields(cli.build_model_config(DEFAULTS)) == typed_fields(ModelConfig())
     assert typed_fields(cli.build_sampler_config(DEFAULTS)) == typed_fields(SamplerConfig())
     assert typed_fields(cli.build_forest_config(DEFAULTS)) == typed_fields(ForestConfig())
@@ -206,14 +204,14 @@ def test_default_config_is_pinned():
 def test_config_file_values_arrive_typed(tmp_path):
     config = tmp_path / "c.kv"
     config.write_text(
-        "sampler.delta = 0.25\nsampler.iterations = 6000\n"
+        "sampler.thin = 4\nsampler.iterations = 6000\n"
         "model.include_credit_intercept = yes\nmodel.credit_scale = 2\nforest.min_leaf = 3\n",
         encoding="utf-8",
     )
     cfg = resolve_config(str(config), None, None, None)
     for built, want in (
         (cli.build_model_config(cfg), ModelConfig(include_credit_intercept=True, credit_scale=2.0)),
-        (cli.build_sampler_config(cfg), SamplerConfig(delta=0.25, iterations=6000)),
+        (cli.build_sampler_config(cfg), SamplerConfig(thin=4, iterations=6000)),
         (cli.build_forest_config(cfg), ForestConfig(min_leaf=3)),
     ):
         assert typed_fields(built) == typed_fields(want)
@@ -264,7 +262,9 @@ def test_fit_linear_models(workspace):
 
 def test_fit_fair_outputs(workspace):
     res = workspace["results"]["fit_fair"]
-    assert "accept(" in res.out
+    # one acceptance line per block: a head's parameters share its rate
+    accepts = [line.split(")")[0] for line in res.out.splitlines() if line.startswith("  accept(")]
+    assert accepts == [f"  accept({name}" for name in ("job", "house", "credit", "latents")]
     # the default rate cap is never reached, and the count goes to stdout only
     assert "\n  likelihood errors = 0\n" in res.out
     assert "likelihood" not in res.err
@@ -646,6 +646,17 @@ def test_bad_config_key_exit_code(tmp_path):
     assert "unknown config keys" in res.err
 
 
+@pytest.mark.parametrize("key", ("delta", "adapt_during_burn_in", "target_accept"))
+def test_deleted_sampler_key_exit_code(tmp_path, key):
+    # the latent windows scale themselves by the state, so the keys that
+    # once set and tuned them are refused as any unknown key is
+    config = tmp_path / "c.kv"
+    config.write_text(f"sampler.{key} = 1\n", encoding="utf-8")
+    res = run_cli(["ingest", "--config", str(config)])
+    assert res.code == 2
+    assert res.err == f"error: {config}: unknown config keys: sampler.{key}\n"
+
+
 AGE_SHIFT_ERROR = "error: config key eval.age_years must be a number in [-102, 102], got "
 
 
@@ -654,7 +665,7 @@ AGE_SHIFT_ERROR = "error: config key eval.age_years must be a number in [-102, 1
     [
         ("sampler.burn_in = 9000", "burn_in must lie in"),
         ("model.credit_scale = -1", "credit_scale must be positive"),
-        ("sampler.delta = abc", "error: config key sampler.delta must be a number, got 'abc'"),
+        ("sampler.iterations = abc", "error: config key sampler.iterations must be an integer, got 'abc'"),
         ("sampler.thin = 1.5", "error: config key sampler.thin must be an integer, got '1.5'"),
         ("model.include_credit_intercept = maybe",
          "error: model.include_credit_intercept: expected a boolean, got 'maybe'"),
@@ -943,7 +954,7 @@ def test_synth_rate_cap_names_its_config_keys(tmp_path):
 def test_synth_warns_as_fit_does(workspace, tmp_path):
     # synth warns on its chain as fit does: on the small config's 30 draws,
     # and not on the benchmark's synth_large config, whose chain mixes
-    # (worst bulk ESS 346, beta_j_c, at seed 0)
+    # (worst bulk ESS 336, beta_h_c, at seed 0)
     fit_warning = workspace["results"]["fit_fair"].err
     assert fit_warning.startswith("warning: worst bulk ESS is ")
     assert workspace["results"]["synth"].err.startswith("warning: worst bulk ESS is ")
@@ -959,13 +970,15 @@ def test_synth_warns_as_fit_does(workspace, tmp_path):
 
 @pytest.mark.parametrize("command", [["fit", "--model", "fair"], ["compare"]], ids=("fit", "compare"))
 def test_default_chain_mixes_without_a_warning(tmp_path, command):
-    # at defaults on the bundled data the chain's worst bulk ESS is 585
-    # (b_j) at seed 0, so neither fit nor compare prints the mixing warning
+    # at defaults on the bundled data the chain's worst bulk ESS is 553
+    # (b_j) at seed 0, so neither fit nor compare prints the mixing warning,
+    # and fit marks no block's acceptance rate outside ACCEPT_RATE_BAND
     config = tmp_path / "data.kv"
     config.write_text(f"data.path = {BUNDLED_DATA}\n", encoding="utf-8")
     res = run_cli([*command, "--config", str(config), "--seed", "0", "--out", str(tmp_path / "out")])
     assert res.code == 0, res.err
     assert res.err == ""
+    assert "<-- outside" not in res.out
 
 
 def test_aborted_synth_writes_nothing(tmp_path):
@@ -978,7 +991,6 @@ def test_aborted_synth_writes_nothing(tmp_path):
         "synth.n = 50", "synth.param.beta_c_c = 1.0", "synth.param.b_c = 2.0",
         "model.include_credit_intercept = true", "model.poisson_rate_cap = 32",
         "sampler.iterations = 200", "sampler.burn_in = 50",
-        "sampler.adapt_during_burn_in = false",
     )
     config.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"

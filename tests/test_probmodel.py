@@ -474,7 +474,7 @@ def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
     for _ in range(10):
         state = under_cap_state(design, config, rng)
         assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
-        tuning = state.tune(0.5)
+        tuning = state.tune()
         for _ in range(4):
             z = 3.0 * rng.standard_normal(state.n_block)
             prop = state.coefs + (tuning.factor @ z).reshape(3, 4)
@@ -508,7 +508,7 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
     n = len(tiny_dataset)
     rng = np.random.default_rng(5)
     state = under_cap_state(design, config, rng)
-    tuning = state.tune(0.5)
+    tuning = state.tune()
     heads_kept = rows_kept = 0
     for _ in range(40):
         before = copy.deepcopy(state)
@@ -527,11 +527,11 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
 
         before = copy.deepcopy(state)
         steps = 2.0 * rng.random(n) - 1.0
-        soft, crow, _ = latent_proposal(state, state.X[3] + steps * tuning.delta)
-        n_acc, _ = state.latents(tuning.delta, steps, np.log(rng.random(n)))
+        soft, crow, _ = latent_proposal(state, state.X[3] + steps * tuning.widths)
+        n_acc, _ = state.latents(tuning.widths, steps, np.log(rng.random(n)))
         moved = state.X[3] != before.X[3]
         assert np.count_nonzero(moved) == n_acc
-        assert np.array_equal(state.X[3], np.where(moved, before.X[3] + steps * tuning.delta, before.X[3]))
+        assert np.array_equal(state.X[3], np.where(moved, before.X[3] + steps * tuning.widths, before.X[3]))
         assert np.array_equal(state.soft, np.where(moved, soft, before.soft))
         assert np.array_equal(state.crow, np.where(moved, crow, before.crow))
         assert np.array_equal(state.coefs, before.coefs)
@@ -584,7 +584,7 @@ def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
     n = len(tiny_dataset)
     rng = np.random.default_rng(23)
     state = under_cap_state(design, config, rng)
-    tuning = state.tune(0.5)
+    tuning = state.tune()
     held = []
 
     def recording(coefs, X):
@@ -599,8 +599,8 @@ def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
         assert len(held) == 1 and all(np.array_equal(a, kept) for a, kept in held[0])
         held.clear()
         steps = 2.0 * rng.random(n) - 1.0
-        proposed = state.X[3] + steps * tuning.delta
-        state.latents(tuning.delta, steps, np.log(rng.random(n)))
+        proposed = state.X[3] + steps * tuning.widths
+        state.latents(tuning.widths, steps, np.log(rng.random(n)))
         assert len(held) == 1 and all(np.array_equal(a, kept) for a, kept in held[0])
         assert np.array_equal(state._proposal[3], proposed)
         assert np.array_equal(state._proposal[:3], state.X[:3])

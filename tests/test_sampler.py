@@ -43,7 +43,6 @@ from faircredit.probmodel import (
 )
 from faircredit.sampler import (
     ADAPT_EVERY,
-    ADAPT_FACTOR,
     BLOCK_STEPS,
     GRID_BLOCK,
     GRID_POINTS,
@@ -73,8 +72,6 @@ def test_sampler_config_validate():
         {"iterations": 10, "burn_in": 10},
         {"burn_in": -1},
         {"thin": 0},
-        {"delta": 0.0},
-        {"target_accept": 1.0},
     ):
         with pytest.raises(ValueError):
             SamplerConfig(**bad)
@@ -165,11 +162,11 @@ def mid_chain_state(data, model_config):
     k = len(model_config.active_param_names())
     state = _State(design, np.zeros(k), np.zeros(len(design)))
     rng = derive_rng(0, 9, 0)
-    tuning = state.tune(0.8)
+    tuning = state.tune()
     for sweep in range(1, 151):
         sweep_once(state, tuning, rng)
         if sweep % 50 == 0:
-            tuning = state.tune(0.8)
+            tuning = state.tune()
     return state, tuning, design, rng
 
 
@@ -179,6 +176,18 @@ def sweep_once(state, tuning, rng):
     normals = rng.standard_normal(state.n_normals)
     log_u = np.log(rng.random(PARAM_UNIFORMS)).tolist()
     return _sweep(state, tuning, normals, log_u, 2.0 * rng.random(n) - 1.0, np.log(rng.random(n)))
+
+
+@STEP_MODELS
+def test_latent_widths_come_from_the_engines_curvature(tiny_dataset, model_config):
+    # each row's half-width is RW_SCALE sqrt(3 / H), H = 1 - curv, curv the
+    # row's second derivative in c by the engine's own slopes, an
+    # independent path to the weights tune reads off its predictors
+    state, tuning, design, _ = mid_chain_state(tiny_dataset, model_config)
+    curv = per_obs_latent_slopes(state.theta(), state.X[3], design)[1]
+    want = RW_SCALE * np.sqrt(3.0 / (1.0 - curv))
+    assert np.allclose(tuning.widths, want, rtol=1e-12, atol=0.0)
+    assert np.ptp(tuning.widths) > 0.1 * tuning.widths.max()
 
 
 @STEP_MODELS
@@ -226,8 +235,9 @@ class UniformPair:
 @STEP_MODELS
 def test_latent_step_matches_the_scalar_kernel(tiny_dataset, model_config):
     # each latent's proposal and log ratio are mh_step_scalar's on that row
-    # alone, from scratch: the vectorized step accepts every finite ratio
-    # just below it and none just above, and counts the proposals over the cap
+    # alone with that row's own width, from scratch: the vectorized step
+    # accepts every finite ratio just below it and none just above, and
+    # counts the proposals over the cap
     state, tuning, design, rng = mid_chain_state(tiny_dataset, model_config)
     n = len(design)
     theta = state.theta()
@@ -244,19 +254,20 @@ def test_latent_step_matches_the_scalar_kernel(tiny_dataset, model_config):
                 return -math.inf if n_over else float(rows[0]) - 0.5 * v * v
 
             # an accept uniform of 0 accepts every finite ratio
-            proposals[i], _, ratios[i] = mh_step_scalar(c[i], target, tuning.delta, UniformPair(u[0, i], 0.0))
+            width = float(tuning.widths[i])
+            proposals[i], _, ratios[i] = mh_step_scalar(c[i], target, width, UniformPair(u[0, i], 0.0))
         finite = np.isfinite(ratios)
         bounded = np.where(finite, ratios, 0.0)
         for side in (-1.0, 1.0):
             trial = copy.deepcopy(state)
             log_u = np.where(finite, bounded + side * RATIO_TOL * (1.0 + np.abs(bounded)), -np.inf)
-            n_acc, n_over = trial.latents(tuning.delta, 2.0 * u[0] - 1.0, log_u)
+            n_acc, n_over = trial.latents(tuning.widths, 2.0 * u[0] - 1.0, log_u)
             assert n_over == np.count_nonzero(ratios == -np.inf)
             want = finite if side < 0 else np.zeros(n, dtype=bool)
             assert n_acc == np.count_nonzero(want)
             assert np.array_equal(trial.X[3], np.where(want, proposals, c))
         over += n_over
-        state.latents(tuning.delta, 2.0 * u[0] - 1.0, np.log(u[1]))
+        state.latents(tuning.widths, 2.0 * u[0] - 1.0, np.log(u[1]))
     if model_config.poisson_rate_cap < 1e3:
         assert over > 0
 
@@ -378,8 +389,9 @@ def test_block_steps_reject_and_count_a_credit_rate_over_the_cap(tiny_dataset):
 
 def test_run_chain_keeps_no_state_over_the_rate_cap(tiny_dataset):
     # a cap at about twice the data's largest count (45): the chain's steps
-    # propose rates over it (29 to 42 times at seeds 0-7), under the error
-    # budget; no kept draw is over it
+    # propose rates over it (8 to 45 times at seeds 0 and 2-7; at seed 1 the
+    # early latent steps pass the budget), under the error budget; no kept
+    # draw is over it
     cfg = SamplerConfig(iterations=300, burn_in=100, seed=3)
     mc = ModelConfig(poisson_rate_cap=110.0)
     chain = run_chain(tiny_dataset, mc, cfg, latent_columns=range(len(tiny_dataset)))
@@ -400,11 +412,11 @@ def test_kept_rows_match_rows_from_scratch_after_200_sweeps():
         design = Design.from_dataset(train, mc)
         state = _State(design, np.zeros(len(mc.active_param_names())), np.zeros(len(design)))
         rng = derive_rng(1, 9, 0)
-        tuning = state.tune(0.5)
+        tuning = state.tune()
         for sweep in range(1, 201):
             sweep_once(state, tuning, rng)
             if sweep & (sweep - 1) == 0:
-                tuning = state.tune(0.5)
+                tuning = state.tune()
         theta, c = state.theta(), state.X[3]
         scratch = [-head_log_likelihood(h, theta, c, design)[2] for h in (HEAD_JOB, HEAD_HOUSE)]
         credit = head_log_likelihood(HEAD_CREDIT, theta, c, design)[2]
@@ -433,7 +445,12 @@ def geweke_draws(seed: int) -> np.ndarray:
     counts may be 0, which generate_synthetic would clamp to 1. The
     posterior is symmetric under c -> -c with the three loadings negated,
     and no step crosses between the two mirror modes, so each iteration
-    also flips them with probability 1/2, an exact move of the posterior."""
+    also flips them with probability 1/2, an exact move of the posterior.
+
+    The scales are fixed at prior-typical values, since the simulator
+    wanders over the whole prior: the block factors from the all-zero
+    state, tau from the prior's mean sum of squares, and every latent
+    window 1 wide."""
     rng = derive_rng(seed, 9, 1)
     n = GEWEKE_ROWS
     sex = (np.arange(n) % 2).astype(float)
@@ -449,8 +466,8 @@ def geweke_draws(seed: int) -> np.ndarray:
         return Design(sex, age, 1.0 - 2.0 * job, 1.0 - 2.0 * house, counts, lgamma, cap_log)
 
     theta, c = rng.standard_normal(11), rng.standard_normal(n)
-    tuning = _State(outcomes(theta, c), np.zeros(11), np.zeros(n)).tune(1.0)
-    tuning = tuning._replace(tau=RW_SCALE / math.sqrt(2.0 * (n + 3)))
+    tuning = _State(outcomes(theta, c), np.zeros(11), np.zeros(n)).tune()
+    tuning = tuning._replace(tau=RW_SCALE / math.sqrt(2.0 * (n + 3)), widths=np.ones(n))
     draws = np.empty((GEWEKE_DRAWS, 14))
     for t in range(GEWEKE_DRAWS):
         state = _State(outcomes(theta, c), theta, c)
@@ -492,11 +509,13 @@ CHAIN_TOL = 1e-12
 
 def reference_tuning(theta, c, design):
     """_State.tune restated on (theta, c): each head's block factor
-    chol(s^2 (F + I)^-1) over its own parameters, in parameter order, and
-    the scale move's tau."""
+    chol(s^2 (F + I)^-1) over its own parameters, in parameter order, the
+    scale move's tau, and each latent's half-width RW_SCALE sqrt(3 / H),
+    H = 1 + sum_h k_h^2 w_h from the heads' same weights."""
     k = theta.shape[0]
     columns = {"one": np.ones(len(design)), "sex": design.sex, "age": design.age, "c": c}
     factors = []
+    curvature = np.ones(len(design))
     for head, terms in enumerate(HEAD_TERMS):
         x = np.stack([columns[name] for pos, name in terms if pos < k])
         lin = probmodel._linear_predictor(head, theta, c, design)
@@ -505,9 +524,11 @@ def reference_tuning(theta, c, design):
         d = x.shape[0]
         cov = np.linalg.inv((x * weights) @ x.T + np.eye(d))
         factors.append(RW_SCALE / math.sqrt(d) * np.linalg.cholesky(cov))
+        curvature += theta[LATENT_SLOPES[head]] ** 2 * weights
     loads = theta[list(LATENT_SLOPES)]
     spread = float(c @ c) + float(loads @ loads)
-    return factors, (RW_SCALE / math.sqrt(2.0 * spread) if spread > 0.0 else 0.0)
+    tau = RW_SCALE / math.sqrt(2.0 * spread) if spread > 0.0 else 0.0
+    return factors, tau, RW_SCALE * np.sqrt(3.0 / curvature)
 
 
 def reference_chain(data, model_config, cfg):
@@ -526,14 +547,13 @@ def reference_chain(data, model_config, cfg):
     n_block = sum(len(params) for params in heads)
     shifts = SHIFT_COLUMNS if k == len(PARAM_NAMES) else SHIFT_COLUMNS[:2]
     columns = {"one": np.ones(n), "sex": design.sex, "age": design.age}
-    delta = cfg.delta
-    factors, tau = reference_tuning(theta, c, design)
+    factors, tau, widths = reference_tuning(theta, c, design)
     param_rng = derive_rng(cfg.seed, STREAM_PARAMS, 0)
     latent_rng = derive_rng(cfg.seed, STREAM_TRAIN_LATENT, 0)
 
     post_sweeps = cfg.iterations - cfg.burn_in
     acc_heads = [0, 0, 0]
-    acc_latent = win_latent = 0
+    acc_latent = 0
     param_errors = latent_errors = 0  # over-cap proposals in each phase
     draws_p, draws_c = [], []
 
@@ -571,8 +591,7 @@ def reference_chain(data, model_config, cfg):
         # the accept tests
         u = latent_rng.random((2, n))
         for i in range(n):
-            c[i], accepted, _ = mh_step_scalar(c[i], latent_target(i), delta, UniformPair(u[0, i], u[1, i]))
-            win_latent += accepted
+            c[i], accepted, _ = mh_step_scalar(c[i], latent_target(i), widths[i], UniformPair(u[0, i], u[1, i]))
             acc_latent += accepted and post
         rest = normals[BLOCK_STEPS * n_block:].tolist()
         eta = tau * rest[0]
@@ -591,15 +610,10 @@ def reference_chain(data, model_config, cfg):
             theta = theta.copy()
             theta[at] -= m * loads
             c = c + m * x
-        if sweep <= cfg.burn_in:
-            window = sweep % ADAPT_EVERY == 0
-            if window:
-                if cfg.adapt_during_burn_in:
-                    rate = win_latent / (n * ADAPT_EVERY)
-                    delta = delta * ADAPT_FACTOR if rate > cfg.target_accept else delta / ADAPT_FACTOR
-                win_latent = 0
-            if window or sweep & (sweep - 1) == 0 or sweep == cfg.burn_in:
-                factors, tau = reference_tuning(theta, c, design)
+        if sweep <= cfg.burn_in and (
+            sweep % ADAPT_EVERY == 0 or sweep & (sweep - 1) == 0 or sweep == cfg.burn_in
+        ):
+            factors, tau, widths = reference_tuning(theta, c, design)
         if post and (sweep - cfg.burn_in) % cfg.thin == 0:
             draws_p.append(theta.copy())
             draws_c.append(c.copy())
@@ -626,22 +640,22 @@ def assert_chain_matches_reference(data, model_config, cfg):
 
 
 def test_run_chain_matches_scalar_kernels_with_intercept(tiny_dataset):
-    # the 12th coordinate active, so three shifts; no adaptation, thin 1
-    cfg = SamplerConfig(iterations=60, burn_in=20, thin=1, adapt_during_burn_in=False, seed=8)
+    # the 12th coordinate active, so three shifts; thin 1
+    cfg = SamplerConfig(iterations=60, burn_in=20, thin=1, seed=8)
     mc = ModelConfig(include_credit_intercept=True, credit_scale=5.0)
     assert_chain_matches_reference(tiny_dataset, mc, cfg)
 
 
 def test_run_chain_matches_scalar_kernels_across_the_rate_cap(tiny_dataset):
-    # a cap of 70, about 1.5 times the largest count (45), and a narrow
-    # latent window, crossing one adaptation event at sweep 100: proposals of
-    # both phases cross the cap and are rejected (5 block steps and 3 latent
-    # steps of 2280), under the error budget, and run_chain must keep none
-    # of their rows. At a cap of 80 and the default window the Fisher-scaled
-    # blocks cross it twice and the latents 42 times, over the budget
-    cfg = SamplerConfig(iterations=120, burn_in=100, thin=2, delta=0.2, seed=3)
+    # a cap of 90, twice the largest count (45), crossing the tuning at
+    # sweep 100: proposals of both phases cross the cap and are rejected
+    # (2 block steps and 12 latent steps of 2280), under the error budget,
+    # and run_chain must keep none of their rows. The latents' windows are
+    # wide while the credit loading is still growing, so at a cap of 70 the
+    # latents pass the budget by sweep 100 at every seed 0-7
+    cfg = SamplerConfig(iterations=120, burn_in=100, thin=2, seed=3)
     param_errors, latent_errors = assert_chain_matches_reference(
-        tiny_dataset, ModelConfig(poisson_rate_cap=70.0), cfg
+        tiny_dataset, ModelConfig(poisson_rate_cap=90.0), cfg
     )
     assert param_errors > 0 and latent_errors > 0
 
@@ -725,15 +739,18 @@ def test_run_chain_streams_exact_latent_summaries(tiny_dataset, short_sampler_co
 
 def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset, monkeypatch):
     # the scales are tuned at the start and after burn-in sweeps 1, 2, 4,
-    # ..., every 100th and the last, and delta rescaled only at every 100th
-    # and only with adaptation; after burn-in every sweep runs on the one
-    # tuning made at its end
-    sweeps, tuned_after, used = [], [], []
+    # ..., every 100th and the last, each time from the state alone: every
+    # tuning's latent widths are RW_SCALE sqrt(3 / (1 - curv)) at the state
+    # it was made in, and they move as the state does. After burn-in every
+    # sweep runs on the one tuning made at its end
+    sweeps, tuned_after, used, want = [], [], [], []
     real_tune, real_sweep = _State.tune, sampler._sweep
 
-    def tune(state, delta):
+    def tune(state):
         tuned_after.append(len(sweeps))
-        return real_tune(state, delta)
+        curv = per_obs_latent_slopes(state.theta(), state.X[3], state.design)[1]
+        want.append(RW_SCALE * np.sqrt(3.0 / (1.0 - curv)))
+        return real_tune(state)
 
     def sweep(state, tuning, *args):
         sweeps.append(None)
@@ -742,20 +759,16 @@ def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset, monkeypatch):
 
     monkeypatch.setattr(_State, "tune", tune)
     monkeypatch.setattr(sampler, "_sweep", sweep)
-    for adapt in (False, True):
-        cfg = SamplerConfig(iterations=400, burn_in=250, adapt_during_burn_in=adapt, seed=2)
-        for record in (sweeps, tuned_after, used):
-            record.clear()
-        run_chain(tiny_dataset, ModelConfig(), cfg)
-        assert tuned_after == [0, 1, 2, 4, 8, 16, 32, 64, 100, 128, 200, 250]
-        assert all(t is used[250] for t in used[250:])
-        deltas = [used[s].delta for s in tuned_after]
-        if adapt:
-            changed = [s for s, a, b in zip(tuned_after[1:], deltas, deltas[1:]) if a != b]
-            assert changed == [100, 200]
-            assert deltas[-1] in [cfg.delta * ADAPT_FACTOR ** e for e in (-2, 0, 2)]
-        else:
-            assert deltas == [cfg.delta] * len(deltas)
+    run_chain(tiny_dataset, ModelConfig(), SamplerConfig(iterations=400, burn_in=250, seed=2))
+    assert tuned_after == [0, 1, 2, 4, 8, 16, 32, 64, 100, 128, 200, 250]
+    assert all(t is used[250] for t in used[250:])
+    widths = [used[s].widths for s in tuned_after]
+    for got, expected in zip(widths, want):
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+    # the all-zero start's curvature is 1 in every row; after it each tuning
+    # gives new widths
+    assert np.array_equal(widths[0], np.full(len(tiny_dataset), RW_SCALE * math.sqrt(3.0)))
+    assert all(not np.array_equal(a, b) for a, b in zip(widths, widths[1:]))
 
 
 def test_run_chain_restores_the_error_state_when_it_aborts(tiny_dataset):
@@ -774,7 +787,7 @@ def test_run_chain_restores_the_error_state_when_it_aborts(tiny_dataset):
 def test_run_chain_aborts_on_persistent_likelihood_errors(tiny_dataset):
     # a cap below exp(0) makes every credit evaluation overflow
     mc = ModelConfig(poisson_rate_cap=1e-6)
-    cfg = SamplerConfig(iterations=100, burn_in=0, adapt_during_burn_in=False, seed=0)
+    cfg = SamplerConfig(iterations=100, burn_in=0, seed=0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ConfigError, match="likelihood errors"):
             run_chain(tiny_dataset, mc, cfg)
