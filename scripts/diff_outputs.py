@@ -25,8 +25,9 @@ row), each into its own --out path, so that both edges of the chain export
 are compared: rows of the draw index alone, with no trailing comma, and the
 widest latents.csv. Last come the refused runs, so that their error messages and exit codes are
 compared. `fit --model fair` runs with `model.poisson_rate_cap = 100`
-into out_budget: its steps over the cap pass the likelihood-error budget
-and the chain aborts (at sweep 100 at seed 0), so its exit code, its error
+into out_budget: its steps over the cap pass the likelihood-error budget,
+which counts the sweeps after burn-in, and the chain aborts (at sweep 1,100
+at seed 0, the first check after burn-in), so its exit code, its error
 line and the absence of any file it wrote are compared. `synth` runs with
 two configs it refuses (`sampler.thin = abc`, `model.poisson_rate_cap = x`)
 into one more --out path; synth reads every config it needs before any work, in both

@@ -13,6 +13,9 @@ run_chain at the default sampler config with --seed on each:
 
     fit          the fit workload's chain: the bundled data's 800-row
                  training split (split seed --seed), default model config.
+    fit16        the first 16 rows of that split, default model config: a
+                 sweep there is almost all fixed per-call cost, which this
+                 chain measures as a layer of its own.
     synth_large  the synth_large workload's chain: generate_synthetic at
                  n = 3200 with acceptance 3's truth (perfbench/checks.py),
                  synth seed --seed, the credit intercept on.
@@ -23,14 +26,15 @@ thread on the same CPU that times a fixed loop of small numpy calls by its
 own CPU time. A chain's probe loops are its seconds divided by that loop's
 mean time during it, so they stay put when the host switches its CPU's
 speed, as raw seconds do not. For each chain the script prints each tree's
-median and quartiles of probe loops, with the median raw seconds beside
-them, the ratio of the loop medians (new/old) and the rounds in which the
-new tree took fewer loops; then each tree's worst folded bulk ESS (the
-minimum of diagnostics.ess_bulk over the parameters, with every draw folded
-to beta_c_c <= 0 by negating the three latent loadings, since the posterior
-is symmetric under that mirror), that ESS per 1,000 probe loops of its
-median chain, the sampler's figure of merit, and the latents' acceptance
-rate after burn-in; then one JSON line with every round's times.
+median and quartiles of probe loops, with the median raw seconds and
+microseconds per sweep beside them, the ratio of the loop medians (new/old)
+and the rounds in which the new tree took fewer loops; then each tree's
+worst folded bulk ESS (the minimum of diagnostics.ess_bulk over the
+parameters, with every draw folded to beta_c_c <= 0 by negating the three
+latent loadings, since the posterior is symmetric under that mirror), that
+ESS per 1,000 probe loops of its median chain, the sampler's figure of
+merit, and the latents' acceptance rate after burn-in; then one JSON line
+with every round's times.
 The chains must agree bit for bit: the exit code is 1, and a line says so,
 when the sha256 of param_draws and latent_mean differs between the trees in
 any round.
@@ -48,8 +52,9 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CHAINS = ("fit", "synth_large")
+CHAINS = ("fit", "fit16", "synth_large")
 TRAIN_COUNT = 800
+SMALL_COUNT = 16  # fit16's rows
 
 
 def child(seed: int) -> None:
@@ -68,14 +73,16 @@ def child(seed: int) -> None:
     synth, _ = generate_synthetic(ModelParams(**SYNTH_TRUTH), SYNTH_N, seed)
     runs = {
         "fit": (train, ModelConfig()),
+        "fit16": (train.subset(np.arange(SMALL_COUNT)), ModelConfig()),
         "synth_large": (synth, ModelConfig(include_credit_intercept=True)),
     }
+    config = SamplerConfig(seed=seed)
     result = {}
     for name in CHAINS:
         data, model_config = runs[name]
         with SpeedProbe() as probe:
             start = time.perf_counter()
-            chain = run_chain(data, model_config, SamplerConfig(seed=seed))
+            chain = run_chain(data, model_config, config)
             elapsed = time.perf_counter() - start
         digest = hashlib.sha256(chain.param_draws.tobytes() + chain.latent_mean.tobytes())
         folded = chain.param_draws.copy()
@@ -83,6 +90,7 @@ def child(seed: int) -> None:
         folded[:, loads] *= np.where(folded[:, loads[-1]] > 0.0, -1.0, 1.0)[:, None]
         result[name] = {
             "s": elapsed, "loops": elapsed / probe.mean_s(), "sha256": digest.hexdigest(),
+            "us_per_sweep": 1e6 * elapsed / config.iterations,
             "ess": min(ess_bulk(column) for column in folded.T),
             "accept_latents": chain.accept_rate_latents,
         }
@@ -126,7 +134,8 @@ def main(argv=None) -> int:
         print(f"round {r + 1}: " + ", ".join(
             f"{name} " + " ".join(
                 f"{side} {rounds[-1][side][name]['loops']:.0f} loops "
-                f"({rounds[-1][side][name]['s']:.4f} s)" for side in trees)
+                f"({rounds[-1][side][name]['s']:.4f} s, "
+                f"{rounds[-1][side][name]['us_per_sweep']:.1f} us/sweep)" for side in trees)
             for name in CHAINS), flush=True)
     differ = False
     for name in CHAINS:
@@ -135,8 +144,9 @@ def main(argv=None) -> int:
         for side in trees:
             lo, hi = quartiles(loops[side]) if args.rounds > 1 else (medians[side],) * 2
             seconds = statistics.median(rd[side][name]["s"] for rd in rounds)
+            sweep_us = statistics.median(rd[side][name]["us_per_sweep"] for rd in rounds)
             print(f"{name} {side}: median {medians[side]:.0f} probe loops, "
-                  f"quartiles {lo:.0f}-{hi:.0f} (median {seconds:.4f} s)")
+                  f"quartiles {lo:.0f}-{hi:.0f} (median {seconds:.4f} s, {sweep_us:.1f} us/sweep)")
         wins = sum(rd["new"][name]["loops"] < rd["old"][name]["loops"] for rd in rounds)
         print(f"{name}: ratio of medians new/old {medians['new'] / medians['old']:.4f}, "
               f"new faster in {wins} of {args.rounds} rounds")

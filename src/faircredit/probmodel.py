@@ -9,15 +9,15 @@ log-space, and overflow-guarded.
 The likelihood is written once, per head, over arrays of observations. A
 head's linear predictor is its HEAD_TERMS entry: (parameter, column) terms
 added left to right, which fixes the floating-point association of every
-evaluation of it. Its rows come from _softplus_rows or _credit_rows.
+evaluation of it. Its rows come from _softplus_rows or _credit_rows, or,
+for all three heads at once, from _stacked_rows.
 
 A logistic row is log sigmoid(z) of the signed predictor z. The engine
 multiplies the linear predictor by the outcome's negated sign (Design's
-job_nsign and house_nsign), which gives nz = -z at no extra cost. One
-kernel, _softplus_rows, the one site of a logistic block's exp and log1p,
-computes the softplus s = log1p(exp(nz)), minus the row: exp and log1p in
-place in nz's buffer. _head_rows subtracts it from 0, which gives the row;
-the sampler keeps s itself, and subtracts it where it adds rows. The
+job_nsign and house_nsign), which gives nz = -z at no extra cost. The
+softplus s = log1p(exp(nz)) is minus the row: exp and log1p in place in
+nz's buffer. _head_rows subtracts it from 0, which gives the row; the
+sampler keeps s itself, and subtracts it where it adds rows. The
 stable formula, min(z, 0) - log1p(exp(-|z|)), takes six passes (abs,
 negative, exp, log1p, minimum, subtract) for the same two transcendental
 ones. Both are vectorized; np.logaddexp calls a scalar function per
@@ -30,10 +30,13 @@ over nz guards the exp, so no overflow warning is raised.
 
 head_log_likelihood evaluates one head from scratch (_head_rows) and returns
 its rows beside their sum. per_obs_log_likelihood adds the heads per
-observation. The sampler computes the heads' linear predictors as one
-matrix product and turns them into rows with the same two kernels,
-_softplus_rows and _credit_rows (sampler._State). Arrays of shape (n, m)
-evaluate m latent values per row through Design.columns(), and
+observation. The sampler (sampler._State) computes the heads' linear
+predictors as one (3, n) matrix product and turns them into rows with
+_stacked_rows, into a buffer it passes: one overflow guard, one exp over
+the three heads and one log1p over the logistic two, the same operations
+as the fast paths of _softplus_rows and _credit_rows, which it falls back
+to past either head's overflow, so its rows are theirs bit for bit. Arrays
+of shape (n, m) evaluate m latent values per row through Design.columns(), and
 per_obs_latent_slopes gives each row's derivatives in c beside the heads
 (_head_slopes), so test-time inference (sampler.infer_latent) is an exact
 function of each row, computed by the same engine.
@@ -295,6 +298,35 @@ def _credit_rows(lin: np.ndarray, design: Design) -> tuple[np.ndarray, int]:
     rows = design.counts * lin - np.exp(np.where(over, 0.0, lin)) - design.lgamma_counts
     rows[over] = -np.inf
     return rows, int(np.count_nonzero(over))
+
+
+def _stacked_rows(pred: np.ndarray, nsign: np.ndarray, design: Design, out: np.ndarray) -> int:
+    """All three heads' rows from their linear predictors pred, (3, n) in head
+    order, written to out (3, n): the job and house heads' softplus rows
+    (minus their log-likelihood rows), then the credit head's Poisson rows.
+    nsign (2, n) holds the logistic outcomes' negated signs. pred is used as
+    scratch. Returns how many credit rates are over the cap.
+
+    One reduction guards all three heads. When no nz is over _EXP_SAFE and
+    no credit rate over the cap, the rows are one exp over the three rows,
+    one log1p over the logistic two and three more passes for credit: the
+    same operations, in the same order, as the fast paths of _softplus_rows
+    and _credit_rows, so bit for bit their rows. Otherwise those two
+    kernels compute the rows, overflow and all."""
+    nz, lin = pred[:2], pred[2]
+    nz *= nsign
+    top = np.maximum.reduce(pred, axis=1).tolist()
+    if top[0] <= _EXP_SAFE and top[1] <= _EXP_SAFE and top[2] <= design.cap_log:
+        np.exp(pred, out=out)
+        soft, credit = out[:2], out[2]
+        np.log1p(soft, out=soft)
+        lin *= design.counts
+        np.subtract(lin, credit, out=credit)
+        credit -= design.lgamma_counts
+        return 0
+    out[:2] = _softplus_rows(nz)
+    out[2], n_over = _credit_rows(lin, design)
+    return n_over
 
 
 def _head_rows(

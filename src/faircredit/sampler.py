@@ -3,10 +3,12 @@ exact test-time inference of latent scores under fixed parameters.
 
 The sweep. The chain's state (_State) keeps X = [1, sex, age, c], a (4, n)
 array whose row 3 holds the latent scores, each head's coefficients over
-X's rows, and each head's rows: the job and house heads' softplus rows
-(minus their log-likelihood rows) and the credit head's Poisson rows, by
-the engine's kernels (probmodel._softplus_rows and _credit_rows). A sweep
-(_sweep) makes four kinds of step, in this order:
+X's rows, and the heads' rows in one (3, n) array: the job and house heads'
+softplus rows (minus their log-likelihood rows) and the credit head's
+Poisson rows, by the engine's stacked kernel (probmodel._stacked_rows),
+with each head's sum of them cached. A proposal is evaluated, all three
+heads at once, into a second (3, n) buffer, not into new arrays.
+A sweep (_sweep) makes four kinds of step, in this order:
 
 - BLOCK_STEPS random-walk block steps per head: beta' = beta + L z, with L
   the Cholesky factor of s^2 (F + I)^-1, F the head's Fisher information at
@@ -19,7 +21,7 @@ the engine's kernels (probmodel._softplus_rows and _credit_rows). A sweep
   synth_large's chain at seed 0); the second doubles their ESS;
 - every latent score at once, by a uniform-window random walk, row i's
   window of half-width delta_i (see Tuning), accepted row by row; the
-  accepted rows are merged in by index;
+  accepted entries are merged in by index;
 - a scale move: c -> c e^eta and the three loadings -> e^-eta, with
   eta ~ N(0, tau^2), accepted on its prior change plus its Jacobian
   (n - 3) eta;
@@ -32,7 +34,10 @@ The moves are the group moves of Liu & Sabatti 2000: they leave every
 linear predictor unchanged, so they evaluate no likelihood and keep the
 rows. Every accept test, with log ratio r and accept uniform u, accepts
 when log u < r, where log 0 is -inf: since log u < 0, every r >= 0 accepts,
-and a nan or -inf r never does.
+and a nan or -inf r never does. The sweep's scalar work (the block steps'
+prior terms, the scale move's ratio, the shifts' sums over the three
+heads and their coefficients' moves) is done in Python floats, each sum
+added left to right.
 
 The equality contract. Every proposal's linear predictors, a block's or
 the latents', are computed from scratch, as coefs @ X with the moved
@@ -93,8 +98,7 @@ from .probmodel import (
     HEAD_CREDIT,
     HEAD_TERMS,
     PARAM_NAMES,
-    _credit_rows,
-    _softplus_rows,
+    _stacked_rows,
     per_obs_log_likelihood,
 )
 from .util import (
@@ -227,22 +231,28 @@ class _State:
     """One state of the chain: X = [1, sex, age, c], each head's
     coefficients over X's rows, and each head's rows there.
 
-    soft (2, n) holds the job and house heads' softplus rows, minus their
-    log-likelihood rows, and crow the credit head's rows, each from the
-    linear predictor computed from scratch (coefs @ X) when the entry was
-    last accepted. The moves leave every predictor unchanged, so they keep
-    the rows. A latent proposal's predictors are computed from scratch too,
-    in _proposal, a copy of X that differs from it in row 3 alone. The
-    steps change the state in place; see the module docstring.
+    rows (3, n) holds the job and house heads' softplus rows, minus their
+    log-likelihood rows, then the credit head's rows, each from the linear
+    predictor computed from scratch (coefs @ X) when the entry was last
+    accepted; totals() gives each head's sum of them, cached until a latent
+    step changes them. Every proposal is evaluated by the engine's stacked
+    kernel (probmodel._stacked_rows) into a second (3, n) buffer, which
+    becomes rows when a block step accepts all three heads; a partial
+    accept copies the accepted heads' rows, and the latent step merges the
+    accepted columns. The moves leave every predictor unchanged, so they
+    keep the rows. A latent proposal's predictors are computed from
+    scratch too, in _proposal, a copy of X that differs from it in row 3
+    alone. The steps change the state in place; see the module docstring.
     """
 
     def __init__(self, design: Design, theta: np.ndarray, c: np.ndarray):
         k = theta.shape[0]
+        n = len(design)
         self.design = design
         self.cells = np.array(_CELLS[:k])
         self.coefs = np.zeros((3, 4))
         self.coefs.flat[self.cells] = theta
-        self.X = np.stack([np.ones(len(design)), design.sex, design.age, c])
+        self.X = np.stack([np.ones(n), design.sex, design.age, c])
         self._proposal = self.X.copy()
         self.nsign = np.stack([design.job_nsign, design.house_nsign])
         # the credit head's rows of X, in its parameters' order; the rows
@@ -256,17 +266,18 @@ class _State:
         # one per shift
         self.n_block = 8 + len(self.credit_rows)
         self.n_normals = BLOCK_STEPS * self.n_block + 1 + len(self.shift_rows)
-        self.soft, self.crow, _ = self._rows(self.coefs, self.X)
+        # the predictors' scratch, the kept rows and the proposals' rows
+        self._pred = np.empty((3, n))
+        self.rows = np.empty((3, n))
+        self.spare = np.empty((3, n))
+        self.evaluate(self.coefs, self.X, self.rows)
         self._totals = None
 
-    def _rows(self, coefs: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    def evaluate(self, coefs: np.ndarray, X: np.ndarray, out: np.ndarray) -> int:
         """The heads' rows at coefs and X, from the linear predictors
-        coefs @ X: the softplus rows, the credit rows, and how many credit
-        rates are over the cap."""
-        pred = np.matmul(coefs, X)
-        nz = pred[:2]
-        nz *= self.nsign
-        return _softplus_rows(nz), *_credit_rows(pred[2], self.design)
+        coefs @ X, written to out; returns how many credit rates are over
+        the cap."""
+        return _stacked_rows(np.matmul(coefs, X, out=self._pred), self.nsign, self.design, out)
 
     def theta(self) -> np.ndarray:
         """The parameter vector, in serialization order."""
@@ -299,39 +310,41 @@ class _State:
         factor[8 + self.credit_rows, 8:] = _block_factor(credit)
         return _Tuning(factor, tau, widths)
 
-    def _kept_totals(self) -> list[float]:
+    def totals(self) -> list[float]:
         """Each head's kept rows' sum (the logistic heads' softplus sums),
         summed after the rows last changed."""
         if self._totals is None:
-            self._totals = [*np.add.reduce(self.soft, axis=1).tolist(), float(np.add.reduce(self.crow))]
+            self._totals = np.add.reduce(self.rows, axis=1).tolist()
         return self._totals
 
     def blocks(self, tuning: _Tuning, z: np.ndarray, log_u: list[float]) -> tuple[list[bool], int]:
         """One block step per head from the normals z, accepted by log_u's
         first three entries (job, house, credit). Returns whether each head
         accepted, and 1 if the credit proposal put a rate over the cap."""
-        coefs = self.coefs
-        prop = coefs + (tuning.factor @ z).reshape(3, 4)
-        prior = np.add.reduce(coefs * coefs - prop * prop, axis=1).tolist()
-        soft, crow, n_over = self._rows(prop, self.X)
-        kept = self._kept_totals()
-        new = [*np.add.reduce(soft, axis=1).tolist(), float(np.add.reduce(crow))]
+        coefs, rows, spare = self.coefs, self.rows, self.spare
+        prop = (tuning.factor @ z).reshape(3, 4)
+        prop += coefs
+        n_over = self.evaluate(prop, self.X, spare)
+        kept = self.totals()
+        new = np.add.reduce(spare, axis=1).tolist()
         # softplus rows are minus the log-likelihood's, so a logistic head's
-        # gain is its kept sum less its proposed one
+        # gain is its kept sum less its proposed one; its prior's gain is
+        # half of sum beta^2 - sum beta'^2, summed left to right
         gains = (kept[0] - new[0], kept[1] - new[1], new[2] - kept[2])
-        accepted = [log_u[h] < gains[h] + 0.5 * prior[h] for h in range(3)]
+        priors = [
+            (a0 * a0 - b0 * b0) + (a1 * a1 - b1 * b1) + (a2 * a2 - b2 * b2) + (a3 * a3 - b3 * b3)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(coefs.tolist(), prop.tolist())
+        ]
+        accepted = [log_u[h] < gains[h] + 0.5 * priors[h] for h in range(3)]
         accepted[2] = accepted[2] and not n_over
-        if accepted[0] and accepted[1]:
-            coefs[:2] = prop[:2]
-            self.soft = soft
+        if accepted[0] and accepted[1] and accepted[2]:
+            coefs[:] = prop
+            self.rows, self.spare = spare, rows
         else:
-            for h in (0, 1):
+            for h in range(3):
                 if accepted[h]:
                     coefs[h] = prop[h]
-                    self.soft[h] = soft[h]
-        if accepted[2]:
-            coefs[2] = prop[2]
-            self.crow = crow
+                    rows[h] = spare[h]
         for h in range(3):
             if accepted[h]:
                 kept[h] = new[h]
@@ -341,14 +354,15 @@ class _State:
         """Every latent score's random-walk step, c + widths * steps, accepted
         where log_u is below its log ratio. Returns how many accepted and how
         many proposed a rate over the cap."""
-        c, moved = self.X[3], self._proposal[3]
+        c, moved, new = self.X[3], self._proposal[3], self.spare
         d = steps * widths
         np.add(c, d, out=moved)
-        soft, crow, n_over = self._rows(self.coefs, self._proposal)
-        # each latent's log ratio: its rows' change, less the prior's, half
-        # the change in its square, (c + d/2) d
-        change = soft - self.soft
-        ratio = crow - self.crow
+        n_over = self.evaluate(self.coefs, self._proposal, new)
+        # each latent's log ratio: its credit row's change less its softplus
+        # rows' changes, less the prior's, half the change in its square,
+        # (c + d/2) d
+        change = np.subtract(new, self.rows, out=self._pred)
+        ratio = change[2]
         ratio -= change[0]
         ratio -= change[1]
         prior = d * 0.5
@@ -359,9 +373,8 @@ class _State:
         accepted = (log_u < ratio).nonzero()[0]
         if accepted.size:
             c[accepted] = moved[accepted]
-            for kept, new in zip(self.soft, soft):
-                kept[accepted] = new[accepted]
-            self.crow[accepted] = crow[accepted]
+            for kept, proposed in zip(self.rows, new):
+                kept[accepted] = proposed[accepted]
             self._totals = None
         return accepted.size, n_over
 
@@ -370,9 +383,10 @@ class _State:
         log ratio: the prior's change plus the Jacobian (n - 3) eta."""
         c, loads = self.X[3], self.coefs[:, 3]
         eta = tau * z
+        k0, k1, k2 = loads.tolist()
         ratio = (
-            -0.5 * np.expm1(2.0 * eta) * float(c @ c)
-            - 0.5 * np.expm1(-2.0 * eta) * float(loads @ loads)
+            -0.5 * math.expm1(2.0 * eta) * float(c @ c)
+            - 0.5 * math.expm1(-2.0 * eta) * (k0 * k0 + k1 * k1 + k2 * k2)
             + (c.shape[0] - 3) * eta
         )
         if not log_u < ratio:
@@ -386,20 +400,25 @@ class _State:
         m is drawn from N(-B/A, 1/A), A = sum x^2 + sum loads^2 and
         B = sum c x - sum_h loads_h beta_h,x. Each shift's sum c x is the one
         before the shifts plus the earlier shifts' m times the Gram matrix
-        of X's rows, and c takes all the shifts at the end, in one pass."""
-        c, coefs = self.X[3], self.coefs
-        loads = coefs[:, 3]
-        loads2 = float(loads @ loads)
+        of X's rows. The coefficients' sums and moves are in Python floats,
+        each sum added left to right, and c takes all the shifts at the end,
+        in one pass."""
+        c = self.X[3]
+        cells = self.coefs.tolist()
+        k0, k1, k2 = (row[3] for row in cells)
+        loads2 = k0 * k0 + k1 * k1 + k2 * k2
         cx = (self._shift_x @ c).tolist()
         ms = []
         for r, zr in zip(self.shift_rows, z):
             a = self._gram[r][r] + loads2
-            b = cx[len(ms)] - float(loads @ coefs[:, r])
+            b = cx[len(ms)] - (k0 * cells[0][r] + k1 * cells[1][r] + k2 * cells[2][r])
             # x and the loadings all 0: the move is the identity
             m = 0.0 if a == 0.0 else (zr * math.sqrt(a) - b) / a
-            coefs[:, r] -= m * loads
+            for row in cells:
+                row[r] -= m * row[3]
             cx = [v + m * self._gram[r][s] for v, s in zip(cx, self.shift_rows)]
             ms.append(m)
+        self.coefs[:] = cells
         c += np.array(ms) @ self._shift_x
 
 
@@ -461,8 +480,12 @@ def run_chain(
     differences are nan ratios that never accept. Persistent likelihood
     errors, steps that propose a credit rate above the cap, abort the chain
     with a ConfigError naming model.poisson_rate_cap once they pass
-    ERROR_BUDGET of its accept tests (PARAM_UNIFORMS and n latents a sweep),
-    checked every ADAPT_EVERY sweeps and at the last.
+    ERROR_BUDGET of its accept tests (PARAM_UNIFORMS and n latents a sweep).
+    The budget counts the sweeps after burn-in alone, when the kernel is
+    fixed, so the start's transient (every latent window 4.12 wide at the
+    all-zero state) cannot abort a chain; it is checked every ADAPT_EVERY
+    sweeps after burn-in and at the last. n_likelihood_errors counts every
+    sweep's errors.
     """
     cfg = sampler_config
     n = len(data)
@@ -496,6 +519,7 @@ def run_chain(
     acc_blocks_post = [0, 0, 0]
     acc_latent_post = 0
     err_steps = 0
+    err_post = 0  # the error budget's count: likelihood errors after burn-in
 
     draw_idx = 0
 
@@ -517,16 +541,17 @@ def run_chain(
         if post:
             acc_latent_post += n_acc
             acc_blocks_post = [a + b for a, b in zip(acc_blocks_post, accepts)]
-
-        total_steps = sweep * (n + PARAM_UNIFORMS)
-        checked = sweep % ADAPT_EVERY == 0 or sweep == cfg.iterations
-        if checked and err_steps > ERROR_BUDGET * total_steps:
-            raise ConfigError(
-                f"sampler aborted at sweep {sweep}: {err_steps} likelihood errors (steps "
-                "proposing a credit rate above model.poisson_rate_cap = "
-                f"{model_config.poisson_rate_cap!r}) over {total_steps} steps "
-                f"(> {ERROR_BUDGET:.0%})"
-            )
+            err_post += errors
+            since = sweep - cfg.burn_in
+            post_steps = since * (n + PARAM_UNIFORMS)
+            checked = since % ADAPT_EVERY == 0 or sweep == cfg.iterations
+            if checked and err_post > ERROR_BUDGET * post_steps:
+                raise ConfigError(
+                    f"sampler aborted at sweep {sweep}: {err_post} likelihood errors (steps "
+                    "proposing a credit rate above model.poisson_rate_cap = "
+                    f"{model_config.poisson_rate_cap!r}) over the {post_steps} steps "
+                    f"after burn-in (> {ERROR_BUDGET:.0%})"
+                )
         # powers of two too, so that the scales follow the chain's first
         # steps away from the all-zero start
         if sweep <= cfg.burn_in and (

@@ -983,9 +983,10 @@ def test_default_chain_mixes_without_a_warning(tmp_path, command):
 
 def test_aborted_synth_writes_nothing(tmp_path):
     # a rate cap just over the truth's largest rate (e^3.42 = 30.6): the
-    # chain's steps cross it in over 1% of its accept tests by sweep 100, which
-    # exceeds the sampler's error budget; synth writes its data after the
-    # chain, so the abort leaves no file
+    # chain's steps cross it in over 1% of its accept tests in the 100
+    # sweeps after burn-in, which exceeds the sampler's error budget (at
+    # sweep 150); synth writes its data after the chain, so the abort leaves
+    # no file
     config = tmp_path / "c.kv"
     lines = (
         "synth.n = 50", "synth.param.beta_c_c = 1.0", "synth.param.b_c = 2.0",

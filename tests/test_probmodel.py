@@ -20,6 +20,7 @@ from scipy.stats import poisson
 from faircredit.dataset import Dataset
 from faircredit.errors import DataError
 from faircredit.probmodel import (
+    _EXP_SAFE,
     BASE_PARAM_NAMES,
     HEAD_CREDIT,
     HEAD_HOUSE,
@@ -29,6 +30,9 @@ from faircredit.probmodel import (
     Design,
     ModelConfig,
     ModelParams,
+    _credit_rows,
+    _softplus_rows,
+    _stacked_rows,
     credit_linear,
     head_log_likelihood,
     per_obs_latent_slopes,
@@ -406,13 +410,51 @@ def test_column_design_broadcasts_every_head(tiny_dataset, modest_params):
         assert np.array_equal(grid[:, k], per_obs_log_likelihood(vec, c[:, k].copy(), design)[0])
 
 
+def assert_stacked_rows_match_the_head_kernels(pred, design):
+    """_stacked_rows at linear predictors pred (3, n) against _softplus_rows
+    and _credit_rows on copies, bit for bit, with equal over-cap counts;
+    returns the count and whether any nz is past _EXP_SAFE."""
+    nsign = np.stack([design.job_nsign, design.house_nsign])
+    nz = pred[:2] * nsign
+    past = bool((nz > _EXP_SAFE).any())
+    soft = _softplus_rows(nz)
+    credit, n_over = _credit_rows(pred[2].copy(), design)
+    out = np.empty_like(pred)
+    assert _stacked_rows(pred.copy(), nsign, design, out) == n_over
+    assert np.array_equal(out[:2], soft) and np.array_equal(out[2], credit)
+    return n_over, past
+
+
+def test_stacked_rows_match_the_per_head_kernels(tiny_dataset):
+    # the one kernel of the sampler's three heads against the per-head ones:
+    # on the fast path, with a logistic nz past 709.78, where exp overflows,
+    # with a credit rate over the cap alone, and with both in one evaluation
+    design = Design.from_dataset(tiny_dataset, ModelConfig(poisson_rate_cap=80.0))
+    nsign = np.stack([design.job_nsign, design.house_nsign])
+    n = len(tiny_dataset)
+    rng = np.random.default_rng(31)
+    kinds = ((False, False), (True, False), (False, True), (True, True))
+    for logistic_over, credit_over in kinds:
+        for _ in range(5):
+            pred = 3.0 * rng.standard_normal((3, n))
+            pred[2] = np.minimum(pred[2], design.cap_log)
+            h, i, j = rng.integers(2), rng.integers(n), rng.integers(n)
+            if logistic_over:
+                pred[h, i] = 720.0 * nsign[h, i]  # nz = 720
+            if credit_over:
+                pred[2, j] = design.cap_log + 0.5
+            n_over, past = assert_stacked_rows_match_the_head_kernels(pred, design)
+            assert (past, n_over) == (logistic_over, int(credit_over))
+
+
 # --- the sampler's per-head state --------------------------------------------
 
-# sampler._State keeps each head's rows at its linear predictor: the job and
-# house heads' softplus rows, 0 minus head_log_likelihood's, and the credit
-# head's rows. Its predictors come from one matrix product, whose association
-# is not HEAD_TERMS order, so its rows match the engine's within rounding:
-# ROWS_TOL of each row's size, where rows of about 100 differ by a few ulp.
+# sampler._State keeps each head's rows at its linear predictor, in one
+# (3, n) array: the job and house heads' softplus rows, 0 minus
+# head_log_likelihood's, and the credit head's rows. Its predictors come from
+# one matrix product, whose association is not HEAD_TERMS order, so its rows
+# match the engine's within rounding: ROWS_TOL of each row's size, where rows
+# of about 100 differ by a few ulp.
 TERM_CONFIGS = (
     ModelConfig(),
     ModelConfig(include_credit_intercept=True, credit_scale=5.0),
@@ -422,12 +464,12 @@ TERM_CONFIG_IDS = ("default", "intercept", "rate_cap")
 ROWS_TOL = 1e-12
 
 
-def assert_rows_match_engine(soft, crow, vec, c, design, exact=False):
-    """A state's softplus and credit rows against head_log_likelihood's at
-    (vec, c) from scratch, within ROWS_TOL, or bit for bit when exact; -inf
-    rows exactly where the engine's are. Returns the credit head's overflow
-    count."""
-    for kept, head in ((soft[0], HEAD_JOB), (soft[1], HEAD_HOUSE), (crow, HEAD_CREDIT)):
+def assert_rows_match_engine(rows, vec, c, design, exact=False):
+    """A state's (3, n) rows, softplus then credit, against
+    head_log_likelihood's at (vec, c) from scratch, within ROWS_TOL, or bit
+    for bit when exact; -inf rows exactly where the engine's are. Returns the
+    credit head's overflow count."""
+    for kept, head in zip(rows, (HEAD_JOB, HEAD_HOUSE, HEAD_CREDIT)):
         _, n_over, rows = head_log_likelihood(head, vec, c, design)
         want = rows if head == HEAD_CREDIT else 0.0 - rows
         if exact:
@@ -440,7 +482,14 @@ def assert_rows_match_engine(soft, crow, vec, c, design, exact=False):
 
 def fresh_totals(state):
     """The sums of a state's kept rows, reduced as its cached totals are."""
-    return [*np.add.reduce(state.soft, axis=1).tolist(), float(np.add.reduce(state.crow))]
+    return np.add.reduce(state.rows, axis=1).tolist()
+
+
+def evaluate(state, coefs, X):
+    """The heads' rows at coefs and X as the state's steps compute them, in
+    a fresh (3, n) array, and the credit head's overflow count."""
+    rows = np.empty_like(state.rows)
+    return rows, state.evaluate(coefs, X, rows)
 
 
 def latent_proposal(state, c_prop):
@@ -448,7 +497,7 @@ def latent_proposal(state, c_prop):
     latent step computes them: a copy of X that differs in row 3 alone."""
     X = state.X.copy()
     X[3] = c_prop
-    return state._rows(state.coefs, X)
+    return evaluate(state, state.coefs, X)
 
 
 def under_cap_state(design, config, rng):
@@ -473,26 +522,26 @@ def test_head_terms_moves_match_head_log_likelihood(tiny_dataset, config):
     over_moves = finite_moves = 0
     for _ in range(10):
         state = under_cap_state(design, config, rng)
-        assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+        assert_rows_match_engine(state.rows, state.theta(), state.X[3], design)
         tuning = state.tune()
         for _ in range(4):
             z = 3.0 * rng.standard_normal(state.n_block)
             prop = state.coefs + (tuning.factor @ z).reshape(3, 4)
-            soft, crow, n_over = state._rows(prop, state.X)
-            assert n_over == assert_rows_match_engine(soft, crow, prop.take(state.cells), state.X[3], design)
+            rows, n_over = evaluate(state, prop, state.X)
+            assert n_over == assert_rows_match_engine(rows, prop.take(state.cells), state.X[3], design)
             over_moves += n_over > 0
             finite_moves += n_over == 0
             accepted, errors = state.blocks(tuning, z, [-math.inf] * 3)
             assert accepted == [True, True, not n_over] and errors == (n_over > 0)
-            assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+            assert_rows_match_engine(state.rows, state.theta(), state.X[3], design)
         c_prop = state.X[3] + rng.standard_normal(n)
-        soft, crow, n_over = latent_proposal(state, c_prop)
-        assert n_over == assert_rows_match_engine(soft, crow, state.theta(), c_prop, design)
+        rows, n_over = latent_proposal(state, c_prop)
+        assert n_over == assert_rows_match_engine(rows, state.theta(), c_prop, design)
         state.latents(1.0, c_prop - state.X[3], np.full(n, -np.inf))
-        assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+        assert_rows_match_engine(state.rows, state.theta(), state.X[3], design)
         state.scale(tuning.tau, 0.7, -math.inf)
         state.shifts([0.8, -1.3, 0.4][:len(state.shift_rows)])
-        assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+        assert_rows_match_engine(state.rows, state.theta(), state.X[3], design)
     assert finite_moves > 0
     if config.poisson_rate_cap < 1e3:
         assert over_moves > 0
@@ -514,37 +563,33 @@ def test_head_terms_keep_accepted_moves_exactly(tiny_dataset, config):
         before = copy.deepcopy(state)
         z = rng.standard_normal(state.n_block)
         prop = state.coefs + (tuning.factor @ z).reshape(3, 4)
-        soft, crow, _ = state._rows(prop, state.X)
+        rows, _ = evaluate(state, prop, state.X)
         accepted, _ = state.blocks(tuning, z, np.log(rng.random(3)).tolist())
         for h, keep in enumerate(accepted):
             assert np.array_equal(state.coefs[h], prop[h] if keep else before.coefs[h])
-            kept = state.crow if h == HEAD_CREDIT else state.soft[h]
-            new = crow if h == HEAD_CREDIT else soft[h]
-            old = before.crow if h == HEAD_CREDIT else before.soft[h]
-            assert np.array_equal(kept, new if keep else old)
+            assert np.array_equal(state.rows[h], rows[h] if keep else before.rows[h])
         heads_kept += sum(accepted)
-        assert state._kept_totals() == fresh_totals(state)
+        assert state.totals() == fresh_totals(state)
 
         before = copy.deepcopy(state)
         steps = 2.0 * rng.random(n) - 1.0
-        soft, crow, _ = latent_proposal(state, state.X[3] + steps * tuning.widths)
+        rows, _ = latent_proposal(state, state.X[3] + steps * tuning.widths)
         n_acc, _ = state.latents(tuning.widths, steps, np.log(rng.random(n)))
         moved = state.X[3] != before.X[3]
         assert np.count_nonzero(moved) == n_acc
         assert np.array_equal(state.X[3], np.where(moved, before.X[3] + steps * tuning.widths, before.X[3]))
-        assert np.array_equal(state.soft, np.where(moved, soft, before.soft))
-        assert np.array_equal(state.crow, np.where(moved, crow, before.crow))
+        assert np.array_equal(state.rows, np.where(moved, rows, before.rows))
         assert np.array_equal(state.coefs, before.coefs)
         rows_kept += n_acc
-        assert state._kept_totals() == fresh_totals(state)
+        assert state.totals() == fresh_totals(state)
 
         before = copy.deepcopy(state)
         state.scale(tuning.tau, rng.standard_normal(), math.log(rng.random()))
         state.shifts(rng.standard_normal(len(state.shift_rows)).tolist())
-        assert np.array_equal(state.soft, before.soft) and np.array_equal(state.crow, before.crow)
-        assert state._kept_totals() == fresh_totals(state)
+        assert np.array_equal(state.rows, before.rows)
+        assert state.totals() == fresh_totals(state)
     assert 0 < heads_kept < 3 * 40 and 0 < rows_kept < n * 40
-    assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+    assert_rows_match_engine(state.rows, state.theta(), state.X[3], design)
 
 
 @pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
@@ -558,7 +603,7 @@ def test_head_terms_accept_rows_by_index_or_mask_alike(tiny_dataset, config):
     state = under_cap_state(design, config, rng)
     steps = 2.0 * rng.random(n) - 1.0
     c_prop = state.X[3] + steps * 0.5
-    soft, crow, n_over = latent_proposal(state, c_prop)
+    rows, n_over = latent_proposal(state, c_prop)
     assert n_over == 0
     some = rng.random(n) < 0.5
     assert 0 < np.count_nonzero(some) < n
@@ -567,19 +612,19 @@ def test_head_terms_accept_rows_by_index_or_mask_alike(tiny_dataset, config):
         n_acc, _ = by_index.latents(0.5, steps, np.where(mask, -np.inf, np.inf))
         assert n_acc == np.count_nonzero(mask)
         assert np.array_equal(by_index.X, np.where(mask, np.stack([*state.X[:3], c_prop]), state.X))
-        assert np.array_equal(by_index.soft, np.where(mask, soft, state.soft))
-        assert np.array_equal(by_index.crow, np.where(mask, crow, state.crow))
+        assert np.array_equal(by_index.rows, np.where(mask, rows, state.rows))
         assert np.array_equal(by_index.coefs, state.coefs)
-        assert by_index._kept_totals() == fresh_totals(by_index)
+        assert by_index.totals() == fresh_totals(by_index)
 
 
 @pytest.mark.parametrize("config", TERM_CONFIGS, ids=TERM_CONFIG_IDS)
 def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
     # the steps write the kept rows and latents in place, so they must only
-    # read the move they hold: the rows each proposal's evaluation returned
-    # are unchanged by the accept that follows, also where a block's rows
-    # were kept whole, and the latent proposal's X still holds the proposed
-    # latents in row 3 and X's other rows
+    # read the move they hold: every evaluation writes the spare buffer,
+    # never the kept rows, also after a block accepted by all three heads
+    # made the spare the kept rows; the rows it wrote are unchanged by the
+    # accept that follows; and the latent proposal's X still holds the
+    # proposed latents in row 3 and X's other rows
     design = Design.from_dataset(tiny_dataset, config)
     n = len(tiny_dataset)
     rng = np.random.default_rng(23)
@@ -587,26 +632,33 @@ def test_head_terms_accepts_never_write_the_held_move(tiny_dataset, config):
     tuning = state.tune()
     held = []
 
-    def recording(coefs, X):
-        out = _State._rows(state, coefs, X)
-        held.append([(a, a.copy()) for a in out[:2]])
-        return out
+    def recording(coefs, X, out):
+        assert out is not state.rows
+        n_over = _State.evaluate(state, coefs, X, out)
+        held.append((out, out.copy()))
+        return n_over
 
-    state._rows = recording
-    for _ in range(30):
+    state.evaluate = recording
+    swaps = 0
+    for i in range(30):
         held.clear()
-        state.blocks(tuning, rng.standard_normal(state.n_block), np.log(rng.random(3)).tolist())
-        assert len(held) == 1 and all(np.array_equal(a, kept) for a, kept in held[0])
+        kept = state.rows
+        # every third block step at log u = -inf, which all three heads accept
+        log_u = [-math.inf] * 3 if i % 3 == 0 else np.log(rng.random(3)).tolist()
+        state.blocks(tuning, rng.standard_normal(state.n_block), log_u)
+        assert len(held) == 1 and np.array_equal(*held[0])
+        swaps += state.rows is not kept
         held.clear()
         steps = 2.0 * rng.random(n) - 1.0
         proposed = state.X[3] + steps * tuning.widths
         state.latents(tuning.widths, steps, np.log(rng.random(n)))
-        assert len(held) == 1 and all(np.array_equal(a, kept) for a, kept in held[0])
+        assert len(held) == 1 and np.array_equal(*held[0])
         assert np.array_equal(state._proposal[3], proposed)
         assert np.array_equal(state._proposal[:3], state.X[:3])
         state.scale(tuning.tau, rng.standard_normal(), math.log(rng.random()))
         state.shifts(rng.standard_normal(len(state.shift_rows)).tolist())
-    assert_rows_match_engine(state.soft, state.crow, state.theta(), state.X[3], design)
+    assert swaps > 0
+    assert_rows_match_engine(state.rows, state.theta(), state.X[3], design)
 
 
 def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
@@ -625,9 +677,9 @@ def test_head_terms_match_head_log_likelihood_across_the_overflow_switch():
 
     def check():
         vec, c = state.theta(), state.X[3]
-        assert_rows_match_engine(state.soft, state.crow, vec, c, design, exact=True)
+        assert_rows_match_engine(state.rows, vec, c, design, exact=True)
         for h in (HEAD_JOB, HEAD_HOUSE):
-            assert -state._kept_totals()[h] == head_log_likelihood(h, vec, c, design)[0]
+            assert -state.totals()[h] == head_log_likelihood(h, vec, c, design)[0]
         nz = state.coefs[:2, 3:] * c * state.nsign
         # exp(t) overflows for every t > 710 and for no t < 709.78
         over = nz > 710.0

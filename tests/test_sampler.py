@@ -16,6 +16,7 @@ written out by hand.
 
 import copy
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -350,7 +351,8 @@ def test_run_chain_rejects_overflowing_logistic_steps_as_the_exact_rows_do(tiny_
         overflowed.append(bool(np.maximum.reduce(nz, axis=None) > 709.78))
         return real(nz)
 
-    monkeypatch.setattr(sampler, "_softplus_rows", counting)
+    # the stacked kernel falls back to _softplus_rows past the overflow
+    monkeypatch.setattr(probmodel, "_softplus_rows", counting)
     state, tuning, design, rng = mid_chain_state(tiny_dataset, ModelConfig())
     wide = tuning._replace(factor=300.0 * tuning.factor)
     for _ in range(20):
@@ -383,15 +385,15 @@ def test_block_steps_reject_and_count_a_credit_rate_over_the_cap(tiny_dataset):
         if over:
             assert not accepted[2]
             assert np.array_equal(state.coefs[2], before.coefs[2])
-            assert np.array_equal(state.crow, before.crow)
+            assert np.array_equal(state.rows[2], before.rows[2])
     assert errors > 0
 
 
 def test_run_chain_keeps_no_state_over_the_rate_cap(tiny_dataset):
     # a cap at about twice the data's largest count (45): the chain's steps
-    # propose rates over it (8 to 45 times at seeds 0 and 2-7; at seed 1 the
-    # early latent steps pass the budget), under the error budget; no kept
-    # draw is over it
+    # propose rates over it (8 to 34 times at seeds 0, 1 and 3-7; at seed 2
+    # the steps after burn-in pass the budget), under the error budget; no
+    # kept draw is over it
     cfg = SamplerConfig(iterations=300, burn_in=100, seed=3)
     mc = ModelConfig(poisson_rate_cap=110.0)
     chain = run_chain(tiny_dataset, mc, cfg, latent_columns=range(len(tiny_dataset)))
@@ -420,7 +422,7 @@ def test_kept_rows_match_rows_from_scratch_after_200_sweeps():
         theta, c = state.theta(), state.X[3]
         scratch = [-head_log_likelihood(h, theta, c, design)[2] for h in (HEAD_JOB, HEAD_HOUSE)]
         credit = head_log_likelihood(HEAD_CREDIT, theta, c, design)[2]
-        for kept, want in ((state.soft[0], scratch[0]), (state.soft[1], scratch[1]), (state.crow, credit)):
+        for kept, want in zip(state.rows, (*scratch, credit)):
             assert np.all(np.abs(kept - want) <= 1e-11 * (1.0 + np.abs(want)))
 
 
@@ -650,9 +652,9 @@ def test_run_chain_matches_scalar_kernels_across_the_rate_cap(tiny_dataset):
     # a cap of 90, twice the largest count (45), crossing the tuning at
     # sweep 100: proposals of both phases cross the cap and are rejected
     # (2 block steps and 12 latent steps of 2280), under the error budget,
-    # and run_chain must keep none of their rows. The latents' windows are
-    # wide while the credit loading is still growing, so at a cap of 70 the
-    # latents pass the budget by sweep 100 at every seed 0-7
+    # and run_chain must keep none of their rows. At a cap of 70 the latents
+    # cross it in 2-5% of their steps after burn-in too, over the budget
+    # (test_error_budget_counts_only_the_sweeps_after_burn_in)
     cfg = SamplerConfig(iterations=120, burn_in=100, thin=2, seed=3)
     param_errors, latent_errors = assert_chain_matches_reference(
         tiny_dataset, ModelConfig(poisson_rate_cap=90.0), cfg
@@ -774,14 +776,43 @@ def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset, monkeypatch):
 def test_run_chain_restores_the_error_state_when_it_aborts(tiny_dataset):
     # run_chain ignores overflow, divide and invalid warnings while it runs.
     # A chain that aborts mid-way (a cap below exp(0): every credit
-    # evaluation is over it) hands back the caller's own error state, here
-    # one that differs from run_chain's in all three
+    # evaluation is over it; the budget counts the sweeps after burn-in, so
+    # the first check is 100 sweeps after it) hands back the caller's own
+    # error state, here one that differs from run_chain's in all three
     cfg = SamplerConfig(iterations=300, burn_in=100, seed=3)
     with np.errstate(over="raise", divide="print", invalid="warn"):
         before = np.geterr()
-        with pytest.raises(ConfigError, match="aborted at sweep 100"):
+        with pytest.raises(ConfigError, match="aborted at sweep 200"):
             run_chain(tiny_dataset, ModelConfig(poisson_rate_cap=1e-6), cfg)
         assert np.geterr() == before
+
+
+def test_error_budget_counts_only_the_sweeps_after_burn_in(tiny_dataset):
+    # a cap of 70, about 1.5 times the data's largest count (45), on 120
+    # sweeps with 100 of burn-in: burn-in proposes rates over the cap in
+    # 47-80 of its 1,900 steps (the all-zero start's windows, 4.12 wide,
+    # among them), which no longer abort a chain at sweep 100, as they did
+    # at every seed 0-7 when the budget counted from sweep 1. After burn-in
+    # the window walk still crosses this cap in 2-5% of its steps (over
+    # 2,000 kept sweeps), above the 1% budget, so 7 of the 8 chains abort at
+    # the last sweep, counted over the kept sweeps' steps alone; seed 3 runs
+    # to the end
+    cfg = SamplerConfig(iterations=120, burn_in=100)
+    mc = ModelConfig(poisson_rate_cap=70.0)
+    aborted = []
+    for seed in range(8):
+        try:
+            chain = run_chain(tiny_dataset, mc, replace(cfg, seed=seed))
+        except ConfigError as exc:
+            errors = int(re.match(r"sampler aborted at sweep 120: (\d+) likelihood errors", str(exc))[1])
+            assert "over the 380 steps after burn-in" in str(exc)
+            assert errors > sampler.ERROR_BUDGET * 380
+            aborted.append(seed)
+        else:
+            # over 1% of all 120 sweeps' steps, burn-in's included, which
+            # the budget does not count
+            assert chain.n_likelihood_errors > sampler.ERROR_BUDGET * 120 * 19
+    assert aborted == [0, 1, 2, 4, 5, 6, 7]
 
 
 def test_run_chain_aborts_on_persistent_likelihood_errors(tiny_dataset):
