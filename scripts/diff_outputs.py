@@ -15,18 +15,18 @@ the config hashes match. Then `fit --model fair --preset recommended`,
 which turns the credit intercept on, runs into a second --out path.
 `fit --model fair` and `compare` with `model.poisson_rate_cap = 300`, just
 over the data's largest credit (251), and `eval.age_mode = shift` run into a
-third: the chain proposes rates over the cap (1,250 times at seed 0)
-without aborting, so the cap guard is compared too, and
-in compare's leaky test-time inference, which runs in blocks of rows, some
-grids end on the cap's bound (2 of the 200 at seed 0); compare also runs
-the age shift there. `fit --model fair` runs twice more, with
+third: the chain proposes rates over the cap (1,226 times at seed 0,
+1,007 of them after burn-in) without aborting, so the cap guard is
+compared too, and in compare's leaky test-time inference, which runs in
+blocks of rows, some grids end on the cap's bound (2 of the 200 at seed
+0); compare also runs the age shift there. `fit --model fair` runs twice more, with
 `out.latent_columns = 0` and with `out.latent_columns = 800` (every training
 row), each into its own --out path, so that both edges of the chain export
 are compared: rows of the draw index alone, with no trailing comma, and the
 widest latents.csv. Last come the refused runs, so that their error messages and exit codes are
 compared. `fit --model fair` runs with `model.poisson_rate_cap = 100`
 into out_budget: its steps over the cap pass the likelihood-error budget,
-which counts the sweeps after burn-in, and the chain aborts (at sweep 1,100
+which counts the sweeps after burn-in, and the chain aborts (at sweep 500
 at seed 0, the first check after burn-in), so its exit code, its error
 line and the absence of any file it wrote are compared. `synth` runs with
 two configs it refuses (`sampler.thin = abc`, `model.poisson_rate_cap = x`)

@@ -25,16 +25,20 @@ probe (perfbench/run.py's SpeedProbe) runs in the subprocess around it: a
 thread on the same CPU that times a fixed loop of small numpy calls by its
 own CPU time. A chain's probe loops are its seconds divided by that loop's
 mean time during it, so they stay put when the host switches its CPU's
-speed, as raw seconds do not. For each chain the script prints each tree's
-median and quartiles of probe loops, with the median raw seconds and
-microseconds per sweep beside them, the ratio of the loop medians (new/old)
-and the rounds in which the new tree took fewer loops; then each tree's
-worst folded bulk ESS (the minimum of diagnostics.ess_bulk over the
-parameters, with every draw folded to beta_c_c <= 0 by negating the three
-latent loadings, since the posterior is symmetric under that mirror), that
-ESS per 1,000 probe loops of its median chain, the sampler's figure of
-merit, and the latents' acceptance rate after burn-in; then one JSON line
-with every round's times.
+speed, as raw seconds do not. A chain's cost per sweep is given both ways:
+its probe loops per 1,000 sweeps, which compares trees whose chains run
+different numbers of sweeps, and its raw microseconds per sweep. Each round
+prints both beside the chain's loops and seconds. For each chain the script
+then prints each tree's median and quartiles of probe loops, with the
+median probe loops per 1,000 sweeps, raw seconds and microseconds per sweep
+beside them, the ratios of the loop medians and of the per-sweep loop
+medians (new/old) and the rounds in which the new tree took fewer loops;
+then each tree's worst folded bulk ESS (the minimum of
+diagnostics.ess_bulk over the parameters, with every draw folded to
+beta_c_c <= 0 by negating the three latent loadings, since the posterior is
+symmetric under that mirror), that ESS per 1,000 probe loops of its median
+chain, the sampler's figure of merit, and the latents' acceptance rate
+after burn-in; then one JSON line with every round's times.
 The chains must agree bit for bit: the exit code is 1, and a line says so,
 when the sha256 of param_draws and latent_mean differs between the trees in
 any round.
@@ -88,8 +92,10 @@ def child(seed: int) -> None:
         folded = chain.param_draws.copy()
         loads = [chain.param_names.index(n) for n in ("beta_j_c", "beta_h_c", "beta_c_c")]
         folded[:, loads] *= np.where(folded[:, loads[-1]] > 0.0, -1.0, 1.0)[:, None]
+        loops = elapsed / probe.mean_s()
         result[name] = {
-            "s": elapsed, "loops": elapsed / probe.mean_s(), "sha256": digest.hexdigest(),
+            "s": elapsed, "loops": loops, "sha256": digest.hexdigest(),
+            "loops_per_ksweep": 1000.0 * loops / config.iterations,
             "us_per_sweep": 1e6 * elapsed / config.iterations,
             "ess": min(ess_bulk(column) for column in folded.T),
             "accept_latents": chain.accept_rate_latents,
@@ -134,21 +140,28 @@ def main(argv=None) -> int:
         print(f"round {r + 1}: " + ", ".join(
             f"{name} " + " ".join(
                 f"{side} {rounds[-1][side][name]['loops']:.0f} loops "
-                f"({rounds[-1][side][name]['s']:.4f} s, "
+                f"({rounds[-1][side][name]['loops_per_ksweep']:.1f} loops/1000 sweeps, "
+                f"{rounds[-1][side][name]['s']:.4f} s, "
                 f"{rounds[-1][side][name]['us_per_sweep']:.1f} us/sweep)" for side in trees)
             for name in CHAINS), flush=True)
     differ = False
     for name in CHAINS:
         loops = {side: [rd[side][name]["loops"] for rd in rounds] for side in trees}
         medians = {side: statistics.median(v) for side, v in loops.items()}
+        per_ksweep = {
+            side: statistics.median(rd[side][name]["loops_per_ksweep"] for rd in rounds)
+            for side in trees
+        }
         for side in trees:
             lo, hi = quartiles(loops[side]) if args.rounds > 1 else (medians[side],) * 2
             seconds = statistics.median(rd[side][name]["s"] for rd in rounds)
             sweep_us = statistics.median(rd[side][name]["us_per_sweep"] for rd in rounds)
             print(f"{name} {side}: median {medians[side]:.0f} probe loops, "
-                  f"quartiles {lo:.0f}-{hi:.0f} (median {seconds:.4f} s, {sweep_us:.1f} us/sweep)")
+                  f"quartiles {lo:.0f}-{hi:.0f} (median {per_ksweep[side]:.1f} loops/1000 "
+                  f"sweeps, {seconds:.4f} s, {sweep_us:.1f} us/sweep)")
         wins = sum(rd["new"][name]["loops"] < rd["old"][name]["loops"] for rd in rounds)
         print(f"{name}: ratio of medians new/old {medians['new'] / medians['old']:.4f}, "
+              f"per sweep {per_ksweep['new'] / per_ksweep['old']:.4f}, "
               f"new faster in {wins} of {args.rounds} rounds")
         for side in trees:
             # the draws, and so the ESS and the acceptance, are the same in

@@ -89,10 +89,11 @@ DEFAULTS: dict[str, str] = {
 }
 
 # paper: the paper's model (no credit intercept, raw credit counts) and run
-# length. Its values are written out so that a changed default does not move
-# them; every proposal scales itself by the state, so the run length is all
-# it pins of the sampler. recommended: the credit intercept, which is what
-# you want on new data.
+# length, 5,000 sweeps with 1,000 of burn-in, longer than the default's 400
+# of burn-in (see SamplerConfig). Its values are written out so that a
+# changed default does not move them; every proposal scales itself by the
+# state, so the run length is all it pins of the sampler. recommended: the
+# credit intercept, which is what you want on new data.
 PRESETS: dict[str, dict[str, str]] = {
     "paper": {
         "model.include_credit_intercept": "false",
@@ -324,7 +325,10 @@ def cmd_fit(cfg: dict[str, str], header: tuple[str, ...], model: str) -> int:
     for name, rate in zip(("job", "house", "credit", "latents"), rates):
         note = "" if lo <= rate <= hi else f"  <-- outside [{lo}, {hi}]"
         print(f"  accept({name}) = {rate:.3f}{note}")
-    print(f"  likelihood errors = {chain.n_likelihood_errors}")
+    print(
+        f"  likelihood errors = {chain.n_likelihood_errors} "
+        f"({chain.n_likelihood_errors_post} after burn-in)"
+    )
     _warn_if_unmixed((row.name, row.ess_bulk) for row in summary)
     print(f"wrote {out}/: params.csv, latents.csv, summary.csv, model_fair/")
     return 0
@@ -340,7 +344,7 @@ def mixing_warning(bulk_ess: Iterable[tuple[str, float]]) -> str | None:
     return (
         f"warning: worst bulk ESS is {worst:.4g} ({name}), below "
         f"{ESS_WARN_MIN:g}: the chain has not mixed, so its estimates are unreliable; "
-        "raise sampler.iterations"
+        "raise sampler.burn_in or sampler.iterations"
     )
 
 

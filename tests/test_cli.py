@@ -152,6 +152,15 @@ def test_resolve_preset_then_file_then_flags(tmp_path):
     assert cfg["out.dir"] == str(tmp_path / "o")
 
 
+def test_paper_preset_keeps_the_papers_run_length():
+    # the default burn-in is sized to the measured warm-up; the paper preset
+    # spells out the paper's 5,000 sweeps with 1,000 of burn-in
+    paper = cli.build_sampler_config(resolve_config(None, "paper", None, None))
+    assert (paper.iterations, paper.burn_in, paper.n_draws()) == (5000, 1000, 4000)
+    default = cli.build_sampler_config(DEFAULTS)
+    assert (default.iterations, default.burn_in, default.n_draws()) == (4400, 400, 4000)
+
+
 def test_resolve_preset_keys_are_known():
     for name, overrides in PRESETS.items():
         unknown = set(overrides) - set(DEFAULTS)
@@ -195,7 +204,7 @@ def typed_fields(config) -> dict:
 def test_default_config_is_pinned():
     # every output file's header records this hash, so a changed default
     # key or value changes every output
-    assert config_hash(DEFAULTS) == "21e4da5bdb238024"
+    assert config_hash(DEFAULTS) == "e0c5fd6cc0355393"
     assert typed_fields(cli.build_model_config(DEFAULTS)) == typed_fields(ModelConfig())
     assert typed_fields(cli.build_sampler_config(DEFAULTS)) == typed_fields(SamplerConfig())
     assert typed_fields(cli.build_forest_config(DEFAULTS)) == typed_fields(ForestConfig())
@@ -266,7 +275,7 @@ def test_fit_fair_outputs(workspace):
     accepts = [line.split(")")[0] for line in res.out.splitlines() if line.startswith("  accept(")]
     assert accepts == [f"  accept({name}" for name in ("job", "house", "credit", "latents")]
     # the default rate cap is never reached, and the count goes to stdout only
-    assert "\n  likelihood errors = 0\n" in res.out
+    assert "\n  likelihood errors = 0 (0 after burn-in)\n" in res.out
     assert "likelihood" not in res.err
     out = workspace["out"]
     h = expected_hash(workspace)
@@ -296,8 +305,11 @@ def test_fit_fair_prints_its_likelihood_errors(workspace, tmp_path):
     )
     res = run_cli(["fit", "--config", str(config), "--model", "fair"])
     assert res.code == 0, res.err
-    (count,) = re.findall(r"^  likelihood errors = (\d+)$", res.out, flags=re.M)
+    ((count, post),) = re.findall(
+        r"^  likelihood errors = (\d+) \((\d+) after burn-in\)$", res.out, flags=re.M
+    )
     assert int(count) > 0
+    assert int(post) <= int(count)
     assert "likelihood" not in res.err
 
 
@@ -384,6 +396,8 @@ def test_mixing_warning_threshold():
     assert mixing_warning([("a", 400.0), ("b", ESS_WARN_MIN)]) is None
     text = mixing_warning([("a", 400.0), ("b", 99.5), ("c", 120.0)])
     assert text.startswith("warning: worst bulk ESS is 99.5 (b)")
+    # a kernel frozen before its warm-up ended needs a longer burn-in
+    assert text.endswith("raise sampler.burn_in or sampler.iterations")
     # a constant parameter has no ESS at all, which is worst
     text = mixing_warning([("a", 3.0), ("b", float("nan"))])
     assert "(b)" in text

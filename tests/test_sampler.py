@@ -84,6 +84,8 @@ def test_sampler_config_validate():
 def test_n_draws_arithmetic():
     assert SamplerConfig(iterations=30, burn_in=10, thin=4).n_draws() == 5
     assert SamplerConfig(iterations=5000, burn_in=1000, thin=1).n_draws() == 4000
+    # the default run keeps the 4,000 draws that the benchmark's fit check reads
+    assert SamplerConfig().n_draws() == 4000
 
 
 # --- scalar reference kernel -----------------------------------------------------------
@@ -403,13 +405,18 @@ def test_run_chain_keeps_no_state_over_the_rate_cap(tiny_dataset):
         assert probmodel.credit_linear(theta, c, design).max() <= design.cap_log
 
 
+def bundled_train() -> Dataset:
+    """The bundled data's 800-row training split at split seed 0, fit's."""
+    path = Path(__file__).resolve().parents[1] / "data" / "german_synthetic.csv"
+    return split(preprocess(load_csv(str(path))), SplitSpec(train_count=800, seed=0))[0]
+
+
 def test_kept_rows_match_rows_from_scratch_after_200_sweeps():
     # the kept rows are the kernels' at each entry's last accepted
     # predictor; the moves, which leave every predictor, keep them. After
     # 200 sweeps on the bundled data they are within 1e-11 of each row's
     # size of the engine's rows from scratch
-    path = Path(__file__).resolve().parents[1] / "data" / "german_synthetic.csv"
-    train, _ = split(preprocess(load_csv(str(path))), SplitSpec(train_count=800, seed=0))
+    train = bundled_train()
     for mc in (ModelConfig(), ModelConfig(include_credit_intercept=True)):
         design = Design.from_dataset(train, mc)
         state = _State(design, np.zeros(len(mc.active_param_names())), np.zeros(len(design)))
@@ -773,6 +780,17 @@ def test_run_chain_adaptation_freezes_after_burn_in(tiny_dataset, monkeypatch):
     assert all(not np.array_equal(a, b) for a, b in zip(widths, widths[1:]))
 
 
+@pytest.mark.parametrize("seed", (1, 7))
+def test_default_burn_in_outlasts_the_warm_up(seed):
+    # the default burn-in freezes the tuning after the warm-up from the
+    # all-zero start has ended. At a burn-in of 200 these two seeds freeze
+    # it too early: the latents accept about 0.2 of their steps and the
+    # worst bulk ESS is about 70 of 4,000 draws
+    chain = run_chain(bundled_train(), ModelConfig(), SamplerConfig(seed=seed))
+    assert chain.accept_rate_latents >= 0.30
+    assert min(ess_bulk(column) for column in chain.param_draws.T) >= 200.0
+
+
 def test_run_chain_restores_the_error_state_when_it_aborts(tiny_dataset):
     # run_chain ignores overflow, divide and invalid warnings while it runs.
     # A chain that aborts mid-way (a cap below exp(0): every credit
@@ -810,8 +828,9 @@ def test_error_budget_counts_only_the_sweeps_after_burn_in(tiny_dataset):
             aborted.append(seed)
         else:
             # over 1% of all 120 sweeps' steps, burn-in's included, which
-            # the budget does not count
+            # the budget does not count; its own count is within it
             assert chain.n_likelihood_errors > sampler.ERROR_BUDGET * 120 * 19
+            assert chain.n_likelihood_errors_post <= sampler.ERROR_BUDGET * 380
     assert aborted == [0, 1, 2, 4, 5, 6, 7]
 
 
